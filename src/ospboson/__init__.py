@@ -31,7 +31,7 @@ from .hopf import (
     verify_axiom,
 )
 from .relations import relation_catalog, verify_ef, verify_exchange
-from .series import TruncatedSeries, qpoch_log_series, qpoch_series, series_arith
+from .series import TruncatedSeries, qpoch_log_series
 from .theta import theta_eval, theta_eval_modular
 
 __all__ = [
@@ -46,9 +46,7 @@ __all__ = [
     "mode_bracket",
     "ope_kernel",
     "TruncatedSeries",
-    "qpoch_series",
     "qpoch_log_series",
-    "series_arith",
     "theta_eval",
     "theta_eval_modular",
     "relation_catalog",

@@ -35,13 +35,12 @@ catalog that the realization satisfies, i.e. with u-v negated.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from mpmath import mp
 
 from .errors import DomainError, PoleError, StructuralError
 from .relations import eval_structure_function, relation_catalog
-from .scalars import workdps
+from .scalars import to_mpf, workdps
 
 EPSILON_LADDER = (0.1, 0.05, 0.025, 0.0125)
 
@@ -73,52 +72,6 @@ def eta_prime(eta, hbar, c):
     return 1 / denom
 
 
-@dataclass(frozen=True)
-class ScalingParams:
-    """One point of the re-parameterized family.
-
-    q = e^{eps/eta}, p = e^{eps*hbar}, x = e^{-eps(u-v)}; level is the
-    central charge entering the c-dependent shifts and eta'.
-    """
-
-    epsilon: float
-    hbar: float
-    eta: float
-    u: complex = 0.0
-    v: complex = 0.0
-    level: int = 1
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise DomainError("epsilon must be positive")
-        if self.eta == 0:
-            raise DomainError("eta must be nonzero")
-
-    @property
-    def u_minus_v(self):
-        return mp.mpc(self.u) - mp.mpc(self.v)
-
-    @property
-    def eta_prime(self):
-        return eta_prime(self.eta, self.hbar, self.level)
-
-    @property
-    def p(self):
-        return mp.e ** (mp.mpf(self.epsilon) * mp.mpf(self.hbar))
-
-    @property
-    def x(self):
-        return mp.e ** (-mp.mpf(self.epsilon) * self.u_minus_v)
-
-    @property
-    def nome_q2(self):
-        return mp.e ** (-mp.mpf(self.epsilon) / (2 * mp.mpf(self.eta)))
-
-    @property
-    def nome_qt2(self):
-        return mp.e ** (-mp.mpf(self.epsilon) / (2 * self.eta_prime))
-
-
 def _exchange_relation(name):
     for rel in relation_catalog(mode="canonical"):
         if rel.rel_id == name:
@@ -135,8 +88,30 @@ def _factor_affine_shift(tf, c):
         raise StructuralError(
             "mixed-orientation display factors have no scaling-limit target"
         )
-    shift = tf.p_shift + tf.c_shift * c
-    return mp.mpf(shift.numerator) / shift.denominator
+    return to_mpf(tf.p_shift + tf.c_shift * c)
+
+
+def _degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta=None):
+    # sign * prod over the canonical factors of g(u-v - a*hbar)**power, with
+    # g = sin(2 pi eta .) (eta' on base qt^2) or, for eta=None, the identity
+    f = _exchange_relation(name).structure_function
+    with workdps(digits + 10):
+        s = mp.mpc(u_minus_v)
+        hb = mp.mpf(hbar)
+        if eta is not None:
+            scales = {"q2": 2 * mp.pi * mp.mpf(eta),
+                      "qt2": 2 * mp.pi * eta_prime(eta, hbar, c)}
+        acc = mp.mpc(f.sign)
+        floor = mp.mpf(10) ** (2 - digits)
+        for tf in f.factors:
+            val = s - _factor_affine_shift(tf, c) * hb
+            if eta is not None:
+                val = mp.sin(scales[tf.base] * val)
+            if tf.power == -1 and abs(val) < floor:
+                raise PoleError("%s denominator vanishes"
+                                % ("rational" if eta is None else "sine"), factor=tf)
+            acc = acc * val if tf.power == 1 else acc / val
+        return acc
 
 
 def trig_structure_function(name, u_minus_v, *, eta, hbar, c=1, digits=30):
@@ -147,40 +122,12 @@ def trig_structure_function(name, u_minus_v, *, eta, hbar, c=1, digits=30):
     with eta' replacing eta on base qt^2; the overall sign survives and the
     p^{+-1} prefactor drops (p -> 1).
     """
-    rel = _exchange_relation(name)
-    f = rel.structure_function
-    with workdps(digits + 10):
-        s = mp.mpc(u_minus_v)
-        hb = mp.mpf(hbar)
-        etap = eta_prime(eta, hbar, c)
-        scales = {"q2": 2 * mp.pi * mp.mpf(eta), "qt2": 2 * mp.pi * etap}
-        acc = mp.mpc(f.sign)
-        floor = mp.mpf(10) ** (2 - digits)
-        for tf in f.factors:
-            shift = _factor_affine_shift(tf, c)
-            val = mp.sin(scales[tf.base] * (s - shift * hb))
-            if tf.power == -1 and abs(val) < floor:
-                raise PoleError("sine denominator vanishes", factor=tf)
-            acc = acc * val if tf.power == 1 else acc / val
-        return acc
+    return _degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta)
 
 
 def rational_structure_function(name, u_minus_v, hbar, c=1, digits=30):
     """The eta -> 0 limit: each sine replaced by its affine argument."""
-    rel = _exchange_relation(name)
-    f = rel.structure_function
-    with workdps(digits + 10):
-        s = mp.mpc(u_minus_v)
-        hb = mp.mpf(hbar)
-        acc = mp.mpc(f.sign)
-        floor = mp.mpf(10) ** (2 - digits)
-        for tf in f.factors:
-            shift = _factor_affine_shift(tf, c)
-            val = s - shift * hb
-            if tf.power == -1 and abs(val) < floor:
-                raise PoleError("rational denominator vanishes", factor=tf)
-            acc = acc * val if tf.power == 1 else acc / val
-        return acc
+    return _degenerate_structure_function(name, u_minus_v, hbar, c, digits)
 
 
 def ef_trig_data(hbar, c=1):
@@ -194,6 +141,9 @@ def ef_trig_data(hbar, c=1):
     normalization of the additive delta function; the mapping of the
     multiplicative delta onto delta(u-v -+ c hbar) has no canonical scale,
     so the 1/hbar part is recorded as display bookkeeping, not derived.
+    In the eta -> 0 regime the source notes a relative sign between the two
+    delta terms without fixing a convention; it is the H^- -> -H^-
+    rescaling freedom, so none is chosen here.
     """
     hb = mp.mpf(hbar)
     if hb == 0:
@@ -208,35 +158,6 @@ def ef_trig_data(hbar, c=1):
         "h_plus_argument": "v + hbar*c/2",
         "h_minus_argument": "u + hbar*c/2",
     }
-
-
-def ef_rational_data(hbar, c=1):
-    """The same data for the eta -> 0 double degeneration.
-
-    The source text notes a sign difference between the two delta terms in
-    this regime without fixing a convention; it is tied to the H^- -> -H^-
-    rescaling freedom, so we surface it as a flag instead of choosing.
-    """
-    data = ef_trig_data(hbar, c)
-    data = dict(data)
-    data["sign_difference_flagged"] = True
-    data["note"] = (
-        "relative sign of the two delta terms differs between the trigonometric "
-        "and rational presentations; equivalent to the H^- rescaling freedom"
-    )
-    return data
-
-
-def half_period_factor_counts(name):
-    """Factor counts per theta base; each base's count is even, so shifting
-    u-v by the half period 1/(2 eta) (resp. 1/(2 eta')) leaves the ratio
-    invariant: every sine on that base flips sign."""
-    rel = _exchange_relation(name)
-    counts = {"q2": 0, "qt2": 0}
-    for tf in rel.structure_function.factors:
-        counts[tf.base] += 1
-    signs = {base: (-1) ** n for base, n in counts.items()}
-    return counts, signs
 
 
 def limit_check(name, u_minus_v, epsilons=EPSILON_LADDER, *, eta, hbar, c=1,

@@ -34,9 +34,9 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import DomainError, PoleError, StructuralError, UnsupportedError
-from .scalars import workdps
-from .series import TruncatedSeries
-from .theta import qpoch_eval
+from .scalars import to_mpf, workdps
+from .series import TruncatedSeries, qpoch_log_series
+from .theta import near_theta_zero, qpoch_eval
 
 __all__ = [
     "DeformationParams",
@@ -47,6 +47,7 @@ __all__ = [
     "mode_bracket",
     "contraction_series",
     "exp_contraction_closed",
+    "closed_form_series",
     "ope_kernel",
     "delta_decompose",
     "build_H",
@@ -184,6 +185,14 @@ def exp_contraction_closed(kind1, kind2, params):
                  + [QPochFactor(c, b, -1) for c in den])
 
 
+def closed_form_series(factors, order):
+    """Exact jet of a product of QPochFactors, each expanded through its log."""
+    acc = TruncatedSeries.one(order)
+    for f in factors:
+        acc = acc * qpoch_log_series(f.c, f.b, order, f.power)
+    return acc
+
+
 @dataclass(frozen=True)
 class VertexOperatorSpec:
     """A normal-ordered exponential current with zero-mode bookkeeping.
@@ -312,11 +321,7 @@ class Kernel:
 
     def series_from_closed_form(self):
         """Exact jet of prod factors via log expansion; equals .series."""
-        from .series import qpoch_log_series
-        acc = TruncatedSeries.one(self.order)
-        for f in self.factors:
-            acc = acc * qpoch_log_series(f.c, f.b, self.order, f.power)
-        return acc
+        return closed_form_series(self.factors, self.order)
 
     def eval_product(self, x, digits):
         """Numeric value of the factor product at complex x."""
@@ -324,12 +329,11 @@ class Kernel:
             x = mp.mpc(x)
             acc = mp.mpc(1)
             for f in self.factors:
-                c = mp.mpf(f.c.numerator) / mp.mpf(f.c.denominator)
+                c = to_mpf(f.c)
                 if f.b == 0:
                     v = 1 - c * x
                 else:
-                    b = mp.mpf(f.b.numerator) / mp.mpf(f.b.denominator)
-                    v = qpoch_eval(c * x, b, digits)
+                    v = qpoch_eval(c * x, to_mpf(f.b), digits)
                 if f.power == -1:
                     if abs(v) < mp.mpf(10) ** (-digits):
                         raise PoleError("kernel pole at x = %s" % x, factor=f)
@@ -342,31 +346,14 @@ class Kernel:
         with workdps(digits + 10):
             z = mp.mpc(z)
             w = mp.mpc(w)
-            mono = (mp.mpf(self.scalar.numerator) / mp.mpf(self.scalar.denominator)
-                    * z ** self.z_exp * w ** self.w_exp)
+            mono = to_mpf(self.scalar) * z ** self.z_exp * w ** self.w_exp
             return mono * self.eval_product(w / z, digits)
 
     def near_singular(self, x, tol=1e-6):
-        """True if x is within tol of a zero of any factor (either power)."""
+        """True if x is within tol (relatively) of a zero of any factor (either power)."""
         x = mp.mpc(x)
-        for f in self.factors:
-            c = mp.mpf(f.c.numerator) / mp.mpf(f.c.denominator)
-            if f.b == 0:
-                if abs(1 - c * x) < tol:
-                    return True
-                continue
-            b = mp.mpf(f.b.numerator) / mp.mpf(f.b.denominator)
-            arg = c * x
-            # zeros at arg = b^-n, n >= 0 ... but |arg| < 1 territory only
-            # needs n with |arg| b^n near 1
-            n = 0
-            val = arg
-            while abs(val) > tol and n < 10_000:
-                if abs(1 - val) < tol:
-                    return True
-                val *= b
-                n += 1
-        return False
+        return any(near_theta_zero(to_mpf(f.c) * x, to_mpf(f.b), tol, kmax=0)
+                   for f in self.factors)
 
 
 def ope_kernel(a_spec, b_spec, params, order=30):

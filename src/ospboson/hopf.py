@@ -47,9 +47,9 @@ hard-coding an interpretation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import StructuralError
 
@@ -78,7 +78,7 @@ class ShiftForm:
     central: tuple = ()  # sorted tuple of (index, Fraction coeff), no zeros
 
     @staticmethod
-    def make(constant=_ZERO, **_ignored) -> "ShiftForm":
+    def make(constant=_ZERO) -> "ShiftForm":
         return ShiftForm(_coerce(constant), ())
 
     @staticmethod
@@ -430,22 +430,6 @@ CONVENTIONS = tuple(
 )
 
 DEFAULT_CONVENTION = SignConvention()
-
-
-# ---------------------------------------------------------------------------
-# family nome bookkeeping
-
-
-def family_exponent(n: int) -> ShiftForm:
-    """Exponent s_n with q^(n) = q * p^{s_n}; s_0 = 0, s_{n+1} = s_n + c_n."""
-    shift = ShiftForm()
-    if n >= 0:
-        for k in range(n):
-            shift = shift + ShiftForm.of_central(k)
-    else:
-        for k in range(-1, n - 1, -1):
-            shift = shift - ShiftForm.of_central(k)
-    return shift
 
 
 # ---------------------------------------------------------------------------

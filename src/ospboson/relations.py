@@ -26,14 +26,13 @@ some are not equivalent at all.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
 from .errors import DomainError, PoleError, StructuralError
 from .freefield import (
-    DeformationParams,
     E_current,
     F_current,
     build_H,
@@ -41,7 +40,7 @@ from .freefield import (
     delta_decompose,
     ope_kernel,
 )
-from .scalars import mpc_to_str, sample_annulus_point, workdps
+from .scalars import mpc_to_str, sample_annulus_point, to_mpf, workdps
 from .theta import near_theta_zero, theta_eval, theta_eval_modular
 
 __all__ = [
@@ -233,12 +232,6 @@ DISPLAY_AUDIT = {
 }
 
 
-def _as_mpf(v):
-    if isinstance(v, Fraction):
-        return mp.mpf(v.numerator) / mp.mpf(v.denominator)
-    return mp.mpf(v)
-
-
 def _theta(z, base, digits):
     if base > MODULAR_NOME_CUTOFF:
         return theta_eval_modular(z, base, digits)
@@ -259,12 +252,12 @@ def eval_structure_function(f, x, q, p, c, digits, *, bases=None):
     """
     with workdps(digits + 10):
         x = mp.mpc(x)
-        p = _as_mpf(p)
+        p = to_mpf(p)
         if bases is None:
-            q = _as_mpf(q)
+            q = to_mpf(q)
             bases = {"q2": q * q, "qt2": (q * p ** c) ** 2}
         else:
-            bases = {k: _as_mpf(v) for k, v in bases.items()}
+            bases = {k: to_mpf(v) for k, v in bases.items()}
         acc = mp.mpc(f.sign) * p ** f.p_exp
         for tf in f.factors:
             arg = tf.argument(x, p, c)
@@ -279,8 +272,8 @@ def eval_structure_function(f, x, q, p, c, digits, *, bases=None):
 def structure_function_singular(f, x, q, p, c, tol=1e-6):
     """True if any theta factor (either side) is within tol of a zero."""
     x = mp.mpc(x)
-    q = _as_mpf(q)
-    p = _as_mpf(p)
+    q = to_mpf(q)
+    p = to_mpf(p)
     bases = {"q2": q * q, "qt2": (q * p ** c) ** 2}
     return any(
         near_theta_zero(tf.argument(x, p, c), bases[tf.base], tol)
@@ -414,16 +407,17 @@ def verify_exchange(rel, params, *, c=1, samples=100, digits=50,
     }
 
 
-def kernel_rational_value(kernel, x):
-    """Exact value of a rational (base-0) kernel at z = 1, w = x.
+def kernel_rational_value(kernel, z, w):
+    """Exact value of a rational (base-0) kernel at exact points z, w.
 
     Returns a Fraction; only kernels whose factors all have base 0 qualify.
     """
-    acc = kernel.scalar * Fraction(x) ** kernel.w_exp
+    z, w = Fraction(z), Fraction(w)
+    acc = kernel.scalar * z ** kernel.z_exp * w ** kernel.w_exp
     for f in kernel.factors:
         if f.b != 0:
             raise StructuralError("kernel is not rational")
-        term = 1 - f.c * Fraction(x)
+        term = 1 - f.c * w / z
         acc = acc * term if f.power == 1 else acc / term
     return acc
 
@@ -477,7 +471,7 @@ def verify_ef(params, *, c=1):
     # pinned exactly at 20 rational points (degrees are at most 3)
     xs = [Fraction(k, 23) for k in range(2, 22)]
     anti = all(
-        kernel_rational_value_swapped(KFE, x) == -kernel_rational_value(KEF, x)
+        kernel_rational_value(KFE, x, 1) == -kernel_rational_value(KEF, 1, x)
         for x in xs
     )
     checks["bilateral_antisymmetry"] = anti
@@ -495,18 +489,7 @@ def verify_ef(params, *, c=1):
     }
 
 
-def kernel_rational_value_swapped(kernel, x):
-    """Exact value of a rational kernel at first arg = x, second arg = 1."""
-    acc = kernel.scalar * Fraction(x) ** kernel.z_exp
-    for f in kernel.factors:
-        if f.b != 0:
-            raise StructuralError("kernel is not rational")
-        term = 1 - f.c / Fraction(x)
-        acc = acc * term if f.power == 1 else acc / term
-    return acc
-
-
-def verify_invertibility(params, *, digits=30, seed=0):
+def verify_invertibility(params):
     """The H kernels' normal-ordered exponentials have unit constant term,
     so H^+- are invertible as formal series; checked by expanding both
     H-current self-kernels and confirming invertible leading coefficients."""

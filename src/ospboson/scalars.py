@@ -24,27 +24,19 @@ import mpmath as mp
 from .errors import DomainError
 
 __all__ = [
-    "ExactScalar",
-    "scalar_to_str",
-    "scalar_from_str",
+    "to_mpf",
     "mpc_to_str",
     "sample_parameters",
     "sample_annulus_point",
     "workdps",
 ]
 
-ExactScalar = Fraction
 
-
-def scalar_to_str(x):
-    """Serialize an exact scalar as a ``num/den`` string."""
-    f = Fraction(x)
-    return "%d/%d" % (f.numerator, f.denominator)
-
-
-def scalar_from_str(s):
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
+def to_mpf(v):
+    """An exact rational (or any real mpmath accepts) at the working precision."""
+    if isinstance(v, Fraction):
+        return mp.mpf(v.numerator) / mp.mpf(v.denominator)
+    return mp.mpf(v)
 
 
 def mpc_to_str(value, digits):

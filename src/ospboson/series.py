@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import DomainError, StructuralError
 
-__all__ = ["TruncatedSeries", "series_arith", "qpoch_series", "qpoch_log_series"]
+__all__ = ["TruncatedSeries", "qpoch_log_series"]
 
 
 class TruncatedSeries:
@@ -154,97 +154,10 @@ class TruncatedSeries:
             pw *= s
         return TruncatedSeries(out, self.order, self.var)
 
-    def divide_exact(self, other):
-        """Exact division: raises if ``other`` does not divide self in the jet ring.
-
-        Used for divisibility assertions such as pulling a (1 - x) factor
-        out of a kernel.  Requires other.c0 != 0 after shifting out common
-        leading zeros.
-        """
-        self._check(other)
-        a, b = list(self.coeffs), list(other.coeffs)
-        shift = 0
-        while shift <= self.order and b[0] == 0:
-            if a[0] != 0:
-                raise DomainError("not divisible: valuation mismatch")
-            a.pop(0)
-            b.pop(0)
-            shift += 1
-        if not b or b[0] == 0:
-            raise DomainError("division by zero series")
-        n = len(a) - 1
-        out = [Fraction(0)] * (n + 1)
-        for k in range(n + 1):
-            s = a[k]
-            for i in range(1, k + 1):
-                s -= b[i] * out[k - i] if i < len(b) else 0
-            out[k] = s / b[0]
-        out += [Fraction(0)] * (self.order - n)
-        return TruncatedSeries(out[: self.order + 1], self.order, self.var)
-
-    def eval_mpc(self, x, digits):
-        """Horner evaluation at a complex point (for diagnostics)."""
-        import mpmath as mp
-        with mp.workdps(digits + 10):
-            x = mp.mpc(x)
-            acc = mp.mpc(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + mp.mpf(c.numerator) / mp.mpf(c.denominator)
-            return acc
-
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:4])
         tail = ", ..." if self.order > 3 else ""
         return "TruncatedSeries([%s%s], order=%d, var=%r)" % (head, tail, self.order, self.var)
-
-
-def series_arith(a, b, op):
-    """Dispatcher over the series ring operations.
-
-    op in {add, mul, invert, exp, log}; ``b`` is ignored (pass None) for the
-    unary ones.
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "invert":
-        if b is not None:
-            raise StructuralError("invert is unary")
-        return a.invert()
-    if op == "exp":
-        if b is not None:
-            raise StructuralError("exp is unary")
-        return a.exp()
-    if op == "log":
-        if b is not None:
-            raise StructuralError("log is unary")
-        return a.log()
-    raise StructuralError("unknown op %r" % op)
-
-
-def qpoch_series(c, b, order, power=1, var="x"):
-    """Truncated-product q-Pochhammer jet: prod_{n=0..order} (1 - c*x*b^n).
-
-    Only the factors n <= order are multiplied (for b = 0 the single
-    surviving factor is 1 - c*x); with power=-1 the product is inverted in
-    the jet ring.  Note this is the finite product, not the jet of the
-    infinite product: coefficients of the latter pick up b-power tails from
-    every factor, see ``qpoch_log_series``.
-    """
-    c = Fraction(c)
-    b = Fraction(b)
-    if power not in (1, -1):
-        raise StructuralError("power must be +1 or -1")
-    out = TruncatedSeries.one(order, var)
-    scale = c
-    for n in range(order + 1):
-        if scale == 0:
-            break
-        f = TruncatedSeries([Fraction(1), -scale], order, var)
-        out = out * f
-        scale *= b
-    return out.invert() if power == -1 else out
 
 
 def qpoch_log_series(c, b, order, power=1, var="x"):
@@ -252,8 +165,8 @@ def qpoch_log_series(c, b, order, power=1, var="x"):
 
     log prod (1 - c x b^n) = -sum_{m>=1} (c x)^m / (m (1 - b^m)), requiring
     |b| != 1 exactly; each coefficient is a closed-form rational, so the
-    result is the true series of the infinite product (unlike the truncated
-    product above).
+    result is the true series of the infinite product, not of a truncated
+    one.
     """
     c = Fraction(c)
     b = Fraction(b)

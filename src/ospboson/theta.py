@@ -144,27 +144,16 @@ def jtheta1(u, tau, digits):
         return pref1 * sign1 * _jtheta1_series(u1, tau, eps)
 
 
-def theta_bridge(u, tau, digits):
-    """theta_q(z) at z = e^{2 pi i u}, q = e^{2 pi i tau}, via the theta1 bridge.
-
-    The square roots in the bridge are taken coherently as Q^{-1/4} =
-    e^{-i pi tau / 4} and z^{1/2} = e^{i pi u}, so no branch juggling is
-    needed; the identity theta_q(z) = -i Q^{-1/4} z^{1/2} theta1(u | tau)
-    then holds for every (u, tau) with Im(tau) > 0.
-    """
-    with workdps(digits + 10):
-        u = mp.mpc(u)
-        tau = mp.mpc(tau)
-        t1 = jtheta1(u, tau, digits)
-        return -1j * mp.exp(-1j * mp.pi * tau / 4) * mp.exp(1j * mp.pi * u) * t1
-
-
 def theta_eval_modular(z, q, digits):
     """theta_q(z) through the modular route; same contract as theta_eval.
 
     u and tau are recovered with principal logarithms; any branch ambiguity
     u -> u + 1 only hits theta1 through its exact antiperiodicity, which the
     bridge prefactor e^{i pi u} compensates, so the value is branch-free.
+    The square roots in the bridge are taken coherently as Q^{-1/4} =
+    e^{-i pi tau / 4} and z^{1/2} = e^{i pi u}, so the identity
+    theta_q(z) = -i Q^{-1/4} z^{1/2} theta1(u | tau) holds for every (u, tau)
+    with Im(tau) > 0.
     """
     with workdps(digits + 10):
         z = mp.mpc(z)
@@ -176,17 +165,26 @@ def theta_eval_modular(z, q, digits):
         two_pi_i = 2j * mp.pi
         u = mp.log(z) / two_pi_i
         tau = mp.log(q) / two_pi_i
-        return theta_bridge(u, tau, digits)
+        t1 = jtheta1(u, tau, digits)
+        return -1j * mp.exp(-1j * mp.pi * tau / 4) * mp.exp(1j * mp.pi * u) * t1
 
 
-def near_theta_zero(z, q, tol=1e-6):
-    """True if z lies within tol (relatively) of a zero q^k of theta_q."""
+def near_theta_zero(z, q, tol=1e-6, kmax=None):
+    """True if z lies within tol (relatively) of a zero q^k of theta_q.
+
+    With kmax, only the zeros q^k with k <= kmax count: kmax=0 gives the
+    zeros of (z | q)_inf, and q = 0 leaves its single zero z = 1.
+    """
     absz = abs(mp.mpc(z))
-    absq = abs(mp.mpc(q))
     if absz == 0:
-        return True
-    k0 = mp.log(absz) / mp.log(absq)
-    for k in range(int(mp.floor(k0)) - 2, int(mp.ceil(k0)) + 3):
+        return kmax is None
+    if q == 0:
+        ks = (0,)
+    else:
+        k0 = mp.log(absz) / mp.log(abs(mp.mpc(q)))
+        hi = int(mp.ceil(k0)) + 2
+        ks = range(int(mp.floor(k0)) - 2, hi + 1 if kmax is None else min(hi, kmax) + 1)
+    for k in ks:
         zk = mp.mpc(q) ** k
         if abs(z - zk) < tol * max(abs(zk), mp.mpf(1)):
             return True

@@ -38,6 +38,8 @@ def test_config_defaults_valid():
     {"suite": "bogus"},
     {"convention": 0},
     {"digits": 30, "tolerance": 1e-40},
+    {"tolerance": float("nan")},
+    {"tolerance": float("inf")},
 ])
 def test_config_rejects(kwargs):
     with pytest.raises(UsageError):
@@ -64,6 +66,23 @@ def test_print_structure_function_modes_differ():
     strict = print_object("structure-function", "HH", strict_text=True)
     assert canonical != strict
     assert "theta_q2" in canonical
+
+
+GOLDEN_PRINT = Path(__file__).with_name("golden_print.txt")
+EXCHANGE_IDS = ("H+E", "H-E", "H+F", "H-F", "HH", "H+H-", "EE", "FF")
+
+
+def test_print_golden(capsys, monkeypatch):
+    # every id the printer knows; the text is exact rational arithmetic, so
+    # it does not depend on the mpmath backend
+    monkeypatch.delenv("OSPBOSON_STRICT_TEXT", raising=False)
+    commands = [["kernel", k] for k in EXCHANGE_IDS + ("EF", "Hinv")]
+    commands += [["structure-function", k, *flag]
+                 for flag in ([], ["--strict-text"]) for k in EXCHANGE_IDS]
+    commands += [["coproduct", g] for g in ("H+", "H-", "E", "F", "c")]
+    for args in commands:
+        assert main(["print", *args]) == 0
+    assert capsys.readouterr().out == GOLDEN_PRINT.read_text(encoding="utf-8")
 
 
 def test_print_unknown_id():
@@ -117,6 +136,20 @@ def test_main_usage_error_exit_2(tmp_path):
                  "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert not (tmp_path / "r.json").exists()
+
+
+def test_main_missing_out_dir_exit_2(tmp_path):
+    # rejected before any suite runs, not after the run as a traceback
+    out = tmp_path / "missing" / "r.json"
+    assert main(["--suite", "ope", "--order", "8", "--out", str(out)]) == 2
+    assert not out.parent.exists()
+
+
+def test_main_bad_env_value_exit_2(tmp_path, monkeypatch):
+    monkeypatch.setenv("OSPBOSON_ORDER", "abc")
+    out = tmp_path / "r.json"
+    assert main(["--suite", "ope", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_env_overrides(tmp_path, monkeypatch):

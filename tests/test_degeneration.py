@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from mpmath import mp
 
@@ -5,11 +7,8 @@ from ospboson.degeneration import (
     EPSILON_LADDER,
     LIMIT_NAMES,
     TRIG_DISPLAY_AUDIT,
-    ScalingParams,
-    ef_rational_data,
     ef_trig_data,
     eta_prime,
-    half_period_factor_counts,
     limit_check,
     rational_structure_function,
     sample_limit_inputs,
@@ -45,18 +44,6 @@ def test_eta_prime_domain_errors():
         eta_prime(0, 1, 1)
     with pytest.raises(DomainError):
         eta_prime(0.5, -2, 1)  # 1/eta + hbar*c = 0
-
-
-def test_scaling_params():
-    sp = ScalingParams(epsilon=0.1, hbar=0.2, eta=0.25, u=0.4, v=0.0, level=1)
-    assert abs(sp.p - mp.e ** mp.mpf("0.02")) < 1e-15
-    assert abs(sp.x - mp.e ** mp.mpf("-0.04")) < 1e-15
-    assert abs(1 / sp.eta_prime - 1 / mp.mpf(0.25) - mp.mpf(0.2)) < 1e-15
-    assert sp.nome_q2 < 1 and sp.nome_qt2 < 1
-    with pytest.raises(DomainError):
-        ScalingParams(epsilon=-1, hbar=0.2, eta=0.25)
-    with pytest.raises(DomainError):
-        ScalingParams(epsilon=0.1, hbar=0.2, eta=0)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +84,10 @@ def test_trig_rejects_non_exchange():
         trig_structure_function("nope", 0.3, eta=0.3, hbar=0.1)
 
 
+def _base_counts(name):
+    return Counter(tf.base for tf in _rel(name).structure_function.factors)
+
+
 def test_half_period_invariance():
     # every base carries an even number of sine factors, so shifting u-v by
     # the half period of that base leaves the full ratio invariant
@@ -106,22 +97,19 @@ def test_half_period_invariance():
         hbar = mp.mpf("0.13")
         T = 1 / (2 * eta)
         for name in ("EE", "H+E"):
-            counts, signs = half_period_factor_counts(name)
+            counts = _base_counts(name)
             assert counts["qt2"] == 0 and counts["q2"] % 2 == 0
-            assert signs["q2"] == 1
             t0 = trig_structure_function(name, s0, eta=eta, hbar=hbar, digits=40)
             t1 = trig_structure_function(name, s0 + T, eta=eta, hbar=hbar, digits=40)
             assert abs(t0 - t1) < 1e-35
         Tp = 1 / (2 * eta_prime(eta, hbar, 1))
         for name in ("FF", "H+F"):
-            counts, signs = half_period_factor_counts(name)
+            counts = _base_counts(name)
             assert counts["q2"] == 0 and counts["qt2"] % 2 == 0
-            assert signs["qt2"] == 1
             t0 = trig_structure_function(name, s0, eta=eta, hbar=hbar, digits=40)
             t1 = trig_structure_function(name, s0 + Tp, eta=eta, hbar=hbar, digits=40)
             assert abs(t0 - t1) < 1e-35
-        counts, _ = half_period_factor_counts("HH")
-        assert counts == {"q2": 4, "qt2": 4}
+        assert _base_counts("HH") == {"q2": 4, "qt2": 4}
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +158,6 @@ def test_ef_degenerate_data():
     assert data["delta_supports"][0] == -data["delta_supports"][1]
     assert abs(data["delta_supports"][0] - mp.mpf("0.2")) < 1e-15
     assert data["elliptic_prefactor_limit"] == mp.mpf("0.5")
-    rat = ef_rational_data(0.2, 1)
-    assert rat["sign_difference_flagged"] is True
     with pytest.raises(DomainError):
         ef_trig_data(0, 1)
 

@@ -15,7 +15,6 @@ from ospboson.hopf import (
     coproduct,
     coproduct_repr,
     counit,
-    family_exponent,
     generator_expr,
     multiply_slots,
     search_conventions,
@@ -315,12 +314,6 @@ def test_tau_rejects_mixed_indices():
     mixed = TensorExpr.word((Factor("E", 0), Factor("F", 1)))
     with pytest.raises(StructuralError):
         tau(mixed, 1)
-
-
-def test_family_exponent_recursion():
-    for n in range(-3, 4):
-        assert family_exponent(n + 1) == family_exponent(n) + C(n)
-    assert family_exponent(0) == ShiftForm()
 
 
 # ---------------------------------------------------------------------------
