@@ -220,7 +220,7 @@ def _suite_hopf(cfg_dict):
         for gen in AXIOM_GENERATORS:
             reports.append(verify_axiom(
                 axiom, gen, conv, corrected_antipode=False, trace=cfg.trace))
-    reports.append(search_conventions(trace=cfg.trace))
+    reports.append(search_conventions())
     return reports
 
 
@@ -263,24 +263,6 @@ _SUITE_RUNNERS = {
 # report assembly
 
 
-def _jsonable(v):
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
-        return v
-    if isinstance(v, float):
-        return v
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, mp.mpf):
-        return float(v)
-    if isinstance(v, mp.mpc):
-        return [float(v.real), float(v.imag)]
-    return str(v)
-
-
 def run_suite(config):
     """Execute the configured suites, write the report, return exit status."""
     config.validate()
@@ -297,11 +279,13 @@ def run_suite(config):
         rep.get("verdict") == "pass"
         for s in suites for rep in s["reports"]
     )
+    # where the report is written is not part of what it reports
+    settings = {k: v for k, v in cfg_dict.items() if k != "out"}
     report = {
         "tool_version": __version__,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": _jsonable(cfg_dict),
-        "suites": _jsonable(suites),
+        "config": settings,
+        "suites": suites,
         "overall_verdict": "pass" if all_pass else "fail",
     }
     with open(config.out, "w", encoding="utf-8") as fh:

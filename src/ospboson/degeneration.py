@@ -57,6 +57,9 @@ TRIG_DISPLAY_AUDIT = {
     "H+H-": "matches",
     "EE": "matches",
     "FF": "reciprocal",
+    # the 1/(2 hbar) of the EF display is normalization bookkeeping for the
+    # additive delta, not derived; the relative sign of its two delta terms is
+    # left unfixed by the source (the H^- -> -H^- rescaling freedom)
     "EF": "matches",
 }
 
@@ -128,36 +131,6 @@ def trig_structure_function(name, u_minus_v, *, eta, hbar, c=1, digits=30):
 def rational_structure_function(name, u_minus_v, hbar, c=1, digits=30):
     """The eta -> 0 limit: each sine replaced by its affine argument."""
     return _degenerate_structure_function(name, u_minus_v, hbar, c, digits)
-
-
-def ef_trig_data(hbar, c=1):
-    """Degenerate data of the {E, F} relation.
-
-    The delta supports and the H^{+-} argument shifts follow exactly from
-    the elliptic relation under the re-parameterization (support x = p^{-c}
-    maps to u-v = c*hbar, and argument factors p^{c/2} map to +c*hbar/2).
-    The displayed coefficient 1/(2 hbar) mixes the limit of the elliptic
-    prefactor (p^{1/2}+p^{-1/2})^{-1} -> 1/2 with a conventional
-    normalization of the additive delta function; the mapping of the
-    multiplicative delta onto delta(u-v -+ c hbar) has no canonical scale,
-    so the 1/hbar part is recorded as display bookkeeping, not derived.
-    In the eta -> 0 regime the source notes a relative sign between the two
-    delta terms without fixing a convention; it is the H^- -> -H^-
-    rescaling freedom, so none is chosen here.
-    """
-    hb = mp.mpf(hbar)
-    if hb == 0:
-        raise DomainError("hbar must be nonzero")
-    cc = mp.mpf(c)
-    return {
-        "relation": "EF",
-        "coefficient_display": "1/(2*hbar)",
-        "coefficient_value": 1 / (2 * hb),
-        "elliptic_prefactor_limit": mp.mpf("0.5"),
-        "delta_supports": (cc * hb, -cc * hb),
-        "h_plus_argument": "v + hbar*c/2",
-        "h_minus_argument": "u + hbar*c/2",
-    }
 
 
 def limit_check(name, u_minus_v, epsilons=EPSILON_LADDER, *, eta, hbar, c=1,

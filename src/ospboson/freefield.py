@@ -131,14 +131,14 @@ def _contraction_coeff(kind1, kind2, n, params):
     return Fraction(-1, n) * val
 
 
-def contraction_series(kind1, kind2, params, order, var="x"):
+def contraction_series(kind1, kind2, params, order):
     """Jet of <field1(z) field2(w)> in x = w/z (exact rationals)."""
     if kind1 not in FIELD_KINDS or kind2 not in FIELD_KINDS:
         raise StructuralError("unknown field kind (%r, %r)" % (kind1, kind2))
     coeffs = [Fraction(0)] * (order + 1)
     for n in range(1, order + 1):
         coeffs[n] = _contraction_coeff(kind1, kind2, n, params)
-    return TruncatedSeries(coeffs, order, var)
+    return TruncatedSeries(coeffs, order)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Truncated power series over exact rationals.
 
 A series is a fixed-order jet: coefficients c[0..N] in the single variable
-``var``.  All ring operations discard the tail beyond x^N, so order-N inputs
+x.  All ring operations discard the tail beyond x^N, so order-N inputs
 always produce order-N outputs.  Coefficients are ``fractions.Fraction``;
 nothing in this module ever rounds.
 """
@@ -18,9 +18,9 @@ __all__ = ["TruncatedSeries", "qpoch_log_series"]
 class TruncatedSeries:
     """Coefficient jet c0 + c1 x + ... + cN x^N with exact arithmetic."""
 
-    __slots__ = ("coeffs", "order", "var")
+    __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs, order=None, var="x"):
+    def __init__(self, coeffs, order=None):
         coeffs = [Fraction(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1
@@ -30,19 +30,14 @@ class TruncatedSeries:
             coeffs = coeffs + [Fraction(0)] * (order + 1 - len(coeffs))
         self.coeffs = coeffs[: order + 1]
         self.order = order
-        self.var = var
 
     @classmethod
-    def zero(cls, order, var="x"):
-        return cls([Fraction(0)], order, var)
+    def zero(cls, order):
+        return cls([Fraction(0)], order)
 
     @classmethod
-    def one(cls, order, var="x"):
-        return cls([Fraction(1)], order, var)
-
-    @classmethod
-    def x(cls, order, var="x"):
-        return cls([Fraction(0), Fraction(1)], order, var)
+    def one(cls, order):
+        return cls([Fraction(1)], order)
 
     def _check(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -50,35 +45,32 @@ class TruncatedSeries:
         if other.order != self.order:
             raise StructuralError(
                 "order mismatch: %d vs %d" % (self.order, other.order))
-        if other.var != self.var:
-            raise StructuralError("variable mismatch: %s vs %s" % (self.var, other.var))
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries)
-                and self.var == other.var
                 and self.order == other.order
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.var, self.order, tuple(self.coeffs)))
+        return hash((self.order, tuple(self.coeffs)))
 
     def __add__(self, other):
         self._check(other)
         return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order, self.var)
+            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
 
     def __sub__(self, other):
         self._check(other)
         return TruncatedSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order, self.var)
+            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
 
     def __neg__(self):
-        return TruncatedSeries([-a for a in self.coeffs], self.order, self.var)
+        return TruncatedSeries([-a for a in self.coeffs], self.order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             k = Fraction(other)
-            return TruncatedSeries([k * a for a in self.coeffs], self.order, self.var)
+            return TruncatedSeries([k * a for a in self.coeffs], self.order)
         self._check(other)
         n = self.order
         out = [Fraction(0)] * (n + 1)
@@ -89,7 +81,7 @@ class TruncatedSeries:
                 b = other.coeffs[j]
                 if b != 0:
                     out[i + j] += a * b
-        return TruncatedSeries(out, n, self.var)
+        return TruncatedSeries(out, n)
 
     __rmul__ = __mul__
 
@@ -107,7 +99,7 @@ class TruncatedSeries:
                 if a[i] != 0:
                     s += a[i] * out[k - i]
             out[k] = -inv0 * s
-        return TruncatedSeries(out, n, self.var)
+        return TruncatedSeries(out, n)
 
     def exp(self):
         """exp of a series with zero constant term.
@@ -125,7 +117,7 @@ class TruncatedSeries:
                 if a[k] != 0:
                     s += k * a[k] * out[m - k]
             out[m] = s / m
-        return TruncatedSeries(out, n, self.var)
+        return TruncatedSeries(out, n)
 
     def log(self):
         """log of a series with unit constant term.
@@ -143,7 +135,7 @@ class TruncatedSeries:
                 if out[k] != 0 and a[m - k] != 0:
                     s -= k * out[k] * a[m - k]
             out[m] = Fraction(s, m) if isinstance(s, int) else s / m
-        return TruncatedSeries(out, n, self.var)
+        return TruncatedSeries(out, n)
 
     def scale_argument(self, s):
         """x -> s*x, i.e. c_k -> c_k * s^k (s exact)."""
@@ -152,15 +144,15 @@ class TruncatedSeries:
         for c in self.coeffs:
             out.append(c * pw)
             pw *= s
-        return TruncatedSeries(out, self.order, self.var)
+        return TruncatedSeries(out, self.order)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:4])
         tail = ", ..." if self.order > 3 else ""
-        return "TruncatedSeries([%s%s], order=%d, var=%r)" % (head, tail, self.order, self.var)
+        return "TruncatedSeries([%s%s], order=%d)" % (head, tail, self.order)
 
 
-def qpoch_log_series(c, b, order, power=1, var="x"):
+def qpoch_log_series(c, b, order, power=1):
     """Exact jet of the infinite product prod_{n>=0} (1 - c*x*b^n)**power.
 
     log prod (1 - c x b^n) = -sum_{m>=1} (c x)^m / (m (1 - b^m)), requiring
@@ -177,7 +169,7 @@ def qpoch_log_series(c, b, order, power=1, var="x"):
     for m in range(1, order + 1):
         cm *= c
         coeffs[m] = -cm / (m * (1 - b ** m))
-    L = TruncatedSeries(coeffs, order, var)
+    L = TruncatedSeries(coeffs, order)
     if power == -1:
         L = -L
     elif power != 1:

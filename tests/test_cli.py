@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import ospboson
-from ospboson.cli import RunConfig, UsageError, main, print_object, run_suite
+from ospboson.cli import (
+    RunConfig, UsageError, _suite_hopf, main, print_object, run_suite)
 
 
 def _clean_env():
@@ -85,6 +87,21 @@ def test_print_golden(capsys, monkeypatch):
     assert capsys.readouterr().out == GOLDEN_PRINT.read_text(encoding="utf-8")
 
 
+GOLDEN_HOPF = Path(__file__).with_name("golden_hopf.txt")
+
+
+def test_hopf_suite_golden():
+    # every hopf report with its trace, for both conventions: the lhs/rhs of
+    # each axiom, the witnesses and the convention tables, one JSON line each
+    lines = [
+        json.dumps(rep, ensure_ascii=False, separators=(",", ":"))
+        for convention in (1, -1)
+        for rep in _suite_hopf(dataclasses.asdict(
+            RunConfig(convention=convention, trace=True)))
+    ]
+    assert lines == GOLDEN_HOPF.read_text(encoding="utf-8").splitlines()
+
+
 def test_print_unknown_id():
     with pytest.raises(UsageError):
         print_object("kernel", "XX")
@@ -115,6 +132,18 @@ def test_report_key_order(tmp_path):
     assert list(rep) == [
         "tool_version", "generated_at", "config", "suites", "overall_verdict"]
     assert list(rep["config"])[0] == "suite"
+
+
+def test_report_independent_of_out_path(tmp_path):
+    # the same run written to two places reads the same, timestamp aside
+    texts = []
+    for name in ("a.json", "sub/b.json"):
+        out = tmp_path / name
+        out.parent.mkdir(exist_ok=True)
+        assert run_suite(RunConfig(suite="ope", order=8, out=str(out))) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        texts.append([ln for ln in lines if '"generated_at"' not in ln])
+    assert texts[0] == texts[1]
 
 
 def test_hopf_suite_fails_with_witnesses(tmp_path):

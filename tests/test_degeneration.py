@@ -7,7 +7,6 @@ from ospboson.degeneration import (
     EPSILON_LADDER,
     LIMIT_NAMES,
     TRIG_DISPLAY_AUDIT,
-    ef_trig_data,
     eta_prime,
     limit_check,
     rational_structure_function,
@@ -150,16 +149,6 @@ def test_trig_to_rational_quadratic_in_eta():
         assert 3.5 < ratio < 4.5
     ks = [e / mp.mpf(eta) ** 2 for e, eta in zip(errs, (0.1, 0.05, 0.025))]
     assert max(ks) / min(ks) < mp.mpf("1.01")
-
-
-def test_ef_degenerate_data():
-    data = ef_trig_data(0.2, 1)
-    assert abs(data["coefficient_value"] - mp.mpf("2.5")) < 1e-15
-    assert data["delta_supports"][0] == -data["delta_supports"][1]
-    assert abs(data["delta_supports"][0] - mp.mpf("0.2")) < 1e-15
-    assert data["elliptic_prefactor_limit"] == mp.mpf("0.5")
-    with pytest.raises(DomainError):
-        ef_trig_data(0, 1)
 
 
 # ---------------------------------------------------------------------------
