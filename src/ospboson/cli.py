@@ -8,7 +8,9 @@ Two entry modes:
 Every flag has an environment-variable override with the ``OSPBOSON_``
 prefix (``OSPBOSON_SUITE``, ``OSPBOSON_DIGITS``, ...); explicit flags win.
 Exit status: 0 all checks pass, 1 at least one verification failed (the
-report is still written), 2 usage error.
+report is still written), 2 usage error, 3 a suite crashed (the report is
+still written; that suite's entry is {name, error: "<Type>: <message>",
+reports: []}).
 
 The report is a single UTF-8 JSON document with fixed key order
 
@@ -126,12 +128,11 @@ def _params_from_seed(seed):
 
 
 # ---------------------------------------------------------------------------
-# suite runners; each takes the config as a plain dict so it can cross a
-# process boundary, and returns JSON-ready report dicts only
+# suite runners; each takes the RunConfig (frozen and module-level, so it
+# crosses a process boundary) and returns JSON-ready report dicts only
 
 
-def _suite_ope(cfg_dict):
-    cfg = RunConfig(**cfg_dict)
+def _suite_ope(cfg):
     reports = []
     triples = sample_parameters(cfg.seed, 3)
     for pair in (("phi", "phi"), ("psi", "psi"), ("phi", "psi")):
@@ -157,8 +158,7 @@ def _suite_ope(cfg_dict):
     return reports
 
 
-def _suite_relations(cfg_dict):
-    cfg = RunConfig(**cfg_dict)
+def _suite_relations(cfg):
     P = _params_from_seed(cfg.seed)
     mode = "strict-text" if cfg.strict_text else "canonical"
     reports = []
@@ -212,8 +212,7 @@ def _tau_category_report():
     }
 
 
-def _suite_hopf(cfg_dict):
-    cfg = RunConfig(**cfg_dict)
+def _suite_hopf(cfg):
     conv = SignConvention(cfg.convention, -cfg.convention)
     reports = [_tau_category_report()]
     for axiom in AXIOMS:
@@ -224,8 +223,7 @@ def _suite_hopf(cfg_dict):
     return reports
 
 
-def _suite_limits(cfg_dict):
-    cfg = RunConfig(**cfg_dict)
+def _suite_limits(cfg):
     reports = []
     for sample in sample_limit_inputs(cfg.seed, 3):
         for name in LIMIT_NAMES:
@@ -263,24 +261,33 @@ _SUITE_RUNNERS = {
 # report assembly
 
 
+def _suite_entry(name, run):
+    """The report's entry for one suite; a runner that raises becomes an error."""
+    try:
+        return {"name": name, "reports": run()}
+    except Exception as exc:
+        return {"name": name, "error": "%s: %s" % (type(exc).__name__, exc),
+                "reports": []}
+
+
 def run_suite(config):
     """Execute the configured suites, write the report, return exit status."""
     config.validate()
     names = SUITES if config.suite == "all" else (config.suite,)
-    cfg_dict = dataclasses.asdict(config)
     if len(names) > 1:
         with ProcessPoolExecutor(max_workers=min(4, len(names))) as ex:
-            futures = {n: ex.submit(_SUITE_RUNNERS[n], cfg_dict) for n in names}
-            suites = [{"name": n, "reports": futures[n].result()} for n in names]
+            futures = {n: ex.submit(_SUITE_RUNNERS[n], config) for n in names}
+            suites = [_suite_entry(n, futures[n].result) for n in names]
     else:
-        suites = [{"name": n, "reports": _SUITE_RUNNERS[n](cfg_dict)}
+        suites = [_suite_entry(n, lambda: _SUITE_RUNNERS[n](config))
                   for n in names]
-    all_pass = all(
+    crashed = any("error" in s for s in suites)
+    all_pass = not crashed and all(
         rep.get("verdict") == "pass"
         for s in suites for rep in s["reports"]
     )
     # where the report is written is not part of what it reports
-    settings = {k: v for k, v in cfg_dict.items() if k != "out"}
+    settings = {k: v for k, v in dataclasses.asdict(config).items() if k != "out"}
     report = {
         "tool_version": __version__,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -291,7 +298,7 @@ def run_suite(config):
     with open(config.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, ensure_ascii=False)
         fh.write("\n")
-    return 0 if all_pass else 1
+    return 3 if crashed else 0 if all_pass else 1
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,12 @@ DISPLAY_AUDIT = {
 }
 
 
+def _theta_bases(q, p, c):
+    """The structure functions' theta bases q^2 and (q p^c)^2; p is an mpf."""
+    q = to_mpf(q)
+    return {"q2": q * q, "qt2": (q * p ** c) ** 2}
+
+
 def _theta(z, base, digits):
     if base > MODULAR_NOME_CUTOFF:
         return theta_eval_modular(z, base, digits)
@@ -254,8 +260,7 @@ def eval_structure_function(f, x, q, p, c, digits, *, bases=None):
         x = mp.mpc(x)
         p = to_mpf(p)
         if bases is None:
-            q = to_mpf(q)
-            bases = {"q2": q * q, "qt2": (q * p ** c) ** 2}
+            bases = _theta_bases(q, p, c)
         else:
             bases = {k: to_mpf(v) for k, v in bases.items()}
         acc = mp.mpc(f.sign) * p ** f.p_exp
@@ -272,9 +277,8 @@ def eval_structure_function(f, x, q, p, c, digits, *, bases=None):
 def structure_function_singular(f, x, q, p, c, tol=1e-6):
     """True if any theta factor (either side) is within tol of a zero."""
     x = mp.mpc(x)
-    q = to_mpf(q)
     p = to_mpf(p)
-    bases = {"q2": q * q, "qt2": (q * p ** c) ** 2}
+    bases = _theta_bases(q, p, c)
     return any(
         near_theta_zero(tf.argument(x, p, c), bases[tf.base], tol)
         for tf in f.factors

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ospboson
+from ospboson import cli
 from ospboson.cli import (
     RunConfig, UsageError, _suite_hopf, main, print_object, run_suite)
 
@@ -96,8 +96,7 @@ def test_hopf_suite_golden():
     lines = [
         json.dumps(rep, ensure_ascii=False, separators=(",", ":"))
         for convention in (1, -1)
-        for rep in _suite_hopf(dataclasses.asdict(
-            RunConfig(convention=convention, trace=True)))
+        for rep in _suite_hopf(RunConfig(convention=convention, trace=True))
     ]
     assert lines == GOLDEN_HOPF.read_text(encoding="utf-8").splitlines()
 
@@ -144,6 +143,21 @@ def test_report_independent_of_out_path(tmp_path):
         lines = out.read_text(encoding="utf-8").splitlines()
         texts.append([ln for ln in lines if '"generated_at"' not in ln])
     assert texts[0] == texts[1]
+
+
+def test_crashed_suite_exits_3_with_error_entry(tmp_path, monkeypatch):
+    # a runner that raises is an internal fault, not a failed verification:
+    # the report is still written and the status outranks 1
+    def crash(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "ope", crash)
+    out = tmp_path / "r.json"
+    assert run_suite(RunConfig(suite="ope", out=str(out))) == 3
+    rep = json.loads(out.read_text(encoding="utf-8"))
+    assert rep["suites"] == [
+        {"name": "ope", "error": "RuntimeError: boom", "reports": []}]
+    assert rep["overall_verdict"] == "fail"
 
 
 def test_hopf_suite_fails_with_witnesses(tmp_path):

@@ -42,7 +42,7 @@ def test_theta_golden_value():
         assert abs(v - mp.mpc(re, im)) < mp.mpf(10) ** -30
 
 
-@pytest.mark.parametrize("qs", ["0.3", "0.7", "0.95"])
+@pytest.mark.parametrize("qs", ["0.05", "0.3", "0.7", "0.95", "0.98"])
 def test_product_vs_modular(qs):
     with mp.workdps(DIGITS + 20):
         q = mp.mpf(qs)
@@ -67,6 +67,18 @@ def test_quasi_periodicity(qs):
         lhs = theta_eval(q * z, q, DIGITS)
         rhs = -theta_eval(z, q, DIGITS) / z
         assert rel_diff(lhs, rhs) < mp.mpf(10) ** -(DIGITS - 10)
+
+
+def test_modular_real_on_real_axis():
+    # theta_q(z) is real for real z and q; the limits report prints the
+    # modular route's values there, so its imaginary part must be exactly 0
+    with mp.workdps(DIGITS + 20):
+        for qs in ("0.3", "0.95"):
+            q = mp.mpf(qs)
+            for z in (mp.mpf("0.37"), mp.mpf("-0.8"), mp.mpf("1.9")):
+                b = theta_eval_modular(z, q, DIGITS)
+                assert b.imag == 0
+                assert rel_diff(theta_eval(z, q, DIGITS), b) < mp.mpf(10) ** -(DIGITS - 10)
 
 
 def test_quasi_periodicity_extreme_nome():
