@@ -22,28 +22,28 @@ from ospboson.relations import (
 P = DeformationParams(Fraction(2, 5), Fraction(1, 4), Fraction(1, 2))
 
 print("catalog (canonical mode):")
-for rel in relation_catalog(P, level=1, mode="canonical"):
+for rel in relation_catalog(P, mode="canonical"):
     print("  %-5s %s" % (rel.rel_id, rel.kind))
 print()
 
-cat = {r.rel_id: r for r in relation_catalog(P, level=1, mode="canonical")}
+cat = {r.rel_id: r for r in relation_catalog(P, mode="canonical")}
 
 print("structure function of the mixed H relation:")
 print(" ", structure_function_repr(cat["H+H-"].structure_function))
 print()
 
 for rel_id in ("EE", "H+E", "HH"):
-    rep = verify_exchange(cat[rel_id], P, c=1, samples=25, digits=40,
+    rep = verify_exchange(cat[rel_id], P, samples=25, digits=40,
                           tolerance=mp.mpf(10) ** -20, seed=1)
     print("%-5s residual_max = %s  -> %s"
           % (rel_id, rep["residual_max"], rep["verdict"]))
 
-rep = verify_ef(P, c=1)
+rep = verify_ef(P)
 print("EF    delta supports %s -> %s" % (rep["delta_supports"], rep["verdict"]))
 print()
 
 # replacing the structure function by 1 has to break the identity
-control = verify_exchange(cat["EE"], P, c=1, samples=10, digits=40,
+control = verify_exchange(cat["EE"], P, samples=10, digits=40,
                           tolerance=mp.mpf(10) ** -20, seed=1,
                           unit_structure=True)
 print("negative control (S := 1): residual_max =", control["residual_max"],

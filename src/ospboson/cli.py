@@ -30,7 +30,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from mpmath import mp
@@ -117,7 +116,10 @@ class RunConfig:
             )
         if self.convention not in (1, -1):
             raise UsageError("convention must be +1 or -1")
-        out_dir = os.path.dirname(os.path.abspath(self.out))
+        out = os.path.abspath(self.out)
+        if os.path.isdir(out):
+            raise UsageError("--out %r is a directory, not a report file" % (self.out,))
+        out_dir = os.path.dirname(out)
         if not os.path.isdir(out_dir):
             raise UsageError("report directory %r does not exist" % (out_dir,))
 
@@ -163,20 +165,20 @@ def _suite_relations(cfg):
     mode = "strict-text" if cfg.strict_text else "canonical"
     reports = []
     ee_rel = None
-    for rel in relation_catalog(P, level=1, mode=mode):
+    for rel in relation_catalog(P, mode=mode):
         if rel.kind == "exchange":
             if rel.rel_id == "EE":
                 ee_rel = rel
             reports.append(verify_exchange(
-                rel, P, c=1, samples=cfg.samples, digits=cfg.digits,
+                rel, P, samples=cfg.samples, digits=cfg.digits,
                 tolerance=cfg.tolerance, seed=cfg.seed))
         elif rel.kind == "anticommutator-delta":
-            reports.append(verify_ef(P, c=1))
+            reports.append(verify_ef(P))
         else:
             reports.append(verify_invertibility(P))
     # replacing the structure function by 1 must break the exchange
     control = verify_exchange(
-        ee_rel, P, c=1, samples=min(cfg.samples, 20), digits=cfg.digits,
+        ee_rel, P, samples=min(cfg.samples, 20), digits=cfg.digits,
         tolerance=cfg.tolerance, seed=cfg.seed, unit_structure=True)
     reports.append({
         "check": "negative-control",
@@ -275,6 +277,9 @@ def run_suite(config):
     config.validate()
     names = SUITES if config.suite == "all" else (config.suite,)
     if len(names) > 1:
+        # imported here: a single-suite run need not load multiprocessing,
+        # whose import raises the peak RSS of everything loaded after it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(4, len(names))) as ex:
             futures = {n: ex.submit(_SUITE_RUNNERS[n], config) for n in names}
             suites = [_suite_entry(n, futures[n].result) for n in names]
@@ -346,10 +351,13 @@ def _env(name):
 
 
 def _env_bool(name):
-    raw = _env(name)
-    if raw is None:
+    raw = _env(name) or ""
+    if raw.strip().lower() in ("1", "true", "yes", "on"):
+        return True
+    if raw.strip().lower() in ("", "0", "false", "no", "off"):
         return False
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+    raise UsageError("%s%s must be one of 1/true/yes/on or 0/false/no/off, got %r"
+                     % (ENV_PREFIX, name, raw))
 
 
 def _convention(text):

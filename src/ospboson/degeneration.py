@@ -86,14 +86,6 @@ def _exchange_relation(name):
     raise StructuralError("unknown relation %r" % (name,))
 
 
-def _factor_affine_shift(tf, c):
-    if tf.orient != 1:
-        raise StructuralError(
-            "mixed-orientation display factors have no scaling-limit target"
-        )
-    return to_mpf(tf.p_shift + tf.c_shift * c)
-
-
 def _degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta=None):
     # sign * prod over the canonical factors of g(u-v - a*hbar)**power, with
     # g = sin(2 pi eta .) (eta' on base qt^2) or, for eta=None, the identity
@@ -107,7 +99,7 @@ def _degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta=None):
         acc = mp.mpc(f.sign)
         floor = mp.mpf(10) ** (2 - digits)
         for tf in f.factors:
-            val = s - _factor_affine_shift(tf, c) * hb
+            val = s - to_mpf(tf.shift(c)) * hb
             if eta is not None:
                 val = mp.sin(scales[tf.base] * val)
             if tf.power == -1 and abs(val) < floor:
@@ -227,7 +219,7 @@ def sample_limit_inputs(seed, count, c=1):
     for name in LIMIT_NAMES:
         rel = _exchange_relation(name)
         for tf in rel.structure_function.factors:
-            shifts.add(_factor_affine_shift(tf, c))
+            shifts.add(to_mpf(tf.shift(c)))
     rng = random.Random(("limit-samples", seed, count, c).__repr__())
     samples = []
     for _ in range(count):

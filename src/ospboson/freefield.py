@@ -91,18 +91,6 @@ class DeformationParams:
         sqrt_p = Fraction(sqrt_p)
         return cls(Fraction(q), sqrt_p * sqrt_p, sqrt_p)
 
-    def p_power(self, half_exponent):
-        """p**half_exponent for integer or half-integer exponents, exact."""
-        e = Fraction(half_exponent)
-        two_e = e * 2
-        if two_e.denominator != 1:
-            raise StructuralError("only half-integer p-powers are exact: %s" % e)
-        if two_e.numerator % 2 == 0:
-            return self.p ** (two_e.numerator // 2)
-        if self.sqrt_p is None:
-            raise StructuralError("half-integer p-power needs sqrt_p")
-        return self.sqrt_p ** int(two_e)
-
 
 def mode_bracket(n, m, params):
     """[a_n, a_m]; nonzero only on the diagonal n + m = 0, n != 0."""
@@ -116,28 +104,21 @@ def mode_bracket(n, m, params):
             * (p ** n + p ** -n - 1))
 
 
-def _contraction_coeff(kind1, kind2, n, params):
-    # <phi phi>, <psi psi>, <phi psi> coefficient of x^n, n >= 1; the sum
-    # starts at n = 1, so every contraction has zero constant term.
-    q, p = params.q, params.p
-    qp = q * p
-    core = p ** n + p ** -n - 1
-    if kind1 == "phi" and kind2 == "phi":
-        val = (qp ** n - qp ** -n) * core / (q ** n - q ** -n)
-    elif kind1 == "psi" and kind2 == "psi":
-        val = (q ** n - q ** -n) * core / (qp ** n - qp ** -n)
-    else:
-        val = core
-    return Fraction(-1, n) * val
-
-
 def contraction_series(kind1, kind2, params, order):
-    """Jet of <field1(z) field2(w)> in x = w/z (exact rationals)."""
+    """Jet of <field1(z) field2(w)> in x = w/z (exact rationals).
+
+    The x^n coefficient is [s_n, s_-n] = [a_n, a_-n] / (N_1(n) N_2(-n)) with
+    the mode normalizations N(m) = b^m - b^-m, b = q for phi and qp for psi;
+    the sum starts at n = 1, so every contraction has zero constant term.
+    """
     if kind1 not in FIELD_KINDS or kind2 not in FIELD_KINDS:
         raise StructuralError("unknown field kind (%r, %r)" % (kind1, kind2))
+    base = {"phi": params.q, "psi": params.q * params.p}
+    b1, b2 = base[kind1], base[kind2]
     coeffs = [Fraction(0)] * (order + 1)
     for n in range(1, order + 1):
-        coeffs[n] = _contraction_coeff(kind1, kind2, n, params)
+        coeffs[n] = mode_bracket(n, -n, params) / (
+            (b1 ** n - b1 ** -n) * (b2 ** -n - b2 ** n))
     return TruncatedSeries(coeffs, order)
 
 
@@ -152,9 +133,6 @@ class QPochFactor:
     def __post_init__(self):
         if self.power not in (1, -1):
             raise StructuralError("factor power must be +1 or -1")
-
-    def inverted(self):
-        return QPochFactor(self.c, self.b, -self.power)
 
 
 def exp_contraction_closed(kind1, kind2, params):
@@ -205,7 +183,6 @@ class VertexOperatorSpec:
     in front (the z^-1 of the H currents).
     """
 
-    label: str
     charge: int
     momentum: int
     field_terms: tuple
@@ -213,16 +190,11 @@ class VertexOperatorSpec:
     prefactor_z_exp: int = 0
     u_scalar: Fraction = Fraction(1)
 
-    @property
-    def parity(self):
-        return self.charge % 2
-
     def at_multiple(self, mult):
         """Substitute z -> mult * z (mult an exact scalar)."""
         mult = Fraction(mult)
         fields = tuple((k, s, sh * mult) for (k, s, sh) in self.field_terms)
         return VertexOperatorSpec(
-            label="%s@%s" % (self.label, mult),
             charge=self.charge,
             momentum=self.momentum,
             field_terms=fields,
@@ -238,21 +210,22 @@ class VertexOperatorSpec:
 
 
 def E_current(params):
-    return VertexOperatorSpec("E", 1, 1, (("phi", 1, Fraction(1)),))
+    return VertexOperatorSpec(1, 1, (("phi", 1, Fraction(1)),))
 
 
 def F_current(params):
-    return VertexOperatorSpec("F", -1, -1, (("psi", -1, Fraction(1)),))
+    return VertexOperatorSpec(-1, -1, (("psi", -1, Fraction(1)),))
 
 
 def build_H(sign, params):
     """H^{+-}(z) = z^-1 :E(z p^{+-1/2}) F(z p^{-+1/2}):  (sign = +1 or -1)."""
     if sign not in (1, -1):
         raise StructuralError("sign must be +1 or -1")
-    sp = params.p_power(Fraction(sign, 2))
-    sm = params.p_power(Fraction(-sign, 2))
+    if params.sqrt_p is None:
+        raise StructuralError("H currents need sqrt_p")
+    sp = params.sqrt_p ** sign
+    sm = params.sqrt_p ** -sign
     return VertexOperatorSpec(
-        label="H+" if sign == 1 else "H-",
         charge=0,
         momentum=0,
         field_terms=(("phi", 1, sp), ("psi", -1, sm)),
@@ -269,7 +242,6 @@ def compose_normal_ordered(*parts):
     pref_s = Fraction(1)
     pref_e = 0
     u_s = Fraction(1)
-    labels = []
     for spec, mult in parts:
         s = spec.at_multiple(mult)
         fields.extend(s.field_terms)
@@ -278,9 +250,7 @@ def compose_normal_ordered(*parts):
         pref_s *= s.prefactor_scalar
         pref_e += s.prefactor_z_exp
         u_s *= s.u_scalar
-        labels.append(s.label)
     return VertexOperatorSpec(
-        label=":" + " ".join(labels) + ":",
         charge=charge,
         momentum=momentum,
         field_terms=tuple(fields),

@@ -78,10 +78,6 @@ class ShiftForm:
     central: tuple = ()  # sorted tuple of (index, Fraction coeff), no zeros
 
     @staticmethod
-    def make(constant=_ZERO) -> "ShiftForm":
-        return ShiftForm(_coerce(constant), ())
-
-    @staticmethod
     def of_central(index: int, coeff=_ONE) -> "ShiftForm":
         coeff = _coerce(coeff)
         if coeff == 0:
@@ -254,10 +250,6 @@ class TensorExpr:
         self.terms = tuple(cleaned)
 
     # -- constructors ----------------------------------------------------
-
-    @staticmethod
-    def zero(slots: int = 1) -> "TensorExpr":
-        return TensorExpr(slots, ())
 
     @staticmethod
     def unit(slots: int = 1) -> "TensorExpr":

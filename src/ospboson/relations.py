@@ -81,9 +81,12 @@ class ThetaFactor:
         object.__setattr__(self, "p_shift", Fraction(self.p_shift))
         object.__setattr__(self, "c_shift", Fraction(self.c_shift))
 
+    def shift(self, c):
+        """The exact p-exponent p_shift + c_shift * c at level c."""
+        return self.p_shift + self.c_shift * c
+
     def argument(self, x, p, c):
-        expo = self.p_shift + self.c_shift * c
-        return x ** self.orient * p ** expo
+        return x ** self.orient * p ** self.shift(c)
 
 
 @dataclass(frozen=True)
@@ -145,8 +148,8 @@ def _mixed_qt2_block(c_shift):
     )
 
 
-def relation_catalog(params=None, level=1, mode="canonical"):
-    """All ten relation schemas of the algebra at the given level.
+def relation_catalog(params=None, mode="canonical"):
+    """All ten relation schemas of the algebra at level 1.
 
     mode "canonical": x-oriented structure functions satisfied by the c = 1
     realization.  mode "strict-text": the displays as printed, including the
@@ -340,7 +343,7 @@ def _sample_x(rng, digits, guards, max_tries=10):
     raise DomainError("could not sample away from poles in %d tries" % max_tries)
 
 
-def verify_exchange(rel, params, *, c=1, samples=100, digits=50,
+def verify_exchange(rel, params, *, samples=100, digits=50,
                     tolerance=None, seed=0, unit_structure=False):
     """Check A(z) B(w) = S(w/z) B(w) A(z) on the c = 1 kernels.
 
@@ -367,24 +370,21 @@ def verify_exchange(rel, params, *, c=1, samples=100, digits=50,
                     and B.prefactor_z_exp == Bp.prefactor_z_exp)
     K1 = ope_kernel(A, B, params, order=2)
     K2 = ope_kernel(Bp, Ap, params, order=2)
-    sf = rel.structure_function
+    sf = StructureFunction(1, 0, ()) if unit_structure else rel.structure_function
     rng = random.Random(("exchange", rel.rel_id, rel.mode, seed).__repr__())
     guards = [
         lambda x: K1.near_singular(x),
         lambda x: K2.near_singular(1 / x),
+        lambda x: structure_function_singular(sf, x, params.q, params.p, 1),
     ]
-    if not unit_structure:
-        guards.append(lambda x: structure_function_singular(
-            sf, x, params.q, params.p, c))
     points = []
     residuals = []
     with workdps(digits + 10):
         for _ in range(samples):
             x = _sample_x(rng, digits, guards)
             lhs = K1.eval_at(1, x, digits)
-            rhs = K2.eval_at(x, 1, digits)
-            if not unit_structure:
-                rhs *= eval_structure_function(sf, x, params.q, params.p, c, digits)
+            rhs = (K2.eval_at(x, 1, digits)
+                   * eval_structure_function(sf, x, params.q, params.p, 1, digits))
             scale = max(abs(lhs), abs(rhs))
             res = abs(lhs - rhs) / scale if scale > 0 else mp.mpf(0)
             residuals.append(res)
@@ -426,7 +426,7 @@ def kernel_rational_value(kernel, z, w):
     return acc
 
 
-def verify_ef(params, *, c=1):
+def verify_ef(params):
     """Exact check of the anticommutator relation on the c = 1 kernels.
 
     Everything here is rational arithmetic: the delta supports and residues
@@ -435,8 +435,6 @@ def verify_ef(params, *, c=1):
     of the operator parts, and the antisymmetry K_FE(w,z) = -K_EF(z,w) that
     makes the bilateral pairing collapse to delta terms.
     """
-    if c != 1:
-        raise DomainError("only the level-1 realization exists")
     p, r = params.p, params.sqrt_p
     if r is None:
         raise StructuralError("verify_ef needs sqrt_p")

@@ -51,9 +51,6 @@ class TruncatedSeries:
                 and self.order == other.order
                 and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((self.order, tuple(self.coeffs)))
-
     def __add__(self, other):
         self._check(other)
         return TruncatedSeries(

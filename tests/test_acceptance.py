@@ -65,7 +65,7 @@ def _line(num, ok, text, t0):
 
 
 def _catalog(mode="canonical"):
-    return {r.rel_id: r for r in relation_catalog(PARAMS[0], level=1, mode=mode)}
+    return {r.rel_id: r for r in relation_catalog(PARAMS[0], mode=mode)}
 
 
 def test_01_contraction_product_identity():
@@ -85,7 +85,7 @@ def test_01_contraction_product_identity():
 
 def test_02_ef_delta_extraction():
     t0 = time.time()
-    rep = verify_ef(PARAMS[0], c=1)
+    rep = verify_ef(PARAMS[0])
     wanted = ("delta_support_set", "coefficient_plus", "coefficient_minus",
               "intermediate_form", "h_plus_identification",
               "h_minus_identification", "bilateral_antisymmetry")
@@ -100,10 +100,10 @@ def test_03_ef_exchange_relations():
     P = PARAMS[0]
     ok = True
     for rel_id in ("EE", "FF"):
-        rep = verify_exchange(cat[rel_id], P, c=1, samples=100, digits=50,
+        rep = verify_exchange(cat[rel_id], P, samples=100, digits=50,
                               tolerance=mp.mpf(10) ** -20, seed=SEED)
         ok = ok and rep["verdict"] == "pass"
-    control = verify_exchange(cat["EE"], P, c=1, samples=20, digits=50,
+    control = verify_exchange(cat["EE"], P, samples=20, digits=50,
                               tolerance=mp.mpf(10) ** -20, seed=SEED,
                               unit_structure=True)
     ok = ok and control["verdict"] == "fail"
@@ -118,11 +118,11 @@ def test_04_h_current_relations():
     P = PARAMS[0]
     ok = True
     for rel_id in ("H+E", "H-E", "H+F", "H-F", "HH", "H+H-"):
-        rep = verify_exchange(cat[rel_id], P, c=1, samples=100, digits=50,
+        rep = verify_exchange(cat[rel_id], P, samples=100, digits=50,
                               tolerance=mp.mpf(10) ** -20, seed=SEED)
         ok = ok and rep["verdict"] == "pass"
     # record which H-E reading survives the kernel identity
-    printed = verify_exchange(_catalog("strict-text")["H-E"], P, c=1,
+    printed = verify_exchange(_catalog("strict-text")["H-E"], P,
                               samples=30, digits=50,
                               tolerance=mp.mpf(10) ** -20, seed=SEED)
     modes = {"printed-text": printed["verdict"], "corrected": "pass" if ok else "fail"}

@@ -188,11 +188,36 @@ def test_main_missing_out_dir_exit_2(tmp_path):
     assert not out.parent.exists()
 
 
+def test_main_out_directory_exit_2(tmp_path, monkeypatch):
+    # an --out naming a directory (the empty one resolves to the cwd) is a
+    # usage error before any suite runs, not an IsADirectoryError after it
+    monkeypatch.chdir(tmp_path)
+    for out in ("", ".", str(tmp_path)):
+        assert main(["--suite", "ope", "--order", "8", "--out", out]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_main_bad_env_value_exit_2(tmp_path, monkeypatch):
     monkeypatch.setenv("OSPBOSON_ORDER", "abc")
     out = tmp_path / "r.json"
     assert main(["--suite", "ope", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_main_bad_env_bool_exit_2(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "r.json"
+    monkeypatch.setenv("OSPBOSON_TRACE", "banana")
+    assert main(["--suite", "ope", "--order", "8", "--out", str(out)]) == 2
+    assert not out.exists()
+    monkeypatch.delenv("OSPBOSON_TRACE")
+    monkeypatch.setenv("OSPBOSON_STRICT_TEXT", "ture")
+    assert main(["print", "structure-function", "HH"]) == 2
+    assert capsys.readouterr().out == ""
+    for raw, want in (("1", True), ("True", True), (" YES ", True), ("on", True),
+                      ("0", False), ("FALSE", False), ("no", False),
+                      ("Off", False), ("", False)):
+        monkeypatch.setenv("OSPBOSON_STRICT_TEXT", raw)
+        assert cli._env_bool("STRICT_TEXT") is want, raw
 
 
 def test_env_overrides(tmp_path, monkeypatch):

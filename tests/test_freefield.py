@@ -211,5 +211,3 @@ def test_half_integer_power_needs_sqrt():
     P = DeformationParams(Fr(1, 2), Fr(1, 3))
     with pytest.raises(StructuralError):
         build_H(1, P)
-    with pytest.raises(StructuralError):
-        P.p_power(Fr(1, 3))
