@@ -17,7 +17,7 @@ from ospboson.hopf import (
 
 print("coproducts out of the degree-0 algebra:")
 for kind in ("c", "H+", "H-", "E", "F"):
-    print("  D+ %-2s = %s" % (kind, coproduct_repr(kind, 1)))
+    print("  D+ %-2s = %s" % (kind, coproduct_repr(kind)))
 print()
 
 # iterating the two coproducts on E shows the three-term compatibility

@@ -338,7 +338,7 @@ def print_object(kind, obj_id, *, strict_text=False):
     if kind == "coproduct":
         if obj_id not in ("H+", "H-", "E", "F", "c"):
             raise UsageError("unknown generator %r" % (obj_id,))
-        return "coproduct of %s\n%s" % (obj_id, coproduct_repr(obj_id, 1))
+        return "coproduct of %s\n%s" % (obj_id, coproduct_repr(obj_id))
     raise UsageError("unknown object kind %r" % (kind,))
 
 

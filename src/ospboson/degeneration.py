@@ -125,24 +125,16 @@ def rational_structure_function(name, u_minus_v, hbar, c=1, digits=30):
     return _degenerate_structure_function(name, u_minus_v, hbar, c, digits)
 
 
-def limit_check(name, u_minus_v, epsilons=EPSILON_LADDER, *, eta, hbar, c=1,
-                digits=30, target_name=None):
+def limit_check(name, u_minus_v, *, eta, hbar, c=1, digits=30, target_name=None):
     """Convergence of the elliptic structure function to its trig limit.
 
     Evaluates the canonical elliptic structure function at each epsilon of
-    a decreasing ladder, under the documented nome convention, against the
+    EPSILON_LADDER, under the documented nome convention, against the
     trigonometric target (by default the same relation; passing a different
     target_name gives a negative control).  Reports the error sequence,
     empirical convergence orders from successive ratios, and the measured
     elliptic/trig prefactor ratios.
     """
-    epsilons = tuple(float(e) for e in epsilons)
-    if len(epsilons) < 3:
-        raise DomainError("need at least three epsilon values")
-    if any(e <= 0 for e in epsilons):
-        raise DomainError("epsilon values must be positive")
-    if any(a <= b for a, b in zip(epsilons, epsilons[1:])):
-        raise DomainError("epsilon ladder must be strictly decreasing")
     rel = _exchange_relation(name)
     f = rel.structure_function
     with workdps(digits + 10):
@@ -153,7 +145,7 @@ def limit_check(name, u_minus_v, epsilons=EPSILON_LADDER, *, eta, hbar, c=1,
         etap = eta_prime(eta, hbar, c)
         errors = []
         ratios = []
-        for eps in epsilons:
+        for eps in EPSILON_LADDER:
             eps_mp = mp.mpf(eps)
             p = mp.e ** (eps_mp * mp.mpf(hbar))
             x = mp.e ** (-eps_mp * s)
@@ -165,7 +157,8 @@ def limit_check(name, u_minus_v, epsilons=EPSILON_LADDER, *, eta, hbar, c=1,
             errors.append(float(abs(value - target)))
             ratios.append(mp.nstr(value / target, 12))
         orders = []
-        for (e0, e1), (x0, x1) in zip(zip(errors, errors[1:]), zip(epsilons, epsilons[1:])):
+        steps = zip(EPSILON_LADDER, EPSILON_LADDER[1:])
+        for (e0, e1), (x0, x1) in zip(zip(errors, errors[1:]), steps):
             if e1 == 0:
                 orders.append(float("inf"))
             else:
@@ -194,7 +187,7 @@ def limit_check(name, u_minus_v, epsilons=EPSILON_LADDER, *, eta, hbar, c=1,
             "theta bases exp(-eps/(2*eta)) and exp(-eps/(2*eta')); "
             "x = exp(-eps*(u-v)), p = exp(eps*hbar)"
         ),
-        "epsilons": list(epsilons),
+        "epsilons": list(EPSILON_LADDER),
         "errors": errors,
         "empirical_orders": orders,
         "prefactor_log": {
@@ -208,7 +201,7 @@ def limit_check(name, u_minus_v, epsilons=EPSILON_LADDER, *, eta, hbar, c=1,
     }
 
 
-def sample_limit_inputs(seed, count, c=1):
+def sample_limit_inputs(seed, count):
     """Pole-guarded random (u-v, eta, hbar) samples for limit checks.
 
     Keeps u-v away from every affine zero s = a*hbar of every factor of
@@ -219,8 +212,8 @@ def sample_limit_inputs(seed, count, c=1):
     for name in LIMIT_NAMES:
         rel = _exchange_relation(name)
         for tf in rel.structure_function.factors:
-            shifts.add(to_mpf(tf.shift(c)))
-    rng = random.Random(("limit-samples", seed, count, c).__repr__())
+            shifts.add(to_mpf(tf.shift(1)))
+    rng = random.Random(("limit-samples", seed, count, 1).__repr__())
     samples = []
     for _ in range(count):
         for _attempt in range(50):

@@ -319,10 +319,10 @@ class Kernel:
             mono = to_mpf(self.scalar) * z ** self.z_exp * w ** self.w_exp
             return mono * self.eval_product(w / z, digits)
 
-    def near_singular(self, x, tol=1e-6):
-        """True if x is within tol (relatively) of a zero of any factor (either power)."""
+    def near_singular(self, x):
+        """True if x is within theta.POLE_TOL (relatively) of a zero of any factor."""
         x = mp.mpc(x)
-        return any(near_theta_zero(to_mpf(f.c) * x, to_mpf(f.b), tol, kmax=0)
+        return any(near_theta_zero(to_mpf(f.c) * x, to_mpf(f.b), kmax=0)
                    for f in self.factors)
 
 

@@ -620,8 +620,8 @@ def generator_expr(kind: str, n: int = 0) -> TensorExpr:
 
 
 def _axiom_sides(axiom: str, kind: str, direction: int,
-                 convention: SignConvention, n: int,
-                 corrected: bool) -> tuple:
+                 convention: SignConvention, corrected: bool) -> tuple:
+    n = 0  # the axioms are checked on the family member A_0
     g = generator_expr(kind, n)
     if axiom == "a1":
         cop = coproduct(g, direction, convention, n=n)
@@ -648,7 +648,7 @@ def _axiom_sides(axiom: str, kind: str, direction: int,
 
 def verify_axiom(axiom: str, generator: str,
                  convention: SignConvention = DEFAULT_CONVENTION,
-                 *, n: int = 0, corrected_antipode: bool = False,
+                 *, corrected_antipode: bool = False,
                  trace: bool = False) -> dict:
     """Check one axiom on one generator under one sign convention.
 
@@ -665,7 +665,7 @@ def verify_axiom(axiom: str, generator: str,
     trace_lines = [] if trace else None
     dir_list = ((1, "plus"), (-1, "minus")) if axiom != "a3" else ((1, "single"),)
     for direction, label in dir_list:
-        lhs, rhs = _axiom_sides(axiom, generator, direction, convention, n,
+        lhs, rhs = _axiom_sides(axiom, generator, direction, convention,
                                 corrected_antipode)
         equal = lhs == rhs
         diff = (lhs - rhs).canonical() if not equal else None
@@ -698,7 +698,7 @@ def verify_axiom(axiom: str, generator: str,
     return report
 
 
-def search_conventions(*, n: int = 0) -> dict:
+def search_conventions() -> dict:
     """Run every axiom on every generator under all four conventions.
 
     Returns a structured report: per-convention verdict tables, the set of
@@ -711,7 +711,7 @@ def search_conventions(*, n: int = 0) -> dict:
         # "axiom:generator" keys in sorted order, which universal_failures keeps
         return {
             "%s:%s" % (axiom, gen): verify_axiom(
-                axiom, gen, convention, n=n, corrected_antipode=corrected)["verdict"]
+                axiom, gen, convention, corrected_antipode=corrected)["verdict"]
             for axiom in sorted(AXIOMS) for gen in sorted(AXIOM_GENERATORS)
         }
 
@@ -749,8 +749,6 @@ def search_conventions(*, n: int = 0) -> dict:
     }
 
 
-def coproduct_repr(kind: str, direction: int = 1, *, n: int = 0,
-                   convention: SignConvention = DEFAULT_CONVENTION) -> str:
-    """Stable rendering of a generator coproduct, for printing and goldens."""
-    expr = coproduct(generator_expr(kind, n), direction, convention, n=n)
-    return str(expr.canonical())
+def coproduct_repr(kind: str) -> str:
+    """Stable rendering of D+_0 on a generator, for printing and goldens."""
+    return str(coproduct(generator_expr(kind), 1, n=0).canonical())

@@ -41,7 +41,7 @@ from .freefield import (
     ope_kernel,
 )
 from .scalars import mpc_to_str, sample_annulus_point, to_mpf, workdps
-from .theta import near_theta_zero, theta_eval, theta_eval_modular
+from .theta import near_theta_zero, theta_eval_modular
 
 __all__ = [
     "ThetaFactor",
@@ -58,9 +58,6 @@ __all__ = [
 ]
 
 MODES = ("canonical", "strict-text")
-
-# q -> 1 products converge uselessly slowly; route through the modular form
-MODULAR_NOME_CUTOFF = mp.mpf("0.9")
 
 
 @dataclass(frozen=True)
@@ -241,16 +238,10 @@ def _theta_bases(q, p, c):
     return {"q2": q * q, "qt2": (q * p ** c) ** 2}
 
 
-def _theta(z, base, digits):
-    if base > MODULAR_NOME_CUTOFF:
-        return theta_eval_modular(z, base, digits)
-    return theta_eval(z, base, digits)
-
-
 def eval_structure_function(f, x, q, p, c, digits, *, bases=None):
     """Numeric value of a structure function at complex x.
 
-    Denominator arguments within 10^-6 of a theta zero raise PoleError
+    Denominator arguments within theta.POLE_TOL of a theta zero raise PoleError
     carrying the offending factor.
 
     `bases` optionally overrides the theta bases as {"q2": .., "qt2": ..};
@@ -272,18 +263,18 @@ def eval_structure_function(f, x, q, p, c, digits, *, bases=None):
             base = bases[tf.base]
             if tf.power == -1 and near_theta_zero(arg, base):
                 raise PoleError("structure function pole", factor=tf)
-            v = _theta(arg, base, digits)
+            v = theta_eval_modular(arg, base, digits)
             acc = acc * v if tf.power == 1 else acc / v
         return acc
 
 
-def structure_function_singular(f, x, q, p, c, tol=1e-6):
-    """True if any theta factor (either side) is within tol of a zero."""
+def structure_function_singular(f, x, q, p, c):
+    """True if any theta factor (either side) is within theta.POLE_TOL of a zero."""
     x = mp.mpc(x)
     p = to_mpf(p)
     bases = _theta_bases(q, p, c)
     return any(
-        near_theta_zero(tf.argument(x, p, c), bases[tf.base], tol)
+        near_theta_zero(tf.argument(x, p, c), bases[tf.base])
         for tf in f.factors
     )
 

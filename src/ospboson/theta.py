@@ -10,7 +10,8 @@ with (a | q)_inf = prod_{n>=0} (1 - a q^n), 0 < |q| < 1.  It satisfies
 
 and vanishes exactly at z in q**Z.  Two evaluation paths are provided:
 
-* ``theta_eval``   - direct truncated products, error O(|q|^terms);
+* ``theta_eval``   - direct truncated products, error O(|q|^terms); the
+  transform's inner step, and (through ``qpoch_eval``) the kernels' path;
 * ``theta_eval_modular`` - the Jacobi imaginary transformation
   (Whittaker-Watson ch. 21) onto the product path,
       theta_q(z) = i (-i tau)^{-1/2} e^{i pi (u - u u' - u' - tau/4 + tau'/4)}
@@ -18,6 +19,7 @@ and vanishes exactly at z in q**Z.  Two evaluation paths are provided:
   with z = e^{2 pi i u}, q = e^{2 pi i tau} (principal logs), u' = u/tau,
   tau' = -1/tau and q' = e^{2 pi i tau'}.  As q -> 1, where the direct
   product would need ~1/(1-q) factors, q' -> 0 and a few factors suffice.
+  Every structure-function theta takes this path, at every nome.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ __all__ = [
 
 _MAX_TERMS = 200_000
 
+POLE_TOL = 1e-6  # relative distance from a zero that counts as a pole
+
 
 def theta_terms_needed(absq, digits):
     """Smallest T with |q|^T < 10^-(digits+10)."""
@@ -49,16 +53,14 @@ def theta_terms_needed(absq, digits):
     return T
 
 
-def qpoch_eval(a, q, digits, terms=None):
-    """(a | q)_inf by direct truncated product, error O(|q|^terms)."""
+def qpoch_eval(a, q, digits):
+    """(a | q)_inf by direct product, truncated where |q|^T < 10^-(digits+10)."""
     with workdps(digits + 10):
         a = mp.mpc(a)
         q = mp.mpc(q)
-        if terms is None:
-            terms = theta_terms_needed(abs(q), digits)
         acc = mp.mpc(1)
         f = a
-        for _ in range(terms):
+        for _ in range(theta_terms_needed(abs(q), digits)):
             acc *= 1 - f
             f *= q
         return acc
@@ -71,10 +73,9 @@ def theta_eval(z, q, digits):
         q = mp.mpc(q)
         if z == 0:
             raise DomainError("theta argument must be nonzero")
-        terms = theta_terms_needed(abs(q), digits)
-        return (qpoch_eval(z, q, digits, terms)
-                * qpoch_eval(q / z, q, digits, terms)
-                * qpoch_eval(q, q, digits, terms))
+        return (qpoch_eval(z, q, digits)
+                * qpoch_eval(q / z, q, digits)
+                * qpoch_eval(q, q, digits))
 
 
 def theta_eval_modular(z, q, digits):
@@ -104,8 +105,8 @@ def theta_eval_modular(z, q, digits):
         return v
 
 
-def near_theta_zero(z, q, tol=1e-6, kmax=None):
-    """True if z lies within tol (relatively) of a zero q^k of theta_q.
+def near_theta_zero(z, q, kmax=None):
+    """True if z lies within POLE_TOL (relatively) of a zero q^k of theta_q.
 
     With kmax, only the zeros q^k with k <= kmax count: kmax=0 gives the
     zeros of (z | q)_inf, and q = 0 leaves its single zero z = 1.
@@ -121,6 +122,6 @@ def near_theta_zero(z, q, tol=1e-6, kmax=None):
         ks = range(int(mp.floor(k0)) - 2, hi + 1 if kmax is None else min(hi, kmax) + 1)
     for k in ks:
         zk = mp.mpc(q) ** k
-        if abs(z - zk) < tol * max(abs(zk), mp.mpf(1)):
+        if abs(z - zk) < POLE_TOL * max(abs(zk), mp.mpf(1)):
             return True
     return False

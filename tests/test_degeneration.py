@@ -183,15 +183,6 @@ def test_limit_check_level_zero_identification():
     assert abs(ta - tb) < 1e-35
 
 
-def test_limit_check_ladder_validation():
-    with pytest.raises(DomainError):
-        limit_check("EE", 0.4, (0.1, 0.05), eta=0.25, hbar=0.12)
-    with pytest.raises(DomainError):
-        limit_check("EE", 0.4, (0.1, 0.1, 0.05), eta=0.25, hbar=0.12)
-    with pytest.raises(DomainError):
-        limit_check("EE", 0.4, (0.1, 0.05, -0.01), eta=0.25, hbar=0.12)
-
-
 def test_limit_check_report_shape():
     rep = limit_check("H+E", 0.4, eta=0.25, hbar=0.12, c=1)
     assert rep["check"] == "scaling-limit"

@@ -163,13 +163,22 @@ def test_structure_function_repr_readable():
     assert "theta_q2" in s and "c" in s and "/" in s
 
 
-@pytest.mark.parametrize("rel_id", ["EE", "FF", "H+E", "H-E", "H+F", "H-F",
-                                    "HH", "H+H-"])
-def test_exchange_relations_hold(rel_id):
+EXCHANGE_IDS = ["EE", "FF", "H+E", "H-E", "H+F", "H-F", "HH", "H+H-"]
+# P, then two corners of the sample_parameters window: (q, sqrt p) = (1/5, 1/5),
+# where both nomes are smallest, and (3/4, 1/5), where q^2 is largest and p
+# is smallest
+CORNERS = [(Fr(1, 5), Fr(1, 5)), (Fr(3, 4), Fr(1, 5))]
+
+
+@pytest.mark.parametrize("rel_id,params", [
+    pytest.param(r, P, id=r) for r in EXCHANGE_IDS] + [
+    pytest.param(r, DeformationParams.from_sqrt(q, s), id="%s-q%s-r%s" % (r, q, s))
+    for q, s in CORNERS for r in EXCHANGE_IDS])
+def test_exchange_relations_hold(rel_id, params):
     rels = by_id(relation_catalog())
-    rep = verify_exchange(rels[rel_id], P, samples=8, digits=DIGITS, seed=3)
+    rep = verify_exchange(rels[rel_id], params, samples=8, digits=DIGITS, seed=3)
     assert rep["verdict"] == "pass", rep
-    assert mp.mpf(rep["residual_max"]) <= mp.mpf(10) ** -20
+    assert mp.mpf(rep["residual_max"]) <= mp.mpf(10) ** -45
     assert rep["fields_match"]
 
 

@@ -42,13 +42,18 @@ def test_theta_golden_value():
         assert abs(v - mp.mpc(re, im)) < mp.mpf(10) ** -30
 
 
-@pytest.mark.parametrize("qs", ["0.05", "0.3", "0.7", "0.95", "0.98"])
+# nomes the structure functions meet: 6.4e-5 and 0.178 are the smallest and
+# largest (q p)^2 of the sample_parameters window, 0.01 is that of seed 0,
+# and 0.5625 is the largest q^2
+@pytest.mark.parametrize("qs", ["6.4e-5", "0.01", "0.05", "0.178", "0.3",
+                                "0.5625", "0.7", "0.95", "0.98"])
 def test_product_vs_modular(qs):
     with mp.workdps(DIGITS + 20):
         q = mp.mpf(qs)
         rng = random.Random(("theta-cross", qs).__repr__())
         for _ in range(12):
-            r = 0.2 + 0.6 * rng.random()
+            # |x p^a| for |x| in [0.1, 0.9], a in [-3, 3] and p >= 1/25
+            r = mp.mpf(10) ** rng.uniform(-6, 5)
             ph = 2 * mp.pi * rng.random()
             z = r * mp.e ** (mp.mpc(0, 1) * ph)
             if near_theta_zero(z, q):
