@@ -44,7 +44,6 @@ from .degeneration import (
 )
 from .freefield import (
     DeformationParams,
-    closed_form_series,
     contraction_series,
     exp_contraction_closed,
     kernel_repr,
@@ -69,6 +68,7 @@ from .relations import (
     verify_invertibility,
 )
 from .scalars import sample_parameters
+from .series import closed_form_series
 
 
 class UsageError(ValueError):
@@ -360,17 +360,10 @@ def _env_bool(name):
                      % (ENV_PREFIX, name, raw))
 
 
-def _convention(text):
-    try:
-        return {"+1": 1, "1": 1, "-1": -1}[text]
-    except KeyError:
-        raise argparse.ArgumentTypeError("convention must be +1 or -1")
-
-
 # argparse settings beyond the field's type; every RunConfig field is a flag
 _FLAG_KWARGS = {
     "suite": {"choices": SUITES + ("all",)},
-    "convention": {"type": _convention},
+    "convention": {"choices": (1, -1)},
 }
 
 

@@ -75,27 +75,32 @@ def eta_prime(eta, hbar, c):
     return 1 / denom
 
 
-def _exchange_relation(name):
-    for rel in relation_catalog(mode="canonical"):
-        if rel.rel_id == name:
-            if rel.kind != "exchange":
-                raise StructuralError(
-                    "%s is not an exchange relation; no structure-function limit" % name
-                )
-            return rel
-    raise StructuralError("unknown relation %r" % (name,))
+def _etas(eta, hbar, c):
+    """The scaling parameter of each theta base: eta on q^2, eta' on qt^2."""
+    return {"q2": mp.mpf(eta), "qt2": eta_prime(eta, hbar, c)}
+
+
+# the canonical exchange structure functions, the only ones with limits
+_STRUCTURE_FUNCTIONS = {rel.rel_id: rel.structure_function
+                        for rel in relation_catalog() if rel.kind == "exchange"}
+
+
+def _structure_function(name):
+    if name not in _STRUCTURE_FUNCTIONS:
+        raise StructuralError("%r is not an exchange relation; no "
+                              "structure-function limit" % (name,))
+    return _STRUCTURE_FUNCTIONS[name]
 
 
 def _degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta=None):
     # sign * prod over the canonical factors of g(u-v - a*hbar)**power, with
     # g = sin(2 pi eta .) (eta' on base qt^2) or, for eta=None, the identity
-    f = _exchange_relation(name).structure_function
+    f = _structure_function(name)
     with workdps(digits + 10):
         s = mp.mpc(u_minus_v)
         hb = mp.mpf(hbar)
         if eta is not None:
-            scales = {"q2": 2 * mp.pi * mp.mpf(eta),
-                      "qt2": 2 * mp.pi * eta_prime(eta, hbar, c)}
+            scales = {k: 2 * mp.pi * e for k, e in _etas(eta, hbar, c).items()}
         acc = mp.mpc(f.sign)
         floor = mp.mpf(10) ** (2 - digits)
         for tf in f.factors:
@@ -135,25 +140,21 @@ def limit_check(name, u_minus_v, *, eta, hbar, c=1, digits=30, target_name=None)
     empirical convergence orders from successive ratios, and the measured
     elliptic/trig prefactor ratios.
     """
-    rel = _exchange_relation(name)
-    f = rel.structure_function
+    f = _structure_function(name)
     with workdps(digits + 10):
         target = trig_structure_function(
             target_name or name, u_minus_v, eta=eta, hbar=hbar, c=c, digits=digits
         )
         s = mp.mpc(u_minus_v)
-        etap = eta_prime(eta, hbar, c)
+        etas = _etas(eta, hbar, c)
         errors = []
         ratios = []
         for eps in EPSILON_LADDER:
             eps_mp = mp.mpf(eps)
             p = mp.e ** (eps_mp * mp.mpf(hbar))
             x = mp.e ** (-eps_mp * s)
-            bases = {
-                "q2": mp.e ** (-eps_mp / (2 * mp.mpf(eta))),
-                "qt2": mp.e ** (-eps_mp / (2 * etap)),
-            }
-            value = eval_structure_function(f, x, None, p, c, digits, bases=bases)
+            bases = {k: mp.e ** (-eps_mp / (2 * e)) for k, e in etas.items()}
+            value = eval_structure_function(f, x, p, c, bases, digits)
             errors.append(float(abs(value - target)))
             ratios.append(mp.nstr(value / target, 12))
         orders = []
@@ -210,8 +211,7 @@ def sample_limit_inputs(seed, count):
     """
     shifts = set()
     for name in LIMIT_NAMES:
-        rel = _exchange_relation(name)
-        for tf in rel.structure_function.factors:
+        for tf in _structure_function(name).factors:
             shifts.add(to_mpf(tf.shift(1)))
     rng = random.Random(("limit-samples", seed, count, 1).__repr__())
     samples = []

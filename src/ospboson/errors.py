@@ -1,7 +1,9 @@
 """Shared error taxonomy.
 
-Four failure classes are distinguished so callers (and the CLI) can map them
-to exit codes and report entries without string matching.
+Four failure classes are distinguished so callers can tell them apart
+without string matching.  The CLI does not map them to exit codes: a suite
+that raises any exception is reported as crashed (exit 3), and usage errors
+(exit 2) are the CLI's own UsageError.
 """
 
 

@@ -35,19 +35,17 @@ import mpmath as mp
 
 from .errors import DomainError, PoleError, StructuralError, UnsupportedError
 from .scalars import to_mpf, workdps
-from .series import TruncatedSeries, qpoch_log_series
+from .series import QPochFactor, TruncatedSeries, closed_form_series
 from .theta import near_theta_zero, qpoch_eval
 
 __all__ = [
     "DeformationParams",
-    "QPochFactor",
     "VertexOperatorSpec",
     "Kernel",
     "DeltaTerm",
     "mode_bracket",
     "contraction_series",
     "exp_contraction_closed",
-    "closed_form_series",
     "ope_kernel",
     "delta_decompose",
     "build_H",
@@ -122,19 +120,6 @@ def contraction_series(kind1, kind2, params, order):
     return TruncatedSeries(coeffs, order)
 
 
-@dataclass(frozen=True)
-class QPochFactor:
-    """(c*x | b)_inf ** power as a closed-form building block; b = 0 degenerates to (1 - c*x)."""
-
-    c: Fraction
-    b: Fraction
-    power: int
-
-    def __post_init__(self):
-        if self.power not in (1, -1):
-            raise StructuralError("factor power must be +1 or -1")
-
-
 def exp_contraction_closed(kind1, kind2, params):
     """Closed form of exp<field1 field2> as a factor list.
 
@@ -161,14 +146,6 @@ def exp_contraction_closed(kind1, kind2, params):
         raise StructuralError("unknown field pair (%r, %r)" % (kind1, kind2))
     return tuple([QPochFactor(c, b, 1) for c in num]
                  + [QPochFactor(c, b, -1) for c in den])
-
-
-def closed_form_series(factors, order):
-    """Exact jet of a product of QPochFactors, each expanded through its log."""
-    acc = TruncatedSeries.one(order)
-    for f in factors:
-        acc = acc * qpoch_log_series(f.c, f.b, order, f.power)
-    return acc
 
 
 @dataclass(frozen=True)

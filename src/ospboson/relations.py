@@ -48,6 +48,7 @@ __all__ = [
     "StructureFunction",
     "RelationSpec",
     "relation_catalog",
+    "theta_bases",
     "eval_structure_function",
     "structure_function_repr",
     "verify_exchange",
@@ -232,31 +233,23 @@ DISPLAY_AUDIT = {
 }
 
 
-def _theta_bases(q, p, c):
-    """The structure functions' theta bases q^2 and (q p^c)^2; p is an mpf."""
+def theta_bases(q, p, c):
+    """The deformation's theta bases {"q2": q^2, "qt2": (q p^c)^2}; p is an mpf."""
     q = to_mpf(q)
     return {"q2": q * q, "qt2": (q * p ** c) ** 2}
 
 
-def eval_structure_function(f, x, q, p, c, digits, *, bases=None):
+def eval_structure_function(f, x, p, c, bases, digits):
     """Numeric value of a structure function at complex x.
 
-    Denominator arguments within theta.POLE_TOL of a theta zero raise PoleError
-    carrying the offending factor.
-
-    `bases` optionally overrides the theta bases as {"q2": .., "qt2": ..};
-    the scaling-limit evaluator uses this because the re-parameterized
-    deformation nome leaves the convergent range and must be replaced by
-    its documented modular substitute.  When bases are overridden, q is
-    ignored.
+    Each theta factor theta_B(x^orient p^shift) is evaluated on the nome
+    B = bases[factor.base], given as mpf values {"q2": .., "qt2": ..}: at a
+    deformation point they are theta_bases(q, p, c); the scaling limits pass
+    the nomes of their re-parameterization.  A denominator argument within
+    theta.POLE_TOL of a theta zero raises PoleError carrying the factor.
     """
     with workdps(digits + 10):
         x = mp.mpc(x)
-        p = to_mpf(p)
-        if bases is None:
-            bases = _theta_bases(q, p, c)
-        else:
-            bases = {k: to_mpf(v) for k, v in bases.items()}
         acc = mp.mpc(f.sign) * p ** f.p_exp
         for tf in f.factors:
             arg = tf.argument(x, p, c)
@@ -268,11 +261,9 @@ def eval_structure_function(f, x, q, p, c, digits, *, bases=None):
         return acc
 
 
-def structure_function_singular(f, x, q, p, c):
+def structure_function_singular(f, x, p, c, bases):
     """True if any theta factor (either side) is within theta.POLE_TOL of a zero."""
     x = mp.mpc(x)
-    p = to_mpf(p)
-    bases = _theta_bases(q, p, c)
     return any(
         near_theta_zero(tf.argument(x, p, c), bases[tf.base])
         for tf in f.factors
@@ -326,12 +317,12 @@ CURRENTS = {
 }
 
 
-def _sample_x(rng, digits, guards, max_tries=10):
-    for _ in range(max_tries):
+def _sample_x(rng, digits, guards):
+    for _ in range(10):
         x = sample_annulus_point(rng, digits)
         if not any(g(x) for g in guards):
             return x
-    raise DomainError("could not sample away from poles in %d tries" % max_tries)
+    raise DomainError("could not sample away from poles in 10 tries")
 
 
 def verify_exchange(rel, params, *, samples=100, digits=50,
@@ -363,19 +354,21 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     K2 = ope_kernel(Bp, Ap, params, order=2)
     sf = StructureFunction(1, 0, ()) if unit_structure else rel.structure_function
     rng = random.Random(("exchange", rel.rel_id, rel.mode, seed).__repr__())
-    guards = [
-        lambda x: K1.near_singular(x),
-        lambda x: K2.near_singular(1 / x),
-        lambda x: structure_function_singular(sf, x, params.q, params.p, 1),
-    ]
     points = []
     residuals = []
     with workdps(digits + 10):
+        p = to_mpf(params.p)
+        bases = theta_bases(params.q, p, 1)
+        guards = [
+            lambda x: K1.near_singular(x),
+            lambda x: K2.near_singular(1 / x),
+            lambda x: structure_function_singular(sf, x, p, 1, bases),
+        ]
         for _ in range(samples):
             x = _sample_x(rng, digits, guards)
             lhs = K1.eval_at(1, x, digits)
             rhs = (K2.eval_at(x, 1, digits)
-                   * eval_structure_function(sf, x, params.q, params.p, 1, digits))
+                   * eval_structure_function(sf, x, p, 1, bases, digits))
             scale = max(abs(lhs), abs(rhs))
             res = abs(lhs - rhs) / scale if scale > 0 else mp.mpf(0)
             residuals.append(res)

@@ -58,8 +58,7 @@ def sample_parameters(seed, count=3):
 
     Returns ``count`` triples (q, p, sqrt_p) with q, sqrt_p rational in a
     window that keeps every infinite product in the package absolutely
-    convergent and well-conditioned: q, sqrt_p in [1/5, 3/4], q != p,
-    q*p != 1.
+    convergent and well-conditioned: q, sqrt_p in [1/5, 3/4], q != p.
     """
     rng = random.Random(("params", seed).__repr__())
     out = []
@@ -68,7 +67,7 @@ def sample_parameters(seed, count=3):
         q = Fraction(rng.randint(12, 45), 60)
         r = Fraction(rng.randint(12, 45), 60)  # sqrt(p)
         p = r * r
-        if q == p or q * p == 1:
+        if q == p:
             continue
         if (q, p) in seen:
             continue
@@ -77,8 +76,9 @@ def sample_parameters(seed, count=3):
     return out
 
 
-def sample_annulus_point(rng, digits, rmin=0.1, rmax=0.9):
-    """One uniform-in-annulus complex sample, |x| in [rmin, rmax]."""
+def sample_annulus_point(rng, digits):
+    """One uniform-in-annulus complex sample, |x| in [0.1, 0.9]."""
+    rmin, rmax = 0.1, 0.9
     with mp.workdps(digits):
         # uniform area density: r^2 uniform between the squared radii
         u = rng.random()

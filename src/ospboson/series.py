@@ -3,16 +3,19 @@
 A series is a fixed-order jet: coefficients c[0..N] in the single variable
 x.  All ring operations discard the tail beyond x^N, so order-N inputs
 always produce order-N outputs.  Coefficients are ``fractions.Fraction``;
-nothing in this module ever rounds.
+nothing in this module ever rounds.  Products of q-Pochhammer factors
+(``QPochFactor``) expand in closed form through one exp of their summed logs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, StructuralError
 
-__all__ = ["TruncatedSeries", "qpoch_log_series"]
+__all__ = ["TruncatedSeries", "QPochFactor", "closed_form_series",
+           "qpoch_log_series"]
 
 
 class TruncatedSeries:
@@ -149,26 +152,38 @@ class TruncatedSeries:
         return "TruncatedSeries([%s%s], order=%d)" % (head, tail, self.order)
 
 
-def qpoch_log_series(c, b, order, power=1):
-    """Exact jet of the infinite product prod_{n>=0} (1 - c*x*b^n)**power.
+@dataclass(frozen=True)
+class QPochFactor:
+    """(c*x | b)_inf ** power as a closed-form building block; b = 0 degenerates to (1 - c*x)."""
 
-    log prod (1 - c x b^n) = -sum_{m>=1} (c x)^m / (m (1 - b^m)), requiring
-    |b| != 1 exactly; each coefficient is a closed-form rational, so the
-    result is the true series of the infinite product, not of a truncated
-    one.
+    c: Fraction
+    b: Fraction
+    power: int
+
+    def __post_init__(self):
+        if self.power not in (1, -1):
+            raise StructuralError("factor power must be +1 or -1")
+
+
+def closed_form_series(factors, order):
+    """Exact jet of a product of QPochFactors: the exp of their summed logs.
+
+    log prod_n (1 - c*x*b^n) = -sum_{m>=1} (c x)^m / (m (1 - b^m)), requiring
+    |b| < 1; each coefficient is a closed-form rational, so the result is
+    the true series of the infinite products, not of truncated ones.
     """
-    c = Fraction(c)
-    b = Fraction(b)
-    if abs(b) >= 1:
-        raise DomainError("need |b| < 1 for the infinite product, got %s" % b)
     coeffs = [Fraction(0)] * (order + 1)
-    cm = Fraction(1)
-    for m in range(1, order + 1):
-        cm *= c
-        coeffs[m] = -cm / (m * (1 - b ** m))
-    L = TruncatedSeries(coeffs, order)
-    if power == -1:
-        L = -L
-    elif power != 1:
-        raise StructuralError("power must be +1 or -1")
-    return L.exp()
+    for f in factors:
+        c, b = Fraction(f.c), Fraction(f.b)
+        if abs(b) >= 1:
+            raise DomainError("need |b| < 1 for the infinite product, got %s" % b)
+        cm = Fraction(f.power)
+        for m in range(1, order + 1):
+            cm *= c
+            coeffs[m] -= cm / (m * (1 - b ** m))
+    return TruncatedSeries(coeffs, order).exp()
+
+
+def qpoch_log_series(c, b, order, power=1):
+    """Exact jet of the infinite product prod_{n>=0} (1 - c*x*b^n)**power."""
+    return closed_form_series((QPochFactor(c, b, power),), order)

@@ -32,7 +32,7 @@ from ospboson.hopf import (
     verify_axiom,
 )
 from ospboson.relations import relation_catalog, verify_ef, verify_exchange
-from ospboson.scalars import sample_annulus_point, sample_parameters
+from ospboson.scalars import sample_parameters
 from ospboson.series import TruncatedSeries, qpoch_log_series
 from ospboson.theta import theta_eval, theta_eval_modular
 
@@ -191,6 +191,17 @@ def test_07_degeneration_limits():
           "within factor %.3f" % float(max(ks) / min(ks)), t0)
 
 
+def _annulus_point(rng, digits):
+    # uniform in the annulus 0.2 <= |z| <= 0.95, wider than the package's
+    # exchange sampler, so the theta checks reach closer to the unit circle
+    rmin, rmax = 0.2, 0.95
+    with mp.workdps(digits):
+        u = rng.random()
+        r = mp.sqrt(rmin * rmin + u * (rmax * rmax - rmin * rmin))
+        phi = mp.mpf(2) * mp.pi * rng.random()
+        return mp.mpc(r * mp.cos(phi), r * mp.sin(phi))
+
+
 def test_08_theta_substrate():
     t0 = time.time()
     digits = 50
@@ -200,14 +211,14 @@ def test_08_theta_substrate():
     with mp.workdps(digits + 20):
         for _ in range(100):
             q = mp.mpf(rng.uniform(0.05, 0.9))
-            z = sample_annulus_point(rng, digits, 0.2, 0.95)
+            z = _annulus_point(rng, digits)
             lhs = theta_eval(q * z, q, digits)
             rhs = -theta_eval(z, q, digits) / z
             scale = max(abs(lhs), abs(rhs), mp.mpf(1))
             ok = ok and abs(lhs - rhs) / scale < bound
         for _ in range(25):
             q = mp.mpf(rng.uniform(0.3, 0.95))
-            z = sample_annulus_point(rng, digits, 0.2, 0.95)
+            z = _annulus_point(rng, digits)
             a = theta_eval(z, q, digits)
             b = theta_eval_modular(z, q, digits)
             ok = ok and abs(a - b) / max(abs(a), mp.mpf(1)) < bound

@@ -101,6 +101,31 @@ def test_hopf_suite_golden():
     assert lines == GOLDEN_HOPF.read_text(encoding="utf-8").splitlines()
 
 
+GOLDEN_LIMITS = Path(__file__).with_name("golden_limits.txt")
+
+
+def test_limits_suite_golden():
+    # every limits report (errors, orders, ratios) as one JSON line each
+    lines = [json.dumps(rep, ensure_ascii=False, separators=(",", ":"))
+             for rep in cli._suite_limits(RunConfig(seed=7))]
+    assert lines == GOLDEN_LIMITS.read_text(encoding="utf-8").splitlines()
+
+
+GOLDEN_RELATIONS_POINTS = Path(__file__).with_name("golden_relations_points.txt")
+POINTS_KEYS = ("relation", "mode", "points", "verdict", "fields_match")
+
+
+def test_relations_points_golden():
+    # the sampled points and verdicts of every relations report; residuals
+    # are left out, since they depend on the theta route's rounding
+    lines = [
+        json.dumps({k: rep[k] for k in POINTS_KEYS if k in rep},
+                   ensure_ascii=False, separators=(",", ":"))
+        for rep in cli._suite_relations(RunConfig(samples=10, digits=30))
+    ]
+    assert lines == GOLDEN_RELATIONS_POINTS.read_text(encoding="utf-8").splitlines()
+
+
 def test_print_unknown_id():
     with pytest.raises(UsageError):
         print_object("kernel", "XX")
@@ -202,6 +227,21 @@ def test_main_bad_env_value_exit_2(tmp_path, monkeypatch):
     out = tmp_path / "r.json"
     assert main(["--suite", "ope", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_main_bad_convention_exit_2(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "r.json"
+    for value in ("2", "x", "0"):
+        assert main(["--suite", "ope", "--convention", value,
+                     "--out", str(out)]) == 2
+    monkeypatch.setenv("OSPBOSON_CONVENTION", "2")
+    assert main(["--suite", "ope", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "convention" in capsys.readouterr().err
+    monkeypatch.delenv("OSPBOSON_CONVENTION")
+    for value, want in (("+1", 1), ("1", 1), ("-1", -1)):
+        ns = cli._build_run_parser().parse_args(["--convention", value])
+        assert ns.convention == want
 
 
 def test_main_bad_env_bool_exit_2(tmp_path, monkeypatch, capsys):

@@ -10,7 +10,6 @@ from ospboson.freefield import (
     DeformationParams,
     E_current,
     F_current,
-    QPochFactor,
     build_H,
     compose_normal_ordered,
     contraction_series,
@@ -21,7 +20,9 @@ from ospboson.freefield import (
     ope_kernel,
 )
 from ospboson.scalars import sample_parameters, to_mpf
-from ospboson.series import TruncatedSeries, qpoch_log_series
+from ospboson.relations import CURRENTS, relation_catalog
+from ospboson.series import (
+    QPochFactor, TruncatedSeries, closed_form_series, qpoch_log_series)
 
 PARAMS = [DeformationParams(q, p, r) for q, p, r in sample_parameters(7, count=3)]
 
@@ -68,6 +69,24 @@ def test_closed_form_equals_series(pair):
         for f in exp_contraction_closed(pair[0], pair[1], P):
             acc = acc * qpoch_log_series(f.c, f.b, N, f.power)
         assert acc.coeffs == jet.coeffs
+
+
+KERNEL_PAIRS = {r.rel_id: r.left for r in relation_catalog()
+                if r.kind != "invertibility"}
+
+
+@pytest.mark.parametrize("rel_id", sorted(KERNEL_PAIRS))
+def test_closed_form_series_is_product_of_factor_jets(rel_id):
+    # one exp of the summed factor logs against the product of each factor's
+    # own jet, on every catalog kernel (the H ones have 18 factors, with base
+    # 0 and power -1 among them)
+    P = PARAMS[0]
+    a, b = KERNEL_PAIRS[rel_id]
+    K = ope_kernel(CURRENTS[a](P), CURRENTS[b](P), P, order=16)
+    ref = TruncatedSeries.one(16)
+    for f in K.factors:
+        ref = ref * qpoch_log_series(f.c, f.b, 16, f.power)
+    assert closed_form_series(K.factors, 16) == ref
 
 
 def test_unknown_field_pair_rejected():

@@ -16,6 +16,7 @@ from ospboson.relations import (
     relation_catalog,
     structure_function_repr,
     swapped_relation,
+    theta_bases,
     verify_ef,
     verify_exchange,
     verify_invertibility,
@@ -66,9 +67,10 @@ def test_ee_golden_value():
     # frozen from two independent runs at 50 and 70 digits
     rels = by_id(relation_catalog())
     with mp.workdps(60):
+        q, p = mp.mpf("0.4"), mp.mpf("0.5")
         v = eval_structure_function(
             rels["EE"].structure_function, mp.mpc("0.3", "0.1"),
-            mp.mpf("0.4"), mp.mpf("0.5"), 1, DIGITS)
+            p, 1, theta_bases(q, p, 1), DIGITS)
         ref = mp.mpc(
             "0.16442895360523056265674157896994931355611473",
             "0.0389497870798544890175764540518703755133117765")
@@ -79,11 +81,12 @@ def test_structure_functions_collapse_at_p_one():
     # at p = 1 all theta arguments coincide pairwise, leaving the sign
     with mp.workdps(40):
         x = mp.mpc("0.3", "0.2")
+        bases = theta_bases(mp.mpf("0.4"), mp.mpf(1), 1)
         for r in relation_catalog():
             if r.kind != "exchange":
                 continue
             v = eval_structure_function(
-                r.structure_function, x, mp.mpf("0.4"), mp.mpf(1), 1, 30)
+                r.structure_function, x, mp.mpf(1), 1, bases, 30)
             assert abs(v - r.structure_function.sign) < mp.mpf(10) ** -25
 
 
@@ -92,8 +95,9 @@ def test_hphm_collapses_to_hh_at_c_zero():
     with mp.workdps(40):
         x = mp.mpc("0.43", "-0.21")
         q, p = mp.mpf("0.37"), mp.mpf("0.29")
-        a = eval_structure_function(rels["H+H-"].structure_function, x, q, p, 0, 30)
-        b = eval_structure_function(rels["HH"].structure_function, x, q, p, 0, 30)
+        bases = theta_bases(q, p, 0)
+        a = eval_structure_function(rels["H+H-"].structure_function, x, p, 0, bases, 30)
+        b = eval_structure_function(rels["HH"].structure_function, x, p, 0, bases, 30)
         assert abs(a - b) < mp.mpf(10) ** -25
 
 
@@ -106,12 +110,13 @@ def test_mixed_orientation_displays_agree(mixed, rel_id):
     rng = random.Random(("duality", rel_id).__repr__())
     with mp.workdps(50):
         q, p = mp.mpf("0.4"), mp.mpf("0.25")
+        bases = theta_bases(q, p, 1)
         for _ in range(25):
             r = 0.15 + 0.7 * rng.random()
             x = r * mp.e ** (2j * mp.pi * rng.random())
-            a = eval_structure_function(mixed, x, q, p, 1, 40)
+            a = eval_structure_function(mixed, x, p, 1, bases, 40)
             b = eval_structure_function(
-                rels[rel_id].structure_function, x, q, p, 1, 40)
+                rels[rel_id].structure_function, x, p, 1, bases, 40)
             assert abs(a - b) / abs(b) < mp.mpf(10) ** -30
 
 
@@ -123,10 +128,11 @@ def test_display_audit_hh_constant():
     assert DISPLAY_AUDIT["HH"] == ("constant", -1)
     with mp.workdps(50):
         q, p = mp.mpf("0.4"), mp.mpf("0.25")
+        bases = theta_bases(q, p, 1)
         for re_, im_ in (("0.31", "0.17"), ("-0.22", "0.41")):
             x = mp.mpc(re_, im_)
-            a = eval_structure_function(strict["HH"].structure_function, x, q, p, 1, 40)
-            b = eval_structure_function(can["HH"].structure_function, x, q, p, 1, 40)
+            a = eval_structure_function(strict["HH"].structure_function, x, p, 1, bases, 40)
+            b = eval_structure_function(can["HH"].structure_function, x, p, 1, bases, 40)
             assert abs(a / b - p ** -1) < mp.mpf(10) ** -30
 
 
@@ -138,11 +144,12 @@ def test_display_audit_hphm_inequivalent():
     assert DISPLAY_AUDIT["H+H-"] == "inequivalent"
     with mp.workdps(50):
         q, p = mp.mpf("0.4"), mp.mpf("0.25")
+        bases = theta_bases(q, p, 1)
         ratios = []
         for re_, im_ in (("0.31", "0.17"), ("-0.22", "0.41")):
             x = mp.mpc(re_, im_)
-            a = eval_structure_function(strict["H+H-"].structure_function, x, q, p, 1, 40)
-            b = eval_structure_function(can["H+H-"].structure_function, x, q, p, 1, 40)
+            a = eval_structure_function(strict["H+H-"].structure_function, x, p, 1, bases, 40)
+            b = eval_structure_function(can["H+H-"].structure_function, x, p, 1, bases, 40)
             ratios.append(a / b)
         assert abs(ratios[0] - ratios[1]) > mp.mpf(10) ** -6
 
@@ -153,7 +160,8 @@ def test_pole_error_carries_factor():
         q, p = mp.mpf("0.4"), mp.mpf("0.25")
         x = q * q / (p * p)  # zero of the denominator factor theta(x p^2)
         with pytest.raises(PoleError) as exc:
-            eval_structure_function(rels["EE"].structure_function, x, q, p, 1, 30)
+            eval_structure_function(
+                rels["EE"].structure_function, x, p, 1, theta_bases(q, p, 1), 30)
         assert exc.value.factor is not None
 
 

@@ -101,6 +101,14 @@ def test_qpoch_log_series_linear_coefficient():
     assert (got * inv).coeffs == TruncatedSeries.one(3).coeffs
 
 
+def test_qpoch_log_series_rejects_bad_factors():
+    for b in (Fr(1), Fr(-1), Fr(3, 2)):
+        with pytest.raises(DomainError):
+            qpoch_log_series(Fr(1, 2), b, 4)
+    with pytest.raises(StructuralError):
+        qpoch_log_series(Fr(1, 2), Fr(1, 3), 4, power=2)
+
+
 def test_qpoch_log_series_matches_numeric_product():
     # jet evaluated well inside the disc vs direct numeric product
     c, b = Fr(1, 3), Fr(1, 4)
