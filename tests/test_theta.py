@@ -8,6 +8,7 @@ import pytest
 
 from ospboson.errors import DomainError
 from ospboson.theta import (
+    POLE_TOL,
     near_theta_zero,
     qpoch_eval,
     theta_eval,
@@ -31,6 +32,155 @@ def test_qpoch_eval_reference():
         for n in range(1, 250):
             ref *= 1 - q ** n
         assert abs(qpoch_eval(q, q, 50) - ref) < mp.mpf(10) ** -45
+
+
+# (a, q): real and complex a and q; |a| = 625 * 0.9 (c = p^-2 at p = 1/25);
+# a at relative distance 1e-6 from the zero q^-2; the extreme nomes
+QPOCH_CASES = [
+    ("0.37", "0.3"),
+    (("0.61", "0.34"), "0.25"),
+    (("0.5", "-0.2"), ("0.4", "0.3")),
+    ((562.5 * mp.cos(1), 562.5 * mp.sin(1)), "0.04"),
+    ((562.5 * mp.cos(1), 562.5 * mp.sin(1)), "0.5625"),
+    ("near-zero", "0.3"),
+    (("0.61", "0.34"), "6.4e-5"),
+    (("0.5", "0.3"), "0.98"),
+]
+
+
+@pytest.mark.parametrize("a_spec, q_spec", QPOCH_CASES)
+def test_qpoch_eval_matches_mpmath_qp(a_spec, q_spec):
+    # the fixed-point product against mpmath's independent q-Pochhammer
+    with mp.workdps(80):
+        q = mp.mpc(*q_spec) if isinstance(q_spec, tuple) else mp.mpf(q_spec)
+        if a_spec == "near-zero":
+            a = q ** -2 * (1 + mp.mpf("1e-6") * mp.expjpi(mp.mpf("0.3")))
+        else:
+            a = mp.mpc(*a_spec) if isinstance(a_spec, tuple) else mp.mpf(a_spec)
+        ref = mp.qp(a, q)
+        got = qpoch_eval(a, q, DIGITS)
+        assert abs(got - ref) / abs(ref) < mp.mpf("1e-55")
+
+
+def test_terms_needed_matches_working_precision():
+    # T from 53-bit floats equals T from the nome's logarithm at the
+    # working precision, over nomes from 1e-600 to just below 1
+    rng = random.Random("theta-terms")
+    for digits in (30, 50, 80):
+        with mp.workdps(digits + 10):
+            for i in range(600):
+                absq = (mp.mpf(10) ** (-600 * rng.random()) if i % 2
+                        else mp.mpf(rng.random()))
+                ref = int(mp.ceil((digits + 10) * mp.log(10) / -mp.log(absq))) + 1
+                if ref > 200_000:
+                    with pytest.raises(DomainError):
+                        theta_terms_needed(absq, digits)
+                else:
+                    assert theta_terms_needed(absq, digits) == ref
+
+
+def working_precision_guard(z, q, kmax=None):
+    # the guard's rule with every step at the working precision
+    absz = abs(mp.mpc(z))
+    if absz == 0:
+        return kmax is None
+    if q == 0:
+        ks = [0]
+    else:
+        k0 = mp.log(absz) / mp.log(abs(mp.mpc(q)))
+        hi = int(mp.ceil(k0)) + 2
+        if kmax is not None:
+            hi = min(hi, kmax)
+        ks = range(int(mp.floor(k0)) - 2, hi + 1)
+    for k in ks:
+        zk = mp.mpc(q) ** k
+        if abs(z - zk) < POLE_TOL * max(abs(zk), mp.mpf(1)):
+            return True
+    return False
+
+
+GUARD_NOMES = ["6.4e-5", "0.01", "0.05", "0.178", "0.3", "0.5625", "0.7",
+               "0.95", "0.98"]
+
+
+@pytest.mark.parametrize("kmax", [None, 0])
+def test_guard_matches_working_precision_rule(kmax):
+    # points at relative distance POLE_TOL (1 +- 1e-12) and (1 +- 1e-3) from
+    # the zeros q^k, k = -3..3: the first pair is decided at the working
+    # precision, the second in floats
+    decisions = set()
+    with mp.workdps(DIGITS + 10):
+        for qs in GUARD_NOMES:
+            q = mp.mpf(qs)
+            for k in range(-3, 4):
+                zk = q ** k
+                for f in ("1e-12", "-1e-12", "1e-3", "-1e-3"):
+                    for ph in ("0", "0.41", "1"):
+                        d = POLE_TOL * max(zk, 1) * (1 + mp.mpf(f))
+                        z = zk + d * mp.expjpi(mp.mpf(ph))
+                        want = working_precision_guard(z, q, kmax)
+                        assert near_theta_zero(z, q, kmax) == want, (qs, k, f, ph)
+                        decisions.add(want)
+    assert decisions == {True, False}
+
+
+def test_guard_outside_float_range():
+    # |z| and |q| that a float turns into 0 or inf, and the base-0 factors of
+    # a kernel, take the working-precision rule
+    with mp.workdps(DIGITS + 10):
+        q = mp.mpf("0.16")
+        for zs in ("1e-400", "1e400", "-1e-400", "3e-310"):
+            for z in (mp.mpf(zs), mp.mpc(zs, zs)):
+                for kmax in (None, 0):
+                    assert (near_theta_zero(z, q, kmax)
+                            == working_precision_guard(z, q, kmax))
+        tiny = mp.mpf("1e-400")
+        for z in (tiny ** 2, tiny ** 3, mp.mpc("0.3", "0.3")):
+            assert near_theta_zero(z, tiny) == working_precision_guard(z, tiny)
+        for z in (1, mp.mpf(1) + mp.mpf("5e-7"), mp.mpf(1) + mp.mpf("2e-6"),
+                  mp.mpc("0.61", "0.34"), 0):
+            for kmax in (None, 0):
+                assert (near_theta_zero(z, 0, kmax)
+                        == working_precision_guard(z, 0, kmax))
+        assert near_theta_zero(mp.mpf(1) + mp.mpf("5e-7"), 0, kmax=0)
+        assert not near_theta_zero(mp.mpf(1) + mp.mpf("2e-6"), 0, kmax=0)
+        # q in float range whose powers q^-2 .. q^3 are not
+        q = mp.mpf("1e-300")
+        for z in (mp.mpf("0.5"), q * (1 + mp.mpf("5e-7")), q * (1 + mp.mpf("2e-6")),
+                  q ** 2, -q ** 3):
+            for kmax in (None, 0):
+                assert (near_theta_zero(z, q, kmax)
+                        == working_precision_guard(z, q, kmax))
+
+
+def test_guard_window_edge():
+    # |z| = 0.8^64 (1 -+ 1e-20): k0 is 64 to a float, but the window of
+    # zeros reaches q^67 only on one side, and z = -|z| is within
+    # POLE_TOL (absolutely) of q^67 and of no zero nearer
+    with mp.workdps(DIGITS + 10):
+        q = mp.mpf("0.8")
+        got = []
+        for d in ("-1e-20", "1e-20"):
+            z = -q ** 64 * (1 + mp.mpf(d))
+            want = working_precision_guard(z, q)
+            assert near_theta_zero(z, q) == want
+            got.append(want)
+        assert got == [True, False]
+
+
+def test_modular_at_smallest_transformed_nome():
+    # the limits ladder's smallest nome B = e^(-0.0125/0.4) transforms to
+    # q' ~ e^-1263, which is 0 in fixed point; the value stays finite, real
+    # on the real axis, and equal to the direct product's
+    with mp.workdps(DIGITS + 20):
+        B = mp.exp(-mp.mpf("0.0125") / mp.mpf("0.4"))
+        for z in (mp.mpf("0.7"), mp.mpf("-1.3"), mp.mpc("0.8", "0.15")):
+            v = theta_eval_modular(z, B, DIGITS)
+            assert mp.isfinite(v.real) and mp.isfinite(v.imag)
+            if z.imag == 0:
+                assert v.imag == 0
+            w = theta_eval(z, B, DIGITS)
+            assert abs(v - w) <= mp.mpf(10) ** -(DIGITS - 10) * abs(w)
 
 
 def test_theta_golden_value():
