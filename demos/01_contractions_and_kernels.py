@@ -41,8 +41,8 @@ for pair in (("phi", "phi"), ("psi", "psi"), ("phi", "psi")):
 
 print()
 Pr = DeformationParams(Fraction(2, 5), Fraction(1, 4), Fraction(1, 2))
-E = E_current(Pr)
-F = F_current(Pr)
+E = E_current()
+F = F_current()
 
 print("E(z)E(w) kernel:")
 print(kernel_repr(ope_kernel(E, E, Pr, order=6)))

@@ -186,11 +186,11 @@ class VertexOperatorSpec:
                 and self.momentum == other.momentum)
 
 
-def E_current(params):
+def E_current():
     return VertexOperatorSpec(1, 1, (("phi", 1, Fraction(1)),))
 
 
-def F_current(params):
+def F_current():
     return VertexOperatorSpec(-1, -1, (("psi", -1, Fraction(1)),))
 
 
@@ -326,8 +326,8 @@ class DeltaTerm:
     """residue * z^z_exp * w^w_exp * delta at support w/z = support_x.
 
     support_x = p^k presents as delta(z / (w p^-k)) for k < 0 (support
-    z = w p^-k) and delta(w / (z p^-... )) symmetrically; both spellings
-    denote the same bilateral sum sum_n (x / support_x)^n.
+    z = w p^-k) and delta(w / (z p^k)) for k > 0 (support w = z p^k); both
+    spellings denote the same bilateral sum sum_n (x / support_x)^n.
     """
 
     support_x: Fraction

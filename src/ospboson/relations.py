@@ -245,8 +245,10 @@ def eval_structure_function(f, x, p, c, bases, digits):
     Each theta factor theta_B(x^orient p^shift) is evaluated on the nome
     B = bases[factor.base], given as mpf values {"q2": .., "qt2": ..}: at a
     deformation point they are theta_bases(q, p, c); the scaling limits pass
-    the nomes of their re-parameterization.  A denominator argument within
-    theta.POLE_TOL of a theta zero raises PoleError carrying the factor.
+    the nomes of their re-parameterization.  This is the structure
+    functions' one pole guard: any factor's argument (numerator or
+    denominator) within theta.POLE_TOL of a theta zero raises PoleError
+    carrying the factor.
     """
     with workdps(digits + 10):
         x = mp.mpc(x)
@@ -254,20 +256,11 @@ def eval_structure_function(f, x, p, c, bases, digits):
         for tf in f.factors:
             arg = tf.argument(x, p, c)
             base = bases[tf.base]
-            if tf.power == -1 and near_theta_zero(arg, base):
-                raise PoleError("structure function pole", factor=tf)
+            if near_theta_zero(arg, base):
+                raise PoleError("structure function pole or zero", factor=tf)
             v = theta_eval_modular(arg, base, digits)
             acc = acc * v if tf.power == 1 else acc / v
         return acc
-
-
-def structure_function_singular(f, x, p, c, bases):
-    """True if any theta factor (either side) is within theta.POLE_TOL of a zero."""
-    x = mp.mpc(x)
-    return any(
-        near_theta_zero(tf.argument(x, p, c), bases[tf.base])
-        for tf in f.factors
-    )
 
 
 def inverse_structure_function(f):
@@ -310,18 +303,26 @@ def structure_function_repr(f):
 
 
 CURRENTS = {
-    "E": lambda P: E_current(P),
-    "F": lambda P: F_current(P),
+    "E": lambda P: E_current(),
+    "F": lambda P: F_current(),
     "H+": lambda P: build_H(1, P),
     "H-": lambda P: build_H(-1, P),
 }
 
 
-def _sample_x(rng, digits, guards):
+def _sample_x(rng, digits, sides):
+    """One accepted sample point x and its sides(x).
+
+    sides raises PoleError where x is too close to a pole or zero of a
+    kernel factor or of a structure-function theta factor; x is then drawn
+    again, up to 10 draws.
+    """
     for _ in range(10):
         x = sample_annulus_point(rng, digits)
-        if not any(g(x) for g in guards):
-            return x
+        try:
+            return x, sides(x)
+        except PoleError:
+            pass
     raise DomainError("could not sample away from poles in 10 tries")
 
 
@@ -334,7 +335,9 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     left-hand ones swapped; when they are not (strict-text H-E), the field
     mismatch is reported and the kernel comparison is still carried out
     against the printed right-hand side.  unit_structure=True replaces S
-    by 1 as a negative control.
+    by 1 as a negative control.  A sample point is drawn again when it is
+    within theta.POLE_TOL of a zero of any kernel factor (Kernel.near_singular)
+    or of any theta factor of S (eval_structure_function's PoleError).
     """
     if rel.kind != "exchange":
         raise StructuralError("verify_exchange needs an exchange relation")
@@ -359,16 +362,16 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     with workdps(digits + 10):
         p = to_mpf(params.p)
         bases = theta_bases(params.q, p, 1)
-        guards = [
-            lambda x: K1.near_singular(x),
-            lambda x: K2.near_singular(1 / x),
-            lambda x: structure_function_singular(sf, x, p, 1, bases),
-        ]
+
+        def sides(x):
+            if K1.near_singular(x) or K2.near_singular(1 / x):
+                raise PoleError("kernel pole or zero")
+            return (K1.eval_at(1, x, digits),
+                    K2.eval_at(x, 1, digits)
+                    * eval_structure_function(sf, x, p, 1, bases, digits))
+
         for _ in range(samples):
-            x = _sample_x(rng, digits, guards)
-            lhs = K1.eval_at(1, x, digits)
-            rhs = (K2.eval_at(x, 1, digits)
-                   * eval_structure_function(sf, x, p, 1, bases, digits))
+            x, (lhs, rhs) = _sample_x(rng, digits, sides)
             scale = max(abs(lhs), abs(rhs))
             res = abs(lhs - rhs) / scale if scale > 0 else mp.mpf(0)
             residuals.append(res)
@@ -422,8 +425,8 @@ def verify_ef(params):
     p, r = params.p, params.sqrt_p
     if r is None:
         raise StructuralError("verify_ef needs sqrt_p")
-    E = E_current(params)
-    F = F_current(params)
+    E = E_current()
+    F = F_current()
     KEF = ope_kernel(E, F, params, order=2)
     KFE = ope_kernel(F, E, params, order=2)
     checks = {}

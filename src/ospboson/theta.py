@@ -170,17 +170,14 @@ def near_theta_zero(z, q, kmax=None):
         ks = _zero_window(math.floor(k0), math.ceil(k0), kmax)
     for k in ks:
         if absq and not abs(k * lnq) < 700:  # |q^k| beyond e^700 or e^-700
-            if _near_zero(z, q, k):
-                return True
-            continue
+            return _near_theta_zero_mp(z, q, kmax)
         zk = qf ** k
         ratio = abs(zf - zk) / (POLE_TOL * max(abs(zk), 1.0))
         # z and q carry one float rounding each, and q^k about |k| of them;
         # each moves the ratio by about 1e-10
         if abs(ratio - 1) < _FLOAT_MARGIN * (1 + abs(k)):
-            if _near_zero(z, q, k):
-                return True
-        elif ratio < 1:
+            return _near_theta_zero_mp(z, q, kmax)
+        if ratio < 1:
             return True
     return False
 
@@ -196,12 +193,6 @@ def _zero_window(lo, hi, kmax):
     return range(lo - 2, (hi if kmax is None else min(hi, kmax)) + 1)
 
 
-def _near_zero(z, q, k):
-    """The guard's test against the one zero q^k, at the working precision."""
-    zk = mp.mpc(q) ** k
-    return abs(z - zk) < POLE_TOL * max(abs(zk), mp.mpf(1))
-
-
 def _near_theta_zero_mp(z, q, kmax):
     """near_theta_zero at the working precision, for what floats cannot hold."""
     absz = abs(mp.mpc(z))
@@ -212,4 +203,8 @@ def _near_theta_zero_mp(z, q, kmax):
     else:
         k0 = mp.log(absz) / mp.log(abs(mp.mpc(q)))
         ks = _zero_window(int(mp.floor(k0)), int(mp.ceil(k0)), kmax)
-    return any(_near_zero(z, q, k) for k in ks)
+    for k in ks:
+        zk = mp.mpc(q) ** k
+        if abs(z - zk) < POLE_TOL * max(abs(zk), mp.mpf(1)):
+            return True
+    return False

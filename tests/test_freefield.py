@@ -98,7 +98,7 @@ def test_unknown_field_pair_rejected():
 
 def test_kernel_ee_shape():
     P = PARAMS[0]
-    E = E_current(P)
+    E = E_current()
     K = ope_kernel(E, E, P, order=10)
     assert (K.scalar, K.z_exp, K.w_exp) == (1, 1, 0)
     # the (x | q^2) numerator factor vanishes at x = 1, i.e. K has the
@@ -109,7 +109,7 @@ def test_kernel_ee_shape():
 
 def test_kernel_series_consistency():
     P = PARAMS[1]
-    E, F = E_current(P), F_current(P)
+    E, F = E_current(), F_current()
     for a, b in [(E, E), (E, F), (F, F)]:
         K = ope_kernel(a, b, P, order=12)
         assert K.series.coeffs == K.series_from_closed_form().coeffs
@@ -117,7 +117,7 @@ def test_kernel_series_consistency():
 
 def test_kernel_charge_bookkeeping():
     for P in PARAMS:
-        E, F = E_current(P), F_current(P)
+        E, F = E_current(), F_current()
         KEF = ope_kernel(E, F, P)
         KFE = ope_kernel(F, E, P)
         # z^P from E passing e^-Q of F and vice versa
@@ -130,7 +130,7 @@ def test_kernel_pole_guard_relative_distance():
     # near_singular flags x within 1e-6 (relatively) of a zero c*x = b^-n,
     # n >= 0, of any factor (c*x | b); a base-0 factor has only x = 1/c
     P = DeformationParams(Fr(2, 5), Fr(1, 4), Fr(1, 2))  # the printer's point
-    E, F = E_current(P), F_current(P)
+    E, F = E_current(), F_current()
     kernels = (ope_kernel(E, E, P, order=2), ope_kernel(E, F, P, order=2))
     assert any(f.b == 0 for f in kernels[1].factors)
     for K in kernels:
@@ -144,7 +144,7 @@ def test_kernel_pole_guard_relative_distance():
 
 def test_kernel_numeric_matches_jet():
     P = DeformationParams(Fr(2, 5), Fr(1, 4), Fr(1, 2))
-    K = ope_kernel(E_current(P), E_current(P), P, order=60)
+    K = ope_kernel(E_current(), E_current(), P, order=60)
     with mp.workdps(50):
         x = mp.mpf("0.02")  # inside the jet's disc of convergence
         a = K.eval_product(x, 40)
@@ -157,7 +157,7 @@ def test_kernel_numeric_matches_jet():
 def test_ef_delta_terms():
     for P in PARAMS:
         p = P.p
-        E, F = E_current(P), F_current(P)
+        E, F = E_current(), F_current()
         terms, discarded = delta_decompose(ope_kernel(E, F, P))
         assert not discarded
         assert [t.support_x for t in terms] == [p, 1 / p]
@@ -178,7 +178,7 @@ def test_ef_delta_matches_h_current():
     # agree after the zero-mode monomial is restricted to the support
     for P in PARAMS:
         p = P.p
-        E, F = E_current(P), F_current(P)
+        E, F = E_current(), F_current()
         comp = compose_normal_ordered((E, p), (F, Fr(1)))
         h_shift = build_H(1, P).at_multiple(P.sqrt_p)
         assert comp.same_fields(h_shift)
@@ -193,14 +193,14 @@ def test_ef_delta_matches_h_current():
 
 def test_delta_decompose_rejects_nonrational():
     P = PARAMS[0]
-    K = ope_kernel(E_current(P), E_current(P), P)
+    K = ope_kernel(E_current(), E_current(), P)
     with pytest.raises(UnsupportedError):
         delta_decompose(K)
 
 
 def test_delta_decompose_rejects_repeated_pole():
     P = PARAMS[0]
-    K = ope_kernel(E_current(P), F_current(P), P)
+    K = ope_kernel(E_current(), F_current(), P)
     bad = list(K.factors) + [QPochFactor(K.factors[0].c, Fr(0), -1)]
     K.factors = tuple(f for f in bad)
     with pytest.raises(UnsupportedError):

@@ -5,12 +5,14 @@ from fractions import Fraction as Fr
 import mpmath as mp
 import pytest
 
+from ospboson import relations
 from ospboson.errors import DomainError, PoleError, StructuralError
 from ospboson.freefield import DeformationParams
 from ospboson.relations import (
     DISPLAY_AUDIT,
     EE_MIXED,
     FF_MIXED,
+    ThetaFactor,
     eval_structure_function,
     inverse_structure_function,
     relation_catalog,
@@ -21,7 +23,7 @@ from ospboson.relations import (
     verify_exchange,
     verify_invertibility,
 )
-from ospboson.scalars import sample_parameters
+from ospboson.scalars import mpc_to_str, sample_parameters
 
 P = DeformationParams.from_sqrt(Fr(2, 5), Fr(1, 2))  # q = 2/5, p = 1/4
 DIGITS = 50
@@ -163,6 +165,57 @@ def test_pole_error_carries_factor():
             eval_structure_function(
                 rels["EE"].structure_function, x, p, 1, theta_bases(q, p, 1), 30)
         assert exc.value.factor is not None
+
+
+def test_pole_error_at_numerator_theta_zero():
+    # a theta zero in the numerator is a pole of 1/S: the evaluator guards
+    # every factor, not only the denominators
+    rels = by_id(relation_catalog())
+    with mp.workdps(40):
+        q, p = mp.mpf("0.4"), mp.mpf("0.25")
+        x = q * q * p * p  # zero of the numerator factor theta(x p^-2)
+        with pytest.raises(PoleError) as exc:
+            eval_structure_function(
+                rels["EE"].structure_function, x, p, 1, theta_bases(q, p, 1), 30)
+        assert exc.value.factor == ThetaFactor("q2", 1, Fr(-2), Fr(0), 1)
+
+
+# strict-text H-F at P: x = 8/25 puts the numerator argument x p^(5/2) on the
+# zero (q p)^2 of its theta, and no kernel factor vanishes there; x = 1/2 is
+# the zero of the left kernel's factor (1 - 2x)
+SF_ZERO = mp.mpf(8) / 25
+KERNEL_ZERO = mp.mpf(1) / 2
+
+
+def _patched_sampler(monkeypatch, poles):
+    """Make the sampler return the points in poles, then its own draws."""
+    ordinary = []
+    real = relations.sample_annulus_point
+
+    def fake(rng, digits):
+        if poles:
+            return mp.mpc(poles.pop(0))
+        ordinary.append(real(rng, digits))
+        return ordinary[-1]
+    monkeypatch.setattr(relations, "sample_annulus_point", fake)
+    return ordinary
+
+
+def test_sampler_redraws_on_poles(monkeypatch):
+    rel = by_id(relation_catalog(mode="strict-text"))["H-F"]
+    ordinary = _patched_sampler(monkeypatch, [SF_ZERO, KERNEL_ZERO])
+    rep = verify_exchange(rel, P, samples=10, digits=30, seed=0)
+    # the first ordinary draw is the first point, and no draw was lost
+    assert rep["points"] == [mpc_to_str(x, 17) for x in ordinary]
+
+
+def test_sampler_gives_up_after_ten_pole_draws(monkeypatch):
+    rel = by_id(relation_catalog(mode="strict-text"))["H-F"]
+    ordinary = _patched_sampler(monkeypatch, [SF_ZERO, KERNEL_ZERO] * 5)
+    with pytest.raises(DomainError,
+                       match="could not sample away from poles in 10 tries"):
+        verify_exchange(rel, P, samples=10, digits=30, seed=0)
+    assert ordinary == []
 
 
 def test_structure_function_repr_readable():
