@@ -33,10 +33,10 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import DomainError, PoleError, StructuralError, UnsupportedError
-from .scalars import to_mpf, workdps
+from .errors import DomainError, StructuralError, UnsupportedError
+from .scalars import mpf_table, to_mpf, workdps
 from .series import QPochFactor, TruncatedSeries, closed_form_series
-from .theta import near_theta_zero, qpoch_eval
+from .theta import near_theta_zero, qpoch_product
 
 __all__ = [
     "DeformationParams",
@@ -271,23 +271,15 @@ class Kernel:
         return closed_form_series(self.factors, self.order)
 
     def eval_product(self, x, digits):
-        """Numeric value of the factor product at complex x."""
-        with workdps(digits + 10):
-            x = mp.mpc(x)
-            acc = mp.mpc(1)
-            for f in self.factors:
-                c = to_mpf(f.c)
-                if f.b == 0:
-                    v = 1 - c * x
-                else:
-                    v = qpoch_eval(c * x, to_mpf(f.b), digits)
-                if f.power == -1:
-                    if abs(v) < mp.mpf(10) ** (-digits):
-                        raise PoleError("kernel pole at x = %s" % x, factor=f)
-                    acc /= v
-                else:
-                    acc *= v
-            return acc
+        """Numeric value of the factor product at complex x.
+
+        theta.qpoch_product multiplies all factors in one fixed-point pass,
+        numerator and denominator apart, and divides once.  Its error is
+        relative to the smallest running product of the numerator and of
+        the denominator (see theta.qpoch_eval), plus the truncated tails.  A
+        denominator factor of modulus below 10^-digits raises PoleError.
+        """
+        return qpoch_product(self.factors, x, digits)
 
     def eval_at(self, z, w, digits):
         with workdps(digits + 10):
@@ -299,7 +291,8 @@ class Kernel:
     def near_singular(self, x):
         """True if x is within theta.POLE_TOL (relatively) of a zero of any factor."""
         x = mp.mpc(x)
-        return any(near_theta_zero(to_mpf(f.c) * x, to_mpf(f.b), kmax=0)
+        mpf = mpf_table()
+        return any(near_theta_zero(mpf(f.c) * x, mpf(f.b), kmax=0)
                    for f in self.factors)
 
 

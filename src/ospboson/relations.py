@@ -40,8 +40,8 @@ from .freefield import (
     delta_decompose,
     ope_kernel,
 )
-from .scalars import mpc_to_str, sample_annulus_point, to_mpf, workdps
-from .theta import near_theta_zero, theta_eval_modular
+from .scalars import mpc_to_str, mpf_table, sample_annulus_point, to_mpf, workdps
+from .theta import near_theta_zero, theta_product
 
 __all__ = [
     "ThetaFactor",
@@ -248,19 +248,23 @@ def eval_structure_function(f, x, p, c, bases, digits):
     the nomes of their re-parameterization.  This is the structure
     functions' one pole guard: any factor's argument (numerator or
     denominator) within theta.POLE_TOL of a theta zero raises PoleError
-    carrying the factor.
+    carrying the factor.  The factors are then evaluated whole by
+    theta.theta_product, from log x and log p taken once (p > 0), and the
+    value is real when x and the bases are.
     """
     with workdps(digits + 10):
         x = mp.mpc(x)
-        acc = mp.mpc(f.sign) * p ** f.p_exp
         for tf in f.factors:
-            arg = tf.argument(x, p, c)
-            base = bases[tf.base]
-            if near_theta_zero(arg, base):
+            if near_theta_zero(tf.argument(x, p, c), bases[tf.base]):
                 raise PoleError("structure function pole or zero", factor=tf)
-            v = theta_eval_modular(arg, base, digits)
-            acc = acc * v if tf.power == 1 else acc / v
-        return acc
+        log_x, log_p = mp.log(x), mp.log(p)
+        mpf = mpf_table()
+        v = mp.mpc(f.sign) * p ** f.p_exp * theta_product(
+            [(tf.orient * log_x + mpf(tf.shift(c)) * log_p, bases[tf.base],
+              tf.power) for tf in f.factors], digits)
+        if mp.im(x) == 0 and not any(mp.im(b) for b in bases.values()):
+            return mp.mpc(mp.re(v))
+        return v
 
 
 def inverse_structure_function(f):

@@ -10,20 +10,28 @@ with (a | q)_inf = prod_{n>=0} (1 - a q^n), 0 < |q| < 1.  It satisfies
 
 and vanishes exactly at z in q**Z.  Two evaluation paths are provided:
 
-* ``theta_eval``   - direct truncated products, error O(|q|^terms); the
-  transform's inner step, and (through ``qpoch_eval``) the kernels' path;
+* ``theta_eval``   - direct truncated products, error O(|q|^terms);
 * ``theta_eval_modular`` - the Jacobi imaginary transformation
-  (Whittaker-Watson ch. 21) onto the product path,
+  (Whittaker-Watson ch. 21) onto a product on the transformed nome,
       theta_q(z) = i (-i tau)^{-1/2} e^{i pi (u - u u' - u' - tau/4 + tau'/4)}
                    theta_q'(e^{2 pi i u'}),
   with z = e^{2 pi i u}, q = e^{2 pi i tau} (principal logs), u' = u/tau,
   tau' = -1/tau and q' = e^{2 pi i tau'}.  As q -> 1, where the direct
   product would need ~1/(1-q) factors, q' -> 0 and a few factors suffice.
-  Every structure-function theta takes this path, at every nome.
+  It is two steps: a per-nome step (tau, q', the prefactor's constant part
+  and (q' | q')_inf) and a per-argument step (the prefactor's exponent and
+  the product).  ``theta_product`` evaluates a product of thetas this way
+  with one per-nome step per nome and one exp; ``theta_eval_modular`` is
+  its one-factor case.  Every structure-function theta takes this path, at
+  every nome.
 
-Both paths end in ``qpoch_eval``, which multiplies its T factors in fixed
-point: Python ints scaled by 2^wp, wp = working precision + 60 guard bits, as
-mpmath's own theta series do.  The pole guard ``near_theta_zero`` only decides
+Kernels are products of q-Pochhammer factors (c x | b)^{+-1} with exact c,
+b; ``qpoch_product`` evaluates one whole, ``qpoch_eval`` a single (a | q).
+All of them multiply in one fixed-point loop, ``_qpoch_fixed``: Python ints
+scaled by 2^wp, wp = working precision + 60 guard bits, as mpmath's own
+theta series do.  Fixed point does not renormalize, so the error of a
+product is relative to its smallest running product (see ``qpoch_eval``).
+The pole guard ``near_theta_zero`` only decides
 whether a relative distance is below POLE_TOL, so it decides in Python floats
 and goes back to the working precision only where a float cannot tell: a
 distance within 1e-9 (relatively, per power of q) of the bound, or a z, q or
@@ -38,13 +46,15 @@ import sys
 
 import mpmath as mp
 
-from .errors import DomainError
-from .scalars import workdps
+from .errors import DomainError, PoleError
+from .scalars import to_mpf, workdps
 
 __all__ = [
     "qpoch_eval",
+    "qpoch_product",
     "theta_eval",
     "theta_eval_modular",
+    "theta_product",
     "theta_terms_needed",
     "near_theta_zero",
 ]
@@ -79,31 +89,70 @@ def theta_terms_needed(absq, digits):
 def qpoch_eval(a, q, digits):
     """(a | q)_inf by direct product, truncated where |q|^T < 10^-(digits+10).
 
-    a and q are converted once to complex fixed point with wp = working
-    precision + _GUARD_BITS fractional bits, and the T factors (1 - a q^n)
-    are multiplied as Python ints, each product truncated to 2^-wp.  Each
-    truncation adds at most 2^-wp to the running product P_n, and a q^n
-    carries at most 2^-wp / (1 - |q|), so the relative error is about
-    T (1 + 1/(1 - |q|)) 2^-wp / min_n |P_n|.  For the few hundred factors
-    of a kernel or a transformed theta, the 60 guard bits keep that below
-    the working precision's unit while every running product stays above
-    about 2^-40.  The result is rounded to the working precision once.
+    a and q are converted once to fixed point and the T factors multiplied
+    by _qpoch_fixed; the result is rounded to the working precision once.
+    Error budget: each truncation adds at most 2^-wp to the running product
+    P_n, and a q^n carries at most 2^-wp / (1 - |q|), so the rounding error
+    is about T (1 + 1/(1 - |q|)) 2^-wp / min_n |P_n| relatively: relative to
+    the smallest running product, which fixed point does not renormalize.
+    The dropped tail adds about |a| |q|^T / (1 - |q|).  For the few hundred
+    factors of a kernel (qpoch_product) or of a transformed theta
+    (theta_product), which share this loop and this budget, the 60 guard
+    bits keep the first below the working precision's unit while every
+    running product stays above about 2^-40.
     """
     with workdps(digits + 10):
-        a = mp.mpc(a)
         q = mp.mpc(q)
         T = theta_terms_needed(abs(q), digits)
         wp = mp.mp.prec + _GUARD_BITS
+        qf = _to_fixed(q, wp)
+        return _from_fixed(
+            _qpoch_fixed((1 << wp, 0), (_to_fixed(mp.mpc(a), wp),), qf, T, wp), wp)
+
+
+def qpoch_product(factors, x, digits):
+    """prod (c x | b)_inf ** power over factors with exact rational c and b.
+
+    The factors are QPochFactor-like (c, b, power; b = 0 gives 1 - c x), as
+    in a kernel.  x is converted to fixed point once; each c x and each
+    distinct b by integer division ((n << wp) // d), and each distinct b's
+    T is computed once.  Numerator factors are multiplied into one running
+    product, each denominator factor on its own and then into a second one,
+    and the two are divided once as mpc values.  The error budget is
+    qpoch_eval's, with the minimum taken over the numerator's running
+    product (all numerator factors in turn) and over the denominator's and
+    its factors' running products; the dropped tails add about
+    |c x| |b|^T / (1 - |b|) each, which for |c x| up to ~600 is ~1e-57 at
+    50 digits.  A denominator factor of modulus below 10^-digits raises
+    PoleError carrying the factor.
+    """
+    with workdps(digits + 10):
+        x = mp.mpc(x)
+        wp = mp.mp.prec + _GUARD_BITS
         one = 1 << wp
-        fr, fi = mp.mp.to_fixed(a.real, wp), mp.mp.to_fixed(a.imag, wp)
-        qr, qi = mp.mp.to_fixed(q.real, wp), mp.mp.to_fixed(q.imag, wp)
-        pr, pi = one, 0
-        for _ in range(T):
-            # P *= 1 - f, then f *= q
-            tr = one - fr
-            pr, pi = (pr * tr + pi * fi) >> wp, (pi * tr - pr * fi) >> wp
-            fr, fi = (fr * qr - fi * qi) >> wp, (fr * qi + fi * qr) >> wp
-        return +mp.mpc(mp.ldexp(pr, -wp), mp.ldexp(pi, -wp))
+        xr, xi = _to_fixed(x, wp)
+        # |v| < 10^-digits as v_r^2 + v_i^2 < bound, exactly, in units of 2^-2wp
+        bound = -(-(1 << 2 * wp) // 10 ** (2 * digits))
+        num = den = (one, 0)
+        bases = {}
+        for f in factors:
+            key = f.b.numerator, f.b.denominator
+            if key not in bases:
+                bases[key] = (1 if f.b == 0 else
+                              theta_terms_needed(abs(to_mpf(f.b)), digits),
+                              ((key[0] << wp) // key[1], 0))
+            T, b = bases[key]
+            n, d = f.c.numerator, f.c.denominator
+            cx = (n * xr) // d, (n * xi) // d
+            if f.power == 1:
+                num = _qpoch_fixed(num, (cx,), b, T, wp)
+                continue
+            vr, vi = _qpoch_fixed((one, 0), (cx,), b, T, wp)
+            if vr * vr + vi * vi < bound:
+                raise PoleError("kernel pole at x = %s" % x, factor=f)
+            dr, di = den
+            den = (dr * vr - di * vi) >> wp, (dr * vi + di * vr) >> wp
+        return _from_fixed(num, wp) / _from_fixed(den, wp)
 
 
 def theta_eval(z, q, digits):
@@ -122,27 +171,117 @@ def theta_eval_modular(z, q, digits):
     """theta_q(z) through the Jacobi transformation; same contract as theta_eval.
 
     The transformed nome q' is tiny when q is near 1, and principal logs put
-    |q'|^(1/2) <= |z'| <= |q'|^(-1/2), so theta_eval needs only a few terms.
+    |q'|^(1/2) <= |z'| <= |q'|^(-1/2), so the product needs only a few terms.
     """
     with workdps(digits + 10):
         z = mp.mpc(z)
         q = mp.mpc(q)
         if z == 0:
             raise DomainError("theta argument must be nonzero")
-        if not (0 < abs(q) < 1):
-            raise DomainError("need 0 < |q| < 1, got |q| = %s" % abs(q))
-        two_pi_i = 2j * mp.pi
-        u = mp.log(z) / two_pi_i
-        tau = mp.log(q) / two_pi_i
-        up = u / tau
-        taup = -1 / tau
-        pref = 1j / mp.sqrt(-1j * tau) * mp.exp(
-            1j * mp.pi * (u - u * up - up - tau / 4 + taup / 4))
-        v = pref * theta_eval(mp.exp(two_pi_i * up), mp.exp(two_pi_i * taup), digits)
+        v = theta_product(((mp.log(z), q, 1),), digits)
         # real on the real axis; drop the transformation's rounding noise
         if mp.im(z) == 0 and mp.im(q) == 0:
             return mp.mpc(mp.re(v))
         return v
+
+
+def theta_product(factors, digits):
+    """prod theta_q(e^log_z) ** power over factors (log_z, q, power).
+
+    log_z has its imaginary part in [-pi, pi] (a principal log, or minus
+    one), which keeps |q'|^(1/2) <= |z'| <= |q'|^(-1/2); power is +-1.  Each distinct nome takes the transform's per-nome step once
+    (_modular_nome), each factor its per-argument step (_modular_factor).
+    The factors' prefactor exponents are summed, signed by power, under one
+    exp; their products are multiplied as a fixed-point numerator and
+    denominator and divided once.  The products' error budget is
+    qpoch_eval's over each factor's running product and over the
+    numerator's and denominator's.
+    """
+    with workdps(digits + 10):
+        wp = mp.mp.prec + _GUARD_BITS
+        one = 1 << wp
+        nomes = {}
+        expo = mp.mpc(0)
+        acc = {1: (one, 0), -1: (one, 0)}
+        for log_z, q, power in factors:
+            if q not in nomes:
+                nomes[q] = _modular_nome(q, digits, wp)
+            e, (vr, vi) = _modular_factor(log_z, nomes[q], wp)
+            expo = expo + e if power == 1 else expo - e
+            ar, ai = acc[power]
+            acc[power] = (ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp
+        return mp.exp(expo) * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
+
+
+def _modular_nome(q, digits, wp):
+    """The per-nome step of the transform, as the tuple _modular_factor takes.
+
+    With tau = log q / (2 pi i) and tau' = -1/tau: 1/tau; k = i / (4 pi tau);
+    log C, the log of the prefactor's constant part
+    C = i (-i tau)^(-1/2) e^(i pi (tau' - tau)/4); q' = e^(2 pi i tau') in
+    fixed point at wp; its T = theta_terms_needed(|q'|, digits); and
+    (q' | q')_T in fixed point.
+    """
+    q = mp.mpc(q)
+    if not (0 < abs(q) < 1):
+        raise DomainError("need 0 < |q| < 1, got |q| = %s" % abs(q))
+    two_pi_i = 2j * mp.pi
+    tau = mp.log(q) / two_pi_i
+    taup = -1 / tau
+    log_c = 1j * mp.pi * (2 + taup - tau) / 4 - mp.log(-1j * tau) / 2
+    qp = mp.exp(two_pi_i * taup)
+    T = theta_terms_needed(abs(qp), digits)
+    qf = _to_fixed(qp, wp)
+    return (1 / tau, 1j / (4 * mp.pi * tau), log_c, qf, T,
+            _qpoch_fixed((1 << wp, 0), (qf,), qf, T, wp))
+
+
+def _modular_factor(log_z, nome, wp):
+    """The per-argument step: theta_q(z) = e^E P, returned as (E, P).
+
+    With w = log z / tau = log z', the prefactor's exponent is
+    E = log C + (log z - w)/2 + i (log z)^2 / (4 pi tau), which is
+    log C + i pi (u - u u' - u') for u = log z / (2 pi i), u' = u / tau.
+    P = (q' | q')(z' | q')(q'/z' | q') is multiplied in fixed point from the
+    nome's (q' | q'), with q'/z' divided in fixed point.
+    """
+    inv_tau, k, log_c, qf, T, qq = nome
+    w = log_z * inv_tau
+    zr, zi = _to_fixed(mp.exp(w), wp)
+    qr, qi = qf
+    # d is 0 only for |z'| < 2^-wp; then |q'/z'| <= |z'| is 0 in fixed point too
+    d = zr * zr + zi * zi or 1
+    qz = ((qr * zr + qi * zi) << wp) // d, ((qi * zr - qr * zi) << wp) // d
+    e = log_c + (log_z - w) / 2 + log_z * log_z * k
+    return e, _qpoch_fixed(qq, ((zr, zi), qz), qf, T, wp)
+
+
+def _qpoch_fixed(p, fs, q, T, wp):
+    """p * prod over f in fs of (f | q)_T, in complex fixed point.
+
+    p, each f and q are (re, im) pairs of Python ints scaled by 2^wp; every
+    product is truncated to 2^-wp.  The one product loop of the module.
+    """
+    one = 1 << wp
+    pr, pi = p
+    qr, qi = q
+    for fr, fi in fs:
+        for _ in range(T):
+            # P *= 1 - f, then f *= q
+            tr = one - fr
+            pr, pi = (pr * tr + pi * fi) >> wp, (pi * tr - pr * fi) >> wp
+            fr, fi = (fr * qr - fi * qi) >> wp, (fr * qi + fi * qr) >> wp
+    return pr, pi
+
+
+def _to_fixed(z, wp):
+    """An mpc as a fixed-point pair scaled by 2^wp."""
+    return mp.mp.to_fixed(z.real, wp), mp.mp.to_fixed(z.imag, wp)
+
+
+def _from_fixed(p, wp):
+    """A fixed-point pair as an mpc, rounded to the working precision."""
+    return mp.mpc(mp.mpf((p[0], -wp)), mp.mpf((p[1], -wp)))
 
 
 def near_theta_zero(z, q, kmax=None):

@@ -1,11 +1,12 @@
 """Free boson layer: mode brackets, contractions, kernels, delta extraction."""
 
+import random
 from fractions import Fraction as Fr
 
 import mpmath as mp
 import pytest
 
-from ospboson.errors import StructuralError, UnsupportedError
+from ospboson.errors import PoleError, StructuralError, UnsupportedError
 from ospboson.freefield import (
     DeformationParams,
     E_current,
@@ -19,7 +20,7 @@ from ospboson.freefield import (
     mode_bracket,
     ope_kernel,
 )
-from ospboson.scalars import sample_parameters, to_mpf
+from ospboson.scalars import sample_annulus_point, sample_parameters, to_mpf
 from ospboson.relations import CURRENTS, relation_catalog
 from ospboson.series import (
     QPochFactor, TruncatedSeries, closed_form_series, qpoch_log_series)
@@ -152,6 +153,73 @@ def test_kernel_numeric_matches_jet():
         for coeff in reversed(K.series.coeffs):  # Horner
             b = b * x + to_mpf(coeff)
         assert abs(a - b) < mp.mpf(10) ** -25
+
+
+# every (A, B) whose kernel an exchange relation evaluates, in either mode
+EXCHANGE_PAIRS = sorted({pair for mode in ("canonical", "strict-text")
+                         for rel in relation_catalog(mode=mode)
+                         if rel.kind == "exchange"
+                         for pair in (rel.left, rel.right)})
+
+
+def _reference_product(K, x):
+    # per-factor mpmath.qp at the caller's precision, independent of theta
+    acc = mp.mpf(1)
+    for f in K.factors:
+        a = to_mpf(f.c) * x
+        v = 1 - a if f.b == 0 else mp.qp(a, to_mpf(f.b))
+        acc = acc * v if f.power == 1 else acc / v
+    return acc
+
+
+@pytest.mark.parametrize("q,sqrt_p", [(Fr(2, 5), Fr(1, 2)), (Fr(3, 4), Fr(1, 5))])
+@pytest.mark.parametrize("pair", EXCHANGE_PAIRS, ids="".join)
+def test_eval_product_matches_mpmath_qp(pair, q, sqrt_p):
+    # the fixed-point kernel product at 50 digits against an 80-digit
+    # reference: at two annulus points and at every zero or pole of a factor
+    # inside the annulus, moved off it by 2e-6 relatively (the nearest point
+    # near_singular accepts); q = 3/4 gives the largest kernel base, 9/16.
+    # x is rounded to the evaluation's 60 digits first, so both sides see
+    # the same input.
+    P = DeformationParams.from_sqrt(q, sqrt_p)
+    K = ope_kernel(CURRENTS[pair[0]](P), CURRENTS[pair[1]](P), P, order=2)
+    rng = random.Random(repr(("eval-product", pair, q)))
+    with mp.workdps(80):
+        points = [sample_annulus_point(rng, 80) for _ in range(2)]
+        for f in K.factors:
+            for n in range(1 if f.b == 0 else 4):
+                zero = to_mpf(f.b) ** -n / to_mpf(f.c)
+                if 0.1 <= zero <= 0.9:
+                    points.append(zero * (1 + mp.mpf("2e-6") * mp.expjpi(2 * rng.random())))
+        for x in points:
+            with mp.workdps(60):
+                x = +x
+            assert not K.near_singular(x)
+            ref = _reference_product(K, x)
+            assert abs(K.eval_product(x, 50) - ref) < mp.mpf("1e-55") * abs(ref)
+
+
+def test_eval_product_pole_error_carries_factor():
+    # a denominator factor of modulus below 10^-digits raises PoleError with
+    # the factor, and one just above it does not: the base-0 (1 - x/p) of
+    # the E F kernel at its zero x = p (its (1 - x) is a numerator factor:
+    # x = 1 is a zero, not a pole), and the q-Pochhammer (x/p | q^2) of the
+    # E E kernel at its n = 1 zero p/q^2
+    P = DeformationParams.from_sqrt(Fr(2, 5), Fr(1, 2))
+    q2, p = P.q * P.q, P.p
+    KEF = ope_kernel(E_current(), F_current(), P, order=2)
+    KEE = ope_kernel(E_current(), E_current(), P, order=2)
+    assert KEF.eval_product(1, 30) == 0
+    for K, x, factor in ((KEF, p, QPochFactor(1 / p, Fr(0), -1)),
+                         (KEE, p / q2, QPochFactor(1 / p, q2, -1))):
+        assert factor in K.factors
+        with mp.workdps(40):
+            with pytest.raises(PoleError) as exc:
+                K.eval_product(to_mpf(x), 30)
+        assert exc.value.factor == factor
+        # 1e-20 (relatively) off the zero, the factor is above the bound
+        with mp.workdps(40):
+            assert mp.isfinite(abs(K.eval_product(to_mpf(x) * (1 + mp.mpf("1e-20")), 30)))
 
 
 def test_ef_delta_terms():

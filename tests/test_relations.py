@@ -1,5 +1,6 @@
 """Exchange-relation catalog and the level-1 kernel verification."""
 
+import random
 from fractions import Fraction as Fr
 
 import mpmath as mp
@@ -23,7 +24,8 @@ from ospboson.relations import (
     verify_exchange,
     verify_invertibility,
 )
-from ospboson.scalars import mpc_to_str, sample_parameters
+from ospboson.scalars import mpc_to_str, sample_annulus_point, sample_parameters
+from ospboson.theta import theta_eval_modular
 
 P = DeformationParams.from_sqrt(Fr(2, 5), Fr(1, 2))  # q = 2/5, p = 1/4
 DIGITS = 50
@@ -77,6 +79,45 @@ def test_ee_golden_value():
             "0.16442895360523056265674157896994931355611473",
             "0.0389497870798544890175764540518703755133117765")
         assert abs(v - ref) < mp.mpf(10) ** -40
+
+
+STRUCTURE_FUNCTIONS = [
+    pytest.param(r.structure_function, id="%s-%s" % (r.rel_id, mode))
+    for mode in ("canonical", "strict-text") for r in relation_catalog(mode=mode)
+    if r.kind == "exchange"] + [
+    pytest.param(EE_MIXED, id="EE-mixed"), pytest.param(FF_MIXED, id="FF-mixed")]
+
+
+def _per_factor_value(f, x, p, c, bases, digits):
+    # the structure function as a product of single theta_eval_modular calls
+    acc = mp.mpc(f.sign) * p ** f.p_exp
+    for tf in f.factors:
+        v = theta_eval_modular(tf.argument(x, p, c), bases[tf.base], digits)
+        acc = acc * v if tf.power == 1 else acc / v
+    return acc
+
+
+@pytest.mark.parametrize("f", STRUCTURE_FUNCTIONS)
+def test_structure_function_equals_per_factor_thetas(f):
+    # the whole-function evaluation (one per-nome step per base, one exp)
+    # against the product of its factors' thetas: at complex annulus points
+    # on the relations nomes q^2, (q p)^2 at q = 2/5, p = 1/4, and at real x
+    # on limits-like nomes 0.78 and 0.98 with p > 1, where it is exactly real
+    rng = random.Random("structure-vs-thetas")
+    with mp.workdps(DIGITS + 10):
+        q, p = mp.mpf(2) / 5, mp.mpf(1) / 4
+        cases = [(sample_annulus_point(rng, DIGITS), p, theta_bases(q, p, 1))
+                 for _ in range(3)]
+        limit_p = mp.e ** (mp.mpf("0.025") * mp.mpf("0.12"))
+        for xr in ("0.97", "1.02"):
+            cases.append((mp.mpc(xr), limit_p,
+                          {"q2": mp.mpf("0.78"), "qt2": mp.mpf("0.98")}))
+        for x, p, bases in cases:
+            got = eval_structure_function(f, x, p, 1, bases, DIGITS)
+            ref = _per_factor_value(f, x, p, 1, bases, DIGITS)
+            assert abs(got - ref) < mp.mpf("1e-55") * abs(ref)
+            if x.imag == 0:
+                assert got.imag == 0
 
 
 def test_structure_functions_collapse_at_p_one():

@@ -183,6 +183,19 @@ def test_modular_at_smallest_transformed_nome():
             assert abs(v - w) <= mp.mpf(10) ** -(DIGITS - 10) * abs(w)
 
 
+def test_modular_where_transformed_argument_underflows():
+    # on the smallest ladder nome, arg z = -2.5 and -3 give |z'| ~ e^-502
+    # and e^-603, below the fixed point's 2^-wp, where z' and q'/z' both
+    # count as 0; arg z = 2.5 gives the other extreme, |z'| ~ e^502
+    with mp.workdps(DIGITS + 20):
+        B = mp.exp(-mp.mpf("0.0125") / mp.mpf("0.4"))
+        for phase in ("-2.5", "-3.0", "2.5"):
+            z = mp.expj(mp.mpf(phase))
+            v = theta_eval_modular(z, B, DIGITS)
+            w = theta_eval(z, B, DIGITS)
+            assert abs(v - w) <= mp.mpf(10) ** -(DIGITS - 10) * abs(w)
+
+
 def test_theta_golden_value():
     # frozen from an independent high-precision run of the defining product
     with mp.workdps(40):
