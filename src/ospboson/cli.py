@@ -116,12 +116,14 @@ class RunConfig:
             )
         if self.convention not in (1, -1):
             raise UsageError("convention must be +1 or -1")
-        out = os.path.abspath(self.out)
-        if os.path.isdir(out):
-            raise UsageError("--out %r is a directory, not a report file" % (self.out,))
-        out_dir = os.path.dirname(out)
-        if not os.path.isdir(out_dir):
-            raise UsageError("report directory %r does not exist" % (out_dir,))
+        # open --out before any suite runs; leave no file where none was
+        existed = os.path.exists(self.out)
+        try:
+            open(self.out, "a").close()
+        except OSError as exc:
+            raise UsageError("cannot write --out %r: %s" % (self.out, exc.strerror)) from None
+        if not existed:
+            os.remove(self.out)
 
 
 def _params_from_seed(seed):

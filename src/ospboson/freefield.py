@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import DomainError, StructuralError, UnsupportedError
+from .errors import DomainError, PoleError, StructuralError, UnsupportedError
 from .scalars import mpf_table, to_mpf, workdps
 from .series import QPochFactor, TruncatedSeries, closed_form_series
 from .theta import near_theta_zero, qpoch_product
@@ -273,12 +273,15 @@ class Kernel:
     def eval_product(self, x, digits):
         """Numeric value of the factor product at complex x.
 
+        The kernels' one pole guard: x near a zero of a factor
+        (near_singular) raises PoleError carrying that factor.  Otherwise
         theta.qpoch_product multiplies all factors in one fixed-point pass,
-        numerator and denominator apart, and divides once.  Its error is
-        relative to the smallest running product of the numerator and of
-        the denominator (see theta.qpoch_eval), plus the truncated tails.  A
-        denominator factor of modulus below 10^-digits raises PoleError.
+        numerator and denominator apart, and divides once; see there for the
+        error budget.
         """
+        f = self.near_singular(x)
+        if f is not None:
+            raise PoleError("kernel pole or zero at x = %s" % x, factor=f)
         return qpoch_product(self.factors, x, digits)
 
     def eval_at(self, z, w, digits):
@@ -289,11 +292,11 @@ class Kernel:
             return mono * self.eval_product(w / z, digits)
 
     def near_singular(self, x):
-        """True if x is within theta.POLE_TOL (relatively) of a zero of any factor."""
+        """The first factor with a zero within theta.POLE_TOL of x (relatively), or None."""
         x = mp.mpc(x)
         mpf = mpf_table()
-        return any(near_theta_zero(mpf(f.c) * x, mpf(f.b), kmax=0)
-                   for f in self.factors)
+        return next((f for f in self.factors
+                     if near_theta_zero(mpf(f.c) * x, mpf(f.b), kmax=0)), None)
 
 
 def ope_kernel(a_spec, b_spec, params, order=30):

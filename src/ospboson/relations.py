@@ -340,8 +340,9 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     mismatch is reported and the kernel comparison is still carried out
     against the printed right-hand side.  unit_structure=True replaces S
     by 1 as a negative control.  A sample point is drawn again when it is
-    within theta.POLE_TOL of a zero of any kernel factor (Kernel.near_singular)
-    or of any theta factor of S (eval_structure_function's PoleError).
+    within theta.POLE_TOL of a zero of any kernel factor or of any theta
+    factor of S: each evaluator raises PoleError there (Kernel.eval_product,
+    eval_structure_function).
     """
     if rel.kind != "exchange":
         raise StructuralError("verify_exchange needs an exchange relation")
@@ -368,8 +369,6 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
         bases = theta_bases(params.q, p, 1)
 
         def sides(x):
-            if K1.near_singular(x) or K2.near_singular(1 / x):
-                raise PoleError("kernel pole or zero")
             return (K1.eval_at(1, x, digits),
                     K2.eval_at(x, 1, digits)
                     * eval_structure_function(sf, x, p, 1, bases, digits))

@@ -222,6 +222,15 @@ def test_main_out_directory_exit_2(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_main_out_unopenable_exit_2(tmp_path, capsys):
+    # a file name too long to create is a usage error before any suite runs,
+    # not an OSError traceback after it; nothing is left behind
+    out = tmp_path / ("a" * 300 + ".json")
+    assert main(["--suite", "ope", "--order", "8", "--out", str(out)]) == 2
+    assert "cannot write --out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_main_bad_env_value_exit_2(tmp_path, monkeypatch):
     monkeypatch.setenv("OSPBOSON_ORDER", "abc")
     out = tmp_path / "r.json"

@@ -103,8 +103,11 @@ def test_kernel_ee_shape():
     K = ope_kernel(E, E, P, order=10)
     assert (K.scalar, K.z_exp, K.w_exp) == (1, 1, 0)
     # the (x | q^2) numerator factor vanishes at x = 1, i.e. K has the
-    # (z - w) zero that makes E a fermionic current at coincident points
-    assert K.eval_product(1, 30) == 0
+    # (z - w) zero that makes E a fermionic current at coincident points;
+    # the pole guard names it
+    with pytest.raises(PoleError) as exc:
+        K.eval_product(1, 30)
+    assert exc.value.factor == QPochFactor(1, P.q * P.q, 1)
     assert "(z - w)" in kernel_repr(K)
 
 
@@ -200,26 +203,28 @@ def test_eval_product_matches_mpmath_qp(pair, q, sqrt_p):
 
 
 def test_eval_product_pole_error_carries_factor():
-    # a denominator factor of modulus below 10^-digits raises PoleError with
-    # the factor, and one just above it does not: the base-0 (1 - x/p) of
-    # the E F kernel at its zero x = p (its (1 - x) is a numerator factor:
-    # x = 1 is a zero, not a pole), and the q-Pochhammer (x/p | q^2) of the
-    # E E kernel at its n = 1 zero p/q^2
+    # x within theta.POLE_TOL = 1e-6 (relatively) of a zero of any factor,
+    # numerator or denominator, raises PoleError with that factor, and 2e-6
+    # off it evaluates: the E F kernel's base-0 factors, its numerator
+    # (1 - x) at x = 1 and its denominators (1 - x p) and (1 - x/p) at 1/p
+    # and p, and the q-Pochhammer (x/p | q^2) of the E E kernel at its n = 1
+    # zero p/q^2
     P = DeformationParams.from_sqrt(Fr(2, 5), Fr(1, 2))
     q2, p = P.q * P.q, P.p
     KEF = ope_kernel(E_current(), F_current(), P, order=2)
     KEE = ope_kernel(E_current(), E_current(), P, order=2)
-    assert KEF.eval_product(1, 30) == 0
-    for K, x, factor in ((KEF, p, QPochFactor(1 / p, Fr(0), -1)),
-                         (KEE, p / q2, QPochFactor(1 / p, q2, -1))):
+    for K, zero, factor in ((KEF, Fr(1), QPochFactor(Fr(1), Fr(0), 1)),
+                            (KEF, 1 / p, QPochFactor(p, Fr(0), -1)),
+                            (KEF, p, QPochFactor(1 / p, Fr(0), -1)),
+                            (KEE, p / q2, QPochFactor(1 / p, q2, -1))):
         assert factor in K.factors
         with mp.workdps(40):
-            with pytest.raises(PoleError) as exc:
-                K.eval_product(to_mpf(x), 30)
-        assert exc.value.factor == factor
-        # 1e-20 (relatively) off the zero, the factor is above the bound
-        with mp.workdps(40):
-            assert mp.isfinite(abs(K.eval_product(to_mpf(x) * (1 + mp.mpf("1e-20")), 30)))
+            for off in (0, mp.mpf("0.5e-6"), mp.mpc(0, "-0.5e-6")):
+                with pytest.raises(PoleError) as exc:
+                    K.eval_product(to_mpf(zero) * (1 + off), 30)
+                assert exc.value.factor == factor
+            for off in (mp.mpf("2e-6"), mp.mpc(0, "-2e-6")):
+                assert mp.isfinite(abs(K.eval_product(to_mpf(zero) * (1 + off), 30)))
 
 
 def test_ef_delta_terms():

@@ -226,6 +226,21 @@ def test_product_vs_modular(qs):
             assert rel_diff(a, b) < mp.mpf(10) ** -(DIGITS - 10)
 
 
+# near q = 1 theta_eval is the less accurate side (at 0.98 the running
+# product of (q | q) falls to ~1e-36 and it is off by 3.6e-42), so there the
+# transform is held to an mpmath.qp triple product at 70 digits; mpmath.jtheta
+# is no reference at such nomes (relative error 143 at q = 0.98, z = 1e5+3e4i)
+@pytest.mark.parametrize("qs,zs", [("0.95", "0.61+0.34j"), ("0.98", "0.61+0.34j"),
+                                   ("0.98", "-2.3+0.7j"), ("-0.03125", "0.61+0.34j")])
+def test_modular_near_one_matches_mpmath_qp(qs, zs):
+    with mp.workdps(70):
+        q = mp.exp(mp.mpf(qs)) if qs.startswith("-") else mp.mpf(qs)
+        z = mp.mpmathify(complex(zs))
+        ref = mp.qp(z, q) * mp.qp(q / z, q) * mp.qp(q, q)
+        v = theta_eval_modular(z, q, DIGITS)
+        assert abs(v - ref) < mp.mpf("1e-55") * abs(ref)
+
+
 @pytest.mark.parametrize("qs", ["0.4", "0.9"])
 def test_quasi_periodicity(qs):
     # theta_q(q z) = -z^-1 theta_q(z)
