@@ -22,7 +22,7 @@ print()
 
 # iterating the two coproducts on E shows the three-term compatibility
 e = generator_expr("E", 0)
-lhs = coproduct(coproduct(e, 1), -1, slot=0)
+lhs = coproduct(coproduct(e, 1, n=0), -1, slot=0, n=0)
 print("(D- x id) D+ E =")
 print("  ", lhs)
 print()

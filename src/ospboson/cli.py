@@ -30,7 +30,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from mpmath import mp
 
@@ -126,11 +125,6 @@ class RunConfig:
             os.remove(self.out)
 
 
-def _params_from_seed(seed):
-    q, p, r = sample_parameters(seed, 1)[0]
-    return DeformationParams(q, p, r)
-
-
 # ---------------------------------------------------------------------------
 # suite runners; each takes the RunConfig (frozen and module-level, so it
 # crosses a process boundary) and returns JSON-ready report dicts only
@@ -163,7 +157,7 @@ def _suite_ope(cfg):
 
 
 def _suite_relations(cfg):
-    P = _params_from_seed(cfg.seed)
+    P = DeformationParams(*sample_parameters(cfg.seed, 1)[0])
     mode = "strict-text" if cfg.strict_text else "canonical"
     reports = []
     ee_rel = None
@@ -312,11 +306,6 @@ def run_suite(config):
 # symbolic printer
 
 
-def _print_params():
-    q, p, r = (Fraction(s) for s in PRINT_PARAMS)
-    return DeformationParams(q, p, r)
-
-
 def print_object(kind, obj_id, *, strict_text=False):
     """Stable text rendering of a kernel, structure function or coproduct."""
     mode = "strict-text" if strict_text else "canonical"
@@ -325,7 +314,7 @@ def print_object(kind, obj_id, *, strict_text=False):
         if obj_id not in pair:
             raise UsageError("unknown kernel id %r; known: %s"
                              % (obj_id, ", ".join(sorted(pair))))
-        P = _print_params()
+        P = DeformationParams(*PRINT_PARAMS)
         a, b = pair[obj_id]
         K = ope_kernel(CURRENTS[a](P), CURRENTS[b](P), P, order=6)
         return "kernel %s at q=%s, p=%s\n%s" % (

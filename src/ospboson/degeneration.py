@@ -13,15 +13,18 @@ each sine ratio further collapses to the ratio of its affine arguments.
 
 Nome convention.  The printed q = e^{eps/eta} exceeds 1, where the theta
 triple product diverges; the limit statement only makes sense through the
-modular side.  We fix the convention once: a theta factor on base q^2 is
-evaluated at the base B = e^{-eps/(2 eta)}, one on base qt^2 at
-B' = e^{-eps/(2 eta')}.  This is the unique rescaling under which
-theta_B(B^y) ~ sin(pi*y) reproduces the displayed sine arguments: a factor
-theta(x p^a) maps to y = ln(x p^a)/ln(B) = 2 eta (u - v - a hbar).  The
-residual exponential prefactors of the modular bridge cancel only up to
-O(eps) in balanced four-theta ratios, which is exactly the convergence
-rate limit_check measures; the measured elliptic/trig ratios are logged
-per run so a surviving constant would be visible, not hidden.
+modular side.  We fix the convention once: the elliptic side reads the
+deformation's own theta bases b = theta_bases(q, p, c) (q^2 and
+(q p^c)^2) and evaluates each factor at the nome B = b^{-1/4}, that is
+e^{-eps/(2 eta)} on base q^2 and e^{-eps/(2 eta')} on base qt^2.  This is
+the unique rescaling under which theta_B(B^y) ~ sin(pi*y) reproduces the
+displayed sine arguments: a factor theta(x p^a) maps to
+y = ln(x p^a)/ln(B) = 2 eta (u - v - a hbar).  Only the sine target reads
+eta' from eta_prime, so a wrong eta' is caught rather than shared by both
+sides.  The residual exponential prefactors of the modular bridge cancel
+only up to O(eps) in balanced four-theta ratios, which is exactly the
+convergence rate limit_check measures; the measured elliptic/trig ratios
+are logged per run so a surviving constant would be visible, not hidden.
 
 The trigonometric targets are derived mechanically from the canonical
 relation catalog (same factor lists, same signs), not typed in from the
@@ -39,7 +42,7 @@ import random
 from mpmath import mp
 
 from .errors import DomainError, PoleError, StructuralError
-from .relations import eval_structure_function, relation_catalog
+from .relations import eval_structure_function, relation_catalog, theta_bases
 from .scalars import to_mpf, workdps
 
 EPSILON_LADDER = (0.1, 0.05, 0.025, 0.0125)
@@ -76,7 +79,7 @@ def eta_prime(eta, hbar, c):
 
 
 def _etas(eta, hbar, c):
-    """The scaling parameter of each theta base: eta on q^2, eta' on qt^2."""
+    """The sine scale of each theta base: eta on q^2, eta' on qt^2."""
     return {"q2": mp.mpf(eta), "qt2": eta_prime(eta, hbar, c)}
 
 
@@ -146,14 +149,14 @@ def limit_check(name, u_minus_v, *, eta, hbar, c=1, digits=30, target_name=None)
             target_name or name, u_minus_v, eta=eta, hbar=hbar, c=c, digits=digits
         )
         s = mp.mpc(u_minus_v)
-        etas = _etas(eta, hbar, c)
         errors = []
         ratios = []
         for eps in EPSILON_LADDER:
             eps_mp = mp.mpf(eps)
             p = mp.e ** (eps_mp * mp.mpf(hbar))
             x = mp.e ** (-eps_mp * s)
-            bases = {k: mp.e ** (-eps_mp / (2 * e)) for k, e in etas.items()}
+            bases = {k: 1 / mp.sqrt(mp.sqrt(b)) for k, b in theta_bases(
+                mp.exp(eps_mp / mp.mpf(eta)), p, c).items()}
             value = eval_structure_function(f, x, p, c, bases, digits)
             errors.append(float(abs(value - target)))
             ratios.append(mp.nstr(value / target, 12))

@@ -48,6 +48,7 @@ __all__ = [
     "exp_contraction_closed",
     "ope_kernel",
     "delta_decompose",
+    "rational_product",
     "build_H",
     "E_current",
     "F_current",
@@ -342,18 +343,15 @@ class DeltaTerm:
         return coeff, self.z_exp + self.w_exp
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_eval(poly, x):
-    acc = Fraction(0)
-    for c in reversed(poly):
-        acc = acc * x + c
+def rational_product(factors, x):
+    """Exact value of prod (1 - c*x)^power over base-0 factors at rational x."""
+    acc = Fraction(1)
+    for f in factors:
+        if f.b != 0:
+            raise UnsupportedError("rational_product needs base-0 factors; "
+                                   "found base %s" % f.b)
+        term = 1 - f.c * x
+        acc = acc * term if f.power == 1 else acc / term
     return acc
 
 
@@ -363,37 +361,34 @@ def delta_decompose(kernel):
     For a kernel whose factors are all base-0 (a genuine rational function of
     x), the anticommutator pairing K_AB expanded in x plus K_BA expanded in
     x^-1 collapses; writing the proper part as sum_j A_j / (1 - d_j x), each
-    pole contributes A_j * delta(x d_j), supported at x = 1/d_j.  Polynomial
-    parts cancel between the two expansion regions and carry no delta, so
-    they are dropped (recorded on the result).  Higher-order poles are not
+    pole contributes A_j * delta(x d_j), supported at x = 1/d_j, where A_j is
+    the rational_product of all the other factors there.  Polynomial parts
+    cancel between the two expansion regions and carry no delta, so they
+    are dropped (recorded on the result).  Higher-order poles are not
     supported.
     """
-    num = [Fraction(1)]
-    dens = []
+    numerators = 0
+    poles = []
     for f in kernel.factors:
         if f.b != 0:
             raise UnsupportedError("delta_decompose needs a rational kernel; "
                                    "found base %s" % f.b)
         if f.power == 1:
-            num = _poly_mul(num, [Fraction(1), -f.c])
+            numerators += 1
+        elif f.c == 0:
+            raise UnsupportedError("constant denominator factor")
         else:
-            if f.c == 0:
-                raise UnsupportedError("constant denominator factor")
-            dens.append(f.c)
-    if len(set(dens)) != len(dens):
+            poles.append(f)
+    if len({f.c for f in poles}) != len(poles):
         raise UnsupportedError("higher-order pole: repeated denominator root")
     terms = []
-    for j, d in enumerate(dens):
-        x0 = Fraction(1) / d
-        denom = Fraction(1)
-        for i, d2 in enumerate(dens):
-            if i != j:
-                denom *= (1 - d2 * x0)
-        residue = _poly_eval(num, x0) / denom
-        terms.append(DeltaTerm(support_x=x0, residue=residue,
+    for pole in poles:
+        x0 = Fraction(1) / pole.c
+        others = [f for f in kernel.factors if f is not pole]
+        terms.append(DeltaTerm(support_x=x0, residue=rational_product(others, x0),
                                scalar=kernel.scalar,
                                z_exp=kernel.z_exp, w_exp=kernel.w_exp))
-    discarded_poly = len(num) - 1 >= len(dens) and len(dens) > 0
+    discarded_poly = numerators >= len(poles) > 0
     terms.sort(key=lambda t: (t.support_x.numerator, t.support_x.denominator))
     return terms, discarded_poly
 

@@ -11,7 +11,10 @@ the co-structure consists of
     antipodes    S+_n : A_n -> A_{n+1},         S-_n : A_n -> A_{n-1}
     relabelings  tau+_n : A_n -> A_{n+1},       tau-_n : A_n -> A_{n-1}
 
-subject to the axioms
+Each map acts on one slot of a tensor expression and on the member A_n
+its caller names (the keyword n); a factor in that slot from any other
+member is a StructuralError, and nothing is inferred from the slot.  The
+maps are subject to the axioms
 
     (a1)  (eps_n x id) D+_n = tau+_n          (id x eps_n) D-_n = tau-_n
     (a2)  m (S+_n x id) D+_n = eps . tau+_n   m (id x S-_n) D-_n = eps . tau-_n
@@ -49,7 +52,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import StructuralError
 
@@ -404,31 +407,18 @@ DEFAULT_CONVENTION = SignConvention()
 # the maps of the co-structure
 
 
-def _target(expr: TensorExpr, slot: int, n: Optional[int], direction: int) -> int:
-    """Check a map's direction and target slot; return the slot's family index.
-
-    Every factor in the slot must live in A_n; n is inferred when not given.
-    """
+def _target(expr: TensorExpr, slot: int, n: int, direction: int) -> None:
+    """Check a map's direction, its target slot, and that the slot lives in A_n."""
     if direction not in (1, -1):
         raise StructuralError("direction must be +1 or -1")
     if not 0 <= slot < expr.slots:
         raise StructuralError("slot %d out of range" % slot)
-    factors = [f for _, words in expr.terms for f in words[slot]]
-    if n is None:
-        indices = sorted({f.index for f in factors})
-        if len(indices) > 1:
-            raise StructuralError("mixed family indices in slot %d: %s" % (slot, indices))
-        if not indices:
-            raise StructuralError(
-                "cannot infer the family index of an empty slot; pass n explicitly"
-            )
-        return indices[0]
-    for f in factors:
-        if f.index != n:
-            raise StructuralError(
-                "factor %s does not live in the family member %d" % (f, n)
-            )
-    return n
+    for _, words in expr.terms:
+        for f in words[slot]:
+            if f.index != n:
+                raise StructuralError(
+                    "factor %s does not live in the family member %d" % (f, n)
+                )
 
 
 def _map_slot(expr: TensorExpr, slot: int, width: int, image) -> TensorExpr:
@@ -444,7 +434,7 @@ def _map_slot(expr: TensorExpr, slot: int, width: int, image) -> TensorExpr:
     return TensorExpr(expr.slots - 1 + width, out)
 
 
-def tau(expr: TensorExpr, direction: int, *, slot: int = 0, n: Optional[int] = None) -> TensorExpr:
+def tau(expr: TensorExpr, direction: int, *, slot: int = 0, n: int) -> TensorExpr:
     """Relabeling morphism A_n -> A_{n+-1} applied to one slot.
 
     Acts on the basis: every factor index and every central symbol in the
@@ -494,14 +484,14 @@ def _coproduct_factor(f: Factor, n: int, direction: int,
 
 
 def coproduct(expr: TensorExpr, direction: int, convention: SignConvention = DEFAULT_CONVENTION,
-              *, slot: int = 0, n: Optional[int] = None) -> TensorExpr:
+              *, slot: int = 0, n: int) -> TensorExpr:
     """Apply D+_n (direction=+1) or D-_n (direction=-1) to one slot.
 
     The targeted slot expands into two slots; every other slot is carried
     along unchanged apart from the global substitution
     c_n -> c_n + c_{n+1} (resp. c_{n-1} + c_n) in argument shifts.
     """
-    n = _target(expr, slot, n, direction)
+    _target(expr, slot, n, direction)
     expanded = ShiftForm.of_central(n) + ShiftForm.of_central(n + direction)
 
     def image(word):
@@ -525,19 +515,14 @@ def _counit_word(word: Word, convention: SignConvention) -> Fraction:
 
 
 def counit(expr: TensorExpr, convention: SignConvention = DEFAULT_CONVENTION,
-           *, slot: int = 0, n: Optional[int] = None):
+           *, slot: int = 0, n: int):
     """Apply eps_n to one slot.
 
     For a single-slot expression the result is a scalar Fraction; otherwise
     the slot is dropped and the remaining tensor returned.  The central
     rule eps(c_n) = 0 kills c_n in every surviving shift.
     """
-    try:
-        n = _target(expr, slot, n, 1)
-    except StructuralError:
-        if n is not None:
-            raise
-        n = _target(expr, slot, 0, 1)  # empty slot: only the unit lives there
+    _target(expr, slot, n, 1)
     substituted = expr.substitute_central(n, ShiftForm())
     if expr.slots == 1:
         return sum((coeff * _counit_word(words[0], convention)
@@ -569,7 +554,7 @@ def _antipode_factor(f: Factor, n: int, direction: int, convention: SignConventi
 
 
 def antipode(expr: TensorExpr, direction: int, convention: SignConvention = DEFAULT_CONVENTION,
-             *, slot: int = 0, n: Optional[int] = None,
+             *, slot: int = 0, n: int,
              corrected: bool = False) -> TensorExpr:
     """Apply S+_n or S-_n to one slot, as a graded antimorphism.
 
@@ -578,7 +563,7 @@ def antipode(expr: TensorExpr, direction: int, convention: SignConvention = DEFA
     flips the printed signs of S(E) and S(F); it is reported as an
     annotation by the convention search, never silently adopted.
     """
-    n = _target(expr, slot, n, direction)
+    _target(expr, slot, n, direction)
 
     def image(word):
         # reversing k odd factors swaps each of their k(k-1)/2 pairs once
@@ -667,14 +652,13 @@ def verify_axiom(axiom: str, generator: str,
     for direction, label in dir_list:
         lhs, rhs = _axiom_sides(axiom, generator, direction, convention,
                                 corrected_antipode)
-        equal = lhs == rhs
-        diff = (lhs - rhs).canonical() if not equal else None
-        directions[label] = "pass" if equal else "fail"
+        diff = (lhs - rhs).canonical()
+        directions[label] = "fail" if diff.terms else "pass"
         if trace_lines is not None:
             trace_lines.append("%s[%s] on %s:" % (axiom, label, generator))
             trace_lines.append("  lhs = %s" % lhs.canonical())
             trace_lines.append("  rhs = %s" % rhs.canonical())
-        if not equal:
+        if diff.terms:
             witnesses.append({
                 "direction": label,
                 "difference": str(diff),

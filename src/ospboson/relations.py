@@ -39,6 +39,7 @@ from .freefield import (
     compose_normal_ordered,
     delta_decompose,
     ope_kernel,
+    rational_product,
 )
 from .scalars import mpc_to_str, mpf_table, sample_annulus_point, to_mpf, workdps
 from .theta import near_theta_zero, theta_product
@@ -351,6 +352,8 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     tolerance = mp.mpf(tolerance)
     if tolerance < mp.mpf(10) ** (8 - digits):
         raise DomainError("tolerance %s unreachable at %d digits" % (tolerance, digits))
+    if samples < 1:
+        raise DomainError("need at least one sample, got %s" % (samples,))
     A = CURRENTS[rel.left[0]](params)
     B = CURRENTS[rel.left[1]](params)
     Bp = CURRENTS[rel.right[0]](params)
@@ -401,21 +404,6 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     }
 
 
-def kernel_rational_value(kernel, z, w):
-    """Exact value of a rational (base-0) kernel at exact points z, w.
-
-    Returns a Fraction; only kernels whose factors all have base 0 qualify.
-    """
-    z, w = Fraction(z), Fraction(w)
-    acc = kernel.scalar * z ** kernel.z_exp * w ** kernel.w_exp
-    for f in kernel.factors:
-        if f.b != 0:
-            raise StructuralError("kernel is not rational")
-        term = 1 - f.c * w / z
-        acc = acc * term if f.power == 1 else acc / term
-    return acc
-
-
 def verify_ef(params):
     """Exact check of the anticommutator relation on the c = 1 kernels.
 
@@ -461,11 +449,13 @@ def verify_ef(params):
 
     # bilateral pairing: K_FE(w,z) = -K_EF(z,w) as rational functions,
     # pinned exactly at 20 rational points (degrees are at most 3)
-    xs = [Fraction(k, 23) for k in range(2, 22)]
-    anti = all(
-        kernel_rational_value(KFE, x, 1) == -kernel_rational_value(KEF, 1, x)
-        for x in xs
-    )
+    def value(K, z, w):
+        return (K.scalar * z ** K.z_exp * w ** K.w_exp
+                * rational_product(K.factors, w / z))
+
+    one = Fraction(1)
+    anti = all(value(KFE, x, one) == -value(KEF, one, x)
+               for x in (Fraction(k, 23) for k in range(2, 22)))
     checks["bilateral_antisymmetry"] = anti
 
     verdict = all(checks.values())

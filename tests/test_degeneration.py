@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 from mpmath import mp
 
+from ospboson import degeneration
 from ospboson.degeneration import (
     EPSILON_LADDER,
     LIMIT_NAMES,
@@ -170,6 +171,15 @@ def test_limit_check_negative_control():
     rep = limit_check("EE", 0.4, eta=0.25, hbar=0.12, c=1, target_name="FF")
     assert rep["verdict"] == "fail"
     assert not rep["monotone"] or min(rep["empirical_orders"]) < 0.8
+
+
+def test_limit_check_catches_wrong_eta_prime(monkeypatch):
+    # the elliptic side takes its nomes from the deformation's theta bases,
+    # so a wrong eta' moves only the sine target and must fail there
+    monkeypatch.setattr(degeneration, "eta_prime", lambda eta, hbar, c: mp.mpf(eta))
+    failing = {name for name in LIMIT_NAMES
+               if limit_check(name, 0.4, eta=0.25, hbar=0.12, c=1)["verdict"] == "fail"}
+    assert failing == {"H+F", "H-F", "HH", "H+H-", "FF"}
 
 
 def test_limit_check_level_zero_identification():

@@ -10,6 +10,7 @@ from ospboson.errors import PoleError, StructuralError, UnsupportedError
 from ospboson.freefield import (
     DeformationParams,
     E_current,
+    Kernel,
     F_current,
     build_H,
     compose_normal_ordered,
@@ -19,6 +20,7 @@ from ospboson.freefield import (
     kernel_repr,
     mode_bracket,
     ope_kernel,
+    rational_product,
 )
 from ospboson.scalars import sample_annulus_point, sample_parameters, to_mpf
 from ospboson.relations import CURRENTS, relation_catalog
@@ -278,6 +280,42 @@ def test_delta_decompose_rejects_repeated_pole():
     K.factors = tuple(f for f in bad)
     with pytest.raises(UnsupportedError):
         delta_decompose(K)
+
+
+def _rational_kernel(numerators, poles):
+    factors = ([QPochFactor(c, Fr(0), 1) for c in numerators]
+               + [QPochFactor(d, Fr(0), -1) for d in poles])
+    return Kernel(PARAMS[0], 2, Fr(3, 2), 1, -1, factors, [])
+
+
+@pytest.mark.parametrize("numerators, poles", [
+    ((Fr(3, 2), Fr(-1, 4)), (Fr(2), Fr(1, 3), Fr(-5, 7))),
+    ((Fr(5, 3),), (Fr(-2), Fr(4, 9))),
+])
+def test_delta_decompose_partial_fractions(numerators, poles):
+    # with fewer numerator factors than poles the residues rebuild the
+    # kernel's rational part exactly: sum_j A_j / (1 - x / support_j)
+    K = _rational_kernel(numerators, poles)
+    terms, discarded = delta_decompose(K)
+    assert not discarded
+    assert sorted(t.support_x for t in terms) == sorted(1 / d for d in poles)
+    for k in range(1, 11):
+        x = Fr(k, 11)
+        assert sum(t.residue / (1 - x / t.support_x) for t in terms) == (
+            rational_product(K.factors, x))
+
+
+def test_delta_decompose_flags_discarded_polynomial():
+    terms, discarded = delta_decompose(_rational_kernel((Fr(3, 2), Fr(-1, 4)), (Fr(2),)))
+    assert discarded
+    assert [t.support_x for t in terms] == [Fr(1, 2)]
+    assert terms[0].residue == (1 - Fr(3, 4)) * (1 + Fr(1, 8))
+
+
+def test_rational_product_rejects_nonzero_base():
+    assert rational_product([QPochFactor(Fr(2), Fr(0), -1)], Fr(1, 4)) == 2
+    with pytest.raises(UnsupportedError):
+        rational_product([QPochFactor(Fr(2), Fr(1, 3), 1)], Fr(1, 4))
 
 
 def test_h_current_structure():

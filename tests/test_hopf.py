@@ -138,18 +138,18 @@ def test_koszul_sign_all_parity_combinations():
 
 
 def test_coproduct_central():
-    cop = coproduct(c_word(0), 1)
+    cop = coproduct(c_word(0), 1, n=0)
     expected = TensorExpr(2, [(Fr(1), ((Factor("c", 0),), ()))]) + TensorExpr(
         2, [(Fr(1), ((), (Factor("c", 1),)))]
     )
     assert cop == expected
-    assert coproduct(c_word(0), -1) == TensorExpr(
+    assert coproduct(c_word(0), -1, n=0) == TensorExpr(
         2, [(Fr(1), ((Factor("c", -1),), ())), (Fr(1), ((), (Factor("c", 0),)))]
     )
 
 
 def test_coproduct_E_two_terms():
-    cop = coproduct(generator_expr("E"), 1)
+    cop = coproduct(generator_expr("E"), 1, n=0)
     expected = TensorExpr(2, [(Fr(1), ((Factor("E", 0),), ()))]) + TensorExpr(
         2,
         [
@@ -163,7 +163,7 @@ def test_coproduct_E_two_terms():
 
 
 def test_coproduct_F_and_H():
-    cop_f = coproduct(generator_expr("F"), 1)
+    cop_f = coproduct(generator_expr("F"), 1, n=0)
     expected_f = TensorExpr(2, [(Fr(1), ((), (Factor("F", 1),)))]) + TensorExpr(
         2,
         [
@@ -174,7 +174,7 @@ def test_coproduct_F_and_H():
         ],
     )
     assert cop_f == expected_f
-    cop_h = coproduct(generator_expr("H+"), 1)
+    cop_h = coproduct(generator_expr("H+"), 1, n=0)
     assert cop_h == TensorExpr(
         2,
         [
@@ -187,7 +187,7 @@ def test_coproduct_F_and_H():
             )
         ],
     )
-    cop_hm = coproduct(generator_expr("H-"), 1)
+    cop_hm = coproduct(generator_expr("H-"), 1, n=0)
     coeff, words = cop_hm.canonical().terms[0]
     assert coeff == -1
     assert words[0][0].shift == C(1, -HALF)
@@ -202,7 +202,7 @@ def test_coproduct_reexpands_central_shift():
     # the argument shift of the input is rewritten with c_0 -> c_0 + c_1
     # before the generator formula adds its own shifts
     shifted = TensorExpr.generator("E", 0, C(0))
-    cop = coproduct(shifted, 1)
+    cop = coproduct(shifted, 1, n=0)
     reexp = C(0) + C(1)
     expected = TensorExpr(
         2, [(Fr(1), ((Factor("E", 0, reexp),), ()))]
@@ -227,9 +227,9 @@ def test_coproduct_reexpands_central_shift():
 )
 def test_coproduct_shift_additivity(const, coeff):
     # shifts pass through the coproduct additively after re-expansion
-    base = coproduct(TensorExpr.generator("E", 0), 1).canonical()
+    base = coproduct(TensorExpr.generator("E", 0), 1, n=0).canonical()
     extra = ShiftForm(const) + C(0, coeff)
-    shifted = coproduct(TensorExpr.generator("E", 0, extra), 1).canonical()
+    shifted = coproduct(TensorExpr.generator("E", 0, extra), 1, n=0).canonical()
     delta = extra.substitute(0, C(0) + C(1))
     for (_, words_b), (_, words_s) in zip(base.terms, shifted.terms):
         for wb, ws in zip(words_b, words_s):
@@ -239,31 +239,31 @@ def test_coproduct_shift_additivity(const, coeff):
 
 def test_counit_values():
     conv = SignConvention()
-    assert counit(generator_expr("E"), conv) == 0
-    assert counit(generator_expr("F"), conv) == 0
-    assert counit(c_word(0), conv) == 0
+    assert counit(generator_expr("E"), conv, n=0) == 0
+    assert counit(generator_expr("F"), conv, n=0) == 0
+    assert counit(c_word(0), conv, n=0) == 0
     assert counit(TensorExpr.unit(1), conv, n=0) == 1
-    assert counit(TensorExpr.generator("H+", 0, C(0, HALF)), conv) == 1
-    assert counit(generator_expr("H-"), conv) == 1
-    assert counit(generator_expr("H-"), SignConvention(1, -1)) == -1
+    assert counit(TensorExpr.generator("H+", 0, C(0, HALF)), conv, n=0) == 1
+    assert counit(generator_expr("H-"), conv, n=0) == 1
+    assert counit(generator_expr("H-"), SignConvention(1, -1), n=0) == -1
     # multiplicativity: a word with one odd factor dies
     word = TensorExpr.word((Factor("H+", 0), Factor("E", 0)))
-    assert counit(word, conv) == 0
+    assert counit(word, conv, n=0) == 0
 
 
 def test_counit_kills_central_in_surviving_slots():
-    expr = coproduct(generator_expr("H+"), 1)
+    expr = coproduct(generator_expr("H+"), 1, n=0)
     out = counit(expr, slot=0, n=0)
     assert out == TensorExpr.generator("H+", 1)
 
 
 def test_antipode_generators():
-    assert antipode(c_word(0), 1) == TensorExpr.generator("c", 1, coeff=-1)
-    assert antipode(generator_expr("H+"), 1) == TensorExpr.generator(
+    assert antipode(c_word(0), 1, n=0) == TensorExpr.generator("c", 1, coeff=-1)
+    assert antipode(generator_expr("H+"), 1, n=0) == TensorExpr.generator(
         "H+", 1, inverted=True
     )
     assert antipode(TensorExpr.unit(1), -1, n=0) == TensorExpr.unit(1)
-    s_e = antipode(generator_expr("E"), 1)
+    s_e = antipode(generator_expr("E"), 1, n=0)
     expected = TensorExpr(
         1,
         [
@@ -274,7 +274,7 @@ def test_antipode_generators():
         ],
     )
     assert s_e == expected
-    s_f = antipode(generator_expr("F"), -1)
+    s_f = antipode(generator_expr("F"), -1, n=0)
     coeff, words = s_f.canonical().terms[0]
     assert coeff == 1
     assert [f.kind for f in words[0]] == ["F", "H+"]
@@ -284,17 +284,17 @@ def test_antipode_generators():
 def test_antipode_reverses_with_koszul_sign():
     # S(E F) = (-1)^{1*1} S(F) S(E)
     word = TensorExpr.word((Factor("E", 0), Factor("F", 0)))
-    image = antipode(word, 1)
-    direct = antipode(TensorExpr.word((Factor("F", 0),)), 1) * antipode(
-        TensorExpr.word((Factor("E", 0),)), 1
+    image = antipode(word, 1, n=0)
+    direct = antipode(TensorExpr.word((Factor("F", 0),)), 1, n=0) * antipode(
+        TensorExpr.word((Factor("E", 0),)), 1, n=0
     )
     assert image == direct.scale(-1)
 
 
 def test_tau_relabels_and_composes():
     e = generator_expr("E", 0)
-    assert tau(e, 1) == TensorExpr.generator("E", 1)
-    assert tau(tau(e, 1), -1) == e
+    assert tau(e, 1, n=0) == TensorExpr.generator("E", 1)
+    assert tau(tau(e, 1, n=0), -1, n=1) == e
     # category law tau^{(m,p)} tau^{(p,n)} = tau^{(m,n)} for |m|,|p|,|n| <= 3
     shifted = TensorExpr.generator("H-", 0, C(0, HALF))
     def chain(expr, start, stop):
@@ -313,7 +313,22 @@ def test_tau_relabels_and_composes():
 def test_tau_rejects_mixed_indices():
     mixed = TensorExpr.word((Factor("E", 0), Factor("F", 1)))
     with pytest.raises(StructuralError):
-        tau(mixed, 1)
+        tau(mixed, 1, n=0)
+
+
+def test_maps_act_on_the_named_member():
+    # nothing is inferred from the slot: an empty slot is A_1 only when the
+    # caller says so, and counit then removes c_1 from the surviving shifts
+    e = Factor("E", 0, C(1))
+    expr = TensorExpr(2, [(Fr(1), ((e,), ()))])
+    with pytest.raises(TypeError):
+        counit(expr, slot=1)
+    assert counit(expr, slot=1, n=1) == TensorExpr.generator("E", 0)
+    g = generator_expr("E")
+    for apply in (lambda: tau(g, 1), lambda: coproduct(g, 1),
+                  lambda: antipode(g, 1)):
+        with pytest.raises(TypeError):
+            apply()
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +341,7 @@ def test_a1_on_central_element():
 
 
 def test_a3_matches_expected_three_term_form():
-    lhs = coproduct(coproduct(generator_expr("E"), 1), -1, slot=0, n=0)
+    lhs = coproduct(coproduct(generator_expr("E"), 1, n=0), -1, slot=0, n=0)
     expected = (
         TensorExpr(3, [(Fr(1), ((Factor("E", -1),), (), ()))])
         + TensorExpr(

@@ -42,6 +42,28 @@ def test_span_table_and_units_bind():
     assert tracer.metric("degeneration.limit_check", "calls") == 1
 
 
+def test_exact_algebra_units_run():
+    # the EF ope unit (jet against closed form, delta decomposition) and the
+    # first axioms unit, run under the tracer as the benchmark runs them
+    from ospboson.relations import relation_catalog
+    spans, workloads = _load("spans"), _load("workloads")
+    ope_ids = [r.rel_id for r in relation_catalog() if r.kind != "invertibility"]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        units = workloads.UNITS["exact-algebra"](
+            workloads.INPUTS["exact-algebra"](0))
+        ef, axioms = units[3 + ope_ids.index("EF")], units[3 + len(ope_ids)]
+        checks = ef()[0] + axioms()[0]
+    finally:
+        tracer.uninstall()
+    assert [key for key, _, _ in checks[:2]] == [
+        "ope-jet/EF", "delta-decompose/EF"]
+    assert checks[2][0] == "hopf/hopf-axiom/a1:unit#1"
+    assert workloads.count_failed(checks) == 0
+    assert tracer.metric("freefield.delta_decompose", "calls") == 1
+
+
 def test_suite_all_path_binds(tmp_path, monkeypatch):
     # run.py puts perfbench/ on sys.path to import workloads; undone after
     monkeypatch.setattr(sys, "path", list(sys.path))

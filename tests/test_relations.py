@@ -345,6 +345,12 @@ def test_tolerance_floor_enforced():
                         tolerance=mp.mpf(10) ** -20)
 
 
+def test_verify_exchange_rejects_no_samples():
+    rels = by_id(relation_catalog())
+    with pytest.raises(DomainError, match="at least one sample"):
+        verify_exchange(rels["EE"], P, samples=0, digits=30)
+
+
 def test_ef_exact():
     for q, p, r in sample_parameters(13, count=3):
         rep = verify_ef(DeformationParams(q, p, r))
