@@ -36,12 +36,13 @@ import mpmath as mp
 from .errors import DomainError, PoleError, StructuralError, UnsupportedError
 from .scalars import mpf_table, to_mpf, workdps
 from .series import QPochFactor, TruncatedSeries, closed_form_series
-from .theta import near_theta_zero, qpoch_product
+from .theta import PoleGuard, QPochProduct
 
 __all__ = [
     "DeformationParams",
     "VertexOperatorSpec",
     "Kernel",
+    "KernelEvaluator",
     "DeltaTerm",
     "mode_bracket",
     "contraction_series",
@@ -272,32 +273,61 @@ class Kernel:
         return closed_form_series(self.factors, self.order)
 
     def eval_product(self, x, digits):
-        """Numeric value of the factor product at complex x.
-
-        The kernels' one pole guard: x near a zero of a factor
-        (near_singular) raises PoleError carrying that factor.  Otherwise
-        theta.qpoch_product multiplies all factors in one fixed-point pass,
-        numerator and denominator apart, and divides once; see there for the
-        error budget.
-        """
-        f = self.near_singular(x)
-        if f is not None:
-            raise PoleError("kernel pole or zero at x = %s" % x, factor=f)
-        return qpoch_product(self.factors, x, digits)
-
-    def eval_at(self, z, w, digits):
-        with workdps(digits + 10):
-            z = mp.mpc(z)
-            w = mp.mpc(w)
-            mono = to_mpf(self.scalar) * z ** self.z_exp * w ** self.w_exp
-            return mono * self.eval_product(w / z, digits)
+        """Numeric value of the factor product at complex x: one point of
+        KernelEvaluator.eval_product."""
+        return KernelEvaluator(self, digits).eval_product(x)
 
     def near_singular(self, x):
-        """The first factor with a zero within theta.POLE_TOL of x (relatively), or None."""
-        x = mp.mpc(x)
-        mpf = mpf_table()
-        return next((f for f in self.factors
-                     if near_theta_zero(mpf(f.c) * x, mpf(f.b), kmax=0)), None)
+        """The first factor with a zero within theta.POLE_TOL of x (relatively), or None.
+
+        Decided at the working precision by the guard that KernelEvaluator
+        prepares (_pole_guard).
+        """
+        return _pole_guard(self.factors).first(mp.mpc(x))
+
+
+class KernelEvaluator:
+    """A kernel prepared once at `digits` and evaluated at many points.
+
+    Preparation converts the scalar, each factor's c and b for the pole
+    guard (theta.PoleGuard) and each base's fixed point and T for the
+    product (theta.QPochProduct), at the working precision digits + 10.
+    eval_product(x) is the kernels' one pole guard: x near a zero of a factor
+    raises PoleError carrying that factor.  Otherwise all factors are
+    multiplied in one fixed-point pass, numerator and denominator apart,
+    and divided once; see QPochProduct for the error budget.
+    """
+
+    def __init__(self, kernel, digits):
+        self.kernel = kernel
+        self.digits = digits
+        with workdps(digits + 10):
+            self._scalar = to_mpf(kernel.scalar)
+            self._guard = _pole_guard(kernel.factors)
+            self._product = QPochProduct(kernel.factors, digits)
+
+    def eval_product(self, x):
+        with workdps(self.digits + 10):
+            x = mp.mpc(x)
+            f = self._guard.first(x)
+            if f is not None:
+                raise PoleError("kernel pole or zero at x = %s" % x, factor=f)
+            return self._product(x)
+
+    def eval_at(self, z, w):
+        k = self.kernel
+        with workdps(self.digits + 10):
+            z = mp.mpc(z)
+            w = mp.mpc(w)
+            mono = self._scalar * z ** k.z_exp * w ** k.w_exp
+            return mono * self.eval_product(w / z)
+
+
+def _pole_guard(factors):
+    """The guard of x near a zero c x = b^-n, n >= 0, of a factor (c x | b),
+    at the working precision."""
+    mpf = mpf_table()
+    return PoleGuard([(f, 1, mpf(f.c), mpf(f.b)) for f in factors], kmax=0)
 
 
 def ope_kernel(a_spec, b_spec, params, order=30):

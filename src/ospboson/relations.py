@@ -35,14 +35,15 @@ from .errors import DomainError, PoleError, StructuralError
 from .freefield import (
     E_current,
     F_current,
+    KernelEvaluator,
     build_H,
     compose_normal_ordered,
     delta_decompose,
     ope_kernel,
     rational_product,
 )
-from .scalars import mpc_to_str, mpf_table, sample_annulus_point, to_mpf, workdps
-from .theta import near_theta_zero, theta_product
+from .scalars import mpc_to_str, sample_annulus_point, to_mpf, workdps
+from .theta import PoleGuard, ThetaProduct
 
 __all__ = [
     "ThetaFactor",
@@ -51,6 +52,7 @@ __all__ = [
     "relation_catalog",
     "theta_bases",
     "eval_structure_function",
+    "StructureFunctionEvaluator",
     "structure_function_repr",
     "verify_exchange",
     "verify_ef",
@@ -241,52 +243,62 @@ def theta_bases(q, p, c):
 
 
 def eval_structure_function(f, x, p, c, bases, digits):
-    """Numeric value of a structure function at complex x.
+    """Numeric value of a structure function at complex x: one point of
+    StructureFunctionEvaluator(f, p, c, bases, digits)."""
+    return StructureFunctionEvaluator(f, p, c, bases, digits)(x)
+
+
+class StructureFunctionEvaluator:
+    """A structure function prepared once and evaluated at many points x.
 
     Each theta factor theta_B(x^orient p^shift) is evaluated on the nome
     B = bases[factor.base], given as mpf values {"q2": .., "qt2": ..}: at a
     deformation point they are theta_bases(q, p, c); the scaling limits pass
-    the nomes of their re-parameterization.  This is the structure
-    functions' one pole guard: any factor's argument (numerator or
-    denominator) within theta.POLE_TOL of a theta zero raises PoleError
-    carrying the factor.  The factors are then evaluated whole by
-    theta.theta_product, from log x and log p taken once (p > 0), and the
-    value is real when x and the bases are.
+    the nomes of their re-parameterization.  Preparation, at the working
+    precision digits + 10, takes log p (p > 0), each distinct shift's
+    p^shift (for the pole guard's arguments) and shift * log p (for the
+    transform's), the prefactor sign * p^p_exp, and the transform's
+    per-nome step once per distinct nome (theta.ThetaProduct).
+
+    A call is the structure functions' one pole guard: any factor's
+    argument (numerator or denominator) within theta.POLE_TOL of a theta
+    zero raises PoleError carrying the factor (theta.PoleGuard).  The
+    factors are then evaluated whole from log x, taken once, and the value
+    is real when x and the bases are.
     """
-    with workdps(digits + 10):
-        x = mp.mpc(x)
-        for tf in f.factors:
-            if near_theta_zero(tf.argument(x, p, c), bases[tf.base]):
+
+    def __init__(self, f, p, c, bases, digits):
+        self.digits = digits
+        with workdps(digits + 10):
+            log_p = mp.log(p)
+            powers = {}  # a shift's (numerator, denominator) -> its two values
+            guard = []
+            self._offsets = []
+            for tf in f.factors:
+                s = tf.shift(c)
+                key = s.numerator, s.denominator
+                if key not in powers:
+                    powers[key] = p ** s, to_mpf(s) * log_p
+                guard.append((tf, tf.orient, powers[key][0], bases[tf.base]))
+                self._offsets.append((tf.orient, powers[key][1]))
+            self._guard = PoleGuard(guard)
+            self._thetas = ThetaProduct([(bases[tf.base], tf.power)
+                                         for tf in f.factors], digits)
+            self._prefactor = mp.mpc(f.sign) * p ** f.p_exp
+            self._real_nomes = not any(mp.im(b) for b in bases.values())
+
+    def __call__(self, x):
+        with workdps(self.digits + 10):
+            x = mp.mpc(x)
+            tf = self._guard.first(x)
+            if tf is not None:
                 raise PoleError("structure function pole or zero", factor=tf)
-        log_x, log_p = mp.log(x), mp.log(p)
-        mpf = mpf_table()
-        v = mp.mpc(f.sign) * p ** f.p_exp * theta_product(
-            [(tf.orient * log_x + mpf(tf.shift(c)) * log_p, bases[tf.base],
-              tf.power) for tf in f.factors], digits)
-        if mp.im(x) == 0 and not any(mp.im(b) for b in bases.values()):
-            return mp.mpc(mp.re(v))
-        return v
-
-
-def inverse_structure_function(f):
-    """The structure function of the swapped relation: S'(x) = 1 / S(1/x).
-
-    A(z)B(w) = S(w/z) B(w)A(z) is equivalent to B(z)A(w) = S'(w/z) A(w)B(z).
-    """
-    factors = tuple(
-        ThetaFactor(tf.base, -tf.orient, tf.p_shift, tf.c_shift, -tf.power)
-        for tf in f.factors
-    )
-    return StructureFunction(f.sign, -f.p_exp, factors)
-
-
-def swapped_relation(rel):
-    """The same exchange relation read right-to-left."""
-    if rel.kind != "exchange":
-        raise StructuralError("only exchange relations swap")
-    return RelationSpec(
-        rel.rel_id + "-swapped", "exchange", rel.right, rel.left,
-        inverse_structure_function(rel.structure_function), rel.mode, rel.notes)
+            log_x = mp.log(x)
+            v = self._prefactor * self._thetas(
+                [orient * log_x + off for orient, off in self._offsets])
+            if mp.im(x) == 0 and self._real_nomes:
+                return mp.mpc(mp.re(v))
+            return v
 
 
 def structure_function_repr(f):
@@ -340,10 +352,11 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     left-hand ones swapped; when they are not (strict-text H-E), the field
     mismatch is reported and the kernel comparison is still carried out
     against the printed right-hand side.  unit_structure=True replaces S
-    by 1 as a negative control.  A sample point is drawn again when it is
-    within theta.POLE_TOL of a zero of any kernel factor or of any theta
-    factor of S: each evaluator raises PoleError there (Kernel.eval_product,
-    eval_structure_function).
+    by 1 as a negative control.  The two kernels and S are prepared once
+    per call (KernelEvaluator, StructureFunctionEvaluator) and then only
+    evaluated at each sample point.  A sample point is drawn again when it
+    is within theta.POLE_TOL of a zero of any kernel factor or of any theta
+    factor of S: each evaluator raises PoleError there.
     """
     if rel.kind != "exchange":
         raise StructuralError("verify_exchange needs an exchange relation")
@@ -369,12 +382,12 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     residuals = []
     with workdps(digits + 10):
         p = to_mpf(params.p)
-        bases = theta_bases(params.q, p, 1)
+        k1 = KernelEvaluator(K1, digits)
+        k2 = KernelEvaluator(K2, digits)
+        s = StructureFunctionEvaluator(sf, p, 1, theta_bases(params.q, p, 1), digits)
 
         def sides(x):
-            return (K1.eval_at(1, x, digits),
-                    K2.eval_at(x, 1, digits)
-                    * eval_structure_function(sf, x, p, 1, bases, digits))
+            return k1.eval_at(1, x), k2.eval_at(x, 1) * s(x)
 
         for _ in range(samples):
             x, (lhs, rhs) = _sample_x(rng, digits, sides)

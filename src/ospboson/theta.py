@@ -21,24 +21,32 @@ and vanishes exactly at z in q**Z.  It is evaluated two ways:
   product would need ~1/(1-q) factors, q' -> 0 and a few factors suffice.
   It is two steps: a per-nome step (tau, q', the prefactor's constant part
   and (q' | q')_inf) and a per-argument step (the prefactor's exponent and
-  the product).  ``theta_product`` evaluates a product of thetas this way
-  with one per-nome step per nome and one exp; ``theta_eval_modular`` is
-  its one-factor case.  Every structure-function theta takes this path, at
+  the product).  ``ThetaProduct`` prepares a product of thetas on fixed
+  nomes, one per-nome step per distinct nome, and evaluates it at many
+  arguments with one exp each; ``theta_eval_modular`` is its one-factor,
+  one-argument case.  Every structure-function theta takes this path, at
   every nome.
 
 Kernels are products of q-Pochhammer factors (c x | b)^{+-1} with exact c,
-b; ``qpoch_product`` evaluates one whole, ``qpoch_eval`` a single (a | q).
-All of them multiply in one fixed-point loop, ``_qpoch_fixed``: Python ints
-scaled by 2^wp, wp = working precision + 60 guard bits, as mpmath's own
-theta series do.  Fixed point does not renormalize, so the error of a
-product is relative to its smallest running product (see ``qpoch_eval``).
-The evaluators are pure; their callers (``Kernel.eval_product``,
-``relations.eval_structure_function``) guard the poles with the one rule
-``near_theta_zero``.  It only decides whether a relative distance is below
+b; ``QPochProduct`` prepares one whole for many x, ``qpoch_eval`` evaluates
+a single (a | q).  All of them multiply in one fixed-point loop,
+``_qpoch_fixed``: Python ints scaled by 2^wp, wp = working precision + 60
+guard bits, as mpmath's own theta series do.  Fixed point does not
+renormalize, so the error of a product is relative to its smallest running
+product (see ``qpoch_eval``).
+
+The products are pure; the evaluators built on them
+(``freefield.KernelEvaluator``, ``relations.StructureFunctionEvaluator``)
+guard the poles with ``PoleGuard``, prepared with them once per call.  Its
+one rule is ``near_theta_zero``, behind a float screen that clears an
+argument far off the real axis when every zero is real (proved at
+``_screen_clears``).
+``near_theta_zero`` only decides whether a relative distance is below
 POLE_TOL, so it decides in Python floats and goes back to the working
 precision only where a float cannot tell: a distance within 1e-9
 (relatively, per power of q) of the bound, or a z, q or q^k outside the
-normal float range.  Its decisions are the working-precision rule's.
+normal float range.  Its decisions are the working-precision rule's, and
+so are the screen's.
 """
 
 from __future__ import annotations
@@ -53,22 +61,46 @@ from .scalars import to_mpf, workdps
 
 __all__ = [
     "qpoch_eval",
-    "qpoch_product",
+    "QPochProduct",
     "theta_eval",
     "theta_eval_modular",
-    "theta_product",
+    "ThetaProduct",
     "theta_terms_needed",
     "near_theta_zero",
+    "PoleGuard",
 ]
 
 _MAX_TERMS = 200_000
 
 POLE_TOL = 1e-6  # relative distance from a zero that counts as a pole
+_SCREEN_TOL = POLE_TOL * (1 + 2e-6)
 
 _GUARD_BITS = 60      # fixed-point bits beyond the working precision
 _FLOAT_MARGIN = 1e-9  # float distance ratios this close to 1 are redone
 _LN2 = math.log(2)
 _LN10 = math.log(10)
+
+
+def _screen_clears(im, absz):
+    """The float screen: True only where near_theta_zero(z, q, kmax) is False
+    for every real q (q = 0 included) and every kmax.
+
+    im and absz are Im z and |z| in Python floats, rounded from z.  Proof.
+    Write t = POLE_TOL.  For real q every zero r of the rule (r = q^k, or
+    r = 1 when q = 0) is real, so |z - r| >= |Im z|.  near_theta_zero is True
+    only at some such r with |z - r| < t max(|r|, 1).  If |r| <= 1, then
+    |Im z| < t.  If |r| > 1, then |r| <= |z| + |z - r| < |z| + t |r|, so
+    |r| < |z| / (1 - t) and |Im z| < t |r| < t |z| / (1 - t).  Either way
+    |Im z| < t max(|z|, 1) / (1 - t), and near_theta_zero is False wherever
+    |Im z| >= t max(|z|, 1) / (1 - t).  The screen asks for
+    |Im z| > t max(|z|, 1) (1 + 2e-6) in floats: 1 + 2e-6 exceeds
+    1 / (1 - t) = 1 + 1e-6 + 1e-12 + ... by 1e-6 - 1e-12, and the floats of
+    Im z and |z| are off from the working-precision values by a few units
+    of 2^-53 relative to max(|z|, 1), about 1e-9 of that gap.  A float
+    outside the normal range (0, inf or nan) fails the test and so clears
+    nothing.  Where it fails, near_theta_zero decides.
+    """
+    return abs(im) > _SCREEN_TOL * max(absz, 1.0)
 
 
 def theta_terms_needed(absq, digits):
@@ -98,8 +130,8 @@ def qpoch_eval(a, q, digits):
     is about T (1 + 1/(1 - |q|)) 2^-wp / min_n |P_n| relatively: relative to
     the smallest running product, which fixed point does not renormalize.
     The dropped tail adds about |a| |q|^T / (1 - |q|).  For the few hundred
-    factors of a kernel (qpoch_product) or of a transformed theta
-    (theta_product), which share this loop and this budget, the 60 guard
+    factors of a kernel (QPochProduct) or of a transformed theta
+    (ThetaProduct), which share this loop and this budget, the 60 guard
     bits keep the first below the working precision's unit while every
     running product stays above about 2^-40.  Near q = 1 it does not: against
     mpmath.qp at 70 digits, theta_eval(0.61+0.34i, q, 50) is off by 1e-59 at
@@ -114,36 +146,46 @@ def qpoch_eval(a, q, digits):
             _qpoch_fixed((1 << wp, 0), (_to_fixed(mp.mpc(a), wp),), qf, T, wp), wp)
 
 
-def qpoch_product(factors, x, digits):
-    """prod (c x | b)_inf ** power over factors with exact rational c and b.
+class QPochProduct:
+    """prod (c x | b)_inf ** power over fixed factors, prepared for many x.
 
     The factors are QPochFactor-like (c, b, power; b = 0 gives 1 - c x), as
-    in a kernel.  x is converted to fixed point once; each c x and each
-    distinct b by integer division ((n << wp) // d), and each distinct b's
-    T is computed once.  Numerator and denominator factors are multiplied
-    into one running product each, and the two are divided once as mpc
-    values.  A pure evaluator, like theta_product: the caller guards the
-    poles (Kernel.eval_product).  Error budget: qpoch_eval's, relative to
-    the smallest running product of the numerator and of the denominator;
-    the dropped tails add about |c x| |b|^T / (1 - |b|) each, which for
-    |c x| up to ~600 is ~1e-57 at 50 digits.
+    in a kernel, with exact rational c and b.  Preparation computes each
+    distinct b in fixed point (integer division, (n << wp) // d) with its T,
+    once; a call converts x to fixed point once and each c x by integer
+    division.  Numerator and denominator factors are multiplied into one
+    running product each, and the two are divided once as mpc values.  A
+    pure evaluator, like ThetaProduct: KernelEvaluator guards the poles.
+    Error budget: qpoch_eval's, relative to the smallest running product of
+    the numerator and of the denominator; the dropped tails add about
+    |c x| |b|^T / (1 - |b|) each, which for |c x| up to ~600 is ~1e-57 at
+    50 digits.
     """
-    with workdps(digits + 10):
-        wp = mp.mp.prec + _GUARD_BITS
-        xr, xi = _to_fixed(mp.mpc(x), wp)
-        acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
-        bases = {}
-        for f in factors:
-            key = f.b.numerator, f.b.denominator
-            if key not in bases:
-                bases[key] = (1 if f.b == 0 else
-                              theta_terms_needed(abs(to_mpf(f.b)), digits),
-                              ((key[0] << wp) // key[1], 0))
-            T, b = bases[key]
-            n, d = f.c.numerator, f.c.denominator
-            cx = (n * xr) // d, (n * xi) // d
-            acc[f.power] = _qpoch_fixed(acc[f.power], (cx,), b, T, wp)
-        return _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
+
+    def __init__(self, factors, digits):
+        self.digits = digits
+        with workdps(digits + 10):
+            self._wp = wp = mp.mp.prec + _GUARD_BITS
+            bases = {}
+            self._factors = []
+            for f in factors:
+                key = f.b.numerator, f.b.denominator
+                if key not in bases:
+                    bases[key] = (1 if f.b == 0 else
+                                  theta_terms_needed(abs(to_mpf(f.b)), digits),
+                                  ((key[0] << wp) // key[1], 0))
+                self._factors.append(
+                    (f.c.numerator, f.c.denominator) + bases[key] + (f.power,))
+
+    def __call__(self, x):
+        wp = self._wp
+        with workdps(self.digits + 10):
+            xr, xi = _to_fixed(mp.mpc(x), wp)
+            acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
+            for n, d, T, b, power in self._factors:
+                cx = (n * xr) // d, (n * xi) // d
+                acc[power] = _qpoch_fixed(acc[power], (cx,), b, T, wp)
+            return _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
 
 
 def theta_eval(z, q, digits):
@@ -169,40 +211,50 @@ def theta_eval_modular(z, q, digits):
         q = mp.mpc(q)
         if z == 0:
             raise DomainError("theta argument must be nonzero")
-        v = theta_product(((mp.log(z), q, 1),), digits)
+        v = ThetaProduct(((q, 1),), digits)((mp.log(z),))
         # real on the real axis; drop the transformation's rounding noise
         if mp.im(z) == 0 and mp.im(q) == 0:
             return mp.mpc(mp.re(v))
         return v
 
 
-def theta_product(factors, digits):
-    """prod theta_q(e^log_z) ** power over factors (log_z, q, power).
+class ThetaProduct:
+    """prod theta_q(e^log_z) ** power over fixed (q, power) pairs, prepared
+    for many arguments.
 
-    log_z has its imaginary part in [-pi, pi] (a principal log, or minus
-    one), which keeps |q'|^(1/2) <= |z'| <= |q'|^(-1/2); power is +-1.
-    Each distinct nome takes the transform's per-nome step once
-    (_modular_nome), each factor its per-argument step (_modular_factor).
-    The factors' prefactor exponents are summed, signed by power, under one
-    exp; their products are multiplied as a fixed-point numerator and
-    denominator and divided once.  The products' error budget is
-    qpoch_eval's over each factor's running product and over the
-    numerator's and denominator's.
+    Preparation takes the transform's per-nome step (_modular_nome) once per
+    distinct nome.  A call takes one log_z per factor, in order, each with
+    its imaginary part in [-pi, pi] (a principal log, or minus one), which
+    keeps |q'|^(1/2) <= |z'| <= |q'|^(-1/2); power is +-1.  Each factor takes
+    its per-argument step (_modular_factor); the prefactor exponents are
+    summed, signed by power, under one exp, and the products are multiplied
+    as a fixed-point numerator and denominator and divided once.  The
+    products' error budget is qpoch_eval's over each factor's running
+    product and over the numerator's and denominator's.
     """
-    with workdps(digits + 10):
-        wp = mp.mp.prec + _GUARD_BITS
+
+    def __init__(self, nomes, digits):
+        self.digits = digits
+        with workdps(digits + 10):
+            self._wp = wp = mp.mp.prec + _GUARD_BITS
+            steps = {}
+            for q, _ in nomes:
+                if q not in steps:
+                    steps[q] = _modular_nome(q, digits, wp)
+            self._factors = [(steps[q], power) for q, power in nomes]
+
+    def __call__(self, log_zs):
+        wp = self._wp
         one = 1 << wp
-        nomes = {}
-        expo = mp.mpc(0)
-        acc = {1: (one, 0), -1: (one, 0)}
-        for log_z, q, power in factors:
-            if q not in nomes:
-                nomes[q] = _modular_nome(q, digits, wp)
-            e, (vr, vi) = _modular_factor(log_z, nomes[q], wp)
-            expo = expo + e if power == 1 else expo - e
-            ar, ai = acc[power]
-            acc[power] = (ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp
-        return mp.exp(expo) * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
+        with workdps(self.digits + 10):
+            expo = mp.mpc(0)
+            acc = {1: (one, 0), -1: (one, 0)}
+            for log_z, (nome, power) in zip(log_zs, self._factors):
+                e, (vr, vi) = _modular_factor(log_z, nome, wp)
+                expo = expo + e if power == 1 else expo - e
+                ar, ai = acc[power]
+                acc[power] = (ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp
+            return mp.exp(expo) * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
 
 
 def _modular_nome(q, digits, wp):
@@ -339,3 +391,47 @@ def _near_theta_zero_mp(z, q, kmax):
         if abs(z - zk) < POLE_TOL * max(abs(zk), mp.mpf(1)):
             return True
     return False
+
+
+class PoleGuard:
+    """near_theta_zero(x ** orient * m, q, kmax) over fixed factors,
+    prepared for many x.
+
+    entries are (label, orient, m, q): orient is +-1, and the multiplier m
+    and the nome q are values at the working precision (mpf or mpc).
+    first(x), for an mpc x, returns the label of the first entry whose
+    argument x ** orient * m is within POLE_TOL of a zero of theta_q (of
+    (. | q)_inf with kmax=0), or None.  An entry whose m and q are both mpf
+    (real) is screened first (_screen_clears), from one float of x per call;
+    every other entry, and every entry the screen does not clear, takes
+    near_theta_zero on its argument at the working precision.  So first(x)
+    decides as near_theta_zero does on every factor.
+    """
+
+    def __init__(self, entries, kmax=None):
+        self._kmax = kmax
+        self._entries = [(label, orient, m, q, _screen_multiplier(m, q))
+                         for label, orient, m, q in entries]
+
+    def first(self, x):
+        xf = complex(x)
+        y = {1: x}
+        for label, orient, m, q, mf in self._entries:
+            if mf is not None and xf.imag:
+                a = (xf if orient == 1 else 1 / xf) * mf
+                if _screen_clears(a.imag, abs(a)):
+                    continue
+            if orient not in y:
+                y[orient] = x ** orient
+            if near_theta_zero(y[orient] * m, q, self._kmax):
+                return label
+        return None
+
+
+def _screen_multiplier(m, q):
+    """m as a normal float where m and q are mpf (real), else None: no screen."""
+    if isinstance(m, mp.mpf) and isinstance(q, mp.mpf):
+        mf = float(m)
+        if _normal(abs(mf)):
+            return mf
+    return None

@@ -11,6 +11,7 @@ from ospboson.freefield import (
     DeformationParams,
     E_current,
     Kernel,
+    KernelEvaluator,
     F_current,
     build_H,
     compose_normal_ordered,
@@ -133,19 +134,27 @@ def test_kernel_charge_bookkeeping():
 
 
 def test_kernel_pole_guard_relative_distance():
-    # near_singular flags x within 1e-6 (relatively) of a zero c*x = b^-n,
-    # n >= 0, of any factor (c*x | b); a base-0 factor has only x = 1/c
+    # the prepared evaluator raises PoleError at x within 1e-6 (relatively)
+    # of a zero c*x = b^-n, n >= 0, of any factor (c*x | b), carrying the
+    # factor near_singular names there, and evaluates 2e-6 off it; a base-0
+    # factor has only x = 1/c
     P = DeformationParams(Fr(2, 5), Fr(1, 4), Fr(1, 2))  # the printer's point
     E, F = E_current(), F_current()
     kernels = (ope_kernel(E, E, P, order=2), ope_kernel(E, F, P, order=2))
     assert any(f.b == 0 for f in kernels[1].factors)
     for K in kernels:
+        ev = KernelEvaluator(K, 30)
         for f in K.factors:
             for n in range(1 if f.b == 0 else 3):
                 with mp.workdps(30):
                     zero = to_mpf(f.b ** -n / f.c)
-                    assert K.near_singular(zero * (1 + mp.mpf("0.5e-6")))
-                    assert not K.near_singular(zero * (1 + mp.mpf("2e-6")))
+                    x = zero * (1 + mp.mpf("0.5e-6"))
+                    with pytest.raises(PoleError) as exc:
+                        ev.eval_product(x)
+                    assert exc.value.factor == K.near_singular(x)
+                    x = zero * (1 + mp.mpf("2e-6"))
+                    assert not K.near_singular(x)
+                    assert mp.isfinite(abs(ev.eval_product(x)))
 
 
 def test_kernel_numeric_matches_jet():
@@ -220,13 +229,14 @@ def test_eval_product_pole_error_carries_factor():
                             (KEF, p, QPochFactor(1 / p, Fr(0), -1)),
                             (KEE, p / q2, QPochFactor(1 / p, q2, -1))):
         assert factor in K.factors
+        ev = KernelEvaluator(K, 30)
         with mp.workdps(40):
             for off in (0, mp.mpf("0.5e-6"), mp.mpc(0, "-0.5e-6")):
                 with pytest.raises(PoleError) as exc:
-                    K.eval_product(to_mpf(zero) * (1 + off), 30)
+                    ev.eval_product(to_mpf(zero) * (1 + off))
                 assert exc.value.factor == factor
             for off in (mp.mpf("2e-6"), mp.mpc(0, "-2e-6")):
-                assert mp.isfinite(abs(K.eval_product(to_mpf(zero) * (1 + off), 30)))
+                assert mp.isfinite(abs(ev.eval_product(to_mpf(zero) * (1 + off))))
 
 
 def test_ef_delta_terms():

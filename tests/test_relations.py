@@ -6,7 +6,7 @@ from fractions import Fraction as Fr
 import mpmath as mp
 import pytest
 
-from ospboson import relations
+from ospboson import relations, theta
 from ospboson.errors import DomainError, PoleError, StructuralError
 from ospboson.freefield import DeformationParams
 from ospboson.relations import (
@@ -15,10 +15,8 @@ from ospboson.relations import (
     FF_MIXED,
     ThetaFactor,
     eval_structure_function,
-    inverse_structure_function,
     relation_catalog,
     structure_function_repr,
-    swapped_relation,
     theta_bases,
     verify_ef,
     verify_exchange,
@@ -26,6 +24,7 @@ from ospboson.relations import (
 )
 from ospboson.scalars import mpc_to_str, sample_annulus_point, sample_parameters
 from ospboson.theta import theta_eval_modular
+from reference import swapped_relation
 
 P = DeformationParams.from_sqrt(Fr(2, 5), Fr(1, 2))  # q = 2/5, p = 1/4
 DIGITS = 50
@@ -328,6 +327,23 @@ def test_verification_symmetry():
         bwd = verify_exchange(swapped_relation(rels[rel_id]), P, samples=5,
                               digits=DIGITS, seed=9)
         assert fwd["verdict"] == bwd["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("rel_id,nomes", [("EE", 1), ("HH", 2)])
+def test_verify_exchange_prepares_each_nome_once(monkeypatch, rel_id, nomes):
+    # the transform's per-nome step runs once per distinct nome of S in one
+    # call, not once per sample point
+    calls = []
+    step = theta._modular_nome
+
+    def counted(q, digits, wp):
+        calls.append(q)
+        return step(q, digits, wp)
+    monkeypatch.setattr(theta, "_modular_nome", counted)
+    rep = verify_exchange(by_id(relation_catalog())[rel_id], P, samples=10,
+                          digits=DIGITS, seed=0)
+    assert rep["verdict"] == "pass" and len(rep["points"]) == 10
+    assert len(calls) == len(set(calls)) == nomes
 
 
 def test_residuals_shrink_with_precision():

@@ -9,6 +9,7 @@ import pytest
 from ospboson.errors import DomainError
 from ospboson.theta import (
     POLE_TOL,
+    PoleGuard,
     near_theta_zero,
     qpoch_eval,
     theta_eval,
@@ -121,6 +122,42 @@ def test_guard_matches_working_precision_rule(kmax):
                         want = working_precision_guard(z, q, kmax)
                         assert near_theta_zero(z, q, kmax) == want, (qs, k, f, ph)
                         decisions.add(want)
+    assert decisions == {True, False}
+    # PoleGuard's float screen: points whose |Im z| is the screen's threshold
+    # POLE_TOL max(|z|, 1) (1 + 2e-6) times (1 +- 1e-3), on the zeros' real
+    # parts and half a POLE_TOL beside them, reached as x^orient * m; on the
+    # complex nome, where every zero is off the real axis, the screen must
+    # not clear, and points within POLE_TOL of a zero are poles
+    decisions = set()
+    screen = POLE_TOL * (1 + mp.mpf("2e-6"))
+    with mp.workdps(DIGITS + 10):
+        nomes = [mp.mpf(qs) for qs in GUARD_NOMES] + [mp.mpc("0.5", "0.3")]
+        for q in nomes:
+            for k in range(-3, 4):
+                zk = q ** k
+                for f in ("1e-3", "-1e-3"):
+                    a = screen * (1 + mp.mpf(f))
+                    # |Im z| = a max(|z|, 1): t = a below |z| = 1, t = a |z| above
+                    for shift in (0, POLE_TOL / 2):
+                        re = mp.re(zk) + shift * max(abs(zk), 1)
+                        t = a if abs(re) < 1 - a else a * abs(re) / mp.sqrt(1 - a * a)
+                        for sign in (1, -1):
+                            z = mp.mpc(re, mp.im(zk) + sign * t)
+                            for orient in (1, -1):
+                                for m in (mp.mpf(1), mp.mpf("0.37")):
+                                    x = (z / m) ** orient
+                                    guard = PoleGuard([("f", orient, m, q)], kmax)
+                                    arg = x ** orient * m
+                                    want = working_precision_guard(arg, q, kmax)
+                                    got = guard.first(x) == "f"
+                                    assert got == want, (q, k, f, shift, sign, orient, m)
+                                    decisions.add(want)
+                for off in ("0.5e-6", "2e-6"):
+                    z = zk + mp.mpf(off) * max(abs(zk), 1) * mp.expjpi(mp.mpf("0.41"))
+                    want = working_precision_guard(z, q, kmax)
+                    assert (PoleGuard([("f", 1, mp.mpf(1), q)], kmax).first(z) == "f") == want
+                    if mp.im(q) and (kmax is None or k <= kmax):
+                        assert want == (off == "0.5e-6")
     assert decisions == {True, False}
 
 
