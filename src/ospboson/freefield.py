@@ -290,12 +290,12 @@ class KernelEvaluator:
     """A kernel prepared once at `digits` and evaluated at many points.
 
     Preparation converts the scalar, each factor's c and b for the pole
-    guard (theta.PoleGuard) and each base's fixed point and T for the
+    guard (theta.PoleGuard) and each base's series coefficients for the
     product (theta.QPochProduct), at the working precision digits + 10.
     eval_product(x) is the kernels' one pole guard: x near a zero of a factor
-    raises PoleError carrying that factor.  Otherwise all factors are
-    multiplied in one fixed-point pass, numerator and denominator apart,
-    and divided once; see QPochProduct for the error budget.
+    raises PoleError carrying that factor.  Otherwise each factor's Euler
+    series is summed in fixed point, numerator and denominator apart, and
+    the two divided once; see QPochProduct for the error budget.
     """
 
     def __init__(self, kernel, digits):

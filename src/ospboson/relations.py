@@ -86,9 +86,6 @@ class ThetaFactor:
         """The exact p-exponent p_shift + c_shift * c at level c."""
         return self.p_shift + self.c_shift * c
 
-    def argument(self, x, p, c):
-        return x ** self.orient * p ** self.shift(c)
-
 
 @dataclass(frozen=True)
 class StructureFunction:

@@ -18,7 +18,7 @@ and vanishes exactly at z in q**Z.  It is evaluated two ways:
                    theta_q'(e^{2 pi i u'}),
   with z = e^{2 pi i u}, q = e^{2 pi i tau} (principal logs), u' = u/tau,
   tau' = -1/tau and q' = e^{2 pi i tau'}.  As q -> 1, where the direct
-  product would need ~1/(1-q) factors, q' -> 0 and a few factors suffice.
+  product would need ~1/(1-q) factors, q' -> 0 and a few terms suffice.
   It is two steps: a per-nome step (tau, q', the prefactor's constant part
   and (q' | q')_inf) and a per-argument step (the prefactor's exponent and
   the product).  ``ThetaProduct`` prepares a product of thetas on fixed
@@ -28,12 +28,22 @@ and vanishes exactly at z in q**Z.  It is evaluated two ways:
   every nome.
 
 Kernels are products of q-Pochhammer factors (c x | b)^{+-1} with exact c,
-b; ``QPochProduct`` prepares one whole for many x, ``qpoch_eval`` evaluates
-a single (a | q).  All of them multiply in one fixed-point loop,
-``_qpoch_fixed``: Python ints scaled by 2^wp, wp = working precision + 60
-guard bits, as mpmath's own theta series do.  Fixed point does not
-renormalize, so the error of a product is relative to its smallest running
-product (see ``qpoch_eval``).
+b; ``QPochProduct`` prepares one whole for many x.  It and ``ThetaProduct``
+sum each factor by Euler's series (Gasper-Rahman, eq. (1.3.16)),
+
+    (y | b)_inf = sum_n (-1)^n b^(n(n-1)/2) y^n / (b | b)_n ,
+
+once shift steps (y | b) = (1 - y)(b y | b) have brought |y| to 1 or less
+(``_qpoch_series``), with each distinct base's coefficients prepared once
+(``_euler_base``).  Its terms fall like |b|^(n^2/2): at 50 digits it takes
+15 terms at b = 4/25 and 26 at 9/16, where the product takes 77 and 242
+factors.  A base too near 1 for the series' error budget raises DomainError.
+``qpoch_eval`` evaluates a single (a | q) by the direct truncated product
+instead; it is the reference the series are checked against, and shares no
+loop with them.  All of them work in fixed point: Python ints scaled by
+2^wp, wp = working precision + 60 guard bits, as mpmath's own theta series
+do.  Fixed point does not renormalize, so the error of a product is
+relative to its smallest running product (see ``qpoch_eval``).
 
 The products are pure; the evaluators built on them
 (``freefield.KernelEvaluator``, ``relations.StructureFunctionEvaluator``)
@@ -53,11 +63,12 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 
 from .errors import DomainError
-from .scalars import to_mpf, workdps
+from .scalars import workdps
 
 __all__ = [
     "qpoch_eval",
@@ -76,6 +87,8 @@ POLE_TOL = 1e-6  # relative distance from a zero that counts as a pole
 _SCREEN_TOL = POLE_TOL * (1 + 2e-6)
 
 _GUARD_BITS = 60      # fixed-point bits beyond the working precision
+_BUDGET_BITS = 50     # of them, the most Euler's series may lose (_euler_base)
+_COEF_BITS = 20       # bits beyond wp for the series' coefficient recursion
 _FLOAT_MARGIN = 1e-9  # float distance ratios this close to 1 are redone
 _LN2 = math.log(2)
 _LN10 = math.log(10)
@@ -123,17 +136,17 @@ def theta_terms_needed(absq, digits):
 def qpoch_eval(a, q, digits):
     """(a | q)_inf by direct product, truncated where |q|^T < 10^-(digits+10).
 
-    a and q are converted once to fixed point and the T factors multiplied
-    by _qpoch_fixed; the result is rounded to the working precision once.
+    The reference for the evaluators below, which sum Euler's series
+    instead; it shares no loop with them.  a and q are converted once to
+    fixed point, the T factors multiplied as complex multiply-and-shift, and
+    the result rounded to the working precision once.
     Error budget: each truncation adds at most 2^-wp to the running product
     P_n, and a q^n carries at most 2^-wp / (1 - |q|), so the rounding error
     is about T (1 + 1/(1 - |q|)) 2^-wp / min_n |P_n| relatively: relative to
     the smallest running product, which fixed point does not renormalize.
-    The dropped tail adds about |a| |q|^T / (1 - |q|).  For the few hundred
-    factors of a kernel (QPochProduct) or of a transformed theta
-    (ThetaProduct), which share this loop and this budget, the 60 guard
-    bits keep the first below the working precision's unit while every
-    running product stays above about 2^-40.  Near q = 1 it does not: against
+    The dropped tail adds about |a| |q|^T / (1 - |q|).  The 60 guard bits
+    keep the first below the working precision's unit while every running
+    product stays above about 2^-40.  Near q = 1 it does not: against
     mpmath.qp at 70 digits, theta_eval(0.61+0.34i, q, 50) is off by 1e-59 at
     q = 0.95, 7.6e-55 at e^-0.03125 and 3.6e-42 at 0.98, where (q | q) ~ 1e-36.
     """
@@ -141,50 +154,55 @@ def qpoch_eval(a, q, digits):
         q = mp.mpc(q)
         T = theta_terms_needed(abs(q), digits)
         wp = mp.mp.prec + _GUARD_BITS
-        qf = _to_fixed(q, wp)
-        return _from_fixed(
-            _qpoch_fixed((1 << wp, 0), (_to_fixed(mp.mpc(a), wp),), qf, T, wp), wp)
+        one = 1 << wp
+        qr, qi = _to_fixed(q, wp)
+        fr, fi = _to_fixed(mp.mpc(a), wp)
+        pr, pi = one, 0
+        for _ in range(T):
+            # P *= 1 - f, then f *= q
+            tr = one - fr
+            pr, pi = (pr * tr + pi * fi) >> wp, (pi * tr - pr * fi) >> wp
+            fr, fi = (fr * qr - fi * qi) >> wp, (fr * qi + fi * qr) >> wp
+        return _from_fixed((pr, pi), wp)
 
 
 class QPochProduct:
     """prod (c x | b)_inf ** power over fixed factors, prepared for many x.
 
     The factors are QPochFactor-like (c, b, power; b = 0 gives 1 - c x), as
-    in a kernel, with exact rational c and b.  Preparation computes each
-    distinct b in fixed point (integer division, (n << wp) // d) with its T,
-    once; a call converts x to fixed point once and each c x by integer
-    division.  Numerator and denominator factors are multiplied into one
-    running product each, and the two are divided once as mpc values.  A
-    pure evaluator, like ThetaProduct: KernelEvaluator guards the poles.
-    Error budget: qpoch_eval's, relative to the smallest running product of
-    the numerator and of the denominator; the dropped tails add about
-    |c x| |b|^T / (1 - |b|) each, which for |c x| up to ~600 is ~1e-57 at
-    50 digits.
+    in a kernel, with exact rational c and b.  Preparation takes each
+    distinct b's series (_euler_base) once; a call converts x to fixed point
+    once, each c x by integer division, and sums each factor's series
+    (_qpoch_series).  Numerator and denominator factors are multiplied into
+    one running product each, and the two are divided once as mpc values.
+    A pure evaluator, like ThetaProduct: KernelEvaluator guards the poles.
+    Error budget: each factor is within 2^(budget - wp) of its value,
+    relatively, wherever x is POLE_TOL (relatively) or more from its zeros
+    (_qpoch_series); the budget is at most 30 bits, at the largest kernel
+    base 9/16.  Each running product adds one truncation per factor,
+    relative to its smallest value.
     """
 
     def __init__(self, factors, digits):
         self.digits = digits
         with workdps(digits + 10):
             self._wp = wp = mp.mp.prec + _GUARD_BITS
-            bases = {}
-            self._factors = []
-            for f in factors:
-                key = f.b.numerator, f.b.denominator
-                if key not in bases:
-                    bases[key] = (1 if f.b == 0 else
-                                  theta_terms_needed(abs(to_mpf(f.b)), digits),
-                                  ((key[0] << wp) // key[1], 0))
-                self._factors.append(
-                    (f.c.numerator, f.c.denominator) + bases[key] + (f.power,))
+        bases = {}
+        self._factors = []
+        for f in factors:
+            if f.b not in bases:
+                bases[f.b] = _euler_base(f.b, wp)
+            self._factors.append(
+                (f.c.numerator, f.c.denominator, bases[f.b], f.power))
 
     def __call__(self, x):
         wp = self._wp
         with workdps(self.digits + 10):
             xr, xi = _to_fixed(mp.mpc(x), wp)
             acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
-            for n, d, T, b, power in self._factors:
-                cx = (n * xr) // d, (n * xi) // d
-                acc[power] = _qpoch_fixed(acc[power], (cx,), b, T, wp)
+            for n, d, base, power in self._factors:
+                acc[power] = _qpoch_series(
+                    acc[power], (((n * xr) // d, (n * xi) // d),), base, wp)
             return _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
 
 
@@ -204,7 +222,9 @@ def theta_eval_modular(z, q, digits):
     """theta_q(z) through the Jacobi transformation; same contract as theta_eval.
 
     The transformed nome q' is tiny when q is near 1, and principal logs put
-    |q'|^(1/2) <= |z'| <= |q'|^(-1/2), so the product needs only a few terms.
+    |q'|^(1/2) <= |z'| <= |q'|^(-1/2), so the series need only a few terms.
+    A nome so small that q' misses the series' budget (|q| below about
+    e^-280, where q' is above 0.87) raises DomainError.
     """
     with workdps(digits + 10):
         z = mp.mpc(z)
@@ -228,9 +248,13 @@ class ThetaProduct:
     keeps |q'|^(1/2) <= |z'| <= |q'|^(-1/2); power is +-1.  Each factor takes
     its per-argument step (_modular_factor); the prefactor exponents are
     summed, signed by power, under one exp, and the products are multiplied
-    as a fixed-point numerator and denominator and divided once.  The
-    products' error budget is qpoch_eval's over each factor's running
-    product and over the numerator's and denominator's.
+    as a fixed-point numerator and denominator and divided once.
+    Error budget: _qpoch_series's over each of a factor's three
+    q-Pochhammer factors on q' (24 bits for the q' <= 0.017 of nomes 6.4e-5
+    and up), and one truncation per factor in the running products,
+    relative to their smallest values.  z' comes within POLE_TOL of the zero 1 of
+    (z' | q') only where z is within about POLE_TOL |tau| of a zero of
+    theta_q, which the structure functions' guard rejects.
     """
 
     def __init__(self, nomes, digits):
@@ -240,7 +264,7 @@ class ThetaProduct:
             steps = {}
             for q, _ in nomes:
                 if q not in steps:
-                    steps[q] = _modular_nome(q, digits, wp)
+                    steps[q] = _modular_nome(q, wp)
             self._factors = [(steps[q], power) for q, power in nomes]
 
     def __call__(self, log_zs):
@@ -257,14 +281,14 @@ class ThetaProduct:
             return mp.exp(expo) * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
 
 
-def _modular_nome(q, digits, wp):
+def _modular_nome(q, wp):
     """The per-nome step of the transform, as the tuple _modular_factor takes.
 
-    With tau = log q / (2 pi i) and tau' = -1/tau: 1/tau; k = i / (4 pi tau);
-    log C, the log of the prefactor's constant part
-    C = i (-i tau)^(-1/2) e^(i pi (tau' - tau)/4); q' = e^(2 pi i tau') in
-    fixed point at wp; its T = theta_terms_needed(|q'|, digits); and
-    (q' | q')_T in fixed point.
+    With tau = log q / (2 pi i) and tau' = -1/tau: 1/tau; h = (1 - 1/tau)/2;
+    k = i / (4 pi tau); log C, the log of the prefactor's constant part
+    C = i (-i tau)^(-1/2) e^(i pi (tau' - tau)/4); q' = e^(2 pi i tau')
+    prepared as a base of the series (_euler_base); and (q' | q')_inf in
+    fixed point at wp.
     """
     q = mp.mpc(q)
     if not (0 < abs(q) < 1):
@@ -274,10 +298,12 @@ def _modular_nome(q, digits, wp):
     taup = -1 / tau
     log_c = 1j * mp.pi * (2 + taup - tau) / 4 - mp.log(-1j * tau) / 2
     qp = mp.exp(two_pi_i * taup)
-    T = theta_terms_needed(abs(qp), digits)
-    qf = _to_fixed(qp, wp)
-    return (1 / tau, 1j / (4 * mp.pi * tau), log_c, qf, T,
-            _qpoch_fixed((1 << wp, 0), (qf,), qf, T, wp))
+    base = _euler_base(qp, wp)
+    (br, bi), t, _ = base
+    qpf = br >> t - wp, bi >> t - wp  # q' in fixed point at wp
+    inv_tau = -taup
+    return (inv_tau, (1 - inv_tau) / 2, 1j / (4 * mp.pi * tau), log_c, base,
+            _qpoch_series((1 << wp, 0), (qpf,), base, wp))
 
 
 def _modular_factor(log_z, nome, wp):
@@ -285,36 +311,141 @@ def _modular_factor(log_z, nome, wp):
 
     With w = log z / tau = log z', the prefactor's exponent is
     E = log C + (log z - w)/2 + i (log z)^2 / (4 pi tau), which is
-    log C + i pi (u - u u' - u') for u = log z / (2 pi i), u' = u / tau.
-    P = (q' | q')(z' | q')(q'/z' | q') is multiplied in fixed point from the
-    nome's (q' | q'), with q'/z' divided in fixed point.
+    log C + i pi (u - u u' - u') for u = log z / (2 pi i), u' = u / tau,
+    and is taken as log C + log z (h + k log z).
+    P = (q' | q')(z' | q')(q'/z' | q') is summed in fixed point from the
+    nome's (q' | q').  q'/z' is divided, and q' z' formed (the one shift
+    step of (z' | q'), taken where |z'| > 1), from q''s mantissa: q'
+    rounded to 2^-wp would carry its rounding, times |z'|, into both, which
+    costs up to half the bits where q' is near 2^-wp and |z'| near
+    |q'|^(-1/2).
     """
-    inv_tau, k, log_c, qf, T, qq = nome
+    inv_tau, h, k, log_c, base, qq = nome
     w = log_z * inv_tau
     zr, zi = _to_fixed(mp.exp(w), wp)
-    qr, qi = qf
-    # d is 0 only for |z'| < 2^-wp; then |q'/z'| <= |z'| is 0 in fixed point too
+    (br, bi), t, _ = base
+    # q'/z' = b conj(z') 2^(2 wp - t) / |z'|^2 in fixed point, q' = b 2^-t;
+    # d is 0 only for |z'| < 2^-wp, where the numerator is 0 too
     d = zr * zr + zi * zi or 1
-    qz = ((qr * zr + qi * zi) << wp) // d, ((qi * zr - qr * zi) << wp) // d
-    e = log_c + (log_z - w) / 2 + log_z * log_z * k
-    return e, _qpoch_fixed(qq, ((zr, zi), qz), qf, T, wp)
+    nr, ni = br * zr + bi * zi, bi * zr - br * zi
+    sh = 2 * wp - t
+    if sh >= 0:
+        qz = (nr << sh) // d, (ni << sh) // d
+    else:
+        # a tiny q': floor(floor(n 2^sh) / d) = floor(n 2^sh / d), and the
+        # integers stay short
+        qz = (nr >> -sh) // d, (ni >> -sh) // d
+    e = log_c + log_z * (h + log_z * k)
+    return e, _qpoch_series(qq, ((zr, zi), qz), base, wp)
 
 
-def _qpoch_fixed(p, fs, q, T, wp):
-    """p * prod over f in fs of (f | q)_T, in complex fixed point.
+def _euler_base(b, wp):
+    """A base b prepared for _qpoch_series: ((br, bi), t, coefficients).
 
-    p, each f and q are (re, im) pairs of Python ints scaled by 2^wp; every
-    product is truncated to 2^-wp.  The one product loop of the module.
+    b is a Fraction or an mpc with |b| < 1, and b = 0 only as a Fraction.
+    b = (br + i bi) 2^-t, with a mantissa of about wp + _COEF_BITS bits,
+    rounded once (exact for b = 0).  The coefficients are Euler's
+    a_n = (-1)^n b^(n(n-1)/2) / (b | b)_n for n < N, highest first, in fixed
+    point at wp: from the recursion a_n = -a_(n-1) b^(n-1) / (1 - b^n) at
+    wp + _COEF_BITS bits, each rounded once.  N and the budget come from
+    |a_n| <= |b|^(n(n-1)/2) / (|b|; |b|)_n (equal for real b > 0), in
+    floats: N is the first n with |b|^n < 1/2 and that bound below 2^-wp.
+    The bits the series may lose,
+    log2((N + 1) (-1; |b|)_inf / (POLE_TOL (|b|; |b|)_inf)) (_qpoch_series),
+    must fit in _BUDGET_BITS, else DomainError: |b| up to about 0.87 fits.
     """
+    W = wp + _COEF_BITS
+    if isinstance(b, Fraction):
+        if not b:
+            one = 1 << wp
+            return (0, 0), 0, ((-one, 0), (one, 0))
+        u, v = b.numerator, b.denominator
+        s = max(v.bit_length() - abs(u).bit_length(), 0)
+        br, bi = (u << (W + s)) // v, 0
+    else:
+        s = -max(_exponent(x) for x in b._mpc_)
+        br, bi = _to_fixed(b, W + s)
+    t = W + s
+    lb = math.log2(br * br + bi * bi) / 2 - t  # log2 |b|
+    if not lb < 0:
+        raise DomainError("need |b| < 1, got |b| = %s" % 2 ** lb)
+    ab = bk = 2 ** lb  # |b| and |b|^n in floats (0 below their range)
+    log_poch = 0.0     # log2 (|b|; |b|)_n
+    log_neg = 1.0      # log2 (-1; |b|)_n
+    N = None
+    n = 1
+    while N is None or bk >= 2 ** -20:
+        log_poch += math.log2(1 - bk)
+        log_neg += math.log2(1 + bk)
+        if log_neg - log_poch > _BUDGET_BITS:
+            break
+        if N is None and n * lb < -1 and n * (n - 1) / 2 * lb - log_poch < -wp:
+            N = n
+        bk *= ab
+        n += 1
+    budget = math.log2((N or n) + 1) + log_neg - log_poch - math.log2(POLE_TOL)
+    if budget > _BUDGET_BITS:
+        raise DomainError("the base |b| = %.5g needs %.1f bits of the series' "
+                          "budget of %d" % (ab, budget, _BUDGET_BITS))
+    one = 1 << W
+    pr, pi = one, 0  # b^n
+    ar, ai = one, 0  # a_n
+    coeffs = [(1 << wp, 0)]
+    for _ in range(1, N):
+        xr, xi = (ar * pr - ai * pi) >> W, (ar * pi + ai * pr) >> W
+        pr, pi = (pr * br - pi * bi) >> t, (pr * bi + pi * br) >> t
+        dr, di = one - pr, -pi
+        d = dr * dr + di * di
+        ar = (-(xr * dr + xi * di) << W) // d
+        ai = (-(xi * dr - xr * di) << W) // d
+        coeffs.append((ar >> _COEF_BITS, ai >> _COEF_BITS))
+    return (br, bi), t, tuple(reversed(coeffs))
+
+
+def _exponent(x):
+    """e with 2^(e-1) <= |x| < 2^e for an mpf tuple x != 0; very low for 0."""
+    _, man, exp, bc = x
+    return exp + bc if man else -sys.maxsize
+
+
+def _qpoch_series(p, ys, base, wp):
+    """p * prod over y in ys of (y | b)_inf, in complex fixed point at wp, for
+    a base b from _euler_base.
+
+    Shift step: while |y| > 1, p *= 1 - y and y *= b, as
+    (y | b)_inf = (1 - y) (b y | b)_inf; y *= b takes b's mantissa, so it
+    is relative to b however small b is.  Series step: then |y| <= 1, and
+    Euler's series (Gasper-Rahman, Basic Hypergeometric Series, (1.3.16))
+        (y | b)_inf = sum_n (-1)^n b^(n(n-1)/2) y^n / (b | b)_n
+    is summed to n = N - 1 by Horner.
+    Error budget.  The rounding of y, of the coefficients and of each
+    Horner step adds at most about (N + 1) 2^-wp (-1; |b|)_inf absolutely:
+    sum_n |a_n| <= (-1; |b|)_inf bounds how far a change in y moves the
+    sum.  The dropped tail adds at most 2^-wp (2 - |b|) / (1 - |b|): past
+    N each |a_n| falls by a factor 1/(2 - |b|) or more.  That is relative
+    to |(y | b)_inf| >= |1 - y| (|b|; |b|)_inf, and the pole guards keep
+    |1 - y| >= about POLE_TOL (for a kernel factor, y = b^k c x is at least
+    POLE_TOL from 1 when c x is at least POLE_TOL, relatively, from its
+    zero b^-k).  So the series loses at most about
+    log2((N + 1) (-1; |b|)_inf / (POLE_TOL (|b|; |b|)_inf)) of the 60 guard
+    bits, which _euler_base keeps within _BUDGET_BITS = 50: 5 + 20 + 5 at
+    b = 9/16 (N = 26).  Each shift step adds one truncation to p, as the
+    callers' running products do.
+    """
+    (br, bi), t, coeffs = base
     one = 1 << wp
     pr, pi = p
-    qr, qi = q
-    for fr, fi in fs:
-        for _ in range(T):
-            # P *= 1 - f, then f *= q
-            tr = one - fr
-            pr, pi = (pr * tr + pi * fi) >> wp, (pi * tr - pr * fi) >> wp
-            fr, fi = (fr * qr - fi * qi) >> wp, (fr * qi + fi * qr) >> wp
+    for yr, yi in ys:
+        while yr * yr + yi * yi > one * one:
+            tr = one - yr
+            pr, pi = (pr * tr + pi * yi) >> wp, (pi * tr - pr * yi) >> wp
+            yr, yi = (yr * br - yi * bi) >> t, (yr * bi + yi * br) >> t
+        terms = iter(coeffs)
+        sr, si = next(terms)
+        for ar, ai in terms:
+            sr, si = (((sr * yr - si * yi) >> wp) + ar,
+                      ((sr * yi + si * yr) >> wp) + ai)
+        pr, pi = (pr * sr - pi * si) >> wp, (pr * si + pi * sr) >> wp
     return pr, pi
 
 

@@ -20,6 +20,12 @@ def inverse_structure_function(f):
     return StructureFunction(f.sign, -f.p_exp, factors)
 
 
+def theta_argument(tf, x, p, c):
+    """The argument x^orient p^(p_shift + c_shift c) of a theta factor, taken
+    as written, factor by factor."""
+    return x ** tf.orient * p ** tf.shift(c)
+
+
 def swapped_relation(rel):
     """The same exchange relation read right-to-left."""
     if rel.kind != "exchange":

@@ -24,7 +24,7 @@ from ospboson.relations import (
 )
 from ospboson.scalars import mpc_to_str, sample_annulus_point, sample_parameters
 from ospboson.theta import theta_eval_modular
-from reference import swapped_relation
+from reference import swapped_relation, theta_argument
 
 P = DeformationParams.from_sqrt(Fr(2, 5), Fr(1, 2))  # q = 2/5, p = 1/4
 DIGITS = 50
@@ -91,7 +91,7 @@ def _per_factor_value(f, x, p, c, bases, digits):
     # the structure function as a product of single theta_eval_modular calls
     acc = mp.mpc(f.sign) * p ** f.p_exp
     for tf in f.factors:
-        v = theta_eval_modular(tf.argument(x, p, c), bases[tf.base], digits)
+        v = theta_eval_modular(theta_argument(tf, x, p, c), bases[tf.base], digits)
         acc = acc * v if tf.power == 1 else acc / v
     return acc
 
@@ -336,9 +336,9 @@ def test_verify_exchange_prepares_each_nome_once(monkeypatch, rel_id, nomes):
     calls = []
     step = theta._modular_nome
 
-    def counted(q, digits, wp):
+    def counted(q, wp):
         calls.append(q)
-        return step(q, digits, wp)
+        return step(q, wp)
     monkeypatch.setattr(theta, "_modular_nome", counted)
     rep = verify_exchange(by_id(relation_catalog())[rel_id], P, samples=10,
                           digits=DIGITS, seed=0)

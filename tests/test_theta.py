@@ -2,14 +2,19 @@
 quasi-periodicity laws that the exchange relations depend on."""
 
 import random
+from fractions import Fraction as Fr
 
 import mpmath as mp
 import pytest
 
 from ospboson.errors import DomainError
+from ospboson.freefield import DeformationParams, exp_contraction_closed
+from ospboson.scalars import sample_annulus_point, to_mpf
+from ospboson.series import QPochFactor
 from ospboson.theta import (
     POLE_TOL,
     PoleGuard,
+    QPochProduct,
     near_theta_zero,
     qpoch_eval,
     theta_eval,
@@ -61,6 +66,64 @@ def test_qpoch_eval_matches_mpmath_qp(a_spec, q_spec):
         ref = mp.qp(a, q)
         got = qpoch_eval(a, q, DIGITS)
         assert abs(got - ref) / abs(ref) < mp.mpf("1e-55")
+
+
+# the corners of the sample_parameters window, (q, sqrt p) in {1/5, 3/4}^2:
+# kernel bases from (qp)^2 = 6.4e-5 to q^2 = 9/16, |c| up to p^-2 = 625
+CORNERS = [(q, r) for q in (Fr(1, 5), Fr(3, 4)) for r in (Fr(1, 5), Fr(3, 4))]
+
+
+@pytest.mark.parametrize("q, r", CORNERS, ids=["%s-%s" % c for c in CORNERS])
+def test_qpoch_product_matches_mpmath_qp(q, r):
+    # Euler's series, one factor at a time, against mpmath.qp at 60 digits:
+    # the factors of exp<phi phi> and exp<psi psi>, on q^2 and (qp)^2, at
+    # annulus points, at their inverses and at relative offsets 1e-5 from
+    # the factor's zeros b^-n / c, n = 0, 1, 2
+    P = DeformationParams.from_sqrt(q, r)
+    factors = (exp_contraction_closed("phi", "phi", P)
+               + exp_contraction_closed("psi", "psi", P))
+    rng = random.Random(("qpoch-series", q, r).__repr__())
+    with mp.workdps(60):
+        xs = [sample_annulus_point(rng, DIGITS) for _ in range(2)]
+        xs += [1 / x for x in xs]
+        for f in factors:
+            c, b = to_mpf(f.c), to_mpf(f.b)
+            near = [b ** -n / c * (1 + mp.mpf("1e-5") * mp.expjpi(2 * rng.random()))
+                    for n in range(3)]
+            ev = QPochProduct([f], DIGITS)
+            for x in xs + near:
+                ref = mp.qp(c * x, b) ** f.power
+                assert abs(ev(x) - ref) <= mp.mpf("1e-50") * abs(ref), (f, x)
+
+
+def test_qpoch_product_base_zero_is_linear():
+    # a base-0 factor is 1 - c x, whether |c x| is above 1 (one shift step)
+    # or not (the series' two terms)
+    with mp.workdps(DIGITS + 10):
+        for c in (Fr(1), Fr(25, 4), Fr(-4, 25)):
+            for x in (mp.mpc("0.3", "0.2"), mp.mpc("-7", "3"), mp.mpf("0.5")):
+                for power in (1, -1):
+                    got = QPochProduct([QPochFactor(c, Fr(0), power)], DIGITS)(x)
+                    want = (1 - to_mpf(c) * x) ** power
+                    assert abs(got - want) <= 4 * mp.eps * abs(want)
+
+
+def test_series_budget_rejects_base_near_one():
+    # the series' error budget fits bases up to about 0.87 at 50 digits;
+    # there it still holds mpmath.qp to the working precision, and a base
+    # beyond it, or a nome so small that its transformed nome is beyond it,
+    # is refused when the product is prepared
+    with mp.workdps(80):
+        b = Fr(87, 100)
+        ev = QPochProduct([QPochFactor(Fr(3, 2), b, 1)], DIGITS)
+        for x in (mp.mpc("0.61", "0.34"), mp.mpc("-40", "9")):
+            ref = mp.qp(to_mpf(Fr(3, 2)) * x, to_mpf(b))
+            assert abs(ev(x) - ref) <= mp.mpf("1e-55") * abs(ref)
+    for b in (Fr(9, 10), Fr(99, 100), Fr(-9, 10)):
+        with pytest.raises(DomainError):
+            QPochProduct([QPochFactor(Fr(1), b, 1)], DIGITS)
+    with pytest.raises(DomainError):
+        theta_eval_modular(mp.mpc("0.3", "0.2"), mp.mpf("1e-150"), DIGITS)
 
 
 def test_terms_needed_matches_working_precision():
@@ -276,6 +339,33 @@ def test_modular_near_one_matches_mpmath_qp(qs, zs):
         ref = mp.qp(z, q) * mp.qp(q / z, q) * mp.qp(q, q)
         v = theta_eval_modular(z, q, DIGITS)
         assert abs(v - ref) < mp.mpf("1e-55") * abs(ref)
+
+
+@pytest.mark.parametrize("qs", [("0.5", "0.3"), ("-0.6", "0"), ("0.2", "-0.7")])
+def test_modular_at_complex_nome(qs):
+    # a complex or negative nome has a complex q', whose series takes
+    # complex coefficients; held to an mpmath.qp triple product at 70 digits
+    with mp.workdps(70):
+        q = mp.mpc(*qs)
+        for z in (mp.mpc("0.61", "0.34"), mp.mpc("-2.3", "0.7")):
+            ref = mp.qp(z, q) * mp.qp(q / z, q) * mp.qp(q, q)
+            v = theta_eval_modular(z, q, DIGITS)
+            assert abs(v - ref) < mp.mpf("1e-55") * abs(ref)
+
+
+@pytest.mark.parametrize("qs", ["0.75", "0.8", "0.85"])
+def test_modular_keeps_transformed_nome_precision(qs):
+    # at 50 digits q' is near 2^-wp for q near 0.8, and arg z near +-pi puts
+    # |z'| near |q'|^(-1/2): q' z' and q'/z' formed from q' rounded to 2^-wp
+    # lost up to half the bits there (1.1e-41 at q = 0.8, z = -0.5+0.001i),
+    # which test_product_vs_modular's bound does not see
+    with mp.workdps(70):
+        q = mp.mpf(qs)
+        for zs in ("-0.5+0.001j", "-1.7+0.2j", "-12+0.5j"):
+            z = mp.mpmathify(complex(zs))
+            ref = mp.qp(z, q) * mp.qp(q / z, q) * mp.qp(q, q)
+            v = theta_eval_modular(z, q, DIGITS)
+            assert abs(v - ref) < mp.mpf("1e-55") * abs(ref), zs
 
 
 @pytest.mark.parametrize("qs", ["0.4", "0.9"])
