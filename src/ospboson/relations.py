@@ -51,7 +51,6 @@ __all__ = [
     "RelationSpec",
     "relation_catalog",
     "theta_bases",
-    "eval_structure_function",
     "StructureFunctionEvaluator",
     "structure_function_repr",
     "verify_exchange",
@@ -237,12 +236,6 @@ def theta_bases(q, p, c):
     """The deformation's theta bases {"q2": q^2, "qt2": (q p^c)^2}; p is an mpf."""
     q = to_mpf(q)
     return {"q2": q * q, "qt2": (q * p ** c) ** 2}
-
-
-def eval_structure_function(f, x, p, c, bases, digits):
-    """Numeric value of a structure function at complex x: one point of
-    StructureFunctionEvaluator(f, p, c, bases, digits)."""
-    return StructureFunctionEvaluator(f, p, c, bases, digits)(x)
 
 
 class StructureFunctionEvaluator:

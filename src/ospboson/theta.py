@@ -24,8 +24,10 @@ and vanishes exactly at z in q**Z.  It is evaluated two ways:
   the product).  ``ThetaProduct`` prepares a product of thetas on fixed
   nomes, one per-nome step per distinct nome, and evaluates it at many
   arguments with one exp each; ``theta_eval_modular`` is its one-factor,
-  one-argument case.  Every structure-function theta takes this path, at
-  every nome.
+  one-argument case.  ``ThetaTerms``, which it builds on, keeps single
+  transformed factors for callers whose products share them, and composes
+  products as ``ThetaProduct`` does.  Every structure-function theta takes
+  this path, at every nome.
 
 Kernels are products of q-Pochhammer factors (c x | b)^{+-1} with exact c,
 b; ``QPochProduct`` prepares one whole for many x.  It and ``ThetaProduct``
@@ -76,6 +78,7 @@ __all__ = [
     "theta_eval",
     "theta_eval_modular",
     "ThetaProduct",
+    "ThetaTerms",
     "theta_terms_needed",
     "near_theta_zero",
     "PoleGuard",
@@ -238,7 +241,49 @@ def theta_eval_modular(z, q, digits):
         return v
 
 
-class ThetaProduct:
+class ThetaTerms:
+    """Theta factors theta_q(e^log_z) as the transform's terms (E, P), on nomes
+    prepared on first use, and products composed from the terms.
+
+    nome(q) is the per-nome step (_modular_nome), taken once per distinct q
+    on the first call that needs it.  term(log_z, q) is the per-argument step
+    (_modular_factor), with log_z as ThetaProduct takes it: a caller that
+    shares a factor between several products keeps its term and composes it
+    into each (degeneration.LimitSample).  product(pairs) takes (term,
+    power) pairs, power +-1, and composes them, in order: the exponents
+    summed, signed by power, under one exp, the P multiplied as a
+    fixed-point numerator and denominator, and the two divided once.
+    The methods run at the caller's working precision, which must be
+    digits + 10 (workdps), so that a caller taking many steps enters it once.
+    """
+
+    def __init__(self, digits):
+        self.digits = digits
+        with workdps(digits + 10):
+            self._wp = mp.mp.prec + _GUARD_BITS
+        self._nomes = {}
+
+    def nome(self, q):
+        if q not in self._nomes:
+            self._nomes[q] = _modular_nome(q, self._wp)
+        return self._nomes[q]
+
+    def term(self, log_z, q):
+        return _modular_factor(log_z, self.nome(q), self._wp)
+
+    def product(self, pairs):
+        wp = self._wp
+        one = 1 << wp
+        expo = mp.mpc(0)
+        acc = {1: (one, 0), -1: (one, 0)}
+        for (e, (vr, vi)), power in pairs:
+            expo = expo + e if power == 1 else expo - e
+            ar, ai = acc[power]
+            acc[power] = (ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp
+        return mp.exp(expo) * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
+
+
+class ThetaProduct(ThetaTerms):
     """prod theta_q(e^log_z) ** power over fixed (q, power) pairs, prepared
     for many arguments.
 
@@ -246,9 +291,8 @@ class ThetaProduct:
     distinct nome.  A call takes one log_z per factor, in order, each with
     its imaginary part in [-pi, pi] (a principal log, or minus one), which
     keeps |q'|^(1/2) <= |z'| <= |q'|^(-1/2); power is +-1.  Each factor takes
-    its per-argument step (_modular_factor); the prefactor exponents are
-    summed, signed by power, under one exp, and the products are multiplied
-    as a fixed-point numerator and denominator and divided once.
+    its per-argument step (_modular_factor), and the terms are composed by
+    ThetaTerms.product.
     Error budget: _qpoch_series's over each of a factor's three
     q-Pochhammer factors on q' (24 bits for the q' <= 0.017 of nomes 6.4e-5
     and up), and one truncation per factor in the running products,
@@ -258,27 +302,15 @@ class ThetaProduct:
     """
 
     def __init__(self, nomes, digits):
-        self.digits = digits
+        super().__init__(digits)
         with workdps(digits + 10):
-            self._wp = wp = mp.mp.prec + _GUARD_BITS
-            steps = {}
-            for q, _ in nomes:
-                if q not in steps:
-                    steps[q] = _modular_nome(q, wp)
-            self._factors = [(steps[q], power) for q, power in nomes]
+            self._factors = [(self.nome(q), power) for q, power in nomes]
 
     def __call__(self, log_zs):
         wp = self._wp
-        one = 1 << wp
         with workdps(self.digits + 10):
-            expo = mp.mpc(0)
-            acc = {1: (one, 0), -1: (one, 0)}
-            for log_z, (nome, power) in zip(log_zs, self._factors):
-                e, (vr, vi) = _modular_factor(log_z, nome, wp)
-                expo = expo + e if power == 1 else expo - e
-                ar, ai = acc[power]
-                acc[power] = (ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp
-            return mp.exp(expo) * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
+            return self.product((_modular_factor(log_z, nome, wp), power)
+                                for log_z, (nome, power) in zip(log_zs, self._factors))
 
 
 def _modular_nome(q, wp):

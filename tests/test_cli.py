@@ -111,6 +111,24 @@ def test_limits_suite_golden():
     assert lines == GOLDEN_LIMITS.read_text(encoding="utf-8").splitlines()
 
 
+def test_limits_suite_calls_limit_check_once_per_report(monkeypatch):
+    # perfbench counts cli.limit_check calls against the scaling-limit
+    # reports and marks its clock after each call; each sample's one shared
+    # LimitSample serves its eight checks
+    calls = []
+    limit_check = cli.limit_check
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["sample"])
+        return limit_check(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "limit_check", counted)
+    reports = cli._suite_limits(RunConfig(seed=7))
+    checks = [rep for rep in reports if rep["check"] == "scaling-limit"]
+    assert len(calls) == len(checks) == 24
+    assert [calls.count(s) for s in dict.fromkeys(calls)] == [8, 8, 8]
+
+
 GOLDEN_RELATIONS_POINTS = Path(__file__).with_name("golden_relations_points.txt")
 POINTS_KEYS = ("relation", "mode", "points", "verdict", "fields_match")
 

@@ -3,11 +3,12 @@ from collections import Counter
 import pytest
 from mpmath import mp
 
-from ospboson import degeneration
+from ospboson import degeneration, theta
 from ospboson.degeneration import (
     EPSILON_LADDER,
     LIMIT_NAMES,
     TRIG_DISPLAY_AUDIT,
+    LimitSample,
     eta_prime,
     limit_check,
     rational_structure_function,
@@ -15,7 +16,8 @@ from ospboson.degeneration import (
     trig_structure_function,
 )
 from ospboson.errors import DomainError, PoleError, StructuralError
-from ospboson.relations import relation_catalog
+from ospboson.relations import relation_catalog, theta_bases
+from reference import eval_structure_function
 
 
 def _rel(name):
@@ -201,6 +203,110 @@ def test_limit_check_report_shape():
     assert len(rep["empirical_orders"]) == len(EPSILON_LADDER) - 1
     assert "nome_convention" in rep
     assert len(rep["prefactor_log"]["ratios"]) == len(EPSILON_LADDER)
+
+
+# ---------------------------------------------------------------------------
+# one LimitSample shared by a sample's checks
+
+
+SHARED_SAMPLES = [dict(u_minus_v=0.4, eta=0.25, hbar=0.12)] + sample_limit_inputs(0, 3)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["catalog", "reversed"])
+def test_shared_sample_equals_own(order):
+    # the shared elliptic side gives every report to the bit, whichever
+    # relation fills its entries first
+    for s in SHARED_SAMPLES:
+        shared = LimitSample(s["u_minus_v"], eta=s["eta"], hbar=s["hbar"])
+        for name in LIMIT_NAMES[::order]:
+            own = limit_check(name, s["u_minus_v"], eta=s["eta"], hbar=s["hbar"])
+            assert limit_check(name, s["u_minus_v"], eta=s["eta"], hbar=s["hbar"],
+                               sample=shared) == own, (s, name)
+
+
+def test_shared_sample_values_equal_structure_function_evaluator():
+    # the composed values are the evaluator's at x on the limit nomes, to
+    # the bit, at both levels
+    for c in (1, 0):
+        shared = LimitSample(0.4, eta=0.25, hbar=0.12, c=c)
+        for name in LIMIT_NAMES:
+            f = _rel(name).structure_function
+            want = []
+            with mp.workdps(40):
+                for eps in map(mp.mpf, EPSILON_LADDER):
+                    p = mp.e ** (eps * mp.mpf(0.12))
+                    x = mp.e ** (-eps * mp.mpc(0.4))
+                    bases = {k: 1 / mp.sqrt(mp.sqrt(b)) for k, b in theta_bases(
+                        mp.exp(eps / mp.mpf(0.25)), p, c).items()}
+                    want.append(eval_structure_function(f, x, p, c, bases, 30))
+            assert list(shared.values(f)) == want, (c, name)
+
+
+@pytest.mark.parametrize("names", [("H+H-", "HH"), ("HH", "H+H-")])
+def test_shared_sample_level_zero_pair(names):
+    shared = LimitSample(0.4, eta=0.25, hbar=0.12, c=0)
+    reps = []
+    for name in names:
+        rep = limit_check(name, 0.4, eta=0.25, hbar=0.12, c=0, sample=shared)
+        assert rep == limit_check(name, 0.4, eta=0.25, hbar=0.12, c=0)
+        reps.append(rep)
+    assert reps[0]["errors"] == reps[1]["errors"]
+    assert reps[0]["exact"] and reps[1]["exact"]
+
+
+def test_shared_sample_steps_each_nome_and_factor_once(monkeypatch):
+    nomes, factors = [], []
+    modular_nome, modular_factor = theta._modular_nome, theta._modular_factor
+
+    def counted_nome(q, wp):
+        nomes.append(q)
+        return modular_nome(q, wp)
+
+    def counted_factor(log_z, nome, wp):
+        factors.append((log_z, nome[0]))  # nome[0] is 1/tau
+        return modular_factor(log_z, nome, wp)
+
+    monkeypatch.setattr(theta, "_modular_nome", counted_nome)
+    monkeypatch.setattr(theta, "_modular_factor", counted_factor)
+    s = SHARED_SAMPLES[1]
+    shared = LimitSample(s["u_minus_v"], eta=s["eta"], hbar=s["hbar"])
+    for name in LIMIT_NAMES:
+        limit_check(name, s["u_minus_v"], eta=s["eta"], hbar=s["hbar"], sample=shared)
+    # 2 nomes at each of the 4 eps; the 8 relations have 24 distinct
+    # factors at each eps (12 shifts on each base)
+    assert len(nomes) == 2 * len(EPSILON_LADDER) == len(set(nomes))
+    assert len(factors) == 24 * len(EPSILON_LADDER) == len(set(factors))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("u_minus_v", 0.41), ("eta", 0.26), ("hbar", 0.13), ("c", 0), ("digits", 40)])
+def test_shared_sample_for_other_inputs_refused(field, value):
+    inputs = dict(u_minus_v=0.4, eta=0.25, hbar=0.12, c=1, digits=30)
+    shared = LimitSample(inputs.pop("u_minus_v"), **inputs)
+    args = dict(u_minus_v=0.4, eta=0.25, hbar=0.12, c=1, digits=30)
+    args[field] = value
+    with pytest.raises(StructuralError, match="limit sample was prepared"):
+        limit_check("EE", args.pop("u_minus_v"), sample=shared, **args)
+
+
+def test_shared_sample_pole_carries_first_factor():
+    # u - v = hbar puts x p at the zero 1 of every theta: EE's second factor
+    # (numerator, p-shift 1) and the third of H+H- (denominator, p-shift
+    # 2 - c), which the shared sample meets under one entry.  H+H- takes the
+    # EE target, whose sines vanish only in the numerator, so its elliptic
+    # side is reached
+    ee = _rel("EE").structure_function.factors[1]
+    hh = _rel("H+H-").structure_function.factors[2]
+    cases = [("EE", None, ee), ("H+H-", "EE", hh)]
+    for order in (cases, cases[::-1]):
+        shared = LimitSample(0.12, eta=0.25, hbar=0.12)
+        for name, target, factor in order:
+            with pytest.raises(PoleError, match="structure function pole") as own:
+                limit_check(name, 0.12, eta=0.25, hbar=0.12, target_name=target)
+            with pytest.raises(PoleError, match="structure function pole") as got:
+                limit_check(name, 0.12, eta=0.25, hbar=0.12, target_name=target,
+                            sample=shared)
+            assert got.value.factor == own.value.factor == factor
 
 
 def test_sample_limit_inputs_deterministic_and_guarded():

@@ -14,7 +14,6 @@ from ospboson.relations import (
     EE_MIXED,
     FF_MIXED,
     ThetaFactor,
-    eval_structure_function,
     relation_catalog,
     structure_function_repr,
     theta_bases,
@@ -24,7 +23,7 @@ from ospboson.relations import (
 )
 from ospboson.scalars import mpc_to_str, sample_annulus_point, sample_parameters
 from ospboson.theta import theta_eval_modular
-from reference import swapped_relation, theta_argument
+from reference import eval_structure_function, swapped_relation, theta_argument
 
 P = DeformationParams.from_sqrt(Fr(2, 5), Fr(1, 2))  # q = 2/5, p = 1/4
 DIGITS = 50
