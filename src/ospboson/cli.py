@@ -18,9 +18,8 @@ The report is a single UTF-8 JSON document with fixed key order
      overall_verdict}
 
 so two runs with the same config and seed are byte-identical except for the
-``generated_at`` timestamp.  Suites execute in worker processes when more
-than one is selected; assembly is single-threaded and follows the canonical
-suite order regardless of completion order.
+``generated_at`` timestamp.  The selected suites run one after another,
+in process and in the canonical suite order.
 """
 
 import argparse
@@ -127,8 +126,8 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# suite runners; each takes the RunConfig (frozen and module-level, so it
-# crosses a process boundary) and returns JSON-ready report dicts only
+# suite runners; each takes the RunConfig and returns JSON-ready report
+# dicts only
 
 
 def _suite_ope(cfg):
@@ -276,16 +275,7 @@ def run_suite(config):
     """Execute the configured suites, write the report, return exit status."""
     config.validate()
     names = SUITES if config.suite == "all" else (config.suite,)
-    if len(names) > 1:
-        # imported here: a single-suite run need not load multiprocessing,
-        # whose import raises the peak RSS of everything loaded after it
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(4, len(names))) as ex:
-            futures = {n: ex.submit(_SUITE_RUNNERS[n], config) for n in names}
-            suites = [_suite_entry(n, futures[n].result) for n in names]
-    else:
-        suites = [_suite_entry(n, lambda: _SUITE_RUNNERS[n](config))
-                  for n in names]
+    suites = [_suite_entry(n, lambda: _SUITE_RUNNERS[n](config)) for n in names]
     crashed = any("error" in s for s in suites)
     all_pass = not crashed and all(
         rep.get("verdict") == "pass"

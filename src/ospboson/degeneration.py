@@ -28,14 +28,14 @@ are logged per run so a surviving constant would be visible, not hidden.
 
 Shared sample.  At one sample and one eps, every relation meets the same
 x, p and two nomes, and the eight relations together have 24 distinct
-factors theta_B(x p^s) (12 shifts on each base).  LimitSample prepares a
-sample's elliptic side once: per eps, each nome's transform step, each
-shift's powers and each distinct factor's guard verdict and transformed
-term, each on first use, and each relation's value is composed from those
-entries as theta.ThetaProduct composes its own.  The limits suite makes one
-per sample and passes it to the sample's eight limit_check calls; a
-limit_check without one makes its own, so every caller takes the same path.
-The trigonometric target is computed apart on every call.
+factors theta_B(x p^s) (12 shifts on each base).  LimitSample holds one
+relations.StructureFunctionEvaluator point per eps, which fills each
+nome's transform step, each shift's powers and each distinct factor's
+guard verdict and transformed term on first use, and composes each
+relation from them: the exchange checks' own evaluator.  The limits suite
+makes one per sample and passes it to the sample's eight limit_check
+calls; a limit_check without one makes its own, so every caller takes the
+same path.  The trigonometric target is computed apart on every call.
 
 The trigonometric targets are derived mechanically from the canonical
 relation catalog (same factor lists, same signs), not typed in from the
@@ -49,14 +49,12 @@ catalog that the realization satisfies, i.e. with u-v negated.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from mpmath import mp
 
 from .errors import DomainError, PoleError, StructuralError
-from .relations import relation_catalog, theta_bases
+from .relations import StructureFunctionEvaluator, relation_catalog, theta_bases
 from .scalars import to_mpf, workdps
-from .theta import ThetaTerms, near_theta_zero
 
 EPSILON_LADDER = (0.1, 0.05, 0.025, 0.0125)
 
@@ -149,86 +147,33 @@ def rational_structure_function(name, u_minus_v, hbar, c=1, digits=30):
 class LimitSample:
     """One limit sample's elliptic side, prepared once for every relation.
 
-    Built from (u-v, eta, hbar, c, digits), as limit_check takes them.  For
-    each eps of EPSILON_LADDER it holds x = e^{-eps(u-v)}, p = e^{eps hbar},
-    the nomes B of the convention above and log x, and it fills on first
-    use: each nome's transform step, each shift's p^s and s log p, and each
-    distinct factor theta_B(x^o p^s)'s guard verdict and transform term
-    (theta.ThetaTerms).  values(f) composes f's value at each eps from those
-    entries, in f's factor order, as relations.StructureFunctionEvaluator
-    evaluates f at x on the nomes B; the values are the same to the bit.  A
-    factor within theta.POLE_TOL of a theta zero raises PoleError carrying
-    the first such factor of f, as that evaluator's guard does.  Nothing is
-    kept beyond the object: the limits suite makes one per sample and drops
-    it after the sample's eight checks.
+    Built from (u-v, eta, hbar, c, digits), as limit_check takes them: for
+    each eps of EPSILON_LADDER, a relations.StructureFunctionEvaluator on
+    p = e^{eps hbar} and the nomes B of the convention above, at the point
+    x = e^{-eps(u-v)}.  values(f) is f's value at each eps; a factor within
+    theta.POLE_TOL of a theta zero raises PoleError carrying the first such
+    factor of f.  Nothing is kept beyond the object: the limits suite makes
+    one per sample and drops it after the sample's eight checks.
     """
 
     def __init__(self, u_minus_v, *, eta, hbar, c=1, digits=30):
         self.key = (u_minus_v, eta, hbar, c, digits)
         with workdps(digits + 10):
             s = mp.mpc(u_minus_v)
-            self._points = [_LadderPoint(mp.mpf(eps), s, eta, hbar, c, digits)
-                            for eps in EPSILON_LADDER]
+            self._points = []
+            for eps in map(mp.mpf, EPSILON_LADDER):
+                p = mp.e ** (eps * mp.mpf(hbar))
+                bases = {k: 1 / mp.sqrt(mp.sqrt(b)) for k, b in theta_bases(
+                    mp.exp(eps / mp.mpf(eta)), p, c).items()}
+                self._points.append(StructureFunctionEvaluator(
+                    p, c, bases, digits).at(mp.e ** (-eps * s)))
 
     def values(self, f):
-        """f's elliptic value at each eps of EPSILON_LADDER, in order."""
-        c = self.key[3]
-        keys = []
-        for tf in f.factors:
-            s = tf.shift(c)
-            keys.append((tf.base, tf.orient, s.numerator, s.denominator))
+        """f's elliptic value at each eps of EPSILON_LADDER, in order; run at
+        the working precision digits + 10."""
+        keys = self._points[0].evaluator.keys(f)
         for point in self._points:
             yield point.value(f, keys)
-
-
-class _LadderPoint:
-    """A LimitSample's entries at one eps; a factor's key is (base, orient,
-    numerator and denominator of its shift s)."""
-
-    def __init__(self, eps, s, eta, hbar, c, digits):
-        self.digits = digits
-        self.p = p = mp.e ** (eps * mp.mpf(hbar))
-        self.x = x = mp.mpc(mp.e ** (-eps * s))
-        self.bases = {k: 1 / mp.sqrt(mp.sqrt(b)) for k, b in theta_bases(
-            mp.exp(eps / mp.mpf(eta)), p, c).items()}
-        self.log_x = mp.log(x)
-        self.log_p = mp.log(p)
-        self._thetas = ThetaTerms(digits)
-        self._shifts = {}   # (numerator, denominator) -> (p^s, s log p)
-        self._poles = {}    # factor key -> guard verdict
-        self._terms = {}    # factor key -> transform term
-
-    def _shift(self, n, d):
-        if (n, d) not in self._shifts:
-            s = Fraction(n, d)
-            self._shifts[n, d] = self.p ** s, to_mpf(s) * self.log_p
-        return self._shifts[n, d]
-
-    def _pole(self, key):
-        if key not in self._poles:
-            base, orient, n, d = key
-            x = self.x if orient == 1 else self.x ** orient
-            self._poles[key] = near_theta_zero(x * self._shift(n, d)[0],
-                                               self.bases[base])
-        return self._poles[key]
-
-    def _term(self, key):
-        if key not in self._terms:
-            base, orient, n, d = key
-            self._terms[key] = self._thetas.term(
-                orient * self.log_x + self._shift(n, d)[1], self.bases[base])
-        return self._terms[key]
-
-    def value(self, f, keys):
-        with workdps(self.digits + 10):
-            for tf, key in zip(f.factors, keys):
-                if self._pole(key):
-                    raise PoleError("structure function pole or zero", factor=tf)
-            v = mp.mpc(f.sign) * self.p ** f.p_exp * self._thetas.product(
-                (self._term(key), tf.power) for tf, key in zip(f.factors, keys))
-            if mp.im(self.x) == 0:
-                return mp.mpc(mp.re(v))
-            return v
 
 
 def limit_check(name, u_minus_v, *, eta, hbar, c=1, digits=30, target_name=None,

@@ -43,7 +43,7 @@ from .freefield import (
     rational_product,
 )
 from .scalars import mpc_to_str, sample_annulus_point, to_mpf, workdps
-from .theta import PoleGuard, ThetaProduct
+from .theta import ThetaTerms, entry_near_zero, guard_entry
 
 __all__ = [
     "ThetaFactor",
@@ -239,56 +239,89 @@ def theta_bases(q, p, c):
 
 
 class StructureFunctionEvaluator:
-    """A structure function prepared once and evaluated at many points x.
+    """Structure functions on fixed nomes, evaluated at many points x.
 
     Each theta factor theta_B(x^orient p^shift) is evaluated on the nome
     B = bases[factor.base], given as mpf values {"q2": .., "qt2": ..}: at a
     deformation point they are theta_bases(q, p, c); the scaling limits pass
-    the nomes of their re-parameterization.  Preparation, at the working
-    precision digits + 10, takes log p (p > 0), each distinct shift's
-    p^shift (for the pole guard's arguments) and shift * log p (for the
-    transform's), the prefactor sign * p^p_exp, and the transform's
-    per-nome step once per distinct nome (theta.ThetaProduct).
+    the nomes of their re-parameterization.  Preparation takes log p
+    (p > 0).  On first use the evaluator fills each shift's p^shift (for
+    the pole guard's arguments) and shift * log p (for the transform's),
+    each factor's guard entry (theta.guard_entry), and each nome's
+    transform step (theta.ThetaTerms).
 
-    A call is the structure functions' one pole guard: any factor's
-    argument (numerator or denominator) within theta.POLE_TOL of a theta
-    zero raises PoleError carrying the factor (theta.PoleGuard).  The
-    factors are then evaluated whole from log x, taken once, and the value
-    is real when x and the bases are.
+    keys(f) are f's factor keys at level c, equal for equal factors.  at(x)
+    is the evaluator at one point x: it takes log x once and fills on first
+    use each distinct factor's guard verdict and transformed term, so the
+    structure functions evaluated there share them.  value(f, keys) there
+    is the structure functions' one pole guard: any factor's argument
+    (numerator or denominator) within theta.POLE_TOL of a theta zero raises
+    PoleError carrying f's first such factor (theta.entry_near_zero).
+    Otherwise it composes f from the entries in f's factor order
+    (theta.ThetaTerms.product), and the value is real when x and the nomes
+    are.  The evaluator, at and value run at the caller's working
+    precision, which must be digits + 10 (workdps), so that a caller
+    evaluating many points enters it once.
     """
 
-    def __init__(self, f, p, c, bases, digits):
-        self.digits = digits
-        with workdps(digits + 10):
-            log_p = mp.log(p)
-            powers = {}  # a shift's (numerator, denominator) -> its two values
-            guard = []
-            self._offsets = []
-            for tf in f.factors:
-                s = tf.shift(c)
-                key = s.numerator, s.denominator
-                if key not in powers:
-                    powers[key] = p ** s, to_mpf(s) * log_p
-                guard.append((tf, tf.orient, powers[key][0], bases[tf.base]))
-                self._offsets.append((tf.orient, powers[key][1]))
-            self._guard = PoleGuard(guard)
-            self._thetas = ThetaProduct([(bases[tf.base], tf.power)
-                                         for tf in f.factors], digits)
-            self._prefactor = mp.mpc(f.sign) * p ** f.p_exp
-            self._real_nomes = not any(mp.im(b) for b in bases.values())
+    def __init__(self, p, c, bases, digits):
+        self.p = p
+        self.c = c
+        self.thetas = ThetaTerms(digits)
+        self._log_p = mp.log(p)
+        self._bases = bases
+        self._real_nomes = not any(mp.im(b) for b in bases.values())
+        self._shifts = {}   # (numerator, denominator) -> (p^s, s log p)
+        self._factors = {}  # factor key -> (guard entry, s log p, prepared nome)
 
-    def __call__(self, x):
-        with workdps(self.digits + 10):
-            x = mp.mpc(x)
-            tf = self._guard.first(x)
-            if tf is not None:
+    def keys(self, f):
+        """f's factor keys: (base, orient, numerator and denominator of the
+        shift at level c), in factor order."""
+        return [(tf.base, tf.orient, *tf.shift(self.c).as_integer_ratio())
+                for tf in f.factors]
+
+    def _factor(self, key):
+        if key not in self._factors:
+            base, orient, n, d = key
+            if (n, d) not in self._shifts:
+                s = Fraction(n, d)
+                self._shifts[n, d] = self.p ** s, to_mpf(s) * self._log_p
+            m, offset = self._shifts[n, d]
+            q = self._bases[base]
+            self._factors[key] = (guard_entry(orient, m, q), offset,
+                                  self.thetas.nome(q))
+        return self._factors[key]
+
+    def at(self, x):
+        return _StructureFunctionPoint(self, x)
+
+
+class _StructureFunctionPoint:
+    """A StructureFunctionEvaluator at one point x (its at(x))."""
+
+    def __init__(self, evaluator, x):
+        self.evaluator = evaluator
+        self._x = x = mp.mpc(x)
+        self._xf = complex(x)
+        self._log_x = mp.log(x)
+        self._real = evaluator._real_nomes and x.imag == 0
+        self._terms = {}  # factor key -> transformed term, None at a theta zero
+
+    def value(self, f, keys):
+        ev = self.evaluator
+        terms = self._terms
+        pairs = []
+        for tf, key in zip(f.factors, keys):
+            if key not in terms:
+                guard, offset, nome = ev._factor(key)
+                near = entry_near_zero(guard, self._x, self._xf)
+                terms[key] = None if near else ev.thetas.term(
+                    tf.orient * self._log_x + offset, nome)
+            if terms[key] is None:
                 raise PoleError("structure function pole or zero", factor=tf)
-            log_x = mp.log(x)
-            v = self._prefactor * self._thetas(
-                [orient * log_x + off for orient, off in self._offsets])
-            if mp.im(x) == 0 and self._real_nomes:
-                return mp.mpc(mp.re(v))
-            return v
+            pairs.append((terms[key], tf.power))
+        v = mp.mpc(f.sign) * ev.p ** f.p_exp * ev.thetas.product(pairs)
+        return mp.mpc(mp.re(v)) if self._real else v
 
 
 def structure_function_repr(f):
@@ -342,9 +375,10 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     left-hand ones swapped; when they are not (strict-text H-E), the field
     mismatch is reported and the kernel comparison is still carried out
     against the printed right-hand side.  unit_structure=True replaces S
-    by 1 as a negative control.  The two kernels and S are prepared once
-    per call (KernelEvaluator, StructureFunctionEvaluator) and then only
-    evaluated at each sample point.  A sample point is drawn again when it
+    by 1 as a negative control.  The two kernels, the structure-function
+    evaluator and S's factor keys are prepared once per call
+    (KernelEvaluator, StructureFunctionEvaluator) and then only evaluated
+    at each sample point.  A sample point is drawn again when it
     is within theta.POLE_TOL of a zero of any kernel factor or of any theta
     factor of S: each evaluator raises PoleError there.
     """
@@ -374,10 +408,11 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
         p = to_mpf(params.p)
         k1 = KernelEvaluator(K1, digits)
         k2 = KernelEvaluator(K2, digits)
-        s = StructureFunctionEvaluator(sf, p, 1, theta_bases(params.q, p, 1), digits)
+        s = StructureFunctionEvaluator(p, 1, theta_bases(params.q, p, 1), digits)
+        keys = s.keys(sf)
 
         def sides(x):
-            return k1.eval_at(1, x), k2.eval_at(x, 1) * s(x)
+            return k1.eval_at(1, x), k2.eval_at(x, 1) * s.at(x).value(sf, keys)
 
         for _ in range(samples):
             x, (lhs, rhs) = _sample_x(rng, digits, sides)

@@ -21,16 +21,14 @@ and vanishes exactly at z in q**Z.  It is evaluated two ways:
   product would need ~1/(1-q) factors, q' -> 0 and a few terms suffice.
   It is two steps: a per-nome step (tau, q', the prefactor's constant part
   and (q' | q')_inf) and a per-argument step (the prefactor's exponent and
-  the product).  ``ThetaProduct`` prepares a product of thetas on fixed
-  nomes, one per-nome step per distinct nome, and evaluates it at many
-  arguments with one exp each; ``theta_eval_modular`` is its one-factor,
-  one-argument case.  ``ThetaTerms``, which it builds on, keeps single
-  transformed factors for callers whose products share them, and composes
-  products as ``ThetaProduct`` does.  Every structure-function theta takes
-  this path, at every nome.
+  the product).  ``ThetaTerms`` takes the per-nome step once per distinct
+  nome, keeps single transformed factors for callers that share them
+  (``relations.StructureFunctionEvaluator``), and composes products from
+  them with one exp; ``theta_eval_modular`` is its one-factor case.  Every
+  structure-function theta takes this path, at every nome.
 
 Kernels are products of q-Pochhammer factors (c x | b)^{+-1} with exact c,
-b; ``QPochProduct`` prepares one whole for many x.  It and ``ThetaProduct``
+b; ``QPochProduct`` prepares one whole for many x.  It and ``ThetaTerms``
 sum each factor by Euler's series (Gasper-Rahman, eq. (1.3.16)),
 
     (y | b)_inf = sum_n (-1)^n b^(n(n-1)/2) y^n / (b | b)_n ,
@@ -49,10 +47,10 @@ relative to its smallest running product (see ``qpoch_eval``).
 
 The products are pure; the evaluators built on them
 (``freefield.KernelEvaluator``, ``relations.StructureFunctionEvaluator``)
-guard the poles with ``PoleGuard``, prepared with them once per call.  Its
-one rule is ``near_theta_zero``, behind a float screen that clears an
-argument far off the real axis when every zero is real (proved at
-``_screen_clears``).
+guard the poles with ``near_theta_zero``, behind a float screen that
+clears an argument far off the real axis when every zero is real (proved
+at ``_screen_clears``), one factor at a time (``guard_entry``,
+``entry_near_zero``); ``PoleGuard`` loops over a kernel's factors.
 ``near_theta_zero`` only decides whether a relative distance is below
 POLE_TOL, so it decides in Python floats and goes back to the working
 precision only where a float cannot tell: a distance within 1e-9
@@ -77,10 +75,11 @@ __all__ = [
     "QPochProduct",
     "theta_eval",
     "theta_eval_modular",
-    "ThetaProduct",
     "ThetaTerms",
     "theta_terms_needed",
     "near_theta_zero",
+    "guard_entry",
+    "entry_near_zero",
     "PoleGuard",
 ]
 
@@ -178,7 +177,7 @@ class QPochProduct:
     once, each c x by integer division, and sums each factor's series
     (_qpoch_series).  Numerator and denominator factors are multiplied into
     one running product each, and the two are divided once as mpc values.
-    A pure evaluator, like ThetaProduct: KernelEvaluator guards the poles.
+    A pure evaluator, like ThetaTerms: KernelEvaluator guards the poles.
     Error budget: each factor is within 2^(budget - wp) of its value,
     relatively, wherever x is POLE_TOL (relatively) or more from its zeros
     (_qpoch_series); the budget is at most 30 bits, at the largest kernel
@@ -234,7 +233,8 @@ def theta_eval_modular(z, q, digits):
         q = mp.mpc(q)
         if z == 0:
             raise DomainError("theta argument must be nonzero")
-        v = ThetaProduct(((q, 1),), digits)((mp.log(z),))
+        thetas = ThetaTerms(digits)
+        v = thetas.product(((thetas.term(mp.log(z), thetas.nome(q)), 1),))
         # real on the real axis; drop the transformation's rounding noise
         if mp.im(z) == 0 and mp.im(q) == 0:
             return mp.mpc(mp.re(v))
@@ -246,19 +246,26 @@ class ThetaTerms:
     prepared on first use, and products composed from the terms.
 
     nome(q) is the per-nome step (_modular_nome), taken once per distinct q
-    on the first call that needs it.  term(log_z, q) is the per-argument step
-    (_modular_factor), with log_z as ThetaProduct takes it: a caller that
-    shares a factor between several products keeps its term and composes it
-    into each (degeneration.LimitSample).  product(pairs) takes (term,
-    power) pairs, power +-1, and composes them, in order: the exponents
-    summed, signed by power, under one exp, the P multiplied as a
-    fixed-point numerator and denominator, and the two divided once.
+    on the first call that needs it.  term(log_z, nome) is the per-argument
+    step (_modular_factor) on a prepared nome, for log_z with its imaginary
+    part in [-pi, pi] (a principal log, or minus one), which keeps
+    |q'|^(1/2) <= |z'| <= |q'|^(-1/2): a caller that shares a factor
+    between several products keeps its term and composes it into each.
+    product(pairs) takes (term, power) pairs, power +-1, and composes them,
+    in order: the exponents summed, signed by power, under one exp, the P
+    multiplied as a fixed-point numerator and denominator, and the two
+    divided once.
     The methods run at the caller's working precision, which must be
     digits + 10 (workdps), so that a caller taking many steps enters it once.
+    Error budget: _qpoch_series's over each of a factor's three
+    q-Pochhammer factors on q' (24 bits for the q' <= 0.017 of nomes 6.4e-5
+    and up), and one truncation per factor in the running products,
+    relative to their smallest values.  z' comes within POLE_TOL of the zero
+    1 of (z' | q') only where z is within about POLE_TOL |tau| of a zero of
+    theta_q, which the structure functions' guard rejects.
     """
 
     def __init__(self, digits):
-        self.digits = digits
         with workdps(digits + 10):
             self._wp = mp.mp.prec + _GUARD_BITS
         self._nomes = {}
@@ -268,8 +275,8 @@ class ThetaTerms:
             self._nomes[q] = _modular_nome(q, self._wp)
         return self._nomes[q]
 
-    def term(self, log_z, q):
-        return _modular_factor(log_z, self.nome(q), self._wp)
+    def term(self, log_z, nome):
+        return _modular_factor(log_z, nome, self._wp)
 
     def product(self, pairs):
         wp = self._wp
@@ -281,36 +288,6 @@ class ThetaTerms:
             ar, ai = acc[power]
             acc[power] = (ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp
         return mp.exp(expo) * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
-
-
-class ThetaProduct(ThetaTerms):
-    """prod theta_q(e^log_z) ** power over fixed (q, power) pairs, prepared
-    for many arguments.
-
-    Preparation takes the transform's per-nome step (_modular_nome) once per
-    distinct nome.  A call takes one log_z per factor, in order, each with
-    its imaginary part in [-pi, pi] (a principal log, or minus one), which
-    keeps |q'|^(1/2) <= |z'| <= |q'|^(-1/2); power is +-1.  Each factor takes
-    its per-argument step (_modular_factor), and the terms are composed by
-    ThetaTerms.product.
-    Error budget: _qpoch_series's over each of a factor's three
-    q-Pochhammer factors on q' (24 bits for the q' <= 0.017 of nomes 6.4e-5
-    and up), and one truncation per factor in the running products,
-    relative to their smallest values.  z' comes within POLE_TOL of the zero 1 of
-    (z' | q') only where z is within about POLE_TOL |tau| of a zero of
-    theta_q, which the structure functions' guard rejects.
-    """
-
-    def __init__(self, nomes, digits):
-        super().__init__(digits)
-        with workdps(digits + 10):
-            self._factors = [(self.nome(q), power) for q, power in nomes]
-
-    def __call__(self, log_zs):
-        wp = self._wp
-        with workdps(self.digits + 10):
-            return self.product((_modular_factor(log_z, nome, wp), power)
-                                for log_z, (nome, power) in zip(log_zs, self._factors))
 
 
 def _modular_nome(q, wp):
@@ -556,45 +533,54 @@ def _near_theta_zero_mp(z, q, kmax):
     return False
 
 
+def guard_entry(orient, m, q):
+    """One factor's guard entry for near_theta_zero(x ** orient * m, q), as
+    entry_near_zero takes it: orient is +-1, and m and q are values at the
+    working precision (mpf or mpc)."""
+    return [orient, m, q, ...]  # ...: m's float not taken yet
+
+
+def entry_near_zero(entry, x, xf, kmax=None):
+    """near_theta_zero(x ** orient * m, q, kmax) for a guard_entry, x an mpc
+    and xf its complex float.
+
+    Where x is off the real axis and m and q are both mpf (real), the entry
+    is screened first (_screen_clears) from xf, with m as a normal float
+    taken on its first screen (so a guard that only ever sees real x takes
+    none).  Every other entry, and every entry the screen does not clear,
+    takes near_theta_zero on its argument at the working precision.  So it
+    decides as near_theta_zero does.
+    """
+    orient, m, q, mf = entry
+    if xf.imag:
+        if mf is ...:
+            mf = float(m) if isinstance(m, mp.mpf) and isinstance(q, mp.mpf) else 0.0
+            mf = entry[3] = mf if _normal(abs(mf)) else None
+        if mf is not None:
+            a = (xf if orient == 1 else 1 / xf) * mf
+            if _screen_clears(a.imag, abs(a)):
+                return False
+    return near_theta_zero((x if orient == 1 else x ** orient) * m, q, kmax)
+
+
 class PoleGuard:
     """near_theta_zero(x ** orient * m, q, kmax) over fixed factors,
     prepared for many x.
 
-    entries are (label, orient, m, q): orient is +-1, and the multiplier m
-    and the nome q are values at the working precision (mpf or mpc).
-    first(x), for an mpc x, returns the label of the first entry whose
-    argument x ** orient * m is within POLE_TOL of a zero of theta_q (of
-    (. | q)_inf with kmax=0), or None.  An entry whose m and q are both mpf
-    (real) is screened first (_screen_clears), from one float of x per call;
-    every other entry, and every entry the screen does not clear, takes
-    near_theta_zero on its argument at the working precision.  So first(x)
-    decides as near_theta_zero does on every factor.
+    entries are (label, orient, m, q), each made a guard_entry.  first(x),
+    for an mpc x, returns the label of the first entry whose argument
+    x ** orient * m is within POLE_TOL of a zero of theta_q (of (. | q)_inf
+    with kmax=0), or None, deciding each entry by entry_near_zero.
     """
 
     def __init__(self, entries, kmax=None):
         self._kmax = kmax
-        self._entries = [(label, orient, m, q, _screen_multiplier(m, q))
+        self._entries = [(label, guard_entry(orient, m, q))
                          for label, orient, m, q in entries]
 
     def first(self, x):
         xf = complex(x)
-        y = {1: x}
-        for label, orient, m, q, mf in self._entries:
-            if mf is not None and xf.imag:
-                a = (xf if orient == 1 else 1 / xf) * mf
-                if _screen_clears(a.imag, abs(a)):
-                    continue
-            if orient not in y:
-                y[orient] = x ** orient
-            if near_theta_zero(y[orient] * m, q, self._kmax):
+        for label, entry in self._entries:
+            if entry_near_zero(entry, x, xf, self._kmax):
                 return label
         return None
-
-
-def _screen_multiplier(m, q):
-    """m as a normal float where m and q are mpf (real), else None: no screen."""
-    if isinstance(m, mp.mpf) and isinstance(q, mp.mpf):
-        mf = float(m)
-        if _normal(abs(mf)):
-            return mf
-    return None

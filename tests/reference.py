@@ -5,12 +5,7 @@ code under test.
 """
 
 from ospboson.errors import StructuralError
-from ospboson.relations import (
-    RelationSpec,
-    StructureFunction,
-    StructureFunctionEvaluator,
-    ThetaFactor,
-)
+from ospboson.relations import RelationSpec, StructureFunction, ThetaFactor
 
 
 def inverse_structure_function(f):
@@ -23,12 +18,6 @@ def inverse_structure_function(f):
         for tf in f.factors
     )
     return StructureFunction(f.sign, -f.p_exp, factors)
-
-
-def eval_structure_function(f, x, p, c, bases, digits):
-    """Numeric value of a structure function at complex x: one point of
-    StructureFunctionEvaluator(f, p, c, bases, digits)."""
-    return StructureFunctionEvaluator(f, p, c, bases, digits)(x)
 
 
 def theta_argument(tf, x, p, c):

@@ -188,18 +188,25 @@ def test_report_independent_of_out_path(tmp_path):
     assert texts[0] == texts[1]
 
 
-def test_crashed_suite_exits_3_with_error_entry(tmp_path, monkeypatch):
+@pytest.mark.parametrize("suite", ["ope", "all"])
+def test_crashed_suite_exits_3_with_error_entry(tmp_path, monkeypatch, suite):
     # a runner that raises is an internal fault, not a failed verification:
-    # the report is still written and the status outranks 1
+    # the report is still written, the status outranks 1, and the suites
+    # run after it keep their reports, in the canonical order
     def crash(cfg):
         raise RuntimeError("boom")
 
+    config = RunConfig(suite=suite, samples=10, digits=30,
+                       out=str(tmp_path / "r.json"))
+    names = cli.SUITES if suite == "all" else (suite,)
+    want = [{"name": n,
+             "reports": json.loads(json.dumps(cli._SUITE_RUNNERS[n](config)))}
+            for n in names[1:]]
     monkeypatch.setitem(cli._SUITE_RUNNERS, "ope", crash)
-    out = tmp_path / "r.json"
-    assert run_suite(RunConfig(suite="ope", out=str(out))) == 3
-    rep = json.loads(out.read_text(encoding="utf-8"))
+    assert run_suite(config) == 3
+    rep = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
     assert rep["suites"] == [
-        {"name": "ope", "error": "RuntimeError: boom", "reports": []}]
+        {"name": "ope", "error": "RuntimeError: boom", "reports": []}] + want
     assert rep["overall_verdict"] == "fail"
 
 

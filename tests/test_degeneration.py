@@ -17,7 +17,8 @@ from ospboson.degeneration import (
 )
 from ospboson.errors import DomainError, PoleError, StructuralError
 from ospboson.relations import relation_catalog, theta_bases
-from reference import eval_structure_function
+from ospboson.theta import theta_eval_modular
+from reference import theta_argument
 
 
 def _rel(name):
@@ -224,22 +225,29 @@ def test_shared_sample_equals_own(order):
                                sample=shared) == own, (s, name)
 
 
-def test_shared_sample_values_equal_structure_function_evaluator():
-    # the composed values are the evaluator's at x on the limit nomes, to
-    # the bit, at both levels
+def test_shared_sample_values_equal_per_factor_thetas():
+    # the composed values against the product of each factor's own
+    # theta_eval_modular at x on the limit nomes, at both levels; real, as x
+    # and the nomes are
+    digits = 60
     for c in (1, 0):
-        shared = LimitSample(0.4, eta=0.25, hbar=0.12, c=c)
+        shared = LimitSample(0.4, eta=0.25, hbar=0.12, c=c, digits=digits)
         for name in LIMIT_NAMES:
             f = _rel(name).structure_function
-            want = []
-            with mp.workdps(40):
-                for eps in map(mp.mpf, EPSILON_LADDER):
+            with mp.workdps(digits + 10):
+                values = list(shared.values(f))
+                for eps, got in zip(map(mp.mpf, EPSILON_LADDER), values):
                     p = mp.e ** (eps * mp.mpf(0.12))
                     x = mp.e ** (-eps * mp.mpc(0.4))
                     bases = {k: 1 / mp.sqrt(mp.sqrt(b)) for k, b in theta_bases(
                         mp.exp(eps / mp.mpf(0.25)), p, c).items()}
-                    want.append(eval_structure_function(f, x, p, c, bases, 30))
-            assert list(shared.values(f)) == want, (c, name)
+                    want = mp.mpc(f.sign) * p ** f.p_exp
+                    for tf in f.factors:
+                        t = theta_eval_modular(theta_argument(tf, x, p, c),
+                                               bases[tf.base], digits)
+                        want = want * t if tf.power == 1 else want / t
+                    assert abs(got - want) < mp.mpf("1e-50") * abs(want), (c, name)
+                    assert got.imag == 0
 
 
 @pytest.mark.parametrize("names", [("H+H-", "HH"), ("HH", "H+H-")])

@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, strategies as st
 
+from ospboson import hopf
 from ospboson.errors import StructuralError
 from ospboson.hopf import (
     AXIOM_GENERATORS,
@@ -424,6 +425,30 @@ def test_a2_corrected_antipode_annotation():
     for gen in ("H+", "H-", "c", "unit"):
         rep = verify_axiom("a2", gen, good, corrected_antipode=True)
         assert rep["verdict"] == "pass"
+
+
+def _a2_holds_on_word(kinds, convention):
+    # m(S x id)D(w) = eps(w) 1 in both directions on the word w of the
+    # generators kinds at n = 0, under the corrected antipode
+    w = generator_expr(kinds[0]) * generator_expr(kinds[1])
+    unit = TensorExpr.unit(1).scale(counit(w, convention, n=0))
+    for direction, s_slot in ((1, 0), (-1, 1)):
+        acted = antipode(coproduct(w, direction, convention, n=0), direction,
+                         convention, slot=s_slot, n=0, corrected=True)
+        if multiply_slots(acted, 0) != unit:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("kinds", [("E", "F"), ("F", "E"), ("E", "E")],
+                         ids=["EF", "FE", "EE"])
+def test_a2_corrected_antipode_on_odd_words_needs_graded_sign(monkeypatch, kinds):
+    # no reported check puts two odd factors through a product; these words
+    # do, so they fail when every word is taken as even
+    good = SignConvention(1, -1)
+    assert _a2_holds_on_word(kinds, good)
+    monkeypatch.setattr(hopf, "word_parity", lambda word: 0)
+    assert not _a2_holds_on_word(kinds, good)
 
 
 def test_search_conventions_summary():

@@ -13,6 +13,7 @@ from ospboson.relations import (
     DISPLAY_AUDIT,
     EE_MIXED,
     FF_MIXED,
+    StructureFunctionEvaluator,
     ThetaFactor,
     relation_catalog,
     structure_function_repr,
@@ -23,10 +24,17 @@ from ospboson.relations import (
 )
 from ospboson.scalars import mpc_to_str, sample_annulus_point, sample_parameters
 from ospboson.theta import theta_eval_modular
-from reference import eval_structure_function, swapped_relation, theta_argument
+from reference import swapped_relation, theta_argument
 
 P = DeformationParams.from_sqrt(Fr(2, 5), Fr(1, 2))  # q = 2/5, p = 1/4
 DIGITS = 50
+
+
+def eval_structure_function(f, x, p, c, bases, digits):
+    # one point of the evaluator under test
+    with mp.workdps(digits + 10):
+        s = StructureFunctionEvaluator(p, c, bases, digits)
+        return s.at(x).value(f, s.keys(f))
 
 
 def by_id(rels):
