@@ -10,7 +10,8 @@ prefix (``OSPBOSON_SUITE``, ``OSPBOSON_DIGITS``, ...); explicit flags win.
 Exit status: 0 all checks pass, 1 at least one verification failed (the
 report is still written), 2 usage error, 3 a suite crashed (the report is
 still written; that suite's entry is {name, error: "<Type>: <message>",
-reports: []}).
+reports: []}) or an internal error outside the suites (the traceback and
+a line "error: internal: <Type>: <message>" go to stderr).
 
 The report is a single UTF-8 JSON document with fixed key order
 
@@ -395,6 +396,12 @@ def main(argv=None):
         return 2
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    except Exception as exc:
+        import traceback  # only on this path, to keep it off start-up
+        traceback.print_exc()
+        print("error: internal: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

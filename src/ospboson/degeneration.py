@@ -30,8 +30,8 @@ Shared sample.  At one sample and one eps, every relation meets the same
 x, p and two nomes, and the eight relations together have 24 distinct
 factors theta_B(x p^s) (12 shifts on each base).  LimitSample holds one
 relations.StructureFunctionEvaluator point per eps, which fills each
-nome's transform step, each shift's powers and each distinct factor's
-guard verdict and transformed term on first use, and composes each
+nome's transform step and each distinct factor's shift log, guard verdict
+and transformed term on first use, and composes each
 relation from them: the exchange checks' own evaluator.  The limits suite
 makes one per sample and passes it to the sample's eight limit_check
 calls; a limit_check without one makes its own, so every caller takes the

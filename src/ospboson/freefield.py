@@ -34,9 +34,9 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import DomainError, PoleError, StructuralError, UnsupportedError
-from .scalars import mpf_table, to_mpf, workdps
+from .scalars import to_mpf, workdps
 from .series import QPochFactor, TruncatedSeries, closed_form_series
-from .theta import PoleGuard, QPochProduct
+from .theta import QPochProduct
 
 __all__ = [
     "DeformationParams",
@@ -280,22 +280,27 @@ class Kernel:
     def near_singular(self, x):
         """The first factor with a zero within theta.POLE_TOL of x (relatively), or None.
 
-        Decided at the working precision by the guard that KernelEvaluator
-        prepares (_pole_guard).
+        Decided by the pole guard of a theta.QPochProduct prepared at the
+        ambient precision.
         """
-        return _pole_guard(self.factors).first(mp.mpc(x))
+        try:
+            QPochProduct(self.factors, mp.mp.dps)(x)
+        except PoleError as exc:
+            return exc.factor
+        return None
 
 
 class KernelEvaluator:
     """A kernel prepared once at `digits` and evaluated at many points.
 
-    Preparation converts the scalar, each factor's c and b for the pole
-    guard (theta.PoleGuard) and each base's series coefficients for the
-    product (theta.QPochProduct), at the working precision digits + 10.
-    eval_product(x) is the kernels' one pole guard: x near a zero of a factor
-    raises PoleError carrying that factor.  Otherwise each factor's Euler
-    series is summed in fixed point, numerator and denominator apart, and
-    the two divided once; see QPochProduct for the error budget.
+    Preparation converts the scalar and takes each base's series
+    coefficients for the product (theta.QPochProduct), at the working
+    precision digits + 10.  eval_product(x) is the product's call, the
+    kernels' one pole guard: x within theta.POLE_TOL of a zero of a factor
+    raises PoleError carrying the first such factor.  Otherwise each
+    factor's Euler series is summed in fixed point, numerator and
+    denominator apart, and the two divided once; see QPochProduct for the
+    error budget.
     """
 
     def __init__(self, kernel, digits):
@@ -303,16 +308,10 @@ class KernelEvaluator:
         self.digits = digits
         with workdps(digits + 10):
             self._scalar = to_mpf(kernel.scalar)
-            self._guard = _pole_guard(kernel.factors)
-            self._product = QPochProduct(kernel.factors, digits)
+        self._product = QPochProduct(kernel.factors, digits)
 
     def eval_product(self, x):
-        with workdps(self.digits + 10):
-            x = mp.mpc(x)
-            f = self._guard.first(x)
-            if f is not None:
-                raise PoleError("kernel pole or zero at x = %s" % x, factor=f)
-            return self._product(x)
+        return self._product(x)
 
     def eval_at(self, z, w):
         k = self.kernel
@@ -321,13 +320,6 @@ class KernelEvaluator:
             w = mp.mpc(w)
             mono = self._scalar * z ** k.z_exp * w ** k.w_exp
             return mono * self.eval_product(w / z)
-
-
-def _pole_guard(factors):
-    """The guard of x near a zero c x = b^-n, n >= 0, of a factor (c x | b),
-    at the working precision."""
-    mpf = mpf_table()
-    return PoleGuard([(f, 1, mpf(f.c), mpf(f.b)) for f in factors], kmax=0)
 
 
 def ope_kernel(a_spec, b_spec, params, order=30):

@@ -43,7 +43,7 @@ from .freefield import (
     rational_product,
 )
 from .scalars import mpc_to_str, sample_annulus_point, to_mpf, workdps
-from .theta import ThetaTerms, entry_near_zero, guard_entry
+from .theta import ThetaTerms, near_theta_zero_log
 
 __all__ = [
     "ThetaFactor",
@@ -245,19 +245,18 @@ class StructureFunctionEvaluator:
     B = bases[factor.base], given as mpf values {"q2": .., "qt2": ..}: at a
     deformation point they are theta_bases(q, p, c); the scaling limits pass
     the nomes of their re-parameterization.  Preparation takes log p
-    (p > 0).  On first use the evaluator fills each shift's p^shift (for
-    the pole guard's arguments) and shift * log p (for the transform's),
-    each factor's guard entry (theta.guard_entry), and each nome's
-    transform step (theta.ThetaTerms).
+    (p > 0).  On first use the evaluator fills each factor's shift * log p
+    and each nome's transform step (theta.ThetaTerms).
 
     keys(f) are f's factor keys at level c, equal for equal factors.  at(x)
     is the evaluator at one point x: it takes log x once and fills on first
-    use each distinct factor's guard verdict and transformed term, so the
-    structure functions evaluated there share them.  value(f, keys) there
-    is the structure functions' one pole guard: any factor's argument
+    use each distinct factor's guard verdict and transformed term, both read
+    from the log of the factor's argument, orient * log x + shift * log p,
+    so the structure functions evaluated there share them.  value(f, keys)
+    there is the structure functions' one pole guard: any factor's argument
     (numerator or denominator) within theta.POLE_TOL of a theta zero raises
-    PoleError carrying f's first such factor (theta.entry_near_zero).
-    Otherwise it composes f from the entries in f's factor order
+    PoleError carrying f's first such factor (theta.near_theta_zero_log).
+    Otherwise it composes f from the terms in f's factor order
     (theta.ThetaTerms.product), and the value is real when x and the nomes
     are.  The evaluator, at and value run at the caller's working
     precision, which must be digits + 10 (workdps), so that a caller
@@ -271,8 +270,7 @@ class StructureFunctionEvaluator:
         self._log_p = mp.log(p)
         self._bases = bases
         self._real_nomes = not any(mp.im(b) for b in bases.values())
-        self._shifts = {}   # (numerator, denominator) -> (p^s, s log p)
-        self._factors = {}  # factor key -> (guard entry, s log p, prepared nome)
+        self._factors = {}  # factor key -> (s log p, nome, prepared nome)
 
     def keys(self, f):
         """f's factor keys: (base, orient, numerator and denominator of the
@@ -282,13 +280,9 @@ class StructureFunctionEvaluator:
 
     def _factor(self, key):
         if key not in self._factors:
-            base, orient, n, d = key
-            if (n, d) not in self._shifts:
-                s = Fraction(n, d)
-                self._shifts[n, d] = self.p ** s, to_mpf(s) * self._log_p
-            m, offset = self._shifts[n, d]
+            base, _, n, d = key
             q = self._bases[base]
-            self._factors[key] = (guard_entry(orient, m, q), offset,
+            self._factors[key] = (to_mpf(Fraction(n, d)) * self._log_p, q,
                                   self.thetas.nome(q))
         return self._factors[key]
 
@@ -301,8 +295,7 @@ class _StructureFunctionPoint:
 
     def __init__(self, evaluator, x):
         self.evaluator = evaluator
-        self._x = x = mp.mpc(x)
-        self._xf = complex(x)
+        x = mp.mpc(x)
         self._log_x = mp.log(x)
         self._real = evaluator._real_nomes and x.imag == 0
         self._terms = {}  # factor key -> transformed term, None at a theta zero
@@ -313,10 +306,10 @@ class _StructureFunctionPoint:
         pairs = []
         for tf, key in zip(f.factors, keys):
             if key not in terms:
-                guard, offset, nome = ev._factor(key)
-                near = entry_near_zero(guard, self._x, self._xf)
-                terms[key] = None if near else ev.thetas.term(
-                    tf.orient * self._log_x + offset, nome)
+                offset, q, nome = ev._factor(key)
+                log_z = tf.orient * self._log_x + offset
+                terms[key] = None if near_theta_zero_log(log_z, q) else (
+                    ev.thetas.term(log_z, nome))
             if terms[key] is None:
                 raise PoleError("structure function pole or zero", factor=tf)
             pairs.append((terms[key], tf.power))

@@ -25,7 +25,6 @@ from .errors import DomainError
 
 __all__ = [
     "to_mpf",
-    "mpf_table",
     "mpc_to_str",
     "sample_parameters",
     "sample_annulus_point",
@@ -38,22 +37,6 @@ def to_mpf(v):
     if isinstance(v, Fraction):
         return mp.mpf(v.numerator) / mp.mpf(v.denominator)
     return mp.mpf(v)
-
-
-def mpf_table():
-    """A to_mpf that converts each distinct exact value once, for one call.
-
-    Keyed on (numerator, denominator), which hashes several times faster
-    than a Fraction.  Make one per call and let it go with the call.
-    """
-    table = {}
-
-    def convert(v):
-        key = v.numerator, v.denominator
-        if key not in table:
-            table[key] = to_mpf(v)
-        return table[key]
-    return convert
 
 
 def mpc_to_str(value, digits):

@@ -146,11 +146,6 @@ class TruncatedSeries:
             pw *= s
         return TruncatedSeries(out, self.order)
 
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:4])
-        tail = ", ..." if self.order > 3 else ""
-        return "TruncatedSeries([%s%s], order=%d)" % (head, tail, self.order)
-
 
 @dataclass(frozen=True)
 class QPochFactor:

@@ -45,12 +45,13 @@ loop with them.  All of them work in fixed point: Python ints scaled by
 do.  Fixed point does not renormalize, so the error of a product is
 relative to its smallest running product (see ``qpoch_eval``).
 
-The products are pure; the evaluators built on them
-(``freefield.KernelEvaluator``, ``relations.StructureFunctionEvaluator``)
-guard the poles with ``near_theta_zero``, behind a float screen that
-clears an argument far off the real axis when every zero is real (proved
-at ``_screen_clears``), one factor at a time (``guard_entry``,
-``entry_near_zero``); ``PoleGuard`` loops over a kernel's factors.
+Each evaluator guards the poles on the value it already sums: a point
+within POLE_TOL (relatively) of a zero of a factor raises PoleError.
+``QPochProduct`` tests each kernel factor's fixed-point c x along the
+shift steps its series takes.  A theta factor is guarded at the log of its
+argument, which the transform takes anyway (``near_theta_zero_log``): on
+a real nome a float screen clears an argument far off the real axis
+(proved at ``_screen_clears``), and ``near_theta_zero`` decides the rest.
 ``near_theta_zero`` only decides whether a relative distance is below
 POLE_TOL, so it decides in Python floats and goes back to the working
 precision only where a float cannot tell: a distance within 1e-9
@@ -61,13 +62,14 @@ so are the screen's.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import DomainError
+from .errors import DomainError, PoleError
 from .scalars import workdps
 
 __all__ = [
@@ -78,9 +80,7 @@ __all__ = [
     "ThetaTerms",
     "theta_terms_needed",
     "near_theta_zero",
-    "guard_entry",
-    "entry_near_zero",
-    "PoleGuard",
+    "near_theta_zero_log",
 ]
 
 _MAX_TERMS = 200_000
@@ -97,23 +97,23 @@ _LN10 = math.log(10)
 
 
 def _screen_clears(im, absz):
-    """The float screen: True only where near_theta_zero(z, q, kmax) is False
-    for every real q (q = 0 included) and every kmax.
+    """The float screen: True only where near_theta_zero(z, q) is False for
+    every real q.
 
-    im and absz are Im z and |z| in Python floats, rounded from z.  Proof.
-    Write t = POLE_TOL.  For real q every zero r of the rule (r = q^k, or
-    r = 1 when q = 0) is real, so |z - r| >= |Im z|.  near_theta_zero is True
-    only at some such r with |z - r| < t max(|r|, 1).  If |r| <= 1, then
-    |Im z| < t.  If |r| > 1, then |r| <= |z| + |z - r| < |z| + t |r|, so
-    |r| < |z| / (1 - t) and |Im z| < t |r| < t |z| / (1 - t).  Either way
-    |Im z| < t max(|z|, 1) / (1 - t), and near_theta_zero is False wherever
-    |Im z| >= t max(|z|, 1) / (1 - t).  The screen asks for
-    |Im z| > t max(|z|, 1) (1 + 2e-6) in floats: 1 + 2e-6 exceeds
-    1 / (1 - t) = 1 + 1e-6 + 1e-12 + ... by 1e-6 - 1e-12, and the floats of
-    Im z and |z| are off from the working-precision values by a few units
-    of 2^-53 relative to max(|z|, 1), about 1e-9 of that gap.  A float
-    outside the normal range (0, inf or nan) fails the test and so clears
-    nothing.  Where it fails, near_theta_zero decides.
+    im and absz are Im z and |z| in Python floats, each within
+    d max(|z|, 1) of its value, d < 1e-12 (near_theta_zero_log takes them
+    with d < 2e-13).  Proof.  Write t = POLE_TOL and M = max(|z|, 1).  For
+    real q every zero r = q^k of theta_q is real, so |z - r| >= |Im z|.
+    near_theta_zero is True only at some such r with |z - r| < t max(|r|, 1).
+    If |r| <= 1, then |Im z| < t.  If |r| > 1, then
+    |r| <= |z| + |z - r| < |z| + t |r|, so |r| < |z| / (1 - t) and
+    |Im z| < t |r| < t |z| / (1 - t).  Either way |Im z| < t M / (1 - t),
+    and near_theta_zero is False wherever |Im z| >= t M / (1 - t).  The
+    screen asks for |im| > s max(absz, 1) with s = t (1 + 2e-6).  Where it
+    holds, max(absz, 1) >= (1 - d) M gives |Im z| > (s (1 - d) - d) M, and
+    s (1 - d) - d exceeds t / (1 - t) = t (1 + 1e-6 + 1e-12 + ...) by
+    s - t / (1 - t) - d (1 + s) > 0.99e-12 - 1.01 d > 0.  Where the screen
+    fails, near_theta_zero decides.
     """
     return abs(im) > _SCREEN_TOL * max(absz, 1.0)
 
@@ -172,39 +172,54 @@ class QPochProduct:
     """prod (c x | b)_inf ** power over fixed factors, prepared for many x.
 
     The factors are QPochFactor-like (c, b, power; b = 0 gives 1 - c x), as
-    in a kernel, with exact rational c and b.  Preparation takes each
-    distinct b's series (_euler_base) once; a call converts x to fixed point
-    once, each c x by integer division, and sums each factor's series
+    in a kernel, with exact rational c and b, |b| < 1.  Preparation takes
+    each distinct b's series (_euler_base) once; a call converts x to fixed
+    point once, each c x by integer division, and sums each factor's series
     (_qpoch_series).  Numerator and denominator factors are multiplied into
     one running product each, and the two are divided once as mpc values.
-    A pure evaluator, like ThetaTerms: KernelEvaluator guards the poles.
+    A call is the kernels' one pole guard: a factor whose c x is within
+    POLE_TOL (relatively) of a zero b^-k, k >= 0, raises PoleError carrying
+    the first such factor.  |c x - b^-k| < POLE_TOL b^-k is
+    |1 - b^k c x| < POLE_TOL, so the call tests y = c x at each shift step
+    y -> b y that _qpoch_series takes while |y| > 1, and at the first y with
+    |y| <= 1; past it |b^k y| <= |b| < 1 - POLE_TOL.  The test compares
+    |1 - y|^2 in integers with POLE_TOL's exact binary value.
     Error budget: each factor is within 2^(budget - wp) of its value,
-    relatively, wherever x is POLE_TOL (relatively) or more from its zeros
-    (_qpoch_series); the budget is at most 30 bits, at the largest kernel
-    base 9/16.  Each running product adds one truncation per factor,
-    relative to its smallest value.
+    relatively, wherever the guard passes (_qpoch_series); the budget is at
+    most 30 bits, at the largest kernel base 9/16.  Each running product
+    adds one truncation per factor, relative to its smallest value.
     """
 
     def __init__(self, factors, digits):
         self.digits = digits
         with workdps(digits + 10):
             self._wp = wp = mp.mp.prec + _GUARD_BITS
+        self._tol2 = int((Fraction(POLE_TOL) * 2 ** wp) ** 2)
         bases = {}
         self._factors = []
         for f in factors:
             if f.b not in bases:
                 bases[f.b] = _euler_base(f.b, wp)
             self._factors.append(
-                (f.c.numerator, f.c.denominator, bases[f.b], f.power))
+                (f, f.c.numerator, f.c.denominator, bases[f.b]))
 
     def __call__(self, x):
         wp = self._wp
+        one = 1 << wp
         with workdps(self.digits + 10):
             xr, xi = _to_fixed(mp.mpc(x), wp)
-            acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
-            for n, d, base, power in self._factors:
-                acc[power] = _qpoch_series(
-                    acc[power], (((n * xr) // d, (n * xi) // d),), base, wp)
+            acc = {1: (one, 0), -1: (one, 0)}
+            for f, n, d, base in self._factors:
+                y = yr, yi = (n * xr) // d, (n * xi) // d
+                (br, bi), t, _ = base
+                while True:
+                    if (one - yr) ** 2 + yi * yi < self._tol2:
+                        raise PoleError("factor pole or zero at x = %s" % x,
+                                        factor=f)
+                    if yr * yr + yi * yi <= one * one:
+                        break
+                    yr, yi = (yr * br - yi * bi) >> t, (yr * bi + yi * br) >> t
+                acc[f.power] = _qpoch_series(acc[f.power], (y,), base, wp)
             return _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
 
 
@@ -262,7 +277,8 @@ class ThetaTerms:
     and up), and one truncation per factor in the running products,
     relative to their smallest values.  z' comes within POLE_TOL of the zero
     1 of (z' | q') only where z is within about POLE_TOL |tau| of a zero of
-    theta_q, which the structure functions' guard rejects.
+    theta_q, which the structure functions' guard (near_theta_zero_log)
+    rejects.
     """
 
     def __init__(self, digits):
@@ -433,9 +449,9 @@ def _qpoch_series(p, ys, base, wp):
     sum.  The dropped tail adds at most 2^-wp (2 - |b|) / (1 - |b|): past
     N each |a_n| falls by a factor 1/(2 - |b|) or more.  That is relative
     to |(y | b)_inf| >= |1 - y| (|b|; |b|)_inf, and the pole guards keep
-    |1 - y| >= about POLE_TOL (for a kernel factor, y = b^k c x is at least
-    POLE_TOL from 1 when c x is at least POLE_TOL, relatively, from its
-    zero b^-k).  So the series loses at most about
+    |1 - y| >= POLE_TOL: QPochProduct tests it on each kernel factor's y,
+    and the structure functions' guard keeps the transform's z' about that
+    far from 1 (ThetaTerms).  So the series loses at most about
     log2((N + 1) (-1; |b|)_inf / (POLE_TOL (|b|; |b|)_inf)) of the 60 guard
     bits, which _euler_base keeps within _BUDGET_BITS = 50: 5 + 20 + 5 at
     b = 9/16 (N = 26).  Each shift step adds one truncation to p, as the
@@ -468,41 +484,56 @@ def _from_fixed(p, wp):
     return mp.mpc(mp.mpf((p[0], -wp)), mp.mpf((p[1], -wp)))
 
 
-def near_theta_zero(z, q, kmax=None):
+def near_theta_zero(z, q):
     """True if z lies within POLE_TOL (relatively) of a zero q^k of theta_q.
 
-    With kmax, only the zeros q^k with k <= kmax count: kmax=0 gives the
-    zeros of (z | q)_inf, and q = 0 leaves its single zero z = 1.  The k
-    tested are floor(k0) - 2 .. ceil(k0) + 2 with |z| = |q|^k0.
+    The k tested are floor(k0) - 2 .. ceil(k0) + 2 with |z| = |q|^k0.
     """
     zf = complex(z)
     qf = complex(q)
     absz = abs(zf)
     absq = abs(qf)
-    if not (_normal(absz) and (_normal(absq) and absq != 1 or q == 0)):
-        return _near_theta_zero_mp(z, q, kmax)
-    if absq == 0:
-        ks = (0,)
-    else:
-        lnq = math.log(absq)
-        k0 = math.log(absz) / lnq
-        # k0 carries a few float roundings per unit of k0 (while |q| is not
-        # within 1e-6 of 1); near an integer its floor and ceil are unsure
-        if abs(k0 - round(k0)) < _FLOAT_MARGIN * (1 + abs(k0)):
-            return _near_theta_zero_mp(z, q, kmax)
-        ks = _zero_window(math.floor(k0), math.ceil(k0), kmax)
-    for k in ks:
-        if absq and not abs(k * lnq) < 700:  # |q^k| beyond e^700 or e^-700
-            return _near_theta_zero_mp(z, q, kmax)
+    if not (_normal(absz) and _normal(absq) and absq != 1):
+        return _near_theta_zero_mp(z, q)
+    lnq = math.log(absq)
+    k0 = math.log(absz) / lnq
+    # k0 carries a few float roundings per unit of k0 (while |q| is not
+    # within 1e-6 of 1); near an integer its floor and ceil are unsure
+    if abs(k0 - round(k0)) < _FLOAT_MARGIN * (1 + abs(k0)):
+        return _near_theta_zero_mp(z, q)
+    for k in range(math.floor(k0) - 2, math.ceil(k0) + 3):
+        if not abs(k * lnq) < 700:  # |q^k| beyond e^700 or e^-700
+            return _near_theta_zero_mp(z, q)
         zk = qf ** k
         ratio = abs(zf - zk) / (POLE_TOL * max(abs(zk), 1.0))
         # z and q carry one float rounding each, and q^k about |k| of them;
         # each moves the ratio by about 1e-10
         if abs(ratio - 1) < _FLOAT_MARGIN * (1 + abs(k)):
-            return _near_theta_zero_mp(z, q, kmax)
+            return _near_theta_zero_mp(z, q)
         if ratio < 1:
             return True
     return False
+
+
+def near_theta_zero_log(log_z, q):
+    """near_theta_zero(e^log_z, q), for log_z at the working precision: the
+    structure functions' guard on the log their transform takes.
+
+    On a real q (an mpf) it is screened first (_screen_clears) from the
+    float exp of log_z's complex float, where |log z| < 700: rounding log z
+    moves e^(log z) by about |log z| 2^-53 relatively and the exp adds a few
+    units of 2^-53, so the floats of Im z and |z| are within
+    (|log z| + 2) 2^-53 |z| < 2e-13 |z| of their values.  Every argument
+    the screen does not clear, and every complex q, takes near_theta_zero on
+    e^log_z at the working precision.  So it decides as near_theta_zero does.
+    """
+    if isinstance(q, mp.mpf):
+        lf = complex(log_z)
+        if abs(lf) < 700:
+            zf = cmath.exp(lf)
+            if _screen_clears(zf.imag, abs(zf)):
+                return False
+    return near_theta_zero(mp.exp(log_z), q)
 
 
 def _normal(x):
@@ -510,77 +541,14 @@ def _normal(x):
     return sys.float_info.min <= x <= sys.float_info.max
 
 
-def _zero_window(lo, hi, kmax):
-    """The k from lo - 2 to hi + 2 (at most kmax) whose q^k the guard tests."""
-    hi += 2
-    return range(lo - 2, (hi if kmax is None else min(hi, kmax)) + 1)
-
-
-def _near_theta_zero_mp(z, q, kmax):
+def _near_theta_zero_mp(z, q):
     """near_theta_zero at the working precision, for what floats cannot hold."""
     absz = abs(mp.mpc(z))
     if absz == 0:
-        return kmax is None
-    if q == 0:
-        ks = (0,)
-    else:
-        k0 = mp.log(absz) / mp.log(abs(mp.mpc(q)))
-        ks = _zero_window(int(mp.floor(k0)), int(mp.ceil(k0)), kmax)
-    for k in ks:
+        return True
+    k0 = mp.log(absz) / mp.log(abs(mp.mpc(q)))
+    for k in range(int(mp.floor(k0)) - 2, int(mp.ceil(k0)) + 3):
         zk = mp.mpc(q) ** k
         if abs(z - zk) < POLE_TOL * max(abs(zk), mp.mpf(1)):
             return True
     return False
-
-
-def guard_entry(orient, m, q):
-    """One factor's guard entry for near_theta_zero(x ** orient * m, q), as
-    entry_near_zero takes it: orient is +-1, and m and q are values at the
-    working precision (mpf or mpc)."""
-    return [orient, m, q, ...]  # ...: m's float not taken yet
-
-
-def entry_near_zero(entry, x, xf, kmax=None):
-    """near_theta_zero(x ** orient * m, q, kmax) for a guard_entry, x an mpc
-    and xf its complex float.
-
-    Where x is off the real axis and m and q are both mpf (real), the entry
-    is screened first (_screen_clears) from xf, with m as a normal float
-    taken on its first screen (so a guard that only ever sees real x takes
-    none).  Every other entry, and every entry the screen does not clear,
-    takes near_theta_zero on its argument at the working precision.  So it
-    decides as near_theta_zero does.
-    """
-    orient, m, q, mf = entry
-    if xf.imag:
-        if mf is ...:
-            mf = float(m) if isinstance(m, mp.mpf) and isinstance(q, mp.mpf) else 0.0
-            mf = entry[3] = mf if _normal(abs(mf)) else None
-        if mf is not None:
-            a = (xf if orient == 1 else 1 / xf) * mf
-            if _screen_clears(a.imag, abs(a)):
-                return False
-    return near_theta_zero((x if orient == 1 else x ** orient) * m, q, kmax)
-
-
-class PoleGuard:
-    """near_theta_zero(x ** orient * m, q, kmax) over fixed factors,
-    prepared for many x.
-
-    entries are (label, orient, m, q), each made a guard_entry.  first(x),
-    for an mpc x, returns the label of the first entry whose argument
-    x ** orient * m is within POLE_TOL of a zero of theta_q (of (. | q)_inf
-    with kmax=0), or None, deciding each entry by entry_near_zero.
-    """
-
-    def __init__(self, entries, kmax=None):
-        self._kmax = kmax
-        self._entries = [(label, guard_entry(orient, m, q))
-                         for label, orient, m, q in entries]
-
-    def first(self, x):
-        xf = complex(x)
-        for label, entry in self._entries:
-            if entry_near_zero(entry, x, xf, self._kmax):
-                return label
-        return None

@@ -210,6 +210,29 @@ def test_crashed_suite_exits_3_with_error_entry(tmp_path, monkeypatch, suite):
     assert rep["overall_verdict"] == "fail"
 
 
+def test_report_write_error_exits_3(tmp_path, monkeypatch, capsys):
+    # an exception outside the suite runners is an internal error, not a
+    # failed verification
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", full_disk)
+    out = tmp_path / "r.json"
+    assert main(["--suite", "ope", "--order", "8", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "error: internal: OSError: [Errno 28] No space left on device"
+
+
+def test_print_error_exits_3(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "print_object", broken)
+    assert main(["print", "kernel", "EE"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "error: internal: ZeroDivisionError: division by zero"
+
+
 def test_hopf_suite_fails_with_witnesses(tmp_path):
     # the antipode obstruction on the odd generators is real: the suite
     # must exit 1 and still write the full report

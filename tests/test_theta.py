@@ -7,15 +7,15 @@ from fractions import Fraction as Fr
 import mpmath as mp
 import pytest
 
-from ospboson.errors import DomainError
+from ospboson.errors import DomainError, PoleError
 from ospboson.freefield import DeformationParams, exp_contraction_closed
 from ospboson.scalars import sample_annulus_point, to_mpf
 from ospboson.series import QPochFactor
 from ospboson.theta import (
     POLE_TOL,
-    PoleGuard,
     QPochProduct,
     near_theta_zero,
+    near_theta_zero_log,
     qpoch_eval,
     theta_eval,
     theta_eval_modular,
@@ -167,8 +167,7 @@ GUARD_NOMES = ["6.4e-5", "0.01", "0.05", "0.178", "0.3", "0.5625", "0.7",
                "0.95", "0.98"]
 
 
-@pytest.mark.parametrize("kmax", [None, 0])
-def test_guard_matches_working_precision_rule(kmax):
+def test_guard_matches_working_precision_rule():
     # points at relative distance POLE_TOL (1 +- 1e-12) and (1 +- 1e-3) from
     # the zeros q^k, k = -3..3: the first pair is decided at the working
     # precision, the second in floats
@@ -182,15 +181,16 @@ def test_guard_matches_working_precision_rule(kmax):
                     for ph in ("0", "0.41", "1"):
                         d = POLE_TOL * max(zk, 1) * (1 + mp.mpf(f))
                         z = zk + d * mp.expjpi(mp.mpf(ph))
-                        want = working_precision_guard(z, q, kmax)
-                        assert near_theta_zero(z, q, kmax) == want, (qs, k, f, ph)
+                        want = working_precision_guard(z, q)
+                        assert near_theta_zero(z, q) == want, (qs, k, f, ph)
                         decisions.add(want)
     assert decisions == {True, False}
-    # PoleGuard's float screen: points whose |Im z| is the screen's threshold
-    # POLE_TOL max(|z|, 1) (1 + 2e-6) times (1 +- 1e-3), on the zeros' real
-    # parts and half a POLE_TOL beside them, reached as x^orient * m; on the
-    # complex nome, where every zero is off the real axis, the screen must
-    # not clear, and points within POLE_TOL of a zero are poles
+    # near_theta_zero_log's float screen: points whose |Im z| is the
+    # screen's threshold POLE_TOL max(|z|, 1) (1 + 2e-6) times (1 +- 1e-3),
+    # on the zeros' real parts and half a POLE_TOL beside them, reached as
+    # log z = orient log x + log m; on the complex nome, where every zero is
+    # off the real axis, the screen must not clear, and points within
+    # POLE_TOL of a zero are poles
     decisions = set()
     screen = POLE_TOL * (1 + mp.mpf("2e-6"))
     with mp.workdps(DIGITS + 10):
@@ -209,48 +209,66 @@ def test_guard_matches_working_precision_rule(kmax):
                             for orient in (1, -1):
                                 for m in (mp.mpf(1), mp.mpf("0.37")):
                                     x = (z / m) ** orient
-                                    guard = PoleGuard([("f", orient, m, q)], kmax)
-                                    arg = x ** orient * m
-                                    want = working_precision_guard(arg, q, kmax)
-                                    got = guard.first(x) == "f"
+                                    log_z = orient * mp.log(x) + mp.log(m)
+                                    want = working_precision_guard(x ** orient * m, q)
+                                    got = near_theta_zero_log(log_z, q)
                                     assert got == want, (q, k, f, shift, sign, orient, m)
                                     decisions.add(want)
                 for off in ("0.5e-6", "2e-6"):
                     z = zk + mp.mpf(off) * max(abs(zk), 1) * mp.expjpi(mp.mpf("0.41"))
-                    want = working_precision_guard(z, q, kmax)
-                    assert (PoleGuard([("f", 1, mp.mpf(1), q)], kmax).first(z) == "f") == want
-                    if mp.im(q) and (kmax is None or k <= kmax):
+                    want = working_precision_guard(z, q)
+                    assert near_theta_zero_log(mp.log(z), q) == want
+                    if mp.im(q):
                         assert want == (off == "0.5e-6")
     assert decisions == {True, False}
 
 
 def test_guard_outside_float_range():
-    # |z| and |q| that a float turns into 0 or inf, and the base-0 factors of
-    # a kernel, take the working-precision rule
+    # |z| and |q| that a float turns into 0 or inf take the working-precision
+    # rule
     with mp.workdps(DIGITS + 10):
         q = mp.mpf("0.16")
         for zs in ("1e-400", "1e400", "-1e-400", "3e-310"):
             for z in (mp.mpf(zs), mp.mpc(zs, zs)):
-                for kmax in (None, 0):
-                    assert (near_theta_zero(z, q, kmax)
-                            == working_precision_guard(z, q, kmax))
+                assert near_theta_zero(z, q) == working_precision_guard(z, q)
         tiny = mp.mpf("1e-400")
         for z in (tiny ** 2, tiny ** 3, mp.mpc("0.3", "0.3")):
             assert near_theta_zero(z, tiny) == working_precision_guard(z, tiny)
-        for z in (1, mp.mpf(1) + mp.mpf("5e-7"), mp.mpf(1) + mp.mpf("2e-6"),
-                  mp.mpc("0.61", "0.34"), 0):
-            for kmax in (None, 0):
-                assert (near_theta_zero(z, 0, kmax)
-                        == working_precision_guard(z, 0, kmax))
-        assert near_theta_zero(mp.mpf(1) + mp.mpf("5e-7"), 0, kmax=0)
-        assert not near_theta_zero(mp.mpf(1) + mp.mpf("2e-6"), 0, kmax=0)
         # q in float range whose powers q^-2 .. q^3 are not
         q = mp.mpf("1e-300")
         for z in (mp.mpf("0.5"), q * (1 + mp.mpf("5e-7")), q * (1 + mp.mpf("2e-6")),
                   q ** 2, -q ** 3):
-            for kmax in (None, 0):
-                assert (near_theta_zero(z, q, kmax)
-                        == working_precision_guard(z, q, kmax))
+            assert near_theta_zero(z, q) == working_precision_guard(z, q)
+
+
+def test_qpoch_product_guard_matches_working_precision_rule():
+    # QPochProduct raises PoleError exactly where c x is within POLE_TOL
+    # (relatively) of a zero b^-k, k >= 0, of (c x | b): at relative
+    # distances POLE_TOL (1 +- 1e-12) and (1 +- 1e-3) from b^-k, k = 0..3
+    # (k = 0 on base 0), reached along the shift steps y -> b y
+    decisions = set()
+    with mp.workdps(DIGITS + 10):
+        for b in (Fr(0), Fr(4, 25), Fr(9, 16), Fr(87, 100)):
+            for c in (Fr(1), Fr(-16, 9), Fr(5, 2)):
+                factor = QPochFactor(c, b, 1)
+                ev = QPochProduct([factor], DIGITS)
+                for k in range(1 if b == 0 else 4):
+                    zk = to_mpf(b) ** -k
+                    for f in ("1e-12", "-1e-12", "1e-3", "-1e-3"):
+                        for ph in ("0", "0.41", "1"):
+                            d = POLE_TOL * zk * (1 + mp.mpf(f))
+                            x = (zk + d * mp.expjpi(mp.mpf(ph))) / to_mpf(c)
+                            want = working_precision_guard(to_mpf(c) * x, to_mpf(b),
+                                                           kmax=0)
+                            try:
+                                ev(x)
+                                got = False
+                            except PoleError as exc:
+                                assert exc.factor is factor
+                                got = True
+                            assert got == want, (b, c, k, f, ph)
+                            decisions.add(want)
+    assert decisions == {True, False}
 
 
 def test_guard_window_edge():
