@@ -167,7 +167,7 @@ GUARD_NOMES = ["6.4e-5", "0.01", "0.05", "0.178", "0.3", "0.5625", "0.7",
                "0.95", "0.98"]
 
 
-def test_guard_matches_working_precision_rule():
+def _check_theta_guards():
     # points at relative distance POLE_TOL (1 +- 1e-12) and (1 +- 1e-3) from
     # the zeros q^k, k = -3..3: the first pair is decided at the working
     # precision, the second in floats
@@ -223,25 +223,7 @@ def test_guard_matches_working_precision_rule():
     assert decisions == {True, False}
 
 
-def test_guard_outside_float_range():
-    # |z| and |q| that a float turns into 0 or inf take the working-precision
-    # rule
-    with mp.workdps(DIGITS + 10):
-        q = mp.mpf("0.16")
-        for zs in ("1e-400", "1e400", "-1e-400", "3e-310"):
-            for z in (mp.mpf(zs), mp.mpc(zs, zs)):
-                assert near_theta_zero(z, q) == working_precision_guard(z, q)
-        tiny = mp.mpf("1e-400")
-        for z in (tiny ** 2, tiny ** 3, mp.mpc("0.3", "0.3")):
-            assert near_theta_zero(z, tiny) == working_precision_guard(z, tiny)
-        # q in float range whose powers q^-2 .. q^3 are not
-        q = mp.mpf("1e-300")
-        for z in (mp.mpf("0.5"), q * (1 + mp.mpf("5e-7")), q * (1 + mp.mpf("2e-6")),
-                  q ** 2, -q ** 3):
-            assert near_theta_zero(z, q) == working_precision_guard(z, q)
-
-
-def test_qpoch_product_guard_matches_working_precision_rule():
+def _check_qpoch_product_guard():
     # QPochProduct raises PoleError exactly where c x is within POLE_TOL
     # (relatively) of a zero b^-k, k >= 0, of (c x | b): at relative
     # distances POLE_TOL (1 +- 1e-12) and (1 +- 1e-3) from b^-k, k = 0..3
@@ -269,6 +251,35 @@ def test_qpoch_product_guard_matches_working_precision_rule():
                             assert got == want, (b, c, k, f, ph)
                             decisions.add(want)
     assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("kmax", [None, 0])
+def test_guard_matches_working_precision_rule(kmax):
+    # kmax=None: the structure functions' guards, near_theta_zero and
+    # near_theta_zero_log, against every zero q^k; kmax=0: the kernels'
+    # guard in QPochProduct, against the zeros b^-k, k >= 0, of (c x | b)
+    if kmax is None:
+        _check_theta_guards()
+    else:
+        _check_qpoch_product_guard()
+
+
+def test_guard_outside_float_range():
+    # |z| and |q| that a float turns into 0 or inf take the working-precision
+    # rule
+    with mp.workdps(DIGITS + 10):
+        q = mp.mpf("0.16")
+        for zs in ("1e-400", "1e400", "-1e-400", "3e-310"):
+            for z in (mp.mpf(zs), mp.mpc(zs, zs)):
+                assert near_theta_zero(z, q) == working_precision_guard(z, q)
+        tiny = mp.mpf("1e-400")
+        for z in (tiny ** 2, tiny ** 3, mp.mpc("0.3", "0.3")):
+            assert near_theta_zero(z, tiny) == working_precision_guard(z, tiny)
+        # q in float range whose powers q^-2 .. q^3 are not
+        q = mp.mpf("1e-300")
+        for z in (mp.mpf("0.5"), q * (1 + mp.mpf("5e-7")), q * (1 + mp.mpf("2e-6")),
+                  q ** 2, -q ** 3):
+            assert near_theta_zero(z, q) == working_precision_guard(z, q)
 
 
 def test_guard_window_edge():
