@@ -150,8 +150,9 @@ class LimitSample:
     Built from (u-v, eta, hbar, c, digits), as limit_check takes them: for
     each eps of EPSILON_LADDER, a relations.StructureFunctionEvaluator on
     p = e^{eps hbar} and the nomes B of the convention above, at the point
-    x = e^{-eps(u-v)}.  values(f) is f's value at each eps; a factor within
-    theta.POLE_TOL of a theta zero raises PoleError carrying the first such
+    x = e^{-eps(u-v)}.  values(f) is f's value at each eps; a factor at a
+    theta zero (within about theta.POLE_TOL |ln B| / (2 pi) of it,
+    relatively, on its nome B) raises PoleError carrying the first such
     factor of f.  Nothing is kept beyond the object: the limits suite makes
     one per sample and drops it after the sample's eight checks.
     """

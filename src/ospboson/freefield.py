@@ -295,9 +295,9 @@ class KernelEvaluator:
 
     Preparation converts the scalar and takes each base's series
     coefficients for the product (theta.QPochProduct), at the working
-    precision digits + 10.  eval_product(x) is the product's call, the
-    kernels' one pole guard: x within theta.POLE_TOL of a zero of a factor
-    raises PoleError carrying the first such factor.  Otherwise each
+    precision digits + 10.  eval_product(x) is the product's call: x within
+    theta.POLE_TOL of a zero of a factor raises PoleError carrying the
+    first such factor, found by the series' pole guard.  Otherwise each
     factor's Euler series is summed in fixed point, numerator and
     denominator apart, and the two divided once; see QPochProduct for the
     error budget.

@@ -43,7 +43,7 @@ from .freefield import (
     rational_product,
 )
 from .scalars import mpc_to_str, sample_annulus_point, to_mpf, workdps
-from .theta import ThetaTerms, near_theta_zero_log
+from .theta import ThetaTerms
 
 __all__ = [
     "ThetaFactor",
@@ -250,12 +250,12 @@ class StructureFunctionEvaluator:
 
     keys(f) are f's factor keys at level c, equal for equal factors.  at(x)
     is the evaluator at one point x: it takes log x once and fills on first
-    use each distinct factor's guard verdict and transformed term, both read
-    from the log of the factor's argument, orient * log x + shift * log p,
-    so the structure functions evaluated there share them.  value(f, keys)
-    there is the structure functions' one pole guard: any factor's argument
-    (numerator or denominator) within theta.POLE_TOL of a theta zero raises
-    PoleError carrying f's first such factor (theta.near_theta_zero_log).
+    use each distinct factor's transformed term, from the log of the
+    factor's argument, orient * log x + shift * log p, so the structure
+    functions evaluated there share them.  value(f, keys) there raises
+    PoleError carrying f's first factor (numerator or denominator) whose
+    argument is at a theta zero, where its term is None (theta.ThetaTerms:
+    within about theta.POLE_TOL |ln B| / (2 pi) of the zero, relatively).
     Otherwise it composes f from the terms in f's factor order
     (theta.ThetaTerms.product), and the value is real when x and the nomes
     are.  The evaluator, at and value run at the caller's working
@@ -270,7 +270,7 @@ class StructureFunctionEvaluator:
         self._log_p = mp.log(p)
         self._bases = bases
         self._real_nomes = not any(mp.im(b) for b in bases.values())
-        self._factors = {}  # factor key -> (s log p, nome, prepared nome)
+        self._factors = {}  # factor key -> (s log p, prepared nome)
 
     def keys(self, f):
         """f's factor keys: (base, orient, numerator and denominator of the
@@ -281,9 +281,8 @@ class StructureFunctionEvaluator:
     def _factor(self, key):
         if key not in self._factors:
             base, _, n, d = key
-            q = self._bases[base]
-            self._factors[key] = (to_mpf(Fraction(n, d)) * self._log_p, q,
-                                  self.thetas.nome(q))
+            self._factors[key] = (to_mpf(Fraction(n, d)) * self._log_p,
+                                  self.thetas.nome(self._bases[base]))
         return self._factors[key]
 
     def at(self, x):
@@ -306,10 +305,9 @@ class _StructureFunctionPoint:
         pairs = []
         for tf, key in zip(f.factors, keys):
             if key not in terms:
-                offset, q, nome = ev._factor(key)
-                log_z = tf.orient * self._log_x + offset
-                terms[key] = None if near_theta_zero_log(log_z, q) else (
-                    ev.thetas.term(log_z, nome))
+                offset, nome = ev._factor(key)
+                terms[key] = ev.thetas.term(tf.orient * self._log_x + offset,
+                                            nome)
             if terms[key] is None:
                 raise PoleError("structure function pole or zero", factor=tf)
             pairs.append((terms[key], tf.power))
@@ -371,9 +369,10 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     by 1 as a negative control.  The two kernels, the structure-function
     evaluator and S's factor keys are prepared once per call
     (KernelEvaluator, StructureFunctionEvaluator) and then only evaluated
-    at each sample point.  A sample point is drawn again when it
-    is within theta.POLE_TOL of a zero of any kernel factor or of any theta
-    factor of S: each evaluator raises PoleError there.
+    at each sample point.  A sample point is drawn again where either
+    evaluator raises PoleError: within theta.POLE_TOL (relatively) of a zero
+    of any kernel factor, or at a zero of any theta factor of S, within
+    about theta.POLE_TOL |ln B| / (2 pi) of it on its nome B.
     """
     if rel.kind != "exchange":
         raise StructuralError("verify_exchange needs an exchange relation")

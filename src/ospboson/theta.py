@@ -45,24 +45,19 @@ loop with them.  All of them work in fixed point: Python ints scaled by
 do.  Fixed point does not renormalize, so the error of a product is
 relative to its smallest running product (see ``qpoch_eval``).
 
-Each evaluator guards the poles on the value it already sums: a point
-within POLE_TOL (relatively) of a zero of a factor raises PoleError.
-``QPochProduct`` tests each kernel factor's fixed-point c x along the
-shift steps its series takes.  A theta factor is guarded at the log of its
-argument, which the transform takes anyway (``near_theta_zero_log``): on
-a real nome a float screen clears an argument far off the real axis
-(proved at ``_screen_clears``), and ``near_theta_zero`` decides the rest.
-``near_theta_zero`` only decides whether a relative distance is below
-POLE_TOL, so it decides in Python floats and goes back to the working
-precision only where a float cannot tell: a distance within 1e-9
-(relatively, per power of q) of the bound, or a z, q or q^k outside the
-normal float range.  Its decisions are the working-precision rule's, and
-so are the screen's.
+Each evaluator guards the poles on the value it already sums, by one test
+in ``_qpoch_series``: every y the shift steps meet, and the first y with
+|y| <= 1, is tested as |1 - y|^2 < POLE_TOL^2 in integers.  A y that near
+1 means the factor's argument is within POLE_TOL (relatively) of a zero
+b^-k of (y | b), and the series returns None.  ``QPochProduct`` then raises
+PoleError carrying the kernel factor; ``ThetaTerms.term`` returns None, and
+``theta_eval_modular`` raises PoleError.  After the transform a zero of
+theta_q is z' = 1 (or a power of q' at a complex nome), so a theta factor
+is a pole within about POLE_TOL |ln q| / (2 pi) of a zero q^k, relatively.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from fractions import Fraction
@@ -79,43 +74,17 @@ __all__ = [
     "theta_eval_modular",
     "ThetaTerms",
     "theta_terms_needed",
-    "near_theta_zero",
-    "near_theta_zero_log",
 ]
 
 _MAX_TERMS = 200_000
 
 POLE_TOL = 1e-6  # relative distance from a zero that counts as a pole
-_SCREEN_TOL = POLE_TOL * (1 + 2e-6)
 
 _GUARD_BITS = 60      # fixed-point bits beyond the working precision
 _BUDGET_BITS = 50     # of them, the most Euler's series may lose (_euler_base)
 _COEF_BITS = 20       # bits beyond wp for the series' coefficient recursion
-_FLOAT_MARGIN = 1e-9  # float distance ratios this close to 1 are redone
 _LN2 = math.log(2)
 _LN10 = math.log(10)
-
-
-def _screen_clears(im, absz):
-    """The float screen: True only where near_theta_zero(z, q) is False for
-    every real q.
-
-    im and absz are Im z and |z| in Python floats, each within
-    d max(|z|, 1) of its value, d < 1e-12 (near_theta_zero_log takes them
-    with d < 2e-13).  Proof.  Write t = POLE_TOL and M = max(|z|, 1).  For
-    real q every zero r = q^k of theta_q is real, so |z - r| >= |Im z|.
-    near_theta_zero is True only at some such r with |z - r| < t max(|r|, 1).
-    If |r| <= 1, then |Im z| < t.  If |r| > 1, then
-    |r| <= |z| + |z - r| < |z| + t |r|, so |r| < |z| / (1 - t) and
-    |Im z| < t |r| < t |z| / (1 - t).  Either way |Im z| < t M / (1 - t),
-    and near_theta_zero is False wherever |Im z| >= t M / (1 - t).  The
-    screen asks for |im| > s max(absz, 1) with s = t (1 + 2e-6).  Where it
-    holds, max(absz, 1) >= (1 - d) M gives |Im z| > (s (1 - d) - d) M, and
-    s (1 - d) - d exceeds t / (1 - t) = t (1 + 1e-6 + 1e-12 + ...) by
-    s - t / (1 - t) - d (1 + s) > 0.99e-12 - 1.01 d > 0.  Where the screen
-    fails, near_theta_zero decides.
-    """
-    return abs(im) > _SCREEN_TOL * max(absz, 1.0)
 
 
 def theta_terms_needed(absq, digits):
@@ -177,24 +146,18 @@ class QPochProduct:
     point once, each c x by integer division, and sums each factor's series
     (_qpoch_series).  Numerator and denominator factors are multiplied into
     one running product each, and the two are divided once as mpc values.
-    A call is the kernels' one pole guard: a factor whose c x is within
-    POLE_TOL (relatively) of a zero b^-k, k >= 0, raises PoleError carrying
-    the first such factor.  |c x - b^-k| < POLE_TOL b^-k is
-    |1 - b^k c x| < POLE_TOL, so the call tests y = c x at each shift step
-    y -> b y that _qpoch_series takes while |y| > 1, and at the first y with
-    |y| <= 1; past it |b^k y| <= |b| < 1 - POLE_TOL.  The test compares
-    |1 - y|^2 in integers with POLE_TOL's exact binary value.
+    A factor whose series meets a pole (c x within POLE_TOL, relatively, of
+    a zero b^-k, k >= 0) raises PoleError carrying the first such factor.
     Error budget: each factor is within 2^(budget - wp) of its value,
-    relatively, wherever the guard passes (_qpoch_series); the budget is at
-    most 30 bits, at the largest kernel base 9/16.  Each running product
-    adds one truncation per factor, relative to its smallest value.
+    relatively, wherever no PoleError is raised (_qpoch_series); the budget
+    is at most 30 bits, at the largest kernel base 9/16.  Each running
+    product adds one truncation per factor, relative to its smallest value.
     """
 
     def __init__(self, factors, digits):
         self.digits = digits
         with workdps(digits + 10):
             self._wp = wp = mp.mp.prec + _GUARD_BITS
-        self._tol2 = int((Fraction(POLE_TOL) * 2 ** wp) ** 2)
         bases = {}
         self._factors = []
         for f in factors:
@@ -210,16 +173,11 @@ class QPochProduct:
             xr, xi = _to_fixed(mp.mpc(x), wp)
             acc = {1: (one, 0), -1: (one, 0)}
             for f, n, d, base in self._factors:
-                y = yr, yi = (n * xr) // d, (n * xi) // d
-                (br, bi), t, _ = base
-                while True:
-                    if (one - yr) ** 2 + yi * yi < self._tol2:
-                        raise PoleError("factor pole or zero at x = %s" % x,
-                                        factor=f)
-                    if yr * yr + yi * yi <= one * one:
-                        break
-                    yr, yi = (yr * br - yi * bi) >> t, (yr * bi + yi * br) >> t
+                y = (n * xr) // d, (n * xi) // d
                 acc[f.power] = _qpoch_series(acc[f.power], (y,), base, wp)
+                if acc[f.power] is None:
+                    raise PoleError("factor pole or zero at x = %s" % x,
+                                    factor=f)
             return _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
 
 
@@ -238,10 +196,11 @@ def theta_eval(z, q, digits):
 def theta_eval_modular(z, q, digits):
     """theta_q(z) through the Jacobi transformation; same contract as theta_eval.
 
-    The transformed nome q' is tiny when q is near 1, and principal logs put
-    |q'|^(1/2) <= |z'| <= |q'|^(-1/2), so the series need only a few terms.
-    A nome so small that q' misses the series' budget (|q| below about
-    e^-280, where q' is above 0.87) raises DomainError.
+    The transformed nome q' is tiny when q is near 1, and on a real nome
+    principal logs put |q'|^(1/2) <= |z'| <= |q'|^(-1/2), so the series need
+    only a few terms.  A nome so small that q' misses the series' budget
+    (|q| below about e^-280, where q' is above 0.87) raises DomainError, and
+    a z at a zero of theta_q (ThetaTerms.term) raises PoleError.
     """
     with workdps(digits + 10):
         z = mp.mpc(z)
@@ -249,7 +208,10 @@ def theta_eval_modular(z, q, digits):
         if z == 0:
             raise DomainError("theta argument must be nonzero")
         thetas = ThetaTerms(digits)
-        v = thetas.product(((thetas.term(mp.log(z), thetas.nome(q)), 1),))
+        term = thetas.term(mp.log(z), thetas.nome(q))
+        if term is None:
+            raise PoleError("theta zero at z = %s" % z)
+        v = thetas.product(((term, 1),))
         # real on the real axis; drop the transformation's rounding noise
         if mp.im(z) == 0 and mp.im(q) == 0:
             return mp.mpc(mp.re(v))
@@ -264,8 +226,9 @@ class ThetaTerms:
     on the first call that needs it.  term(log_z, nome) is the per-argument
     step (_modular_factor) on a prepared nome, for log_z with its imaginary
     part in [-pi, pi] (a principal log, or minus one), which keeps
-    |q'|^(1/2) <= |z'| <= |q'|^(-1/2): a caller that shares a factor
-    between several products keeps its term and composes it into each.
+    |q'|^(1/2) <= |z'| <= |q'|^(-1/2) on a real nome; it is None where z is
+    at a zero of theta_q.  A caller that shares a factor between several
+    products keeps its term and composes it into each.
     product(pairs) takes (term, power) pairs, power +-1, and composes them,
     in order: the exponents summed, signed by power, under one exp, the P
     multiplied as a fixed-point numerator and denominator, and the two
@@ -275,10 +238,11 @@ class ThetaTerms:
     Error budget: _qpoch_series's over each of a factor's three
     q-Pochhammer factors on q' (24 bits for the q' <= 0.017 of nomes 6.4e-5
     and up), and one truncation per factor in the running products,
-    relative to their smallest values.  z' comes within POLE_TOL of the zero
-    1 of (z' | q') only where z is within about POLE_TOL |tau| of a zero of
-    theta_q, which the structure functions' guard (near_theta_zero_log)
-    rejects.
+    relative to their smallest values.  The budget's |1 - y| >= POLE_TOL
+    holds wherever a term is returned: the series returns None, and term
+    with it, where a y of (z' | q') or (q'/z' | q') comes within POLE_TOL
+    of 1, that is where z is within about POLE_TOL |ln q| / (2 pi),
+    relatively, of a zero of theta_q.
     """
 
     def __init__(self, digits):
@@ -313,7 +277,7 @@ def _modular_nome(q, wp):
     k = i / (4 pi tau); log C, the log of the prefactor's constant part
     C = i (-i tau)^(-1/2) e^(i pi (tau' - tau)/4); q' = e^(2 pi i tau')
     prepared as a base of the series (_euler_base); and (q' | q')_inf in
-    fixed point at wp.
+    fixed point at wp, never at a pole: |1 - q'| >= 1 - |q'| > 0.13.
     """
     q = mp.mpc(q)
     if not (0 < abs(q) < 1):
@@ -324,7 +288,7 @@ def _modular_nome(q, wp):
     log_c = 1j * mp.pi * (2 + taup - tau) / 4 - mp.log(-1j * tau) / 2
     qp = mp.exp(two_pi_i * taup)
     base = _euler_base(qp, wp)
-    (br, bi), t, _ = base
+    (br, bi), t = base[:2]
     qpf = br >> t - wp, bi >> t - wp  # q' in fixed point at wp
     inv_tau = -taup
     return (inv_tau, (1 - inv_tau) / 2, 1j / (4 * mp.pi * tau), log_c, base,
@@ -332,7 +296,8 @@ def _modular_nome(q, wp):
 
 
 def _modular_factor(log_z, nome, wp):
-    """The per-argument step: theta_q(z) = e^E P, returned as (E, P).
+    """The per-argument step: theta_q(z) = e^E P, returned as (E, P), or
+    None where P's series meets a pole (_qpoch_series).
 
     With w = log z / tau = log z', the prefactor's exponent is
     E = log C + (log z - w)/2 + i (log z)^2 / (4 pi tau), which is
@@ -348,7 +313,7 @@ def _modular_factor(log_z, nome, wp):
     inv_tau, h, k, log_c, base, qq = nome
     w = log_z * inv_tau
     zr, zi = _to_fixed(mp.exp(w), wp)
-    (br, bi), t, _ = base
+    (br, bi), t = base[:2]
     # q'/z' = b conj(z') 2^(2 wp - t) / |z'|^2 in fixed point, q' = b 2^-t;
     # d is 0 only for |z'| < 2^-wp, where the numerator is 0 too
     d = zr * zr + zi * zi or 1
@@ -360,12 +325,15 @@ def _modular_factor(log_z, nome, wp):
         # a tiny q': floor(floor(n 2^sh) / d) = floor(n 2^sh / d), and the
         # integers stay short
         qz = (nr >> -sh) // d, (ni >> -sh) // d
-    e = log_c + log_z * (h + log_z * k)
-    return e, _qpoch_series(qq, ((zr, zi), qz), base, wp)
+    v = _qpoch_series(qq, ((zr, zi), qz), base, wp)
+    if v is None:
+        return None
+    return log_c + log_z * (h + log_z * k), v
 
 
 def _euler_base(b, wp):
-    """A base b prepared for _qpoch_series: ((br, bi), t, coefficients).
+    """A base b prepared for _qpoch_series: ((br, bi), t, coefficients,
+    tol2).
 
     b is a Fraction or an mpc with |b| < 1, and b = 0 only as a Fraction.
     b = (br + i bi) 2^-t, with a mantissa of about wp + _COEF_BITS bits,
@@ -378,12 +346,15 @@ def _euler_base(b, wp):
     The bits the series may lose,
     log2((N + 1) (-1; |b|)_inf / (POLE_TOL (|b|; |b|)_inf)) (_qpoch_series),
     must fit in _BUDGET_BITS, else DomainError: |b| up to about 0.87 fits.
+    tol2 is the pole guard's bound, POLE_TOL^2 scaled by 2^(2 wp) from
+    POLE_TOL's exact binary value.
     """
     W = wp + _COEF_BITS
+    tol2 = int((Fraction(POLE_TOL) * 2 ** wp) ** 2)
     if isinstance(b, Fraction):
         if not b:
             one = 1 << wp
-            return (0, 0), 0, ((-one, 0), (one, 0))
+            return (0, 0), 0, ((-one, 0), (one, 0)), tol2
         u, v = b.numerator, b.denominator
         s = max(v.bit_length() - abs(u).bit_length(), 0)
         br, bi = (u << (W + s)) // v, 0
@@ -424,7 +395,7 @@ def _euler_base(b, wp):
         ar = (-(xr * dr + xi * di) << W) // d
         ai = (-(xi * dr - xr * di) << W) // d
         coeffs.append((ar >> _COEF_BITS, ai >> _COEF_BITS))
-    return (br, bi), t, tuple(reversed(coeffs))
+    return (br, bi), t, tuple(reversed(coeffs)), tol2
 
 
 def _exponent(x):
@@ -435,7 +406,7 @@ def _exponent(x):
 
 def _qpoch_series(p, ys, base, wp):
     """p * prod over y in ys of (y | b)_inf, in complex fixed point at wp, for
-    a base b from _euler_base.
+    a base b from _euler_base; None where a y is at a pole.
 
     Shift step: while |y| > 1, p *= 1 - y and y *= b, as
     (y | b)_inf = (1 - y) (b y | b)_inf; y *= b takes b's mantissa, so it
@@ -443,26 +414,33 @@ def _qpoch_series(p, ys, base, wp):
     Euler's series (Gasper-Rahman, Basic Hypergeometric Series, (1.3.16))
         (y | b)_inf = sum_n (-1)^n b^(n(n-1)/2) y^n / (b | b)_n
     is summed to n = N - 1 by Horner.
+    Pole guard: each y the shift steps meet, and the first y with |y| <= 1,
+    is tested as |1 - y|^2 < POLE_TOL^2, in integers against the base's
+    tol2.  |1 - b^k y| < POLE_TOL puts y within POLE_TOL (relatively) of the
+    zero b^-k of (y | b), and the series returns None there.  Past the first
+    |y| <= 1 no zero is near: |b^k y| <= |b| < 1 - POLE_TOL for k >= 1.
     Error budget.  The rounding of y, of the coefficients and of each
     Horner step adds at most about (N + 1) 2^-wp (-1; |b|)_inf absolutely:
     sum_n |a_n| <= (-1; |b|)_inf bounds how far a change in y moves the
     sum.  The dropped tail adds at most 2^-wp (2 - |b|) / (1 - |b|): past
     N each |a_n| falls by a factor 1/(2 - |b|) or more.  That is relative
-    to |(y | b)_inf| >= |1 - y| (|b|; |b|)_inf, and the pole guards keep
-    |1 - y| >= POLE_TOL: QPochProduct tests it on each kernel factor's y,
-    and the structure functions' guard keeps the transform's z' about that
-    far from 1 (ThetaTerms).  So the series loses at most about
+    to |(y | b)_inf| >= |1 - y| (|b|; |b|)_inf, and the guard enforces
+    |1 - y| >= POLE_TOL on the y summed.  So the series loses at most about
     log2((N + 1) (-1; |b|)_inf / (POLE_TOL (|b|; |b|)_inf)) of the 60 guard
     bits, which _euler_base keeps within _BUDGET_BITS = 50: 5 + 20 + 5 at
     b = 9/16 (N = 26).  Each shift step adds one truncation to p, as the
     callers' running products do.
     """
-    (br, bi), t, coeffs = base
+    (br, bi), t, coeffs, tol2 = base
     one = 1 << wp
     pr, pi = p
     for yr, yi in ys:
-        while yr * yr + yi * yi > one * one:
+        while True:
             tr = one - yr
+            if tr * tr + yi * yi < tol2:
+                return None
+            if yr * yr + yi * yi <= one * one:
+                break
             pr, pi = (pr * tr + pi * yi) >> wp, (pi * tr - pr * yi) >> wp
             yr, yi = (yr * br - yi * bi) >> t, (yr * bi + yi * br) >> t
         terms = iter(coeffs)
@@ -482,73 +460,3 @@ def _to_fixed(z, wp):
 def _from_fixed(p, wp):
     """A fixed-point pair as an mpc, rounded to the working precision."""
     return mp.mpc(mp.mpf((p[0], -wp)), mp.mpf((p[1], -wp)))
-
-
-def near_theta_zero(z, q):
-    """True if z lies within POLE_TOL (relatively) of a zero q^k of theta_q.
-
-    The k tested are floor(k0) - 2 .. ceil(k0) + 2 with |z| = |q|^k0.
-    """
-    zf = complex(z)
-    qf = complex(q)
-    absz = abs(zf)
-    absq = abs(qf)
-    if not (_normal(absz) and _normal(absq) and absq != 1):
-        return _near_theta_zero_mp(z, q)
-    lnq = math.log(absq)
-    k0 = math.log(absz) / lnq
-    # k0 carries a few float roundings per unit of k0 (while |q| is not
-    # within 1e-6 of 1); near an integer its floor and ceil are unsure
-    if abs(k0 - round(k0)) < _FLOAT_MARGIN * (1 + abs(k0)):
-        return _near_theta_zero_mp(z, q)
-    for k in range(math.floor(k0) - 2, math.ceil(k0) + 3):
-        if not abs(k * lnq) < 700:  # |q^k| beyond e^700 or e^-700
-            return _near_theta_zero_mp(z, q)
-        zk = qf ** k
-        ratio = abs(zf - zk) / (POLE_TOL * max(abs(zk), 1.0))
-        # z and q carry one float rounding each, and q^k about |k| of them;
-        # each moves the ratio by about 1e-10
-        if abs(ratio - 1) < _FLOAT_MARGIN * (1 + abs(k)):
-            return _near_theta_zero_mp(z, q)
-        if ratio < 1:
-            return True
-    return False
-
-
-def near_theta_zero_log(log_z, q):
-    """near_theta_zero(e^log_z, q), for log_z at the working precision: the
-    structure functions' guard on the log their transform takes.
-
-    On a real q (an mpf) it is screened first (_screen_clears) from the
-    float exp of log_z's complex float, where |log z| < 700: rounding log z
-    moves e^(log z) by about |log z| 2^-53 relatively and the exp adds a few
-    units of 2^-53, so the floats of Im z and |z| are within
-    (|log z| + 2) 2^-53 |z| < 2e-13 |z| of their values.  Every argument
-    the screen does not clear, and every complex q, takes near_theta_zero on
-    e^log_z at the working precision.  So it decides as near_theta_zero does.
-    """
-    if isinstance(q, mp.mpf):
-        lf = complex(log_z)
-        if abs(lf) < 700:
-            zf = cmath.exp(lf)
-            if _screen_clears(zf.imag, abs(zf)):
-                return False
-    return near_theta_zero(mp.exp(log_z), q)
-
-
-def _normal(x):
-    """True if the float x > 0 is neither subnormal nor infinite."""
-    return sys.float_info.min <= x <= sys.float_info.max
-
-
-def _near_theta_zero_mp(z, q):
-    """near_theta_zero at the working precision, for what floats cannot hold."""
-    absz = abs(mp.mpc(z))
-    if absz == 0:
-        return True
-    k0 = mp.log(absz) / mp.log(abs(mp.mpc(q)))
-    for k in range(int(mp.floor(k0)) - 2, int(mp.ceil(k0)) + 3):
-        zk = mp.mpc(q) ** k
-        if abs(z - zk) < POLE_TOL * max(abs(zk), mp.mpf(1)):
-            return True
-    return False

@@ -38,7 +38,6 @@ ALLOWED = {
     "series.TruncatedSeries.__sub__": "tests compare jets with it",
     # error paths that other inputs reach
     "errors.PoleError.__init__": "raised at a sample point near a pole",
-    "theta._near_theta_zero_mp": "decides what a float cannot hold",
 }
 
 COMMANDS = [

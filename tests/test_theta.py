@@ -14,8 +14,6 @@ from ospboson.series import QPochFactor
 from ospboson.theta import (
     POLE_TOL,
     QPochProduct,
-    near_theta_zero,
-    near_theta_zero_log,
     qpoch_eval,
     theta_eval,
     theta_eval_modular,
@@ -144,18 +142,25 @@ def test_terms_needed_matches_working_precision():
 
 
 def working_precision_guard(z, q, kmax=None):
-    # the guard's rule with every step at the working precision
+    # the guards' rules with every step at the working precision.  kmax=0:
+    # z within POLE_TOL (relatively) of a zero q^k, k <= 0, of (z | q), the
+    # rule of each factor Euler's series sums.  kmax=None: z at a zero of
+    # theta_q, that rule on the factors (z' | q') and (q'/z' | q') of the
+    # Jacobi transformation, z' = e^(log z / tau), q' = e^(-2 pi i / tau),
+    # tau = log q / (2 pi i)
+    if kmax is None:
+        tau = mp.log(q) / (2j * mp.pi)
+        zp = mp.exp(mp.log(z) / tau)
+        qp = mp.exp(-2j * mp.pi / tau)
+        return any(working_precision_guard(y, qp, kmax=0) for y in (zp, qp / zp))
     absz = abs(mp.mpc(z))
     if absz == 0:
-        return kmax is None
+        return False
     if q == 0:
         ks = [0]
     else:
         k0 = mp.log(absz) / mp.log(abs(mp.mpc(q)))
-        hi = int(mp.ceil(k0)) + 2
-        if kmax is not None:
-            hi = min(hi, kmax)
-        ks = range(int(mp.floor(k0)) - 2, hi + 1)
+        ks = range(int(mp.floor(k0)) - 2, min(int(mp.ceil(k0)) + 2, kmax) + 1)
     for k in ks:
         zk = mp.mpc(q) ** k
         if abs(z - zk) < POLE_TOL * max(abs(zk), mp.mpf(1)):
@@ -163,63 +168,41 @@ def working_precision_guard(z, q, kmax=None):
     return False
 
 
+def modular_raises_pole(z, q):
+    try:
+        theta_eval_modular(z, q, DIGITS)
+    except PoleError:
+        return True
+    return False
+
+
+def near_zero(q, k, d, ph):
+    # the z near the zero q^k whose transformed argument is
+    # z' = 1 + d e^(i pi ph): log z = k log q + tau log z'
+    tau = mp.log(q) / (2j * mp.pi)
+    return mp.exp(k * mp.log(q) + tau * mp.log(1 + d * mp.expjpi(mp.mpf(ph))))
+
+
 GUARD_NOMES = ["6.4e-5", "0.01", "0.05", "0.178", "0.3", "0.5625", "0.7",
                "0.95", "0.98"]
 
 
 def _check_theta_guards():
-    # points at relative distance POLE_TOL (1 +- 1e-12) and (1 +- 1e-3) from
-    # the zeros q^k, k = -3..3: the first pair is decided at the working
-    # precision, the second in floats
+    # theta_eval_modular raises PoleError exactly where the working-precision
+    # rule says so: at points whose z' is at distance POLE_TOL (1 +- 1e-12)
+    # and (1 +- 1e-3) from 1, near the zeros q^k, k = -3..3, on real nomes
+    # and on the complex nome 0.5+0.3i
     decisions = set()
-    with mp.workdps(DIGITS + 10):
-        for qs in GUARD_NOMES:
-            q = mp.mpf(qs)
-            for k in range(-3, 4):
-                zk = q ** k
-                for f in ("1e-12", "-1e-12", "1e-3", "-1e-3"):
-                    for ph in ("0", "0.41", "1"):
-                        d = POLE_TOL * max(zk, 1) * (1 + mp.mpf(f))
-                        z = zk + d * mp.expjpi(mp.mpf(ph))
-                        want = working_precision_guard(z, q)
-                        assert near_theta_zero(z, q) == want, (qs, k, f, ph)
-                        decisions.add(want)
-    assert decisions == {True, False}
-    # near_theta_zero_log's float screen: points whose |Im z| is the
-    # screen's threshold POLE_TOL max(|z|, 1) (1 + 2e-6) times (1 +- 1e-3),
-    # on the zeros' real parts and half a POLE_TOL beside them, reached as
-    # log z = orient log x + log m; on the complex nome, where every zero is
-    # off the real axis, the screen must not clear, and points within
-    # POLE_TOL of a zero are poles
-    decisions = set()
-    screen = POLE_TOL * (1 + mp.mpf("2e-6"))
     with mp.workdps(DIGITS + 10):
         nomes = [mp.mpf(qs) for qs in GUARD_NOMES] + [mp.mpc("0.5", "0.3")]
         for q in nomes:
             for k in range(-3, 4):
-                zk = q ** k
-                for f in ("1e-3", "-1e-3"):
-                    a = screen * (1 + mp.mpf(f))
-                    # |Im z| = a max(|z|, 1): t = a below |z| = 1, t = a |z| above
-                    for shift in (0, POLE_TOL / 2):
-                        re = mp.re(zk) + shift * max(abs(zk), 1)
-                        t = a if abs(re) < 1 - a else a * abs(re) / mp.sqrt(1 - a * a)
-                        for sign in (1, -1):
-                            z = mp.mpc(re, mp.im(zk) + sign * t)
-                            for orient in (1, -1):
-                                for m in (mp.mpf(1), mp.mpf("0.37")):
-                                    x = (z / m) ** orient
-                                    log_z = orient * mp.log(x) + mp.log(m)
-                                    want = working_precision_guard(x ** orient * m, q)
-                                    got = near_theta_zero_log(log_z, q)
-                                    assert got == want, (q, k, f, shift, sign, orient, m)
-                                    decisions.add(want)
-                for off in ("0.5e-6", "2e-6"):
-                    z = zk + mp.mpf(off) * max(abs(zk), 1) * mp.expjpi(mp.mpf("0.41"))
-                    want = working_precision_guard(z, q)
-                    assert near_theta_zero_log(mp.log(z), q) == want
-                    if mp.im(q):
-                        assert want == (off == "0.5e-6")
+                for f in ("1e-12", "-1e-12", "1e-3", "-1e-3"):
+                    for ph in ("0", "0.41", "1"):
+                        z = near_zero(q, k, POLE_TOL * (1 + mp.mpf(f)), ph)
+                        want = working_precision_guard(z, q)
+                        assert modular_raises_pole(z, q) == want, (q, k, f, ph)
+                        decisions.add(want)
     assert decisions == {True, False}
 
 
@@ -255,9 +238,10 @@ def _check_qpoch_product_guard():
 
 @pytest.mark.parametrize("kmax", [None, 0])
 def test_guard_matches_working_precision_rule(kmax):
-    # kmax=None: the structure functions' guards, near_theta_zero and
-    # near_theta_zero_log, against every zero q^k; kmax=0: the kernels'
-    # guard in QPochProduct, against the zeros b^-k, k >= 0, of (c x | b)
+    # kmax=None: the theta factors' guard, through theta_eval_modular,
+    # against the zeros of theta_q; kmax=0: the kernels' guard in
+    # QPochProduct, against the zeros b^-k, k >= 0, of (c x | b); both are
+    # the one test in the series' shift loop
     if kmax is None:
         _check_theta_guards()
     else:
@@ -265,36 +249,66 @@ def test_guard_matches_working_precision_rule(kmax):
 
 
 def test_guard_outside_float_range():
-    # |z| and |q| that a float turns into 0 or inf take the working-precision
-    # rule
+    # |z| that a float turns into 0 or inf: the guard reads the log the
+    # transform takes, so zeros q^k at |z| ~ 1e-400 and 1e400 (k = +-502 on
+    # q = 0.16) are found as any other, and points off them evaluate to
+    # theta_q(q^k z0) = (-1)^k q^(-k(k-1)/2) z0^-k theta_q(z0), |z0| ~ 1 (the
+    # direct product's T terms do not reach so far)
     with mp.workdps(DIGITS + 10):
         q = mp.mpf("0.16")
+        for k in (502, -502):
+            for f in ("-1e-3", "1e-3"):
+                z = near_zero(q, k, POLE_TOL * (1 + mp.mpf(f)), "0.41")
+                assert modular_raises_pole(z, q) == working_precision_guard(z, q)
+                assert modular_raises_pole(z, q) == (f == "-1e-3")
         for zs in ("1e-400", "1e400", "-1e-400", "3e-310"):
             for z in (mp.mpf(zs), mp.mpc(zs, zs)):
-                assert near_theta_zero(z, q) == working_precision_guard(z, q)
-        tiny = mp.mpf("1e-400")
-        for z in (tiny ** 2, tiny ** 3, mp.mpc("0.3", "0.3")):
-            assert near_theta_zero(z, tiny) == working_precision_guard(z, tiny)
-        # q in float range whose powers q^-2 .. q^3 are not
-        q = mp.mpf("1e-300")
-        for z in (mp.mpf("0.5"), q * (1 + mp.mpf("5e-7")), q * (1 + mp.mpf("2e-6")),
-                  q ** 2, -q ** 3):
-            assert near_theta_zero(z, q) == working_precision_guard(z, q)
+                assert not working_precision_guard(z, q)
+                k = int(mp.nint(mp.log(abs(z)) / mp.log(q)))
+                z0 = z / q ** k
+                w = (-1) ** k * q ** (-k * (k - 1) // 2) * z0 ** -k * theta_eval(
+                    z0, q, DIGITS)
+                v = theta_eval_modular(z, q, DIGITS)
+                assert abs(v - w) <= mp.mpf(10) ** -(DIGITS - 10) * abs(w), z
 
 
 def test_guard_window_edge():
-    # |z| = 0.8^64 (1 -+ 1e-20): k0 is 64 to a float, but the window of
-    # zeros reaches q^67 only on one side, and z = -|z| is within
-    # POLE_TOL (absolutely) of q^67 and of no zero nearer
+    # in z the guard's window is relative and narrower than POLE_TOL: within
+    # about POLE_TOL |ln q| / (2 pi) (3.6e-8 at q = 0.8) of a zero q^k,
+    # however deep; points (1 -+ 1e-3) times that off q^64 and q^67 fall in
+    # and out of it.  The old absolute window (POLE_TOL below |q^k| = 1) is
+    # gone: -q^64 (1 -+ 1e-20), within POLE_TOL of q^67, and half a POLE_TOL
+    # off q^64, relatively, are no poles
     with mp.workdps(DIGITS + 10):
         q = mp.mpf("0.8")
-        got = []
-        for d in ("-1e-20", "1e-20"):
-            z = -q ** 64 * (1 + mp.mpf(d))
-            want = working_precision_guard(z, q)
-            assert near_theta_zero(z, q) == want
-            got.append(want)
-        assert got == [True, False]
+        r = POLE_TOL * -mp.log(q) / (2 * mp.pi)
+        for k in (64, 67):
+            got = []
+            for f in ("-1e-3", "1e-3"):
+                z = q ** k * (1 + r * (1 + mp.mpf(f)) * mp.expjpi(mp.mpf("0.41")))
+                want = working_precision_guard(z, q)
+                assert modular_raises_pole(z, q) == want
+                got.append(want)
+            assert got == [True, False]
+        for z in (-q ** 64 * (1 - mp.mpf("1e-20")), -q ** 64 * (1 + mp.mpf("1e-20")),
+                  q ** 64 * (1 + POLE_TOL / 2)):
+            assert not working_precision_guard(z, q)
+            assert not modular_raises_pole(z, q)
+
+
+@pytest.mark.parametrize("qs", ["6.4e-5", "0.178", "0.5625", "-0.03125"])
+def test_modular_at_guard_edge_matches_mpmath_qp(qs):
+    # just outside the guard, |1 - z'| = POLE_TOL (1 + 1e-3), the series
+    # sums a y at its error budget's bound |1 - y| >= POLE_TOL, where it
+    # loses about 20 bits; held to an mpmath.qp triple product at 70 digits
+    # (errors up to 2.3e-53, at e^-0.03125 = e^(-0.0125/0.4))
+    with mp.workdps(70):
+        q = mp.exp(mp.mpf(qs)) if qs.startswith("-") else mp.mpf(qs)
+        for k, ph in ((0, "0.41"), (1, "1"), (-2, "0")):
+            z = near_zero(q, k, POLE_TOL * (1 + mp.mpf("1e-3")), ph)
+            ref = mp.qp(z, q) * mp.qp(q / z, q) * mp.qp(q, q)
+            v = theta_eval_modular(z, q, DIGITS)
+            assert abs(v - ref) < mp.mpf("1e-50") * abs(ref), (k, ph)
 
 
 def test_modular_at_smallest_transformed_nome():
@@ -343,7 +357,7 @@ def _cross_points(qs):
         r = mp.mpf(10) ** rng.uniform(-6, 5)
         ph = 2 * mp.pi * rng.random()
         z = r * mp.e ** (mp.mpc(0, 1) * ph)
-        if not near_theta_zero(z, q):
+        if not working_precision_guard(z, q):
             yield z, q
 
 
@@ -459,11 +473,14 @@ def test_inversion_symmetry():
 
 
 def test_zero_detection():
-    with mp.workdps(30):
-        q = mp.mpf("0.5")
-        assert near_theta_zero(q ** 2, q)
-        assert near_theta_zero(q ** -1, q)
-        assert not near_theta_zero(mp.mpc("0.3", "0.3"), q)
+    # theta_eval_modular raises PoleError at an exact zero q^k of theta_q,
+    # on a real nome, a complex one and the limits ladder's nome nearest 1
+    with mp.workdps(DIGITS + 10):
+        for q in (mp.mpf("0.5"), mp.mpc("0.5", "0.3"), mp.exp(-mp.mpf("0.03125"))):
+            for k in (2, -1, 0):
+                with pytest.raises(PoleError, match="theta zero"):
+                    theta_eval_modular(q ** k, q, DIGITS)
+            assert not modular_raises_pole(mp.mpc("0.3", "0.3"), q)
 
 
 def test_terms_needed_monotone():
