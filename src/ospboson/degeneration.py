@@ -29,10 +29,9 @@ are logged per run so a surviving constant would be visible, not hidden.
 Shared sample.  At one sample and one eps, every relation meets the same
 x, p and two nomes, and the eight relations together have 24 distinct
 factors theta_B(x p^s) (12 shifts on each base).  LimitSample holds one
-relations.StructureFunctionEvaluator point per eps, which fills each
-nome's transform step and each distinct factor's shift log, guard verdict
-and transformed term on first use, and composes each
-relation from them: the exchange checks' own evaluator.  The limits suite
+theta.StructureFunctionEvaluator point per eps, which takes each nome's
+transform step and each distinct factor's once, on first use, and composes
+each relation from them: the exchange checks' own evaluator.  The limits suite
 makes one per sample and passes it to the sample's eight limit_check
 calls; a limit_check without one makes its own, so every caller takes the
 same path.  The trigonometric target is computed apart on every call.
@@ -53,8 +52,9 @@ import random
 from mpmath import mp
 
 from .errors import DomainError, PoleError, StructuralError
-from .relations import StructureFunctionEvaluator, relation_catalog, theta_bases
+from .relations import relation_catalog, theta_bases
 from .scalars import to_mpf, workdps
+from .theta import StructureFunctionEvaluator
 
 EPSILON_LADDER = (0.1, 0.05, 0.025, 0.0125)
 
@@ -148,7 +148,7 @@ class LimitSample:
     """One limit sample's elliptic side, prepared once for every relation.
 
     Built from (u-v, eta, hbar, c, digits), as limit_check takes them: for
-    each eps of EPSILON_LADDER, a relations.StructureFunctionEvaluator on
+    each eps of EPSILON_LADDER, a theta.StructureFunctionEvaluator on
     p = e^{eps hbar} and the nomes B of the convention above, at the point
     x = e^{-eps(u-v)}.  values(f) is f's value at each eps; a factor at a
     theta zero (within about theta.POLE_TOL |ln B| / (2 pi) of it,
@@ -172,9 +172,8 @@ class LimitSample:
     def values(self, f):
         """f's elliptic value at each eps of EPSILON_LADDER, in order; run at
         the working precision digits + 10."""
-        keys = self._points[0].evaluator.keys(f)
         for point in self._points:
-            yield point.value(f, keys)
+            yield point.value(f)
 
 
 def limit_check(name, u_minus_v, *, eta, hbar, c=1, digits=30, target_name=None,

@@ -43,7 +43,7 @@ from .freefield import (
     rational_product,
 )
 from .scalars import mpc_to_str, sample_annulus_point, to_mpf, workdps
-from .theta import ThetaTerms
+from .theta import StructureFunctionEvaluator
 
 __all__ = [
     "ThetaFactor",
@@ -51,7 +51,6 @@ __all__ = [
     "RelationSpec",
     "relation_catalog",
     "theta_bases",
-    "StructureFunctionEvaluator",
     "structure_function_repr",
     "verify_exchange",
     "verify_ef",
@@ -238,83 +237,6 @@ def theta_bases(q, p, c):
     return {"q2": q * q, "qt2": (q * p ** c) ** 2}
 
 
-class StructureFunctionEvaluator:
-    """Structure functions on fixed nomes, evaluated at many points x.
-
-    Each theta factor theta_B(x^orient p^shift) is evaluated on the nome
-    B = bases[factor.base], given as mpf values {"q2": .., "qt2": ..}: at a
-    deformation point they are theta_bases(q, p, c); the scaling limits pass
-    the nomes of their re-parameterization.  Preparation takes log p
-    (p > 0).  On first use the evaluator fills each factor's shift * log p
-    and each nome's transform step (theta.ThetaTerms).
-
-    keys(f) are f's factor keys at level c, equal for equal factors.  at(x)
-    is the evaluator at one point x: it takes log x once and fills on first
-    use each distinct factor's transformed term, from the log of the
-    factor's argument, orient * log x + shift * log p, so the structure
-    functions evaluated there share them.  value(f, keys) there raises
-    PoleError carrying f's first factor (numerator or denominator) whose
-    argument is at a theta zero, where its term is None (theta.ThetaTerms:
-    within about theta.POLE_TOL |ln B| / (2 pi) of the zero, relatively).
-    Otherwise it composes f from the terms in f's factor order
-    (theta.ThetaTerms.product), and the value is real when x and the nomes
-    are.  The evaluator, at and value run at the caller's working
-    precision, which must be digits + 10 (workdps), so that a caller
-    evaluating many points enters it once.
-    """
-
-    def __init__(self, p, c, bases, digits):
-        self.p = p
-        self.c = c
-        self.thetas = ThetaTerms(digits)
-        self._log_p = mp.log(p)
-        self._bases = bases
-        self._real_nomes = not any(mp.im(b) for b in bases.values())
-        self._factors = {}  # factor key -> (s log p, prepared nome)
-
-    def keys(self, f):
-        """f's factor keys: (base, orient, numerator and denominator of the
-        shift at level c), in factor order."""
-        return [(tf.base, tf.orient, *tf.shift(self.c).as_integer_ratio())
-                for tf in f.factors]
-
-    def _factor(self, key):
-        if key not in self._factors:
-            base, _, n, d = key
-            self._factors[key] = (to_mpf(Fraction(n, d)) * self._log_p,
-                                  self.thetas.nome(self._bases[base]))
-        return self._factors[key]
-
-    def at(self, x):
-        return _StructureFunctionPoint(self, x)
-
-
-class _StructureFunctionPoint:
-    """A StructureFunctionEvaluator at one point x (its at(x))."""
-
-    def __init__(self, evaluator, x):
-        self.evaluator = evaluator
-        x = mp.mpc(x)
-        self._log_x = mp.log(x)
-        self._real = evaluator._real_nomes and x.imag == 0
-        self._terms = {}  # factor key -> transformed term, None at a theta zero
-
-    def value(self, f, keys):
-        ev = self.evaluator
-        terms = self._terms
-        pairs = []
-        for tf, key in zip(f.factors, keys):
-            if key not in terms:
-                offset, nome = ev._factor(key)
-                terms[key] = ev.thetas.term(tf.orient * self._log_x + offset,
-                                            nome)
-            if terms[key] is None:
-                raise PoleError("structure function pole or zero", factor=tf)
-            pairs.append((terms[key], tf.power))
-        v = mp.mpc(f.sign) * ev.p ** f.p_exp * ev.thetas.product(pairs)
-        return mp.mpc(mp.re(v)) if self._real else v
-
-
 def structure_function_repr(f):
     def one(tf):
         var = "x" if tf.orient == 1 else "x^-1"
@@ -366,10 +288,10 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     left-hand ones swapped; when they are not (strict-text H-E), the field
     mismatch is reported and the kernel comparison is still carried out
     against the printed right-hand side.  unit_structure=True replaces S
-    by 1 as a negative control.  The two kernels, the structure-function
-    evaluator and S's factor keys are prepared once per call
-    (KernelEvaluator, StructureFunctionEvaluator) and then only evaluated
-    at each sample point.  A sample point is drawn again where either
+    by 1 as a negative control.  The two kernels and the structure-function
+    evaluator are prepared once per call (KernelEvaluator,
+    theta.StructureFunctionEvaluator) and then only evaluated at each
+    sample point.  A sample point is drawn again where either
     evaluator raises PoleError: within theta.POLE_TOL (relatively) of a zero
     of any kernel factor, or at a zero of any theta factor of S, within
     about theta.POLE_TOL |ln B| / (2 pi) of it on its nome B.
@@ -401,10 +323,9 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
         k1 = KernelEvaluator(K1, digits)
         k2 = KernelEvaluator(K2, digits)
         s = StructureFunctionEvaluator(p, 1, theta_bases(params.q, p, 1), digits)
-        keys = s.keys(sf)
 
         def sides(x):
-            return k1.eval_at(1, x), k2.eval_at(x, 1) * s.at(x).value(sf, keys)
+            return k1.eval_at(1, x), k2.eval_at(x, 1) * s.at(x).value(sf)
 
         for _ in range(samples):
             x, (lhs, rhs) = _sample_x(rng, digits, sides)

@@ -59,11 +59,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
 
-    def __sub__(self, other):
-        self._check(other)
-        return TruncatedSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
     def __neg__(self):
         return TruncatedSeries([-a for a in self.coeffs], self.order)
 

@@ -8,27 +8,26 @@ with (a | q)_inf = prod_{n>=0} (1 - a q^n), 0 < |q| < 1.  It satisfies
 
     theta_q(q z) = -z^{-1} theta_q(z),      theta_q(q/z) = theta_q(z),
 
-and vanishes exactly at z in q**Z.  It is evaluated two ways:
+and vanishes exactly at z in q**Z.  Every theta factor is evaluated by the
+Jacobi imaginary transformation (Whittaker-Watson ch. 21) onto a product
+on the transformed nome,
 
-* ``theta_eval``   - direct truncated products, error O(|q|^terms); the
-  reference the tests and acceptance check 8 compare the transform with;
-* ``theta_eval_modular`` - the Jacobi imaginary transformation
-  (Whittaker-Watson ch. 21) onto a product on the transformed nome,
-      theta_q(z) = i (-i tau)^{-1/2} e^{i pi (u - u u' - u' - tau/4 + tau'/4)}
-                   theta_q'(e^{2 pi i u'}),
-  with z = e^{2 pi i u}, q = e^{2 pi i tau} (principal logs), u' = u/tau,
-  tau' = -1/tau and q' = e^{2 pi i tau'}.  As q -> 1, where the direct
-  product would need ~1/(1-q) factors, q' -> 0 and a few terms suffice.
-  It is two steps: a per-nome step (tau, q', the prefactor's constant part
-  and (q' | q')_inf) and a per-argument step (the prefactor's exponent and
-  the product).  ``ThetaTerms`` takes the per-nome step once per distinct
-  nome, keeps single transformed factors for callers that share them
-  (``relations.StructureFunctionEvaluator``), and composes products from
-  them with one exp; ``theta_eval_modular`` is its one-factor case.  Every
-  structure-function theta takes this path, at every nome.
+    theta_q(z) = i (-i tau)^{-1/2} e^{i pi (u - u u' - u' - tau/4 + tau'/4)}
+                 theta_q'(e^{2 pi i u'}),
+
+with z = e^{2 pi i u}, q = e^{2 pi i tau} (principal logs), u' = u/tau,
+tau' = -1/tau and q' = e^{2 pi i tau'}.  As q -> 1, where the direct
+product would need ~1/(1-q) factors, q' -> 0 and a few terms suffice.  It
+is two steps: a per-nome step (``_modular_nome``: tau, q', the
+prefactor's constant part and (q' | q')_inf) and a per-argument step
+(``_modular_factor``: the prefactor's exponent and the product).
+``StructureFunctionEvaluator`` is the one evaluator that takes them, for
+the exchange checks and the scaling limits alike: each nome's step once,
+each distinct factor's step once per point, and each structure function
+composed from the steps with one exp.
 
 Kernels are products of q-Pochhammer factors (c x | b)^{+-1} with exact c,
-b; ``QPochProduct`` prepares one whole for many x.  It and ``ThetaTerms``
+b; ``QPochProduct`` prepares one whole for many x.  It and the evaluator
 sum each factor by Euler's series (Gasper-Rahman, eq. (1.3.16)),
 
     (y | b)_inf = sum_n (-1)^n b^(n(n-1)/2) y^n / (b | b)_n ,
@@ -38,20 +37,19 @@ once shift steps (y | b) = (1 - y)(b y | b) have brought |y| to 1 or less
 (``_euler_base``).  Its terms fall like |b|^(n^2/2): at 50 digits it takes
 15 terms at b = 4/25 and 26 at 9/16, where the product takes 77 and 242
 factors.  A base too near 1 for the series' error budget raises DomainError.
-``qpoch_eval`` evaluates a single (a | q) by the direct truncated product
-instead; it is the reference the series are checked against, and shares no
-loop with them.  All of them work in fixed point: Python ints scaled by
+The tests hold the series to direct truncated products, which share no
+loop with them.  Both evaluators work in fixed point: Python ints scaled by
 2^wp, wp = working precision + 60 guard bits, as mpmath's own theta series
 do.  Fixed point does not renormalize, so the error of a product is
-relative to its smallest running product (see ``qpoch_eval``).
+relative to its smallest running product.
 
 Each evaluator guards the poles on the value it already sums, by one test
 in ``_qpoch_series``: every y the shift steps meet, and the first y with
 |y| <= 1, is tested as |1 - y|^2 < POLE_TOL^2 in integers.  A y that near
 1 means the factor's argument is within POLE_TOL (relatively) of a zero
 b^-k of (y | b), and the series returns None.  ``QPochProduct`` then raises
-PoleError carrying the kernel factor; ``ThetaTerms.term`` returns None, and
-``theta_eval_modular`` raises PoleError.  After the transform a zero of
+PoleError carrying the kernel factor, and the structure-function evaluator
+raises it carrying the theta factor.  After the transform a zero of
 theta_q is z' = 1 (or a power of q' at a complex nome), so a theta factor
 is a pole within about POLE_TOL |ln q| / (2 pi) of a zero q^k, relatively.
 """
@@ -65,14 +63,11 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import DomainError, PoleError
-from .scalars import workdps
+from .scalars import to_mpf, workdps
 
 __all__ = [
-    "qpoch_eval",
     "QPochProduct",
-    "theta_eval",
-    "theta_eval_modular",
-    "ThetaTerms",
+    "StructureFunctionEvaluator",
     "theta_terms_needed",
 ]
 
@@ -102,39 +97,6 @@ def theta_terms_needed(absq, digits):
         raise DomainError("the nome |q| = %s needs T = %d product terms, above "
                           "the cap of %d" % (absq, T, _MAX_TERMS))
     return T
-
-
-def qpoch_eval(a, q, digits):
-    """(a | q)_inf by direct product, truncated where |q|^T < 10^-(digits+10).
-
-    The reference for the evaluators below, which sum Euler's series
-    instead; it shares no loop with them.  a and q are converted once to
-    fixed point, the T factors multiplied as complex multiply-and-shift, and
-    the result rounded to the working precision once.
-    Error budget: each truncation adds at most 2^-wp to the running product
-    P_n, and a q^n carries at most 2^-wp / (1 - |q|), so the rounding error
-    is about T (1 + 1/(1 - |q|)) 2^-wp / min_n |P_n| relatively: relative to
-    the smallest running product, which fixed point does not renormalize.
-    The dropped tail adds about |a| |q|^T / (1 - |q|).  The 60 guard bits
-    keep the first below the working precision's unit while every running
-    product stays above about 2^-40.  Near q = 1 it does not: against
-    mpmath.qp at 70 digits, theta_eval(0.61+0.34i, q, 50) is off by 1e-59 at
-    q = 0.95, 7.6e-55 at e^-0.03125 and 3.6e-42 at 0.98, where (q | q) ~ 1e-36.
-    """
-    with workdps(digits + 10):
-        q = mp.mpc(q)
-        T = theta_terms_needed(abs(q), digits)
-        wp = mp.mp.prec + _GUARD_BITS
-        one = 1 << wp
-        qr, qi = _to_fixed(q, wp)
-        fr, fi = _to_fixed(mp.mpc(a), wp)
-        pr, pi = one, 0
-        for _ in range(T):
-            # P *= 1 - f, then f *= q
-            tr = one - fr
-            pr, pi = (pr * tr + pi * fi) >> wp, (pi * tr - pr * fi) >> wp
-            fr, fi = (fr * qr - fi * qi) >> wp, (fr * qi + fi * qr) >> wp
-        return _from_fixed((pr, pi), wp)
 
 
 class QPochProduct:
@@ -181,93 +143,102 @@ class QPochProduct:
             return _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
 
 
-def theta_eval(z, q, digits):
-    """theta_q(z) by direct products; accurate as qpoch_eval (to |q| ~ 0.95)."""
-    with workdps(digits + 10):
-        z = mp.mpc(z)
-        q = mp.mpc(q)
-        if z == 0:
-            raise DomainError("theta argument must be nonzero")
-        return (qpoch_eval(z, q, digits)
-                * qpoch_eval(q / z, q, digits)
-                * qpoch_eval(q, q, digits))
+class StructureFunctionEvaluator:
+    """Structure functions on fixed nomes, evaluated at many points x.
 
+    A structure function f is f.sign * p^f.p_exp times its factors
+    theta_B(x^orient p^shift(c)) ** power, in the shape of
+    relations.StructureFunction and relations.ThetaFactor.  Each factor is
+    evaluated on the nome B = bases[factor.base], given as mpf values
+    {"q2": .., "qt2": ..}: at a deformation point they are
+    relations.theta_bases(q, p, c); the scaling limits pass the nomes of
+    their re-parameterization.  Preparation takes log p (p > 0).  The
+    evaluator holds one cache: on first use, each base's per-nome step
+    (_modular_nome; a nome below about e^-280, whose q' misses the series'
+    budget, raises DomainError), and each distinct factor's key (base,
+    orient and the shift at level c, equal for factors that share a theta)
+    and shift * log p.
 
-def theta_eval_modular(z, q, digits):
-    """theta_q(z) through the Jacobi transformation; same contract as theta_eval.
-
-    The transformed nome q' is tiny when q is near 1, and on a real nome
-    principal logs put |q'|^(1/2) <= |z'| <= |q'|^(-1/2), so the series need
-    only a few terms.  A nome so small that q' misses the series' budget
-    (|q| below about e^-280, where q' is above 0.87) raises DomainError, and
-    a z at a zero of theta_q (ThetaTerms.term) raises PoleError.
-    """
-    with workdps(digits + 10):
-        z = mp.mpc(z)
-        q = mp.mpc(q)
-        if z == 0:
-            raise DomainError("theta argument must be nonzero")
-        thetas = ThetaTerms(digits)
-        term = thetas.term(mp.log(z), thetas.nome(q))
-        if term is None:
-            raise PoleError("theta zero at z = %s" % z)
-        v = thetas.product(((term, 1),))
-        # real on the real axis; drop the transformation's rounding noise
-        if mp.im(z) == 0 and mp.im(q) == 0:
-            return mp.mpc(mp.re(v))
-        return v
-
-
-class ThetaTerms:
-    """Theta factors theta_q(e^log_z) as the transform's terms (E, P), on nomes
-    prepared on first use, and products composed from the terms.
-
-    nome(q) is the per-nome step (_modular_nome), taken once per distinct q
-    on the first call that needs it.  term(log_z, nome) is the per-argument
-    step (_modular_factor) on a prepared nome, for log_z with its imaginary
-    part in [-pi, pi] (a principal log, or minus one), which keeps
-    |q'|^(1/2) <= |z'| <= |q'|^(-1/2) on a real nome; it is None where z is
-    at a zero of theta_q.  A caller that shares a factor between several
-    products keeps its term and composes it into each.
-    product(pairs) takes (term, power) pairs, power +-1, and composes them,
-    in order: the exponents summed, signed by power, under one exp, the P
-    multiplied as a fixed-point numerator and denominator, and the two
-    divided once.
-    The methods run at the caller's working precision, which must be
-    digits + 10 (workdps), so that a caller taking many steps enters it once.
+    at(x) is the evaluator at one point x.  It takes log x once and fills
+    on first use each key's per-argument step (_modular_factor) from the
+    log of the factor's argument, orient * log x + shift * log p, so the
+    structure functions evaluated there share them.  Its imaginary part,
+    that of the principal log x or its negative, lies in [-pi, pi], which
+    keeps |q'|^(1/2) <= |z'| <= |q'|^(-1/2) on a real nome.  value(f)
+    there raises PoleError carrying f's first factor (numerator or
+    denominator) whose argument is at a theta zero, where the step is None:
+    within about POLE_TOL |ln B| / (2 pi) of the zero, relatively.
+    Otherwise it composes f in factor order: the steps' exponents summed,
+    signed by power, under one exp, their P multiplied into a fixed-point
+    numerator and denominator, and the two divided once.  The value is real
+    when x and the nomes are.  The evaluator, at and value run at the
+    caller's working precision, which must be digits + 10 (workdps), so
+    that a caller evaluating many points enters it once.
     Error budget: _qpoch_series's over each of a factor's three
     q-Pochhammer factors on q' (24 bits for the q' <= 0.017 of nomes 6.4e-5
     and up), and one truncation per factor in the running products,
     relative to their smallest values.  The budget's |1 - y| >= POLE_TOL
-    holds wherever a term is returned: the series returns None, and term
-    with it, where a y of (z' | q') or (q'/z' | q') comes within POLE_TOL
-    of 1, that is where z is within about POLE_TOL |ln q| / (2 pi),
-    relatively, of a zero of theta_q.
+    holds wherever a step returns a value.
     """
 
-    def __init__(self, digits):
+    def __init__(self, p, c, bases, digits):
+        self.p = p
+        self.c = c
         with workdps(digits + 10):
             self._wp = mp.mp.prec + _GUARD_BITS
-        self._nomes = {}
+        self._log_p = mp.log(p)
+        self._bases = bases
+        self._real_nomes = not any(mp.im(b) for b in bases.values())
+        self._nomes = {}    # base name -> per-nome step
+        self._factors = {}  # factor -> (key, shift * log p, per-nome step)
 
-    def nome(self, q):
-        if q not in self._nomes:
-            self._nomes[q] = _modular_nome(q, self._wp)
-        return self._nomes[q]
+    def _factor(self, tf):
+        entry = self._factors.get(tf)
+        if entry is None:
+            s = tf.shift(self.c)
+            if tf.base not in self._nomes:
+                self._nomes[tf.base] = _modular_nome(self._bases[tf.base],
+                                                     self._wp)
+            entry = self._factors[tf] = (
+                (tf.base, tf.orient, *s.as_integer_ratio()),
+                to_mpf(s) * self._log_p, self._nomes[tf.base])
+        return entry
 
-    def term(self, log_z, nome):
-        return _modular_factor(log_z, nome, self._wp)
+    def at(self, x):
+        return _StructureFunctionPoint(self, x)
 
-    def product(self, pairs):
-        wp = self._wp
+
+class _StructureFunctionPoint:
+    """A StructureFunctionEvaluator at one point x (its at(x))."""
+
+    def __init__(self, evaluator, x):
+        self.evaluator = evaluator
+        x = mp.mpc(x)
+        self._log_x = mp.log(x)
+        self._real = evaluator._real_nomes and x.imag == 0
+        self._steps = {}  # factor key -> (E, P), None at a theta zero
+
+    def value(self, f):
+        ev = self.evaluator
+        wp = ev._wp
         one = 1 << wp
         expo = mp.mpc(0)
         acc = {1: (one, 0), -1: (one, 0)}
-        for (e, (vr, vi)), power in pairs:
-            expo = expo + e if power == 1 else expo - e
-            ar, ai = acc[power]
-            acc[power] = (ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp
-        return mp.exp(expo) * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
+        for tf in f.factors:
+            key, offset, nome = ev._factor(tf)
+            if key not in self._steps:
+                self._steps[key] = _modular_factor(
+                    tf.orient * self._log_x + offset, nome, wp)
+            step = self._steps[key]
+            if step is None:
+                raise PoleError("structure function pole or zero", factor=tf)
+            e, (vr, vi) = step
+            expo = expo + e if tf.power == 1 else expo - e
+            ar, ai = acc[tf.power]
+            acc[tf.power] = (ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp
+        v = mp.mpc(f.sign) * ev.p ** f.p_exp * (
+            mp.exp(expo) * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp))
+        return mp.mpc(mp.re(v)) if self._real else v
 
 
 def _modular_nome(q, wp):

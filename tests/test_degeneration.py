@@ -17,8 +17,7 @@ from ospboson.degeneration import (
 )
 from ospboson.errors import DomainError, PoleError, StructuralError
 from ospboson.relations import relation_catalog, theta_bases
-from ospboson.theta import theta_eval_modular
-from reference import theta_argument
+from reference import one_factor_theta, theta_argument
 
 
 def _rel(name):
@@ -227,7 +226,7 @@ def test_shared_sample_equals_own(order):
 
 def test_shared_sample_values_equal_per_factor_thetas():
     # the composed values against the product of each factor's own
-    # theta_eval_modular at x on the limit nomes, at both levels; real, as x
+    # one_factor_theta at x on the limit nomes, at both levels; real, as x
     # and the nomes are
     digits = 60
     for c in (1, 0):
@@ -243,7 +242,7 @@ def test_shared_sample_values_equal_per_factor_thetas():
                         mp.exp(eps / mp.mpf(0.25)), p, c).items()}
                     want = mp.mpc(f.sign) * p ** f.p_exp
                     for tf in f.factors:
-                        t = theta_eval_modular(theta_argument(tf, x, p, c),
+                        t = one_factor_theta(theta_argument(tf, x, p, c),
                                                bases[tf.base], digits)
                         want = want * t if tf.power == 1 else want / t
                     assert abs(got - want) < mp.mpf("1e-50") * abs(want), (c, name)

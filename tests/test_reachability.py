@@ -31,12 +31,7 @@ ALLOWED = {
     "series.TruncatedSeries.invert": "perfbench binds it",
     "series.qpoch_log_series": "perfbench and demo 01 bind it",
     "theta.theta_terms_needed": "perfbench counts product terms with it",
-    # a test is its only caller: the independent references
-    "theta.qpoch_eval": "reference of the series evaluators",
-    "theta.theta_eval": "reference of the Jacobi transform",
-    "theta.theta_eval_modular": "one-factor transform the tests check",
-    "series.TruncatedSeries.__sub__": "tests compare jets with it",
-    # error paths that other inputs reach
+    # an error path that other inputs reach
     "errors.PoleError.__init__": "raised at a sample point near a pole",
 }
 

@@ -13,7 +13,6 @@ from ospboson.relations import (
     DISPLAY_AUDIT,
     EE_MIXED,
     FF_MIXED,
-    StructureFunctionEvaluator,
     ThetaFactor,
     relation_catalog,
     structure_function_repr,
@@ -23,18 +22,15 @@ from ospboson.relations import (
     verify_invertibility,
 )
 from ospboson.scalars import mpc_to_str, sample_annulus_point, sample_parameters
-from ospboson.theta import theta_eval_modular
-from reference import swapped_relation, theta_argument
+from reference import (
+    one_factor_theta,
+    structure_function_value,
+    swapped_relation,
+    theta_argument,
+)
 
 P = DeformationParams.from_sqrt(Fr(2, 5), Fr(1, 2))  # q = 2/5, p = 1/4
 DIGITS = 50
-
-
-def eval_structure_function(f, x, p, c, bases, digits):
-    # one point of the evaluator under test
-    with mp.workdps(digits + 10):
-        s = StructureFunctionEvaluator(p, c, bases, digits)
-        return s.at(x).value(f, s.keys(f))
 
 
 def by_id(rels):
@@ -78,7 +74,7 @@ def test_ee_golden_value():
     rels = by_id(relation_catalog())
     with mp.workdps(60):
         q, p = mp.mpf("0.4"), mp.mpf("0.5")
-        v = eval_structure_function(
+        v = structure_function_value(
             rels["EE"].structure_function, mp.mpc("0.3", "0.1"),
             p, 1, theta_bases(q, p, 1), DIGITS)
         ref = mp.mpc(
@@ -95,10 +91,10 @@ STRUCTURE_FUNCTIONS = [
 
 
 def _per_factor_value(f, x, p, c, bases, digits):
-    # the structure function as a product of single theta_eval_modular calls
+    # the structure function as a product of single one_factor_theta calls
     acc = mp.mpc(f.sign) * p ** f.p_exp
     for tf in f.factors:
-        v = theta_eval_modular(theta_argument(tf, x, p, c), bases[tf.base], digits)
+        v = one_factor_theta(theta_argument(tf, x, p, c), bases[tf.base], digits)
         acc = acc * v if tf.power == 1 else acc / v
     return acc
 
@@ -119,7 +115,7 @@ def test_structure_function_equals_per_factor_thetas(f):
             cases.append((mp.mpc(xr), limit_p,
                           {"q2": mp.mpf("0.78"), "qt2": mp.mpf("0.98")}))
         for x, p, bases in cases:
-            got = eval_structure_function(f, x, p, 1, bases, DIGITS)
+            got = structure_function_value(f, x, p, 1, bases, DIGITS)
             ref = _per_factor_value(f, x, p, 1, bases, DIGITS)
             assert abs(got - ref) < mp.mpf("1e-55") * abs(ref)
             if x.imag == 0:
@@ -134,7 +130,7 @@ def test_structure_functions_collapse_at_p_one():
         for r in relation_catalog():
             if r.kind != "exchange":
                 continue
-            v = eval_structure_function(
+            v = structure_function_value(
                 r.structure_function, x, mp.mpf(1), 1, bases, 30)
             assert abs(v - r.structure_function.sign) < mp.mpf(10) ** -25
 
@@ -145,8 +141,8 @@ def test_hphm_collapses_to_hh_at_c_zero():
         x = mp.mpc("0.43", "-0.21")
         q, p = mp.mpf("0.37"), mp.mpf("0.29")
         bases = theta_bases(q, p, 0)
-        a = eval_structure_function(rels["H+H-"].structure_function, x, p, 0, bases, 30)
-        b = eval_structure_function(rels["HH"].structure_function, x, p, 0, bases, 30)
+        a = structure_function_value(rels["H+H-"].structure_function, x, p, 0, bases, 30)
+        b = structure_function_value(rels["HH"].structure_function, x, p, 0, bases, 30)
         assert abs(a - b) < mp.mpf(10) ** -25
 
 
@@ -163,8 +159,8 @@ def test_mixed_orientation_displays_agree(mixed, rel_id):
         for _ in range(25):
             r = 0.15 + 0.7 * rng.random()
             x = r * mp.e ** (2j * mp.pi * rng.random())
-            a = eval_structure_function(mixed, x, p, 1, bases, 40)
-            b = eval_structure_function(
+            a = structure_function_value(mixed, x, p, 1, bases, 40)
+            b = structure_function_value(
                 rels[rel_id].structure_function, x, p, 1, bases, 40)
             assert abs(a - b) / abs(b) < mp.mpf(10) ** -30
 
@@ -180,8 +176,8 @@ def test_display_audit_hh_constant():
         bases = theta_bases(q, p, 1)
         for re_, im_ in (("0.31", "0.17"), ("-0.22", "0.41")):
             x = mp.mpc(re_, im_)
-            a = eval_structure_function(strict["HH"].structure_function, x, p, 1, bases, 40)
-            b = eval_structure_function(can["HH"].structure_function, x, p, 1, bases, 40)
+            a = structure_function_value(strict["HH"].structure_function, x, p, 1, bases, 40)
+            b = structure_function_value(can["HH"].structure_function, x, p, 1, bases, 40)
             assert abs(a / b - p ** -1) < mp.mpf(10) ** -30
 
 
@@ -197,8 +193,8 @@ def test_display_audit_hphm_inequivalent():
         ratios = []
         for re_, im_ in (("0.31", "0.17"), ("-0.22", "0.41")):
             x = mp.mpc(re_, im_)
-            a = eval_structure_function(strict["H+H-"].structure_function, x, p, 1, bases, 40)
-            b = eval_structure_function(can["H+H-"].structure_function, x, p, 1, bases, 40)
+            a = structure_function_value(strict["H+H-"].structure_function, x, p, 1, bases, 40)
+            b = structure_function_value(can["H+H-"].structure_function, x, p, 1, bases, 40)
             ratios.append(a / b)
         assert abs(ratios[0] - ratios[1]) > mp.mpf(10) ** -6
 
@@ -209,7 +205,7 @@ def test_pole_error_carries_factor():
         q, p = mp.mpf("0.4"), mp.mpf("0.25")
         x = q * q / (p * p)  # zero of the denominator factor theta(x p^2)
         with pytest.raises(PoleError) as exc:
-            eval_structure_function(
+            structure_function_value(
                 rels["EE"].structure_function, x, p, 1, theta_bases(q, p, 1), 30)
         assert exc.value.factor is not None
 
@@ -222,7 +218,7 @@ def test_pole_error_at_numerator_theta_zero():
         q, p = mp.mpf("0.4"), mp.mpf("0.25")
         x = q * q * p * p  # zero of the numerator factor theta(x p^-2)
         with pytest.raises(PoleError) as exc:
-            eval_structure_function(
+            structure_function_value(
                 rels["EE"].structure_function, x, p, 1, theta_bases(q, p, 1), 30)
         assert exc.value.factor == ThetaFactor("q2", 1, Fr(-2), Fr(0), 1)
 
@@ -336,21 +332,30 @@ def test_verification_symmetry():
         assert fwd["verdict"] == bwd["verdict"] == "pass"
 
 
-@pytest.mark.parametrize("rel_id,nomes", [("EE", 1), ("HH", 2)])
-def test_verify_exchange_prepares_each_nome_once(monkeypatch, rel_id, nomes):
-    # the transform's per-nome step runs once per distinct nome of S in one
-    # call, not once per sample point
-    calls = []
-    step = theta._modular_nome
+@pytest.mark.parametrize("rel_id,nomes,factors", [("EE", 1, 4), ("HH", 2, 8)])
+def test_verify_exchange_steps_each_nome_and_factor_once(monkeypatch, rel_id,
+                                                        nomes, factors):
+    # one call takes the transform's per-nome step once per distinct nome of
+    # S, not once per sample point, and its per-argument step once per
+    # distinct factor per point: EE has 4 factors on q^2, HH 4 on each base
+    nome_calls, factor_calls = [], []
+    modular_nome, modular_factor = theta._modular_nome, theta._modular_factor
 
-    def counted(q, wp):
-        calls.append(q)
-        return step(q, wp)
-    monkeypatch.setattr(theta, "_modular_nome", counted)
+    def counted_nome(q, wp):
+        nome_calls.append(q)
+        return modular_nome(q, wp)
+
+    def counted_factor(log_z, nome, wp):
+        factor_calls.append((log_z, nome[0]))  # nome[0] is 1/tau
+        return modular_factor(log_z, nome, wp)
+
+    monkeypatch.setattr(theta, "_modular_nome", counted_nome)
+    monkeypatch.setattr(theta, "_modular_factor", counted_factor)
     rep = verify_exchange(by_id(relation_catalog())[rel_id], P, samples=10,
                           digits=DIGITS, seed=0)
     assert rep["verdict"] == "pass" and len(rep["points"]) == 10
-    assert len(calls) == len(set(calls)) == nomes
+    assert len(nome_calls) == len(set(nome_calls)) == nomes
+    assert len(factor_calls) == len(set(factor_calls)) == 10 * factors
 
 
 def test_residuals_shrink_with_precision():

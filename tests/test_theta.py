@@ -11,14 +11,8 @@ from ospboson.errors import DomainError, PoleError
 from ospboson.freefield import DeformationParams, exp_contraction_closed
 from ospboson.scalars import sample_annulus_point, to_mpf
 from ospboson.series import QPochFactor
-from ospboson.theta import (
-    POLE_TOL,
-    QPochProduct,
-    qpoch_eval,
-    theta_eval,
-    theta_eval_modular,
-    theta_terms_needed,
-)
+from ospboson.theta import POLE_TOL, QPochProduct, theta_terms_needed
+from reference import one_factor_theta, qpoch_eval, theta_eval
 
 DIGITS = 50
 
@@ -121,7 +115,7 @@ def test_series_budget_rejects_base_near_one():
         with pytest.raises(DomainError):
             QPochProduct([QPochFactor(Fr(1), b, 1)], DIGITS)
     with pytest.raises(DomainError):
-        theta_eval_modular(mp.mpc("0.3", "0.2"), mp.mpf("1e-150"), DIGITS)
+        one_factor_theta(mp.mpc("0.3", "0.2"), mp.mpf("1e-150"), DIGITS)
 
 
 def test_terms_needed_matches_working_precision():
@@ -170,7 +164,7 @@ def working_precision_guard(z, q, kmax=None):
 
 def modular_raises_pole(z, q):
     try:
-        theta_eval_modular(z, q, DIGITS)
+        one_factor_theta(z, q, DIGITS)
     except PoleError:
         return True
     return False
@@ -188,7 +182,7 @@ GUARD_NOMES = ["6.4e-5", "0.01", "0.05", "0.178", "0.3", "0.5625", "0.7",
 
 
 def _check_theta_guards():
-    # theta_eval_modular raises PoleError exactly where the working-precision
+    # one_factor_theta raises PoleError exactly where the working-precision
     # rule says so: at points whose z' is at distance POLE_TOL (1 +- 1e-12)
     # and (1 +- 1e-3) from 1, near the zeros q^k, k = -3..3, on real nomes
     # and on the complex nome 0.5+0.3i
@@ -238,7 +232,7 @@ def _check_qpoch_product_guard():
 
 @pytest.mark.parametrize("kmax", [None, 0])
 def test_guard_matches_working_precision_rule(kmax):
-    # kmax=None: the theta factors' guard, through theta_eval_modular,
+    # kmax=None: the theta factors' guard, through one_factor_theta,
     # against the zeros of theta_q; kmax=0: the kernels' guard in
     # QPochProduct, against the zeros b^-k, k >= 0, of (c x | b); both are
     # the one test in the series' shift loop
@@ -268,8 +262,27 @@ def test_guard_outside_float_range():
                 z0 = z / q ** k
                 w = (-1) ** k * q ** (-k * (k - 1) // 2) * z0 ** -k * theta_eval(
                     z0, q, DIGITS)
-                v = theta_eval_modular(z, q, DIGITS)
+                v = one_factor_theta(z, q, DIGITS)
                 assert abs(v - w) <= mp.mpf(10) ** -(DIGITS - 10) * abs(w), z
+
+
+def test_direct_product_far_from_unit_circle():
+    # the reference sizes T by |a| too: theta_eval at |z| ~ 1e-400 and 1e400
+    # on q = 0.16 takes (a | q) at |a| ~ 1e400, whose factors grow for ~500
+    # terms (T from |q|^T alone gave -7.6e28409 for 1.4e100317 at
+    # z = 1e-400); held to quasi-periodicity, as test_guard_outside_float_range
+    # holds the transform, and refused where T would pass the cap
+    with mp.workdps(DIGITS + 10):
+        q = mp.mpf("0.16")
+        for z in (mp.mpf("1e-400"), mp.mpc("1e400", "3e399")):
+            k = int(mp.nint(mp.log(abs(z)) / mp.log(q)))
+            z0 = z / q ** k
+            w = (-1) ** k * q ** (-k * (k - 1) // 2) * z0 ** -k * theta_eval(
+                z0, q, DIGITS)
+            v = theta_eval(z, q, DIGITS)
+            assert abs(v - w) <= mp.mpf(10) ** -(DIGITS - 10) * abs(w), z
+    with pytest.raises(DomainError, match="product terms"):
+        qpoch_eval(mp.mpf("1e100000"), mp.mpf("0.99"), DIGITS)
 
 
 def test_guard_window_edge():
@@ -307,7 +320,7 @@ def test_modular_at_guard_edge_matches_mpmath_qp(qs):
         for k, ph in ((0, "0.41"), (1, "1"), (-2, "0")):
             z = near_zero(q, k, POLE_TOL * (1 + mp.mpf("1e-3")), ph)
             ref = mp.qp(z, q) * mp.qp(q / z, q) * mp.qp(q, q)
-            v = theta_eval_modular(z, q, DIGITS)
+            v = one_factor_theta(z, q, DIGITS)
             assert abs(v - ref) < mp.mpf("1e-50") * abs(ref), (k, ph)
 
 
@@ -318,7 +331,7 @@ def test_modular_at_smallest_transformed_nome():
     with mp.workdps(DIGITS + 20):
         B = mp.exp(-mp.mpf("0.0125") / mp.mpf("0.4"))
         for z in (mp.mpf("0.7"), mp.mpf("-1.3"), mp.mpc("0.8", "0.15")):
-            v = theta_eval_modular(z, B, DIGITS)
+            v = one_factor_theta(z, B, DIGITS)
             assert mp.isfinite(v.real) and mp.isfinite(v.imag)
             if z.imag == 0:
                 assert v.imag == 0
@@ -334,7 +347,7 @@ def test_modular_where_transformed_argument_underflows():
         B = mp.exp(-mp.mpf("0.0125") / mp.mpf("0.4"))
         for phase in ("-2.5", "-3.0", "2.5"):
             z = mp.expj(mp.mpf(phase))
-            v = theta_eval_modular(z, B, DIGITS)
+            v = one_factor_theta(z, B, DIGITS)
             w = theta_eval(z, B, DIGITS)
             assert abs(v - w) <= mp.mpf(10) ** -(DIGITS - 10) * abs(w)
 
@@ -372,7 +385,7 @@ def test_product_vs_modular(qs):
     with mp.workdps(DIGITS + 20):
         for z, q in _cross_points(qs):
             a = theta_eval(z, q, DIGITS)
-            b = theta_eval_modular(z, q, DIGITS)
+            b = one_factor_theta(z, q, DIGITS)
             assert rel_diff(a, b) < mp.mpf("1e-52")
 
 
@@ -382,7 +395,7 @@ def test_product_vs_modular_near_one():
     with mp.workdps(DIGITS + 20):
         for z, q in _cross_points("0.98"):
             a = theta_eval(z, q, DIGITS)
-            b = theta_eval_modular(z, q, DIGITS)
+            b = one_factor_theta(z, q, DIGITS)
             assert rel_diff(a, b) < mp.mpf("3.6e-42")
 
 
@@ -397,7 +410,7 @@ def test_modular_near_one_matches_mpmath_qp(qs, zs):
         q = mp.exp(mp.mpf(qs)) if qs.startswith("-") else mp.mpf(qs)
         z = mp.mpmathify(complex(zs))
         ref = mp.qp(z, q) * mp.qp(q / z, q) * mp.qp(q, q)
-        v = theta_eval_modular(z, q, DIGITS)
+        v = one_factor_theta(z, q, DIGITS)
         assert abs(v - ref) < mp.mpf("1e-55") * abs(ref)
 
 
@@ -409,7 +422,7 @@ def test_modular_at_complex_nome(qs):
         q = mp.mpc(*qs)
         for z in (mp.mpc("0.61", "0.34"), mp.mpc("-2.3", "0.7")):
             ref = mp.qp(z, q) * mp.qp(q / z, q) * mp.qp(q, q)
-            v = theta_eval_modular(z, q, DIGITS)
+            v = one_factor_theta(z, q, DIGITS)
             assert abs(v - ref) < mp.mpf("1e-55") * abs(ref)
 
 
@@ -424,7 +437,7 @@ def test_modular_keeps_transformed_nome_precision(qs):
         for zs in ("-0.5+0.001j", "-1.7+0.2j", "-12+0.5j"):
             z = mp.mpmathify(complex(zs))
             ref = mp.qp(z, q) * mp.qp(q / z, q) * mp.qp(q, q)
-            v = theta_eval_modular(z, q, DIGITS)
+            v = one_factor_theta(z, q, DIGITS)
             assert abs(v - ref) < mp.mpf("1e-55") * abs(ref), zs
 
 
@@ -446,7 +459,7 @@ def test_modular_real_on_real_axis():
         for qs in ("0.3", "0.95"):
             q = mp.mpf(qs)
             for z in (mp.mpf("0.37"), mp.mpf("-0.8"), mp.mpf("1.9")):
-                b = theta_eval_modular(z, q, DIGITS)
+                b = one_factor_theta(z, q, DIGITS)
                 assert b.imag == 0
                 assert rel_diff(theta_eval(z, q, DIGITS), b) < mp.mpf(10) ** -(DIGITS - 10)
 
@@ -457,8 +470,8 @@ def test_quasi_periodicity_extreme_nome():
     with mp.workdps(80):
         q = mp.exp(-mp.mpf("0.0125"))
         z = mp.mpc("0.8", "0.15")
-        lhs = theta_eval_modular(q * z, q, 60)
-        rhs = -theta_eval_modular(z, q, 60) / z
+        lhs = one_factor_theta(q * z, q, 60)
+        rhs = -one_factor_theta(z, q, 60) / z
         assert rel_diff(lhs, rhs) < mp.mpf(10) ** -40
 
 
@@ -473,13 +486,13 @@ def test_inversion_symmetry():
 
 
 def test_zero_detection():
-    # theta_eval_modular raises PoleError at an exact zero q^k of theta_q,
+    # one_factor_theta raises PoleError at an exact zero q^k of theta_q,
     # on a real nome, a complex one and the limits ladder's nome nearest 1
     with mp.workdps(DIGITS + 10):
         for q in (mp.mpf("0.5"), mp.mpc("0.5", "0.3"), mp.exp(-mp.mpf("0.03125"))):
             for k in (2, -1, 0):
-                with pytest.raises(PoleError, match="theta zero"):
-                    theta_eval_modular(q ** k, q, DIGITS)
+                with pytest.raises(PoleError, match="structure function pole"):
+                    one_factor_theta(q ** k, q, DIGITS)
             assert not modular_raises_pole(mp.mpc("0.3", "0.3"), q)
 
 
