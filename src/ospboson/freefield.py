@@ -273,9 +273,8 @@ class Kernel:
         return closed_form_series(self.factors, self.order)
 
     def eval_product(self, x, digits):
-        """Numeric value of the factor product at complex x: one point of
-        KernelEvaluator.eval_product."""
-        return KernelEvaluator(self, digits).eval_product(x)
+        """Numeric value of the factor product at complex x (theta.QPochProduct)."""
+        return QPochProduct(self.factors, digits)(x)
 
     def near_singular(self, x):
         """The first factor with a zero within theta.POLE_TOL of x (relatively), or None.
@@ -291,35 +290,31 @@ class Kernel:
 
 
 class KernelEvaluator:
-    """A kernel prepared once at `digits` and evaluated at many points.
+    """A kernel prepared once at `digits`, evaluated on the lines z = 1 and
+    w = 1.
 
     Preparation converts the scalar and takes each base's series
     coefficients for the product (theta.QPochProduct), at the working
-    precision digits + 10.  eval_product(x) is the product's call: x within
-    theta.POLE_TOL of a zero of a factor raises PoleError carrying the
-    first such factor, found by the series' pole guard.  Otherwise each
-    factor's Euler series is summed in fixed point, numerator and
-    denominator apart, and the two divided once; see QPochProduct for the
-    error budget.
+    precision digits + 10, at which the caller runs eval_w and eval_z.
+    eval_w(x) is K(1, x) = scalar x^w_exp prod(x), and eval_z(x) is
+    K(x, 1) = scalar x^z_exp prod(1/x), taken as scalar y^-z_exp prod(y) at
+    y = 1/x; the product's call multiplies the monomial into its fixed-point
+    running products.  A product argument within theta.POLE_TOL of a zero
+    of a factor raises PoleError carrying the first such factor, found by
+    the series' pole guard; see QPochProduct for the error budget.
     """
 
     def __init__(self, kernel, digits):
         self.kernel = kernel
-        self.digits = digits
         with workdps(digits + 10):
             self._scalar = to_mpf(kernel.scalar)
         self._product = QPochProduct(kernel.factors, digits)
 
-    def eval_product(self, x):
-        return self._product(x)
+    def eval_w(self, x):
+        return self._scalar * self._product(x, self.kernel.w_exp)
 
-    def eval_at(self, z, w):
-        k = self.kernel
-        with workdps(self.digits + 10):
-            z = mp.mpc(z)
-            w = mp.mpc(w)
-            mono = self._scalar * z ** k.z_exp * w ** k.w_exp
-            return mono * self.eval_product(w / z)
+    def eval_z(self, x):
+        return self._scalar * self._product(1 / mp.mpc(x), -self.kernel.z_exp)
 
 
 def ope_kernel(a_spec, b_spec, params, order=30):

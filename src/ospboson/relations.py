@@ -325,7 +325,7 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
         s = StructureFunctionEvaluator(p, 1, theta_bases(params.q, p, 1), digits)
 
         def sides(x):
-            return k1.eval_at(1, x), k2.eval_at(x, 1) * s.at(x).value(sf)
+            return k1.eval_w(x), k2.eval_z(x) * s.at(x).value(sf)
 
         for _ in range(samples):
             x, (lhs, rhs) = _sample_x(rng, digits, sides)

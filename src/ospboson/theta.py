@@ -17,14 +17,15 @@ on the transformed nome,
 
 with z = e^{2 pi i u}, q = e^{2 pi i tau} (principal logs), u' = u/tau,
 tau' = -1/tau and q' = e^{2 pi i tau'}.  As q -> 1, where the direct
-product would need ~1/(1-q) factors, q' -> 0 and a few terms suffice.  It
-is two steps: a per-nome step (``_modular_nome``: tau, q', the
-prefactor's constant part and (q' | q')_inf) and a per-argument step
-(``_modular_factor``: the prefactor's exponent and the product).
-``StructureFunctionEvaluator`` is the one evaluator that takes them, for
-the exchange checks and the scaling limits alike: each nome's step once,
-each distinct factor's step once per point, and each structure function
-composed from the steps with one exp.
+product would need ~1/(1-q) factors, q' -> 0 and a few terms suffice.
+``StructureFunctionEvaluator``, for the exchange checks and the scaling
+limits alike, takes it in three steps: per nome (``_modular_nome``: tau,
+q', the prefactor's constant part and (q' | q')_inf), per point and nome
+(``_modular_point``: X = e^{log x / tau}, the point's one exp there) and
+per factor (``_modular_factor``: the product at z' = X^{+-1} P^k, with
+P = e^{log p / (2 tau)} and k twice the factor's half-integer p-shift).
+Each structure function's prefactor exponents sum to a quadratic in
+log x, prepared from exact integer sums over its factors, under one exp.
 
 Kernels are products of q-Pochhammer factors (c x | b)^{+-1} with exact c,
 b; ``QPochProduct`` prepares one whole for many x.  It and the evaluator
@@ -41,7 +42,9 @@ The tests hold the series to direct truncated products, which share no
 loop with them.  Both evaluators work in fixed point: Python ints scaled by
 2^wp, wp = working precision + 60 guard bits, as mpmath's own theta series
 do.  Fixed point does not renormalize, so the error of a product is
-relative to its smallest running product.
+relative to its smallest running product.  A theta factor adds the
+rounding of z' = X^{+-1} P^k, and a structure function that of its
+quadratic's terms (StructureFunctionEvaluator's error budget).
 
 Each evaluator guards the poles on the value it already sums, by one test
 in ``_qpoch_series``: every y the shift steps meet, and the first y with
@@ -62,8 +65,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import DomainError, PoleError
-from .scalars import to_mpf, workdps
+from .errors import DomainError, PoleError, StructuralError
+from .scalars import workdps
 
 __all__ = [
     "QPochProduct",
@@ -110,6 +113,8 @@ class QPochProduct:
     one running product each, and the two are divided once as mpc values.
     A factor whose series meets a pole (c x within POLE_TOL, relatively, of
     a zero b^-k, k >= 0) raises PoleError carrying the first such factor.
+    A call with k multiplies x^|k| into the numerator (k > 0) or the
+    denominator (k < 0) first: |k| - 1 truncations.
     Error budget: each factor is within 2^(budget - wp) of its value,
     relatively, wherever no PoleError is raised (_qpoch_series); the budget
     is at most 30 bits, at the largest kernel base 9/16.  Each running
@@ -128,12 +133,15 @@ class QPochProduct:
             self._factors.append(
                 (f, f.c.numerator, f.c.denominator, bases[f.b]))
 
-    def __call__(self, x):
+    def __call__(self, x, k=0):
         wp = self._wp
         one = 1 << wp
         with workdps(self.digits + 10):
             xr, xi = _to_fixed(mp.mpc(x), wp)
-            acc = {1: (one, 0), -1: (one, 0)}
+            m = one, 0  # x^|k|
+            for _ in range(abs(k)):
+                m = (m[0] * xr - m[1] * xi) >> wp, (m[0] * xi + m[1] * xr) >> wp
+            acc = {1: m, -1: (one, 0)} if k >= 0 else {1: (one, 0), -1: m}
             for f, n, d, base in self._factors:
                 y = (n * xr) // d, (n * xi) // d
                 acc[f.power] = _qpoch_series(acc[f.power], (y,), base, wp)
@@ -147,61 +155,93 @@ class StructureFunctionEvaluator:
     """Structure functions on fixed nomes, evaluated at many points x.
 
     A structure function f is f.sign * p^f.p_exp times its factors
-    theta_B(x^orient p^shift(c)) ** power, in the shape of
-    relations.StructureFunction and relations.ThetaFactor.  Each factor is
-    evaluated on the nome B = bases[factor.base], given as mpf values
-    {"q2": .., "qt2": ..}: at a deformation point they are
-    relations.theta_bases(q, p, c); the scaling limits pass the nomes of
-    their re-parameterization.  Preparation takes log p (p > 0).  The
-    evaluator holds one cache: on first use, each base's per-nome step
-    (_modular_nome; a nome below about e^-280, whose q' misses the series'
-    budget, raises DomainError), and each distinct factor's key (base,
-    orient and the shift at level c, equal for factors that share a theta)
-    and shift * log p.
+    theta_B(x^orient p^s) ** power, s = shift(c) a half-integer
+    (StructuralError otherwise), in the shape of relations.StructureFunction
+    and relations.ThetaFactor, on the nomes B = bases[factor.base], mpf
+    values {"q2": .., "qt2": ..}: relations.theta_bases(q, p, c) at a
+    deformation point, or the scaling limits' nomes.  Preparation takes
+    log p (p > 0).  The one cache, filled on first use: per base, the
+    per-nome step (_modular_nome; a nome below about e^-280, whose q'
+    misses the series' budget, raises DomainError), P = e^(log p / (2 tau))
+    and each power P^k asked for; per f (by id, f kept), its factors' keys
+    (base, orient, k = 2 s; equal for factors that share a theta) and its
+    exponent's coefficients A, B, C.  With lam = log p / 2 and, on each
+    nome, the exact integer sums over f's factors S0 = sum power,
+    S1 = sum power k, S2 = sum power k^2, S3 = sum power orient and
+    S4 = sum power orient k, the factors' prefactor exponents E
+    (_modular_nome), signed by power, sum to A + B l + C l^2 in l = log x:
+    each nome adds S0 log C + h lam S1 + kappa lam^2 S2 to A,
+    h S3 + 2 kappa lam S4 to B and kappa S0 to C, and A has p_exp log p.
 
-    at(x) is the evaluator at one point x.  It takes log x once and fills
-    on first use each key's per-argument step (_modular_factor) from the
-    log of the factor's argument, orient * log x + shift * log p, so the
-    structure functions evaluated there share them.  Its imaginary part,
-    that of the principal log x or its negative, lies in [-pi, pi], which
+    at(x) is the evaluator at one point x.  It takes l once, and on first
+    use each nome's X = e^(l / tau) (_modular_point) and each key's step
+    (_modular_factor) at z' = X^orient P^k = e^(log z / tau),
+    log z = orient l + k lam, whose imaginary part lies in [-pi, pi]: that
     keeps |q'|^(1/2) <= |z'| <= |q'|^(-1/2) on a real nome.  value(f)
-    there raises PoleError carrying f's first factor (numerator or
-    denominator) whose argument is at a theta zero, where the step is None:
-    within about POLE_TOL |ln B| / (2 pi) of the zero, relatively.
-    Otherwise it composes f in factor order: the steps' exponents summed,
-    signed by power, under one exp, their P multiplied into a fixed-point
-    numerator and denominator, and the two divided once.  The value is real
-    when x and the nomes are.  The evaluator, at and value run at the
-    caller's working precision, which must be digits + 10 (workdps), so
-    that a caller evaluating many points enters it once.
-    Error budget: _qpoch_series's over each of a factor's three
-    q-Pochhammer factors on q' (24 bits for the q' <= 0.017 of nomes 6.4e-5
-    and up), and one truncation per factor in the running products,
-    relative to their smallest values.  The budget's |1 - y| >= POLE_TOL
-    holds wherever a step returns a value.
+    raises PoleError carrying f's first factor (numerator or denominator)
+    at a theta zero, where the step is None: within about
+    POLE_TOL |ln B| / (2 pi) of it, relatively.  Otherwise it multiplies the
+    steps into a fixed-point numerator and denominator, divides them once
+    and takes one exp, of A + l (B + l C); the value is real when x and the
+    nomes are.  All of it runs at the caller's working precision, which
+    must be digits + 10 (workdps), so that a caller enters it once.
+    Error budget, with u the working precision's unit.  z' is within a few
+    u (1 + |l / tau| + |k lam / tau|) of its value, relatively: X, P, P^k
+    and X^orient P^k each round once, after the exps' arguments.  The step
+    sums it within _qpoch_series's budget over its three q-Pochhammer
+    factors on q' (24 bits for the q' <= 0.017 of nomes 6.4e-5 and up;
+    |1 - y| >= POLE_TOL wherever a step returns a value), and the running
+    products add one truncation per factor, relative to their smallest
+    values.  The exponent's error, the value's relative error, is a few u
+    times the sum over nomes of |S0 log C| + |h lam S1| + |kappa lam^2 S2|
+    + |l| (|h S3| + 2 |kappa lam S4|) + |kappa S0| |l|^2; the factors' own
+    exponents cancel exactly in the sums.
     """
 
     def __init__(self, p, c, bases, digits):
-        self.p = p
         self.c = c
         with workdps(digits + 10):
             self._wp = mp.mp.prec + _GUARD_BITS
         self._log_p = mp.log(p)
         self._bases = bases
         self._real_nomes = not any(mp.im(b) for b in bases.values())
-        self._nomes = {}    # base name -> per-nome step
-        self._factors = {}  # factor -> (key, shift * log p, per-nome step)
+        self._nomes = {}      # base name -> (per-nome step, coefficients, {k: P^k})
+        self._functions = {}  # id(f) -> (f, A, B, C, factor entries)
 
-    def _factor(self, tf):
-        entry = self._factors.get(tf)
+    def _nome(self, name):
+        entry = self._nomes.get(name)
         if entry is None:
+            nome = _modular_nome(self._bases[name], self._wp)
+            inv_tau, h, kappa, log_c = nome[:4]
+            lam = self._log_p / 2
+            # log C, h lam, kappa lam^2 (A); h, 2 kappa lam (B); kappa (C)
+            coeffs = log_c, h * lam, kappa * lam * lam, h, 2 * kappa * lam, kappa
+            entry = self._nomes[name] = nome, coeffs, {1: mp.exp(lam * inv_tau)}
+        return entry
+
+    def _function(self, f):
+        entry = self._functions.get(id(f))
+        if entry is not None:
+            return entry
+        factors, sums = [], {}  # sums: base name -> [S0, S1, S2, S3, S4]
+        for tf in f.factors:
             s = tf.shift(self.c)
-            if tf.base not in self._nomes:
-                self._nomes[tf.base] = _modular_nome(self._bases[tf.base],
-                                                     self._wp)
-            entry = self._factors[tf] = (
-                (tf.base, tf.orient, *s.as_integer_ratio()),
-                to_mpf(s) * self._log_p, self._nomes[tf.base])
+            k, r = divmod(2 * s.numerator, s.denominator)
+            if r:
+                raise StructuralError("theta shift %s is not a half-integer" % s)
+            nome, _, powers = self._nome(tf.base)
+            if k not in powers:
+                powers[k] = powers[1] ** k
+            factors.append((tf, (tf.base, tf.orient, k), nome, powers[k]))
+            t = sums.setdefault(tf.base, [0] * 5)
+            for i, v in enumerate((1, k, k * k, tf.orient, tf.orient * k)):
+                t[i] += tf.power * v
+        abc = [f.p_exp * self._log_p, 0, 0]
+        for name, t in sums.items():
+            for i, n, v in zip((0, 0, 0, 1, 1, 2), t + t[:1], self._nomes[name][1]):
+                if n:
+                    abc[i] += n * v
+        entry = self._functions[id(f)] = (f, *abc, factors)
         return entry
 
     def at(self, x):
@@ -216,39 +256,47 @@ class _StructureFunctionPoint:
         x = mp.mpc(x)
         self._log_x = mp.log(x)
         self._real = evaluator._real_nomes and x.imag == 0
-        self._steps = {}  # factor key -> (E, P), None at a theta zero
+        self._xs = {}     # base name -> X = e^(log x / tau)
+        self._steps = {}  # factor key -> P, None at a theta zero
 
     def value(self, f):
         ev = self.evaluator
         wp = ev._wp
         one = 1 << wp
-        expo = mp.mpc(0)
+        _, a, b, c, factors = ev._function(f)
         acc = {1: (one, 0), -1: (one, 0)}
-        for tf in f.factors:
-            key, offset, nome = ev._factor(tf)
+        for tf, key, nome, pk in factors:
             if key not in self._steps:
+                X = self._xs.get(key[0])
+                if X is None:
+                    X = self._xs[key[0]] = _modular_point(self._log_x, nome)
                 self._steps[key] = _modular_factor(
-                    tf.orient * self._log_x + offset, nome, wp)
+                    X * pk if tf.orient == 1 else pk / X, nome, wp)
             step = self._steps[key]
             if step is None:
                 raise PoleError("structure function pole or zero", factor=tf)
-            e, (vr, vi) = step
-            expo = expo + e if tf.power == 1 else expo - e
+            vr, vi = step
             ar, ai = acc[tf.power]
             acc[tf.power] = (ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp
-        v = mp.mpc(f.sign) * ev.p ** f.p_exp * (
-            mp.exp(expo) * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp))
+        log_x = self._log_x
+        v = mp.mpc(f.sign) * (mp.exp(a + log_x * (b + log_x * c))
+                              * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp))
         return mp.mpc(mp.re(v)) if self._real else v
 
 
 def _modular_nome(q, wp):
-    """The per-nome step of the transform, as the tuple _modular_factor takes.
+    """The per-nome step of the transform, as the tuple _modular_point and
+    _modular_factor take.
 
     With tau = log q / (2 pi i) and tau' = -1/tau: 1/tau; h = (1 - 1/tau)/2;
-    k = i / (4 pi tau); log C, the log of the prefactor's constant part
+    kappa = i / (4 pi tau); log C, the log of the prefactor's constant part
     C = i (-i tau)^(-1/2) e^(i pi (tau' - tau)/4); q' = e^(2 pi i tau')
     prepared as a base of the series (_euler_base); and (q' | q')_inf in
     fixed point at wp, never at a pole: |1 - q'| >= 1 - |q'| > 0.13.
+    theta_q(z) = e^E (q' | q')(z' | q')(q'/z' | q') with z' = e^(log z / tau)
+    and E = log C + (log z - log z')/2 + i (log z)^2 / (4 pi tau), which is
+    log C + i pi (u - u u' - u') for u = log z / (2 pi i), u' = u / tau, and
+    is log C + log z (h + kappa log z).
     """
     q = mp.mpc(q)
     if not (0 < abs(q) < 1):
@@ -266,24 +314,24 @@ def _modular_nome(q, wp):
             _qpoch_series((1 << wp, 0), (qpf,), base, wp))
 
 
-def _modular_factor(log_z, nome, wp):
-    """The per-argument step: theta_q(z) = e^E P, returned as (E, P), or
-    None where P's series meets a pole (_qpoch_series).
+def _modular_point(log_x, nome):
+    """The per-point step: X = e^(log x / tau), the point's one exp on a nome."""
+    return mp.exp(log_x * nome[0])
 
-    With w = log z / tau = log z', the prefactor's exponent is
-    E = log C + (log z - w)/2 + i (log z)^2 / (4 pi tau), which is
-    log C + i pi (u - u u' - u') for u = log z / (2 pi i), u' = u / tau,
-    and is taken as log C + log z (h + k log z).
-    P = (q' | q')(z' | q')(q'/z' | q') is summed in fixed point from the
-    nome's (q' | q').  q'/z' is divided, and q' z' formed (the one shift
-    step of (z' | q'), taken where |z'| > 1), from q''s mantissa: q'
-    rounded to 2^-wp would carry its rounding, times |z'|, into both, which
-    costs up to half the bits where q' is near 2^-wp and |z'| near
-    |q'|^(-1/2).
+
+def _modular_factor(z, nome, wp):
+    """The per-factor step: P = (q' | q')(z' | q')(q'/z' | q') at the
+    transformed argument z' (an mpc), in fixed point, or None where its
+    series meets a pole (_qpoch_series).
+
+    P is summed from the nome's (q' | q').  q'/z' is divided, and q' z'
+    formed (the one shift step of (z' | q'), taken where |z'| > 1), from
+    q''s mantissa: q' rounded to 2^-wp would carry its rounding, times
+    |z'|, into both, which costs up to half the bits where q' is near 2^-wp
+    and |z'| near |q'|^(-1/2).
     """
-    inv_tau, h, k, log_c, base, qq = nome
-    w = log_z * inv_tau
-    zr, zi = _to_fixed(mp.exp(w), wp)
+    base, qq = nome[4:]
+    zr, zi = _to_fixed(z, wp)
     (br, bi), t = base[:2]
     # q'/z' = b conj(z') 2^(2 wp - t) / |z'|^2 in fixed point, q' = b 2^-t;
     # d is 0 only for |z'| < 2^-wp, where the numerator is 0 too
@@ -296,10 +344,7 @@ def _modular_factor(log_z, nome, wp):
         # a tiny q': floor(floor(n 2^sh) / d) = floor(n 2^sh / d), and the
         # integers stay short
         qz = (nr >> -sh) // d, (ni >> -sh) // d
-    v = _qpoch_series(qq, ((zr, zi), qz), base, wp)
-    if v is None:
-        return None
-    return log_c + log_z * (h + log_z * k), v
+    return _qpoch_series(qq, ((zr, zi), qz), base, wp)
 
 
 def _euler_base(b, wp):

@@ -262,26 +262,34 @@ def test_shared_sample_level_zero_pair(names):
 
 
 def test_shared_sample_steps_each_nome_and_factor_once(monkeypatch):
-    nomes, factors = [], []
-    modular_nome, modular_factor = theta._modular_nome, theta._modular_factor
+    nomes, points, factors = [], [], []
+    modular_nome = theta._modular_nome
+    modular_point, modular_factor = theta._modular_point, theta._modular_factor
 
     def counted_nome(q, wp):
         nomes.append(q)
         return modular_nome(q, wp)
 
-    def counted_factor(log_z, nome, wp):
-        factors.append((log_z, nome[0]))  # nome[0] is 1/tau
-        return modular_factor(log_z, nome, wp)
+    def counted_point(log_x, nome):
+        points.append((log_x, nome[0]))  # nome[0] is 1/tau
+        return modular_point(log_x, nome)
+
+    def counted_factor(z, nome, wp):
+        factors.append((z, nome[0]))
+        return modular_factor(z, nome, wp)
 
     monkeypatch.setattr(theta, "_modular_nome", counted_nome)
+    monkeypatch.setattr(theta, "_modular_point", counted_point)
     monkeypatch.setattr(theta, "_modular_factor", counted_factor)
     s = SHARED_SAMPLES[1]
     shared = LimitSample(s["u_minus_v"], eta=s["eta"], hbar=s["hbar"])
     for name in LIMIT_NAMES:
         limit_check(name, s["u_minus_v"], eta=s["eta"], hbar=s["hbar"], sample=shared)
-    # 2 nomes at each of the 4 eps; the 8 relations have 24 distinct
-    # factors at each eps (12 shifts on each base)
+    # 2 nomes at each of the 4 eps, each with one exp X = e^(log x / tau);
+    # the 8 relations have 24 distinct factors at each eps (12 shifts on
+    # each base)
     assert len(nomes) == 2 * len(EPSILON_LADDER) == len(set(nomes))
+    assert len(points) == 2 * len(EPSILON_LADDER) == len(set(points))
     assert len(factors) == 24 * len(EPSILON_LADDER) == len(set(factors))
 
 

@@ -1,5 +1,6 @@
 """Exchange-relation catalog and the level-1 kernel verification."""
 
+import functools
 import random
 from fractions import Fraction as Fr
 
@@ -27,6 +28,7 @@ from reference import (
     structure_function_value,
     swapped_relation,
     theta_argument,
+    theta_eval,
 )
 
 P = DeformationParams.from_sqrt(Fr(2, 5), Fr(1, 2))  # q = 2/5, p = 1/4
@@ -120,6 +122,68 @@ def test_structure_function_equals_per_factor_thetas(f):
             assert abs(got - ref) < mp.mpf("1e-55") * abs(ref)
             if x.imag == 0:
                 assert got.imag == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _direct_theta(case, base, orient, shift):
+    # theta_B(x^orient p^shift) at DIRECT_CASES[case] by direct products at
+    # 70 digits (reference.theta_eval, which shares no code with the
+    # evaluator), taken once for every structure function that has it
+    c, x, p, bases = DIRECT_CASES[case]
+    with mp.workdps(80):
+        return theta_eval(x ** orient * p ** shift, bases[base], 70)
+
+
+def _direct_value(f, case):
+    c, x, p, bases = DIRECT_CASES[case]
+    with mp.workdps(80):
+        acc = mp.mpc(f.sign) * p ** f.p_exp
+        for tf in f.factors:
+            v = _direct_theta(case, tf.base, tf.orient, tf.shift(c))
+            acc = acc * v if tf.power == 1 else acc / v
+        return acc
+
+
+def _direct_cases():
+    # (x, p, bases) rounded to the evaluation's 60 digits: annulus points
+    # with |x| near 0.1 and 0.9, at arg x near 0 and +-pi, on the nomes of
+    # (q, sqrt p) = (2/5, 1/2) and (3/4, 1/5) (the largest q^2, 0.5625, and
+    # p = 1/25, where p^-3 = 15625), and the limits' real x = e^(-eps(u-v))
+    # at p = e^(eps hbar) on the nomes B = b^(-1/4) at eps = 0.1 and 0.025
+    with mp.workdps(DIGITS + 10):
+        for c in (0, 1):
+            for q, r in ((mp.mpf(2) / 5, mp.mpf(1) / 2), (mp.mpf(3) / 4, mp.mpf(1) / 5)):
+                p = r * r
+                for ax, ph in (("0.1001", "0.9993"), ("0.8997", "-0.9991"),
+                               ("0.1003", "0.0213"), ("0.8991", "0.5")):
+                    x = mp.mpf(ax) * mp.expjpi(mp.mpf(ph))
+                    yield c, x, p, theta_bases(q, p, c)
+            for eps in (mp.mpf("0.1"), mp.mpf("0.025")):
+                p = mp.e ** (eps * mp.mpf("0.13"))
+                bases = theta_bases(mp.exp(eps / mp.mpf("0.27")), p, c)
+                yield c, mp.mpc(mp.e ** (-eps * mp.mpf("0.41"))), p, {
+                    k: 1 / mp.sqrt(mp.sqrt(b)) for k, b in bases.items()}
+
+
+DIRECT_CASES = list(_direct_cases())
+
+
+def test_direct_cases_reach_the_largest_shifts():
+    # the canonical H+H- at c = 1 has the shifts -3 (on q^2) and 3 (on
+    # qt^2), the extremes of k = 2 s in z' = X^orient P^k
+    hphm = by_id(relation_catalog())["H+H-"].structure_function
+    assert {2 * tf.shift(1) for tf in hphm.factors} >= {-6, 6}
+    assert {c for c, *_ in DIRECT_CASES} == {0, 1}
+
+
+@pytest.mark.parametrize("f", STRUCTURE_FUNCTIONS)
+def test_structure_function_matches_direct_thetas(f):
+    # the errors measured here are at most 1.0e-59
+    for case, (c, x, p, bases) in enumerate(DIRECT_CASES):
+        with mp.workdps(DIGITS + 10):
+            got = structure_function_value(f, x, p, c, bases, DIGITS)
+        ref = _direct_value(f, case)
+        assert abs(got - ref) < mp.mpf("1e-52") * abs(ref), (c, x)
 
 
 def test_structure_functions_collapse_at_p_one():
@@ -336,25 +400,34 @@ def test_verification_symmetry():
 def test_verify_exchange_steps_each_nome_and_factor_once(monkeypatch, rel_id,
                                                         nomes, factors):
     # one call takes the transform's per-nome step once per distinct nome of
-    # S, not once per sample point, and its per-argument step once per
-    # distinct factor per point: EE has 4 factors on q^2, HH 4 on each base
-    nome_calls, factor_calls = [], []
-    modular_nome, modular_factor = theta._modular_nome, theta._modular_factor
+    # S, not once per sample point, its per-point step (the one exp
+    # X = e^(log x / tau)) once per nome per point, and its per-factor step
+    # once per distinct factor per point: EE has 4 factors on q^2, HH 4 on
+    # each base
+    nome_calls, point_calls, factor_calls = [], [], []
+    modular_nome = theta._modular_nome
+    modular_point, modular_factor = theta._modular_point, theta._modular_factor
 
     def counted_nome(q, wp):
         nome_calls.append(q)
         return modular_nome(q, wp)
 
-    def counted_factor(log_z, nome, wp):
-        factor_calls.append((log_z, nome[0]))  # nome[0] is 1/tau
-        return modular_factor(log_z, nome, wp)
+    def counted_point(log_x, nome):
+        point_calls.append((log_x, nome[0]))  # nome[0] is 1/tau
+        return modular_point(log_x, nome)
+
+    def counted_factor(z, nome, wp):
+        factor_calls.append((z, nome[0]))
+        return modular_factor(z, nome, wp)
 
     monkeypatch.setattr(theta, "_modular_nome", counted_nome)
+    monkeypatch.setattr(theta, "_modular_point", counted_point)
     monkeypatch.setattr(theta, "_modular_factor", counted_factor)
     rep = verify_exchange(by_id(relation_catalog())[rel_id], P, samples=10,
                           digits=DIGITS, seed=0)
     assert rep["verdict"] == "pass" and len(rep["points"]) == 10
     assert len(nome_calls) == len(set(nome_calls)) == nomes
+    assert len(point_calls) == len(set(point_calls)) == 10 * nomes
     assert len(factor_calls) == len(set(factor_calls)) == 10 * factors
 
 
