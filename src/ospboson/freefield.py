@@ -92,16 +92,23 @@ class DeformationParams:
         return cls(Fraction(q), sqrt_p * sqrt_p, sqrt_p)
 
 
+def _antisym(x, n):
+    """x^n - x^-n = (a^2 - b^2) / (a b) with a = num^n and b = den^n (n >= 1),
+    as the integer pair (a^2 - b^2, a b)."""
+    a, b = x.numerator ** n, x.denominator ** n
+    return a * a - b * b, a * b
+
+
 def mode_bracket(n, m, params):
     """[a_n, a_m]; nonzero only on the diagonal n + m = 0, n != 0."""
     if n + m != 0 or n == 0:
         return Fraction(0)
-    q, p = params.q, params.p
-    qp = q * p
-    return (Fraction(1, n)
-            * (q ** n - q ** -n)
-            * (qp ** n - qp ** -n)
-            * (p ** n + p ** -n - 1))
+    k = abs(n)  # the bracket is odd in n
+    qn, qd = _antisym(params.q, k)
+    qpn, qpd = _antisym(params.q * params.p, k)
+    c, d = params.p.numerator ** k, params.p.denominator ** k
+    return Fraction((1 if n > 0 else -1) * qn * qpn * (c * c + d * d - c * d),
+                    k * qd * qpd * c * d)
 
 
 def contraction_series(kind1, kind2, params, order):
@@ -117,8 +124,11 @@ def contraction_series(kind1, kind2, params, order):
     b1, b2 = base[kind1], base[kind2]
     coeffs = [Fraction(0)] * (order + 1)
     for n in range(1, order + 1):
-        coeffs[n] = mode_bracket(n, -n, params) / (
-            (b1 ** n - b1 ** -n) * (b2 ** -n - b2 ** n))
+        bracket = mode_bracket(n, -n, params)
+        (n1, d1), (n2, d2) = _antisym(b1, n), _antisym(b2, n)
+        # N_2(-n) = -N_2(n)
+        coeffs[n] = Fraction(-bracket.numerator * d1 * d2,
+                             bracket.denominator * n1 * n2)
     return TruncatedSeries(coeffs, order)
 
 

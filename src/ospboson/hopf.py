@@ -691,12 +691,12 @@ def search_conventions() -> dict:
     fail under every convention.  A corrected-antipode annotation records
     whether flipping the printed signs of S(E) and S(F) repairs a2.
     """
-    def table(convention, corrected):
+    def table(convention, corrected, axioms=AXIOMS):
         # "axiom:generator" keys in sorted order, which universal_failures keeps
         return {
             "%s:%s" % (axiom, gen): verify_axiom(
                 axiom, gen, convention, corrected_antipode=corrected)["verdict"]
-            for axiom in sorted(AXIOMS) for gen in sorted(AXIOM_GENERATORS)
+            for axiom in sorted(axioms) for gen in sorted(AXIOM_GENERATORS)
         }
 
     tables = []
@@ -711,11 +711,14 @@ def search_conventions() -> dict:
         key for key in tables[0]["results"]
         if all(t["results"][key] == "fail" for t in tables)
     ]
-    # annotation: the corrected antipode, outside the search space
+    # annotation: the corrected antipode, outside the search space; only a2
+    # reads it, so a1 and a3 are taken from the uncorrected tables
     annotation = {
         "passing_conventions": [
-            convention.label() for convention in CONVENTIONS
-            if all(v == "pass" for v in table(convention, True).values())
+            convention.label()
+            for convention, t in zip(CONVENTIONS, tables)
+            if all(v == "pass" for v in {
+                **t["results"], **table(convention, True, ("a2",))}.values())
         ],
         "note": (
             "flipping the printed signs of S(E) and S(F) makes a2 cancel; "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DomainError, StructuralError
 
@@ -99,19 +100,31 @@ class TruncatedSeries:
     def exp(self):
         """exp of a series with zero constant term.
 
-        E' = A' E gives n*E_n = sum_{k=1..n} k*A_k*E_{n-k}.
+        E' = A' E gives n*E_n = sum_{k=1..n} k*A_k*E_{n-k}, run in integers:
+        with V the lcm of A's denominators, W_k = k*A_k*V is an integer and
+        E_j = N_j / L over one common denominator L, so E_m = (sum_k W_k
+        N_{m-k}) / (m V L) exactly, normalized once.  L and every N_j are then
+        scaled by d / gcd(L, d), d the reduced denominator of E_m; d is not
+        always a multiple of L, so L is grown, not replaced by d.
         """
         if self.coeffs[0] != 0:
             raise DomainError("exp requires zero constant term")
         n = self.order
         a = self.coeffs
-        out = [Fraction(1)] + [Fraction(0)] * n
+        v = lcm(*(c.denominator for c in a))
+        w = [(k, k * c.numerator * (v // c.denominator))
+             for k, c in enumerate(a) if c]
+        nums, lam, out = [1], 1, [Fraction(1)]
         for m in range(1, n + 1):
-            s = Fraction(0)
-            for k in range(1, m + 1):
-                if a[k] != 0:
-                    s += k * a[k] * out[m - k]
-            out[m] = s / m
+            e = Fraction(sum(wk * nums[m - k] for k, wk in w if k <= m),
+                         m * v * lam)
+            d = e.denominator
+            if lam % d:
+                g = d // gcd(lam, d)
+                lam *= g
+                nums = [x * g for x in nums]
+            nums.append(e.numerator * (lam // d))
+            out.append(e)
         return TruncatedSeries(out, n)
 
     def log(self):
@@ -160,17 +173,29 @@ def closed_form_series(factors, order):
 
     log prod_n (1 - c*x*b^n) = -sum_{m>=1} (c x)^m / (m (1 - b^m)), requiring
     |b| < 1; each coefficient is a closed-form rational, so the result is
-    the true series of the infinite products, not of truncated ones.
+    the true series of the infinite products, not of truncated ones.  The
+    factors are grouped by base: for each m, sum power * c^m over a group
+    as integers over the common denominator of its c, then divide once by
+    m (1 - b^m).
     """
-    coeffs = [Fraction(0)] * (order + 1)
+    groups = {}
     for f in factors:
-        c, b = Fraction(f.c), Fraction(f.b)
+        b = Fraction(f.b)
         if abs(b) >= 1:
             raise DomainError("need |b| < 1 for the infinite product, got %s" % b)
-        cm = Fraction(f.power)
+        groups.setdefault(b, []).append((Fraction(f.c), f.power))
+    coeffs = [Fraction(0)] * (order + 1)
+    for b, members in groups.items():
+        den = lcm(*(c.denominator for c, _ in members))
+        base = [c.numerator * (den // c.denominator) for c, _ in members]
+        terms = [power for _, power in members]
+        bn, bd = b.numerator, b.denominator
+        bnm = bdm = denm = 1
         for m in range(1, order + 1):
-            cm *= c
-            coeffs[m] -= cm / (m * (1 - b ** m))
+            terms = [t * u for t, u in zip(terms, base)]
+            bnm, bdm, denm = bnm * bn, bdm * bd, denm * den
+            # power c^m / (m (1 - b^m)) = power u^m bd^m / (den^m m (bd^m - bn^m))
+            coeffs[m] -= Fraction(sum(terms) * bdm, denm * m * (bdm - bnm))
     return TruncatedSeries(coeffs, order).exp()
 
 

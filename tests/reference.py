@@ -5,6 +5,8 @@ the code under test.  The helpers evaluate through the program's own
 structure-function evaluator, the route the suites run.
 """
 
+from fractions import Fraction
+
 import mpmath as mp
 
 from ospboson.errors import DomainError, StructuralError
@@ -45,6 +47,26 @@ def swapped_relation(rel):
     return RelationSpec(
         rel.rel_id + "-swapped", "exchange", rel.right, rel.left,
         inverse_structure_function(rel.structure_function), rel.mode, rel.notes)
+
+
+def exp_reference(coeffs):
+    """Coefficients of exp of the jet c[0..N] (c[0] = 0), by the recurrence
+    n*E_n = sum_{k=1..n} k*c_k*E_{n-k} in Fraction arithmetic throughout.
+
+    The reference for TruncatedSeries.exp, which runs the same recurrence on
+    integer numerators over a common denominator.
+    """
+    if coeffs[0] != 0:
+        raise DomainError("exp requires zero constant term")
+    a = [Fraction(c) for c in coeffs]
+    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    for m in range(1, len(a)):
+        s = Fraction(0)
+        for k in range(1, m + 1):
+            if a[k] != 0:
+                s += k * a[k] * out[m - k]
+        out[m] = s / m
+    return out
 
 
 def qpoch_eval(a, q, digits):

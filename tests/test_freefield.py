@@ -48,6 +48,43 @@ def test_mode_bracket_support_and_antisymmetry():
     assert mode_bracket(0, 0, P) == 0
 
 
+def _textbook_bracket(n, q, p):
+    qp = q * p
+    return Fr(1, n) * (q ** n - q ** -n) * (qp ** n - qp ** -n) * (p ** n + p ** -n - 1)
+
+
+BRACKET_POINTS = [
+    DeformationParams(Fr(1, 2), Fr(1, 3)),                   # no sqrt_p
+    DeformationParams(*sample_parameters(23700, 1)[0]),
+    DeformationParams.from_sqrt(Fr(29, 60), Fr(19, 60)),
+]
+
+
+@pytest.mark.parametrize("P", BRACKET_POINTS, ids=["no-sqrt", "suite-all",
+                                                   "exact-algebra"])
+def test_mode_bracket_matches_textbook_powers(P):
+    for n in list(range(1, 25)) + list(range(-24, 0)):
+        got = mode_bracket(n, -n, P)
+        assert type(got) is Fr
+        assert got == _textbook_bracket(n, P.q, P.p), n
+
+
+@pytest.mark.parametrize("P", BRACKET_POINTS, ids=["no-sqrt", "suite-all",
+                                                   "exact-algebra"])
+@pytest.mark.parametrize("kinds", [("phi", "phi"), ("phi", "psi"),
+                                   ("psi", "phi"), ("psi", "psi")])
+def test_contraction_series_matches_textbook_powers(P, kinds):
+    base = {"phi": P.q, "psi": P.q * P.p}
+    b1, b2 = base[kinds[0]], base[kinds[1]]
+    jet = contraction_series(kinds[0], kinds[1], P, 24)
+    assert jet.coeffs[0] == 0
+    for n in range(1, 25):
+        ref = _textbook_bracket(n, P.q, P.p) / (
+            (b1 ** n - b1 ** -n) * (b2 ** -n - b2 ** n))
+        assert type(jet.coeffs[n]) is Fr
+        assert jet.coeffs[n] == ref, n
+
+
 def test_contraction_first_coefficients():
     q, p = Fr(1, 2), Fr(1, 4)
     P = DeformationParams(q, p)

@@ -3,10 +3,11 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, strategies as st
 
-from ospboson import hopf
+from ospboson import cli, hopf
 from ospboson.errors import StructuralError
 from ospboson.hopf import (
     AXIOM_GENERATORS,
+    AXIOMS,
     CONVENTIONS,
     Factor,
     ShiftForm,
@@ -460,6 +461,55 @@ def test_search_conventions_summary():
     assert annotated == ["sigma=+1, counit=-1", "sigma=-1, counit=+1"]
     for table in rep["tables"]:
         assert table["results"]["a3:E"] == "pass"
+
+
+def _search_with_full_corrected_tables():
+    # every axiom on every generator under every convention, uncorrected and
+    # corrected, each table rebuilt in full
+    def table(convention, corrected):
+        return {"%s:%s" % (axiom, gen): verify_axiom(
+                    axiom, gen, convention, corrected_antipode=corrected)["verdict"]
+                for axiom in sorted(AXIOMS) for gen in sorted(AXIOM_GENERATORS)}
+
+    tables = [table(c, False) for c in CONVENTIONS]
+    passing = [c.label() for c, t in zip(CONVENTIONS, tables)
+               if all(v == "pass" for v in t.values())]
+    return {
+        "tables": [{"convention": c.label(), "results": t,
+                    "all_pass": c.label() in passing}
+                   for c, t in zip(CONVENTIONS, tables)],
+        "conventions_passing_all": passing,
+        "universal_failures": [k for k in tables[0]
+                               if all(t[k] == "fail" for t in tables)],
+        "corrected_passing": [c.label() for c in CONVENTIONS
+                              if all(v == "pass"
+                                     for v in table(c, True).values())],
+        "verdict": "pass" if passing else "fail",
+    }
+
+
+def test_search_conventions_matches_full_corrected_tables():
+    rep = search_conventions()
+    ref = _search_with_full_corrected_tables()
+    assert rep["corrected_antipode_annotation"]["passing_conventions"] == (
+        ref.pop("corrected_passing"))
+    for key, value in ref.items():
+        assert rep[key] == value, key
+
+
+def test_hopf_suite_verify_axiom_count(monkeypatch, tmp_path):
+    # 18 rows of the suite, 72 uncorrected rows of the search and only the
+    # 24 a2 rows of the corrected-antipode annotation
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return verify_axiom(*args, **kwargs)
+
+    monkeypatch.setattr(hopf, "verify_axiom", counted)
+    monkeypatch.setattr(cli, "verify_axiom", counted)
+    cli._suite_hopf(cli.RunConfig(suite="hopf", out=str(tmp_path / "r.json")))
+    assert len(calls) == 114
 
 
 def test_axiom_reports_are_traceable():

@@ -1,5 +1,6 @@
 """Truncated power series: ring laws, exp/log, q-Pochhammer jets."""
 
+import math
 from fractions import Fraction as Fr
 
 import mpmath as mp
@@ -8,8 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ospboson.errors import DomainError, StructuralError
-from ospboson.scalars import to_mpf
-from ospboson.series import TruncatedSeries, qpoch_log_series
+from ospboson.freefield import DeformationParams, contraction_series, ope_kernel
+from ospboson.relations import CURRENTS, relation_catalog
+from ospboson.scalars import sample_parameters, to_mpf
+from ospboson.series import (
+    QPochFactor, TruncatedSeries, closed_form_series, qpoch_log_series)
+
+from reference import exp_reference
 
 ORDER = 6
 
@@ -63,6 +69,114 @@ def test_invert(a):
     s = TruncatedSeries(coeffs, ORDER)
     one = TruncatedSeries.one(ORDER)
     assert (s * s.invert()).coeffs == one.coeffs
+
+
+@given(series_st)
+@settings(max_examples=60, deadline=None)
+def test_exp_matches_reference(a):
+    coeffs = [Fr(0)] + list(a.coeffs[1:])
+    assert TruncatedSeries(coeffs, ORDER).exp().coeffs == exp_reference(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [0],                                    # order 0
+    [0, Fr(-3, 7)],                         # order 1
+    [0, 0, 0, Fr(5, 6), 0, 0, Fr(-1, 4), 0, 0, 0],  # zero gaps
+    [0, 2, -3, 0, 1, 5, -7],                # integer coefficients
+    [0] * 9,                                # exp(0) = 1
+], ids=["order0", "order1", "gaps", "integers", "zero"])
+def test_exp_matches_reference_on_shapes(coeffs):
+    assert TruncatedSeries(coeffs).exp().coeffs == exp_reference(coeffs)
+
+
+def _nested_steps(coeffs):
+    """Whether each reduced denominator of coeffs is a multiple of the lcm of
+    the ones before it."""
+    out, acc = [], 1
+    for c in coeffs:
+        out.append(c.denominator % acc == 0)
+        acc = math.lcm(acc, c.denominator)
+    return out
+
+
+def test_exp_matches_reference_when_denominators_do_not_nest():
+    # pairwise coprime denominators: the common denominator of the output
+    # must grow by a factor coprime to it, not be replaced
+    coeffs = [0, Fr(1, 2), Fr(1, 3), Fr(-1, 5), Fr(1, 7), Fr(2, 11), Fr(-3, 13),
+              Fr(1, 17), Fr(5, 19)]
+    ref = exp_reference(coeffs)
+    assert not all(_nested_steps(ref))
+    assert TruncatedSeries(coeffs).exp().coeffs == ref
+
+
+# the suite-all point (CLI seed 23700) and the exact-algebra point (seed 0)
+EXP_POINTS = {
+    "suite-all": DeformationParams(*sample_parameters(23700, 1)[0]),
+    "exact-algebra": DeformationParams.from_sqrt(Fr(29, 60), Fr(19, 60)),
+}
+KERNEL_PAIRS = {r.rel_id: r.left for r in relation_catalog()
+                if r.kind != "invertibility"}
+
+
+def _closed_form_log(factors, order):
+    # -sum_m power c^m / (m (1 - b^m)), one factor and one m at a time
+    coeffs = [Fr(0)] * (order + 1)
+    for f in factors:
+        for m in range(1, order + 1):
+            coeffs[m] -= f.power * f.c ** m / (m * (1 - f.b ** m))
+    return coeffs
+
+
+def _contraction_log(kernel):
+    # the summed, scaled contraction jets whose exp is Kernel.series
+    coeffs = [Fr(0)] * (kernel.order + 1)
+    for sgn, k1, k2, ratio in kernel._contractions:
+        jet = contraction_series(k1, k2, kernel.params, kernel.order)
+        for n, c in enumerate(jet.coeffs):
+            coeffs[n] += sgn * c * ratio ** n
+    return coeffs
+
+
+@pytest.mark.parametrize("order", [16, 24])
+@pytest.mark.parametrize("point", sorted(EXP_POINTS))
+def test_exp_matches_reference_on_kernel_jets(point, order):
+    P = EXP_POINTS[point]
+    for rel_id, (a, b) in sorted(KERNEL_PAIRS.items()):
+        K = ope_kernel(CURRENTS[a](P), CURRENTS[b](P), P, order=order)
+        log = _closed_form_log(K.factors, order)
+        ref = exp_reference(log)
+        assert TruncatedSeries(log).exp().coeffs == ref, rel_id
+        assert closed_form_series(K.factors, order).coeffs == ref, rel_id
+        contraction = _contraction_log(K)
+        assert (TruncatedSeries(contraction).exp().coeffs
+                == exp_reference(contraction)), rel_id
+
+
+def test_kernel_jet_denominators_do_not_always_nest():
+    # the H+E closed-form jet at order 24 at the exact-algebra point is a
+    # case in which exp's common denominator must grow by a gcd step
+    P = EXP_POINTS["exact-algebra"]
+    K = ope_kernel(CURRENTS["H+"](P), CURRENTS["E"](P), P, order=24)
+    assert not all(_nested_steps(exp_reference(_closed_form_log(K.factors, 24))))
+
+
+def test_closed_form_series_groups_bases_exactly():
+    # shared and distinct bases, both powers, negative and zero bases
+    factors = [QPochFactor(Fr(1, 3), Fr(1, 4), 1),
+               QPochFactor(Fr(-2, 5), Fr(1, 4), -1),
+               QPochFactor(Fr(7, 2), Fr(-2, 3), 1),
+               QPochFactor(Fr(1, 6), Fr(0), -1),
+               QPochFactor(Fr(3), Fr(0), 1)]
+    ref = exp_reference(_closed_form_log(factors, 12))
+    assert closed_form_series(factors, 12).coeffs == ref
+
+
+def test_closed_form_series_bad_base_message():
+    factors = [QPochFactor(Fr(1, 3), Fr(1, 4), 1),
+               QPochFactor(Fr(1, 3), Fr(-5, 4), 1)]
+    with pytest.raises(DomainError, match=r"^need \|b\| < 1 for the infinite "
+                       r"product, got -5/4$"):
+        closed_form_series(factors, 8)
 
 
 def test_exp_requires_zero_constant():
