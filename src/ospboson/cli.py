@@ -213,13 +213,9 @@ def _tau_category_report():
 
 def _suite_hopf(cfg):
     conv = SignConvention(cfg.convention, -cfg.convention)
-    reports = [_tau_category_report()]
-    for axiom in AXIOMS:
-        for gen in AXIOM_GENERATORS:
-            reports.append(verify_axiom(
-                axiom, gen, conv, corrected_antipode=False, trace=cfg.trace))
-    reports.append(search_conventions())
-    return reports
+    rows = [verify_axiom(axiom, gen, conv, corrected_antipode=False, trace=cfg.trace)
+            for axiom in AXIOMS for gen in AXIOM_GENERATORS]
+    return [_tau_category_report(), *rows, search_conventions(rows)]
 
 
 def _suite_limits(cfg):

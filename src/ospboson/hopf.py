@@ -682,7 +682,7 @@ def verify_axiom(axiom: str, generator: str,
     return report
 
 
-def search_conventions() -> dict:
+def search_conventions(reports=()) -> dict:
     """Run every axiom on every generator under all four conventions.
 
     Returns a structured report: per-convention verdict tables, the set of
@@ -690,14 +690,25 @@ def search_conventions() -> dict:
     set is empty, the minimal witness set of (axiom, generator) pairs that
     fail under every convention.  A corrected-antipode annotation records
     whether flipping the printed signs of S(E) and S(F) repairs a2.
+    The tables take the verdicts of `reports` (verify_axiom reports) as given.
     """
-    def table(convention, corrected, axioms=AXIOMS):
-        # "axiom:generator" keys in sorted order, which universal_failures keeps
-        return {
-            "%s:%s" % (axiom, gen): verify_axiom(
-                axiom, gen, convention, corrected_antipode=corrected)["verdict"]
-            for axiom in sorted(axioms) for gen in sorted(AXIOM_GENERATORS)
-        }
+    verdicts = {(SignConvention(**r["convention"]), r["axiom"], r["generator"],
+                 r["corrected_antipode"]): r["verdict"] for r in reports}
+
+    def table(convention, corrected):
+        # "axiom:generator" keys in sorted order, which universal_failures
+        # keeps.  Only a2 on E and F reaches the branches of _antipode_factor
+        # that read `corrected`; any other corrected row is its uncorrected row
+        results = {}
+        for axiom in sorted(AXIOMS):
+            for gen in sorted(AXIOM_GENERATORS):
+                key = (convention, axiom, gen,
+                       corrected and axiom == "a2" and gen in ("E", "F"))
+                if key not in verdicts:
+                    verdicts[key] = verify_axiom(
+                        axiom, gen, convention, corrected_antipode=key[3])["verdict"]
+                results["%s:%s" % (axiom, gen)] = verdicts[key]
+        return results
 
     tables = []
     for convention in CONVENTIONS:
@@ -711,14 +722,11 @@ def search_conventions() -> dict:
         key for key in tables[0]["results"]
         if all(t["results"][key] == "fail" for t in tables)
     ]
-    # annotation: the corrected antipode, outside the search space; only a2
-    # reads it, so a1 and a3 are taken from the uncorrected tables
+    # annotation: the corrected antipode, outside the search space
     annotation = {
         "passing_conventions": [
-            convention.label()
-            for convention, t in zip(CONVENTIONS, tables)
-            if all(v == "pass" for v in {
-                **t["results"], **table(convention, True, ("a2",))}.values())
+            convention.label() for convention in CONVENTIONS
+            if all(v == "pass" for v in table(convention, True).values())
         ],
         "note": (
             "flipping the printed signs of S(E) and S(F) makes a2 cancel; "

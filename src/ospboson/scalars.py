@@ -84,4 +84,5 @@ def sample_annulus_point(rng, digits):
         u = rng.random()
         r = mp.sqrt(rmin * rmin + u * (rmax * rmax - rmin * rmin))
         phi = mp.mpf(2) * mp.pi * rng.random()
-        return mp.mpc(r * mp.cos(phi), r * mp.sin(phi))
+        cos, sin = mp.cos_sin(phi)
+        return mp.mpc(r * cos, r * sin)

@@ -35,9 +35,10 @@ sum each factor by Euler's series (Gasper-Rahman, eq. (1.3.16)),
 
 once shift steps (y | b) = (1 - y)(b y | b) have brought |y| to 1 or less
 (``_qpoch_series``), with each distinct base's coefficients prepared once
-(``_euler_base``).  Its terms fall like |b|^(n^2/2): at 50 digits it takes
-15 terms at b = 4/25 and 26 at 9/16, where the product takes 77 and 242
-factors.  A base too near 1 for the series' error budget raises DomainError.
+(``_euler_base``), at two real products a term (``_real_series``).  Its terms
+fall like |b|^(n^2/2): at 50 digits it takes 15 terms at b = 4/25 and 26 at
+9/16, where the product takes 77 and 242 factors, and loses at most 28 and 34
+bits.  A base too near 1 for the series' error budget raises DomainError.
 The tests hold the series to direct truncated products, which share no
 loop with them.  Both evaluators work in fixed point: Python ints scaled by
 2^wp, wp = working precision + 60 guard bits, as mpmath's own theta series
@@ -79,7 +80,7 @@ _MAX_TERMS = 200_000
 POLE_TOL = 1e-6  # relative distance from a zero that counts as a pole
 
 _GUARD_BITS = 60      # fixed-point bits beyond the working precision
-_BUDGET_BITS = 50     # of them, the most Euler's series may lose (_euler_base)
+_BUDGET_BITS = 55     # of them, the most Euler's series may lose (_euler_base)
 _COEF_BITS = 20       # bits beyond wp for the series' coefficient recursion
 _LN2 = math.log(2)
 _LN10 = math.log(10)
@@ -117,7 +118,7 @@ class QPochProduct:
     denominator (k < 0) first: |k| - 1 truncations.
     Error budget: each factor is within 2^(budget - wp) of its value,
     relatively, wherever no PoleError is raised (_qpoch_series); the budget
-    is at most 30 bits, at the largest kernel base 9/16.  Each running
+    is at most 34 bits, at the largest kernel base 9/16.  Each running
     product adds one truncation per factor, relative to its smallest value.
     """
 
@@ -189,7 +190,7 @@ class StructureFunctionEvaluator:
     u (1 + |l / tau| + |k lam / tau|) of its value, relatively: X, P, P^k
     and X^orient P^k each round once, after the exps' arguments.  The step
     sums it within _qpoch_series's budget over its three q-Pochhammer
-    factors on q' (24 bits for the q' <= 0.017 of nomes 6.4e-5 and up;
+    factors on q' (27 bits for the q' <= 0.017 of nomes 6.4e-5 and up;
     |1 - y| >= POLE_TOL wherever a step returns a value), and the running
     products add one truncation per factor, relative to their smallest
     values.  The exponent's error, the value's relative error, is a few u
@@ -348,29 +349,30 @@ def _modular_factor(z, nome, wp):
 
 
 def _euler_base(b, wp):
-    """A base b prepared for _qpoch_series: ((br, bi), t, coefficients,
-    tol2).
+    """A base b prepared for _qpoch_series: ((br, bi), t, re, im, tol2).
 
     b is a Fraction or an mpc with |b| < 1, and b = 0 only as a Fraction.
     b = (br + i bi) 2^-t, with a mantissa of about wp + _COEF_BITS bits,
     rounded once (exact for b = 0).  The coefficients are Euler's
-    a_n = (-1)^n b^(n(n-1)/2) / (b | b)_n for n < N, highest first, in fixed
-    point at wp: from the recursion a_n = -a_(n-1) b^(n-1) / (1 - b^n) at
-    wp + _COEF_BITS bits, each rounded once.  N and the budget come from
+    a_n = (-1)^n b^(n(n-1)/2) / (b | b)_n for n < N, in fixed point at wp:
+    from the recursion a_n = -a_(n-1) b^(n-1) / (1 - b^n) at
+    wp + _COEF_BITS bits, each rounded once.  re holds their real parts and
+    im their imaginary parts, highest degree first; im is None when every
+    imaginary part is 0, as on a real base.  N and the budget come from
     |a_n| <= |b|^(n(n-1)/2) / (|b|; |b|)_n (equal for real b > 0), in
     floats: N is the first n with |b|^n < 1/2 and that bound below 2^-wp.
     The bits the series may lose,
-    log2((N + 1) (-1; |b|)_inf / (POLE_TOL (|b|; |b|)_inf)) (_qpoch_series),
-    must fit in _BUDGET_BITS, else DomainError: |b| up to about 0.87 fits.
-    tol2 is the pole guard's bound, POLE_TOL^2 scaled by 2^(2 wp) from
-    POLE_TOL's exact binary value.
+    log2(N (N + 1) / 2 (-1; |b|)_inf / (POLE_TOL (|b|; |b|)_inf))
+    (_qpoch_series), must fit in _BUDGET_BITS, else DomainError: |b| up to
+    about 0.875 fits at 50 digits.  tol2 is the pole guard's bound,
+    POLE_TOL^2 scaled by 2^(2 wp) from POLE_TOL's exact binary value.
     """
     W = wp + _COEF_BITS
     tol2 = int((Fraction(POLE_TOL) * 2 ** wp) ** 2)
     if isinstance(b, Fraction):
         if not b:
             one = 1 << wp
-            return (0, 0), 0, ((-one, 0), (one, 0)), tol2
+            return (0, 0), 0, (-one, one), None, tol2
         u, v = b.numerator, b.denominator
         s = max(v.bit_length() - abs(u).bit_length(), 0)
         br, bi = (u << (W + s)) // v, 0
@@ -395,7 +397,8 @@ def _euler_base(b, wp):
             N = n
         bk *= ab
         n += 1
-    budget = math.log2((N or n) + 1) + log_neg - log_poch - math.log2(POLE_TOL)
+    N = N or n
+    budget = math.log2(N * (N + 1) / 2) + log_neg - log_poch - math.log2(POLE_TOL)
     if budget > _BUDGET_BITS:
         raise DomainError("the base |b| = %.5g needs %.1f bits of the series' "
                           "budget of %d" % (ab, budget, _BUDGET_BITS))
@@ -411,7 +414,8 @@ def _euler_base(b, wp):
         ar = (-(xr * dr + xi * di) << W) // d
         ai = (-(xi * dr - xr * di) << W) // d
         coeffs.append((ar >> _COEF_BITS, ai >> _COEF_BITS))
-    return (br, bi), t, tuple(reversed(coeffs)), tol2
+    re, im = zip(*reversed(coeffs))
+    return (br, bi), t, re, im if any(im) else None, tol2
 
 
 def _exponent(x):
@@ -429,25 +433,28 @@ def _qpoch_series(p, ys, base, wp):
     is relative to b however small b is.  Series step: then |y| <= 1, and
     Euler's series (Gasper-Rahman, Basic Hypergeometric Series, (1.3.16))
         (y | b)_inf = sum_n (-1)^n b^(n(n-1)/2) y^n / (b | b)_n
-    is summed to n = N - 1 by Horner.
+    is summed to n = N - 1 by _real_series, on the coefficients' real parts
+    and, for a complex base, again on their imaginary parts.
     Pole guard: each y the shift steps meet, and the first y with |y| <= 1,
     is tested as |1 - y|^2 < POLE_TOL^2, in integers against the base's
     tol2.  |1 - b^k y| < POLE_TOL puts y within POLE_TOL (relatively) of the
     zero b^-k of (y | b), and the series returns None there.  Past the first
     |y| <= 1 no zero is near: |b^k y| <= |b| < 1 - POLE_TOL for k >= 1.
-    Error budget.  The rounding of y, of the coefficients and of each
-    Horner step adds at most about (N + 1) 2^-wp (-1; |b|)_inf absolutely:
-    sum_n |a_n| <= (-1; |b|)_inf bounds how far a change in y moves the
-    sum.  The dropped tail adds at most 2^-wp (2 - |b|) / (1 - |b|): past
-    N each |a_n| falls by a factor 1/(2 - |b|) or more.  That is relative
-    to |(y | b)_inf| >= |1 - y| (|b|; |b|)_inf, and the guard enforces
-    |1 - y| >= POLE_TOL on the y summed.  So the series loses at most about
-    log2((N + 1) (-1; |b|)_inf / (POLE_TOL (|b|; |b|)_inf)) of the 60 guard
-    bits, which _euler_base keeps within _BUDGET_BITS = 50: 5 + 20 + 5 at
-    b = 9/16 (N = 26).  Each shift step adds one truncation to p, as the
-    callers' running products do.
+    Error budget.  Each floor in _real_series moves a coefficient a_n, and
+    so the sum, by at most 2^-wp (|y| <= 1); s, rounded once, adds at most
+    2^-wp |c_(n+2)| at step n, |c_n| <= sum_(k>=n) |a_k| |U_(k-n)(y)| with
+    U_j(y) = sum_i y^i conj(y)^(j-i), |U_j| <= j + 1.  With y's rounding
+    that is at most about N (N + 1) / 2 2^-wp (-1; |b|)_inf absolutely, as
+    sum_n |a_n| <= (-1; |b|)_inf; the dropped tail adds at most
+    2^-wp (2 - |b|) / (1 - |b|) (past N, |a_n| falls by 1/(2 - |b|) or more).
+    That is relative to |(y | b)_inf| >= |1 - y| (|b|; |b|)_inf, and the
+    guard enforces |1 - y| >= POLE_TOL.  So the series loses at most
+    log2(N (N + 1) / 2 (-1; |b|)_inf / (POLE_TOL (|b|; |b|)_inf)) of the 60
+    guard bits, which _euler_base keeps within _BUDGET_BITS = 55:
+    8.5 + 20 + 5 at b = 9/16 (N = 26).  Each shift step adds one truncation
+    to p, as the callers' running products do.
     """
-    (br, bi), t, coeffs, tol2 = base
+    (br, bi), t, re, im, tol2 = base
     one = 1 << wp
     pr, pi = p
     for yr, yi in ys:
@@ -455,17 +462,30 @@ def _qpoch_series(p, ys, base, wp):
             tr = one - yr
             if tr * tr + yi * yi < tol2:
                 return None
-            if yr * yr + yi * yi <= one * one:
+            s = yr * yr + yi * yi
+            if s <= one * one:
                 break
             pr, pi = (pr * tr + pi * yi) >> wp, (pi * tr - pr * yi) >> wp
             yr, yi = (yr * br - yi * bi) >> t, (yr * bi + yi * br) >> t
-        terms = iter(coeffs)
-        sr, si = next(terms)
-        for ar, ai in terms:
-            sr, si = (((sr * yr - si * yi) >> wp) + ar,
-                      ((sr * yi + si * yr) >> wp) + ai)
+        s >>= wp
+        sr, si = _real_series(re, yr, yi, s, wp)
+        if im is not None:
+            ur, ui = _real_series(im, yr, yi, s, wp)
+            sr, si = sr - ui, si + ur
         pr, pi = (pr * sr - pi * si) >> wp, (pr * si + pi * sr) >> wp
     return pr, pi
+
+
+def _real_series(coeffs, yr, yi, s, wp):
+    """sum_n a_n y^n, a_n real (coeffs, highest first), y = yr + i yi and
+    s = |y|^2 in fixed point at wp, by Knuth's c_n = a_n + r c_(n+1) -
+    s c_(n+2) with r = 2 Re y (TAOCP vol. 2, 4.6.4; y^2 = r y - s): the sum
+    is a_0 + y c_1 - s c_2 = c_0 - conj(y) c_1."""
+    r = 2 * yr
+    c0 = c1 = 0
+    for a in coeffs:
+        c0, c1 = a + ((r * c0 - s * c1) >> wp), c0
+    return c0 - ((yr * c1) >> wp), (yi * c1) >> wp
 
 
 def _to_fixed(z, wp):

@@ -497,9 +497,19 @@ def test_search_conventions_matches_full_corrected_tables():
         assert rep[key] == value, key
 
 
+def test_search_conventions_reuses_given_rows():
+    # the suite's rows under one convention, handed to the search, give the
+    # report that the search makes on its own
+    conv = SignConvention(-1, 1)
+    rows = [verify_axiom(axiom, gen, conv, trace=True)
+            for axiom in AXIOMS for gen in AXIOM_GENERATORS]
+    assert search_conventions(rows) == search_conventions()
+
+
 def test_hopf_suite_verify_axiom_count(monkeypatch, tmp_path):
-    # 18 rows of the suite, 72 uncorrected rows of the search and only the
-    # 24 a2 rows of the corrected-antipode annotation
+    # 18 rows of the suite, which the search reuses for the CLI's
+    # convention; 54 uncorrected rows of the other three conventions; and
+    # the 8 a2 rows on E and F of the corrected-antipode annotation
     calls = []
 
     def counted(*args, **kwargs):
@@ -509,7 +519,7 @@ def test_hopf_suite_verify_axiom_count(monkeypatch, tmp_path):
     monkeypatch.setattr(hopf, "verify_axiom", counted)
     monkeypatch.setattr(cli, "verify_axiom", counted)
     cli._suite_hopf(cli.RunConfig(suite="hopf", out=str(tmp_path / "r.json")))
-    assert len(calls) == 114
+    assert len(calls) == 80
 
 
 def test_axiom_reports_are_traceable():

@@ -316,6 +316,23 @@ def test_sampler_redraws_on_poles(monkeypatch):
     assert rep["points"] == [mpc_to_str(x, 17) for x in ordinary]
 
 
+def test_sampler_points_match_separate_cos_and_sin():
+    # the drawn points are those of r cos(phi) + i r sin(phi), each taken
+    # on its own, bit for bit
+    def separate(rng, digits):
+        with mp.workdps(digits):
+            u = rng.random()
+            r = mp.sqrt(0.1 * 0.1 + u * (0.9 * 0.9 - 0.1 * 0.1))
+            phi = mp.mpf(2) * mp.pi * rng.random()
+            return mp.mpc(r * mp.cos(phi), r * mp.sin(phi))
+
+    for seed in range(300):
+        for digits in (30, 50):
+            got = sample_annulus_point(random.Random(seed), digits)
+            want = separate(random.Random(seed), digits)
+            assert (got.real, got.imag) == (want.real, want.imag), (seed, digits)
+
+
 def test_sampler_gives_up_after_ten_pole_draws(monkeypatch):
     rel = by_id(relation_catalog(mode="strict-text"))["H-F"]
     ordinary = _patched_sampler(monkeypatch, [SF_ZERO, KERNEL_ZERO] * 5)

@@ -11,7 +11,16 @@ from ospboson.errors import DomainError, PoleError
 from ospboson.freefield import DeformationParams, exp_contraction_closed
 from ospboson.scalars import sample_annulus_point, to_mpf
 from ospboson.series import QPochFactor
-from ospboson.theta import POLE_TOL, QPochProduct, theta_terms_needed
+from ospboson.theta import (
+    _GUARD_BITS,
+    POLE_TOL,
+    QPochProduct,
+    _euler_base,
+    _from_fixed,
+    _qpoch_series,
+    _to_fixed,
+    theta_terms_needed,
+)
 from reference import one_factor_theta, qpoch_eval, theta_eval
 
 DIGITS = 50
@@ -116,6 +125,88 @@ def test_series_budget_rejects_base_near_one():
             QPochProduct([QPochFactor(Fr(1), b, 1)], DIGITS)
     with pytest.raises(DomainError):
         one_factor_theta(mp.mpc("0.3", "0.2"), mp.mpf("1e-150"), DIGITS)
+
+
+def euler_series(y, b):
+    # (y | b)_inf from _euler_base and _qpoch_series alone at 50 digits, y
+    # rounded once to their fixed point, against mpmath.qp at 100 digits on
+    # that y; and the error the series' budget allows, in 2^-wp times the
+    # largest |(1 - y) .. (1 - b^(j-1) y)| of the k shift steps (or 1): the
+    # recurrence's N (N + 1) / 2 and the rounding of the coefficients' 1,
+    # times (-1; |b|)_inf, the dropped tail's (2 - |b|) / (1 - |b|), and two
+    # truncations per shift step and for the last product
+    with mp.workdps(DIGITS + 10):
+        wp = mp.mp.prec + _GUARD_BITS
+    with mp.workdps(100):
+        yf = _to_fixed(mp.mpc(y), wp)
+        y = _from_fixed(yf, wp)
+        base = _euler_base(b, wp)
+        got = _qpoch_series((1 << wp, 0), (yf,), base, wp)
+        b = to_mpf(b) if isinstance(b, Fr) else mp.mpc(b)
+        ab, n = abs(b), len(base[2])
+        scale, k, shifted = mp.mpf(1), 0, mp.mpf(1)
+        while abs(b ** k * y) > 1:
+            shifted *= 1 - b ** k * y
+            scale, k = max(scale, abs(shifted)), k + 1
+        terms = ((n * (n + 1) // 2 + 1) * mp.qp(-1, ab) + (2 - ab) / (1 - ab)
+                 + 2 * (k + 1))
+        return (None if got is None else _from_fixed(got, wp), mp.qp(y, b),
+                terms * scale * mp.mpf(2) ** -wp)
+
+
+# the kernel bases at the north-star point q = 2/5, p = 1/4 ((q p)^2 and
+# q^2) and the largest kernel base 9/16
+SERIES_BASES = [Fr(1, 100), Fr(4, 25), Fr(9, 16)]
+
+
+def _series_points(b):
+    # y on the real axis (r^2 = 4 s, a double root), inside and outside the
+    # unit circle; |y| = 1 at arguments near 0 and pi, and -1 itself; and y
+    # at relative distance POLE_TOL (1 + 1e-3) from the zeros b^-k, k = 0..2
+    ys = [mp.mpf(v) for v in ("0.97", "-0.999", "0.05", "3.7", "-12")]
+    ys += [mp.expjpi(mp.mpf(ph)) for ph in ("0.003", "-0.01", "0.997", "-0.99", "1")]
+    for k in range(3):
+        for ph in ("0", "0.41", "1"):
+            ys.append(to_mpf(b) ** -k
+                      * (1 + POLE_TOL * (1 + mp.mpf("1e-3")) * mp.expjpi(mp.mpf(ph))))
+    return ys
+
+
+@pytest.mark.parametrize("b", SERIES_BASES, ids=str)
+def test_series_recurrence_matches_mpmath_qp(b):
+    # Knuth's two-product recurrence on a real base, within its budget
+    for y in _series_points(b):
+        got, ref, bound = euler_series(y, b)
+        assert got is not None, y
+        assert abs(got - ref) <= bound, y
+
+
+def test_series_recurrence_on_complex_base():
+    # a complex base runs the recurrence on the coefficients' real parts and
+    # again on their imaginary parts
+    rng = random.Random("complex-base")
+    for b in (mp.mpc("0.4", "0.3"), mp.mpc("-0.3", "0.45"), mp.mpc("0.5625", "1e-9")):
+        ys = [mp.mpc("0.6", "-0.7"), mp.mpf("-0.95"), mp.expjpi(mp.mpf("0.003")),
+              mp.mpc("-6", "2.5")]
+        ys += [mp.mpf(10) ** (2 * rng.random() - 1) * mp.expjpi(2 * rng.random())
+               for _ in range(6)]
+        for y in ys:
+            got, ref, bound = euler_series(y, b)
+            assert abs(got - ref) <= bound, (b, y)
+
+
+def test_series_recurrence_on_base_zero():
+    # base 0: (y | 0)_inf = 1 - y exactly in fixed point, on and off the
+    # real axis, on the unit circle and past it; a pole at y = 1
+    with mp.workdps(DIGITS + 10):
+        wp = mp.mp.prec + _GUARD_BITS
+        base = _euler_base(Fr(0), wp)
+        one = 1 << wp
+        for y in (mp.mpf("0.5"), mp.mpf("-1"), mp.mpc("0.3", "0.2"),
+                  mp.expjpi(mp.mpf("0.997")), mp.mpc("-7", "3")):
+            yr, yi = _to_fixed(mp.mpc(y), wp)
+            assert _qpoch_series((one, 0), ((yr, yi),), base, wp) == (one - yr, -yi)
+        assert _qpoch_series((one, 0), ((one, 0),), base, wp) is None
 
 
 def test_terms_needed_matches_working_precision():
