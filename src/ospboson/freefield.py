@@ -34,15 +34,14 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import DomainError, PoleError, StructuralError, UnsupportedError
-from .scalars import to_mpf, workdps
+from .scalars import workdps
 from .series import QPochFactor, TruncatedSeries, closed_form_series
-from .theta import QPochProduct
+from .theta import QPochProduct, _from_fixed, _to_fixed
 
 __all__ = [
     "DeformationParams",
     "VertexOperatorSpec",
     "Kernel",
-    "KernelEvaluator",
     "DeltaTerm",
     "mode_bracket",
     "contraction_series",
@@ -284,7 +283,12 @@ class Kernel:
 
     def eval_product(self, x, digits):
         """Numeric value of the factor product at complex x (theta.QPochProduct)."""
-        return QPochProduct(self.factors, digits)(x)
+        product = QPochProduct(self.factors, digits)
+        wp = product.wp
+        with workdps(digits + 10):
+            acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
+            product.multiply(acc, _to_fixed(mp.mpc(x), wp))
+            return _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
 
     def near_singular(self, x):
         """The first factor with a zero within theta.POLE_TOL of x (relatively), or None.
@@ -293,38 +297,10 @@ class Kernel:
         ambient precision.
         """
         try:
-            QPochProduct(self.factors, mp.mp.dps)(x)
+            self.eval_product(x, mp.mp.dps)
         except PoleError as exc:
             return exc.factor
         return None
-
-
-class KernelEvaluator:
-    """A kernel prepared once at `digits`, evaluated on the lines z = 1 and
-    w = 1.
-
-    Preparation converts the scalar and takes each base's series
-    coefficients for the product (theta.QPochProduct), at the working
-    precision digits + 10, at which the caller runs eval_w and eval_z.
-    eval_w(x) is K(1, x) = scalar x^w_exp prod(x), and eval_z(x) is
-    K(x, 1) = scalar x^z_exp prod(1/x), taken as scalar y^-z_exp prod(y) at
-    y = 1/x; the product's call multiplies the monomial into its fixed-point
-    running products.  A product argument within theta.POLE_TOL of a zero
-    of a factor raises PoleError carrying the first such factor, found by
-    the series' pole guard; see QPochProduct for the error budget.
-    """
-
-    def __init__(self, kernel, digits):
-        self.kernel = kernel
-        with workdps(digits + 10):
-            self._scalar = to_mpf(kernel.scalar)
-        self._product = QPochProduct(kernel.factors, digits)
-
-    def eval_w(self, x):
-        return self._scalar * self._product(x, self.kernel.w_exp)
-
-    def eval_z(self, x):
-        return self._scalar * self._product(1 / mp.mpc(x), -self.kernel.z_exp)
 
 
 def ope_kernel(a_spec, b_spec, params, order=30):

@@ -692,21 +692,25 @@ def search_conventions(reports=()) -> dict:
     whether flipping the printed signs of S(E) and S(F) repairs a2.
     The tables take the verdicts of `reports` (verify_axiom reports) as given.
     """
-    verdicts = {(SignConvention(**r["convention"]), r["axiom"], r["generator"],
-                 r["corrected_antipode"]): r["verdict"] for r in reports}
+    def row_key(convention, axiom, gen, corrected):
+        # only a2 on E and F reads `corrected` (_antipode_factor), and a3
+        # reads only sigma_hminus (coproduct): other rows are their key's row
+        if axiom == "a3":
+            convention = SignConvention(convention.sigma_hminus, 1)
+        return convention, axiom, gen, corrected and axiom == "a2" and gen in ("E", "F")
+
+    verdicts = {row_key(SignConvention(**r["convention"]), r["axiom"], r["generator"],
+                        r["corrected_antipode"]): r["verdict"] for r in reports}
 
     def table(convention, corrected):
-        # "axiom:generator" keys in sorted order, which universal_failures
-        # keeps.  Only a2 on E and F reaches the branches of _antipode_factor
-        # that read `corrected`; any other corrected row is its uncorrected row
+        # "axiom:generator" keys in sorted order, which universal_failures keeps
         results = {}
         for axiom in sorted(AXIOMS):
             for gen in sorted(AXIOM_GENERATORS):
-                key = (convention, axiom, gen,
-                       corrected and axiom == "a2" and gen in ("E", "F"))
+                key = row_key(convention, axiom, gen, corrected)
                 if key not in verdicts:
                     verdicts[key] = verify_axiom(
-                        axiom, gen, convention, corrected_antipode=key[3])["verdict"]
+                        axiom, gen, key[0], corrected_antipode=key[3])["verdict"]
                 results["%s:%s" % (axiom, gen)] = verdicts[key]
         return results
 

@@ -35,7 +35,6 @@ from .errors import DomainError, PoleError, StructuralError
 from .freefield import (
     E_current,
     F_current,
-    KernelEvaluator,
     build_H,
     compose_normal_ordered,
     delta_decompose,
@@ -43,7 +42,7 @@ from .freefield import (
     rational_product,
 )
 from .scalars import mpc_to_str, sample_annulus_point, to_mpf, workdps
-from .theta import StructureFunctionEvaluator
+from .theta import QPochProduct, StructureFunctionEvaluator, _from_fixed, _to_fixed
 
 __all__ = [
     "ThetaFactor",
@@ -263,20 +262,54 @@ CURRENTS = {
 }
 
 
-def _sample_x(rng, digits, sides):
-    """One accepted sample point x and its sides(x).
+def _sample_x(rng, digits, at):
+    """One accepted sample point x and at(x).
 
-    sides raises PoleError where x is too close to a pole or zero of a
+    at raises PoleError where x is too close to a pole or zero of a
     kernel factor or of a structure-function theta factor; x is then drawn
     again, up to 10 draws.
     """
     for _ in range(10):
         x = sample_annulus_point(rng, digits)
         try:
-            return x, sides(x)
+            return x, at(x)
         except PoleError:
             pass
     raise DomainError("could not sample away from poles in 10 tries")
+
+
+def _exchange_ratio(K1, K2, sf, params, digits):
+    """x -> R = K1(1, x) / (S(x) K2(x, 1)), run at the precision digits + 10.
+
+    With K = scalar z^z_exp w^w_exp prod(w/z) and S = sign e^E (steps),
+    R = e^-E r x^m prod1(x) / (prod2(1/x) (steps)), r = sign scalar1 /
+    scalar2 exact and m = w_exp1 - z_exp2.  One fixed-point numerator and
+    denominator start at r's numerator and denominator; x^|m| goes into the
+    side m's sign names, prod1 in at x (QPochProduct.multiply), prod2
+    swapped at 1/x, taken in integers, and S's steps swapped
+    (StructureFunctionEvaluator), and R is e^-E times their quotient.
+    """
+    p = to_mpf(params.p)
+    k1, k2 = (QPochProduct(K.factors, digits) for K in (K1, K2))
+    s = StructureFunctionEvaluator(p, 1, theta_bases(params.q, p, 1), digits)
+    wp = s.wp
+    r = sf.sign * K1.scalar / K2.scalar
+    m = K1.w_exp - K2.z_exp
+    side = 1 if m > 0 else -1
+
+    def ratio(x):
+        xr, xi = _to_fixed(x, wp)
+        acc = {1: (r.numerator << wp, 0), -1: (r.denominator << wp, 0)}
+        for _ in range(abs(m)):
+            ar, ai = acc[side]
+            acc[side] = (ar * xr - ai * xi) >> wp, (ar * xi + ai * xr) >> wp
+        k1.multiply(acc, (xr, xi))
+        d = xr * xr + xi * xi  # 1/x = conj(x) 2^(2 wp) / |x|^2 in fixed point
+        k2.multiply(acc, ((xr << 2 * wp) // d, (-xi << 2 * wp) // d), swap=True)
+        e = s.at(x).multiply(sf, acc, swap=True)
+        return mp.exp(-e) * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
+
+    return ratio
 
 
 def verify_exchange(rel, params, *, samples=100, digits=50,
@@ -288,13 +321,13 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     left-hand ones swapped; when they are not (strict-text H-E), the field
     mismatch is reported and the kernel comparison is still carried out
     against the printed right-hand side.  unit_structure=True replaces S
-    by 1 as a negative control.  The two kernels and the structure-function
-    evaluator are prepared once per call (KernelEvaluator,
-    theta.StructureFunctionEvaluator) and then only evaluated at each
-    sample point.  A sample point is drawn again where either
-    evaluator raises PoleError: within theta.POLE_TOL (relatively) of a zero
-    of any kernel factor, or at a zero of any theta factor of S, within
-    about theta.POLE_TOL |ln B| / (2 pi) of it on its nome B.
+    by 1 as a negative control.  Each sample point x takes one ratio
+    R = K_AB(1, x) / (S(x) K_BA(x, 1)) (_exchange_ratio, prepared once per
+    call), and |R - 1| / max(|R|, 1) is the residual
+    |lhs - rhs| / max(|lhs|, |rhs|).  A point is drawn again where a factor
+    raises PoleError: within theta.POLE_TOL (relatively) of a zero of a
+    kernel factor, or about theta.POLE_TOL |ln B| / (2 pi) of a zero of a
+    theta factor of S on its nome B.
     """
     if rel.kind != "exchange":
         raise StructuralError("verify_exchange needs an exchange relation")
@@ -316,23 +349,10 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     K2 = ope_kernel(Bp, Ap, params, order=2)
     sf = StructureFunction(1, 0, ()) if unit_structure else rel.structure_function
     rng = random.Random(("exchange", rel.rel_id, rel.mode, seed).__repr__())
-    points = []
-    residuals = []
     with workdps(digits + 10):
-        p = to_mpf(params.p)
-        k1 = KernelEvaluator(K1, digits)
-        k2 = KernelEvaluator(K2, digits)
-        s = StructureFunctionEvaluator(p, 1, theta_bases(params.q, p, 1), digits)
-
-        def sides(x):
-            return k1.eval_w(x), k2.eval_z(x) * s.at(x).value(sf)
-
-        for _ in range(samples):
-            x, (lhs, rhs) = _sample_x(rng, digits, sides)
-            scale = max(abs(lhs), abs(rhs))
-            res = abs(lhs - rhs) / scale if scale > 0 else mp.mpf(0)
-            residuals.append(res)
-            points.append(x)
+        ratio = _exchange_ratio(K1, K2, sf, params, digits)
+        draws = [_sample_x(rng, digits, ratio) for _ in range(samples)]
+        residuals = [abs(R - 1) / max(abs(R), 1) for _, R in draws]
         rmax = max(residuals)
         rmean = sum(residuals) / len(residuals)
     verdict = bool(rmax <= tolerance) and fields_match
@@ -344,7 +364,7 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
         "samples": samples,
         "digits": digits,
         "order": None,
-        "points": [mpc_to_str(x, 17) for x in points],
+        "points": [mpc_to_str(x, 17) for x, _ in draws],
         "residual_max": mp.nstr(rmax, 12),
         "residual_mean": mp.nstr(rmean, 12),
         "fields_match": fields_match,

@@ -42,20 +42,20 @@ bits.  A base too near 1 for the series' error budget raises DomainError.
 The tests hold the series to direct truncated products, which share no
 loop with them.  Both evaluators work in fixed point: Python ints scaled by
 2^wp, wp = working precision + 60 guard bits, as mpmath's own theta series
-do.  Fixed point does not renormalize, so the error of a product is
-relative to its smallest running product.  A theta factor adds the
-rounding of z' = X^{+-1} P^k, and a structure function that of its
-quadratic's terms (StructureFunctionEvaluator's error budget).
+do.  Each multiplies into a caller's pair of running products, numerator
+and denominator (``multiply``), so the exchange check takes two kernels and
+a structure function as one ratio in one pair, which starts at the exact
+integers of their rational scalars.  Fixed point does not renormalize, so
+a value's error is relative to the smallest running value of its pair.  A
+theta factor adds the rounding of z' = X^{+-1} P^k, and a structure
+function that of its quadratic's terms (StructureFunctionEvaluator).
 
 Each evaluator guards the poles on the value it already sums, by one test
-in ``_qpoch_series``: every y the shift steps meet, and the first y with
-|y| <= 1, is tested as |1 - y|^2 < POLE_TOL^2 in integers.  A y that near
-1 means the factor's argument is within POLE_TOL (relatively) of a zero
-b^-k of (y | b), and the series returns None.  ``QPochProduct`` then raises
-PoleError carrying the kernel factor, and the structure-function evaluator
-raises it carrying the theta factor.  After the transform a zero of
-theta_q is z' = 1 (or a power of q' at a complex nome), so a theta factor
-is a pole within about POLE_TOL |ln q| / (2 pi) of a zero q^k, relatively.
+in ``_qpoch_series`` (a y within POLE_TOL of 1 puts the factor's argument
+that near a zero b^-k of (y | b)), and raises PoleError carrying the kernel
+or theta factor.  After the transform a zero of theta_q is z' = 1 (or a
+power of q' at a complex nome), so a theta factor is a pole within about
+POLE_TOL |ln q| / (2 pi) of a zero q^k, relatively.
 """
 
 from __future__ import annotations
@@ -108,24 +108,24 @@ class QPochProduct:
 
     The factors are QPochFactor-like (c, b, power; b = 0 gives 1 - c x), as
     in a kernel, with exact rational c and b, |b| < 1.  Preparation takes
-    each distinct b's series (_euler_base) once; a call converts x to fixed
-    point once, each c x by integer division, and sums each factor's series
-    (_qpoch_series).  Numerator and denominator factors are multiplied into
-    one running product each, and the two are divided once as mpc values.
-    A factor whose series meets a pole (c x within POLE_TOL, relatively, of
-    a zero b^-k, k >= 0) raises PoleError carrying the first such factor.
-    A call with k multiplies x^|k| into the numerator (k > 0) or the
-    denominator (k < 0) first: |k| - 1 truncations.
+    each distinct b's series (_euler_base) once, at wp (the working
+    precision of digits + 10, plus the guard bits).  multiply(acc, x) takes
+    x as a fixed-point pair at wp, each c x by integer division, and sums
+    each factor's series (_qpoch_series) into the caller's running products
+    acc = {1: numerator, -1: denominator}, pairs at wp: a factor of power
+    +-1 into acc[+-1], or into acc[-+1] with swap, which multiplies in
+    1/prod(x).  A factor whose series meets a pole (c x within POLE_TOL,
+    relatively, of a zero b^-k, k >= 0) raises PoleError carrying it.
     Error budget: each factor is within 2^(budget - wp) of its value,
     relatively, wherever no PoleError is raised (_qpoch_series); the budget
-    is at most 34 bits, at the largest kernel base 9/16.  Each running
-    product adds one truncation per factor, relative to its smallest value.
+    is at most 34 bits, at the largest kernel base 9/16.  Each factor adds
+    one truncation to its running product, relative to the smallest value
+    that product takes, from the caller's start on.
     """
 
     def __init__(self, factors, digits):
-        self.digits = digits
         with workdps(digits + 10):
-            self._wp = wp = mp.mp.prec + _GUARD_BITS
+            self.wp = wp = mp.mp.prec + _GUARD_BITS
         bases = {}
         self._factors = []
         for f in factors:
@@ -134,22 +134,15 @@ class QPochProduct:
             self._factors.append(
                 (f, f.c.numerator, f.c.denominator, bases[f.b]))
 
-    def __call__(self, x, k=0):
-        wp = self._wp
-        one = 1 << wp
-        with workdps(self.digits + 10):
-            xr, xi = _to_fixed(mp.mpc(x), wp)
-            m = one, 0  # x^|k|
-            for _ in range(abs(k)):
-                m = (m[0] * xr - m[1] * xi) >> wp, (m[0] * xi + m[1] * xr) >> wp
-            acc = {1: m, -1: (one, 0)} if k >= 0 else {1: (one, 0), -1: m}
-            for f, n, d, base in self._factors:
-                y = (n * xr) // d, (n * xi) // d
-                acc[f.power] = _qpoch_series(acc[f.power], (y,), base, wp)
-                if acc[f.power] is None:
-                    raise PoleError("factor pole or zero at x = %s" % x,
-                                    factor=f)
-            return _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
+    def multiply(self, acc, x, swap=False):
+        wp = self.wp
+        xr, xi = x
+        for f, n, d, base in self._factors:
+            side = -f.power if swap else f.power
+            y = (n * xr) // d, (n * xi) // d
+            acc[side] = _qpoch_series(acc[side], (y,), base, wp)
+            if acc[side] is None:
+                raise PoleError("factor pole or zero at %s" % _from_fixed(x, wp), factor=f)
 
 
 class StructureFunctionEvaluator:
@@ -178,22 +171,24 @@ class StructureFunctionEvaluator:
     use each nome's X = e^(l / tau) (_modular_point) and each key's step
     (_modular_factor) at z' = X^orient P^k = e^(log z / tau),
     log z = orient l + k lam, whose imaginary part lies in [-pi, pi]: that
-    keeps |q'|^(1/2) <= |z'| <= |q'|^(-1/2) on a real nome.  value(f)
-    raises PoleError carrying f's first factor (numerator or denominator)
+    keeps |q'|^(1/2) <= |z'| <= |q'|^(-1/2) on a real nome.
+    multiply(f, acc, swap) multiplies the steps into a caller's fixed-point
+    numerator and denominator at wp, as QPochProduct.multiply does, and
+    returns A + l (B + l C); it raises PoleError carrying f's first factor
     at a theta zero, where the step is None: within about
-    POLE_TOL |ln B| / (2 pi) of it, relatively.  Otherwise it multiplies the
-    steps into a fixed-point numerator and denominator, divides them once
-    and takes one exp, of A + l (B + l C); the value is real when x and the
-    nomes are.  All of it runs at the caller's working precision, which
-    must be digits + 10 (workdps), so that a caller enters it once.
+    POLE_TOL |ln B| / (2 pi) of it, relatively.  value(f) multiplies into a
+    pair of its own, divides it once and takes one exp; it is real when x
+    and the nomes are.  All of it runs at the caller's working precision,
+    which must be digits + 10 (workdps), so that a caller enters it once.
     Error budget, with u the working precision's unit.  z' is within a few
     u (1 + |l / tau| + |k lam / tau|) of its value, relatively: X, P, P^k
     and X^orient P^k each round once, after the exps' arguments.  The step
     sums it within _qpoch_series's budget over its three q-Pochhammer
     factors on q' (27 bits for the q' <= 0.017 of nomes 6.4e-5 and up;
-    |1 - y| >= POLE_TOL wherever a step returns a value), and the running
-    products add one truncation per factor, relative to their smallest
-    values.  The exponent's error, the value's relative error, is a few u
+    |1 - y| >= POLE_TOL wherever a step returns a value), and each step
+    adds one truncation to its running product, relative to the smallest
+    value of that product (value's own, or a caller's that other factors
+    share).  The exponent's error, the value's relative error, is a few u
     times the sum over nomes of |S0 log C| + |h lam S1| + |kappa lam^2 S2|
     + |l| (|h S3| + 2 |kappa lam S4|) + |kappa S0| |l|^2; the factors' own
     exponents cancel exactly in the sums.
@@ -202,7 +197,7 @@ class StructureFunctionEvaluator:
     def __init__(self, p, c, bases, digits):
         self.c = c
         with workdps(digits + 10):
-            self._wp = mp.mp.prec + _GUARD_BITS
+            self.wp = mp.mp.prec + _GUARD_BITS
         self._log_p = mp.log(p)
         self._bases = bases
         self._real_nomes = not any(mp.im(b) for b in bases.values())
@@ -212,7 +207,7 @@ class StructureFunctionEvaluator:
     def _nome(self, name):
         entry = self._nomes.get(name)
         if entry is None:
-            nome = _modular_nome(self._bases[name], self._wp)
+            nome = _modular_nome(self._bases[name], self.wp)
             inv_tau, h, kappa, log_c = nome[:4]
             lam = self._log_p / 2
             # log C, h lam, kappa lam^2 (A); h, 2 kappa lam (B); kappa (C)
@@ -260,12 +255,10 @@ class _StructureFunctionPoint:
         self._xs = {}     # base name -> X = e^(log x / tau)
         self._steps = {}  # factor key -> P, None at a theta zero
 
-    def value(self, f):
+    def multiply(self, f, acc, swap=False):
         ev = self.evaluator
-        wp = ev._wp
-        one = 1 << wp
+        wp = ev.wp
         _, a, b, c, factors = ev._function(f)
-        acc = {1: (one, 0), -1: (one, 0)}
         for tf, key, nome, pk in factors:
             if key not in self._steps:
                 X = self._xs.get(key[0])
@@ -277,11 +270,18 @@ class _StructureFunctionPoint:
             if step is None:
                 raise PoleError("structure function pole or zero", factor=tf)
             vr, vi = step
-            ar, ai = acc[tf.power]
-            acc[tf.power] = (ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp
+            side = -tf.power if swap else tf.power
+            ar, ai = acc[side]
+            acc[side] = (ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp
         log_x = self._log_x
-        v = mp.mpc(f.sign) * (mp.exp(a + log_x * (b + log_x * c))
-                              * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp))
+        return a + log_x * (b + log_x * c)
+
+    def value(self, f):
+        wp = self.evaluator.wp
+        acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
+        e = self.multiply(f, acc)
+        v = mp.mpc(f.sign) * (mp.exp(e) * _from_fixed(acc[1], wp)
+                              / _from_fixed(acc[-1], wp))
         return mp.mpc(mp.re(v)) if self._real else v
 
 

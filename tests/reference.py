@@ -5,13 +5,22 @@ the code under test.  The helpers evaluate through the program's own
 structure-function evaluator, the route the suites run.
 """
 
+import random
 from fractions import Fraction
 
 import mpmath as mp
 
 from ospboson.errors import DomainError, StructuralError
-from ospboson.relations import RelationSpec, StructureFunction, ThetaFactor
-from ospboson.scalars import workdps
+from ospboson.freefield import ope_kernel
+from ospboson.relations import (
+    CURRENTS,
+    RelationSpec,
+    StructureFunction,
+    ThetaFactor,
+    _sample_x,
+    theta_bases,
+)
+from ospboson.scalars import mpc_to_str, to_mpf, workdps
 from ospboson.theta import (
     _GUARD_BITS,
     _MAX_TERMS,
@@ -141,3 +150,50 @@ def one_factor_theta(z, q, digits):
     product theta_q(x) at x = z and p = 1.  PoleError at a zero of theta_q;
     real when z and q are."""
     return structure_function_value(_Theta, z, mp.mpf(1), 0, {"q2": q}, digits)
+
+
+def product_at(product, x, swap=False):
+    """A prepared theta.QPochProduct at one x through its multiply, as
+    Kernel.eval_product takes it: prod(x), or 1/prod(x) with swap."""
+    wp = product.wp
+    with mp.workprec(wp - _GUARD_BITS):
+        acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
+        product.multiply(acc, _to_fixed(mp.mpc(x), wp), swap=swap)
+        return _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
+
+
+def exchange_sides(K1, K2, sf, x, p, bases, digits):
+    """lhs = K1(1, x) and rhs = S(x) K2(x, 1), each its own value: scalar,
+    monomial and product (Kernel.eval_product) multiplied as mpc values, and
+    S through structure_function_value; PoleError where a factor is at a
+    pole.  The two-sided evaluation verify_exchange's one ratio replaces."""
+    with workdps(digits + 10):
+        x = mp.mpc(x)
+        lhs = to_mpf(K1.scalar) * x ** K1.w_exp * K1.eval_product(x, digits)
+        rhs = (to_mpf(K2.scalar) * x ** K2.z_exp * K2.eval_product(1 / x, digits)
+               * structure_function_value(sf, x, p, 1, bases, digits))
+        return lhs, rhs
+
+
+def exchange_residuals(rel, params, samples, digits, seed, unit_structure=False):
+    """verify_exchange's points, residual_max and residual_mean, as it
+    prints them, from exchange_sides at its draws: the residual is
+    |lhs - rhs| / max(|lhs|, |rhs|), and a draw where a side raises
+    PoleError is drawn again."""
+    A, B = (CURRENTS[c](params) for c in rel.left)
+    Bp, Ap = (CURRENTS[c](params) for c in rel.right)
+    K1 = ope_kernel(A, B, params, order=2)
+    K2 = ope_kernel(Bp, Ap, params, order=2)
+    sf = StructureFunction(1, 0, ()) if unit_structure else rel.structure_function
+    rng = random.Random(("exchange", rel.rel_id, rel.mode, seed).__repr__())
+    with workdps(digits + 10):
+        p = to_mpf(params.p)
+        bases = theta_bases(params.q, p, 1)
+        points, residuals = [], []
+        for _ in range(samples):
+            x, (lhs, rhs) = _sample_x(rng, digits, lambda x: exchange_sides(
+                K1, K2, sf, x, p, bases, digits))
+            points.append(mpc_to_str(x, 17))
+            residuals.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+        return (points, mp.nstr(max(residuals), 12),
+                mp.nstr(sum(residuals) / len(residuals), 12))

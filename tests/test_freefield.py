@@ -11,7 +11,6 @@ from ospboson.freefield import (
     DeformationParams,
     E_current,
     Kernel,
-    KernelEvaluator,
     F_current,
     build_H,
     compose_normal_ordered,
@@ -24,10 +23,12 @@ from ospboson.freefield import (
     rational_product,
 )
 from ospboson.scalars import sample_annulus_point, sample_parameters, to_mpf
-from ospboson.relations import CURRENTS, relation_catalog
+from ospboson.relations import (
+    CURRENTS, StructureFunction, _exchange_ratio, relation_catalog)
 from ospboson.series import (
     QPochFactor, TruncatedSeries, closed_form_series, qpoch_log_series)
 from ospboson.theta import QPochProduct
+from reference import product_at
 
 PARAMS = [DeformationParams(q, p, r) for q, p, r in sample_parameters(7, count=3)]
 
@@ -172,8 +173,9 @@ def test_kernel_charge_bookkeeping():
 
 
 def test_kernel_pole_guard_relative_distance():
-    # the prepared evaluator's K(1, x) = scalar x^w_exp prod(x) raises
-    # PoleError at x within 1e-6 (relatively) of a zero c*x = b^-n, n >= 0,
+    # the prepared product prod(x), which the exchange check multiplies in
+    # at x, raises PoleError at x within 1e-6 (relatively) of a zero
+    # c*x = b^-n, n >= 0,
     # of any factor (c*x | b), carrying the factor near_singular names
     # there, and evaluates 2e-6 off it; a base-0 factor has only x = 1/c
     P = DeformationParams(Fr(2, 5), Fr(1, 4), Fr(1, 2))  # the printer's point
@@ -181,18 +183,18 @@ def test_kernel_pole_guard_relative_distance():
     kernels = (ope_kernel(E, E, P, order=2), ope_kernel(E, F, P, order=2))
     assert any(f.b == 0 for f in kernels[1].factors)
     for K in kernels:
-        ev = KernelEvaluator(K, 30)
+        ev = QPochProduct(K.factors, 30)
         for f in K.factors:
             for n in range(1 if f.b == 0 else 3):
                 with mp.workdps(30):
                     zero = to_mpf(f.b ** -n / f.c)
                     x = zero * (1 + mp.mpf("0.5e-6"))
                     with pytest.raises(PoleError) as exc:
-                        ev.eval_w(x)
+                        product_at(ev, x)
                     assert exc.value.factor == K.near_singular(x)
                     x = zero * (1 + mp.mpf("2e-6"))
                     assert not K.near_singular(x)
-                    assert mp.isfinite(abs(ev.eval_w(x)))
+                    assert mp.isfinite(abs(product_at(ev, x)))
 
 
 def test_kernel_numeric_matches_jet():
@@ -253,21 +255,26 @@ def test_eval_product_matches_mpmath_qp(pair, q, sqrt_p):
 
 @pytest.mark.parametrize("pair", EXCHANGE_PAIRS, ids="".join)
 def test_kernel_lines_are_scalar_monomial_product(pair):
-    # the two lines verify_exchange evaluates, K(1, x) = scalar x^w_exp
-    # prod(x) and K(x, 1) = scalar x^z_exp prod(1/x), against the product
-    # times the monomial formed in mpc, at two annulus points and at q = 3/4;
-    # near a zero of a factor, the product at x or 1/x within POLE_TOL of
-    # it, both raise PoleError carrying the factor the product names there
+    # the two lines the exchange check's one ratio takes, K(1, x) = scalar
+    # x^w_exp prod(x) and K(x, 1) = scalar x^z_exp prod(1/x), each alone as
+    # the ratio over a unit kernel and S = 1, against the product times the
+    # monomial formed in mpc, at two annulus points and at q = 3/4; near a
+    # zero of a factor, the product at x or 1/x within POLE_TOL of it, both
+    # raise PoleError carrying the factor the product names there
     P = DeformationParams.from_sqrt(Fr(3, 4), Fr(1, 2))
     K = ope_kernel(CURRENTS[pair[0]](P), CURRENTS[pair[1]](P), P, order=2)
-    ev = KernelEvaluator(K, 50)
+    unit_kernel = Kernel(P, 2, 1, 0, 0, (), ())
+    unit_structure = StructureFunction(1, 0, ())
     product = QPochProduct(K.factors, 50)
     rng = random.Random(repr(("kernel-lines", pair)))
     with mp.workdps(60):
+        w_line = _exchange_ratio(K, unit_kernel, unit_structure, P, 50)
+        z_ratio = _exchange_ratio(unit_kernel, K, unit_structure, P, 50)
         scalar = to_mpf(K.scalar)
         for x in (sample_annulus_point(rng, 60) for _ in range(2)):
-            for got, want in ((ev.eval_w(x), scalar * x ** K.w_exp * product(x)),
-                              (ev.eval_z(x), scalar * x ** K.z_exp * product(1 / x))):
+            for got, want in ((w_line(x), scalar * x ** K.w_exp * product_at(product, x)),
+                              (1 / z_ratio(x),
+                               scalar * x ** K.z_exp * product_at(product, 1 / x))):
                 assert abs(got - want) < mp.mpf("1e-55") * abs(want)
         for f in K.factors:
             for n in range(1 if f.b == 0 else 2):
@@ -275,16 +282,17 @@ def test_kernel_lines_are_scalar_monomial_product(pair):
                     2 * rng.random()))
                 factor = K.near_singular(y)
                 assert factor is not None
-                for call, x in ((ev.eval_w, y), (ev.eval_z, 1 / y)):
+                for call, x in ((w_line, y), (z_ratio, 1 / y)):
                     with pytest.raises(PoleError) as exc:
                         call(x)
                     assert exc.value.factor == factor
 
 
 def test_eval_product_pole_error_carries_factor():
-    # K(1, x) at x within theta.POLE_TOL = 1e-6 (relatively) of a zero of
-    # any factor, numerator or denominator, raises PoleError with that
-    # factor, and 2e-6 off it evaluates: the E F kernel's base-0 factors, its numerator
+    # prod(x), K(1, x)'s product, at x within theta.POLE_TOL = 1e-6
+    # (relatively) of a zero of any factor, numerator or denominator, raises
+    # PoleError with that factor, and 2e-6 off it evaluates: the E F
+    # kernel's base-0 factors, its numerator
     # (1 - x) at x = 1 and its denominators (1 - x p) and (1 - x/p) at 1/p
     # and p, and the q-Pochhammer (x/p | q^2) of the E E kernel at its n = 1
     # zero p/q^2
@@ -297,14 +305,14 @@ def test_eval_product_pole_error_carries_factor():
                             (KEF, p, QPochFactor(1 / p, Fr(0), -1)),
                             (KEE, p / q2, QPochFactor(1 / p, q2, -1))):
         assert factor in K.factors
-        ev = KernelEvaluator(K, 30)
+        ev = QPochProduct(K.factors, 30)
         with mp.workdps(40):
             for off in (0, mp.mpf("0.5e-6"), mp.mpc(0, "-0.5e-6")):
                 with pytest.raises(PoleError) as exc:
-                    ev.eval_w(to_mpf(zero) * (1 + off))
+                    product_at(ev, to_mpf(zero) * (1 + off))
                 assert exc.value.factor == factor
             for off in (mp.mpf("2e-6"), mp.mpc(0, "-2e-6")):
-                assert mp.isfinite(abs(ev.eval_w(to_mpf(zero) * (1 + off))))
+                assert mp.isfinite(abs(product_at(ev, to_mpf(zero) * (1 + off))))
 
 
 def test_ef_delta_terms():

@@ -383,6 +383,18 @@ def test_a3_all_generators_all_conventions():
             assert rep["verdict"] == "pass", (convention.label(), gen)
 
 
+def test_a3_sides_do_not_read_the_counit():
+    # a3 calls only coproduct, which reads only sigma_hminus, so the search
+    # takes one a3 row per sigma
+    for sigma in (1, -1):
+        for gen in AXIOM_GENERATORS:
+            plus, minus = (
+                [side.canonical() for side in hopf._axiom_sides(
+                    "a3", gen, 1, SignConvention(sigma, counit), False)]
+                for counit in (1, -1))
+            assert plus == minus, (sigma, gen)
+
+
 def test_a1_convention_dependence():
     for convention in CONVENTIONS:
         expected_pass = convention.sigma_hminus * convention.counit_hminus == -1
@@ -508,8 +520,10 @@ def test_search_conventions_reuses_given_rows():
 
 def test_hopf_suite_verify_axiom_count(monkeypatch, tmp_path):
     # 18 rows of the suite, which the search reuses for the CLI's
-    # convention; 54 uncorrected rows of the other three conventions; and
-    # the 8 a2 rows on E and F of the corrected-antipode annotation
+    # convention; 42 uncorrected rows of the other three conventions, whose
+    # a3 rows are taken once per sigma (6 a3 rows come from the suite's,
+    # 6 are run); and the 8 a2 rows on E and F of the corrected-antipode
+    # annotation
     calls = []
 
     def counted(*args, **kwargs):
@@ -519,7 +533,7 @@ def test_hopf_suite_verify_axiom_count(monkeypatch, tmp_path):
     monkeypatch.setattr(hopf, "verify_axiom", counted)
     monkeypatch.setattr(cli, "verify_axiom", counted)
     cli._suite_hopf(cli.RunConfig(suite="hopf", out=str(tmp_path / "r.json")))
-    assert len(calls) == 80
+    assert len(calls) == 68
 
 
 def test_axiom_reports_are_traceable():

@@ -24,6 +24,7 @@ from ospboson.relations import (
 )
 from ospboson.scalars import mpc_to_str, sample_annulus_point, sample_parameters
 from reference import (
+    exchange_residuals,
     one_factor_theta,
     structure_function_value,
     swapped_relation,
@@ -363,8 +364,25 @@ def test_exchange_relations_hold(rel_id, params):
     rels = by_id(relation_catalog())
     rep = verify_exchange(rels[rel_id], params, samples=8, digits=DIGITS, seed=3)
     assert rep["verdict"] == "pass", rep
-    assert mp.mpf(rep["residual_max"]) <= mp.mpf(10) ** -45
+    assert mp.mpf(rep["residual_max"]) <= mp.mpf(10) ** -56
     assert rep["fields_match"]
+
+
+@pytest.mark.parametrize("mode,rel_id,seed,unit", [
+    pytest.param("canonical", "EE", seed, True, id="control-seed%d" % seed)
+    for seed in (0, 5)] + [
+    pytest.param("strict-text", r, 5, False, id="strict-" + r)
+    for r in ("H-E", "H+F", "H-F", "HH", "H+H-")])
+def test_ratio_residuals_match_two_sided_reference(mode, rel_id, seed, unit):
+    # where the residuals are O(1), not rounding noise, the one ratio's
+    # points, residual_max and residual_mean are, as printed, those of the
+    # two sides evaluated apart at the same draws
+    rel = by_id(relation_catalog(mode=mode))[rel_id]
+    rep = verify_exchange(rel, P, samples=10, digits=DIGITS, seed=seed,
+                          unit_structure=unit)
+    assert mp.mpf(rep["residual_max"]) > mp.mpf(10) ** -3
+    assert (rep["points"], rep["residual_max"], rep["residual_mean"]) == (
+        exchange_residuals(rel, P, 10, DIGITS, seed, unit_structure=unit))
 
 
 def test_hh_schema_covers_hminus_pair():

@@ -21,7 +21,7 @@ from ospboson.theta import (
     _to_fixed,
     theta_terms_needed,
 )
-from reference import one_factor_theta, qpoch_eval, theta_eval
+from reference import one_factor_theta, product_at, qpoch_eval, theta_eval
 
 DIGITS = 50
 
@@ -94,7 +94,7 @@ def test_qpoch_product_matches_mpmath_qp(q, r):
             ev = QPochProduct([f], DIGITS)
             for x in xs + near:
                 ref = mp.qp(c * x, b) ** f.power
-                assert abs(ev(x) - ref) <= mp.mpf("1e-50") * abs(ref), (f, x)
+                assert abs(product_at(ev, x) - ref) <= mp.mpf("1e-50") * abs(ref), (f, x)
 
 
 def test_qpoch_product_base_zero_is_linear():
@@ -104,9 +104,24 @@ def test_qpoch_product_base_zero_is_linear():
         for c in (Fr(1), Fr(25, 4), Fr(-4, 25)):
             for x in (mp.mpc("0.3", "0.2"), mp.mpc("-7", "3"), mp.mpf("0.5")):
                 for power in (1, -1):
-                    got = QPochProduct([QPochFactor(c, Fr(0), power)], DIGITS)(x)
+                    got = product_at(
+                        QPochProduct([QPochFactor(c, Fr(0), power)], DIGITS), x)
                     want = (1 - to_mpf(c) * x) ** power
                     assert abs(got - want) <= 4 * mp.eps * abs(want)
+
+
+def test_qpoch_product_swap_multiplies_the_reciprocal():
+    # multiply with swap puts each factor into the other running product,
+    # so the pair's quotient is 1/prod(x), whatever the factors' powers
+    P = DeformationParams.from_sqrt(Fr(3, 4), Fr(1, 2))
+    factors = (exp_contraction_closed("phi", "phi", P)
+               + exp_contraction_closed("psi", "psi", P)
+               + (QPochFactor(Fr(-4, 25), Fr(0), 1),))
+    ev = QPochProduct(factors, DIGITS)
+    with mp.workdps(DIGITS + 10):
+        for x in (mp.mpc("0.3", "0.2"), mp.mpc("-0.7", "0.5"), mp.mpf("0.5")):
+            straight, swapped = product_at(ev, x), product_at(ev, x, swap=True)
+            assert abs(straight * swapped - 1) <= mp.mpf("1e-55")
 
 
 def test_series_budget_rejects_base_near_one():
@@ -119,7 +134,7 @@ def test_series_budget_rejects_base_near_one():
         ev = QPochProduct([QPochFactor(Fr(3, 2), b, 1)], DIGITS)
         for x in (mp.mpc("0.61", "0.34"), mp.mpc("-40", "9")):
             ref = mp.qp(to_mpf(Fr(3, 2)) * x, to_mpf(b))
-            assert abs(ev(x) - ref) <= mp.mpf("1e-55") * abs(ref)
+            assert abs(product_at(ev, x) - ref) <= mp.mpf("1e-55") * abs(ref)
     for b in (Fr(9, 10), Fr(99, 100), Fr(-9, 10)):
         with pytest.raises(DomainError):
             QPochProduct([QPochFactor(Fr(1), b, 1)], DIGITS)
@@ -311,7 +326,7 @@ def _check_qpoch_product_guard():
                             want = working_precision_guard(to_mpf(c) * x, to_mpf(b),
                                                            kmax=0)
                             try:
-                                ev(x)
+                                product_at(ev, x)
                                 got = False
                             except PoleError as exc:
                                 assert exc.factor is factor
