@@ -208,13 +208,6 @@ def relation_catalog(params=None, mode="canonical"):
     return rels
 
 
-# first displays of the EE / FF relations (mixed orientation); equal to the
-# canonical forms by quasi-periodicity, asserted numerically in tests
-EE_MIXED = _sf(-1, 0, (
-    _tf("q2", 1, -2, 0, 1), _tf("q2", -1, -1, 0, 1),
-    _tf("q2", -1, -2, 0, -1), _tf("q2", 1, -1, 0, -1)))
-FF_MIXED = _sf(-1, 0, _mixed_qt2_block(0))
-
 # relation id -> how the strict-text display compares with the canonical
 # form: "equal", ("constant", p-exponent), or "inequivalent"
 DISPLAY_AUDIT = {

@@ -4,7 +4,8 @@ The multiplicative theta function used everywhere in this package is
 
     theta_q(z) = (z | q)_inf (q/z | q)_inf (q | q)_inf ,
 
-with (a | q)_inf = prod_{n>=0} (1 - a q^n), 0 < |q| < 1.  It satisfies
+with (a | q)_inf = prod_{n>=0} (1 - a q^n).  Every nome is real, 0 < q < 1,
+as the deformation's are (DomainError otherwise).  It satisfies
 
     theta_q(q z) = -z^{-1} theta_q(z),      theta_q(q/z) = theta_q(z),
 
@@ -16,8 +17,9 @@ on the transformed nome,
                  theta_q'(e^{2 pi i u'}),
 
 with z = e^{2 pi i u}, q = e^{2 pi i tau} (principal logs), u' = u/tau,
-tau' = -1/tau and q' = e^{2 pi i tau'}.  As q -> 1, where the direct
-product would need ~1/(1-q) factors, q' -> 0 and a few terms suffice.
+tau' = -1/tau and q' = e^{2 pi i tau'}, real in (0, 1) too.  As q -> 1,
+where the direct product would need ~1/(1-q) factors, q' -> 0 and a few
+terms suffice.
 ``StructureFunctionEvaluator``, for the exchange checks and the scaling
 limits alike, takes it in three steps: per nome (``_modular_nome``: tau,
 q', the prefactor's constant part and (q' | q')_inf), per point and nome
@@ -27,16 +29,16 @@ P = e^{log p / (2 tau)} and k twice the factor's half-integer p-shift).
 Each structure function's prefactor exponents sum to a quadratic in
 log x, prepared from exact integer sums over its factors, under one exp.
 
-Kernels are products of q-Pochhammer factors (c x | b)^{+-1} with exact c,
-b; ``QPochProduct`` prepares one whole for many x.  It and the evaluator
-sum each factor by Euler's series (Gasper-Rahman, eq. (1.3.16)),
+Kernels are products of q-Pochhammer factors (c x | b)^{+-1} with exact c
+and 0 <= b < 1; ``QPochProduct`` prepares one whole for many x.  It and
+the evaluator sum each factor by Euler's series (Gasper-Rahman, (1.3.16)),
 
     (y | b)_inf = sum_n (-1)^n b^(n(n-1)/2) y^n / (b | b)_n ,
 
 once shift steps (y | b) = (1 - y)(b y | b) have brought |y| to 1 or less
 (``_qpoch_series``), with each distinct base's coefficients prepared once
 (``_euler_base``), at two real products a term (``_real_series``).  Its terms
-fall like |b|^(n^2/2): at 50 digits it takes 15 terms at b = 4/25 and 26 at
+fall like b^(n^2/2): at 50 digits it takes 15 terms at b = 4/25 and 26 at
 9/16, where the product takes 77 and 242 factors, and loses at most 28 and 34
 bits.  A base too near 1 for the series' error budget raises DomainError.
 The tests hold the series to direct truncated products, which share no
@@ -53,15 +55,14 @@ function that of its quadratic's terms (StructureFunctionEvaluator).
 Each evaluator guards the poles on the value it already sums, by one test
 in ``_qpoch_series`` (a y within POLE_TOL of 1 puts the factor's argument
 that near a zero b^-k of (y | b)), and raises PoleError carrying the kernel
-or theta factor.  After the transform a zero of theta_q is z' = 1 (or a
-power of q' at a complex nome), so a theta factor is a pole within about
-POLE_TOL |ln q| / (2 pi) of a zero q^k, relatively.
+or theta factor.  After the transform a zero of theta_q is z' = 1, so a
+theta factor is a pole within about POLE_TOL |ln q| / (2 pi) of a zero q^k,
+relatively.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -107,7 +108,7 @@ class QPochProduct:
     """prod (c x | b)_inf ** power over fixed factors, prepared for many x.
 
     The factors are QPochFactor-like (c, b, power; b = 0 gives 1 - c x), as
-    in a kernel, with exact rational c and b, |b| < 1.  Preparation takes
+    in a kernel, with exact rational c and 0 <= b < 1.  Preparation takes
     each distinct b's series (_euler_base) once, at wp (the working
     precision of digits + 10, plus the guard bits).  multiply(acc, x) takes
     x as a fixed-point pair at wp, each c x by integer division, and sums
@@ -151,35 +152,36 @@ class StructureFunctionEvaluator:
     A structure function f is f.sign * p^f.p_exp times its factors
     theta_B(x^orient p^s) ** power, s = shift(c) a half-integer
     (StructuralError otherwise), in the shape of relations.StructureFunction
-    and relations.ThetaFactor, on the nomes B = bases[factor.base], mpf
-    values {"q2": .., "qt2": ..}: relations.theta_bases(q, p, c) at a
-    deformation point, or the scaling limits' nomes.  Preparation takes
+    and relations.ThetaFactor, on the nomes B = bases[factor.base], real
+    mpf values {"q2": .., "qt2": ..} in (0, 1): relations.theta_bases(q, p, c)
+    at a deformation point, or the scaling limits' nomes.  Preparation takes
     log p (p > 0).  The one cache, filled on first use: per base, the
-    per-nome step (_modular_nome; a nome below about e^-280, whose q'
-    misses the series' budget, raises DomainError), P = e^(log p / (2 tau))
-    and each power P^k asked for; per f (by id, f kept), its factors' keys
-    (base, orient, k = 2 s; equal for factors that share a theta) and its
-    exponent's coefficients A, B, C.  With lam = log p / 2 and, on each
-    nome, the exact integer sums over f's factors S0 = sum power,
-    S1 = sum power k, S2 = sum power k^2, S3 = sum power orient and
-    S4 = sum power orient k, the factors' prefactor exponents E
-    (_modular_nome), signed by power, sum to A + B l + C l^2 in l = log x:
-    each nome adds S0 log C + h lam S1 + kappa lam^2 S2 to A,
-    h S3 + 2 kappa lam S4 to B and kappa S0 to C, and A has p_exp log p.
+    per-nome step (_modular_nome; a nome that is not a real 0 < B < 1, or is
+    below about e^-280, whose q' misses the series' budget, raises
+    DomainError), P = e^(log p / (2 tau)) and each power P^k asked for; per
+    f (by id, f kept), its factors' keys (base, orient, k = 2 s; equal for
+    factors that share a theta) and its exponent's coefficients A, B, C.
+    With lam = log p / 2 and, on each nome, the exact integer sums over f's
+    factors S0 = sum power, S1 = sum power k, S2 = sum power k^2,
+    S3 = sum power orient and S4 = sum power orient k, the factors'
+    prefactor exponents E (_modular_nome), signed by power, sum to
+    A + B l + C l^2 in l = log x: each nome adds
+    S0 log C + h lam S1 + kappa lam^2 S2 to A, h S3 + 2 kappa lam S4 to B
+    and kappa S0 to C, and A has p_exp log p.
 
     at(x) is the evaluator at one point x.  It takes l once, and on first
     use each nome's X = e^(l / tau) (_modular_point) and each key's step
     (_modular_factor) at z' = X^orient P^k = e^(log z / tau),
     log z = orient l + k lam, whose imaginary part lies in [-pi, pi]: that
-    keeps |q'|^(1/2) <= |z'| <= |q'|^(-1/2) on a real nome.
+    keeps q'^(1/2) <= |z'| <= q'^(-1/2).
     multiply(f, acc, swap) multiplies the steps into a caller's fixed-point
     numerator and denominator at wp, as QPochProduct.multiply does, and
     returns A + l (B + l C); it raises PoleError carrying f's first factor
     at a theta zero, where the step is None: within about
     POLE_TOL |ln B| / (2 pi) of it, relatively.  value(f) multiplies into a
     pair of its own, divides it once and takes one exp; it is real when x
-    and the nomes are.  All of it runs at the caller's working precision,
-    which must be digits + 10 (workdps), so that a caller enters it once.
+    is.  All of it runs at the caller's working precision, which must be
+    digits + 10 (workdps), so that a caller enters it once.
     Error budget, with u the working precision's unit.  z' is within a few
     u (1 + |l / tau| + |k lam / tau|) of its value, relatively: X, P, P^k
     and X^orient P^k each round once, after the exps' arguments.  The step
@@ -200,7 +202,6 @@ class StructureFunctionEvaluator:
             self.wp = mp.mp.prec + _GUARD_BITS
         self._log_p = mp.log(p)
         self._bases = bases
-        self._real_nomes = not any(mp.im(b) for b in bases.values())
         self._nomes = {}      # base name -> (per-nome step, coefficients, {k: P^k})
         self._functions = {}  # id(f) -> (f, A, B, C, factor entries)
 
@@ -251,7 +252,7 @@ class _StructureFunctionPoint:
         self.evaluator = evaluator
         x = mp.mpc(x)
         self._log_x = mp.log(x)
-        self._real = evaluator._real_nomes and x.imag == 0
+        self._real = x.imag == 0
         self._xs = {}     # base name -> X = e^(log x / tau)
         self._steps = {}  # factor key -> P, None at a theta zero
 
@@ -289,30 +290,29 @@ def _modular_nome(q, wp):
     """The per-nome step of the transform, as the tuple _modular_point and
     _modular_factor take.
 
-    With tau = log q / (2 pi i) and tau' = -1/tau: 1/tau; h = (1 - 1/tau)/2;
+    q is a real nome, an mpf with 0 < q < 1, else DomainError.  With
+    tau = log q / (2 pi i) and tau' = -1/tau: 1/tau; h = (1 - 1/tau)/2;
     kappa = i / (4 pi tau); log C, the log of the prefactor's constant part
-    C = i (-i tau)^(-1/2) e^(i pi (tau' - tau)/4); q' = e^(2 pi i tau')
-    prepared as a base of the series (_euler_base); and (q' | q')_inf in
-    fixed point at wp, never at a pole: |1 - q'| >= 1 - |q'| > 0.13.
+    C = i (-i tau)^(-1/2) e^(i pi (tau' - tau)/4); the real
+    q' = e^(2 pi i tau') = e^(-4 pi^2 / |log q|) prepared as a base of the
+    series (_euler_base); and (q' | q')_inf in fixed point at wp, never at a
+    pole: 1 - q' > 0.13.
     theta_q(z) = e^E (q' | q')(z' | q')(q'/z' | q') with z' = e^(log z / tau)
     and E = log C + (log z - log z')/2 + i (log z)^2 / (4 pi tau), which is
     log C + i pi (u - u u' - u') for u = log z / (2 pi i), u' = u / tau, and
     is log C + log z (h + kappa log z).
     """
-    q = mp.mpc(q)
-    if not (0 < abs(q) < 1):
-        raise DomainError("need 0 < |q| < 1, got |q| = %s" % abs(q))
+    if not (isinstance(q, mp.mpf) and 0 < q < 1):
+        raise DomainError("need a real nome 0 < q < 1, got %s" % q)
     two_pi_i = 2j * mp.pi
     tau = mp.log(q) / two_pi_i
     taup = -1 / tau
     log_c = 1j * mp.pi * (2 + taup - tau) / 4 - mp.log(-1j * tau) / 2
-    qp = mp.exp(two_pi_i * taup)
-    base = _euler_base(qp, wp)
-    (br, bi), t = base[:2]
-    qpf = br >> t - wp, bi >> t - wp  # q' in fixed point at wp
+    base = _euler_base(mp.exp(two_pi_i * taup).real, wp)
+    b, t = base[:2]
     inv_tau = -taup
     return (inv_tau, (1 - inv_tau) / 2, 1j / (4 * mp.pi * tau), log_c, base,
-            _qpoch_series((1 << wp, 0), (qpf,), base, wp))
+            _qpoch_series((1 << wp, 0), ((b >> t - wp, 0),), base, wp))
 
 
 def _modular_point(log_x, nome):
@@ -322,8 +322,8 @@ def _modular_point(log_x, nome):
 
 def _modular_factor(z, nome, wp):
     """The per-factor step: P = (q' | q')(z' | q')(q'/z' | q') at the
-    transformed argument z' (an mpc), in fixed point, or None where its
-    series meets a pole (_qpoch_series).
+    transformed argument z' (an mpc) on the nome's real q', in fixed point,
+    or None where its series meets a pole (_qpoch_series).
 
     P is summed from the nome's (q' | q').  q'/z' is divided, and q' z'
     formed (the one shift step of (z' | q'), taken where |z'| > 1), from
@@ -333,11 +333,11 @@ def _modular_factor(z, nome, wp):
     """
     base, qq = nome[4:]
     zr, zi = _to_fixed(z, wp)
-    (br, bi), t = base[:2]
+    b, t = base[:2]
     # q'/z' = b conj(z') 2^(2 wp - t) / |z'|^2 in fixed point, q' = b 2^-t;
     # d is 0 only for |z'| < 2^-wp, where the numerator is 0 too
     d = zr * zr + zi * zi or 1
-    nr, ni = br * zr + bi * zi, bi * zr - br * zi
+    nr, ni = b * zr, -b * zi
     sh = 2 * wp - t
     if sh >= 0:
         qz = (nr << sh) // d, (ni << sh) // d
@@ -349,43 +349,43 @@ def _modular_factor(z, nome, wp):
 
 
 def _euler_base(b, wp):
-    """A base b prepared for _qpoch_series: ((br, bi), t, re, im, tol2).
+    """A base b prepared for _qpoch_series: (b, t, coeffs, tol2).
 
-    b is a Fraction or an mpc with |b| < 1, and b = 0 only as a Fraction.
-    b = (br + i bi) 2^-t, with a mantissa of about wp + _COEF_BITS bits,
-    rounded once (exact for b = 0).  The coefficients are Euler's
-    a_n = (-1)^n b^(n(n-1)/2) / (b | b)_n for n < N, in fixed point at wp:
-    from the recursion a_n = -a_(n-1) b^(n-1) / (1 - b^n) at
-    wp + _COEF_BITS bits, each rounded once.  re holds their real parts and
-    im their imaginary parts, highest degree first; im is None when every
-    imaginary part is 0, as on a real base.  N and the budget come from
-    |a_n| <= |b|^(n(n-1)/2) / (|b|; |b|)_n (equal for real b > 0), in
-    floats: N is the first n with |b|^n < 1/2 and that bound below 2^-wp.
-    The bits the series may lose,
-    log2(N (N + 1) / 2 (-1; |b|)_inf / (POLE_TOL (|b|; |b|)_inf))
-    (_qpoch_series), must fit in _BUDGET_BITS, else DomainError: |b| up to
+    b is real with 0 <= b < 1: a Fraction, or an mpf b > 0; DomainError
+    otherwise.  The tuple holds b as an integer mantissa over 2^t, of about
+    wp + _COEF_BITS bits, rounded once (exact for b = 0).  The
+    coefficients are Euler's a_n = (-1)^n b^(n(n-1)/2) / (b | b)_n for
+    n < N, in fixed point at wp, highest degree first: from the recursion
+    a_n = -a_(n-1) b^(n-1) / (1 - b^n) at wp + _COEF_BITS bits, each
+    rounded once.  N and the budget come from
+    |a_n| = b^(n(n-1)/2) / (b; b)_n, in floats: N is the first n with
+    b^n < 1/2 and |a_n| below 2^-wp.  The bits the series may lose,
+    log2(N (N + 1) / 2 (-1; b)_inf / (POLE_TOL (b; b)_inf))
+    (_qpoch_series), must fit in _BUDGET_BITS, else DomainError: b up to
     about 0.875 fits at 50 digits.  tol2 is the pole guard's bound,
     POLE_TOL^2 scaled by 2^(2 wp) from POLE_TOL's exact binary value.
     """
     W = wp + _COEF_BITS
     tol2 = int((Fraction(POLE_TOL) * 2 ** wp) ** 2)
-    if isinstance(b, Fraction):
+    if isinstance(b, Fraction) and b >= 0:
         if not b:
             one = 1 << wp
-            return (0, 0), 0, (-one, one), None, tol2
+            return 0, 0, (-one, one), tol2
         u, v = b.numerator, b.denominator
-        s = max(v.bit_length() - abs(u).bit_length(), 0)
-        br, bi = (u << (W + s)) // v, 0
+        s = max(v.bit_length() - u.bit_length(), 0)
+        t = W + s
+        b = (u << t) // v
+    elif isinstance(b, mp.mpf) and b > 0:
+        t = W - mp.mag(b)
+        b = mp.mp.to_fixed(b, t)
     else:
-        s = -max(_exponent(x) for x in b._mpc_)
-        br, bi = _to_fixed(b, W + s)
-    t = W + s
-    lb = math.log2(br * br + bi * bi) / 2 - t  # log2 |b|
+        raise DomainError("need a real base 0 <= b < 1, got %s" % b)
+    lb = math.log2(b) - t  # log2 b
     if not lb < 0:
-        raise DomainError("need |b| < 1, got |b| = %s" % 2 ** lb)
-    ab = bk = 2 ** lb  # |b| and |b|^n in floats (0 below their range)
-    log_poch = 0.0     # log2 (|b|; |b|)_n
-    log_neg = 1.0      # log2 (-1; |b|)_n
+        raise DomainError("need b < 1, got b = %s" % 2 ** lb)
+    ab = bk = 2 ** lb  # b and b^n in floats (0 below their range)
+    log_poch = 0.0     # log2 (b; b)_n
+    log_neg = 1.0      # log2 (-1; b)_n
     N = None
     n = 1
     while N is None or bk >= 2 ** -20:
@@ -400,61 +400,49 @@ def _euler_base(b, wp):
     N = N or n
     budget = math.log2(N * (N + 1) / 2) + log_neg - log_poch - math.log2(POLE_TOL)
     if budget > _BUDGET_BITS:
-        raise DomainError("the base |b| = %.5g needs %.1f bits of the series' "
+        raise DomainError("the base b = %.5g needs %.1f bits of the series' "
                           "budget of %d" % (ab, budget, _BUDGET_BITS))
     one = 1 << W
-    pr, pi = one, 0  # b^n
-    ar, ai = one, 0  # a_n
-    coeffs = [(1 << wp, 0)]
+    bn = a = one  # b^n and a_n
+    coeffs = [1 << wp]
     for _ in range(1, N):
-        xr, xi = (ar * pr - ai * pi) >> W, (ar * pi + ai * pr) >> W
-        pr, pi = (pr * br - pi * bi) >> t, (pr * bi + pi * br) >> t
-        dr, di = one - pr, -pi
-        d = dr * dr + di * di
-        ar = (-(xr * dr + xi * di) << W) // d
-        ai = (-(xi * dr - xr * di) << W) // d
-        coeffs.append((ar >> _COEF_BITS, ai >> _COEF_BITS))
-    re, im = zip(*reversed(coeffs))
-    return (br, bi), t, re, im if any(im) else None, tol2
-
-
-def _exponent(x):
-    """e with 2^(e-1) <= |x| < 2^e for an mpf tuple x != 0; very low for 0."""
-    _, man, exp, bc = x
-    return exp + bc if man else -sys.maxsize
+        x = (a * bn) >> W
+        bn = (bn * b) >> t
+        a = (-x << W) // (one - bn)
+        coeffs.append(a >> _COEF_BITS)
+    return b, t, tuple(reversed(coeffs)), tol2
 
 
 def _qpoch_series(p, ys, base, wp):
     """p * prod over y in ys of (y | b)_inf, in complex fixed point at wp, for
-    a base b from _euler_base; None where a y is at a pole.
+    a real base b from _euler_base; None where a y is at a pole.
 
     Shift step: while |y| > 1, p *= 1 - y and y *= b, as
     (y | b)_inf = (1 - y) (b y | b)_inf; y *= b takes b's mantissa, so it
     is relative to b however small b is.  Series step: then |y| <= 1, and
     Euler's series (Gasper-Rahman, Basic Hypergeometric Series, (1.3.16))
         (y | b)_inf = sum_n (-1)^n b^(n(n-1)/2) y^n / (b | b)_n
-    is summed to n = N - 1 by _real_series, on the coefficients' real parts
-    and, for a complex base, again on their imaginary parts.
+    is summed to n = N - 1 by _real_series, on the real coefficients.
     Pole guard: each y the shift steps meet, and the first y with |y| <= 1,
     is tested as |1 - y|^2 < POLE_TOL^2, in integers against the base's
     tol2.  |1 - b^k y| < POLE_TOL puts y within POLE_TOL (relatively) of the
     zero b^-k of (y | b), and the series returns None there.  Past the first
-    |y| <= 1 no zero is near: |b^k y| <= |b| < 1 - POLE_TOL for k >= 1.
+    |y| <= 1 no zero is near: |b^k y| <= b < 1 - POLE_TOL for k >= 1.
     Error budget.  Each floor in _real_series moves a coefficient a_n, and
     so the sum, by at most 2^-wp (|y| <= 1); s, rounded once, adds at most
     2^-wp |c_(n+2)| at step n, |c_n| <= sum_(k>=n) |a_k| |U_(k-n)(y)| with
     U_j(y) = sum_i y^i conj(y)^(j-i), |U_j| <= j + 1.  With y's rounding
-    that is at most about N (N + 1) / 2 2^-wp (-1; |b|)_inf absolutely, as
-    sum_n |a_n| <= (-1; |b|)_inf; the dropped tail adds at most
-    2^-wp (2 - |b|) / (1 - |b|) (past N, |a_n| falls by 1/(2 - |b|) or more).
-    That is relative to |(y | b)_inf| >= |1 - y| (|b|; |b|)_inf, and the
+    that is at most about N (N + 1) / 2 2^-wp (-1; b)_inf absolutely, as
+    sum_n |a_n| = (-1; b)_inf; the dropped tail adds at most
+    2^-wp (2 - b) / (1 - b) (past N, |a_n| falls by 1/(2 - b) or more).
+    That is relative to |(y | b)_inf| >= |1 - y| (b; b)_inf, and the
     guard enforces |1 - y| >= POLE_TOL.  So the series loses at most
-    log2(N (N + 1) / 2 (-1; |b|)_inf / (POLE_TOL (|b|; |b|)_inf)) of the 60
+    log2(N (N + 1) / 2 (-1; b)_inf / (POLE_TOL (b; b)_inf)) of the 60
     guard bits, which _euler_base keeps within _BUDGET_BITS = 55:
     8.5 + 20 + 5 at b = 9/16 (N = 26).  Each shift step adds one truncation
     to p, as the callers' running products do.
     """
-    (br, bi), t, re, im, tol2 = base
+    b, t, coeffs, tol2 = base
     one = 1 << wp
     pr, pi = p
     for yr, yi in ys:
@@ -466,12 +454,8 @@ def _qpoch_series(p, ys, base, wp):
             if s <= one * one:
                 break
             pr, pi = (pr * tr + pi * yi) >> wp, (pi * tr - pr * yi) >> wp
-            yr, yi = (yr * br - yi * bi) >> t, (yr * bi + yi * br) >> t
-        s >>= wp
-        sr, si = _real_series(re, yr, yi, s, wp)
-        if im is not None:
-            ur, ui = _real_series(im, yr, yi, s, wp)
-            sr, si = sr - ui, si + ur
+            yr, yi = (yr * b) >> t, (yi * b) >> t
+        sr, si = _real_series(coeffs, yr, yi, s >> wp, wp)
         pr, pi = (pr * sr - pi * si) >> wp, (pr * si + pi * sr) >> wp
     return pr, pi
 

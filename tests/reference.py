@@ -18,6 +18,7 @@ from ospboson.relations import (
     StructureFunction,
     ThetaFactor,
     _sample_x,
+    relation_catalog,
     theta_bases,
 )
 from ospboson.scalars import mpc_to_str, to_mpf, workdps
@@ -29,6 +30,19 @@ from ospboson.theta import (
     _to_fixed,
     theta_terms_needed,
 )
+
+# the first displays of the EE and FF relations, in mixed orientation: equal
+# to the canonical forms by quasi-periodicity, which the tests check
+EE_MIXED = StructureFunction(-1, 0, (
+    ThetaFactor("q2", 1, -2, 0, 1), ThetaFactor("q2", -1, -1, 0, 1),
+    ThetaFactor("q2", -1, -2, 0, -1), ThetaFactor("q2", 1, -1, 0, -1)))
+FF_MIXED = StructureFunction(-1, 0, (
+    ThetaFactor("qt2", 1, 2, 0, 1), ThetaFactor("qt2", -1, 1, 0, 1),
+    ThetaFactor("qt2", -1, 2, 0, -1), ThetaFactor("qt2", 1, 1, 0, -1)))
+# FF's display is the qtilde^2 block of the strict-text HH display
+assert FF_MIXED.factors == tuple(
+    tf for r in relation_catalog(mode="strict-text") if r.rel_id == "HH"
+    for tf in r.structure_function.factors if tf.base == "qt2")
 
 
 def inverse_structure_function(f):

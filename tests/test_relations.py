@@ -12,8 +12,6 @@ from ospboson.errors import DomainError, PoleError, StructuralError
 from ospboson.freefield import DeformationParams
 from ospboson.relations import (
     DISPLAY_AUDIT,
-    EE_MIXED,
-    FF_MIXED,
     ThetaFactor,
     relation_catalog,
     structure_function_repr,
@@ -24,6 +22,8 @@ from ospboson.relations import (
 )
 from ospboson.scalars import mpc_to_str, sample_annulus_point, sample_parameters
 from reference import (
+    EE_MIXED,
+    FF_MIXED,
     exchange_residuals,
     one_factor_theta,
     structure_function_value,
