@@ -150,24 +150,24 @@ class LimitSample:
     Built from (u-v, eta, hbar, c, digits), as limit_check takes them: for
     each eps of EPSILON_LADDER, a theta.StructureFunctionEvaluator on
     p = e^{eps hbar} and the nomes B of the convention above, at the point
-    x = e^{-eps(u-v)}.  values(f) is f's value at each eps; a factor at a
-    theta zero (within about theta.POLE_TOL |ln B| / (2 pi) of it,
-    relatively, on its nome B) raises PoleError carrying the first such
-    factor of f.  Nothing is kept beyond the object: the limits suite makes
-    one per sample and drops it after the sample's eight checks.
+    x = e^{-eps(u-v)}, the four sharing one plans dict.  values(f) is f's
+    value at each eps; a factor at a theta zero (within about theta.POLE_TOL
+    |ln B| / (2 pi) of it, relatively, on its nome B) raises PoleError
+    carrying the first such factor of f.  Nothing is kept beyond the object:
+    the limits suite makes one per sample and drops it after its eight checks.
     """
 
     def __init__(self, u_minus_v, *, eta, hbar, c=1, digits=30):
         self.key = (u_minus_v, eta, hbar, c, digits)
         with workdps(digits + 10):
             s = mp.mpc(u_minus_v)
-            self._points = []
+            self._points, plans = [], {}
             for eps in map(mp.mpf, EPSILON_LADDER):
                 p = mp.e ** (eps * mp.mpf(hbar))
                 bases = {k: 1 / mp.sqrt(mp.sqrt(b)) for k, b in theta_bases(
                     mp.exp(eps / mp.mpf(eta)), p, c).items()}
                 self._points.append(StructureFunctionEvaluator(
-                    p, c, bases, digits).at(mp.e ** (-eps * s)))
+                    p, c, bases, digits, plans).at(mp.e ** (-eps * s)))
 
     def values(self, f):
         """f's elliptic value at each eps of EPSILON_LADDER, in order; run at

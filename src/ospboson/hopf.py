@@ -24,18 +24,19 @@ All tensor products are graded: E and F are odd, H^+/H^- and the central
 elements c_k are even, and multiplication obeys the Koszul rule
 (A x B)(C x D) = (-1)^{parity(B) parity(C)} AC x BD.
 
-Everything here is exact symbolic computation over the rationals.  A word
-is an ordered product of generator factors, each carrying an argument of
-the form z p^s where the exponent s (a ShiftForm) is an affine combination
-of the central symbols c_k.  The single most important semantic rule,
-without which none of the axioms close, is central re-expansion: when a
-map with a central substitution rule (D+_n : c_n -> c_n + c_{n+1},
-S+_n : c_n -> -c_{n+1}, eps_n : c_n -> 0, ...) is applied to a tensor
-expression, the substitution acts on every ShiftForm in every slot of the
-term first, and only then is the generator-level formula applied to the
-targeted slot.  p^{c_n} is a central scalar, so it slides through tensor
-slots; the formulas in the source text are only mutually consistent under
-this reading.
+Everything here is exact symbolic computation, with integer coefficients,
+rational shifts: the maps make no coefficient but +-1, +-sigma and counit
+values.  A word is an ordered product of generator factors, each carrying
+an argument of the form z p^s where the exponent s (a ShiftForm) is an
+affine combination of the central symbols c_k.  The single most important
+semantic rule, without which none of the axioms close, is central
+re-expansion: when a map with a central substitution rule
+(D+_n : c_n -> c_n + c_{n+1}, S+_n : c_n -> -c_{n+1}, eps_n : c_n -> 0,
+...) is applied to a tensor expression, the substitution acts on every
+ShiftForm in every slot of the term first, and only then is the
+generator-level formula applied to the targeted slot.  p^{c_n} is a
+central scalar, so it slides through tensor slots; the formulas in the
+source text are only mutually consistent under this reading.
 
 Sign conventions.  The source text remarks that the minus signs attached
 to H^- are superficial (H^- can be rescaled by -1).  We expose that as a
@@ -61,16 +62,14 @@ _ODD_KINDS = frozenset(("E", "F"))
 _KIND_ORDER = {k: i for i, k in enumerate(GENERATOR_KINDS)}
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value):
+    """An int or a Fraction, as given; anything else is a StructuralError."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise StructuralError("shift coefficients must be exact rationals")
+    raise StructuralError("coefficients must be exact rationals")
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,8 @@ class ShiftForm:
     central: tuple = ()  # sorted tuple of (index, Fraction coeff), no zeros
 
     @staticmethod
-    def of_central(index: int, coeff=_ONE) -> "ShiftForm":
-        coeff = _coerce(coeff)
+    def of_central(index: int, coeff=1) -> "ShiftForm":
+        coeff = Fraction(_exact(coeff))
         if coeff == 0:
             return ShiftForm()
         return ShiftForm(_ZERO, ((index, coeff),))
@@ -108,7 +107,7 @@ class ShiftForm:
         return self + (-other)
 
     def scale(self, factor) -> "ShiftForm":
-        factor = _coerce(factor)
+        factor = _exact(factor)
         if factor == 0:
             return ShiftForm()
         return ShiftForm(
@@ -249,22 +248,22 @@ class TensorExpr:
             words = tuple(tuple(w) for w in words)
             if len(words) != slots:
                 raise StructuralError("slot count mismatch in tensor term")
-            cleaned.append((_coerce(coeff), words))
+            cleaned.append((_exact(coeff), words))
         self.terms = tuple(cleaned)
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def unit(slots: int = 1) -> "TensorExpr":
-        return TensorExpr(slots, [(_ONE, tuple(() for _ in range(slots)))])
+        return TensorExpr(slots, [(1, tuple(() for _ in range(slots)))])
 
     @staticmethod
-    def word(factors: Iterable[Factor], coeff=_ONE) -> "TensorExpr":
+    def word(factors: Iterable[Factor], coeff=1) -> "TensorExpr":
         return TensorExpr(1, [(coeff, (tuple(factors),))])
 
     @staticmethod
     def generator(kind: str, index: int, shift: ShiftForm = ZERO_SHIFT,
-                  inverted: bool = False, coeff=_ONE) -> "TensorExpr":
+                  inverted: bool = False, coeff=1) -> "TensorExpr":
         return TensorExpr.word((Factor(kind, index, shift, inverted),), coeff)
 
     # -- ring structure --------------------------------------------------
@@ -278,7 +277,7 @@ class TensorExpr:
         return self + other.scale(-1)
 
     def scale(self, factor) -> "TensorExpr":
-        factor = _coerce(factor)
+        factor = _exact(factor)
         return TensorExpr(
             self.slots, [(c * factor, ws) for c, ws in self.terms]
         )
@@ -307,7 +306,7 @@ class TensorExpr:
         collected = {}
         for coeff, words in self.terms:
             key = tuple(_normalize_word(w) for w in words)
-            collected[key] = collected.get(key, _ZERO) + coeff
+            collected[key] = collected.get(key, 0) + coeff
         kept = [
             (coeff, words)
             for words, coeff in collected.items()
@@ -361,7 +360,7 @@ def _word_str(word: Word) -> str:
     return "*".join(str(f) for f in word)
 
 
-def _coeff_str(coeff: Fraction, body: str) -> str:
+def _coeff_str(coeff, body: str) -> str:
     if coeff == 1:
         return body
     if coeff == -1:
@@ -443,7 +442,7 @@ def tau(expr: TensorExpr, direction: int, *, slot: int = 0, n: int) -> TensorExp
     _target(expr, slot, n, direction)
 
     def image(word):
-        return [(_ONE, (tuple(
+        return [(1, (tuple(
             Factor(f.kind, f.index + direction, f.shift.relabel(direction), f.inverted)
             for f in word
         ),))]
@@ -458,28 +457,28 @@ def _coproduct_factor(f: Factor, n: int, direction: int,
     s = f.shift
     sigma = convention.sigma_hminus
     if f.kind == "c":
-        return TensorExpr(2, [(_ONE, ((Factor("c", left),), ())),
-                              (_ONE, ((), (Factor("c", right),)))])
+        return TensorExpr(2, [(1, ((Factor("c", left),), ())),
+                              (1, ((), (Factor("c", right),)))])
     if f.kind == "H+":
         a = Factor("H+", left, s + ShiftForm.of_central(right, _HALF), f.inverted)
         b = Factor("H+", right, s - ShiftForm.of_central(left, _HALF), f.inverted)
-        return TensorExpr(2, [(_ONE, ((a,), (b,)))])
+        return TensorExpr(2, [(1, ((a,), (b,)))])
     if f.kind == "H-":
         a = Factor("H-", left, s - ShiftForm.of_central(right, _HALF), f.inverted)
         b = Factor("H-", right, s + ShiftForm.of_central(left, _HALF), f.inverted)
         # printed sign -1; rescaling H^- by sigma makes it -sigma, and the
         # inverse coproduct carries (-sigma)^{-1} = -sigma again
-        return TensorExpr(2, [(Fraction(-sigma), ((a,), (b,)))])
+        return TensorExpr(2, [(-sigma, ((a,), (b,)))])
     if f.kind == "E":
         h = Factor("H-", left, s + ShiftForm.of_central(left, _HALF))
         e = Factor("E", right, s + ShiftForm.of_central(left))
-        return TensorExpr(2, [(_ONE, ((Factor("E", left, s),), ())),
-                              (Fraction(-sigma), ((h,), (e,)))])
+        return TensorExpr(2, [(1, ((Factor("E", left, s),), ())),
+                              (-sigma, ((h,), (e,)))])
     if f.kind == "F":
         ff = Factor("F", left, s + ShiftForm.of_central(right))
         h = Factor("H+", right, s + ShiftForm.of_central(right, _HALF))
-        return TensorExpr(2, [(_ONE, ((), (Factor("F", right, s),))),
-                              (_ONE, ((ff,), (h,)))])
+        return TensorExpr(2, [(1, ((), (Factor("F", right, s),))),
+                              (1, ((ff,), (h,)))])
     raise StructuralError("no coproduct formula for %r" % (f.kind,))
 
 
@@ -503,14 +502,14 @@ def coproduct(expr: TensorExpr, direction: int, convention: SignConvention = DEF
     return _map_slot(expr.substitute_central(n, expanded), slot, 2, image)
 
 
-def _counit_word(word: Word, convention: SignConvention) -> Fraction:
-    value = _ONE
+def _counit_word(word: Word, convention: SignConvention) -> int:
+    value = 1
     for f in word:
         if f.kind == "H-":
             # eps(H^-) = eps(H^-)^{-1} for a +-1 counit, so inversion is moot
             value *= convention.counit_hminus
         elif f.kind != "H+":
-            return _ZERO  # c, E and F
+            return 0  # c, E and F
     return value
 
 
@@ -518,7 +517,7 @@ def counit(expr: TensorExpr, convention: SignConvention = DEFAULT_CONVENTION,
            *, slot: int = 0, n: int):
     """Apply eps_n to one slot.
 
-    For a single-slot expression the result is a scalar Fraction; otherwise
+    For a single-slot expression the result is an integer scalar; otherwise
     the slot is dropped and the remaining tensor returned.  The central
     rule eps(c_n) = 0 kills c_n in every surviving shift.
     """
@@ -526,7 +525,7 @@ def counit(expr: TensorExpr, convention: SignConvention = DEFAULT_CONVENTION,
     substituted = expr.substitute_central(n, ShiftForm())
     if expr.slots == 1:
         return sum((coeff * _counit_word(words[0], convention)
-                    for coeff, words in substituted.terms), _ZERO)
+                    for coeff, words in substituted.terms), 0)
     return _map_slot(substituted, slot, 0,
                      lambda word: [(_counit_word(word, convention), ())])
 
@@ -537,19 +536,19 @@ def _antipode_factor(f: Factor, n: int, direction: int, convention: SignConventi
     s = f.shift
     sigma = convention.sigma_hminus
     if f.kind == "c":
-        return TensorExpr(1, [(Fraction(-1), ((Factor("c", m),),))])
+        return TensorExpr(1, [(-1, ((Factor("c", m),),))])
     if f.kind in ("H+", "H-"):
         return TensorExpr.generator(f.kind, m, s, inverted=not f.inverted)
     if f.kind == "E":
         h = Factor("H-", m, s - ShiftForm.of_central(m, _HALF), inverted=True)
         e = Factor("E", m, s - ShiftForm.of_central(m))
         sign = -sigma if not corrected else sigma
-        return TensorExpr(1, [(Fraction(sign), ((h, e),))])
+        return TensorExpr(1, [(sign, ((h, e),))])
     if f.kind == "F":
         ff = Factor("F", m, s - ShiftForm.of_central(m))
         h = Factor("H+", m, s - ShiftForm.of_central(m, _HALF), inverted=True)
         sign = 1 if not corrected else -1
-        return TensorExpr(1, [(Fraction(sign), ((ff, h),))])
+        return TensorExpr(1, [(sign, ((ff, h),))])
     raise StructuralError("no antipode formula for %r" % (f.kind,))
 
 

@@ -283,7 +283,8 @@ def _exchange_ratio(K1, K2, sf, params, digits):
     (StructureFunctionEvaluator), and R is e^-E times their quotient.
     """
     p = to_mpf(params.p)
-    k1, k2 = (QPochProduct(K.factors, digits) for K in (K1, K2))
+    bases = {}  # one Euler table per distinct kernel base, for both products
+    k1, k2 = (QPochProduct(K.factors, digits, bases) for K in (K1, K2))
     s = StructureFunctionEvaluator(p, 1, theta_bases(params.q, p, 1), digits)
     wp = s.wp
     r = sf.sign * K1.scalar / K2.scalar

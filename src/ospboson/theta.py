@@ -24,8 +24,8 @@ terms suffice.
 limits alike, takes it in three steps: per nome (``_modular_nome``: tau,
 q', the prefactor's constant part and (q' | q')_inf), per point and nome
 (``_modular_point``: X = e^{log x / tau}, the point's one exp there) and
-per factor (``_modular_factor``: the product at z' = X^{+-1} P^k, with
-P = e^{log p / (2 tau)} and k twice the factor's half-integer p-shift).
+per factor (``_modular_factor``: the product at z' = X^{+-1} P^k, taken in
+fixed point from X and P = e^{log p / (2 tau)}, k twice the p-shift).
 Each structure function's prefactor exponents sum to a quadratic in
 log x, prepared from exact integer sums over its factors, under one exp.
 
@@ -49,8 +49,9 @@ and denominator (``multiply``), so the exchange check takes two kernels and
 a structure function as one ratio in one pair, which starts at the exact
 integers of their rational scalars.  Fixed point does not renormalize, so
 a value's error is relative to the smallest running value of its pair.  A
-theta factor adds the rounding of z' = X^{+-1} P^k, and a structure
-function that of its quadratic's terms (StructureFunctionEvaluator).
+theta factor adds the rounding of z' = X^{+-1} P^k, of X and P at the working
+precision and in fixed point, and a structure function that of its
+quadratic's terms (StructureFunctionEvaluator).
 
 Each evaluator guards the poles on the value it already sums, by one test
 in ``_qpoch_series`` (a y within POLE_TOL of 1 puts the factor's argument
@@ -107,27 +108,27 @@ def theta_terms_needed(absq, digits):
 class QPochProduct:
     """prod (c x | b)_inf ** power over fixed factors, prepared for many x.
 
-    The factors are QPochFactor-like (c, b, power; b = 0 gives 1 - c x), as
-    in a kernel, with exact rational c and 0 <= b < 1.  Preparation takes
-    each distinct b's series (_euler_base) once, at wp (the working
-    precision of digits + 10, plus the guard bits).  multiply(acc, x) takes
-    x as a fixed-point pair at wp, each c x by integer division, and sums
-    each factor's series (_qpoch_series) into the caller's running products
-    acc = {1: numerator, -1: denominator}, pairs at wp: a factor of power
-    +-1 into acc[+-1], or into acc[-+1] with swap, which multiplies in
-    1/prod(x).  A factor whose series meets a pole (c x within POLE_TOL,
-    relatively, of a zero b^-k, k >= 0) raises PoleError carrying it.
-    Error budget: each factor is within 2^(budget - wp) of its value,
+    The factors are QPochFactor-like (c, b, power; b = 0 gives 1 - c x), as in
+    a kernel, with exact rational c and 0 <= b < 1.  Preparation takes each
+    distinct b's series (_euler_base) once into bases, a dict products of one
+    digits may share, at wp (digits + 10, plus the guard bits).
+    multiply(acc, x) takes x as a fixed-point pair at wp, each c x by integer
+    division, and sums each factor's series (_qpoch_series) into the caller's
+    running products acc = {1: numerator, -1: denominator}, pairs at wp: a
+    factor of power +-1 into acc[+-1], or into acc[-+1] with swap, which
+    multiplies in 1/prod(x).  A factor whose series meets a pole (c x within
+    POLE_TOL, relatively, of a zero b^-k, k >= 0) raises PoleError carrying
+    it.  Error budget: each factor is within 2^(budget - wp) of its value,
     relatively, wherever no PoleError is raised (_qpoch_series); the budget
     is at most 34 bits, at the largest kernel base 9/16.  Each factor adds
     one truncation to its running product, relative to the smallest value
     that product takes, from the caller's start on.
     """
 
-    def __init__(self, factors, digits):
+    def __init__(self, factors, digits, bases=None):
         with workdps(digits + 10):
             self.wp = wp = mp.mp.prec + _GUARD_BITS
-        bases = {}
+        bases = {} if bases is None else bases
         self._factors = []
         for f in factors:
             if f.b not in bases:
@@ -158,9 +159,11 @@ class StructureFunctionEvaluator:
     log p (p > 0).  The one cache, filled on first use: per base, the
     per-nome step (_modular_nome; a nome that is not a real 0 < B < 1, or is
     below about e^-280, whose q' misses the series' budget, raises
-    DomainError), P = e^(log p / (2 tau)) and each power P^k asked for; per
-    f (by id, f kept), its factors' keys (base, orient, k = 2 s; equal for
-    factors that share a theta) and its exponent's coefficients A, B, C.
+    DomainError), and P = e^(log p / (2 tau)) and its powers P^n in fixed
+    point, by integer products (|P| = 1, so P^-n = conj(P^n)); per f (by id,
+    f kept), A, B, C below.  f's plan, its exact part on f and c alone, is
+    its factors' keys (base, orient, k = 2 s; equal for factors that share a
+    theta) and the sums below, kept in plans, a dict one c's evaluators share.
     With lam = log p / 2 and, on each nome, the exact integer sums over f's
     factors S0 = sum power, S1 = sum power k, S2 = sum power k^2,
     S3 = sum power orient and S4 = sum power orient k, the factors'
@@ -170,10 +173,10 @@ class StructureFunctionEvaluator:
     and kappa S0 to C, and A has p_exp log p.
 
     at(x) is the evaluator at one point x.  It takes l once, and on first
-    use each nome's X = e^(l / tau) (_modular_point) and each key's step
-    (_modular_factor) at z' = X^orient P^k = e^(log z / tau),
-    log z = orient l + k lam, whose imaginary part lies in [-pi, pi]: that
-    keeps q'^(1/2) <= |z'| <= q'^(-1/2).
+    use each nome's X = e^(l / tau) (_modular_point) in fixed point, and
+    each key's step (_modular_factor) at z' = X^orient P^k = e^(log z / tau),
+    formed in integers; log z = orient l + k lam has its imaginary part in
+    [-pi, pi], so q'^(1/2) <= |z'| = |X|^orient <= q'^(-1/2).
     multiply(f, acc, swap) multiplies the steps into a caller's fixed-point
     numerator and denominator at wp, as QPochProduct.multiply does, and
     returns A + l (B + l C); it raises PoleError carrying f's first factor
@@ -183,8 +186,11 @@ class StructureFunctionEvaluator:
     is.  All of it runs at the caller's working precision, which must be
     digits + 10 (workdps), so that a caller enters it once.
     Error budget, with u the working precision's unit.  z' is within a few
-    u (1 + |l / tau| + |k lam / tau|) of its value, relatively: X, P, P^k
-    and X^orient P^k each round once, after the exps' arguments.  The step
+    u (1 + |l / tau| + |k lam / tau|) of its value, relatively, as X and P
+    each round once, after the exps' arguments.  The fixed point at wp adds a
+    few 2^-wp (|k| + |z'|^-orient), relatively (P^k's |k| products, and X's
+    rounding), below u while |z'|^-orient <= 2^59: at every real x
+    (|z'| = 1), and on every nome B <= 0.6 (|z'| <= q'^(-1/2)).  The step
     sums it within _qpoch_series's budget over its three q-Pochhammer
     factors on q' (27 bits for the q' <= 0.017 of nomes 6.4e-5 and up;
     |1 - y| >= POLE_TOL wherever a step returns a value), and each step
@@ -196,13 +202,14 @@ class StructureFunctionEvaluator:
     exponents cancel exactly in the sums.
     """
 
-    def __init__(self, p, c, bases, digits):
+    def __init__(self, p, c, bases, digits, plans=None):
         self.c = c
         with workdps(digits + 10):
             self.wp = mp.mp.prec + _GUARD_BITS
         self._log_p = mp.log(p)
         self._bases = bases
-        self._nomes = {}      # base name -> (per-nome step, coefficients, {k: P^k})
+        self._plans = {} if plans is None else plans  # id(f) -> (f, keys, sums)
+        self._nomes = {}      # base name -> (per-nome step, coefficients, [P^0, P^1, ..])
         self._functions = {}  # id(f) -> (f, A, B, C, factor entries)
 
     def _nome(self, name):
@@ -213,28 +220,37 @@ class StructureFunctionEvaluator:
             lam = self._log_p / 2
             # log C, h lam, kappa lam^2 (A); h, 2 kappa lam (B); kappa (C)
             coeffs = log_c, h * lam, kappa * lam * lam, h, 2 * kappa * lam, kappa
-            entry = self._nomes[name] = nome, coeffs, {1: mp.exp(lam * inv_tau)}
+            entry = self._nomes[name] = nome, coeffs, [
+                (1 << self.wp, 0), _to_fixed(mp.exp(lam * inv_tau), self.wp)]
         return entry
 
     def _function(self, f):
         entry = self._functions.get(id(f))
         if entry is not None:
             return entry
-        factors, sums = [], {}  # sums: base name -> [S0, S1, S2, S3, S4]
-        for tf in f.factors:
-            s = tf.shift(self.c)
-            k, r = divmod(2 * s.numerator, s.denominator)
-            if r:
-                raise StructuralError("theta shift %s is not a half-integer" % s)
-            nome, _, powers = self._nome(tf.base)
-            if k not in powers:
-                powers[k] = powers[1] ** k
-            factors.append((tf, (tf.base, tf.orient, k), nome, powers[k]))
-            t = sums.setdefault(tf.base, [0] * 5)
-            for i, v in enumerate((1, k, k * k, tf.orient, tf.orient * k)):
-                t[i] += tf.power * v
+        plan = self._plans.get(id(f))
+        if plan is None:  # the exact part: keys, and per base [S0, .., S4]
+            keys, sums = [], {}
+            for tf in f.factors:
+                s = tf.shift(self.c)
+                k, r = divmod(2 * s.numerator, s.denominator)
+                if r:
+                    raise StructuralError("theta shift %s is not a half-integer" % s)
+                keys.append((tf, (tf.base, tf.orient, k)))
+                t = sums.setdefault(tf.base, [0] * 5)
+                for i, v in enumerate((1, k, k * k, tf.orient, tf.orient * k)):
+                    t[i] += tf.power * v
+            plan = self._plans[id(f)] = f, keys, sums
+        factors = []  # the per-nome part
+        for tf, key in plan[1]:
+            nome, _, powers = self._nome(key[0])
+            for _ in range(len(powers), abs(key[2]) + 1):  # P^n = P^(n-1) P
+                (ar, ai), (pr, pi) = powers[-1], powers[1]
+                powers.append(((ar * pr - ai * pi) >> self.wp, (ar * pi + ai * pr) >> self.wp))
+            pr, pi = powers[abs(key[2])]  # P^-n = conj(P^n)
+            factors.append((tf, key, nome, (pr, pi if key[2] >= 0 else -pi)))
         abc = [f.p_exp * self._log_p, 0, 0]
-        for name, t in sums.items():
+        for name, t in plan[2].items():
             for i, n, v in zip((0, 0, 0, 1, 1, 2), t + t[:1], self._nomes[name][1]):
                 if n:
                     abc[i] += n * v
@@ -253,20 +269,24 @@ class _StructureFunctionPoint:
         x = mp.mpc(x)
         self._log_x = mp.log(x)
         self._real = x.imag == 0
-        self._xs = {}     # base name -> X = e^(log x / tau)
+        self._xs = {}     # base name -> (X = e^(log x / tau) in fixed point, |X|^2)
         self._steps = {}  # factor key -> P, None at a theta zero
 
     def multiply(self, f, acc, swap=False):
         ev = self.evaluator
         wp = ev.wp
         _, a, b, c, factors = ev._function(f)
-        for tf, key, nome, pk in factors:
+        for tf, key, nome, (pr, pi) in factors:
             if key not in self._steps:
-                X = self._xs.get(key[0])
-                if X is None:
-                    X = self._xs[key[0]] = _modular_point(self._log_x, nome)
-                self._steps[key] = _modular_factor(
-                    X * pk if tf.orient == 1 else pk / X, nome, wp)
+                if key[0] not in self._xs:
+                    xr, xi = _to_fixed(_modular_point(self._log_x, nome), wp)
+                    self._xs[key[0]] = xr, xi, xr * xr + xi * xi
+                xr, xi, d = self._xs[key[0]]
+                if tf.orient == 1:  # z' = X P^k
+                    z = (xr * pr - xi * pi) >> wp, (xr * pi + xi * pr) >> wp
+                else:  # z' = P^k / X = P^k conj(X) 2^(2 wp) / |X|^2
+                    z = ((xr * pr + xi * pi) << wp) // d, ((xr * pi - xi * pr) << wp) // d
+                self._steps[key] = _modular_factor(z, nome, wp)
             step = self._steps[key]
             if step is None:
                 raise PoleError("structure function pole or zero", factor=tf)
@@ -322,8 +342,8 @@ def _modular_point(log_x, nome):
 
 def _modular_factor(z, nome, wp):
     """The per-factor step: P = (q' | q')(z' | q')(q'/z' | q') at the
-    transformed argument z' (an mpc) on the nome's real q', in fixed point,
-    or None where its series meets a pole (_qpoch_series).
+    transformed argument z', a fixed-point pair at wp (rounded as the
+    evaluator's budget states), on the real q', or None at a pole.
 
     P is summed from the nome's (q' | q').  q'/z' is divided, and q' z'
     formed (the one shift step of (z' | q'), taken where |z'| > 1), from
@@ -332,7 +352,7 @@ def _modular_factor(z, nome, wp):
     and |z'| near |q'|^(-1/2).
     """
     base, qq = nome[4:]
-    zr, zi = _to_fixed(z, wp)
+    zr, zi = z
     b, t = base[:2]
     # q'/z' = b conj(z') 2^(2 wp - t) / |z'|^2 in fixed point, q' = b 2^-t;
     # d is 0 only for |z'| < 2^-wp, where the numerator is 0 too

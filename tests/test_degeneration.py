@@ -16,7 +16,7 @@ from ospboson.degeneration import (
     trig_structure_function,
 )
 from ospboson.errors import DomainError, PoleError, StructuralError
-from ospboson.relations import relation_catalog, theta_bases
+from ospboson.relations import ThetaFactor, relation_catalog, theta_bases
 from reference import one_factor_theta, theta_argument
 
 
@@ -291,6 +291,27 @@ def test_shared_sample_steps_each_nome_and_factor_once(monkeypatch):
     assert len(nomes) == 2 * len(EPSILON_LADDER) == len(set(nomes))
     assert len(points) == 2 * len(EPSILON_LADDER) == len(set(points))
     assert len(factors) == 24 * len(EPSILON_LADDER) == len(set(factors))
+
+
+def test_shared_sample_plans_each_structure_function_once(monkeypatch):
+    # a structure function's exact part (keys and integer sums) depends on
+    # its factors and c only, so the sample's four eps evaluators take it
+    # once: one shift per factor, not one per factor per eps
+    calls = []
+    shift = ThetaFactor.shift
+
+    def counted(tf, c):
+        calls.append(tf)
+        return shift(tf, c)
+
+    s = SHARED_SAMPLES[1]
+    shared = LimitSample(s["u_minus_v"], eta=s["eta"], hbar=s["hbar"])
+    monkeypatch.setattr(ThetaFactor, "shift", counted)
+    functions = [_rel(name).structure_function for name in LIMIT_NAMES]
+    with mp.workdps(30 + 10):
+        for f in functions:
+            assert len(list(shared.values(f))) == len(EPSILON_LADDER)
+    assert len(calls) == sum(len(f.factors) for f in functions)
 
 
 @pytest.mark.parametrize("field,value", [

@@ -536,6 +536,46 @@ def test_hopf_suite_verify_axiom_count(monkeypatch, tmp_path):
     assert len(calls) == 68
 
 
+def test_hopf_suite_coefficients_are_ints(monkeypatch, tmp_path):
+    # the maps make only +-1, +-sigma and counit values, so every
+    # coefficient of both sides of the suite's 68 rows is an int; the
+    # shifts stay Fractions
+    rows, sides = [], []
+    axiom_sides = hopf._axiom_sides
+
+    def counted(*args, **kwargs):
+        rows.append(args[:2])
+        return verify_axiom(*args, **kwargs)
+
+    def recorded(*args):
+        lhs, rhs = axiom_sides(*args)
+        sides.extend((lhs, rhs))
+        return lhs, rhs
+
+    monkeypatch.setattr(hopf, "verify_axiom", counted)
+    monkeypatch.setattr(cli, "verify_axiom", counted)
+    monkeypatch.setattr(hopf, "_axiom_sides", recorded)
+    cli._suite_hopf(cli.RunConfig(suite="hopf", out=str(tmp_path / "r.json")))
+    assert len(rows) == 68
+    coeffs = [c for side in sides for c, _ in side.terms]
+    assert coeffs and all(type(c) is int for c in coeffs)
+    shifts = [f.shift.constant for side in sides for _, words in side.terms
+              for w in words for f in w]
+    assert shifts and all(type(s) is Fr for s in shifts)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TensorExpr.generator("E", 0, coeff=0.5),
+    lambda: TensorExpr(1, [(1.0, ((),))]),
+    lambda: generator_expr("H+").scale(1.5),
+    lambda: TensorExpr(1).scale(2.0),
+    lambda: C(0, 0.5),
+])
+def test_float_coefficient_refused(make):
+    with pytest.raises(StructuralError, match="exact rationals"):
+        make()
+
+
 def test_axiom_reports_are_traceable():
     rep = verify_axiom("a1", "E", SignConvention(1, -1), trace=True)
     assert rep["verdict"] == "pass"

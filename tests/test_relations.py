@@ -466,6 +466,31 @@ def test_verify_exchange_steps_each_nome_and_factor_once(monkeypatch, rel_id,
     assert len(factor_calls) == len(set(factor_calls)) == 10 * factors
 
 
+@pytest.mark.parametrize("rel_id", ["EE", "H+F", "HH"])
+def test_verify_exchange_prepares_each_euler_base_once(monkeypatch, rel_id):
+    # the call's two kernel products share one Euler table per distinct
+    # kernel base, and each nome of S prepares its q' once
+    calls = []
+    euler_base = theta._euler_base
+
+    def counted(b, wp):
+        calls.append(b)
+        return euler_base(b, wp)
+
+    monkeypatch.setattr(theta, "_euler_base", counted)
+    rel = by_id(relation_catalog())[rel_id]
+    rep = verify_exchange(rel, P, samples=10, digits=DIGITS, seed=0)
+    assert rep["verdict"] == "pass"
+    (a, b), (bp, ap) = ([relations.CURRENTS[n](P) for n in pair]
+                        for pair in (rel.left, rel.right))
+    kernels = (relations.ope_kernel(a, b, P, order=2),
+               relations.ope_kernel(bp, ap, P, order=2))
+    kernel_bases = {f.b for K in kernels for f in K.factors}
+    nomes = {tf.base for tf in rel.structure_function.factors}
+    assert sorted(b for b in calls if isinstance(b, Fr)) == sorted(kernel_bases)
+    assert len(calls) == len(kernel_bases) + len(nomes)
+
+
 def test_residuals_shrink_with_precision():
     rels = by_id(relation_catalog())
     r50 = verify_exchange(rels["EE"], P, samples=5, digits=50, seed=11)

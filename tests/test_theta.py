@@ -7,14 +7,17 @@ from fractions import Fraction as Fr
 import mpmath as mp
 import pytest
 
+from ospboson import theta
 from ospboson.errors import DomainError, PoleError
 from ospboson.freefield import DeformationParams, exp_contraction_closed
+from ospboson.relations import StructureFunction, ThetaFactor
 from ospboson.scalars import sample_annulus_point, to_mpf
 from ospboson.series import QPochFactor
 from ospboson.theta import (
     _GUARD_BITS,
     POLE_TOL,
     QPochProduct,
+    StructureFunctionEvaluator,
     _euler_base,
     _from_fixed,
     _qpoch_series,
@@ -588,6 +591,49 @@ def test_nomes_and_bases_must_be_real():
                   mp.mpf("-0.25")):
             with pytest.raises(DomainError, match="real base"):
                 _euler_base(b, wp)
+
+
+def _z_prime_cases():
+    # (nome, p, points) at the working precision: the relations' nomes 0.04
+    # to 0.56 at p = 1/4, at points off the real axis up to arg x = +-3; and
+    # the limits ladder's extreme nomes B = e^(-eps/(2 eta)), eta = 1/4, at
+    # p = e^(eps hbar), hbar = 0.12, and the real x = e^(-0.4 eps)
+    for q in ("0.04", "0.16", "0.3", "0.56"):
+        yield mp.mpf(q), mp.mpf(1) / 4, [mp.mpc(complex(x)) for x in (
+            "0.7+0.3j", "-1.9+0.5j", "0.2-0.02j", "-0.5-0.4j")]
+    for eps in (mp.mpf("0.1"), mp.mpf("0.0125")):
+        yield mp.exp(-2 * eps), mp.exp(eps * mp.mpf("0.12")), [mp.exp(-eps * mp.mpf("0.4"))]
+
+
+def test_transformed_argument_in_fixed_point(monkeypatch):
+    # z' = X P^k (orient +1) and P^k / X (orient -1), k = -4..4, formed in
+    # integers from X and P in fixed point at wp, against mpc X * P**k and
+    # P**k / X at 20 digits more.  The budget (StructureFunctionEvaluator):
+    # a few u (1 + |l / tau| + |k lam / tau|) |z'| from X and P rounded at
+    # the working precision's unit u, plus the fixed point's
+    # 2^-wp (|k| + |z'|^-orient) |z'|
+    zs = []
+    monkeypatch.setattr(theta, "_modular_factor",
+                        lambda z, nome, wp: zs.append(z) or (1 << wp, 0))
+    keys = [(o, k) for o in (1, -1) for k in range(-4, 5)]
+    f = StructureFunction(1, 0, tuple(
+        ThetaFactor("q2", o, Fr(k, 2), Fr(0), (-1) ** i) for i, (o, k) in enumerate(keys)))
+    with mp.workdps(DIGITS + 10):
+        for q, p, xs in _z_prime_cases():
+            ev = StructureFunctionEvaluator(p, 0, {"q2": q}, DIGITS)
+            one, u = mp.mpf(2) ** -ev.wp, mp.mpf(2) ** (_GUARD_BITS - ev.wp)
+            for x in xs:
+                zs.clear()
+                ev.at(x).multiply(f, {1: (1 << ev.wp, 0), -1: (1 << ev.wp, 0)})
+                with mp.workdps(DIGITS + 30):
+                    tau = mp.log(q) / (2j * mp.pi)
+                    l, lam = mp.log(x), mp.log(p) / 2
+                    X, P = mp.exp(l / tau), mp.exp(lam / tau)
+                    for (o, k), z in zip(keys, zs, strict=True):
+                        ref = X * P ** k if o == 1 else P ** k / X
+                        budget = 4 * abs(ref) * (u * (1 + abs(l / tau) + abs(k * lam / tau))
+                                                 + one * (abs(k) + abs(ref) ** -o))
+                        assert abs(mp.mpc(*z) * one - ref) <= budget, (q, x, o, k)
 
 
 def test_terms_needed_monotone():
