@@ -56,6 +56,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import StructuralError
+from .series import _exact
 
 GENERATOR_KINDS = ("H+", "H-", "E", "F", "c")
 _ODD_KINDS = frozenset(("E", "F"))
@@ -63,13 +64,6 @@ _KIND_ORDER = {k: i for i, k in enumerate(GENERATOR_KINDS)}
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
-
-
-def _exact(value):
-    """An int or a Fraction, as given; anything else is a StructuralError."""
-    if isinstance(value, (int, Fraction)):
-        return value
-    raise StructuralError("coefficients must be exact rationals")
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 A series is a fixed-order jet: coefficients c[0..N] in the single variable
 x.  All ring operations discard the tail beyond x^N, so order-N inputs
 always produce order-N outputs.  Coefficients are ``fractions.Fraction``;
-nothing in this module ever rounds.  Products of q-Pochhammer factors
-(``QPochFactor``) expand in closed form through one exp of their summed logs.
+nothing in this module ever rounds (inputs other than int and Fraction are a
+StructuralError): products and exps sum each output coefficient in integers
+and normalize it once.  Products of q-Pochhammer factors (``QPochFactor``)
+expand through one exp of their summed logs, one factor by Euler's sums.
 """
 
 from __future__ import annotations
@@ -19,13 +21,20 @@ __all__ = ["TruncatedSeries", "QPochFactor", "closed_form_series",
            "qpoch_log_series"]
 
 
+def _exact(value):
+    """An int or a Fraction, as given; anything else is a StructuralError."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise StructuralError("coefficients must be exact rationals")
+
+
 class TruncatedSeries:
     """Coefficient jet c0 + c1 x + ... + cN x^N with exact arithmetic."""
 
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order=None):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [Fraction(_exact(c)) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1
         if order < 0:
@@ -64,19 +73,31 @@ class TruncatedSeries:
         return TruncatedSeries([-a for a in self.coeffs], self.order)
 
     def __mul__(self, other):
+        """Truncated product: the terms a_i b_j of x^m summed as integers over
+        a common denominator d, grown to lcm(d, e) only when a term's
+        denominator e does not divide it, then normalized once."""
         if isinstance(other, (int, Fraction)):
             k = Fraction(other)
             return TruncatedSeries([k * a for a in self.coeffs], self.order)
         self._check(other)
         n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(0, n - i + 1):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
+        a = [(i, c.numerator, c.denominator)
+             for i, c in enumerate(self.coeffs) if c]
+        b = [(c.numerator, c.denominator) for c in other.coeffs]
+        out = []
+        for m in range(n + 1):
+            s, d = 0, 1
+            for i, an, ad in a:
+                if i > m:
+                    break
+                bn, bd = b[m - i]
+                if bn:
+                    e = ad * bd
+                    if d % e:
+                        g = lcm(d, e)
+                        s, d = s * (g // d), g
+                    s += an * bn * (d // e)
+            out.append(Fraction(s, d))
         return TruncatedSeries(out, n)
 
     __rmul__ = __mul__
@@ -101,23 +122,25 @@ class TruncatedSeries:
         """exp of a series with zero constant term.
 
         E' = A' E gives n*E_n = sum_{k=1..n} k*A_k*E_{n-k}, run in integers:
-        with V the lcm of A's denominators, W_k = k*A_k*V is an integer and
-        E_j = N_j / L over one common denominator L, so E_m = (sum_k W_k
-        N_{m-k}) / (m V L) exactly, normalized once.  L and every N_j are then
-        scaled by d / gcd(L, d), d the reduced denominator of E_m; d is not
-        always a multiple of L, so L is grown, not replaced by d.
+        W_k = k*A_k*V is an integer, V the lcm of the denominators of
+        A_1..A_m (grown with m, the stored W_k scaled with it), and E_j =
+        N_j / L over one common denominator L, so E_m = (sum_k W_k N_{m-k}) /
+        (m V L) exactly, normalized once.  L and every N_j are then scaled by
+        d / gcd(L, d), d the reduced denominator of E_m; d is not always a
+        multiple of L, so L is grown, not replaced by d.
         """
         if self.coeffs[0] != 0:
             raise DomainError("exp requires zero constant term")
         n = self.order
-        a = self.coeffs
-        v = lcm(*(c.denominator for c in a))
-        w = [(k, k * c.numerator * (v // c.denominator))
-             for k, c in enumerate(a) if c]
-        nums, lam, out = [1], 1, [Fraction(1)]
+        v, w, nums, lam, out = 1, [], [1], 1, [Fraction(1)]
         for m in range(1, n + 1):
-            e = Fraction(sum(wk * nums[m - k] for k, wk in w if k <= m),
-                         m * v * lam)
+            c = self.coeffs[m]
+            if c:
+                if v % c.denominator:
+                    g = c.denominator // gcd(v, c.denominator)
+                    v, w = v * g, [(k, wk * g) for k, wk in w]
+                w.append((m, m * c.numerator * (v // c.denominator)))
+            e = Fraction(sum(wk * nums[m - k] for k, wk in w), m * v * lam)
             d = e.denominator
             if lam % d:
                 g = d // gcd(lam, d)
@@ -147,7 +170,7 @@ class TruncatedSeries:
 
     def scale_argument(self, s):
         """x -> s*x, i.e. c_k -> c_k * s^k (s exact)."""
-        s = Fraction(s)
+        s = Fraction(_exact(s))
         out, pw = [], Fraction(1)
         for c in self.coeffs:
             out.append(c * pw)
@@ -164,6 +187,7 @@ class QPochFactor:
     power: int
 
     def __post_init__(self):
+        _exact(self.c), _exact(self.b)
         if self.power not in (1, -1):
             raise StructuralError("factor power must be +1 or -1")
 
@@ -200,5 +224,17 @@ def closed_form_series(factors, order):
 
 
 def qpoch_log_series(c, b, order, power=1):
-    """Exact jet of the infinite product prod_{n>=0} (1 - c*x*b^n)**power."""
-    return closed_form_series((QPochFactor(c, b, power),), order)
+    """Exact jet of the infinite product prod_{n>=0} (1 - c*x*b^n)**power.
+
+    Euler's sums (Gasper-Rahman (1.3.15)-(1.3.16)), |b| < 1, with no exp:
+    t_0 = 1 and t_m = t_(m-1) (-c b^(m-1)) / (1 - b^m) for power +1,
+    t_m = t_(m-1) c / (1 - b^m) for power -1.
+    """
+    QPochFactor(c, b, power)  # the exactness and power checks
+    if abs(b) >= 1:
+        raise DomainError("need |b| < 1 for the infinite product, got %s" % b)
+    out = [Fraction(1)]
+    for m in range(1, order + 1):
+        step = c if power == -1 else -c * b ** (m - 1)
+        out.append(out[-1] * step / (1 - b ** m))
+    return TruncatedSeries(out, order)

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ospboson.errors import DomainError, StructuralError
-from ospboson.freefield import DeformationParams, contraction_series, ope_kernel
+from ospboson.freefield import (
+    DeformationParams, contraction_series, exp_contraction_closed, ope_kernel)
 from ospboson.relations import CURRENTS, relation_catalog
 from ospboson.scalars import sample_parameters, to_mpf
 from ospboson.series import (
@@ -158,6 +159,68 @@ def test_kernel_jet_denominators_do_not_always_nest():
     P = EXP_POINTS["exact-algebra"]
     K = ope_kernel(CURRENTS["H+"](P), CURRENTS["E"](P), P, order=24)
     assert not all(_nested_steps(exp_reference(_closed_form_log(K.factors, 24))))
+
+
+PRIMES = [n for n in range(2, 230) if all(n % k for k in range(2, n))]
+
+
+def _zero_gaps(entries):
+    coeffs = [Fr(0)] * 25
+    for i, c in entries.items():
+        coeffs[i] = c
+    return coeffs
+
+
+@pytest.mark.parametrize("a, b", [
+    # pairwise coprime term denominators: every term takes the lcm step
+    ([Fr(1, n) for n in PRIMES[:25]],
+     [Fr((-1) ** j, n) for j, n in enumerate(PRIMES[25:50])]),
+    (_zero_gaps({2: Fr(1, 3), 5: Fr(-2, 5), 11: Fr(7, 6)}),
+     _zero_gaps({3: Fr(5, 4), 7: Fr(-1, 9), 24: Fr(2)})),
+    ([Fr(0)] * 25, _zero_gaps({0: Fr(3), 1: Fr(-1, 2)})),
+], ids=["coprime", "zero-gaps", "zero"])
+def test_mul_matches_reference_at_order_24(a, b):
+    assert (TruncatedSeries(a) * TruncatedSeries(b)).coeffs == poly_mul_trunc(a, b, 24)
+    assert (TruncatedSeries(b) * TruncatedSeries(a)).coeffs == poly_mul_trunc(b, a, 24)
+
+
+def test_mul_matches_reference_on_contraction_factors():
+    # the per-factor product of the psi-psi contraction identity at the
+    # exact-algebra point, whose term denominators nest
+    acc = TruncatedSeries.one(24)
+    for f in exp_contraction_closed("psi", "psi", EXP_POINTS["exact-algebra"]):
+        jet = qpoch_log_series(f.c, f.b, 24, f.power)
+        ref = poly_mul_trunc(acc.coeffs, jet.coeffs, 24)
+        acc = acc * jet
+        assert acc.coeffs == ref
+
+
+@pytest.mark.parametrize("power", [1, -1])
+@pytest.mark.parametrize("base", ["0", "-2/3", "q^2", "(qp)^2"])
+@pytest.mark.parametrize("point", sorted(EXP_POINTS))
+def test_qpoch_log_series_matches_exp_of_closed_form_log(point, base, power):
+    # Euler's sums against the exp of the factor's closed-form log
+    P = EXP_POINTS[point]
+    b = {"0": Fr(0), "-2/3": Fr(-2, 3), "q^2": P.q ** 2,
+         "(qp)^2": (P.q * P.p) ** 2}[base]
+    for c in (P.p, Fr(-3, 7)):
+        f = QPochFactor(c, b, power)
+        ref = exp_reference(_closed_form_log((f,), 16))
+        assert qpoch_log_series(c, b, 16, power).coeffs == ref
+
+
+@pytest.mark.parametrize("bad", [0.1, mp.mpf("0.1"), 1j],
+                         ids=["float", "mpf", "complex"])
+def test_series_inputs_must_be_exact(bad):
+    # nothing in series rounds: a float, an mpf or a complex is refused
+    for make in (lambda: TruncatedSeries([0, bad]),
+                 lambda: TruncatedSeries.one(2).scale_argument(bad),
+                 lambda: QPochFactor(bad, Fr(1, 4), 1),
+                 lambda: qpoch_log_series(Fr(1, 2), bad, 2),
+                 lambda: qpoch_log_series(bad, Fr(1, 4), 2, power=-1)):
+        with pytest.raises(StructuralError, match="^coefficients must be exact"
+                           " rationals$"):
+            make()
 
 
 def test_closed_form_series_groups_bases_exactly():
