@@ -28,13 +28,14 @@ are logged per run so a surviving constant would be visible, not hidden.
 
 Shared sample.  At one sample and one eps, every relation meets the same
 x, p and two nomes, and the eight relations together have 24 distinct
-factors theta_B(x p^s) (12 shifts on each base).  LimitSample holds one
-theta.StructureFunctionEvaluator point per eps, which takes each nome's
-transform step and each distinct factor's once, on first use, and composes
-each relation from them: the exchange checks' own evaluator.  The limits suite
-makes one per sample and passes it to the sample's eight limit_check
-calls; a limit_check without one makes its own, so every caller takes the
-same path.  The trigonometric target is computed apart on every call.
+factors theta_B(x p^s) (12 shifts on each base).  limit_check takes its
+elliptic side from one theta.StructureFunctionEvaluator point per eps,
+which takes each nome's transform step and each distinct factor's once, on
+first use, and composes each relation from them: the exchange checks' own
+evaluator.  The points are a pure function of limit_check's own inputs and
+are remembered for the last inputs only, so consecutive checks at one sample
+(the limits suite's eight) share them and the next sample replaces them.
+The trigonometric target is computed apart on every call.
 
 The trigonometric targets are derived mechanically from the canonical
 relation catalog (same factor lists, same signs), not typed in from the
@@ -47,6 +48,7 @@ catalog that the realization satisfies, i.e. with u-v negated.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from mpmath import mp
@@ -121,8 +123,8 @@ def _degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta=None):
             val = s - to_mpf(tf.shift(c)) * hb
             if eta is not None:
                 val = mp.sin(scales[tf.base] * val)
-            if tf.power == -1 and abs(val) < floor:
-                raise PoleError("%s denominator vanishes"
+            if abs(val) < floor:
+                raise PoleError("%s pole or zero"
                                 % ("rational" if eta is None else "sine"), factor=tf)
             acc = acc * val if tf.power == 1 else acc / val
         return acc
@@ -134,50 +136,46 @@ def trig_structure_function(name, u_minus_v, *, eta, hbar, c=1, digits=30):
     Derived factor-by-factor from the canonical elliptic catalog: a theta
     factor with argument x*p^a on base q^2 becomes sin(2 pi eta (u-v-a*hbar)),
     with eta' replacing eta on base qt^2; the overall sign survives and the
-    p^{+-1} prefactor drops (p -> 1).
+    p^{+-1} prefactor drops (p -> 1).  A factor, numerator or denominator,
+    within 10^(2 - digits) of zero raises PoleError carrying it.
     """
     return _degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta)
 
 
 def rational_structure_function(name, u_minus_v, hbar, c=1, digits=30):
-    """The eta -> 0 limit: each sine replaced by its affine argument."""
+    """The eta -> 0 limit: each sine replaced by its affine argument.
+
+    A factor, numerator or denominator, within 10^(2 - digits) of zero raises
+    PoleError carrying it.
+    """
     return _degenerate_structure_function(name, u_minus_v, hbar, c, digits)
 
 
-class LimitSample:
-    """One limit sample's elliptic side, prepared once for every relation.
+@functools.lru_cache(maxsize=1, typed=True)
+def _elliptic_points(u_minus_v, eta, hbar, c, digits):
+    """limit_check's elliptic side, a pure function of its inputs.
 
-    Built from (u-v, eta, hbar, c, digits), as limit_check takes them: for
-    each eps of EPSILON_LADDER, a theta.StructureFunctionEvaluator on
+    For each eps of EPSILON_LADDER, a theta.StructureFunctionEvaluator on
     p = e^{eps hbar} and the nomes B of the convention above, at the point
-    x = e^{-eps(u-v)}, the four sharing one plans dict.  values(f) is f's
-    value at each eps; a factor at a theta zero (within about theta.POLE_TOL
-    |ln B| / (2 pi) of it, relatively, on its nome B) raises PoleError
-    carrying the first such factor of f.  Nothing is kept beyond the object:
-    the limits suite makes one per sample and drops it after its eight checks.
+    x = e^{-eps(u-v)}, built at the working precision digits + 10, the four
+    sharing one plans dict.  A point's value(f) is f's value there; a factor
+    at a theta zero (within about theta.POLE_TOL |ln B| / (2 pi) of it,
+    relatively, on its nome B) raises PoleError carrying the first such
+    factor of f.  Only the last inputs' points are kept.
     """
-
-    def __init__(self, u_minus_v, *, eta, hbar, c=1, digits=30):
-        self.key = (u_minus_v, eta, hbar, c, digits)
-        with workdps(digits + 10):
-            s = mp.mpc(u_minus_v)
-            self._points, plans = [], {}
-            for eps in map(mp.mpf, EPSILON_LADDER):
-                p = mp.e ** (eps * mp.mpf(hbar))
-                bases = {k: 1 / mp.sqrt(mp.sqrt(b)) for k, b in theta_bases(
-                    mp.exp(eps / mp.mpf(eta)), p, c).items()}
-                self._points.append(StructureFunctionEvaluator(
-                    p, c, bases, digits, plans).at(mp.e ** (-eps * s)))
-
-    def values(self, f):
-        """f's elliptic value at each eps of EPSILON_LADDER, in order; run at
-        the working precision digits + 10."""
-        for point in self._points:
-            yield point.value(f)
+    with workdps(digits + 10):
+        s = mp.mpc(u_minus_v)
+        points, plans = [], {}
+        for eps in map(mp.mpf, EPSILON_LADDER):
+            p = mp.e ** (eps * mp.mpf(hbar))
+            bases = {k: 1 / mp.sqrt(mp.sqrt(b)) for k, b in theta_bases(
+                mp.exp(eps / mp.mpf(eta)), p, c).items()}
+            points.append(StructureFunctionEvaluator(p, c, bases, plans).at(
+                mp.e ** (-eps * s)))
+        return tuple(points)
 
 
-def limit_check(name, u_minus_v, *, eta, hbar, c=1, digits=30, target_name=None,
-                sample=None):
+def limit_check(name, u_minus_v, *, eta, hbar, c=1, digits=30, target_name=None):
     """Convergence of the elliptic structure function to its trig limit.
 
     Evaluates the canonical elliptic structure function at each epsilon of
@@ -185,28 +183,21 @@ def limit_check(name, u_minus_v, *, eta, hbar, c=1, digits=30, target_name=None,
     trigonometric target (by default the same relation; passing a different
     target_name gives a negative control).  Reports the error sequence,
     empirical convergence orders from successive ratios, and the measured
-    elliptic/trig prefactor ratios.  The elliptic side comes from sample, a
-    LimitSample for the same (u-v, eta, hbar, c, digits) shared with the
-    sample's other checks, or from one of its own when sample is None; a
-    sample prepared for other inputs raises StructuralError.  The trig
-    target is never shared.
+    elliptic/trig prefactor ratios.  The elliptic side (_elliptic_points) is
+    shared with the checks before and after this one at the same
+    (u-v, eta, hbar, c, digits), and is evaluated before the target, so a
+    zero both sides share raises PoleError carrying the elliptic factor.  The
+    trig target is never shared.
     """
     f = _structure_function(name)
-    if sample is not None and sample.key != (u_minus_v, eta, hbar, c, digits):
-        raise StructuralError("the limit sample was prepared for (u-v, eta, "
-                              "hbar, c, digits) = %r, not %r" % (
-                                  sample.key, (u_minus_v, eta, hbar, c, digits)))
     with workdps(digits + 10):
+        values = [point.value(f)
+                  for point in _elliptic_points(u_minus_v, eta, hbar, c, digits)]
         target = trig_structure_function(
             target_name or name, u_minus_v, eta=eta, hbar=hbar, c=c, digits=digits
         )
-        if sample is None:
-            sample = LimitSample(u_minus_v, eta=eta, hbar=hbar, c=c, digits=digits)
-        errors = []
-        ratios = []
-        for value in sample.values(f):
-            errors.append(float(abs(value - target)))
-            ratios.append(mp.nstr(value / target, 12))
+        errors = [float(abs(value - target)) for value in values]
+        ratios = [mp.nstr(value / target, 12) for value in values]
         orders = []
         steps = zip(EPSILON_LADDER, EPSILON_LADDER[1:])
         for (e0, e1), (x0, x1) in zip(zip(errors, errors[1:]), steps):

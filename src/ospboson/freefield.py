@@ -66,7 +66,9 @@ class DeformationParams:
     The H currents shift arguments by p^{1/2}, so anything touching them
     needs sqrt_p supplied as an exact rational (usually one draws sqrt_p
     and squares it).  Integer-power work (mode brackets, contractions,
-    E/F kernels) is fine without it.
+    E/F kernels) is fine without it.  q, p and sqrt_p are ints, Fractions or
+    exact strings such as "2/5"; a float, mpf or complex would be rounded
+    to some other point, so it raises StructuralError.
     """
 
     q: Fraction
@@ -74,21 +76,30 @@ class DeformationParams:
     sqrt_p: Fraction = None
 
     def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
-        object.__setattr__(self, "p", Fraction(self.p))
+        for name in ("q", "p", "sqrt_p"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _exact_rational(name, value))
         if not (0 < self.q < 1):
             raise DomainError("need 0 < q < 1, got %s" % self.q)
         if not (0 < self.p < 1):
             raise DomainError("need 0 < p < 1, got %s" % self.p)
-        if self.sqrt_p is not None:
-            object.__setattr__(self, "sqrt_p", Fraction(self.sqrt_p))
-            if self.sqrt_p * self.sqrt_p != self.p:
-                raise StructuralError("sqrt_p**2 != p")
+        if self.sqrt_p is not None and self.sqrt_p * self.sqrt_p != self.p:
+            raise StructuralError("sqrt_p**2 != p")
 
     @classmethod
     def from_sqrt(cls, q, sqrt_p):
-        sqrt_p = Fraction(sqrt_p)
-        return cls(Fraction(q), sqrt_p * sqrt_p, sqrt_p)
+        sqrt_p = _exact_rational("sqrt_p", sqrt_p)
+        return cls(q, sqrt_p * sqrt_p, sqrt_p)
+
+
+def _exact_rational(name, value):
+    """An int, a Fraction or an exact string as a Fraction; anything else,
+    which Fraction would take at its binary value, is a StructuralError."""
+    if not isinstance(value, (int, Fraction, str)):
+        raise StructuralError("q, p and sqrt_p must be exact rationals, got %s = %r"
+                              % (name, value))
+    return Fraction(value)
 
 
 def _antisym(x, n):
@@ -283,9 +294,9 @@ class Kernel:
 
     def eval_product(self, x, digits):
         """Numeric value of the factor product at complex x (theta.QPochProduct)."""
-        product = QPochProduct(self.factors, digits)
-        wp = product.wp
         with workdps(digits + 10):
+            product = QPochProduct(self.factors)
+            wp = product.wp
             acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
             product.multiply(acc, _to_fixed(mp.mpc(x), wp))
             return _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)

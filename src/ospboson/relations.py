@@ -149,7 +149,9 @@ def relation_catalog(params=None, mode="canonical"):
     mode "canonical": x-oriented structure functions satisfied by the c = 1
     realization.  mode "strict-text": the displays as printed, including the
     H-E right-hand side reading E(w) H+(z) and the p^{-+c/2} shifts on the
-    H-F pair; differences are audited, never silently merged.
+    H-F pair; differences are audited, never silently merged.  The schemas
+    do not depend on the deformation point: params is unused, and kept for
+    callers that pass one.
     """
     if mode not in MODES:
         raise StructuralError("unknown catalog mode %r" % mode)
@@ -271,8 +273,8 @@ def _sample_x(rng, digits, at):
     raise DomainError("could not sample away from poles in 10 tries")
 
 
-def _exchange_ratio(K1, K2, sf, params, digits):
-    """x -> R = K1(1, x) / (S(x) K2(x, 1)), run at the precision digits + 10.
+def _exchange_ratio(K1, K2, sf, params):
+    """x -> R = K1(1, x) / (S(x) K2(x, 1)), run at the precision in force.
 
     With K = scalar z^z_exp w^w_exp prod(w/z) and S = sign e^E (steps),
     R = e^-E r x^m prod1(x) / (prod2(1/x) (steps)), r = sign scalar1 /
@@ -284,8 +286,8 @@ def _exchange_ratio(K1, K2, sf, params, digits):
     """
     p = to_mpf(params.p)
     bases = {}  # one Euler table per distinct kernel base, for both products
-    k1, k2 = (QPochProduct(K.factors, digits, bases) for K in (K1, K2))
-    s = StructureFunctionEvaluator(p, 1, theta_bases(params.q, p, 1), digits)
+    k1, k2 = (QPochProduct(K.factors, bases) for K in (K1, K2))
+    s = StructureFunctionEvaluator(p, 1, theta_bases(params.q, p, 1))
     wp = s.wp
     r = sf.sign * K1.scalar / K2.scalar
     m = K1.w_exp - K2.z_exp
@@ -344,7 +346,7 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     sf = StructureFunction(1, 0, ()) if unit_structure else rel.structure_function
     rng = random.Random(("exchange", rel.rel_id, rel.mode, seed).__repr__())
     with workdps(digits + 10):
-        ratio = _exchange_ratio(K1, K2, sf, params, digits)
+        ratio = _exchange_ratio(K1, K2, sf, params)
         draws = [_sample_x(rng, digits, ratio) for _ in range(samples)]
         residuals = [abs(R - 1) / max(abs(R), 1) for _, R in draws]
         rmax = max(residuals)

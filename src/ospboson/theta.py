@@ -69,7 +69,6 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import DomainError, PoleError, StructuralError
-from .scalars import workdps
 
 __all__ = [
     "QPochProduct",
@@ -111,7 +110,7 @@ class QPochProduct:
     The factors are QPochFactor-like (c, b, power; b = 0 gives 1 - c x), as in
     a kernel, with exact rational c and 0 <= b < 1.  Preparation takes each
     distinct b's series (_euler_base) once into bases, a dict products of one
-    digits may share, at wp (digits + 10, plus the guard bits).
+    precision may share, at wp (the precision in force, plus the guard bits).
     multiply(acc, x) takes x as a fixed-point pair at wp, each c x by integer
     division, and sums each factor's series (_qpoch_series) into the caller's
     running products acc = {1: numerator, -1: denominator}, pairs at wp: a
@@ -125,9 +124,8 @@ class QPochProduct:
     that product takes, from the caller's start on.
     """
 
-    def __init__(self, factors, digits, bases=None):
-        with workdps(digits + 10):
-            self.wp = wp = mp.mp.prec + _GUARD_BITS
+    def __init__(self, factors, bases=None):
+        self.wp = wp = mp.mp.prec + _GUARD_BITS
         bases = {} if bases is None else bases
         self._factors = []
         for f in factors:
@@ -183,8 +181,8 @@ class StructureFunctionEvaluator:
     at a theta zero, where the step is None: within about
     POLE_TOL |ln B| / (2 pi) of it, relatively.  value(f) multiplies into a
     pair of its own, divides it once and takes one exp; it is real when x
-    is.  All of it runs at the caller's working precision, which must be
-    digits + 10 (workdps), so that a caller enters it once.
+    is.  All of it runs at the working precision in force when the evaluator
+    is built (wp adds the guard bits to it), so a caller enters it once.
     Error budget, with u the working precision's unit.  z' is within a few
     u (1 + |l / tau| + |k lam / tau|) of its value, relatively, as X and P
     each round once, after the exps' arguments.  The fixed point at wp adds a
@@ -202,10 +200,9 @@ class StructureFunctionEvaluator:
     exponents cancel exactly in the sums.
     """
 
-    def __init__(self, p, c, bases, digits, plans=None):
+    def __init__(self, p, c, bases, plans=None):
         self.c = c
-        with workdps(digits + 10):
-            self.wp = mp.mp.prec + _GUARD_BITS
+        self.wp = mp.mp.prec + _GUARD_BITS
         self._log_p = mp.log(p)
         self._bases = bases
         self._plans = {} if plans is None else plans  # id(f) -> (f, keys, sums)

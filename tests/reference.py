@@ -148,7 +148,7 @@ def theta_eval(z, q, digits):
 def structure_function_value(f, x, p, c, bases, digits):
     """f at the one point x, through a fresh StructureFunctionEvaluator."""
     with workdps(digits + 10):
-        return StructureFunctionEvaluator(p, c, bases, digits).at(x).value(f)
+        return StructureFunctionEvaluator(p, c, bases).at(x).value(f)
 
 
 class _Theta:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ospboson
-from ospboson import cli
+from ospboson import cli, degeneration
 from ospboson.cli import (
     RunConfig, UsageError, _suite_hopf, main, print_object, run_suite)
 
@@ -113,20 +113,23 @@ def test_limits_suite_golden():
 
 def test_limits_suite_calls_limit_check_once_per_report(monkeypatch):
     # perfbench counts cli.limit_check calls against the scaling-limit
-    # reports and marks its clock after each call; each sample's one shared
-    # LimitSample serves its eight checks
+    # reports and marks its clock after each call; each sample's eight
+    # consecutive checks share one elliptic side, built once per sample
     calls = []
     limit_check = cli.limit_check
+    memo = degeneration._elliptic_points
 
     def counted(*args, **kwargs):
-        calls.append(kwargs["sample"])
+        calls.append(args)
         return limit_check(*args, **kwargs)
 
+    memo.cache_clear()
     monkeypatch.setattr(cli, "limit_check", counted)
     reports = cli._suite_limits(RunConfig(seed=7))
     checks = [rep for rep in reports if rep["check"] == "scaling-limit"]
     assert len(calls) == len(checks) == 24
-    assert [calls.count(s) for s in dict.fromkeys(calls)] == [8, 8, 8]
+    info = memo.cache_info()
+    assert (info.misses, info.currsize) == (3, 1)
 
 
 GOLDEN_RELATIONS_POINTS = Path(__file__).with_name("golden_relations_points.txt")

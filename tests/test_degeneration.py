@@ -8,7 +8,6 @@ from ospboson.degeneration import (
     EPSILON_LADDER,
     LIMIT_NAMES,
     TRIG_DISPLAY_AUDIT,
-    LimitSample,
     eta_prime,
     limit_check,
     rational_structure_function,
@@ -206,10 +205,17 @@ def test_limit_check_report_shape():
 
 
 # ---------------------------------------------------------------------------
-# one LimitSample shared by a sample's checks
+# one elliptic side shared by a sample's consecutive checks
 
 
 SHARED_SAMPLES = [dict(u_minus_v=0.4, eta=0.25, hbar=0.12)] + sample_limit_inputs(0, 3)
+MEMO = degeneration._elliptic_points
+
+
+def _own(name, **inputs):
+    # the report from a cleared memo: an elliptic side built for this call
+    MEMO.cache_clear()
+    return limit_check(name, **inputs)
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["catalog", "reversed"])
@@ -217,11 +223,11 @@ def test_shared_sample_equals_own(order):
     # the shared elliptic side gives every report to the bit, whichever
     # relation fills its entries first
     for s in SHARED_SAMPLES:
-        shared = LimitSample(s["u_minus_v"], eta=s["eta"], hbar=s["hbar"])
+        own = {name: _own(name, **s) for name in LIMIT_NAMES}
+        MEMO.cache_clear()
         for name in LIMIT_NAMES[::order]:
-            own = limit_check(name, s["u_minus_v"], eta=s["eta"], hbar=s["hbar"])
-            assert limit_check(name, s["u_minus_v"], eta=s["eta"], hbar=s["hbar"],
-                               sample=shared) == own, (s, name)
+            assert limit_check(name, **s) == own[name], (s, name)
+        assert MEMO.cache_info().misses == 1
 
 
 def test_shared_sample_values_equal_per_factor_thetas():
@@ -230,11 +236,11 @@ def test_shared_sample_values_equal_per_factor_thetas():
     # and the nomes are
     digits = 60
     for c in (1, 0):
-        shared = LimitSample(0.4, eta=0.25, hbar=0.12, c=c, digits=digits)
+        points = MEMO(0.4, 0.25, 0.12, c, digits)
         for name in LIMIT_NAMES:
             f = _rel(name).structure_function
             with mp.workdps(digits + 10):
-                values = list(shared.values(f))
+                values = [point.value(f) for point in points]
                 for eps, got in zip(map(mp.mpf, EPSILON_LADDER), values):
                     p = mp.e ** (eps * mp.mpf(0.12))
                     x = mp.e ** (-eps * mp.mpc(0.4))
@@ -251,12 +257,11 @@ def test_shared_sample_values_equal_per_factor_thetas():
 
 @pytest.mark.parametrize("names", [("H+H-", "HH"), ("HH", "H+H-")])
 def test_shared_sample_level_zero_pair(names):
-    shared = LimitSample(0.4, eta=0.25, hbar=0.12, c=0)
-    reps = []
-    for name in names:
-        rep = limit_check(name, 0.4, eta=0.25, hbar=0.12, c=0, sample=shared)
-        assert rep == limit_check(name, 0.4, eta=0.25, hbar=0.12, c=0)
-        reps.append(rep)
+    inputs = dict(u_minus_v=0.4, eta=0.25, hbar=0.12, c=0)
+    own = [_own(name, **inputs) for name in names]
+    MEMO.cache_clear()
+    reps = [limit_check(name, **inputs) for name in names]
+    assert reps == own
     assert reps[0]["errors"] == reps[1]["errors"]
     assert reps[0]["exact"] and reps[1]["exact"]
 
@@ -278,13 +283,13 @@ def test_shared_sample_steps_each_nome_and_factor_once(monkeypatch):
         factors.append((z, nome[0]))
         return modular_factor(z, nome, wp)
 
+    MEMO.cache_clear()
     monkeypatch.setattr(theta, "_modular_nome", counted_nome)
     monkeypatch.setattr(theta, "_modular_point", counted_point)
     monkeypatch.setattr(theta, "_modular_factor", counted_factor)
     s = SHARED_SAMPLES[1]
-    shared = LimitSample(s["u_minus_v"], eta=s["eta"], hbar=s["hbar"])
     for name in LIMIT_NAMES:
-        limit_check(name, s["u_minus_v"], eta=s["eta"], hbar=s["hbar"], sample=shared)
+        limit_check(name, **s)
     # 2 nomes at each of the 4 eps, each with one exp X = e^(log x / tau);
     # the 8 relations have 24 distinct factors at each eps (12 shifts on
     # each base)
@@ -305,44 +310,72 @@ def test_shared_sample_plans_each_structure_function_once(monkeypatch):
         return shift(tf, c)
 
     s = SHARED_SAMPLES[1]
-    shared = LimitSample(s["u_minus_v"], eta=s["eta"], hbar=s["hbar"])
+    MEMO.cache_clear()
+    points = MEMO(s["u_minus_v"], s["eta"], s["hbar"], 1, 30)
     monkeypatch.setattr(ThetaFactor, "shift", counted)
     functions = [_rel(name).structure_function for name in LIMIT_NAMES]
     with mp.workdps(30 + 10):
         for f in functions:
-            assert len(list(shared.values(f))) == len(EPSILON_LADDER)
+            assert len([point.value(f) for point in points]) == len(EPSILON_LADDER)
     assert len(calls) == sum(len(f.factors) for f in functions)
 
 
 @pytest.mark.parametrize("field,value", [
     ("u_minus_v", 0.41), ("eta", 0.26), ("hbar", 0.13), ("c", 0), ("digits", 40)])
-def test_shared_sample_for_other_inputs_refused(field, value):
+def test_shared_sample_rebuilt_for_other_inputs(field, value):
+    # the memo keeps the last inputs' side only: a check at the same inputs
+    # takes it, and one that changes any input builds its own, whose report
+    # is the cleared memo's
     inputs = dict(u_minus_v=0.4, eta=0.25, hbar=0.12, c=1, digits=30)
-    shared = LimitSample(inputs.pop("u_minus_v"), **inputs)
-    args = dict(u_minus_v=0.4, eta=0.25, hbar=0.12, c=1, digits=30)
-    args[field] = value
-    with pytest.raises(StructuralError, match="limit sample was prepared"):
-        limit_check("EE", args.pop("u_minus_v"), sample=shared, **args)
+    other = {**inputs, field: value}
+    want = _own("EE", **other)
+    MEMO.cache_clear()
+    limit_check("EE", **inputs)
+    limit_check("HH", **inputs)
+    assert limit_check("EE", **other) == want
+    info = MEMO.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 1)
 
 
 def test_shared_sample_pole_carries_first_factor():
     # u - v = hbar puts x p at the zero 1 of every theta: EE's second factor
     # (numerator, p-shift 1) and the third of H+H- (denominator, p-shift
-    # 2 - c), which the shared sample meets under one entry.  H+H- takes the
-    # EE target, whose sines vanish only in the numerator, so its elliptic
-    # side is reached
+    # 2 - c), which the shared sample meets under one entry.  The elliptic
+    # side is evaluated before the EE target, whose numerator sine vanishes
+    # there too, so each carries its elliptic factor
     ee = _rel("EE").structure_function.factors[1]
     hh = _rel("H+H-").structure_function.factors[2]
     cases = [("EE", None, ee), ("H+H-", "EE", hh)]
+    inputs = dict(u_minus_v=0.12, eta=0.25, hbar=0.12)
     for order in (cases, cases[::-1]):
-        shared = LimitSample(0.12, eta=0.25, hbar=0.12)
+        own = []
         for name, target, factor in order:
-            with pytest.raises(PoleError, match="structure function pole") as own:
-                limit_check(name, 0.12, eta=0.25, hbar=0.12, target_name=target)
+            with pytest.raises(PoleError, match="structure function pole") as exc:
+                _own(name, target_name=target, **inputs)
+            own.append(exc.value.factor)
+        MEMO.cache_clear()
+        for (name, target, factor), own_factor in zip(order, own):
             with pytest.raises(PoleError, match="structure function pole") as got:
-                limit_check(name, 0.12, eta=0.25, hbar=0.12, target_name=target,
-                            sample=shared)
-            assert got.value.factor == own.value.factor == factor
+                limit_check(name, target_name=target, **inputs)
+            assert got.value.factor == own_factor == factor
+
+
+def test_vanishing_target_raises_pole_error():
+    # at u - v = hbar EE's numerator sine, p-shift 1, is 0: a check whose
+    # elliptic side is regular there (H+E) meets it in its EE target, and
+    # the sine and rational structure functions raise where they vanish,
+    # not only at a pole
+    ee = _rel("EE").structure_function.factors[1]
+    assert (ee.p_shift, ee.power) == (1, 1)
+    with pytest.raises(PoleError, match="sine pole or zero") as exc:
+        limit_check("H+E", 0.12, eta=0.25, hbar=0.12, target_name="EE")
+    assert exc.value.factor == ee
+    with pytest.raises(PoleError, match="sine pole or zero") as exc:
+        trig_structure_function("EE", 0.12, eta=0.25, hbar=0.12)
+    assert exc.value.factor == ee
+    with pytest.raises(PoleError, match="rational pole or zero") as exc:
+        rational_structure_function("EE", 0.12, 0.12)
+    assert exc.value.factor == ee
 
 
 def test_sample_limit_inputs_deterministic_and_guarded():

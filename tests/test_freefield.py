@@ -6,7 +6,7 @@ from fractions import Fraction as Fr
 import mpmath as mp
 import pytest
 
-from ospboson.errors import PoleError, StructuralError, UnsupportedError
+from ospboson.errors import DomainError, PoleError, StructuralError, UnsupportedError
 from ospboson.freefield import (
     DeformationParams,
     E_current,
@@ -38,6 +38,28 @@ def test_mode_bracket_reference_value():
     # (-3/2) * (-35/6) * (7/3) = 245/12
     P = DeformationParams(Fr(1, 2), Fr(1, 3))
     assert mode_bracket(1, -1, P) == Fr(245, 12)
+
+
+@pytest.mark.parametrize("inexact", [0.4, mp.mpf("0.4"), 0.4 + 0j],
+                         ids=["float", "mpf", "complex"])
+def test_deformation_params_refuse_inexact(inexact):
+    # a float, mpf or complex q, p or sqrt_p would round to another point,
+    # in either constructor; ints, Fractions and exact strings are kept as
+    # the rationals they spell
+    for args in ((inexact, Fr(1, 4)), (Fr(2, 5), inexact), (Fr(2, 5), Fr(1, 4), inexact)):
+        with pytest.raises(StructuralError, match="must be exact rationals"):
+            DeformationParams(*args)
+    for args in ((inexact, Fr(1, 2)), (Fr(2, 5), inexact)):
+        with pytest.raises(StructuralError, match="must be exact rationals"):
+            DeformationParams.from_sqrt(*args)
+    want = DeformationParams(Fr(2, 5), Fr(1, 4), Fr(1, 2))
+    for got in (DeformationParams("2/5", "1/4", "1/2"),
+                DeformationParams("0.4", "0.25", "0.5"),
+                DeformationParams.from_sqrt("2/5", "1/2"),
+                DeformationParams.from_sqrt(Fr(2, 5), Fr(1, 2))):
+        assert got == want and type(got.q) is type(got.p) is type(got.sqrt_p) is Fr
+    with pytest.raises(DomainError, match="0 < q < 1"):  # an int is exact
+        DeformationParams(1, Fr(1, 4))
 
 
 def test_mode_bracket_support_and_antisymmetry():
@@ -183,7 +205,8 @@ def test_kernel_pole_guard_relative_distance():
     kernels = (ope_kernel(E, E, P, order=2), ope_kernel(E, F, P, order=2))
     assert any(f.b == 0 for f in kernels[1].factors)
     for K in kernels:
-        ev = QPochProduct(K.factors, 30)
+        with mp.workdps(30 + 10):
+            ev = QPochProduct(K.factors)
         for f in K.factors:
             for n in range(1 if f.b == 0 else 3):
                 with mp.workdps(30):
@@ -265,11 +288,11 @@ def test_kernel_lines_are_scalar_monomial_product(pair):
     K = ope_kernel(CURRENTS[pair[0]](P), CURRENTS[pair[1]](P), P, order=2)
     unit_kernel = Kernel(P, 2, 1, 0, 0, (), ())
     unit_structure = StructureFunction(1, 0, ())
-    product = QPochProduct(K.factors, 50)
     rng = random.Random(repr(("kernel-lines", pair)))
     with mp.workdps(60):
-        w_line = _exchange_ratio(K, unit_kernel, unit_structure, P, 50)
-        z_ratio = _exchange_ratio(unit_kernel, K, unit_structure, P, 50)
+        product = QPochProduct(K.factors)
+        w_line = _exchange_ratio(K, unit_kernel, unit_structure, P)
+        z_ratio = _exchange_ratio(unit_kernel, K, unit_structure, P)
         scalar = to_mpf(K.scalar)
         for x in (sample_annulus_point(rng, 60) for _ in range(2)):
             for got, want in ((w_line(x), scalar * x ** K.w_exp * product_at(product, x)),
@@ -305,8 +328,8 @@ def test_eval_product_pole_error_carries_factor():
                             (KEF, p, QPochFactor(1 / p, Fr(0), -1)),
                             (KEE, p / q2, QPochFactor(1 / p, q2, -1))):
         assert factor in K.factors
-        ev = QPochProduct(K.factors, 30)
         with mp.workdps(40):
+            ev = QPochProduct(K.factors)
             for off in (0, mp.mpf("0.5e-6"), mp.mpc(0, "-0.5e-6")):
                 with pytest.raises(PoleError) as exc:
                     product_at(ev, to_mpf(zero) * (1 + off))
