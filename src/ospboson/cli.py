@@ -51,6 +51,7 @@ from .freefield import (
 from .hopf import (
     AXIOM_GENERATORS,
     AXIOMS,
+    GENERATOR_KINDS,
     SignConvention,
     coproduct_repr,
     generator_expr,
@@ -315,7 +316,7 @@ def print_object(kind, obj_id, *, strict_text=False):
         return "structure function %s (%s)\n%s" % (
             obj_id, mode, structure_function_repr(rel.structure_function))
     if kind == "coproduct":
-        if obj_id not in ("H+", "H-", "E", "F", "c"):
+        if obj_id not in GENERATOR_KINDS:
             raise UsageError("unknown generator %r" % (obj_id,))
         return "coproduct of %s\n%s" % (obj_id, coproduct_repr(obj_id))
     raise UsageError("unknown object kind %r" % (kind,))

@@ -39,11 +39,12 @@ The trigonometric target is computed apart on every call.
 
 The trigonometric targets are derived mechanically from the canonical
 relation catalog (same factor lists, same signs), not typed in from the
-degenerate displays.  Where the degenerate displays disagree with the
-mechanical limit of the canonical catalog, the discrepancy is recorded in
-TRIG_DISPLAY_AUDIT: the F-side displays (H^{+-}F and FF) appear with
-numerator and denominator interchanged relative to the limit of the
-catalog that the realization satisfies, i.e. with u-v negated.
+degenerate displays, and LIMIT_NAMES is the catalog's exchange ids.  How
+the printed degenerate displays compare with these targets (the F-side
+displays, H^{+-}F and FF, appear with numerator and denominator
+interchanged, i.e. with u-v negated) is kept with the tests, as
+tests/reference.py's TRIG_DISPLAY_AUDIT: the displays are not encoded
+here, so no report can derive it.
 """
 
 from __future__ import annotations
@@ -55,30 +56,10 @@ from mpmath import mp
 
 from .errors import DomainError, PoleError, StructuralError
 from .relations import relation_catalog, theta_bases
-from .scalars import to_mpf, workdps
+from .scalars import workdps
 from .theta import StructureFunctionEvaluator
 
 EPSILON_LADDER = (0.1, 0.05, 0.025, 0.0125)
-
-LIMIT_NAMES = ("H+E", "H-E", "H+F", "H-F", "HH", "H+H-", "EE", "FF")
-
-# how the printed degenerate displays compare with the mechanical limit of
-# the canonical catalog ("matches" / "reciprocal" = num and den swapped)
-TRIG_DISPLAY_AUDIT = {
-    "H+E": "matches",
-    "H-E": "matches",
-    "H+F": "reciprocal",
-    "H-F": "reciprocal",
-    "HH": "matches",
-    "H+H-": "matches",
-    "EE": "matches",
-    "FF": "reciprocal",
-    # the 1/(2 hbar) of the EF display is normalization bookkeeping for the
-    # additive delta, not derived; the relative sign of its two delta terms is
-    # left unfixed by the source (the H^- -> -H^- rescaling freedom)
-    "EF": "matches",
-}
-
 
 def eta_prime(eta, hbar, c):
     """Solve 1/eta' - 1/eta = hbar*c for eta'."""
@@ -100,6 +81,8 @@ def _etas(eta, hbar, c):
 _STRUCTURE_FUNCTIONS = {rel.rel_id: rel.structure_function
                         for rel in relation_catalog() if rel.kind == "exchange"}
 
+LIMIT_NAMES = tuple(_STRUCTURE_FUNCTIONS)  # in catalog order
+
 
 def _structure_function(name):
     if name not in _STRUCTURE_FUNCTIONS:
@@ -120,7 +103,7 @@ def _degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta=None):
         acc = mp.mpc(f.sign)
         floor = mp.mpf(10) ** (2 - digits)
         for tf in f.factors:
-            val = s - to_mpf(tf.shift(c)) * hb
+            val = s - (tf.k0 + tf.k1 * c) * hb / 2
             if eta is not None:
                 val = mp.sin(scales[tf.base] * val)
             if abs(val) < floor:
@@ -157,20 +140,20 @@ def _elliptic_points(u_minus_v, eta, hbar, c, digits):
 
     For each eps of EPSILON_LADDER, a theta.StructureFunctionEvaluator on
     p = e^{eps hbar} and the nomes B of the convention above, at the point
-    x = e^{-eps(u-v)}, built at the working precision digits + 10, the four
-    sharing one plans dict.  A point's value(f) is f's value there; a factor
-    at a theta zero (within about theta.POLE_TOL |ln B| / (2 pi) of it,
-    relatively, on its nome B) raises PoleError carrying the first such
-    factor of f.  Only the last inputs' points are kept.
+    x = e^{-eps(u-v)}, built at the working precision digits + 10, each on
+    its own.  A point's value(f) is f's value there; a factor at a theta
+    zero (within about theta.POLE_TOL |ln B| / (2 pi) of it, relatively, on
+    its nome B) raises PoleError carrying the first such factor of f.  Only
+    the last inputs' points are kept.
     """
     with workdps(digits + 10):
         s = mp.mpc(u_minus_v)
-        points, plans = [], {}
+        points = []
         for eps in map(mp.mpf, EPSILON_LADDER):
             p = mp.e ** (eps * mp.mpf(hbar))
             bases = {k: 1 / mp.sqrt(mp.sqrt(b)) for k, b in theta_bases(
                 mp.exp(eps / mp.mpf(eta)), p, c).items()}
-            points.append(StructureFunctionEvaluator(p, c, bases, plans).at(
+            points.append(StructureFunctionEvaluator(p, c, bases).at(
                 mp.e ** (-eps * s)))
         return tuple(points)
 
@@ -250,10 +233,7 @@ def sample_limit_inputs(seed, count):
     every exchange relation; the window sizes make the k != 0 sine zeros
     unreachable, so this single guard covers both sides of the comparison.
     """
-    shifts = set()
-    for name in LIMIT_NAMES:
-        for tf in _structure_function(name).factors:
-            shifts.add(to_mpf(tf.shift(1)))
+    shifts = {tf.k0 + tf.k1 for f in _STRUCTURE_FUNCTIONS.values() for tf in f.factors}
     rng = random.Random(("limit-samples", seed, count, 1).__repr__())
     samples = []
     for _ in range(count):
@@ -261,7 +241,7 @@ def sample_limit_inputs(seed, count):
             eta = rng.uniform(0.2, 0.35)
             hbar = rng.uniform(0.08, 0.18)
             s = rng.uniform(0.25, 0.65)
-            if min(abs(s - float(a) * hbar) for a in shifts) >= 0.04:
+            if min(abs(s - k * hbar / 2) for k in shifts) >= 0.04:
                 samples.append({"u_minus_v": s, "eta": eta, "hbar": hbar})
                 break
         else:

@@ -63,7 +63,14 @@ MODES = ("canonical", "strict-text")
 
 @dataclass(frozen=True)
 class ThetaFactor:
-    """theta_base(x^orient * p^(p_shift + c_shift * c)) ** power."""
+    """theta_base(x^orient * p^(p_shift + c_shift * c)) ** power.
+
+    p_shift and c_shift are half-integers, given as ints, Fractions or exact
+    strings such as "1/2"; a float, an mpf, a value of another type or a
+    shift that is not a half-integer raises StructuralError.  Their doubles
+    are kept as the ints k0 and k1, so at an integer level c the shift is
+    k / 2 with k = k0 + k1 c, an int.
+    """
 
     base: str        # "q2" or "qt2"
     orient: int      # +1: argument in w/z, -1: in z/w
@@ -76,12 +83,13 @@ class ThetaFactor:
             raise StructuralError("unknown theta base %r" % self.base)
         if self.orient not in (1, -1) or self.power not in (1, -1):
             raise StructuralError("orient and power must be +-1")
-        object.__setattr__(self, "p_shift", Fraction(self.p_shift))
-        object.__setattr__(self, "c_shift", Fraction(self.c_shift))
-
-    def shift(self, c):
-        """The exact p-exponent p_shift + c_shift * c at level c."""
-        return self.p_shift + self.c_shift * c
+        for name, k in (("p_shift", "k0"), ("c_shift", "k1")):
+            s = getattr(self, name)
+            exact = Fraction(s) if isinstance(s, (int, Fraction, str)) else None
+            if exact is None or exact.denominator > 2:
+                raise StructuralError("%s must be a half-integer, got %r" % (name, s))
+            object.__setattr__(self, name, exact)
+            object.__setattr__(self, k, 2 * exact.numerator // exact.denominator)
 
 
 @dataclass(frozen=True)
@@ -111,14 +119,10 @@ class RelationSpec:
     notes: str = ""
 
 
-def _tf(base, orient, p_shift, c_shift, power):
-    return ThetaFactor(base, orient, Fraction(p_shift), Fraction(c_shift), power)
-
-
 def _block(base, num, den, c_shift=Fraction(0)):
     # num/den are p-shift lists, all factors x-oriented
-    fs = [_tf(base, 1, a, c_shift, 1) for a in num]
-    fs += [_tf(base, 1, a, c_shift, -1) for a in den]
+    fs = [ThetaFactor(base, 1, a, c_shift, 1) for a in num]
+    fs += [ThetaFactor(base, 1, a, c_shift, -1) for a in den]
     return tuple(fs)
 
 
@@ -138,8 +142,8 @@ def _mixed_qt2_block(c_shift):
     # the printed H H displays write the qtilde^2 ratio with arguments
     # x p^2, x^-1 p over x^-1 p^2, x p rather than in pure x orientation
     return (
-        _tf("qt2", 1, 2, c_shift, 1), _tf("qt2", -1, 1, c_shift, 1),
-        _tf("qt2", -1, 2, c_shift, -1), _tf("qt2", 1, 1, c_shift, -1),
+        ThetaFactor("qt2", 1, 2, c_shift, 1), ThetaFactor("qt2", -1, 1, c_shift, 1),
+        ThetaFactor("qt2", -1, 2, c_shift, -1), ThetaFactor("qt2", 1, 1, c_shift, -1),
     )
 
 
@@ -280,13 +284,12 @@ def _exchange_ratio(K1, K2, sf, params):
     R = e^-E r x^m prod1(x) / (prod2(1/x) (steps)), r = sign scalar1 /
     scalar2 exact and m = w_exp1 - z_exp2.  One fixed-point numerator and
     denominator start at r's numerator and denominator; x^|m| goes into the
-    side m's sign names, prod1 in at x (QPochProduct.multiply), prod2
-    swapped at 1/x, taken in integers, and S's steps swapped
+    side m's sign names, prod1(x) / prod2(1/x) in as one QPochProduct with
+    prod2's factors inverse, and S's steps swapped
     (StructureFunctionEvaluator), and R is e^-E times their quotient.
     """
     p = to_mpf(params.p)
-    bases = {}  # one Euler table per distinct kernel base, for both products
-    k1, k2 = (QPochProduct(K.factors, bases) for K in (K1, K2))
+    kernels = QPochProduct(K1.factors, K2.factors)
     s = StructureFunctionEvaluator(p, 1, theta_bases(params.q, p, 1))
     wp = s.wp
     r = sf.sign * K1.scalar / K2.scalar
@@ -299,9 +302,7 @@ def _exchange_ratio(K1, K2, sf, params):
         for _ in range(abs(m)):
             ar, ai = acc[side]
             acc[side] = (ar * xr - ai * xi) >> wp, (ar * xi + ai * xr) >> wp
-        k1.multiply(acc, (xr, xi))
-        d = xr * xr + xi * xi  # 1/x = conj(x) 2^(2 wp) / |x|^2 in fixed point
-        k2.multiply(acc, ((xr << 2 * wp) // d, (-xi << 2 * wp) // d), swap=True)
+        kernels.multiply(acc, (xr, xi))
         e = s.at(x).multiply(sf, acc, swap=True)
         return mp.exp(-e) * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
 

@@ -45,13 +45,15 @@ The tests hold the series to direct truncated products, which share no
 loop with them.  Both evaluators work in fixed point: Python ints scaled by
 2^wp, wp = working precision + 60 guard bits, as mpmath's own theta series
 do.  Each multiplies into a caller's pair of running products, numerator
-and denominator (``multiply``), so the exchange check takes two kernels and
-a structure function as one ratio in one pair, which starts at the exact
-integers of their rational scalars.  Fixed point does not renormalize, so
-a value's error is relative to the smallest running value of its pair.  A
-theta factor adds the rounding of z' = X^{+-1} P^k, of X and P at the working
-precision and in fixed point, and a structure function that of its
-quadratic's terms (StructureFunctionEvaluator).
+and denominator (``multiply``), so the exchange check takes its two
+kernels, one product with the second at 1/x, and a structure function as
+one ratio in one pair, which starts at the exact integers of their
+rational scalars.  No evaluator takes another's prepared state.  Fixed
+point does not renormalize, so a value's error is relative to the smallest
+running value of its pair.  A theta factor adds the rounding of
+z' = X^{+-1} P^k, of X and P at the working precision and in fixed point,
+and a structure function that of its quadratic's terms
+(StructureFunctionEvaluator).
 
 Each evaluator guards the poles on the value it already sums, by one test
 in ``_qpoch_series`` (a y within POLE_TOL of 1 puts the factor's argument
@@ -105,63 +107,71 @@ def theta_terms_needed(absq, digits):
 
 
 class QPochProduct:
-    """prod (c x | b)_inf ** power over fixed factors, prepared for many x.
+    """prod (c x | b)_inf ** power / prod (c' / x | b')_inf ** power' over
+    fixed factors at x and inverse factors at 1/x, prepared for many x.
 
     The factors are QPochFactor-like (c, b, power; b = 0 gives 1 - c x), as in
     a kernel, with exact rational c and 0 <= b < 1.  Preparation takes each
-    distinct b's series (_euler_base) once into bases, a dict products of one
-    precision may share, at wp (the precision in force, plus the guard bits).
-    multiply(acc, x) takes x as a fixed-point pair at wp, each c x by integer
-    division, and sums each factor's series (_qpoch_series) into the caller's
-    running products acc = {1: numerator, -1: denominator}, pairs at wp: a
-    factor of power +-1 into acc[+-1], or into acc[-+1] with swap, which
-    multiplies in 1/prod(x).  A factor whose series meets a pole (c x within
-    POLE_TOL, relatively, of a zero b^-k, k >= 0) raises PoleError carrying
-    it.  Error budget: each factor is within 2^(budget - wp) of its value,
-    relatively, wherever no PoleError is raised (_qpoch_series); the budget
-    is at most 34 bits, at the largest kernel base 9/16.  Each factor adds
-    one truncation to its running product, relative to the smallest value
-    that product takes, from the caller's start on.
+    distinct b of both lists' series (_euler_base) once, at wp (the precision
+    in force, plus the guard bits).  multiply(acc, x) takes x as a
+    fixed-point pair at wp, and 1/x = conj(x) 2^(2 wp) / |x|^2 from it by
+    integer division where there are inverse factors, each c x or c' / x
+    by integer division, and sums each factor's series (_qpoch_series),
+    those at x first, into the caller's running products
+    acc = {1: numerator, -1: denominator}, pairs at wp: a factor of power
+    +-1 at x into acc[+-1], an inverse one into acc[-+1].  A factor whose
+    series meets a pole (its argument within POLE_TOL, relatively, of a
+    zero b^-k, k >= 0) raises PoleError carrying it.  Error budget: each
+    factor is within 2^(budget - wp) of its value, relatively, wherever no
+    PoleError is raised (_qpoch_series); the budget is at most 34 bits, at
+    the largest kernel base 9/16.  Each factor adds one truncation to its
+    running product, relative to the smallest value that product takes,
+    from the caller's start on.
     """
 
-    def __init__(self, factors, bases=None):
+    def __init__(self, factors, inverse=()):
         self.wp = wp = mp.mp.prec + _GUARD_BITS
-        bases = {} if bases is None else bases
-        self._factors = []
-        for f in factors:
-            if f.b not in bases:
-                bases[f.b] = _euler_base(f.b, wp)
-            self._factors.append(
-                (f, f.c.numerator, f.c.denominator, bases[f.b]))
+        bases = {}
+        self._lists = [], []  # at x, at 1/x
+        for fs, sign, prepared in zip((factors, inverse), (1, -1), self._lists):
+            for f in fs:
+                if f.b not in bases:
+                    bases[f.b] = _euler_base(f.b, wp)
+                prepared.append((f, sign * f.power, f.c.numerator, f.c.denominator,
+                                 bases[f.b]))
 
-    def multiply(self, acc, x, swap=False):
+    def multiply(self, acc, x):
         wp = self.wp
-        xr, xi = x
-        for f, n, d, base in self._factors:
-            side = -f.power if swap else f.power
-            y = (n * xr) // d, (n * xi) // d
-            acc[side] = _qpoch_series(acc[side], (y,), base, wp)
-            if acc[side] is None:
-                raise PoleError("factor pole or zero at %s" % _from_fixed(x, wp), factor=f)
+        points = [x]
+        if self._lists[1]:  # 1/x = conj(x) 2^(2 wp) / |x|^2
+            xr, xi = x
+            s = xr * xr + xi * xi
+            points.append(((xr << 2 * wp) // s, (-xi << 2 * wp) // s))
+        for prepared, (xr, xi) in zip(self._lists, points):
+            for f, side, n, d, base in prepared:
+                y = (n * xr) // d, (n * xi) // d
+                acc[side] = _qpoch_series(acc[side], (y,), base, wp)
+                if acc[side] is None:
+                    raise PoleError("factor pole or zero at %s"
+                                    % _from_fixed((xr, xi), wp), factor=f)
 
 
 class StructureFunctionEvaluator:
     """Structure functions on fixed nomes, evaluated at many points x.
 
     A structure function f is f.sign * p^f.p_exp times its factors
-    theta_B(x^orient p^s) ** power, s = shift(c) a half-integer
+    theta_B(x^orient p^(k/2)) ** power, k = k0 + k1 c at the integer level c
     (StructuralError otherwise), in the shape of relations.StructureFunction
     and relations.ThetaFactor, on the nomes B = bases[factor.base], real
     mpf values {"q2": .., "qt2": ..} in (0, 1): relations.theta_bases(q, p, c)
     at a deformation point, or the scaling limits' nomes.  Preparation takes
-    log p (p > 0).  The one cache, filled on first use: per base, the
-    per-nome step (_modular_nome; a nome that is not a real 0 < B < 1, or is
-    below about e^-280, whose q' misses the series' budget, raises
-    DomainError), and P = e^(log p / (2 tau)) and its powers P^n in fixed
-    point, by integer products (|P| = 1, so P^-n = conj(P^n)); per f (by id,
-    f kept), A, B, C below.  f's plan, its exact part on f and c alone, is
-    its factors' keys (base, orient, k = 2 s; equal for factors that share a
-    theta) and the sums below, kept in plans, a dict one c's evaluators share.
+    log p (p > 0).  The one cache, filled on first use and shared with no
+    other evaluator: per base, the per-nome step (_modular_nome; a nome that
+    is not a real 0 < B < 1, or is below about e^-280, whose q' misses the
+    series' budget, raises DomainError), and P = e^(log p / (2 tau)) and its
+    powers P^n in fixed point, by integer products (|P| = 1, so
+    P^-n = conj(P^n)); per f (by id, f kept), its factors' keys (base,
+    orient, k; equal for factors that share a theta) and A, B, C below.
     With lam = log p / 2 and, on each nome, the exact integer sums over f's
     factors S0 = sum power, S1 = sum power k, S2 = sum power k^2,
     S3 = sum power orient and S4 = sum power orient k, the factors'
@@ -200,12 +210,13 @@ class StructureFunctionEvaluator:
     exponents cancel exactly in the sums.
     """
 
-    def __init__(self, p, c, bases, plans=None):
+    def __init__(self, p, c, bases):
+        if not isinstance(c, int):
+            raise StructuralError("need an integer level c, got %r" % (c,))
         self.c = c
         self.wp = mp.mp.prec + _GUARD_BITS
         self._log_p = mp.log(p)
         self._bases = bases
-        self._plans = {} if plans is None else plans  # id(f) -> (f, keys, sums)
         self._nomes = {}      # base name -> (per-nome step, coefficients, [P^0, P^1, ..])
         self._functions = {}  # id(f) -> (f, A, B, C, factor entries)
 
@@ -225,29 +236,20 @@ class StructureFunctionEvaluator:
         entry = self._functions.get(id(f))
         if entry is not None:
             return entry
-        plan = self._plans.get(id(f))
-        if plan is None:  # the exact part: keys, and per base [S0, .., S4]
-            keys, sums = [], {}
-            for tf in f.factors:
-                s = tf.shift(self.c)
-                k, r = divmod(2 * s.numerator, s.denominator)
-                if r:
-                    raise StructuralError("theta shift %s is not a half-integer" % s)
-                keys.append((tf, (tf.base, tf.orient, k)))
-                t = sums.setdefault(tf.base, [0] * 5)
-                for i, v in enumerate((1, k, k * k, tf.orient, tf.orient * k)):
-                    t[i] += tf.power * v
-            plan = self._plans[id(f)] = f, keys, sums
-        factors = []  # the per-nome part
-        for tf, key in plan[1]:
-            nome, _, powers = self._nome(key[0])
-            for _ in range(len(powers), abs(key[2]) + 1):  # P^n = P^(n-1) P
+        factors, sums = [], {}  # per base [S0, .., S4]
+        for tf in f.factors:
+            k = tf.k0 + tf.k1 * self.c
+            nome, _, powers = self._nome(tf.base)
+            for _ in range(len(powers), abs(k) + 1):  # P^n = P^(n-1) P
                 (ar, ai), (pr, pi) = powers[-1], powers[1]
                 powers.append(((ar * pr - ai * pi) >> self.wp, (ar * pi + ai * pr) >> self.wp))
-            pr, pi = powers[abs(key[2])]  # P^-n = conj(P^n)
-            factors.append((tf, key, nome, (pr, pi if key[2] >= 0 else -pi)))
+            pr, pi = powers[abs(k)]  # P^-n = conj(P^n)
+            factors.append((tf, (tf.base, tf.orient, k), nome, (pr, pi if k >= 0 else -pi)))
+            t = sums.setdefault(tf.base, [0] * 5)
+            for i, v in enumerate((1, k, k * k, tf.orient, tf.orient * k)):
+                t[i] += tf.power * v
         abc = [f.p_exp * self._log_p, 0, 0]
-        for name, t in plan[2].items():
+        for name, t in sums.items():
             for i, n, v in zip((0, 0, 0, 1, 1, 2), t + t[:1], self._nomes[name][1]):
                 if n:
                     abc[i] += n * v

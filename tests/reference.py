@@ -44,6 +44,25 @@ assert FF_MIXED.factors == tuple(
     tf for r in relation_catalog(mode="strict-text") if r.rel_id == "HH"
     for tf in r.structure_function.factors if tf.base == "qt2")
 
+# how the printed degenerate displays compare with the mechanical limit of
+# the canonical catalog (degeneration.trig_structure_function): "matches",
+# or "reciprocal" for numerator and denominator swapped, i.e. u-v negated.
+# The printed sine displays are not in the repository, so nothing derives it
+TRIG_DISPLAY_AUDIT = {
+    "H+E": "matches",
+    "H-E": "matches",
+    "H+F": "reciprocal",
+    "H-F": "reciprocal",
+    "HH": "matches",
+    "H+H-": "matches",
+    "EE": "matches",
+    "FF": "reciprocal",
+    # the 1/(2 hbar) of the EF display is normalization bookkeeping for the
+    # additive delta, not derived; the relative sign of its two delta terms is
+    # left unfixed by the source (the H^- -> -H^- rescaling freedom)
+    "EF": "matches",
+}
+
 
 def inverse_structure_function(f):
     """The structure function of the swapped relation: S'(x) = 1 / S(1/x).
@@ -57,10 +76,16 @@ def inverse_structure_function(f):
     return StructureFunction(f.sign, -f.p_exp, factors)
 
 
+def theta_shift(tf, c):
+    """The p-exponent p_shift + c_shift c of a theta factor at level c, in
+    Fraction arithmetic on its fields as written."""
+    return tf.p_shift + tf.c_shift * c
+
+
 def theta_argument(tf, x, p, c):
     """The argument x^orient p^(p_shift + c_shift c) of a theta factor, taken
     as written, factor by factor."""
-    return x ** tf.orient * p ** tf.shift(c)
+    return x ** tf.orient * p ** theta_shift(tf, c)
 
 
 def swapped_relation(rel):
@@ -166,13 +191,14 @@ def one_factor_theta(z, q, digits):
     return structure_function_value(_Theta, z, mp.mpf(1), 0, {"q2": q}, digits)
 
 
-def product_at(product, x, swap=False):
+def product_at(product, x):
     """A prepared theta.QPochProduct at one x through its multiply, as
-    Kernel.eval_product takes it: prod(x), or 1/prod(x) with swap."""
+    Kernel.eval_product takes it: its factors' product at x over its inverse
+    factors' at 1/x."""
     wp = product.wp
     with mp.workprec(wp - _GUARD_BITS):
         acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
-        product.multiply(acc, _to_fixed(mp.mpc(x), wp), swap=swap)
+        product.multiply(acc, _to_fixed(mp.mpc(x), wp))
         return _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
 
 

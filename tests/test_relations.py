@@ -21,6 +21,7 @@ from ospboson.relations import (
     verify_invertibility,
 )
 from ospboson.scalars import mpc_to_str, sample_annulus_point, sample_parameters
+from ospboson.theta import StructureFunctionEvaluator
 from reference import (
     EE_MIXED,
     FF_MIXED,
@@ -30,6 +31,7 @@ from reference import (
     swapped_relation,
     theta_argument,
     theta_eval,
+    theta_shift,
 )
 
 P = DeformationParams.from_sqrt(Fr(2, 5), Fr(1, 2))  # q = 2/5, p = 1/4
@@ -60,6 +62,24 @@ def test_catalog_completeness():
 def test_catalog_invalid_mode():
     with pytest.raises(StructuralError):
         relation_catalog(mode="loose")
+
+
+@pytest.mark.parametrize("field", ["p_shift", "c_shift"])
+@pytest.mark.parametrize("value", [0.1, 0.5, mp.mpf("0.5"), "1/3", Fr(1, 3), 1j])
+def test_theta_factor_refuses_inexact_or_non_half_integer_shifts(field, value):
+    # a float or mpf would be taken at its binary value, and a shift that is
+    # not a half-integer has no integer k = 2 s; both are refused when the
+    # factor is built, before any evaluator or limit reads it
+    shifts = {"p_shift": 1, "c_shift": 0, field: value}
+    with pytest.raises(StructuralError, match="must be a half-integer"):
+        ThetaFactor("q2", 1, shifts["p_shift"], shifts["c_shift"], 1)
+
+
+def test_theta_factor_keeps_doubled_shifts_as_ints():
+    tf = ThetaFactor("qt2", -1, "-3/2", Fr(1, 2), 1)
+    assert (tf.p_shift, tf.c_shift) == (Fr(-3, 2), Fr(1, 2))
+    assert (tf.k0, tf.k1) == (-3, 1) and type(tf.k0) is type(tf.k1) is int
+    assert tf == ThetaFactor("qt2", -1, Fr(-3, 2), "1/2", 1)
 
 
 def test_factor_counts_balanced():
@@ -125,6 +145,38 @@ def test_structure_function_equals_per_factor_thetas(f):
                 assert got.imag == 0
 
 
+@pytest.mark.parametrize("c", [0, 1, 2])
+@pytest.mark.parametrize("f", STRUCTURE_FUNCTIONS)
+def test_integer_shifts_equal_the_fraction_shift_plan(f, c):
+    # the evaluator takes each factor's k = k0 + k1 c in ints; its keys
+    # (base, orient, k) and its A, B, C equal those of the plan from the
+    # Fraction shifts s = p_shift + c_shift c: k = 2 s, and per base the
+    # sums S0..S4 of power times 1, k, k^2, orient and orient k
+    with mp.workdps(DIGITS + 10):
+        p = mp.mpf(1) / 4
+        ev = StructureFunctionEvaluator(p, c, theta_bases(mp.mpf(2) / 5, p, c))
+        _, *abc, factors = ev._function(f)
+        keys, sums = [], {}
+        for tf in f.factors:
+            k = 2 * theta_shift(tf, c)
+            keys.append((tf.base, tf.orient, k))
+            t = sums.setdefault(tf.base, [0] * 5)
+            for i, v in enumerate((1, k, k * k, tf.orient, tf.orient * k)):
+                t[i] += tf.power * v
+        assert [key for _, key, *_ in factors] == keys
+        want = [f.p_exp * mp.log(p), 0, 0]
+        for name, t in sums.items():
+            for i, n, v in zip((0, 0, 0, 1, 1, 2), t + t[:1], ev._nomes[name][1]):
+                if n:
+                    want[i] += int(n) * v
+        assert abc == want
+
+
+def test_evaluator_refuses_a_non_integer_level():
+    with pytest.raises(StructuralError, match="integer level"):
+        StructureFunctionEvaluator(mp.mpf(1) / 4, Fr(1, 2), {})
+
+
 @functools.lru_cache(maxsize=None)
 def _direct_theta(case, base, orient, shift):
     # theta_B(x^orient p^shift) at DIRECT_CASES[case] by direct products at
@@ -140,7 +192,7 @@ def _direct_value(f, case):
     with mp.workdps(80):
         acc = mp.mpc(f.sign) * p ** f.p_exp
         for tf in f.factors:
-            v = _direct_theta(case, tf.base, tf.orient, tf.shift(c))
+            v = _direct_theta(case, tf.base, tf.orient, theta_shift(tf, c))
             acc = acc * v if tf.power == 1 else acc / v
         return acc
 
@@ -173,7 +225,7 @@ def test_direct_cases_reach_the_largest_shifts():
     # the canonical H+H- at c = 1 has the shifts -3 (on q^2) and 3 (on
     # qt^2), the extremes of k = 2 s in z' = X^orient P^k
     hphm = by_id(relation_catalog())["H+H-"].structure_function
-    assert {2 * tf.shift(1) for tf in hphm.factors} >= {-6, 6}
+    assert {2 * theta_shift(tf, 1) for tf in hphm.factors} >= {-6, 6}
     assert {c for c, *_ in DIRECT_CASES} == {0, 1}
 
 

@@ -113,18 +113,23 @@ def test_qpoch_product_base_zero_is_linear():
                     assert abs(got - want) <= 4 * mp.eps * abs(want)
 
 
-def test_qpoch_product_swap_multiplies_the_reciprocal():
-    # multiply with swap puts each factor into the other running product,
-    # so the pair's quotient is 1/prod(x), whatever the factors' powers
+def test_qpoch_product_inverse_factors_take_the_reciprocal():
+    # an inverse factor goes at 1/x into the other running product, so F at
+    # x times inverse F at 1/x is 1, whatever the factors' powers, and a
+    # product of both lists is the quotient of the two one-list products
     P = DeformationParams.from_sqrt(Fr(3, 4), Fr(1, 2))
     factors = (exp_contraction_closed("phi", "phi", P)
                + exp_contraction_closed("psi", "psi", P)
                + (QPochFactor(Fr(-4, 25), Fr(0), 1),))
+    other = exp_contraction_closed("phi", "psi", P)
     with mp.workdps(DIGITS + 10):
-        ev = QPochProduct(factors)
+        ev, inv = QPochProduct(factors), QPochProduct((), factors)
+        both = QPochProduct(factors, other)
         for x in (mp.mpc("0.3", "0.2"), mp.mpc("-0.7", "0.5"), mp.mpf("0.5")):
-            straight, swapped = product_at(ev, x), product_at(ev, x, swap=True)
-            assert abs(straight * swapped - 1) <= mp.mpf("1e-55")
+            straight = product_at(ev, x)
+            assert abs(straight * product_at(inv, 1 / x) - 1) <= mp.mpf("1e-55")
+            want = straight / product_at(QPochProduct(other), 1 / x)
+            assert abs(product_at(both, x) - want) <= mp.mpf("1e-55") * abs(want)
 
 
 def test_series_budget_rejects_base_near_one():
