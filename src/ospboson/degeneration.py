@@ -31,11 +31,13 @@ x, p and two nomes, and the eight relations together have 24 distinct
 factors theta_B(x p^s) (12 shifts on each base).  limit_check takes its
 elliptic side from one theta.StructureFunctionEvaluator point per eps,
 which takes each nome's transform step and each distinct factor's once, on
-first use, and composes each relation from them: the exchange checks' own
-evaluator.  The points are a pure function of limit_check's own inputs and
-are remembered for the last inputs only, so consecutive checks at one sample
-(the limits suite's eight) share them and the next sample replaces them.
-The trigonometric target is computed apart on every call.
+first use, and composes each relation from them.  It is the package's one
+user of the Jacobi transform: the exchange checks, on exact nomes away
+from 1, split their thetas into kernel factors.  The points are a pure
+function of limit_check's own inputs and are remembered for the last
+inputs only, so consecutive checks at one sample (the limits suite's
+eight) share them and the next sample replaces them.  The trigonometric
+target is computed apart on every call.
 
 The trigonometric targets are derived mechanically from the canonical
 relation catalog (same factor lists, same signs), not typed in from the

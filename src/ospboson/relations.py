@@ -42,7 +42,8 @@ from .freefield import (
     rational_product,
 )
 from .scalars import mpc_to_str, sample_annulus_point, to_mpf, workdps
-from .theta import QPochProduct, StructureFunctionEvaluator, _from_fixed, _to_fixed
+from .series import QPochFactor
+from .theta import QPochProduct, _to_fixed
 
 __all__ = [
     "ThetaFactor",
@@ -94,7 +95,8 @@ class ThetaFactor:
 
 @dataclass(frozen=True)
 class StructureFunction:
-    """sign * p^p_exp * prod theta factors."""
+    """sign * p^p_exp * prod theta factors, as many numerators as
+    denominators on each base (StructuralError otherwise)."""
 
     sign: int
     p_exp: int
@@ -103,9 +105,11 @@ class StructureFunction:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise StructuralError("sign must be +-1")
-        npow = sum(1 for f in self.factors if f.power == 1)
-        if 2 * npow != len(self.factors):
-            raise StructuralError("numerator and denominator counts differ")
+        # (B | B) cancels from the theta splits (_exchange_ratio) base by base
+        for base in dict.fromkeys(f.base for f in self.factors):
+            if sum(f.power for f in self.factors if f.base == base):
+                raise StructuralError("numerator and denominator counts differ "
+                                      "on base %s" % base)
 
 
 @dataclass(frozen=True)
@@ -127,10 +131,7 @@ def _block(base, num, den, c_shift=Fraction(0)):
 
 
 def _sf(sign, p_exp, *blocks):
-    fs = []
-    for b in blocks:
-        fs.extend(b)
-    return StructureFunction(sign, p_exp, tuple(fs))
+    return StructureFunction(sign, p_exp, sum(blocks, ()))
 
 
 # shift patterns shared by the whole catalog
@@ -166,7 +167,7 @@ def relation_catalog(params=None, mode="canonical"):
     # needs +s*c/2 while the printed displays carry -s*c/2
     hf_sign = -1 if strict else 1
 
-    rels = [
+    return [
         RelationSpec(
             "H+E", "exchange", ("H+", "E"), ("E", "H+"),
             _sf(1, 1, _block("q2", _E_NUM, _E_DEN, -half)), mode),
@@ -211,7 +212,6 @@ def relation_catalog(params=None, mode="canonical"):
             "Hinv", "invertibility", ("H+", "H-"), (), None, mode,
             notes="H currents are required invertible"),
     ]
-    return rels
 
 
 # relation id -> how the strict-text display compares with the canonical
@@ -278,21 +278,34 @@ def _sample_x(rng, digits, at):
 
 
 def _exchange_ratio(K1, K2, sf, params):
-    """x -> R = K1(1, x) / (S(x) K2(x, 1)), run at the precision in force.
+    """x -> (N, D), fixed-point numerator and denominator of
+    R = K1(1, x) / (S(x) K2(x, 1)), run at the precision in force.
 
-    With K = scalar z^z_exp w^w_exp prod(w/z) and S = sign e^E (steps),
-    R = e^-E r x^m prod1(x) / (prod2(1/x) (steps)), r = sign scalar1 /
-    scalar2 exact and m = w_exp1 - z_exp2.  One fixed-point numerator and
-    denominator start at r's numerator and denominator; x^|m| goes into the
-    side m's sign names, prod1(x) / prod2(1/x) in as one QPochProduct with
-    prod2's factors inverse, and S's steps swapped
-    (StructureFunctionEvaluator), and R is e^-E times their quotient.
+    At the exact point every theta factor of S is two kernel factors,
+    theta_B(y) = (y | B)(B/y | B)(B | B) (Gasper-Rahman ch. 1) on its base
+    B = q^2 or (q p)^2: theta_B(c x) is (c x | B) at x and (B/c x^-1 | B)
+    at 1/x, theta_B(c / x) the same two swapped, with c = p^(k/2) exact
+    (sqrt_p^k for an odd k, StructuralError without sqrt_p), and (B | B)
+    cancels base by base (StructureFunction).  With K = scalar z^z_exp
+    w^w_exp prod(w/z), R = r x^m prod1(x) / (prod2(1/x) prod_S), r = sign
+    scalar1 / (scalar2 p^p_exp) exact and m = w_exp1 - z_exp2.  N and D
+    start at r's numerator and denominator, x^|m| goes into the side m's
+    sign names, and prod1(x) / (prod2(1/x) prod_S) in as one QPochProduct
+    with prod2's factors and S's at 1/x inverse.
     """
-    p = to_mpf(params.p)
-    kernels = QPochProduct(K1.factors, K2.factors)
-    s = StructureFunctionEvaluator(p, 1, theta_bases(params.q, p, 1))
-    wp = s.wp
-    r = sf.sign * K1.scalar / K2.scalar
+    p, root = params.p, params.sqrt_p
+    bases = {"q2": params.q ** 2, "qt2": (params.q * p) ** 2}
+    at_x, at_inverse = list(K1.factors), list(K2.factors)
+    for tf in sf.factors:
+        k, b = tf.k0 + tf.k1, bases[tf.base]
+        if k % 2 and root is None:
+            raise StructuralError("the shift p^(%d/2) needs sqrt_p" % k)
+        c = root ** k if k % 2 else p ** (k // 2)
+        at_x.append(QPochFactor(c if tf.orient == 1 else b / c, b, -tf.power))
+        at_inverse.append(QPochFactor(b / c if tf.orient == 1 else c, b, tf.power))
+    kernels = QPochProduct(at_x, at_inverse)
+    wp = kernels.wp
+    r = sf.sign * K1.scalar / (K2.scalar * p ** sf.p_exp)
     m = K1.w_exp - K2.z_exp
     side = 1 if m > 0 else -1
 
@@ -303,10 +316,15 @@ def _exchange_ratio(K1, K2, sf, params):
             ar, ai = acc[side]
             acc[side] = (ar * xr - ai * xi) >> wp, (ar * xi + ai * xr) >> wp
         kernels.multiply(acc, (xr, xi))
-        e = s.at(x).multiply(sf, acc, swap=True)
-        return mp.exp(-e) * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
+        return acc[1], acc[-1]
 
     return ratio
+
+
+def _residual(pair):
+    """|N - D| / max(|N|, |D|) = |R - 1| / max(|R|, 1) on a fixed-point pair."""
+    (nr, ni), (dr, di) = pair
+    return abs(mp.mpc(nr - dr, ni - di)) / max(abs(mp.mpc(nr, ni)), abs(mp.mpc(dr, di)))
 
 
 def verify_exchange(rel, params, *, samples=100, digits=50,
@@ -319,18 +337,16 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     mismatch is reported and the kernel comparison is still carried out
     against the printed right-hand side.  unit_structure=True replaces S
     by 1 as a negative control.  Each sample point x takes one ratio
-    R = K_AB(1, x) / (S(x) K_BA(x, 1)) (_exchange_ratio, prepared once per
-    call), and |R - 1| / max(|R|, 1) is the residual
-    |lhs - rhs| / max(|lhs|, |rhs|).  A point is drawn again where a factor
-    raises PoleError: within theta.POLE_TOL (relatively) of a zero of a
-    kernel factor, or about theta.POLE_TOL |ln B| / (2 pi) of a zero of a
-    theta factor of S on its nome B.
+    R = K_AB(1, x) / (S(x) K_BA(x, 1)) as a fixed-point pair N / D
+    (_exchange_ratio, prepared once per call), and |N - D| / max(|N|, |D|)
+    is the residual |lhs - rhs| / max(|lhs|, |rhs|).  A point is drawn
+    again where a factor raises PoleError: within theta.POLE_TOL
+    (relatively) of a zero of a kernel factor, a theta factor's zeros
+    among them, as S's thetas are kernel factors there.
     """
     if rel.kind != "exchange":
         raise StructuralError("verify_exchange needs an exchange relation")
-    if tolerance is None:
-        tolerance = mp.mpf(10) ** -20
-    tolerance = mp.mpf(tolerance)
+    tolerance = mp.mpf(10) ** -20 if tolerance is None else mp.mpf(tolerance)
     if tolerance < mp.mpf(10) ** (8 - digits):
         raise DomainError("tolerance %s unreachable at %d digits" % (tolerance, digits))
     if samples < 1:
@@ -349,7 +365,7 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     with workdps(digits + 10):
         ratio = _exchange_ratio(K1, K2, sf, params)
         draws = [_sample_x(rng, digits, ratio) for _ in range(samples)]
-        residuals = [abs(R - 1) / max(abs(R), 1) for _, R in draws]
+        residuals = [_residual(pair) for _, pair in draws]
         rmax = max(residuals)
         rmean = sum(residuals) / len(residuals)
     verdict = bool(rmax <= tolerance) and fields_match

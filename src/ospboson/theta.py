@@ -9,25 +9,29 @@ as the deformation's are (DomainError otherwise).  It satisfies
 
     theta_q(q z) = -z^{-1} theta_q(z),      theta_q(q/z) = theta_q(z),
 
-and vanishes exactly at z in q**Z.  Every theta factor is evaluated by the
-Jacobi imaginary transformation (Whittaker-Watson ch. 21) onto a product
-on the transformed nome,
+and vanishes exactly at z in q**Z.  Two routes evaluate it.  At a
+deformation point a nome B is q^2 or (q p)^2 and each argument c x^{+-1}
+has an exact c, so the exchange checks split every theta into two kernel
+factors (c x | B) and (B/c x^-1 | B), (B | B) cancelling in a balanced
+ratio, and take them in one ``QPochProduct`` with the kernels'
+(relations._exchange_ratio).  The scaling limits' nomes tend to 1, where
+the direct product would need ~1/(1-q) factors; there, and only there,
+``StructureFunctionEvaluator`` takes the Jacobi imaginary transformation
+(Whittaker-Watson ch. 21) onto a product on the transformed nome,
 
     theta_q(z) = i (-i tau)^{-1/2} e^{i pi (u - u u' - u' - tau/4 + tau'/4)}
                  theta_q'(e^{2 pi i u'}),
 
 with z = e^{2 pi i u}, q = e^{2 pi i tau} (principal logs), u' = u/tau,
 tau' = -1/tau and q' = e^{2 pi i tau'}, real in (0, 1) too.  As q -> 1,
-where the direct product would need ~1/(1-q) factors, q' -> 0 and a few
-terms suffice.
-``StructureFunctionEvaluator``, for the exchange checks and the scaling
-limits alike, takes it in three steps: per nome (``_modular_nome``: tau,
-q', the prefactor's constant part and (q' | q')_inf), per point and nome
-(``_modular_point``: X = e^{log x / tau}, the point's one exp there) and
-per factor (``_modular_factor``: the product at z' = X^{+-1} P^k, taken in
-fixed point from X and P = e^{log p / (2 tau)}, k twice the p-shift).
-Each structure function's prefactor exponents sum to a quadratic in
-log x, prepared from exact integer sums over its factors, under one exp.
+q' -> 0 and a few terms suffice.  It takes the transform in three steps:
+per nome (``_modular_nome``: tau, q', the prefactor's constant part and
+(q' | q')_inf), per point and nome (``_modular_point``: X = e^{log x / tau},
+the point's one exp there) and per factor (``_modular_factor``: the product
+at z' = X^{+-1} P^k, taken in fixed point from X and P = e^{log p / (2 tau)},
+k twice the p-shift).  Each structure function's prefactor exponents sum to
+a quadratic in log x, prepared from exact integer sums over its factors,
+under one exp.
 
 Kernels are products of q-Pochhammer factors (c x | b)^{+-1} with exact c
 and 0 <= b < 1; ``QPochProduct`` prepares one whole for many x.  It and
@@ -44,23 +48,24 @@ bits.  A base too near 1 for the series' error budget raises DomainError.
 The tests hold the series to direct truncated products, which share no
 loop with them.  Both evaluators work in fixed point: Python ints scaled by
 2^wp, wp = working precision + 60 guard bits, as mpmath's own theta series
-do.  Each multiplies into a caller's pair of running products, numerator
-and denominator (``multiply``), so the exchange check takes its two
-kernels, one product with the second at 1/x, and a structure function as
-one ratio in one pair, which starts at the exact integers of their
-rational scalars.  No evaluator takes another's prepared state.  Fixed
-point does not renormalize, so a value's error is relative to the smallest
-running value of its pair.  A theta factor adds the rounding of
-z' = X^{+-1} P^k, of X and P at the working precision and in fixed point,
-and a structure function that of its quadratic's terms
-(StructureFunctionEvaluator).
+do.  A product multiplies into a caller's pair of running products,
+numerator and denominator (``QPochProduct.multiply``), so the exchange
+check takes its two kernels and its split thetas as one ratio in one pair,
+which starts at the exact integers of its rational scalar; the evaluator
+multiplies into a pair of its own (``value``).  No evaluator takes
+another's prepared state.  Fixed point does not renormalize, so a value's
+error is relative to the smallest running value of its pair.  A
+transformed theta factor adds the rounding of z' = X^{+-1} P^k, of X and P
+at the working precision and in fixed point, and a structure function that
+of its quadratic's terms (StructureFunctionEvaluator).
 
 Each evaluator guards the poles on the value it already sums, by one test
 in ``_qpoch_series`` (a y within POLE_TOL of 1 puts the factor's argument
 that near a zero b^-k of (y | b)), and raises PoleError carrying the kernel
-or theta factor.  After the transform a zero of theta_q is z' = 1, so a
-theta factor is a pole within about POLE_TOL |ln q| / (2 pi) of a zero q^k,
-relatively.
+or theta factor.  A split theta's zeros are its two kernel factors', so
+they are guarded within POLE_TOL relatively.  After the transform a zero of
+theta_q is z' = 1, so a transformed theta factor is a pole within about
+POLE_TOL |ln q| / (2 pi) of a zero q^k, relatively.
 """
 
 from __future__ import annotations
@@ -110,9 +115,10 @@ class QPochProduct:
     """prod (c x | b)_inf ** power / prod (c' / x | b')_inf ** power' over
     fixed factors at x and inverse factors at 1/x, prepared for many x.
 
-    The factors are QPochFactor-like (c, b, power; b = 0 gives 1 - c x), as in
-    a kernel, with exact rational c and 0 <= b < 1.  Preparation takes each
-    distinct b of both lists' series (_euler_base) once, at wp (the precision
+    The factors are QPochFactor-like (c, b, power; b = 0 gives 1 - c x), as
+    in a kernel or a split theta, with exact rational c and 0 <= b < 1.
+    Preparation takes each distinct b of both lists' series (_euler_base)
+    once, at wp (the precision
     in force, plus the guard bits).  multiply(acc, x) takes x as a
     fixed-point pair at wp, and 1/x = conj(x) 2^(2 wp) / |x|^2 from it by
     integer division where there are inverse factors, each c x or c' / x
@@ -157,14 +163,18 @@ class QPochProduct:
 
 
 class StructureFunctionEvaluator:
-    """Structure functions on fixed nomes, evaluated at many points x.
+    """Structure functions on fixed nomes, evaluated at many points x by
+    the Jacobi transform: the scaling limits' route, for nomes near 1.  The
+    exchange checks split their thetas into kernel factors instead
+    (relations._exchange_ratio); the tests hold the two routes equal.
 
     A structure function f is f.sign * p^f.p_exp times its factors
     theta_B(x^orient p^(k/2)) ** power, k = k0 + k1 c at the integer level c
     (StructuralError otherwise), in the shape of relations.StructureFunction
     and relations.ThetaFactor, on the nomes B = bases[factor.base], real
-    mpf values {"q2": .., "qt2": ..} in (0, 1): relations.theta_bases(q, p, c)
-    at a deformation point, or the scaling limits' nomes.  Preparation takes
+    mpf values {"q2": .., "qt2": ..} in (0, 1): the scaling limits' nomes,
+    or relations.theta_bases(q, p, c) at a deformation point.  Preparation
+    takes
     log p (p > 0).  The one cache, filled on first use and shared with no
     other evaluator: per base, the per-nome step (_modular_nome; a nome that
     is not a real 0 < B < 1, or is below about e^-280, whose q' misses the
@@ -185,13 +195,13 @@ class StructureFunctionEvaluator:
     each key's step (_modular_factor) at z' = X^orient P^k = e^(log z / tau),
     formed in integers; log z = orient l + k lam has its imaginary part in
     [-pi, pi], so q'^(1/2) <= |z'| = |X|^orient <= q'^(-1/2).
-    multiply(f, acc, swap) multiplies the steps into a caller's fixed-point
-    numerator and denominator at wp, as QPochProduct.multiply does, and
-    returns A + l (B + l C); it raises PoleError carrying f's first factor
-    at a theta zero, where the step is None: within about
-    POLE_TOL |ln B| / (2 pi) of it, relatively.  value(f) multiplies into a
-    pair of its own, divides it once and takes one exp; it is real when x
-    is.  All of it runs at the working precision in force when the evaluator
+    value(f) multiplies the steps into a fixed-point numerator and
+    denominator of its own at wp, as QPochProduct.multiply does into a
+    caller's, divides them once and takes one exp, of A + l (B + l C); it is
+    real when x is.  It raises PoleError carrying f's first factor at a
+    theta zero, where the step is None: within about
+    POLE_TOL |ln B| / (2 pi) of it, relatively.  All of it runs at the
+    working precision in force when the evaluator
     is built (wp adds the guard bits to it), so a caller enters it once.
     Error budget, with u the working precision's unit.  z' is within a few
     u (1 + |l / tau| + |k lam / tau|) of its value, relatively, as X and P
@@ -203,8 +213,8 @@ class StructureFunctionEvaluator:
     factors on q' (27 bits for the q' <= 0.017 of nomes 6.4e-5 and up;
     |1 - y| >= POLE_TOL wherever a step returns a value), and each step
     adds one truncation to its running product, relative to the smallest
-    value of that product (value's own, or a caller's that other factors
-    share).  The exponent's error, the value's relative error, is a few u
+    value of that product.  The exponent's error, the value's relative
+    error, is a few u
     times the sum over nomes of |S0 log C| + |h lam S1| + |kappa lam^2 S2|
     + |l| (|h S3| + 2 |kappa lam S4|) + |kappa S0| |l|^2; the factors' own
     exponents cancel exactly in the sums.
@@ -271,10 +281,11 @@ class _StructureFunctionPoint:
         self._xs = {}     # base name -> (X = e^(log x / tau) in fixed point, |X|^2)
         self._steps = {}  # factor key -> P, None at a theta zero
 
-    def multiply(self, f, acc, swap=False):
+    def value(self, f):
         ev = self.evaluator
         wp = ev.wp
         _, a, b, c, factors = ev._function(f)
+        acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
         for tf, key, nome, (pr, pi) in factors:
             if key not in self._steps:
                 if key[0] not in self._xs:
@@ -289,19 +300,11 @@ class _StructureFunctionPoint:
             step = self._steps[key]
             if step is None:
                 raise PoleError("structure function pole or zero", factor=tf)
-            vr, vi = step
-            side = -tf.power if swap else tf.power
-            ar, ai = acc[side]
-            acc[side] = (ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp
+            (vr, vi), (ar, ai) = step, acc[tf.power]
+            acc[tf.power] = (ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp
         log_x = self._log_x
-        return a + log_x * (b + log_x * c)
-
-    def value(self, f):
-        wp = self.evaluator.wp
-        acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
-        e = self.multiply(f, acc)
-        v = mp.mpc(f.sign) * (mp.exp(e) * _from_fixed(acc[1], wp)
-                              / _from_fixed(acc[-1], wp))
+        v = mp.mpc(f.sign) * (mp.exp(a + log_x * (b + log_x * c))
+                              * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp))
         return mp.mpc(mp.re(v)) if self._real else v
 
 

@@ -2,7 +2,9 @@
 
 The references compute what a test checks the program against, apart from
 the code under test.  The helpers evaluate through the program's own
-structure-function evaluator, the route the suites run.
+structure-function evaluator, the Jacobi transform the limits suite runs;
+the exchange checks split their thetas into kernel factors instead, so for
+them the helpers are a second route.
 """
 
 import random
@@ -205,8 +207,9 @@ def product_at(product, x):
 def exchange_sides(K1, K2, sf, x, p, bases, digits):
     """lhs = K1(1, x) and rhs = S(x) K2(x, 1), each its own value: scalar,
     monomial and product (Kernel.eval_product) multiplied as mpc values, and
-    S through structure_function_value; PoleError where a factor is at a
-    pole.  The two-sided evaluation verify_exchange's one ratio replaces."""
+    S through structure_function_value (the transform); PoleError where a
+    factor is at a pole.  The two-sided evaluation verify_exchange's one
+    ratio of split thetas replaces."""
     with workdps(digits + 10):
         x = mp.mpc(x)
         lhs = to_mpf(K1.scalar) * x ** K1.w_exp * K1.eval_product(x, digits)

@@ -280,8 +280,9 @@ def test_eval_product_matches_mpmath_qp(pair, q, sqrt_p):
 def test_kernel_lines_are_scalar_monomial_product(pair):
     # the two lines the exchange check's one ratio takes, K(1, x) = scalar
     # x^w_exp prod(x) and K(x, 1) = scalar x^z_exp prod(1/x), each alone as
-    # the ratio over a unit kernel and S = 1, against the product times the
-    # monomial formed in mpc, at two annulus points and at q = 3/4; near a
+    # the ratio's pair N / D over a unit kernel and S = 1, against the
+    # product times the monomial formed in mpc, at two annulus points and at
+    # q = 3/4; near a
     # zero of a factor, the product at x or 1/x within POLE_TOL of it, both
     # raise PoleError carrying the factor the product names there
     P = DeformationParams.from_sqrt(Fr(3, 4), Fr(1, 2))
@@ -295,8 +296,10 @@ def test_kernel_lines_are_scalar_monomial_product(pair):
         z_ratio = _exchange_ratio(unit_kernel, K, unit_structure, P)
         scalar = to_mpf(K.scalar)
         for x in (sample_annulus_point(rng, 60) for _ in range(2)):
-            for got, want in ((w_line(x), scalar * x ** K.w_exp * product_at(product, x)),
-                              (1 / z_ratio(x),
+            (n, d), (zn, zd) = w_line(x), z_ratio(x)
+            for got, want in ((mp.mpc(*n) / mp.mpc(*d),
+                               scalar * x ** K.w_exp * product_at(product, x)),
+                              (mp.mpc(*zd) / mp.mpc(*zn),
                                scalar * x ** K.z_exp * product_at(product, 1 / x))):
                 assert abs(got - want) < mp.mpf("1e-55") * abs(want)
         for f in K.factors:

@@ -9,9 +9,11 @@ import pytest
 
 from ospboson import relations, theta
 from ospboson.errors import DomainError, PoleError, StructuralError
-from ospboson.freefield import DeformationParams
+from ospboson.freefield import DeformationParams, Kernel
 from ospboson.relations import (
     DISPLAY_AUDIT,
+    RelationSpec,
+    StructureFunction,
     ThetaFactor,
     relation_catalog,
     structure_function_repr,
@@ -20,7 +22,7 @@ from ospboson.relations import (
     verify_exchange,
     verify_invertibility,
 )
-from ospboson.scalars import mpc_to_str, sample_annulus_point, sample_parameters
+from ospboson.scalars import mpc_to_str, sample_annulus_point, sample_parameters, to_mpf
 from ospboson.theta import StructureFunctionEvaluator
 from reference import (
     EE_MIXED,
@@ -483,45 +485,31 @@ def test_verification_symmetry():
         assert fwd["verdict"] == bwd["verdict"] == "pass"
 
 
-@pytest.mark.parametrize("rel_id,nomes,factors", [("EE", 1, 4), ("HH", 2, 8)])
-def test_verify_exchange_steps_each_nome_and_factor_once(monkeypatch, rel_id,
-                                                        nomes, factors):
-    # one call takes the transform's per-nome step once per distinct nome of
-    # S, not once per sample point, its per-point step (the one exp
-    # X = e^(log x / tau)) once per nome per point, and its per-factor step
-    # once per distinct factor per point: EE has 4 factors on q^2, HH 4 on
-    # each base
-    nome_calls, point_calls, factor_calls = [], [], []
-    modular_nome = theta._modular_nome
-    modular_point, modular_factor = theta._modular_point, theta._modular_factor
+def _kernels(rel, params):
+    (a, b), (bp, ap) = ([relations.CURRENTS[n](params) for n in pair]
+                        for pair in (rel.left, rel.right))
+    return (relations.ope_kernel(a, b, params, order=2),
+            relations.ope_kernel(bp, ap, params, order=2))
 
-    def counted_nome(q, wp):
-        nome_calls.append(q)
-        return modular_nome(q, wp)
 
-    def counted_point(log_x, nome):
-        point_calls.append((log_x, nome[0]))  # nome[0] is 1/tau
-        return modular_point(log_x, nome)
+@pytest.mark.parametrize("rel_id", ["EE", "HH"])
+def test_verify_exchange_runs_no_transform_step(monkeypatch, rel_id):
+    # S's thetas are kernel factors at the exact point: the call takes none
+    # of the Jacobi transform's per-nome, per-point or per-factor steps
+    def refused(*args):
+        raise AssertionError("transform step in verify_exchange")
 
-    def counted_factor(z, nome, wp):
-        factor_calls.append((z, nome[0]))
-        return modular_factor(z, nome, wp)
-
-    monkeypatch.setattr(theta, "_modular_nome", counted_nome)
-    monkeypatch.setattr(theta, "_modular_point", counted_point)
-    monkeypatch.setattr(theta, "_modular_factor", counted_factor)
+    for name in ("_modular_nome", "_modular_point", "_modular_factor"):
+        monkeypatch.setattr(theta, name, refused)
     rep = verify_exchange(by_id(relation_catalog())[rel_id], P, samples=10,
                           digits=DIGITS, seed=0)
     assert rep["verdict"] == "pass" and len(rep["points"]) == 10
-    assert len(nome_calls) == len(set(nome_calls)) == nomes
-    assert len(point_calls) == len(set(point_calls)) == 10 * nomes
-    assert len(factor_calls) == len(set(factor_calls)) == 10 * factors
 
 
 @pytest.mark.parametrize("rel_id", ["EE", "H+F", "HH"])
-def test_verify_exchange_prepares_each_euler_base_once(monkeypatch, rel_id):
-    # the call's two kernel products share one Euler table per distinct
-    # kernel base, and each nome of S prepares its q' once
+def test_verify_exchange_prepares_the_kernel_bases_once(monkeypatch, rel_id):
+    # one product takes both kernels and S's split thetas, whose bases q^2
+    # and (q p)^2 are kernel bases: one Euler table per distinct kernel base
     calls = []
     euler_base = theta._euler_base
 
@@ -533,14 +521,99 @@ def test_verify_exchange_prepares_each_euler_base_once(monkeypatch, rel_id):
     rel = by_id(relation_catalog())[rel_id]
     rep = verify_exchange(rel, P, samples=10, digits=DIGITS, seed=0)
     assert rep["verdict"] == "pass"
-    (a, b), (bp, ap) = ([relations.CURRENTS[n](P) for n in pair]
-                        for pair in (rel.left, rel.right))
-    kernels = (relations.ope_kernel(a, b, P, order=2),
-               relations.ope_kernel(bp, ap, P, order=2))
-    kernel_bases = {f.b for K in kernels for f in K.factors}
-    nomes = {tf.base for tf in rel.structure_function.factors}
-    assert sorted(b for b in calls if isinstance(b, Fr)) == sorted(kernel_bases)
-    assert len(calls) == len(kernel_bases) + len(nomes)
+    kernel_bases = {f.b for K in _kernels(rel, P) for f in K.factors}
+    assert sorted(calls) == sorted(kernel_bases)
+
+
+@pytest.mark.parametrize("f", STRUCTURE_FUNCTIONS)
+def test_split_thetas_equal_the_transform(f):
+    # S from its thetas split into kernel factors, as the exchange ratio
+    # over unit kernels (R = 1/S), against the Jacobi transform at three
+    # sampled points and four annulus values of x
+    unit = Kernel(P, 2, 1, 0, 0, (), ())
+    rng = random.Random("split-vs-transform")
+    for q, p, r in sample_parameters(7, count=3):
+        params = DeformationParams(q, p, r)
+        with mp.workdps(DIGITS + 10):
+            ratio = relations._exchange_ratio(unit, unit, f, params)
+            pm = to_mpf(p)
+            bases = theta_bases(q, pm, 1)
+            for x in (sample_annulus_point(rng, DIGITS) for _ in range(4)):
+                n, d = ratio(x)
+                got = mp.mpc(*d) / mp.mpc(*n)
+                ref = structure_function_value(f, x, pm, 1, bases, DIGITS)
+                assert abs(got - ref) < mp.mpf("1e-55") * abs(ref), (q, p, x)
+
+
+def test_structure_function_balances_each_base():
+    # (B | B) cancels from the split thetas only base by base, so two q^2
+    # numerators over two (q p)^2 denominators are refused
+    with pytest.raises(StructuralError, match="differ on base q2"):
+        StructureFunction(1, 0, (
+            ThetaFactor("q2", 1, 0, 0, 1), ThetaFactor("q2", 1, 1, 0, 1),
+            ThetaFactor("qt2", 1, 0, 0, -1), ThetaFactor("qt2", 1, 1, 0, -1)))
+
+
+def test_exchange_without_sqrt_p():
+    # EE and FF shift by whole powers of p (even k), so a point without
+    # sqrt_p verifies them; an odd k needs sqrt_p
+    point = DeformationParams(Fr(2, 5), Fr(1, 4))
+    rels = by_id(relation_catalog())
+    for rel_id in ("EE", "FF"):
+        rep = verify_exchange(rels[rel_id], point, samples=6, digits=DIGITS, seed=3)
+        assert rep["verdict"] == "pass", rep
+    odd = StructureFunction(1, 0, (ThetaFactor("q2", 1, "1/2", 0, 1),
+                                   ThetaFactor("q2", 1, "-1/2", 0, -1)))
+    rel = RelationSpec("EE", "exchange", ("E", "E"), ("E", "E"), odd)
+    with pytest.raises(StructuralError, match="sqrt_p"):
+        verify_exchange(rel, point, samples=2, digits=DIGITS)
+
+
+def _divisors(factors, inverse):
+    # the real zeros and poles 0.1 < |z| < 0.9 of (c x | b) at x, x = b^-n / c,
+    # and of (c / x | b) at 1/x, x = c b^n
+    out = set()
+    for fs, step in ((factors, lambda f, n: 1 / (f.b ** n * f.c)),
+                     (inverse, lambda f, n: f.c * f.b ** n)):
+        for f in fs:
+            for n in range(1 if f.b == 0 else 60):
+                z = step(f, n)
+                if Fr(1, 10) < abs(z) < Fr(9, 10):
+                    out.add(z)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_exchange_residual_near_divisors(monkeypatch, seed):
+    # at points off every zero and pole of the one product's factors, the
+    # kernels' and the split thetas', by 1e-5 to 1e-3 relatively, the
+    # residual of each canonical relation stays at the working precision
+    lists = []
+
+    class Recorded(theta.QPochProduct):
+        def __init__(self, factors, inverse=()):
+            lists.append((factors, inverse))
+            super().__init__(factors, inverse)
+
+    monkeypatch.setattr(relations, "QPochProduct", Recorded)
+    params = DeformationParams(*sample_parameters(seed, 1)[0])
+    checked = 0
+    for rel in relation_catalog():
+        if rel.kind != "exchange":
+            continue
+        K1, K2 = _kernels(rel, params)
+        with mp.workdps(DIGITS + 10):
+            ratio = relations._exchange_ratio(K1, K2, rel.structure_function, params)
+            for z in _divisors(*lists[-1]):
+                for delta in ("1e-4", "-1e-4", "1e-5", "1e-3"):
+                    x = mp.mpc(to_mpf(z) * (1 + mp.mpf(delta)))
+                    try:
+                        residual = relations._residual(ratio(x))
+                    except PoleError:
+                        continue
+                    checked += 1
+                    assert residual <= mp.mpf(10) ** (5 - DIGITS), (rel.rel_id, z, delta)
+    assert checked > 100
 
 
 def test_residuals_shrink_with_precision():

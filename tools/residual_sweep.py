@@ -12,13 +12,15 @@ tab-separated line of OUT:
 
 points is a SHA-256 digest (16 hex digits) of the sampled points as the
 report prints them; failing is the residual_max of a failing row and passing that of
-a passing one, "-" in the other column.  It prints the worst passing
-residual_max.  Run it once per tree: a change that moves no point, verdict
-or failing residual leaves the first six columns equal,
+a passing one, "-" in the other column.  It prints the smallest and the
+worst passing residual_max.  Run it once per tree: a change that moves no
+point, verdict or failing residual leaves the first six columns equal,
 
     diff <(cut -f1-6 old.tsv) <(cut -f1-6 new.tsv)
 
-and the printed maximum bounds the passing residuals.
+and the printed maximum bounds the passing residuals.  A smallest of 0.0
+shows a route that rounds R to the working precision before it takes the
+residual: R = 1 exactly then, at every passing point.
 """
 
 import hashlib
@@ -57,9 +59,10 @@ def run(out):
     lines = ["\t".join(row) for row in rows()]
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    passing = [line.split("\t")[6] for line in lines]
-    worst = max((r for r in passing if r != "-"), key=float, default="-")
-    print("%d rows, worst passing residual_max %s" % (len(lines), worst))
+    passing = [r for r in (line.split("\t")[6] for line in lines) if r != "-"]
+    print("%d rows, passing residual_max from %s to %s" % (
+        len(lines), min(passing, key=float, default="-"),
+        max(passing, key=float, default="-")))
 
 
 if __name__ == "__main__":
