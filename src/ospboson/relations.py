@@ -43,7 +43,7 @@ from .freefield import (
 )
 from .scalars import mpc_to_str, sample_annulus_point, to_mpf, workdps
 from .series import QPochFactor
-from .theta import QPochProduct, _to_fixed
+from .theta import QPochProduct, _from_fixed
 
 __all__ = [
     "ThetaFactor",
@@ -261,15 +261,15 @@ CURRENTS = {
 }
 
 
-def _sample_x(rng, digits, at):
-    """One accepted sample point x and at(x).
+def _sample_x(rng, wp, at):
+    """One accepted sample point x, a fixed-point pair at wp, and at(x).
 
     at raises PoleError where x is too close to a pole or zero of a
     kernel factor or of a structure-function theta factor; x is then drawn
     again, up to 10 draws.
     """
     for _ in range(10):
-        x = sample_annulus_point(rng, digits)
+        x = sample_annulus_point(rng, wp)
         try:
             return x, at(x)
         except PoleError:
@@ -278,8 +278,10 @@ def _sample_x(rng, digits, at):
 
 
 def _exchange_ratio(K1, K2, sf, params):
-    """x -> (N, D), fixed-point numerator and denominator of
-    R = K1(1, x) / (S(x) K2(x, 1)), run at the precision in force.
+    """(wp, ratio): ratio takes x as a fixed-point pair at wp and returns
+    (N, D), the fixed-point numerator and denominator of
+    R = K1(1, x) / (S(x) K2(x, 1)); wp is the precision in force plus
+    theta's guard bits.
 
     At the exact point every theta factor of S is two kernel factors,
     theta_B(y) = (y | B)(B/y | B)(B | B) (Gasper-Rahman ch. 1) on its base
@@ -310,21 +312,28 @@ def _exchange_ratio(K1, K2, sf, params):
     side = 1 if m > 0 else -1
 
     def ratio(x):
-        xr, xi = _to_fixed(x, wp)
+        xr, xi = x
         acc = {1: (r.numerator << wp, 0), -1: (r.denominator << wp, 0)}
         for _ in range(abs(m)):
             ar, ai = acc[side]
             acc[side] = (ar * xr - ai * xi) >> wp, (ar * xi + ai * xr) >> wp
-        kernels.multiply(acc, (xr, xi))
+        kernels.multiply(acc, x)
         return acc[1], acc[-1]
 
-    return ratio
+    return wp, ratio
 
 
 def _residual(pair):
-    """|N - D| / max(|N|, |D|) = |R - 1| / max(|R|, 1) on a fixed-point pair."""
+    """|N - D| / max(|N|, |D|) = |R - 1| / max(|R|, 1) on a fixed-point pair.
+
+    Both squares are ints; one quotient and one square root are taken at
+    the working precision, as a quotient in fixed point at 2^-wp would
+    round off the passing residuals, which reach below 2^-wp.
+    """
     (nr, ni), (dr, di) = pair
-    return abs(mp.mpc(nr - dr, ni - di)) / max(abs(mp.mpc(nr, ni)), abs(mp.mpc(dr, di)))
+    er, ei = nr - dr, ni - di
+    return mp.sqrt(mp.fdiv(er * er + ei * ei,
+                           max(nr * nr + ni * ni, dr * dr + di * di)))
 
 
 def verify_exchange(rel, params, *, samples=100, digits=50,
@@ -336,10 +345,12 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     left-hand ones swapped; when they are not (strict-text H-E), the field
     mismatch is reported and the kernel comparison is still carried out
     against the printed right-hand side.  unit_structure=True replaces S
-    by 1 as a negative control.  Each sample point x takes one ratio
+    by 1 as a negative control.  Each sample point x is drawn in fixed
+    point at the ratio's precision and takes one ratio
     R = K_AB(1, x) / (S(x) K_BA(x, 1)) as a fixed-point pair N / D
     (_exchange_ratio, prepared once per call), and |N - D| / max(|N|, |D|)
-    is the residual |lhs - rhs| / max(|lhs|, |rhs|).  A point is drawn
+    is the residual |lhs - rhs| / max(|lhs|, |rhs|); only the residuals
+    and the printed points become mpmath numbers.  A point is drawn
     again where a factor raises PoleError: within theta.POLE_TOL
     (relatively) of a zero of a kernel factor, a theta factor's zeros
     among them, as S's thetas are kernel factors there.
@@ -363,11 +374,12 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     sf = StructureFunction(1, 0, ()) if unit_structure else rel.structure_function
     rng = random.Random(("exchange", rel.rel_id, rel.mode, seed).__repr__())
     with workdps(digits + 10):
-        ratio = _exchange_ratio(K1, K2, sf, params)
-        draws = [_sample_x(rng, digits, ratio) for _ in range(samples)]
+        wp, ratio = _exchange_ratio(K1, K2, sf, params)
+        draws = [_sample_x(rng, wp, ratio) for _ in range(samples)]
         residuals = [_residual(pair) for _, pair in draws]
         rmax = max(residuals)
         rmean = sum(residuals) / len(residuals)
+        points = [mpc_to_str(_from_fixed(x, wp), 17) for x, _ in draws]
     verdict = bool(rmax <= tolerance) and fields_match
     return {
         "relation": rel.rel_id,
@@ -377,7 +389,7 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
         "samples": samples,
         "digits": digits,
         "order": None,
-        "points": [mpc_to_str(x, 17) for x, _ in draws],
+        "points": points,
         "residual_max": mp.nstr(rmax, 12),
         "residual_mean": mp.nstr(rmean, 12),
         "fields_match": fields_match,

@@ -5,7 +5,9 @@ Two coefficient domains are used throughout the package:
 * exact rationals (``fractions.Fraction``) for series identities that must
   hold coefficient-by-coefficient, and
 * arbitrary-precision complex numbers (``mpmath.mpc``) for evaluating
-  infinite products and theta functions at sample points.
+  infinite products and theta functions at sample points, and complex
+  fixed-point pairs of ints, the form the exchange checks draw their
+  sample points in.
 
 Identities in the deformation parameters (q, p) are checked by substituting
 exact rational values drawn from a seeded sampler rather than by symbolic
@@ -16,10 +18,12 @@ so p**(1/2) stays inside the rational field.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp.libelefun import cos_sin_fixed, pi_fixed
 
 from .errors import DomainError
 
@@ -76,13 +80,19 @@ def sample_parameters(seed, count=3):
     return out
 
 
-def sample_annulus_point(rng, digits):
-    """One uniform-in-annulus complex sample, |x| in [0.1, 0.9]."""
+def sample_annulus_point(rng, wp):
+    """One uniform-in-annulus complex sample x, |x| in [0.1, 0.9], as a
+    fixed-point pair scaled by 2^wp.
+
+    Two rng.random() doubles give r^2, uniform between the squared radii
+    (uniform area density), and phi / (2 pi).  r is the integer square root
+    of the exact double r^2 times 2^(2 wp), phi is 2 pi_fixed(wp) times the
+    exact double, and cos phi, sin phi are mpmath's cos_sin_fixed: each
+    part is within a few 2^-wp of r cos phi and r sin phi.
+    """
     rmin, rmax = 0.1, 0.9
-    with mp.workdps(digits):
-        # uniform area density: r^2 uniform between the squared radii
-        u = rng.random()
-        r = mp.sqrt(rmin * rmin + u * (rmax * rmax - rmin * rmin))
-        phi = mp.mpf(2) * mp.pi * rng.random()
-        cos, sin = mp.cos_sin(phi)
-        return mp.mpc(r * cos, r * sin)
+    n, d = (rmin * rmin + rng.random() * (rmax * rmax - rmin * rmin)).as_integer_ratio()
+    r = math.isqrt((n << 2 * wp) // d)
+    n, d = rng.random().as_integer_ratio()
+    cos, sin = cos_sin_fixed((pi_fixed(wp) * n << 1) // d, wp)
+    return (r * cos) >> wp, (r * sin) >> wp

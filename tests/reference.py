@@ -23,7 +23,7 @@ from ospboson.relations import (
     relation_catalog,
     theta_bases,
 )
-from ospboson.scalars import mpc_to_str, to_mpf, workdps
+from ospboson.scalars import mpc_to_str, sample_annulus_point, to_mpf, workdps
 from ospboson.theta import (
     _GUARD_BITS,
     _MAX_TERMS,
@@ -204,6 +204,14 @@ def product_at(product, x):
         return _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
 
 
+def annulus_point(rng, digits):
+    """The exchange checks' draw, as an mpc at digits + 10 digits: the
+    sampler's fixed-point pair at the precision verify_exchange draws at."""
+    with workdps(digits + 10):
+        wp = mp.mp.prec + _GUARD_BITS
+        return _from_fixed(sample_annulus_point(rng, wp), wp)
+
+
 def exchange_sides(K1, K2, sf, x, p, bases, digits):
     """lhs = K1(1, x) and rhs = S(x) K2(x, 1), each its own value: scalar,
     monomial and product (Kernel.eval_product) multiplied as mpc values, and
@@ -230,13 +238,14 @@ def exchange_residuals(rel, params, samples, digits, seed, unit_structure=False)
     sf = StructureFunction(1, 0, ()) if unit_structure else rel.structure_function
     rng = random.Random(("exchange", rel.rel_id, rel.mode, seed).__repr__())
     with workdps(digits + 10):
+        wp = mp.mp.prec + _GUARD_BITS
         p = to_mpf(params.p)
         bases = theta_bases(params.q, p, 1)
         points, residuals = [], []
         for _ in range(samples):
-            x, (lhs, rhs) = _sample_x(rng, digits, lambda x: exchange_sides(
-                K1, K2, sf, x, p, bases, digits))
-            points.append(mpc_to_str(x, 17))
+            x, (lhs, rhs) = _sample_x(rng, wp, lambda x: exchange_sides(
+                K1, K2, sf, _from_fixed(x, wp), p, bases, digits))
+            points.append(mpc_to_str(_from_fixed(x, wp), 17))
             residuals.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
         return (points, mp.nstr(max(residuals), 12),
                 mp.nstr(sum(residuals) / len(residuals), 12))

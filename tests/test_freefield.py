@@ -27,8 +27,8 @@ from ospboson.relations import (
     CURRENTS, StructureFunction, _exchange_ratio, relation_catalog)
 from ospboson.series import (
     QPochFactor, TruncatedSeries, closed_form_series, qpoch_log_series)
-from ospboson.theta import QPochProduct
-from reference import product_at
+from ospboson.theta import QPochProduct, _from_fixed, _to_fixed
+from reference import annulus_point, product_at
 
 PARAMS = [DeformationParams(q, p, r) for q, p, r in sample_parameters(7, count=3)]
 
@@ -262,7 +262,7 @@ def test_eval_product_matches_mpmath_qp(pair, q, sqrt_p):
     K = ope_kernel(CURRENTS[pair[0]](P), CURRENTS[pair[1]](P), P, order=2)
     rng = random.Random(repr(("eval-product", pair, q)))
     with mp.workdps(80):
-        points = [sample_annulus_point(rng, 80) for _ in range(2)]
+        points = [annulus_point(rng, 80) for _ in range(2)]
         for f in K.factors:
             for n in range(1 if f.b == 0 else 4):
                 zero = to_mpf(f.b) ** -n / to_mpf(f.c)
@@ -292,11 +292,11 @@ def test_kernel_lines_are_scalar_monomial_product(pair):
     rng = random.Random(repr(("kernel-lines", pair)))
     with mp.workdps(60):
         product = QPochProduct(K.factors)
-        w_line = _exchange_ratio(K, unit_kernel, unit_structure, P)
-        z_ratio = _exchange_ratio(unit_kernel, K, unit_structure, P)
+        wp, w_line = _exchange_ratio(K, unit_kernel, unit_structure, P)
+        _, z_ratio = _exchange_ratio(unit_kernel, K, unit_structure, P)
         scalar = to_mpf(K.scalar)
-        for x in (sample_annulus_point(rng, 60) for _ in range(2)):
-            (n, d), (zn, zd) = w_line(x), z_ratio(x)
+        for xf in (sample_annulus_point(rng, wp) for _ in range(2)):
+            (n, d), (zn, zd), x = w_line(xf), z_ratio(xf), _from_fixed(xf, wp)
             for got, want in ((mp.mpc(*n) / mp.mpc(*d),
                                scalar * x ** K.w_exp * product_at(product, x)),
                               (mp.mpc(*zd) / mp.mpc(*zn),
@@ -310,7 +310,7 @@ def test_kernel_lines_are_scalar_monomial_product(pair):
                 assert factor is not None
                 for call, x in ((w_line, y), (z_ratio, 1 / y)):
                     with pytest.raises(PoleError) as exc:
-                        call(x)
+                        call(_to_fixed(x, wp))
                     assert exc.value.factor == factor
 
 

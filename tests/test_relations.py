@@ -23,10 +23,11 @@ from ospboson.relations import (
     verify_invertibility,
 )
 from ospboson.scalars import mpc_to_str, sample_annulus_point, sample_parameters, to_mpf
-from ospboson.theta import StructureFunctionEvaluator
+from ospboson.theta import _GUARD_BITS, StructureFunctionEvaluator, _from_fixed, _to_fixed
 from reference import (
     EE_MIXED,
     FF_MIXED,
+    annulus_point,
     exchange_residuals,
     one_factor_theta,
     structure_function_value,
@@ -133,7 +134,7 @@ def test_structure_function_equals_per_factor_thetas(f):
     rng = random.Random("structure-vs-thetas")
     with mp.workdps(DIGITS + 10):
         q, p = mp.mpf(2) / 5, mp.mpf(1) / 4
-        cases = [(sample_annulus_point(rng, DIGITS), p, theta_bases(q, p, 1))
+        cases = [(annulus_point(rng, DIGITS), p, theta_bases(q, p, 1))
                  for _ in range(3)]
         limit_p = mp.e ** (mp.mpf("0.025") * mp.mpf("0.12"))
         for xr in ("0.97", "1.02"):
@@ -350,15 +351,16 @@ KERNEL_ZERO = mp.mpf(1) / 2
 
 
 def _patched_sampler(monkeypatch, poles):
-    """Make the sampler return the points in poles, then its own draws."""
+    """Make the sampler return the points in poles, then its own draws;
+    the draws are kept with their precision, (x, wp)."""
     ordinary = []
     real = relations.sample_annulus_point
 
-    def fake(rng, digits):
+    def fake(rng, wp):
         if poles:
-            return mp.mpc(poles.pop(0))
-        ordinary.append(real(rng, digits))
-        return ordinary[-1]
+            return _to_fixed(mp.mpc(poles.pop(0)), wp)
+        ordinary.append((real(rng, wp), wp))
+        return ordinary[-1][0]
     monkeypatch.setattr(relations, "sample_annulus_point", fake)
     return ordinary
 
@@ -368,12 +370,15 @@ def test_sampler_redraws_on_poles(monkeypatch):
     ordinary = _patched_sampler(monkeypatch, [SF_ZERO, KERNEL_ZERO])
     rep = verify_exchange(rel, P, samples=10, digits=30, seed=0)
     # the first ordinary draw is the first point, and no draw was lost
-    assert rep["points"] == [mpc_to_str(x, 17) for x in ordinary]
+    with mp.workdps(40):
+        assert rep["points"] == [mpc_to_str(_from_fixed(x, wp), 17) for x, wp in ordinary]
 
 
 def test_sampler_points_match_separate_cos_and_sin():
-    # the drawn points are those of r cos(phi) + i r sin(phi), each taken
-    # on its own, bit for bit
+    # the fixed-point draw at verify_exchange's precision is the mp draw
+    # r cos(phi) + i r sin(phi), each taken on its own at digits, within
+    # that draw's own rounding (16 units in its last place), and prints
+    # the same 17 digits
     def separate(rng, digits):
         with mp.workdps(digits):
             u = rng.random()
@@ -383,9 +388,13 @@ def test_sampler_points_match_separate_cos_and_sin():
 
     for seed in range(300):
         for digits in (30, 50):
-            got = sample_annulus_point(random.Random(seed), digits)
             want = separate(random.Random(seed), digits)
-            assert (got.real, got.imag) == (want.real, want.imag), (seed, digits)
+            with mp.workdps(digits + 10):
+                wp = mp.mp.prec + _GUARD_BITS
+                got = _from_fixed(sample_annulus_point(random.Random(seed), wp), wp)
+                ulp = mp.mpf(2) ** -mp.libmp.dps_to_prec(digits)
+                assert abs(got - want) <= 16 * ulp * abs(want), (seed, digits)
+                assert mpc_to_str(got, 17) == mpc_to_str(want, 17), (seed, digits)
 
 
 def test_sampler_gives_up_after_ten_pole_draws(monkeypatch):
@@ -535,12 +544,13 @@ def test_split_thetas_equal_the_transform(f):
     for q, p, r in sample_parameters(7, count=3):
         params = DeformationParams(q, p, r)
         with mp.workdps(DIGITS + 10):
-            ratio = relations._exchange_ratio(unit, unit, f, params)
+            wp, ratio = relations._exchange_ratio(unit, unit, f, params)
             pm = to_mpf(p)
             bases = theta_bases(q, pm, 1)
-            for x in (sample_annulus_point(rng, DIGITS) for _ in range(4)):
-                n, d = ratio(x)
+            for xf in (sample_annulus_point(rng, wp) for _ in range(4)):
+                n, d = ratio(xf)
                 got = mp.mpc(*d) / mp.mpc(*n)
+                x = _from_fixed(xf, wp)
                 ref = structure_function_value(f, x, pm, 1, bases, DIGITS)
                 assert abs(got - ref) < mp.mpf("1e-55") * abs(ref), (q, p, x)
 
@@ -587,7 +597,9 @@ def _divisors(factors, inverse):
 def test_exchange_residual_near_divisors(monkeypatch, seed):
     # at points off every zero and pole of the one product's factors, the
     # kernels' and the split thetas', by 1e-5 to 1e-3 relatively, the
-    # residual of each canonical relation stays at the working precision
+    # residual of each canonical relation stays at the working precision;
+    # taken from integer squares, it is the quotient of the pair's mpc
+    # absolute values within a few ulps there, and exactly 0 where N == D
     lists = []
 
     class Recorded(theta.QPochProduct):
@@ -603,17 +615,36 @@ def test_exchange_residual_near_divisors(monkeypatch, seed):
             continue
         K1, K2 = _kernels(rel, params)
         with mp.workdps(DIGITS + 10):
-            ratio = relations._exchange_ratio(K1, K2, rel.structure_function, params)
+            ulp = mp.mpf(2) ** -mp.mp.prec
+            wp, ratio = relations._exchange_ratio(K1, K2, rel.structure_function, params)
             for z in _divisors(*lists[-1]):
                 for delta in ("1e-4", "-1e-4", "1e-5", "1e-3"):
                     x = mp.mpc(to_mpf(z) * (1 + mp.mpf(delta)))
                     try:
-                        residual = relations._residual(ratio(x))
+                        (nr, ni), (dr, di) = ratio(_to_fixed(x, wp))
                     except PoleError:
                         continue
                     checked += 1
+                    residual = relations._residual(((nr, ni), (dr, di)))
                     assert residual <= mp.mpf(10) ** (5 - DIGITS), (rel.rel_id, z, delta)
+                    want = (abs(mp.mpc(nr - dr, ni - di))
+                            / max(abs(mp.mpc(nr, ni)), abs(mp.mpc(dr, di))))
+                    assert abs(residual - want) <= 4 * ulp * want, (rel.rel_id, z, delta)
+                    assert relations._residual(((nr, ni), (nr, ni))) == 0
     assert checked > 100
+
+
+def test_residual_keeps_digits_below_the_fixed_point_step():
+    # N - D = 1 + i on D = 2^wp: the residual sqrt(2) / |N| is about 1e-79,
+    # near 2^-wp, and keeps 12 significant digits, which a quotient taken
+    # in fixed point at 2^-wp would round off
+    with mp.workdps(DIGITS + 10):
+        wp = mp.mp.prec + _GUARD_BITS
+        got = relations._residual((((1 << wp) + 1, 1), (1 << wp, 0)))
+    with mp.workdps(100):
+        want = mp.sqrt(2) / mp.sqrt(mp.mpf((1 << wp) + 1) ** 2 + 1)
+        assert mp.mpf("1e-80") < want < mp.mpf("1e-78")
+        assert abs(got - want) <= mp.mpf("1e-12") * want
 
 
 def test_residuals_shrink_with_precision():

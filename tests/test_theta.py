@@ -11,7 +11,7 @@ from ospboson import theta
 from ospboson.errors import DomainError, PoleError
 from ospboson.freefield import DeformationParams, exp_contraction_closed
 from ospboson.relations import StructureFunction, ThetaFactor
-from ospboson.scalars import sample_annulus_point, to_mpf
+from ospboson.scalars import to_mpf
 from ospboson.series import QPochFactor
 from ospboson.theta import (
     _GUARD_BITS,
@@ -24,7 +24,7 @@ from ospboson.theta import (
     _to_fixed,
     theta_terms_needed,
 )
-from reference import one_factor_theta, product_at, qpoch_eval, theta_eval
+from reference import annulus_point, one_factor_theta, product_at, qpoch_eval, theta_eval
 
 DIGITS = 50
 
@@ -88,7 +88,7 @@ def test_qpoch_product_matches_mpmath_qp(q, r):
                + exp_contraction_closed("psi", "psi", P))
     rng = random.Random(("qpoch-series", q, r).__repr__())
     with mp.workdps(60):
-        xs = [sample_annulus_point(rng, DIGITS) for _ in range(2)]
+        xs = [annulus_point(rng, DIGITS) for _ in range(2)]
         xs += [1 / x for x in xs]
         for f in factors:
             c, b = to_mpf(f.c), to_mpf(f.b)
