@@ -29,15 +29,15 @@ are logged per run so a surviving constant would be visible, not hidden.
 Shared sample.  At one sample and one eps, every relation meets the same
 x, p and two nomes, and the eight relations together have 24 distinct
 factors theta_B(x p^s) (12 shifts on each base).  limit_check takes its
-elliptic side from one theta.StructureFunctionEvaluator point per eps,
-which takes each nome's transform step and each distinct factor's once, on
-first use, and composes each relation from them.  It is the package's one
-user of the Jacobi transform: the exchange checks, on exact nomes away
-from 1, split their thetas into kernel factors.  The points are a pure
-function of limit_check's own inputs and are remembered for the last
-inputs only, so consecutive checks at one sample (the limits suite's
-eight) share them and the next sample replaces them.  The trigonometric
-target is computed apart on every call.
+elliptic side from one theta.StructureFunctionPoint per eps, which takes
+each nome's transform step and X once, when it is built, and each distinct
+factor's step once, on first use, and composes each relation from them.
+It is the package's one user of the Jacobi transform: the exchange checks,
+on exact nomes away from 1, split their thetas into kernel factors.  The
+points are a pure function of limit_check's own inputs and are remembered
+for the last inputs only, so consecutive checks at one sample (the limits
+suite's eight) share them and the next sample replaces them.  The
+trigonometric target is computed apart on every call.
 
 The trigonometric targets are derived mechanically from the canonical
 relation catalog (same factor lists, same signs), not typed in from the
@@ -59,7 +59,7 @@ from mpmath import mp
 from .errors import DomainError, PoleError, StructuralError
 from .relations import relation_catalog, theta_bases
 from .scalars import workdps
-from .theta import StructureFunctionEvaluator
+from .theta import StructureFunctionPoint
 
 EPSILON_LADDER = (0.1, 0.05, 0.025, 0.0125)
 
@@ -140,13 +140,14 @@ def rational_structure_function(name, u_minus_v, hbar, c=1, digits=30):
 def _elliptic_points(u_minus_v, eta, hbar, c, digits):
     """limit_check's elliptic side, a pure function of its inputs.
 
-    For each eps of EPSILON_LADDER, a theta.StructureFunctionEvaluator on
-    p = e^{eps hbar} and the nomes B of the convention above, at the point
-    x = e^{-eps(u-v)}, built at the working precision digits + 10, each on
-    its own.  A point's value(f) is f's value there; a factor at a theta
-    zero (within about theta.POLE_TOL |ln B| / (2 pi) of it, relatively, on
-    its nome B) raises PoleError carrying the first such factor of f.  Only
-    the last inputs' points are kept.
+    For each eps of EPSILON_LADDER, a theta.StructureFunctionPoint at
+    x = e^{-eps(u-v)}, on p = e^{eps hbar} and the nomes B of the convention
+    above, built at the working precision digits + 10, each on its own.  A
+    point's value(f) is f's value there; a factor at a theta zero (within
+    about theta.POLE_TOL |ln B| / (2 pi) of it, relatively, on its nome B)
+    raises PoleError carrying the first such factor of f.  At a real u-v, x
+    is real and positive, inside the transform's fixed-point budget (a point
+    outside it raises DomainError).  Only the last inputs' points are kept.
     """
     with workdps(digits + 10):
         s = mp.mpc(u_minus_v)
@@ -155,8 +156,7 @@ def _elliptic_points(u_minus_v, eta, hbar, c, digits):
             p = mp.e ** (eps * mp.mpf(hbar))
             bases = {k: 1 / mp.sqrt(mp.sqrt(b)) for k, b in theta_bases(
                 mp.exp(eps / mp.mpf(eta)), p, c).items()}
-            points.append(StructureFunctionEvaluator(p, c, bases).at(
-                mp.e ** (-eps * s)))
+            points.append(StructureFunctionPoint(p, c, bases, mp.e ** (-eps * s)))
         return tuple(points)
 
 

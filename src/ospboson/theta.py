@@ -16,7 +16,7 @@ factors (c x | B) and (B/c x^-1 | B), (B | B) cancelling in a balanced
 ratio, and take them in one ``QPochProduct`` with the kernels'
 (relations._exchange_ratio).  The scaling limits' nomes tend to 1, where
 the direct product would need ~1/(1-q) factors; there, and only there,
-``StructureFunctionEvaluator`` takes the Jacobi imaginary transformation
+``StructureFunctionPoint`` takes the Jacobi imaginary transformation
 (Whittaker-Watson ch. 21) onto a product on the transformed nome,
 
     theta_q(z) = i (-i tau)^{-1/2} e^{i pi (u - u u' - u' - tau/4 + tau'/4)}
@@ -24,18 +24,19 @@ the direct product would need ~1/(1-q) factors; there, and only there,
 
 with z = e^{2 pi i u}, q = e^{2 pi i tau} (principal logs), u' = u/tau,
 tau' = -1/tau and q' = e^{2 pi i tau'}, real in (0, 1) too.  As q -> 1,
-q' -> 0 and a few terms suffice.  It takes the transform in three steps:
-per nome (``_modular_nome``: tau, q', the prefactor's constant part and
-(q' | q')_inf), per point and nome (``_modular_point``: X = e^{log x / tau},
-the point's one exp there) and per factor (``_modular_factor``: the product
-at z' = X^{+-1} P^k, taken in fixed point from X and P = e^{log p / (2 tau)},
-k twice the p-shift).  Each structure function's prefactor exponents sum to
-a quadratic in log x, prepared from exact integer sums over its factors,
-under one exp.
+q' -> 0 and a few terms suffice.  Built at one point x, it takes the
+transform in two steps there: per nome, when it is built (``_modular_nome``:
+tau, q', the prefactor's constant part and (q' | q')_inf; then
+X = e^{log x / tau} and P = e^{log p / (2 tau)} in fixed point), and per
+factor, once each (``_modular_factor``: the product at z' = X^{+-1} P^k,
+formed in fixed point, k twice the p-shift).  A point with |X| < 2^-59 on a
+nome is outside the fixed point's budget and raises DomainError.  Each
+structure function's prefactor exponents sum to a quadratic in log x, from
+exact integer sums over its factors, under one exp.
 
 Kernels are products of q-Pochhammer factors (c x | b)^{+-1} with exact c
 and 0 <= b < 1; ``QPochProduct`` prepares one whole for many x.  It and
-the evaluator sum each factor by Euler's series (Gasper-Rahman, (1.3.16)),
+the transform sum each factor by Euler's series (Gasper-Rahman, (1.3.16)),
 
     (y | b)_inf = sum_n (-1)^n b^(n(n-1)/2) y^n / (b | b)_n ,
 
@@ -51,13 +52,13 @@ loop with them.  Both evaluators work in fixed point: Python ints scaled by
 do.  A product multiplies into a caller's pair of running products,
 numerator and denominator (``QPochProduct.multiply``), so the exchange
 check takes its two kernels and its split thetas as one ratio in one pair,
-which starts at the exact integers of its rational scalar; the evaluator
-multiplies into a pair of its own (``value``).  No evaluator takes
-another's prepared state.  Fixed point does not renormalize, so a value's
-error is relative to the smallest running value of its pair.  A
+which starts at the exact integers of its rational scalar; the transform
+multiplies into a pair of its own (``StructureFunctionPoint.value``).  No
+evaluator takes another's prepared state.  Fixed point does not renormalize,
+so a value's error is relative to the smallest running value of its pair.  A
 transformed theta factor adds the rounding of z' = X^{+-1} P^k, of X and P
 at the working precision and in fixed point, and a structure function that
-of its quadratic's terms (StructureFunctionEvaluator).
+of its quadratic's terms (StructureFunctionPoint).
 
 Each evaluator guards the poles on the value it already sums, by one test
 in ``_qpoch_series`` (a y within POLE_TOL of 1 puts the factor's argument
@@ -79,7 +80,7 @@ from .errors import DomainError, PoleError, StructuralError
 
 __all__ = [
     "QPochProduct",
-    "StructureFunctionEvaluator",
+    "StructureFunctionPoint",
     "theta_terms_needed",
 ]
 
@@ -162,9 +163,9 @@ class QPochProduct:
                                     % _from_fixed((xr, xi), wp), factor=f)
 
 
-class StructureFunctionEvaluator:
-    """Structure functions on fixed nomes, evaluated at many points x by
-    the Jacobi transform: the scaling limits' route, for nomes near 1.  The
+class StructureFunctionPoint:
+    """Structure functions at one point x on fixed nomes, evaluated by the
+    Jacobi transform: the scaling limits' route, for nomes near 1.  The
     exchange checks split their thetas into kernel factors instead
     (relations._exchange_ratio); the tests hold the two routes equal.
 
@@ -173,42 +174,43 @@ class StructureFunctionEvaluator:
     (StructuralError otherwise), in the shape of relations.StructureFunction
     and relations.ThetaFactor, on the nomes B = bases[factor.base], real
     mpf values {"q2": .., "qt2": ..} in (0, 1): the scaling limits' nomes,
-    or relations.theta_bases(q, p, c) at a deformation point.  Preparation
-    takes
-    log p (p > 0).  The one cache, filled on first use and shared with no
-    other evaluator: per base, the per-nome step (_modular_nome; a nome that
-    is not a real 0 < B < 1, or is below about e^-280, whose q' misses the
-    series' budget, raises DomainError), and P = e^(log p / (2 tau)) and its
-    powers P^n in fixed point, by integer products (|P| = 1, so
-    P^-n = conj(P^n)); per f (by id, f kept), its factors' keys (base,
-    orient, k; equal for factors that share a theta) and A, B, C below.
-    With lam = log p / 2 and, on each nome, the exact integer sums over f's
-    factors S0 = sum power, S1 = sum power k, S2 = sum power k^2,
-    S3 = sum power orient and S4 = sum power orient k, the factors'
-    prefactor exponents E (_modular_nome), signed by power, sum to
-    A + B l + C l^2 in l = log x: each nome adds
-    S0 log C + h lam S1 + kappa lam^2 S2 to A, h S3 + 2 kappa lam S4 to B
-    and kappa S0 to C, and A has p_exp log p.
+    or relations.theta_bases(q, p, c) at a deformation point.  Construction
+    takes l = log x and log p (p > 0), and for every nome of bases the
+    per-nome step (_modular_nome; a nome that is not a real 0 < B < 1, or is
+    below about e^-280, whose q' misses the series' budget, raises
+    DomainError), its exponent coefficients below, and X = e^(l / tau) and
+    P = e^(log p / (2 tau)) in fixed point.
 
-    at(x) is the evaluator at one point x.  It takes l once, and on first
-    use each nome's X = e^(l / tau) (_modular_point) in fixed point, and
-    each key's step (_modular_factor) at z' = X^orient P^k = e^(log z / tau),
-    formed in integers; log z = orient l + k lam has its imaginary part in
-    [-pi, pi], so q'^(1/2) <= |z'| = |X|^orient <= q'^(-1/2).
-    value(f) multiplies the steps into a fixed-point numerator and
-    denominator of its own at wp, as QPochProduct.multiply does into a
-    caller's, divides them once and takes one exp, of A + l (B + l C); it is
-    real when x is.  It raises PoleError carrying f's first factor at a
-    theta zero, where the step is None: within about
-    POLE_TOL |ln B| / (2 pi) of it, relatively.  All of it runs at the
-    working precision in force when the evaluator
-    is built (wp adds the guard bits to it), so a caller enters it once.
+    value(f) takes each factor's key (base, orient, k; equal for factors
+    that share a theta) and, on first use at this point, its step
+    (_modular_factor) at z' = X^orient P^k = e^(log z / tau), formed in
+    integers (P^n by integer products, P^-n = conj(P^n), as |P| = 1);
+    log z = orient l + k lam has its imaginary part in [-pi, pi], so
+    q'^(1/2) <= |z'| = |X|^orient <= q'^(-1/2).  With lam = log p / 2 and,
+    on each nome, the exact integer sums over f's factors S0 = sum power,
+    S1 = sum power k, S2 = sum power k^2, S3 = sum power orient and
+    S4 = sum power orient k, the factors' prefactor exponents E
+    (_modular_nome), signed by power, sum to A + B l + C l^2: each nome adds
+    S0 log C + h lam S1 + kappa lam^2 S2 to A, h S3 + 2 kappa lam S4 to B
+    and kappa S0 to C, and A has p_exp log p (_exponent).  It multiplies the
+    steps into a fixed-point numerator and denominator of its own at wp, as
+    QPochProduct.multiply does into a caller's, divides them once and takes
+    one exp, of A + l (B + l C); it is real when x is.  It raises PoleError
+    carrying f's first factor at a theta zero, where the step is None:
+    within about POLE_TOL |ln B| / (2 pi) of it, relatively.  It raises
+    DomainError at a factor at 1/x (orient -1) on a nome where the
+    fixed-point X has |X| < 2^-59, which is outside the budget below.  All
+    of it runs at the working precision in force at construction (wp adds
+    the guard bits to it), so a caller enters it once.
     Error budget, with u the working precision's unit.  z' is within a few
     u (1 + |l / tau| + |k lam / tau|) of its value, relatively, as X and P
     each round once, after the exps' arguments.  The fixed point at wp adds a
-    few 2^-wp (|k| + |z'|^-orient), relatively (P^k's |k| products, and X's
-    rounding), below u while |z'|^-orient <= 2^59: at every real x
-    (|z'| = 1), and on every nome B <= 0.6 (|z'| <= q'^(-1/2)).  The step
+    few 2^-wp (|k| + 1/|X|), relatively (P^k's |k| products, and X's
+    rounding), below u while 1/|X| <= 2^59: at every real x (|X| = 1), and
+    on every nome B <= 0.6 (|X| >= q'^(1/2)).  Past it, z' = P^k / X would
+    move a step by as much, relatively, and is refused; z' = X P^k has
+    |z'| = |X| and moves by a few 2^-wp, absolutely, as the step's series
+    takes its y's rounding (_qpoch_series).  The step
     sums it within _qpoch_series's budget over its three q-Pochhammer
     factors on q' (27 bits for the q' <= 0.017 of nomes 6.4e-5 and up;
     |1 - y| >= POLE_TOL wherever a step returns a value), and each step
@@ -220,41 +222,36 @@ class StructureFunctionEvaluator:
     exponents cancel exactly in the sums.
     """
 
-    def __init__(self, p, c, bases):
+    def __init__(self, p, c, bases, x):
         if not isinstance(c, int):
             raise StructuralError("need an integer level c, got %r" % (c,))
         self.c = c
-        self.wp = mp.mp.prec + _GUARD_BITS
+        self.wp = wp = mp.mp.prec + _GUARD_BITS
+        x = mp.mpc(x)
         self._log_p = mp.log(p)
-        self._bases = bases
-        self._nomes = {}      # base name -> (per-nome step, coefficients, [P^0, P^1, ..])
-        self._functions = {}  # id(f) -> (f, A, B, C, factor entries)
-
-    def _nome(self, name):
-        entry = self._nomes.get(name)
-        if entry is None:
-            nome = _modular_nome(self._bases[name], self.wp)
+        self._log_x = mp.log(x)
+        self._real = x.imag == 0
+        lam = self._log_p / 2
+        # base name -> (per-nome step, coefficients, X, |X|^2 or None, [P^0, P^1, ..])
+        self._nomes = {}
+        for name, q in bases.items():
+            nome = _modular_nome(q, wp)
             inv_tau, h, kappa, log_c = nome[:4]
-            lam = self._log_p / 2
+            xr, xi = _to_fixed(mp.exp(self._log_x * inv_tau), wp)
+            d = xr * xr + xi * xi  # |X|^2, or None below 2^-118: 1/X outside the budget
+            d = d if d >= 1 << 2 * (wp - _GUARD_BITS + 1) else None
             # log C, h lam, kappa lam^2 (A); h, 2 kappa lam (B); kappa (C)
             coeffs = log_c, h * lam, kappa * lam * lam, h, 2 * kappa * lam, kappa
-            entry = self._nomes[name] = nome, coeffs, [
-                (1 << self.wp, 0), _to_fixed(mp.exp(lam * inv_tau), self.wp)]
-        return entry
+            self._nomes[name] = nome, coeffs, (xr, xi), d, [
+                (1 << wp, 0), _to_fixed(mp.exp(lam * inv_tau), wp)]
+        self._steps = {}  # factor key -> P, None at a theta zero
 
-    def _function(self, f):
-        entry = self._functions.get(id(f))
-        if entry is not None:
-            return entry
-        factors, sums = [], {}  # per base [S0, .., S4]
+    def _exponent(self, f):
+        """f's factor keys, and A, B, C of its prefactor exponent."""
+        keys, sums = [], {}  # per base [S0, .., S4]
         for tf in f.factors:
             k = tf.k0 + tf.k1 * self.c
-            nome, _, powers = self._nome(tf.base)
-            for _ in range(len(powers), abs(k) + 1):  # P^n = P^(n-1) P
-                (ar, ai), (pr, pi) = powers[-1], powers[1]
-                powers.append(((ar * pr - ai * pi) >> self.wp, (ar * pi + ai * pr) >> self.wp))
-            pr, pi = powers[abs(k)]  # P^-n = conj(P^n)
-            factors.append((tf, (tf.base, tf.orient, k), nome, (pr, pi if k >= 0 else -pi)))
+            keys.append((tf.base, tf.orient, k))
             t = sums.setdefault(tf.base, [0] * 5)
             for i, v in enumerate((1, k, k * k, tf.orient, tf.orient * k)):
                 t[i] += tf.power * v
@@ -263,37 +260,27 @@ class StructureFunctionEvaluator:
             for i, n, v in zip((0, 0, 0, 1, 1, 2), t + t[:1], self._nomes[name][1]):
                 if n:
                     abc[i] += n * v
-        entry = self._functions[id(f)] = (f, *abc, factors)
-        return entry
-
-    def at(self, x):
-        return _StructureFunctionPoint(self, x)
-
-
-class _StructureFunctionPoint:
-    """A StructureFunctionEvaluator at one point x (its at(x))."""
-
-    def __init__(self, evaluator, x):
-        self.evaluator = evaluator
-        x = mp.mpc(x)
-        self._log_x = mp.log(x)
-        self._real = x.imag == 0
-        self._xs = {}     # base name -> (X = e^(log x / tau) in fixed point, |X|^2)
-        self._steps = {}  # factor key -> P, None at a theta zero
+        return keys, abc
 
     def value(self, f):
-        ev = self.evaluator
-        wp = ev.wp
-        _, a, b, c, factors = ev._function(f)
+        wp = self.wp
+        keys, (a, b, c) = self._exponent(f)
         acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
-        for tf, key, nome, (pr, pi) in factors:
+        for tf, key in zip(f.factors, keys):
             if key not in self._steps:
-                if key[0] not in self._xs:
-                    xr, xi = _to_fixed(_modular_point(self._log_x, nome), wp)
-                    self._xs[key[0]] = xr, xi, xr * xr + xi * xi
-                xr, xi, d = self._xs[key[0]]
-                if tf.orient == 1:  # z' = X P^k
+                name, orient, k = key
+                nome, _, (xr, xi), d, powers = self._nomes[name]
+                for _ in range(len(powers), abs(k) + 1):  # P^n = P^(n-1) P
+                    (ar, ai), (pr, pi) = powers[-1], powers[1]
+                    powers.append(((ar * pr - ai * pi) >> wp, (ar * pi + ai * pr) >> wp))
+                pr, pi = powers[abs(k)]
+                pi = pi if k >= 0 else -pi  # P^-n = conj(P^n)
+                if orient == 1:  # z' = X P^k
                     z = (xr * pr - xi * pi) >> wp, (xr * pi + xi * pr) >> wp
+                elif d is None:
+                    raise DomainError("x = %s is outside the transform's fixed-point "
+                                      "budget at 1/x on %s: |X| < 2^-%d"
+                                      % (mp.exp(self._log_x), name, _GUARD_BITS - 1))
                 else:  # z' = P^k / X = P^k conj(X) 2^(2 wp) / |X|^2
                     z = ((xr * pr + xi * pi) << wp) // d, ((xr * pi - xi * pr) << wp) // d
                 self._steps[key] = _modular_factor(z, nome, wp)
@@ -309,8 +296,8 @@ class _StructureFunctionPoint:
 
 
 def _modular_nome(q, wp):
-    """The per-nome step of the transform, as the tuple _modular_point and
-    _modular_factor take.
+    """The per-nome step of the transform, as the tuple StructureFunctionPoint
+    and _modular_factor take.
 
     q is a real nome, an mpf with 0 < q < 1, else DomainError.  With
     tau = log q / (2 pi i) and tau' = -1/tau: 1/tau; h = (1 - 1/tau)/2;
@@ -335,11 +322,6 @@ def _modular_nome(q, wp):
     inv_tau = -taup
     return (inv_tau, (1 - inv_tau) / 2, 1j / (4 * mp.pi * tau), log_c, base,
             _qpoch_series((1 << wp, 0), ((b >> t - wp, 0),), base, wp))
-
-
-def _modular_point(log_x, nome):
-    """The per-point step: X = e^(log x / tau), the point's one exp on a nome."""
-    return mp.exp(log_x * nome[0])
 
 
 def _modular_factor(z, nome, wp):

@@ -27,7 +27,7 @@ from ospboson.scalars import mpc_to_str, sample_annulus_point, to_mpf, workdps
 from ospboson.theta import (
     _GUARD_BITS,
     _MAX_TERMS,
-    StructureFunctionEvaluator,
+    StructureFunctionPoint,
     _from_fixed,
     _to_fixed,
     theta_terms_needed,
@@ -173,9 +173,9 @@ def theta_eval(z, q, digits):
 
 
 def structure_function_value(f, x, p, c, bases, digits):
-    """f at the one point x, through a fresh StructureFunctionEvaluator."""
+    """f at the one point x, through a StructureFunctionPoint built there."""
     with workdps(digits + 10):
-        return StructureFunctionEvaluator(p, c, bases).at(x).value(f)
+        return StructureFunctionPoint(p, c, bases, x).value(f)
 
 
 class _Theta:

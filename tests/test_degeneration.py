@@ -266,34 +266,39 @@ def test_shared_sample_level_zero_pair(names):
 
 
 def test_shared_sample_steps_each_nome_and_factor_once(monkeypatch):
-    nomes, points, factors = [], [], []
-    modular_nome = theta._modular_nome
-    modular_point, modular_factor = theta._modular_point, theta._modular_factor
+    nomes, fixed, factors = [], [], []
+    modular_nome, modular_factor = theta._modular_nome, theta._modular_factor
+    to_fixed = theta._to_fixed
 
     def counted_nome(q, wp):
         nomes.append(q)
         return modular_nome(q, wp)
 
-    def counted_point(log_x, nome):
-        points.append((log_x, nome[0]))  # nome[0] is 1/tau
-        return modular_point(log_x, nome)
+    def counted_fixed(z, wp):
+        fixed.append(z)
+        return to_fixed(z, wp)
 
     def counted_factor(z, nome, wp):
-        factors.append((z, nome[0]))
+        factors.append((z, nome[0]))  # nome[0] is 1/tau
         return modular_factor(z, nome, wp)
 
     MEMO.cache_clear()
     monkeypatch.setattr(theta, "_modular_nome", counted_nome)
-    monkeypatch.setattr(theta, "_modular_point", counted_point)
+    monkeypatch.setattr(theta, "_to_fixed", counted_fixed)
     monkeypatch.setattr(theta, "_modular_factor", counted_factor)
     s = SHARED_SAMPLES[1]
     for name in LIMIT_NAMES:
         limit_check(name, **s)
-    # 2 nomes at each of the 4 eps, each with one exp X = e^(log x / tau);
+    # 2 nomes at each of the 4 eps, each with one exp X = e^(log x / tau),
+    # told from P = e^(log p / (2 tau)) by its value at x = e^(-eps(u-v));
     # the 8 relations have 24 distinct factors at each eps (12 shifts on
     # each base)
+    with mp.workdps(40):
+        logs = [-mp.mpf(eps) * s["u_minus_v"] for eps in EPSILON_LADDER]
+        xs = [z for z in fixed if any(abs(z - mp.exp(l * inv_tau)) < 1e-30
+                                      for l in logs for _, inv_tau in factors)]
     assert len(nomes) == 2 * len(EPSILON_LADDER) == len(set(nomes))
-    assert len(points) == 2 * len(EPSILON_LADDER) == len(set(points))
+    assert len(xs) == 2 * len(EPSILON_LADDER) == len(set(xs))
     assert len(factors) == 24 * len(EPSILON_LADDER) == len(set(factors))
 
 

@@ -23,7 +23,7 @@ from ospboson.relations import (
     verify_invertibility,
 )
 from ospboson.scalars import mpc_to_str, sample_annulus_point, sample_parameters, to_mpf
-from ospboson.theta import _GUARD_BITS, StructureFunctionEvaluator, _from_fixed, _to_fixed
+from ospboson.theta import _GUARD_BITS, StructureFunctionPoint, _from_fixed, _to_fixed
 from reference import (
     EE_MIXED,
     FF_MIXED,
@@ -151,14 +151,14 @@ def test_structure_function_equals_per_factor_thetas(f):
 @pytest.mark.parametrize("c", [0, 1, 2])
 @pytest.mark.parametrize("f", STRUCTURE_FUNCTIONS)
 def test_integer_shifts_equal_the_fraction_shift_plan(f, c):
-    # the evaluator takes each factor's k = k0 + k1 c in ints; its keys
+    # the transform takes each factor's k = k0 + k1 c in ints; its keys
     # (base, orient, k) and its A, B, C equal those of the plan from the
     # Fraction shifts s = p_shift + c_shift c: k = 2 s, and per base the
     # sums S0..S4 of power times 1, k, k^2, orient and orient k
     with mp.workdps(DIGITS + 10):
         p = mp.mpf(1) / 4
-        ev = StructureFunctionEvaluator(p, c, theta_bases(mp.mpf(2) / 5, p, c))
-        _, *abc, factors = ev._function(f)
+        point = StructureFunctionPoint(p, c, theta_bases(mp.mpf(2) / 5, p, c), mp.mpf("0.7"))
+        got, abc = point._exponent(f)
         keys, sums = [], {}
         for tf in f.factors:
             k = 2 * theta_shift(tf, c)
@@ -166,10 +166,10 @@ def test_integer_shifts_equal_the_fraction_shift_plan(f, c):
             t = sums.setdefault(tf.base, [0] * 5)
             for i, v in enumerate((1, k, k * k, tf.orient, tf.orient * k)):
                 t[i] += tf.power * v
-        assert [key for _, key, *_ in factors] == keys
+        assert got == keys
         want = [f.p_exp * mp.log(p), 0, 0]
         for name, t in sums.items():
-            for i, n, v in zip((0, 0, 0, 1, 1, 2), t + t[:1], ev._nomes[name][1]):
+            for i, n, v in zip((0, 0, 0, 1, 1, 2), t + t[:1], point._nomes[name][1]):
                 if n:
                     want[i] += int(n) * v
         assert abc == want
@@ -177,7 +177,7 @@ def test_integer_shifts_equal_the_fraction_shift_plan(f, c):
 
 def test_evaluator_refuses_a_non_integer_level():
     with pytest.raises(StructuralError, match="integer level"):
-        StructureFunctionEvaluator(mp.mpf(1) / 4, Fr(1, 2), {})
+        StructureFunctionPoint(mp.mpf(1) / 4, Fr(1, 2), {}, mp.mpf("0.7"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -504,11 +504,11 @@ def _kernels(rel, params):
 @pytest.mark.parametrize("rel_id", ["EE", "HH"])
 def test_verify_exchange_runs_no_transform_step(monkeypatch, rel_id):
     # S's thetas are kernel factors at the exact point: the call takes none
-    # of the Jacobi transform's per-nome, per-point or per-factor steps
+    # of the Jacobi transform's per-nome or per-factor steps
     def refused(*args):
         raise AssertionError("transform step in verify_exchange")
 
-    for name in ("_modular_nome", "_modular_point", "_modular_factor"):
+    for name in ("_modular_nome", "_modular_factor"):
         monkeypatch.setattr(theta, name, refused)
     rep = verify_exchange(by_id(relation_catalog())[rel_id], P, samples=10,
                           digits=DIGITS, seed=0)

@@ -17,14 +17,21 @@ from ospboson.theta import (
     _GUARD_BITS,
     POLE_TOL,
     QPochProduct,
-    StructureFunctionEvaluator,
+    StructureFunctionPoint,
     _euler_base,
     _from_fixed,
     _qpoch_series,
     _to_fixed,
     theta_terms_needed,
 )
-from reference import annulus_point, one_factor_theta, product_at, qpoch_eval, theta_eval
+from reference import (
+    annulus_point,
+    one_factor_theta,
+    product_at,
+    qpoch_eval,
+    structure_function_value,
+    theta_eval,
+)
 
 DIGITS = 50
 
@@ -585,7 +592,7 @@ def test_zero_detection():
 
 def test_nomes_and_bases_must_be_real():
     # the transform takes real nomes 0 < q < 1 only: a complex, a negative
-    # and a nome >= 1 raise DomainError through StructureFunctionEvaluator,
+    # and a nome >= 1 raise DomainError through StructureFunctionPoint,
     # and Euler's series refuses a complex or negative base where it is
     # prepared
     with mp.workdps(DIGITS + 10):
@@ -613,11 +620,11 @@ def _z_prime_cases():
 
 def test_transformed_argument_in_fixed_point(monkeypatch):
     # z' = X P^k (orient +1) and P^k / X (orient -1), k = -4..4, formed in
-    # integers from X and P in fixed point at wp, against mpc X * P**k and
-    # P**k / X at 20 digits more.  The budget (StructureFunctionEvaluator):
-    # a few u (1 + |l / tau| + |k lam / tau|) |z'| from X and P rounded at
-    # the working precision's unit u, plus the fixed point's
-    # 2^-wp (|k| + |z'|^-orient) |z'|
+    # integers from X and P in fixed point at wp, one point per x, against
+    # mpc X * P**k and P**k / X at 20 digits more.  The budget
+    # (StructureFunctionPoint): a few u (1 + |l / tau| + |k lam / tau|) |z'|
+    # from X and P rounded at the working precision's unit u, plus the fixed
+    # point's 2^-wp (|k| + |z'|^-orient) |z'|
     zs = []
     monkeypatch.setattr(theta, "_modular_factor",
                         lambda z, nome, wp: zs.append(z) or (1 << wp, 0))
@@ -626,11 +633,11 @@ def test_transformed_argument_in_fixed_point(monkeypatch):
         ThetaFactor("q2", o, Fr(k, 2), Fr(0), (-1) ** i) for i, (o, k) in enumerate(keys)))
     with mp.workdps(DIGITS + 10):
         for q, p, xs in _z_prime_cases():
-            ev = StructureFunctionEvaluator(p, 0, {"q2": q})
-            one, u = mp.mpf(2) ** -ev.wp, mp.mpf(2) ** (_GUARD_BITS - ev.wp)
             for x in xs:
+                point = StructureFunctionPoint(p, 0, {"q2": q}, x)
+                one, u = mp.mpf(2) ** -point.wp, mp.mpf(2) ** (_GUARD_BITS - point.wp)
                 zs.clear()
-                ev.at(x).value(f)
+                point.value(f)
                 with mp.workdps(DIGITS + 30):
                     tau = mp.log(q) / (2j * mp.pi)
                     l, lam = mp.log(x), mp.log(p) / 2
@@ -640,6 +647,43 @@ def test_transformed_argument_in_fixed_point(monkeypatch):
                         budget = 4 * abs(ref) * (u * (1 + abs(l / tau) + abs(k * lam / tau))
                                                  + one * (abs(k) + abs(ref) ** -o))
                         assert abs(mp.mpc(*z) * one - ref) <= budget, (q, x, o, k)
+
+
+# theta_q(1/x) / theta_q(x p) at q = 0.98, p = 1/4: a factor of each
+# orientation, the second at k = 2.  Off the real axis
+# |X| = e^(2 pi arg x / |ln q|), so a point just below it has a tiny X, and
+# z' = P^k / X from X in fixed point keeps too few of its bits.  A factor at
+# x alone takes such a point (test_modular_where_transformed_argument_underflows).
+BUDGET_F = StructureFunction(1, 0, (ThetaFactor("q2", -1, 0, 0, 1),
+                                    ThetaFactor("q2", 1, 1, 0, -1)))
+BUDGET_DIGITS = 40
+
+
+def _budget_value(x):
+    with mp.workdps(BUDGET_DIGITS + 10):
+        return structure_function_value(BUDGET_F, mp.mpc(x), mp.mpf(1) / 4,
+                                        0, {"q2": mp.mpf("0.98")}, BUDGET_DIGITS)
+
+
+@pytest.mark.parametrize("x", [0.5 - 0.2j, -0.5 - 0.001j])
+def test_points_outside_the_fixed_point_budget_are_refused(x):
+    # |X| = 2^-171 and 2^-1409, below the budget's 2^-59: unguarded, the
+    # first came out at a relative error of 2.6e-18 and the second at
+    # 1.5e-396 against mpmath's 1.9e-41
+    with pytest.raises(DomainError, match="fixed-point budget"):
+        _budget_value(x)
+
+
+@pytest.mark.parametrize("x", [0.5 + 0.2j, -0.5 + 0.001j, 0.5 - 0.05j])
+def test_points_inside_the_fixed_point_budget_match_mpmath(x):
+    # the refused points' conjugates (|X| = 2^171 and 2^1409) and a point
+    # with |X| near 2^-45, against mpmath's own q-Pochhammer products:
+    # theta_q(1/x) / theta_q(x p) = (1/x; q)(q x; q) / ((x p; q)(q / (x p); q))
+    got = _budget_value(x)
+    with mp.workdps(BUDGET_DIGITS + 10):
+        q, x, xp = mp.mpf("0.98"), mp.mpc(x), mp.mpc(x) / 4
+        want = mp.qp(1 / x, q) * mp.qp(q * x, q) / (mp.qp(xp, q) * mp.qp(q / xp, q))
+        assert abs(got - want) < mp.mpf(10) ** (5 - BUDGET_DIGITS) * abs(want)
 
 
 def test_terms_needed_monotone():
