@@ -22,11 +22,11 @@ from ospboson.relations import (
 P = DeformationParams(Fraction(2, 5), Fraction(1, 4), Fraction(1, 2))
 
 print("catalog (canonical mode):")
-for rel in relation_catalog(P, mode="canonical"):
+for rel in relation_catalog(mode="canonical"):
     print("  %-5s %s" % (rel.rel_id, rel.kind))
 print()
 
-cat = {r.rel_id: r for r in relation_catalog(P, mode="canonical")}
+cat = {r.rel_id: r for r in relation_catalog(mode="canonical")}
 
 print("structure function of the mixed H relation:")
 print(" ", structure_function_repr(cat["H+H-"].structure_function))

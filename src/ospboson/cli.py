@@ -68,7 +68,7 @@ from .relations import (
     verify_invertibility,
 )
 from .scalars import sample_parameters
-from .series import closed_form_series
+from .series import closed_form_log
 
 
 class UsageError(ValueError):
@@ -138,10 +138,12 @@ def _suite_ope(cfg):
         mismatches = 0
         for q, p, r in triples:
             P = DeformationParams(q, p, r)
-            jet = contraction_series(pair[0], pair[1], P, cfg.order).exp()
-            closed = closed_form_series(
+            # exp<A B> = closed form, compared on logs: truncated exp and log
+            # are inverse bijections between x Q[x] and 1 + x Q[x] mod
+            # x^(order+1), so exp(A) = exp(B) exactly when A = B
+            closed = closed_form_log(
                 exp_contraction_closed(pair[0], pair[1], P), cfg.order)
-            if closed.coeffs != jet.coeffs:
+            if contraction_series(pair[0], pair[1], P, cfg.order) != closed:
                 mismatches += 1
         reports.append({
             "check": "contraction-identity",
@@ -162,7 +164,7 @@ def _suite_relations(cfg):
     mode = "strict-text" if cfg.strict_text else "canonical"
     reports = []
     ee_rel = None
-    for rel in relation_catalog(P, mode=mode):
+    for rel in relation_catalog(mode=mode):
         if rel.kind == "exchange":
             if rel.rel_id == "EE":
                 ee_rel = rel

@@ -35,7 +35,7 @@ import mpmath as mp
 
 from .errors import DomainError, PoleError, StructuralError, UnsupportedError
 from .scalars import workdps
-from .series import QPochFactor, TruncatedSeries, closed_form_series
+from .series import QPochFactor, TruncatedSeries, closed_form_log
 from .theta import QPochProduct, _from_fixed, _to_fixed
 
 __all__ = [
@@ -290,7 +290,7 @@ class Kernel:
 
     def series_from_closed_form(self):
         """Exact jet of prod factors via log expansion; equals .series."""
-        return closed_form_series(self.factors, self.order)
+        return closed_form_log(self.factors, self.order).exp()
 
     def eval_product(self, x, digits):
         """Numeric value of the factor product at complex x (theta.QPochProduct)."""

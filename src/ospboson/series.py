@@ -5,8 +5,9 @@ x.  All ring operations discard the tail beyond x^N, so order-N inputs
 always produce order-N outputs.  Coefficients are ``fractions.Fraction``;
 nothing in this module ever rounds (inputs other than int and Fraction are a
 StructuralError): products and exps sum each output coefficient in integers
-and normalize it once.  Products of q-Pochhammer factors (``QPochFactor``)
-expand through one exp of their summed logs, one factor by Euler's sums.
+and normalize it once.  A product of q-Pochhammer factors (``QPochFactor``)
+has a closed-form log, summed per base in integers (``closed_form_log``);
+its jet is that log's one exp, and one factor's jet is Euler's sums.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import gcd, lcm
 
 from .errors import DomainError, StructuralError
 
-__all__ = ["TruncatedSeries", "QPochFactor", "closed_form_series",
+__all__ = ["TruncatedSeries", "QPochFactor", "closed_form_log",
            "qpoch_log_series"]
 
 
@@ -192,15 +193,15 @@ class QPochFactor:
             raise StructuralError("factor power must be +1 or -1")
 
 
-def closed_form_series(factors, order):
-    """Exact jet of a product of QPochFactors: the exp of their summed logs.
+def closed_form_log(factors, order):
+    """Exact log jet of a product of QPochFactors: their summed logs.
 
     log prod_n (1 - c*x*b^n) = -sum_{m>=1} (c x)^m / (m (1 - b^m)), requiring
-    |b| < 1; each coefficient is a closed-form rational, so the result is
-    the true series of the infinite products, not of truncated ones.  The
-    factors are grouped by base: for each m, sum power * c^m over a group
-    as integers over the common denominator of its c, then divide once by
-    m (1 - b^m).
+    |b| < 1; each coefficient is a closed-form rational, so the exp of the
+    result is the true jet of the infinite products, not of truncated ones.
+    The factors are grouped by base: for each m, sum power * c^m over a
+    group as integers over the common denominator of its c, then divide
+    once by m (1 - b^m).
     """
     groups = {}
     for f in factors:
@@ -220,7 +221,7 @@ def closed_form_series(factors, order):
             bnm, bdm, denm = bnm * bn, bdm * bd, denm * den
             # power c^m / (m (1 - b^m)) = power u^m bd^m / (den^m m (bd^m - bn^m))
             coeffs[m] -= Fraction(sum(terms) * bdm, denm * m * (bdm - bnm))
-    return TruncatedSeries(coeffs, order).exp()
+    return TruncatedSeries(coeffs, order)
 
 
 def qpoch_log_series(c, b, order, power=1):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import ospboson
-from ospboson import cli, degeneration
+from ospboson import cli, degeneration, freefield
 from ospboson.cli import (
     RunConfig, UsageError, _suite_hopf, main, print_object, run_suite)
+from ospboson.series import TruncatedSeries
 
 
 def _clean_env():
@@ -168,6 +170,67 @@ def test_ope_suite_three_contraction_passes(tmp_path):
     assert all(r["check"] == "contraction-identity" for r in reports)
     assert all(r["verdict"] == "pass" for r in reports)
     assert rep["overall_verdict"] == "pass"
+
+
+OPE_PAIRS = ["phi,phi", "psi,psi", "phi,psi"]
+
+
+def _ope_reports(tmp_path, order):
+    out = tmp_path / "r.json"
+    code = run_suite(RunConfig(suite="ope", order=order, out=str(out)))
+    return code, json.loads(out.read_text(encoding="utf-8"))["suites"][0]["reports"]
+
+
+@pytest.mark.parametrize("order", [4, 16])
+def test_ope_suite_kills_bracket_without_minus_one(tmp_path, monkeypatch, order):
+    # mode_bracket with p^n + p^-n in place of p^n + p^-n - 1 must fail
+    # every pair at every parameter point
+    bracket = freefield.mode_bracket
+
+    def mutant(n, m, params):
+        k = abs(n)
+        core = params.p ** k + params.p ** -k
+        return bracket(n, m, params) * core / (core - 1)
+
+    monkeypatch.setattr(freefield, "mode_bracket", mutant)
+    code, reports = _ope_reports(tmp_path, order)
+    assert code == 1
+    assert [(r["pair"], r["mismatched_points"], r["verdict"]) for r in reports] \
+        == [(pair, 3, "fail") for pair in OPE_PAIRS]
+
+
+@pytest.mark.parametrize("target", OPE_PAIRS)
+def test_ope_suite_kills_changed_closed_form_c(tmp_path, monkeypatch, target):
+    # one c of one closed form scaled by q fails that pair alone
+    closed = cli.exp_contraction_closed
+
+    def mutant(kind1, kind2, params):
+        factors = closed(kind1, kind2, params)
+        if "%s,%s" % (kind1, kind2) != target:
+            return factors
+        first = dataclasses.replace(factors[0], c=factors[0].c * params.q)
+        return (first,) + factors[1:]
+
+    monkeypatch.setattr(cli, "exp_contraction_closed", mutant)
+    code, reports = _ope_reports(tmp_path, 4)
+    assert code == 1
+    assert [(r["pair"], r["mismatched_points"]) for r in reports] \
+        == [(pair, 3 if pair == target else 0) for pair in OPE_PAIRS]
+
+
+def test_ope_suite_runs_no_exp(tmp_path, monkeypatch):
+    # the contraction identity is compared on logs
+    calls = []
+    exp = TruncatedSeries.exp
+
+    def counted(self):
+        calls.append(self.order)
+        return exp(self)
+
+    monkeypatch.setattr(TruncatedSeries, "exp", counted)
+    code, reports = _ope_reports(tmp_path, 16)
+    assert code == 0 and len(reports) == 3
+    assert calls == []
 
 
 def test_report_key_order(tmp_path):

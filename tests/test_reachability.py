@@ -24,7 +24,6 @@ ALLOWED = {
     "freefield.Kernel.eval_product": "perfbench binds it",
     "freefield.Kernel.near_singular": "perfbench binds it",
     "freefield.Kernel.series_from_closed_form": "perfbench binds it",
-    "series.TruncatedSeries.__eq__": "perfbench binds it",
     "series.TruncatedSeries.__mul__": "perfbench and demo 01 bind it",
     "series.TruncatedSeries.one": "perfbench binds it",
     "series.TruncatedSeries.log": "perfbench binds it",

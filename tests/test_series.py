@@ -14,7 +14,7 @@ from ospboson.freefield import (
 from ospboson.relations import CURRENTS, relation_catalog
 from ospboson.scalars import sample_parameters, to_mpf
 from ospboson.series import (
-    QPochFactor, TruncatedSeries, closed_form_series, qpoch_log_series)
+    QPochFactor, TruncatedSeries, closed_form_log, qpoch_log_series)
 
 from reference import exp_reference
 
@@ -147,10 +147,28 @@ def test_exp_matches_reference_on_kernel_jets(point, order):
         log = _closed_form_log(K.factors, order)
         ref = exp_reference(log)
         assert TruncatedSeries(log).exp().coeffs == ref, rel_id
-        assert closed_form_series(K.factors, order).coeffs == ref, rel_id
+        assert closed_form_log(K.factors, order).exp().coeffs == ref, rel_id
         contraction = _contraction_log(K)
         assert (TruncatedSeries(contraction).exp().coeffs
                 == exp_reference(contraction)), rel_id
+
+
+@pytest.mark.parametrize("order", [16, 24])
+@pytest.mark.parametrize("point", sorted(EXP_POINTS))
+def test_closed_form_log_matches_per_factor_log(point, order):
+    # the per-base integer sums against one factor and one m at a time, on
+    # every catalog kernel and every contraction pair
+    P = EXP_POINTS[point]
+    factor_lists = {rel_id: ope_kernel(CURRENTS[a](P), CURRENTS[b](P), P,
+                                       order=order).factors
+                    for rel_id, (a, b) in KERNEL_PAIRS.items()}
+    for pair in (("phi", "phi"), ("psi", "psi"), ("phi", "psi")):
+        factor_lists[pair] = exp_contraction_closed(*pair, P)
+    assert len(factor_lists) == 12
+    for key, factors in factor_lists.items():
+        log = closed_form_log(factors, order)
+        assert log.order == order, key
+        assert log.coeffs == _closed_form_log(factors, order), key
 
 
 def test_kernel_jet_denominators_do_not_always_nest():
@@ -232,7 +250,7 @@ def test_closed_form_series_groups_bases_exactly():
                QPochFactor(Fr(1, 6), Fr(0), -1),
                QPochFactor(Fr(3), Fr(0), 1)]
     ref = exp_reference(_closed_form_log(factors, 12))
-    assert closed_form_series(factors, 12).coeffs == ref
+    assert closed_form_log(factors, 12).exp().coeffs == ref
 
 
 def test_closed_form_series_bad_base_message():
@@ -240,7 +258,7 @@ def test_closed_form_series_bad_base_message():
                QPochFactor(Fr(1, 3), Fr(-5, 4), 1)]
     with pytest.raises(DomainError, match=r"^need \|b\| < 1 for the infinite "
                        r"product, got -5/4$"):
-        closed_form_series(factors, 8)
+        closed_form_log(factors, 8)
 
 
 def test_exp_requires_zero_constant():

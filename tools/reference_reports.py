@@ -1,4 +1,4 @@
-"""Write the five reference reports and the printer's output to OUTDIR.
+"""Write the six reference reports and the printer's output to OUTDIR.
 
     PYTHONPATH=<tree>/src python tools/reference_reports.py OUTDIR
 
@@ -27,6 +27,7 @@ REPORTS = {
     "limits": ["--suite", "limits", "--seed", "7"],
     "hopf-trace": ["--suite", "hopf", "--trace", "--convention", "-1"],
     "ope": ["--suite", "ope"],
+    "ope-order-32": ["--suite", "ope", "--order", "32", "--seed", "5"],
 }
 
 CATALOG = relation_catalog()
