@@ -41,9 +41,9 @@ from .freefield import (
     ope_kernel,
     rational_product,
 )
-from .scalars import mpc_to_str, sample_annulus_point, to_mpf, workdps
+from .scalars import fixed_to_str, sample_annulus_point, to_mpf, workdps
 from .series import QPochFactor
-from .theta import QPochProduct, _from_fixed
+from .theta import QPochProduct
 
 __all__ = [
     "ThetaFactor",
@@ -350,10 +350,14 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     R = K_AB(1, x) / (S(x) K_BA(x, 1)) as a fixed-point pair N / D
     (_exchange_ratio, prepared once per call), and |N - D| / max(|N|, |D|)
     is the residual |lhs - rhs| / max(|lhs|, |rhs|); only the residuals
-    and the printed points become mpmath numbers.  A point is drawn
-    again where a factor raises PoleError: within theta.POLE_TOL
-    (relatively) of a zero of a kernel factor, a theta factor's zeros
-    among them, as S's thetas are kernel factors there.
+    become mpmath numbers, and each point is printed from its pair
+    (scalars.fixed_to_str).
+    A point is drawn again where a factor raises PoleError: within
+    theta.POLE_TOL (relatively) of a zero of a kernel factor, a theta
+    factor's zeros among them, as S's thetas are kernel factors there.  A
+    kernel factor and the same split-theta factor at one point cancel
+    before any point is drawn (theta.QPochProduct), so their shared zero
+    is no zero of R and draws no point again.
     """
     if rel.kind != "exchange":
         raise StructuralError("verify_exchange needs an exchange relation")
@@ -379,7 +383,7 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
         residuals = [_residual(pair) for _, pair in draws]
         rmax = max(residuals)
         rmean = sum(residuals) / len(residuals)
-        points = [mpc_to_str(_from_fixed(x, wp), 17) for x, _ in draws]
+        points = [fixed_to_str(x, wp, 17) for x, _ in draws]
     verdict = bool(rmax <= tolerance) and fields_match
     return {
         "relation": rel.rel_id,

@@ -23,13 +23,14 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_pos, round_nearest, to_str
 from mpmath.libmp.libelefun import cos_sin_fixed, pi_fixed
 
 from .errors import DomainError
 
 __all__ = [
     "to_mpf",
-    "mpc_to_str",
+    "fixed_to_str",
     "sample_parameters",
     "sample_annulus_point",
     "workdps",
@@ -43,11 +44,18 @@ def to_mpf(v):
     return mp.mpf(v)
 
 
-def mpc_to_str(value, digits):
-    """Fixed-precision decimal serialization with an explicit digits field."""
-    with mp.workdps(digits):
-        v = mp.mpc(value)
-        return {"re": mp.nstr(v.real, digits), "im": mp.nstr(v.imag, digits), "digits": digits}
+def fixed_to_str(x, wp, digits):
+    """A fixed-point pair x scaled by 2^wp as a decimal serialization with
+    an explicit digits field.
+
+    Each part is rounded to the precision in force, as an mpf of it is,
+    then to digits' bits, as mpc(value) rounds under workdps(digits), and
+    printed to digits significant digits, as nstr prints it.
+    """
+    prec, dprec = mp.mp.prec, dps_to_prec(digits)
+    re, im = (to_str(mpf_pos(from_man_exp(v, -wp, prec, round_nearest), dprec,
+                             round_nearest), digits) for v in x)
+    return {"re": re, "im": im, "digits": digits}
 
 
 def workdps(digits):

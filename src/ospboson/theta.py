@@ -35,7 +35,11 @@ structure function's prefactor exponents sum to a quadratic in log x, from
 exact integer sums over its factors, under one exp.
 
 Kernels are products of q-Pochhammer factors (c x | b)^{+-1} with exact c
-and 0 <= b < 1; ``QPochProduct`` prepares one whole for many x.  It and
+and 0 <= b < 1; ``QPochProduct`` prepares one whole for many x, each of
+its two lists, at x and at 1/x, reduced to net powers by exact (c, b)
+(``_net_factors``): each distinct factor is summed once per unit of its net
+power, and a factor and its inverse at one point, as a kernel factor and
+the same split-theta factor of an exchange ratio, cancel unevaluated.  It and
 the transform sum each factor by Euler's series (Gasper-Rahman, (1.3.16)),
 
     (y | b)_inf = sum_n (-1)^n b^(n(n-1)/2) y^n / (b | b)_n ,
@@ -64,7 +68,8 @@ Each evaluator guards the poles on the value it already sums, by one test
 in ``_qpoch_series`` (a y within POLE_TOL of 1 puts the factor's argument
 that near a zero b^-k of (y | b)), and raises PoleError carrying the kernel
 or theta factor.  A split theta's zeros are its two kernel factors', so
-they are guarded within POLE_TOL relatively.  After the transform a zero of
+they are guarded within POLE_TOL relatively.  A cancelled pair's zero is no
+zero of the product, and is not guarded.  After the transform a zero of
 theta_q is z' = 1, so a transformed theta factor is a pole within about
 POLE_TOL |ln q| / (2 pi) of a zero q^k, relatively.
 """
@@ -118,8 +123,11 @@ class QPochProduct:
 
     The factors are QPochFactor-like (c, b, power; b = 0 gives 1 - c x), as
     in a kernel or a split theta, with exact rational c and 0 <= b < 1.
-    Preparation takes each distinct b of both lists' series (_euler_base)
-    once, at wp (the precision
+    Preparation reduces each list to net powers by exact (c, b)
+    (_net_factors): a factor and its inverse at the same point divide out
+    exactly under any evaluator, so the pair is dropped unevaluated, and a
+    net power +-n is one factor n times.  It takes each distinct b of both
+    lists' series (_euler_base) once, at wp (the precision
     in force, plus the guard bits).  multiply(acc, x) takes x as a
     fixed-point pair at wp, and 1/x = conj(x) 2^(2 wp) / |x|^2 from it by
     integer division where there are inverse factors, each c x or c' / x
@@ -128,7 +136,9 @@ class QPochProduct:
     acc = {1: numerator, -1: denominator}, pairs at wp: a factor of power
     +-1 at x into acc[+-1], an inverse one into acc[-+1].  A factor whose
     series meets a pole (its argument within POLE_TOL, relatively, of a
-    zero b^-k, k >= 0) raises PoleError carrying it.  Error budget: each
+    zero b^-k, k >= 0) raises PoleError carrying it, the first factor of
+    its (c, b) with its net power's sign; a cancelled pair's zero is no zero
+    of the product and raises nothing.  Error budget: each
     factor is within 2^(budget - wp) of its value, relatively, wherever no
     PoleError is raised (_qpoch_series); the budget is at most 34 bits, at
     the largest kernel base 9/16.  Each factor adds one truncation to its
@@ -141,7 +151,7 @@ class QPochProduct:
         bases = {}
         self._lists = [], []  # at x, at 1/x
         for fs, sign, prepared in zip((factors, inverse), (1, -1), self._lists):
-            for f in fs:
+            for f in _net_factors(fs):
                 if f.b not in bases:
                     bases[f.b] = _euler_base(f.b, wp)
                 prepared.append((f, sign * f.power, f.c.numerator, f.c.denominator,
@@ -161,6 +171,18 @@ class QPochProduct:
                 if acc[side] is None:
                     raise PoleError("factor pole or zero at %s"
                                     % _from_fixed((xr, xi), wp), factor=f)
+
+
+def _net_factors(factors):
+    """factors at one point reduced to net powers by their exact (c, b), in
+    first-occurrence order: a (c, b) of net power +-n is its first factor of
+    that sign n times, and one of net power 0 is dropped."""
+    net = {}  # (c, b) -> [net power, {power: first factor}]
+    for f in factors:
+        entry = net.setdefault((f.c, f.b), [0, {}])
+        entry[0] += f.power
+        entry[1].setdefault(f.power, f)
+    return [first[1 if n > 0 else -1] for n, first in net.values() for _ in range(abs(n))]
 
 
 class StructureFunctionPoint:

@@ -23,7 +23,7 @@ from ospboson.relations import (
     relation_catalog,
     theta_bases,
 )
-from ospboson.scalars import mpc_to_str, sample_annulus_point, to_mpf, workdps
+from ospboson.scalars import sample_annulus_point, to_mpf, workdps
 from ospboson.theta import (
     _GUARD_BITS,
     _MAX_TERMS,
@@ -64,6 +64,18 @@ TRIG_DISPLAY_AUDIT = {
     # left unfixed by the source (the H^- -> -H^- rescaling freedom)
     "EF": "matches",
 }
+
+
+def mpc_to_str(value, digits):
+    """An mpc as a decimal serialization with an explicit digits field: each
+    part to digits significant digits, through mpmath's own mpc and nstr.
+
+    The reference for scalars.fixed_to_str, which prints the same from a
+    fixed-point pair without building the mpc.
+    """
+    with mp.workdps(digits):
+        v = mp.mpc(value)
+        return {"re": mp.nstr(v.real, digits), "im": mp.nstr(v.imag, digits), "digits": digits}
 
 
 def inverse_structure_function(f):

@@ -22,13 +22,14 @@ from ospboson.relations import (
     verify_exchange,
     verify_invertibility,
 )
-from ospboson.scalars import mpc_to_str, sample_annulus_point, sample_parameters, to_mpf
+from ospboson.scalars import fixed_to_str, sample_annulus_point, sample_parameters, to_mpf
 from ospboson.theta import _GUARD_BITS, StructureFunctionPoint, _from_fixed, _to_fixed
 from reference import (
     EE_MIXED,
     FF_MIXED,
     annulus_point,
     exchange_residuals,
+    mpc_to_str,
     one_factor_theta,
     structure_function_value,
     swapped_relation,
@@ -397,6 +398,20 @@ def test_sampler_points_match_separate_cos_and_sin():
                 assert mpc_to_str(got, 17) == mpc_to_str(want, 17), (seed, digits)
 
 
+@pytest.mark.parametrize("digits", [25, 60, 130, 310])
+def test_fixed_to_str_prints_as_the_mpc_reference(digits):
+    # the points verify_exchange prints, from the fixed-point pair, equal
+    # the reference's print of the mpc the pair rounds to, at the working
+    # digits of --digits 15, 50, 120 and 300: 2500 draws each, zero, one,
+    # and -1 + 2^-wp i
+    rng = random.Random(("fixed-to-str", digits).__repr__())
+    with mp.workdps(digits):
+        wp = mp.mp.prec + _GUARD_BITS
+        xs = [sample_annulus_point(rng, wp) for _ in range(2500)]
+        for x in xs + [(0, 0), (1 << wp, 0), (-(1 << wp), 1)]:
+            assert fixed_to_str(x, wp, 17) == mpc_to_str(_from_fixed(x, wp), 17), x
+
+
 def test_sampler_gives_up_after_ten_pole_draws(monkeypatch):
     rel = by_id(relation_catalog(mode="strict-text"))["H-F"]
     ordinary = _patched_sampler(monkeypatch, [SF_ZERO, KERNEL_ZERO] * 5)
@@ -579,6 +594,20 @@ def test_exchange_without_sqrt_p():
         verify_exchange(rel, point, samples=2, digits=DIGITS)
 
 
+def _recorded_products(monkeypatch):
+    """Make relations build recording products: each appends its lists, as
+    _exchange_ratio passes them, and itself to the returned list."""
+    products = []
+
+    class Recorded(theta.QPochProduct):
+        def __init__(self, factors, inverse=()):
+            super().__init__(factors, inverse)
+            products.append((factors, inverse, self))
+
+    monkeypatch.setattr(relations, "QPochProduct", Recorded)
+    return products
+
+
 def _divisors(factors, inverse):
     # the real zeros and poles 0.1 < |z| < 0.9 of (c x | b) at x, x = b^-n / c,
     # and of (c / x | b) at 1/x, x = c b^n
@@ -600,14 +629,7 @@ def test_exchange_residual_near_divisors(monkeypatch, seed):
     # residual of each canonical relation stays at the working precision;
     # taken from integer squares, it is the quotient of the pair's mpc
     # absolute values within a few ulps there, and exactly 0 where N == D
-    lists = []
-
-    class Recorded(theta.QPochProduct):
-        def __init__(self, factors, inverse=()):
-            lists.append((factors, inverse))
-            super().__init__(factors, inverse)
-
-    monkeypatch.setattr(relations, "QPochProduct", Recorded)
+    products = _recorded_products(monkeypatch)
     params = DeformationParams(*sample_parameters(seed, 1)[0])
     checked = 0
     for rel in relation_catalog():
@@ -617,7 +639,7 @@ def test_exchange_residual_near_divisors(monkeypatch, seed):
         with mp.workdps(DIGITS + 10):
             ulp = mp.mpf(2) ** -mp.mp.prec
             wp, ratio = relations._exchange_ratio(K1, K2, rel.structure_function, params)
-            for z in _divisors(*lists[-1]):
+            for z in _divisors(*products[-1][:2]):
                 for delta in ("1e-4", "-1e-4", "1e-5", "1e-3"):
                     x = mp.mpc(to_mpf(z) * (1 + mp.mpf(delta)))
                     try:
@@ -632,6 +654,107 @@ def test_exchange_residual_near_divisors(monkeypatch, seed):
                     assert abs(residual - want) <= 4 * ulp * want, (rel.rel_id, z, delta)
                     assert relations._residual(((nr, ni), (nr, ni))) == 0
     assert checked > 100
+
+
+def _ratio_lists(monkeypatch, params):
+    """{rel_id: (factors, inverse, product)} of each canonical exchange
+    relation's one product at params."""
+    products = _recorded_products(monkeypatch)
+    out = {}
+    for rel in relation_catalog():
+        if rel.kind == "exchange":
+            with mp.workdps(DIGITS + 10):
+                relations._exchange_ratio(*_kernels(rel, params),
+                                          rel.structure_function, params)
+            out[rel.rel_id] = products[-1]
+    return out
+
+
+def test_reduction_cancels_kernel_factors_against_split_thetas(monkeypatch):
+    # at CLI seed 0, 80 of the 248 factors of the 8 canonical ratios are a
+    # kernel factor and the same split-theta factor at one point, of
+    # opposite powers: the prepared product sums 168 series a point, while
+    # _exchange_ratio's lists stay whole
+    lists = _ratio_lists(monkeypatch, DeformationParams(*sample_parameters(0, 1)[0]))
+    whole = {r: (len(fs), len(inv)) for r, (fs, inv, _) in lists.items()}
+    reduced = {r: tuple(map(len, product._lists)) for r, (_, _, product) in lists.items()}
+    assert whole == {"H+E": (13, 13), "H-E": (13, 13), "H+F": (13, 13), "H-F": (13, 13),
+                     "HH": (26, 26), "H+H-": (26, 26), "EE": (10, 10), "FF": (10, 10)}
+    assert reduced == {"H+E": (9, 9), "H-E": (9, 9), "H+F": (9, 9), "H-F": (9, 9),
+                       "HH": (18, 18), "H+H-": (18, 18), "EE": (6, 6), "FF": (6, 6)}
+    assert sum(map(sum, whole.values())) == 248 and sum(map(sum, reduced.values())) == 168
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param(DeformationParams(*sample_parameters(seed, 1)[0]), id="seed%d" % seed)
+    for seed in (0, 5)] + [
+    pytest.param(DeformationParams.from_sqrt(*CORNERS[0]), id="q1/5-r1/5")])
+def test_reduced_product_equals_the_whole_lists(monkeypatch, params):
+    # each ratio's reduced product against one prepared from the same lists
+    # unreduced, at annulus points: within QPochProduct's error budget, each
+    # factor within 2^(34 - wp) relatively, over both products' factors.  At
+    # the corner q^2 = p, so some (c, b) there meets both powers and keeps a
+    # net one
+    lists = _ratio_lists(monkeypatch, params)
+    rng = random.Random(("reduced-vs-whole", params.q, params.p).__repr__())
+    checked = 0
+    for rel_id, (factors, inverse, reduced) in lists.items():
+        with mp.workdps(DIGITS + 10):
+            with monkeypatch.context() as m:
+                m.setattr(theta, "_net_factors", list)
+                whole = theta.QPochProduct(factors, inverse)
+            wp = whole.wp
+            bound = 2 * (len(factors) + len(inverse)) * mp.mpf(2) ** (34 - wp)
+            for _ in range(5):
+                x = sample_annulus_point(rng, wp)
+                values = []
+                for product in (reduced, whole):
+                    acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
+                    try:
+                        product.multiply(acc, x)
+                    except PoleError:
+                        break
+                    with mp.workprec(2 * wp):  # above both products' budgets
+                        values.append(mp.mpc(*acc[1]) / mp.mpc(*acc[-1]))
+                else:
+                    checked += 1
+                    got, want = values
+                    with mp.workprec(2 * wp):
+                        assert abs(got - want) <= bound * abs(want), (rel_id, x)
+    assert checked >= 35
+
+
+def test_reduction_keyed_on_c_alone_fails_a_relation(monkeypatch):
+    # the mutant nets factors by c alone, so (c x | b) cancels or squares
+    # with (c x | b') on another base; the canonical relations catch it
+    def by_c(factors):
+        net = {}
+        for f in factors:
+            entry = net.setdefault(f.c, [0, {}])
+            entry[0] += f.power
+            entry[1].setdefault(f.power, f)
+        return [first[1 if n > 0 else -1] for n, first in net.values()
+                for _ in range(abs(n))]
+
+    monkeypatch.setattr(theta, "_net_factors", by_c)
+    params = DeformationParams(*sample_parameters(0, 1)[0])
+    verdicts = [verify_exchange(rel, params, samples=10, digits=DIGITS, seed=0)["verdict"]
+                for rel in relation_catalog() if rel.kind == "exchange"]
+    assert "fail" in verdicts
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_cancellation_keeps_the_unit_series_mutant_killed(monkeypatch, seed):
+    # with every Euler series summed as 1, H-E, H-F, EE and FF each fail on
+    # their own, as before the kernel factors and split thetas cancelled:
+    # a cancelled pair divides out under any evaluator, so it carried no
+    # evidence against this one
+    monkeypatch.setattr(theta, "_real_series", lambda coeffs, yr, yi, s, wp: (1 << wp, 0))
+    params = DeformationParams(*sample_parameters(seed, 1)[0])
+    rels = by_id(relation_catalog())
+    for rel_id in ("H-E", "H-F", "EE", "FF"):
+        rep = verify_exchange(rels[rel_id], params, samples=10, digits=DIGITS, seed=seed)
+        assert rep["verdict"] == "fail", rel_id
 
 
 def test_residual_keeps_digits_below_the_fixed_point_step():
