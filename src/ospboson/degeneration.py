@@ -37,7 +37,11 @@ on exact nomes away from 1, split their thetas into kernel factors.  The
 points are a pure function of limit_check's own inputs and are remembered
 for the last inputs only, so consecutive checks at one sample (the limits
 suite's eight) share them and the next sample replaces them.  The
-trigonometric target is computed apart on every call.
+trigonometric target is computed apart on every call.  At a real u-v, as
+every limits-suite sample is, it and the rational target run in mpf, where
+each step rounds as its mpc form would with a zero imaginary part (mpc
+division rounds through 10 more bits, so a quotient can differ by an ulp);
+off the real line they run in mpc.  Both return an mpc.
 
 The trigonometric targets are derived mechanically from the canonical
 relation catalog (same factor lists, same signs), not typed in from the
@@ -95,14 +99,17 @@ def _structure_function(name):
 
 def _degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta=None):
     # sign * prod over the canonical factors of g(u-v - a*hbar)**power, with
-    # g = sin(2 pi eta .) (eta' on base qt^2) or, for eta=None, the identity
+    # g = sin(2 pi eta .) (eta' on base qt^2) or, for eta=None, the identity;
+    # at a real u-v in mpf, returned as an mpc
     f = _structure_function(name)
     with workdps(digits + 10):
         s = mp.mpc(u_minus_v)
+        if s.imag == 0:
+            s = s.real
         hb = mp.mpf(hbar)
         if eta is not None:
             scales = {k: 2 * mp.pi * e for k, e in _etas(eta, hbar, c).items()}
-        acc = mp.mpc(f.sign)
+        acc = mp.mpf(f.sign)
         floor = mp.mpf(10) ** (2 - digits)
         for tf in f.factors:
             val = s - (tf.k0 + tf.k1 * c) * hb / 2
@@ -112,7 +119,7 @@ def _degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta=None):
                 raise PoleError("%s pole or zero"
                                 % ("rational" if eta is None else "sine"), factor=tf)
             acc = acc * val if tf.power == 1 else acc / val
-        return acc
+        return mp.mpc(acc)
 
 
 def trig_structure_function(name, u_minus_v, *, eta, hbar, c=1, digits=30):

@@ -31,14 +31,17 @@ X = e^{log x / tau} and P = e^{log p / (2 tau)} in fixed point), and per
 factor, once each (``_modular_factor``: the product at z' = X^{+-1} P^k,
 formed in fixed point, k twice the p-shift).  A point with |X| < 2^-59 on a
 nome is outside the fixed point's budget and raises DomainError.  Each
-structure function's prefactor exponents sum to a quadratic in log x, from
-exact integer sums over its factors, under one exp.
+structure function's prefactor exponents sum to a quadratic in log x,
+formed in fixed point from exact integer sums over its factors and each
+nome's coefficients; value leaves fixed point once, for one exp of it
+times the quotient of its running products.
 
 Kernels are products of q-Pochhammer factors (c x | b)^{+-1} with exact c
 and 0 <= b < 1; ``QPochProduct`` prepares one whole for many x, each of
 its two lists, at x and at 1/x, reduced to net powers by exact (c, b)
-(``_net_factors``): each distinct factor is summed once per unit of its net
-power, and a factor and its inverse at one point, as a kernel factor and
+(``_net_factors``): each distinct factor's series is summed once and
+multiplied in once per unit of its net power, and a factor and its inverse
+at one point, as a kernel factor and
 the same split-theta factor of an exchange ratio, cancel unevaluated.  It and
 the transform sum each factor by Euler's series (Gasper-Rahman, (1.3.16)),
 
@@ -62,7 +65,8 @@ evaluator takes another's prepared state.  Fixed point does not renormalize,
 so a value's error is relative to the smallest running value of its pair.  A
 transformed theta factor adds the rounding of z' = X^{+-1} P^k, of X and P
 at the working precision and in fixed point, and a structure function that
-of its quadratic's terms (StructureFunctionPoint).
+of its exponent's coefficients, at the working precision and in fixed point
+(StructureFunctionPoint).
 
 Each evaluator guards the poles on the value it already sums, by one test
 in ``_qpoch_series`` (a y within POLE_TOL of 1 puts the factor's argument
@@ -80,6 +84,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, fzero, mpc_exp, mpc_mul, round_nearest
 
 from .errors import DomainError, PoleError, StructuralError
 
@@ -126,15 +131,19 @@ class QPochProduct:
     Preparation reduces each list to net powers by exact (c, b)
     (_net_factors): a factor and its inverse at the same point divide out
     exactly under any evaluator, so the pair is dropped unevaluated, and a
-    net power +-n is one factor n times.  It takes each distinct b of both
+    net power +-n is one entry, its first factor of that sign with the count
+    n.  It takes each distinct b of both
     lists' series (_euler_base) once, at wp (the precision
     in force, plus the guard bits).  multiply(acc, x) takes x as a
     fixed-point pair at wp, and 1/x = conj(x) 2^(2 wp) / |x|^2 from it by
     integer division where there are inverse factors, each c x or c' / x
-    by integer division, and sums each factor's series (_qpoch_series),
+    by integer division, and sums each entry's series (_qpoch_series),
     those at x first, into the caller's running products
     acc = {1: numerator, -1: denominator}, pairs at wp: a factor of power
-    +-1 at x into acc[+-1], an inverse one into acc[-+1].  A factor whose
+    +-1 at x into acc[+-1], an inverse one into acc[-+1].  An entry of
+    count n sums its series once and multiplies its shift steps and series
+    value in n times, in the order n separate factors would, so its product
+    is bit for bit theirs.  A factor whose
     series meets a pole (its argument within POLE_TOL, relatively, of a
     zero b^-k, k >= 0) raises PoleError carrying it, the first factor of
     its (c, b) with its net power's sign; a cancelled pair's zero is no zero
@@ -151,11 +160,11 @@ class QPochProduct:
         bases = {}
         self._lists = [], []  # at x, at 1/x
         for fs, sign, prepared in zip((factors, inverse), (1, -1), self._lists):
-            for f in _net_factors(fs):
+            for f, count in _net_factors(fs):
                 if f.b not in bases:
                     bases[f.b] = _euler_base(f.b, wp)
-                prepared.append((f, sign * f.power, f.c.numerator, f.c.denominator,
-                                 bases[f.b]))
+                prepared.append((f, sign * f.power, count, f.c.numerator,
+                                 f.c.denominator, bases[f.b]))
 
     def multiply(self, acc, x):
         wp = self.wp
@@ -165,9 +174,9 @@ class QPochProduct:
             s = xr * xr + xi * xi
             points.append(((xr << 2 * wp) // s, (-xi << 2 * wp) // s))
         for prepared, (xr, xi) in zip(self._lists, points):
-            for f, side, n, d, base in prepared:
+            for f, side, count, n, d, base in prepared:
                 y = (n * xr) // d, (n * xi) // d
-                acc[side] = _qpoch_series(acc[side], (y,), base, wp)
+                acc[side] = _qpoch_series(acc[side], (y,), base, wp, count)
                 if acc[side] is None:
                     raise PoleError("factor pole or zero at %s"
                                     % _from_fixed((xr, xi), wp), factor=f)
@@ -175,14 +184,14 @@ class QPochProduct:
 
 def _net_factors(factors):
     """factors at one point reduced to net powers by their exact (c, b), in
-    first-occurrence order: a (c, b) of net power +-n is its first factor of
-    that sign n times, and one of net power 0 is dropped."""
+    first-occurrence order: a (c, b) of net power +-n is (its first factor of
+    that sign, n), and one of net power 0 is dropped."""
     net = {}  # (c, b) -> [net power, {power: first factor}]
     for f in factors:
         entry = net.setdefault((f.c, f.b), [0, {}])
         entry[0] += f.power
         entry[1].setdefault(f.power, f)
-    return [first[1 if n > 0 else -1] for n, first in net.values() for _ in range(abs(n))]
+    return [(first[1 if n > 0 else -1], abs(n)) for n, first in net.values() if n]
 
 
 class StructureFunctionPoint:
@@ -200,8 +209,9 @@ class StructureFunctionPoint:
     takes l = log x and log p (p > 0), and for every nome of bases the
     per-nome step (_modular_nome; a nome that is not a real 0 < B < 1, or is
     below about e^-280, whose q' misses the series' budget, raises
-    DomainError), its exponent coefficients below, and X = e^(l / tau) and
-    P = e^(log p / (2 tau)) in fixed point.
+    DomainError), its six exponent coefficients below, and X = e^(l / tau)
+    and P = e^(log p / (2 tau)); l, log p, the coefficients, X and P are
+    kept in fixed point at wp.
 
     value(f) takes each factor's key (base, orient, k; equal for factors
     that share a theta) and, on first use at this point, its step
@@ -211,13 +221,18 @@ class StructureFunctionPoint:
     q'^(1/2) <= |z'| = |X|^orient <= q'^(-1/2).  With lam = log p / 2 and,
     on each nome, the exact integer sums over f's factors S0 = sum power,
     S1 = sum power k, S2 = sum power k^2, S3 = sum power orient and
-    S4 = sum power orient k, the factors' prefactor exponents E
+    S4 = sum power orient k (_exponent), the factors' prefactor exponents E
     (_modular_nome), signed by power, sum to A + B l + C l^2: each nome adds
     S0 log C + h lam S1 + kappa lam^2 S2 to A, h S3 + 2 kappa lam S4 to B
-    and kappa S0 to C, and A has p_exp log p (_exponent).  It multiplies the
-    steps into a fixed-point numerator and denominator of its own at wp, as
-    QPochProduct.multiply does into a caller's, divides them once and takes
-    one exp, of A + l (B + l C); it is real when x is.  It raises PoleError
+    and kappa S0 to C, and A has p_exp log p.  value forms A, B and C as
+    integer dot products of the sums with the coefficients, and
+    E = A + l (B + l C) in fixed point.  It multiplies the steps into a
+    fixed-point numerator and denominator of its own at wp, as
+    QPochProduct.multiply does into a caller's, and divides them once in
+    integers, shifted to keep wp significant bits however small or large
+    the quotient is.  It then leaves fixed point once: sign times exp(E)
+    times the quotient, rounded to the working precision; real when x is.
+    It raises PoleError
     carrying f's first factor at a theta zero, where the step is None:
     within about POLE_TOL |ln B| / (2 pi) of it, relatively.  It raises
     DomainError at a factor at 1/x (orient -1) on a nome where the
@@ -237,11 +252,16 @@ class StructureFunctionPoint:
     factors on q' (27 bits for the q' <= 0.017 of nomes 6.4e-5 and up;
     |1 - y| >= POLE_TOL wherever a step returns a value), and each step
     adds one truncation to its running product, relative to the smallest
-    value of that product.  The exponent's error, the value's relative
-    error, is a few u
-    times the sum over nomes of |S0 log C| + |h lam S1| + |kappa lam^2 S2|
-    + |l| (|h S3| + 2 |kappa lam S4|) + |kappa S0| |l|^2; the factors' own
-    exponents cancel exactly in the sums.
+    value of that product.  The exponent's error is the value's relative
+    error.  Its coefficients, l and log p are each rounded at the working
+    precision and again to 2^-wp; the integer sums add nothing, and the two
+    products by l add 2^-wp each.  So it is a few u times
+    T = |p_exp log p| + the sum over nomes of |S0 log C| + |h lam S1|
+    + |kappa lam^2 S2| + |l| (|h S3| + 2 |kappa lam S4|) + |kappa S0| |l|^2,
+    plus a few 2^-wp (1 + |l|)^2 times the sum of the |S|; the factors' own
+    exponents cancel exactly in the sums.  The shifted quotient is within a
+    few 2^-wp of the running products' ratio, relatively, and exp(E) and its
+    product with the quotient round once each, at u.
     """
 
     def __init__(self, p, c, bases, x):
@@ -249,44 +269,48 @@ class StructureFunctionPoint:
             raise StructuralError("need an integer level c, got %r" % (c,))
         self.c = c
         self.wp = wp = mp.mp.prec + _GUARD_BITS
-        x = mp.mpc(x)
-        self._log_p = mp.log(p)
-        self._log_x = mp.log(x)
+        self._x = x = mp.mpc(x)
+        log_p, log_x = mp.log(p), mp.log(x)
+        self._log_p = mp.mp.to_fixed(log_p, wp)
+        self._log_x = _to_fixed(log_x, wp)
         self._real = x.imag == 0
-        lam = self._log_p / 2
+        lam = log_p / 2
         # base name -> (per-nome step, coefficients, X, |X|^2 or None, [P^0, P^1, ..])
         self._nomes = {}
         for name, q in bases.items():
             nome = _modular_nome(q, wp)
             inv_tau, h, kappa, log_c = nome[:4]
-            xr, xi = _to_fixed(mp.exp(self._log_x * inv_tau), wp)
+            xr, xi = _to_fixed(mp.exp(log_x * inv_tau), wp)
             d = xr * xr + xi * xi  # |X|^2, or None below 2^-118: 1/X outside the budget
             d = d if d >= 1 << 2 * (wp - _GUARD_BITS + 1) else None
             # log C, h lam, kappa lam^2 (A); h, 2 kappa lam (B); kappa (C)
-            coeffs = log_c, h * lam, kappa * lam * lam, h, 2 * kappa * lam, kappa
+            coeffs = tuple(_to_fixed(mp.mpc(v), wp) for v in (
+                log_c, h * lam, kappa * lam * lam, h, 2 * kappa * lam, kappa))
             self._nomes[name] = nome, coeffs, (xr, xi), d, [
                 (1 << wp, 0), _to_fixed(mp.exp(lam * inv_tau), wp)]
         self._steps = {}  # factor key -> P, None at a theta zero
 
     def _exponent(self, f):
-        """f's factor keys, and A, B, C of its prefactor exponent."""
-        keys, sums = [], {}  # per base [S0, .., S4]
+        """f's factor keys, and per base the integer sums S0..S4 of power
+        times 1, k, k^2, orient and orient k over its factors there."""
+        keys, sums = [], {}
         for tf in f.factors:
             k = tf.k0 + tf.k1 * self.c
             keys.append((tf.base, tf.orient, k))
             t = sums.setdefault(tf.base, [0] * 5)
             for i, v in enumerate((1, k, k * k, tf.orient, tf.orient * k)):
                 t[i] += tf.power * v
-        abc = [f.p_exp * self._log_p, 0, 0]
-        for name, t in sums.items():
-            for i, n, v in zip((0, 0, 0, 1, 1, 2), t + t[:1], self._nomes[name][1]):
-                if n:
-                    abc[i] += n * v
-        return keys, abc
+        return keys, sums
 
     def value(self, f):
         wp = self.wp
-        keys, (a, b, c) = self._exponent(f)
+        keys, sums = self._exponent(f)
+        # A, B, C of the exponent in fixed point: re, im of each, as ints
+        e = [f.p_exp * self._log_p, 0, 0, 0, 0, 0]
+        for name, t in sums.items():
+            for i, n, (vr, vi) in zip((0, 0, 0, 2, 2, 4), t + t[:1], self._nomes[name][1]):
+                e[i] += n * vr
+                e[i + 1] += n * vi
         acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
         for tf, key in zip(f.factors, keys):
             if key not in self._steps:
@@ -302,7 +326,7 @@ class StructureFunctionPoint:
                 elif d is None:
                     raise DomainError("x = %s is outside the transform's fixed-point "
                                       "budget at 1/x on %s: |X| < 2^-%d"
-                                      % (mp.exp(self._log_x), name, _GUARD_BITS - 1))
+                                      % (self._x, name, _GUARD_BITS - 1))
                 else:  # z' = P^k / X = P^k conj(X) 2^(2 wp) / |X|^2
                     z = ((xr * pr + xi * pi) << wp) // d, ((xr * pi - xi * pr) << wp) // d
                 self._steps[key] = _modular_factor(z, nome, wp)
@@ -311,10 +335,25 @@ class StructureFunctionPoint:
                 raise PoleError("structure function pole or zero", factor=tf)
             (vr, vi), (ar, ai) = step, acc[tf.power]
             acc[tf.power] = (ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp
-        log_x = self._log_x
-        v = mp.mpc(f.sign) * (mp.exp(a + log_x * (b + log_x * c))
-                              * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp))
-        return mp.mpc(mp.re(v)) if self._real else v
+        # E = A + l (B + l C)
+        ar, ai, br, bi, cr, ci = e
+        lr, li = self._log_x
+        br, bi = br + ((lr * cr - li * ci) >> wp), bi + ((lr * ci + li * cr) >> wp)
+        er, ei = ar + ((lr * br - li * bi) >> wp), ai + ((lr * bi + li * br) >> wp)
+        # sign * numerator / denominator, scaled by 2^sh to keep wp bits
+        (nr, ni), (dr, di) = acc[1], acc[-1]
+        d = dr * dr + di * di
+        qr, qi = f.sign * (nr * dr + ni * di), f.sign * (ni * dr - nr * di)
+        sh = wp + d.bit_length() - max(abs(qr), abs(qi)).bit_length()
+        if sh >= 0:
+            qr, qi = (qr << sh) // d, (qi << sh) // d
+        else:
+            qr, qi = qr // (d << -sh), qi // (d << -sh)
+        prec = mp.mp.prec
+        v = mpc_mul(mpc_exp((from_man_exp(er, -wp), from_man_exp(ei, -wp)), prec,
+                            round_nearest),
+                    (from_man_exp(qr, -sh), from_man_exp(qi, -sh)), prec, round_nearest)
+        return mp.mp.make_mpc((v[0], fzero) if self._real else v)
 
 
 def _modular_nome(q, wp):
@@ -439,9 +478,9 @@ def _euler_base(b, wp):
     return b, t, tuple(reversed(coeffs)), tol2
 
 
-def _qpoch_series(p, ys, base, wp):
-    """p * prod over y in ys of (y | b)_inf, in complex fixed point at wp, for
-    a real base b from _euler_base; None where a y is at a pole.
+def _qpoch_series(p, ys, base, wp, count=1):
+    """p * prod over y in ys of (y | b)_inf ** count, in complex fixed point
+    at wp, for a real base b from _euler_base; None where a y is at a pole.
 
     Shift step: while |y| > 1, p *= 1 - y and y *= b, as
     (y | b)_inf = (1 - y) (b y | b)_inf; y *= b takes b's mantissa, so it
@@ -466,12 +505,15 @@ def _qpoch_series(p, ys, base, wp):
     log2(N (N + 1) / 2 (-1; b)_inf / (POLE_TOL (b; b)_inf)) of the 60
     guard bits, which _euler_base keeps within _BUDGET_BITS = 55:
     8.5 + 20 + 5 at b = 9/16 (N = 26).  Each shift step adds one truncation
-    to p, as the callers' running products do.
+    to p, as the callers' running products do.  With count n, each y's
+    shift factors 1 - y and series value multiply into p n times, in that
+    order: p is bit for bit that of n separate equal ys, each y summed once.
     """
     b, t, coeffs, tol2 = base
     one = 1 << wp
     pr, pi = p
     for yr, yi in ys:
+        shifts = []  # the factors 1 - y of the shift steps
         while True:
             tr = one - yr
             if tr * tr + yi * yi < tol2:
@@ -479,10 +521,13 @@ def _qpoch_series(p, ys, base, wp):
             s = yr * yr + yi * yi
             if s <= one * one:
                 break
-            pr, pi = (pr * tr + pi * yi) >> wp, (pi * tr - pr * yi) >> wp
+            shifts.append((tr, yi))
             yr, yi = (yr * b) >> t, (yi * b) >> t
         sr, si = _real_series(coeffs, yr, yi, s >> wp, wp)
-        pr, pi = (pr * sr - pi * si) >> wp, (pr * si + pi * sr) >> wp
+        for _ in range(count):
+            for tr, ti in shifts:
+                pr, pi = (pr * tr + pi * ti) >> wp, (pi * tr - pr * ti) >> wp
+            pr, pi = (pr * sr - pi * si) >> wp, (pr * si + pi * sr) >> wp
     return pr, pi
 
 

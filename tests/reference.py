@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from ospboson.errors import DomainError, StructuralError
+from ospboson.degeneration import _etas, _structure_function
+from ospboson.errors import DomainError, PoleError, StructuralError
 from ospboson.freefield import ope_kernel
 from ospboson.relations import (
     CURRENTS,
@@ -29,6 +30,7 @@ from ospboson.theta import (
     _MAX_TERMS,
     StructureFunctionPoint,
     _from_fixed,
+    _modular_nome,
     _to_fixed,
     theta_terms_needed,
 )
@@ -188,6 +190,81 @@ def structure_function_value(f, x, p, c, bases, digits):
     """f at the one point x, through a StructureFunctionPoint built there."""
     with workdps(digits + 10):
         return StructureFunctionPoint(p, c, bases, x).value(f)
+
+
+def mpc_exponent(f, x, p, c, bases):
+    """A, B, C of f's transform prefactor exponent E = A + B l + C l^2,
+    l = log x, summed in mpc at the working precision, and the sum over
+    its terms of |n v| |l|^deg (the exponent's error budget in units of the
+    working precision, StructureFunctionPoint).
+
+    The reference for StructureFunctionPoint.value's fixed-point exponent:
+    the same integer sums S0..S4 (_exponent), on each nome's mpc
+    coefficients (theta._modular_nome) times lam = log p / 2.
+    """
+    point = StructureFunctionPoint(p, c, bases, x)
+    _, sums = point._exponent(f)
+    log_p, l = mp.log(p), mp.log(mp.mpc(x))
+    lam = log_p / 2
+    abc = [f.p_exp * log_p, 0, 0]
+    budget = abs(abc[0])
+    for name, t in sums.items():
+        inv_tau, h, kappa, log_c = _modular_nome(bases[name], point.wp)[:4]
+        coeffs = log_c, h * lam, kappa * lam * lam, h, 2 * kappa * lam, kappa
+        for i, n, v in zip((0, 0, 0, 1, 1, 2), t + t[:1], coeffs):
+            if n:
+                abc[i] += n * v
+                budget += abs(n * v) * abs(l) ** i
+    return abc, budget
+
+
+def mpc_structure_function_value(f, x, p, c, bases, digits):
+    """f at x through the transform, its exponent (mpc_exponent) and its
+    quotient in mpc: sign times exp(A + l (B + l C)) times numerator over
+    denominator, each rounded to the working precision, from the same steps
+    and running products as StructureFunctionPoint.value; real when x is.
+
+    The reference for value's one crossing into mpmath, with its quotient
+    shifted to keep wp significant bits."""
+    with workdps(digits + 10):
+        x = mp.mpc(x)
+        point = StructureFunctionPoint(p, c, bases, x)
+        point.value(f)  # its steps; PoleError or DomainError where value raises
+        wp = point.wp
+        keys, _ = point._exponent(f)
+        acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
+        for tf, key in zip(f.factors, keys):
+            (vr, vi), (ar, ai) = point._steps[key], acc[tf.power]
+            acc[tf.power] = (ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp
+        (a, b, cc), _ = mpc_exponent(f, x, p, c, bases)
+        l = mp.log(x)
+        v = mp.mpc(f.sign) * (mp.exp(a + l * (b + l * cc))
+                              * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp))
+        return mp.mpc(mp.re(v)) if x.imag == 0 else v
+
+
+def mpc_degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta=None):
+    """degeneration's trig (eta given) or rational (eta=None) target, with
+    every step in mpc, wherever u-v lies.
+
+    The reference for the targets' real-line evaluation in mpf."""
+    f = _structure_function(name)
+    with workdps(digits + 10):
+        s = mp.mpc(u_minus_v)
+        hb = mp.mpf(hbar)
+        if eta is not None:
+            scales = {k: 2 * mp.pi * e for k, e in _etas(eta, hbar, c).items()}
+        acc = mp.mpc(f.sign)
+        floor = mp.mpf(10) ** (2 - digits)
+        for tf in f.factors:
+            val = s - (tf.k0 + tf.k1 * c) * hb / 2
+            if eta is not None:
+                val = mp.sin(scales[tf.base] * val)
+            if abs(val) < floor:
+                raise PoleError("%s pole or zero"
+                                % ("rational" if eta is None else "sine"), factor=tf)
+            acc = acc * val if tf.power == 1 else acc / val
+        return acc
 
 
 class _Theta:

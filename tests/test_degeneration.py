@@ -15,7 +15,13 @@ from ospboson.degeneration import (
 )
 from ospboson.errors import DomainError, PoleError, StructuralError
 from ospboson.relations import relation_catalog, theta_bases
-from reference import TRIG_DISPLAY_AUDIT, one_factor_theta, theta_argument, theta_shift
+from reference import (
+    TRIG_DISPLAY_AUDIT,
+    mpc_degenerate_structure_function,
+    one_factor_theta,
+    theta_argument,
+    theta_shift,
+)
 
 
 def _rel(name):
@@ -110,6 +116,27 @@ def test_half_period_invariance():
             t1 = trig_structure_function(name, s0 + Tp, eta=eta, hbar=hbar, digits=40)
             assert abs(t0 - t1) < 1e-35
         assert _base_counts("HH") == {"q2": 4, "qt2": 4}
+
+
+@pytest.mark.parametrize("seeds", [range(0, 10), range(10, 20)])
+def test_real_line_targets_equal_the_mpc_ones(seeds):
+    # at a real u-v the targets run in mpf; each step rounds as its mpc one,
+    # so every trig and rational value here equals the all-mpc reference bit
+    # for bit.  mpc division rounds through 10 more bits than mpf's, so
+    # elsewhere one can differ by an ulp (12 of 10 880 trig values at seeds
+    # 60-399); off the line the targets stay mpc
+    for seed in seeds:
+        for smp in sample_limit_inputs(seed, 4):
+            s, eta, hbar = smp["u_minus_v"], smp["eta"], smp["hbar"]
+            for name in LIMIT_NAMES:
+                got = trig_structure_function(name, s, eta=eta, hbar=hbar)
+                want = mpc_degenerate_structure_function(name, s, hbar, 1, 30, eta)
+                assert isinstance(got, mp.mpc) and got == want and got.imag == 0
+                assert (rational_structure_function(name, s, hbar)
+                        == mpc_degenerate_structure_function(name, s, hbar, 1, 30))
+    z = mp.mpc("0.41", "0.03")
+    assert (trig_structure_function("HH", z, eta=0.3, hbar=0.12)
+            == mpc_degenerate_structure_function("HH", z, 0.12, 1, 30, 0.3))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ ALLOWED = {
     "series.TruncatedSeries.invert": "perfbench binds it",
     "series.qpoch_log_series": "perfbench and demo 01 bind it",
     "theta.theta_terms_needed": "perfbench counts product terms with it",
+    "theta._from_fixed": "Kernel.eval_product, which perfbench binds, and "
+                         "QPochProduct.multiply's pole message convert through it",
     # an error path that other inputs reach
     "errors.PoleError.__init__": "raised at a sample point near a pole",
 }

@@ -153,27 +153,23 @@ def test_structure_function_equals_per_factor_thetas(f):
 @pytest.mark.parametrize("f", STRUCTURE_FUNCTIONS)
 def test_integer_shifts_equal_the_fraction_shift_plan(f, c):
     # the transform takes each factor's k = k0 + k1 c in ints; its keys
-    # (base, orient, k) and its A, B, C equal those of the plan from the
-    # Fraction shifts s = p_shift + c_shift c: k = 2 s, and per base the
-    # sums S0..S4 of power times 1, k, k^2, orient and orient k
+    # (base, orient, k) and, per base, its integer sums S0..S4 of power
+    # times 1, k, k^2, orient and orient k equal those of the plan from the
+    # Fraction shifts s = p_shift + c_shift c, k = 2 s
     with mp.workdps(DIGITS + 10):
         p = mp.mpf(1) / 4
         point = StructureFunctionPoint(p, c, theta_bases(mp.mpf(2) / 5, p, c), mp.mpf("0.7"))
-        got, abc = point._exponent(f)
-        keys, sums = [], {}
-        for tf in f.factors:
-            k = 2 * theta_shift(tf, c)
-            keys.append((tf.base, tf.orient, k))
-            t = sums.setdefault(tf.base, [0] * 5)
-            for i, v in enumerate((1, k, k * k, tf.orient, tf.orient * k)):
-                t[i] += tf.power * v
-        assert got == keys
-        want = [f.p_exp * mp.log(p), 0, 0]
-        for name, t in sums.items():
-            for i, n, v in zip((0, 0, 0, 1, 1, 2), t + t[:1], point._nomes[name][1]):
-                if n:
-                    want[i] += int(n) * v
-        assert abc == want
+        got, got_sums = point._exponent(f)
+    keys, sums = [], {}
+    for tf in f.factors:
+        k = 2 * theta_shift(tf, c)
+        keys.append((tf.base, tf.orient, k))
+        t = sums.setdefault(tf.base, [0] * 5)
+        for i, v in enumerate((1, k, k * k, tf.orient, tf.orient * k)):
+            t[i] += tf.power * v
+    assert got == keys
+    assert got_sums == sums
+    assert all(type(n) is int for t in got_sums.values() for n in t)
 
 
 def test_evaluator_refuses_a_non_integer_level():
@@ -673,16 +669,39 @@ def _ratio_lists(monkeypatch, params):
 def test_reduction_cancels_kernel_factors_against_split_thetas(monkeypatch):
     # at CLI seed 0, 80 of the 248 factors of the 8 canonical ratios are a
     # kernel factor and the same split-theta factor at one point, of
-    # opposite powers: the prepared product sums 168 series a point, while
-    # _exchange_ratio's lists stay whole
+    # opposite powers: the prepared product keeps net powers summing to 168,
+    # while _exchange_ratio's lists stay whole
     lists = _ratio_lists(monkeypatch, DeformationParams(*sample_parameters(0, 1)[0]))
     whole = {r: (len(fs), len(inv)) for r, (fs, inv, _) in lists.items()}
-    reduced = {r: tuple(map(len, product._lists)) for r, (_, _, product) in lists.items()}
+    reduced = {r: tuple(sum(entry[2] for entry in side) for side in product._lists)
+               for r, (_, _, product) in lists.items()}
     assert whole == {"H+E": (13, 13), "H-E": (13, 13), "H+F": (13, 13), "H-F": (13, 13),
                      "HH": (26, 26), "H+H-": (26, 26), "EE": (10, 10), "FF": (10, 10)}
     assert reduced == {"H+E": (9, 9), "H-E": (9, 9), "H+F": (9, 9), "H-F": (9, 9),
                        "HH": (18, 18), "H+H-": (18, 18), "EE": (6, 6), "FF": (6, 6)}
     assert sum(map(sum, whole.values())) == 248 and sum(map(sum, reduced.values())) == 168
+
+
+def test_net_power_two_sums_its_series_once(monkeypatch):
+    # a (c, b) of net power +-2 is one entry with its count, summed once: at
+    # CLI seed 0 HH nets 17 distinct (c, b) a side and H+H- 15, so a sample
+    # point sums 160 series for the 168 net powers
+    params = DeformationParams(*sample_parameters(0, 1)[0])
+    lists = _ratio_lists(monkeypatch, params)
+    entries = {r: tuple(map(len, product._lists)) for r, (_, _, product) in lists.items()}
+    assert entries == {"H+E": (9, 9), "H-E": (9, 9), "H+F": (9, 9), "H-F": (9, 9),
+                       "HH": (17, 17), "H+H-": (15, 15), "EE": (6, 6), "FF": (6, 6)}
+    calls = []
+    real_series = theta._real_series
+    monkeypatch.setattr(theta, "_real_series",
+                        lambda *args: calls.append(1) or real_series(*args))
+    with mp.workdps(DIGITS + 10):
+        for rel in relation_catalog():
+            if rel.kind == "exchange":
+                wp, ratio = relations._exchange_ratio(*_kernels(rel, params),
+                                                      rel.structure_function, params)
+                ratio(_to_fixed(mp.mpc("0.61", "0.23"), wp))
+    assert len(calls) == 160
 
 
 @pytest.mark.parametrize("params", [
@@ -701,7 +720,7 @@ def test_reduced_product_equals_the_whole_lists(monkeypatch, params):
     for rel_id, (factors, inverse, reduced) in lists.items():
         with mp.workdps(DIGITS + 10):
             with monkeypatch.context() as m:
-                m.setattr(theta, "_net_factors", list)
+                m.setattr(theta, "_net_factors", lambda fs: [(f, 1) for f in fs])
                 whole = theta.QPochProduct(factors, inverse)
             wp = whole.wp
             bound = 2 * (len(factors) + len(inverse)) * mp.mpf(2) ** (34 - wp)
@@ -733,8 +752,7 @@ def test_reduction_keyed_on_c_alone_fails_a_relation(monkeypatch):
             entry = net.setdefault(f.c, [0, {}])
             entry[0] += f.power
             entry[1].setdefault(f.power, f)
-        return [first[1 if n > 0 else -1] for n, first in net.values()
-                for _ in range(abs(n))]
+        return [(first[1 if n > 0 else -1], abs(n)) for n, first in net.values() if n]
 
     monkeypatch.setattr(theta, "_net_factors", by_c)
     params = DeformationParams(*sample_parameters(0, 1)[0])

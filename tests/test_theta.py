@@ -8,9 +8,10 @@ import mpmath as mp
 import pytest
 
 from ospboson import theta
+from ospboson.degeneration import EPSILON_LADDER, sample_limit_inputs
 from ospboson.errors import DomainError, PoleError
 from ospboson.freefield import DeformationParams, exp_contraction_closed
-from ospboson.relations import StructureFunction, ThetaFactor
+from ospboson.relations import StructureFunction, ThetaFactor, relation_catalog, theta_bases
 from ospboson.scalars import to_mpf
 from ospboson.series import QPochFactor
 from ospboson.theta import (
@@ -25,7 +26,11 @@ from ospboson.theta import (
     theta_terms_needed,
 )
 from reference import (
+    EE_MIXED,
+    FF_MIXED,
     annulus_point,
+    mpc_exponent,
+    mpc_structure_function_value,
     one_factor_theta,
     product_at,
     qpoch_eval,
@@ -684,6 +689,55 @@ def test_points_inside_the_fixed_point_budget_match_mpmath(x):
         q, x, xp = mp.mpf("0.98"), mp.mpc(x), mp.mpc(x) / 4
         want = mp.qp(1 / x, q) * mp.qp(q * x, q) / (mp.qp(xp, q) * mp.qp(q / xp, q))
         assert abs(got - want) < mp.mpf(10) ** (5 - BUDGET_DIGITS) * abs(want)
+
+
+def _exponent_cases():
+    # (f, x, p, c, bases): the limits suite's samples at every eps of the
+    # ladder (degeneration's nome convention, real x); the canonical and
+    # mixed structure functions at complex annulus points on the relations
+    # nomes at q = 2/5, p = 1/4; BUDGET_F on q = 0.98 at the points inside
+    # the fixed-point budget, |X| up to 2^1409
+    for seed in (0, 1, 2):
+        for smp in sample_limit_inputs(seed, 2):
+            with mp.workdps(DIGITS + 10):
+                for eps in map(mp.mpf, EPSILON_LADDER):
+                    p = mp.e ** (eps * mp.mpf(smp["hbar"]))
+                    bases = {k: 1 / mp.sqrt(mp.sqrt(b)) for k, b in theta_bases(
+                        mp.exp(eps / mp.mpf(smp["eta"])), p, 1).items()}
+                    x = mp.e ** (-eps * mp.mpf(smp["u_minus_v"]))
+                    for rel in relation_catalog():
+                        if rel.kind == "exchange":
+                            yield rel.structure_function, x, p, 1, bases
+    rng = random.Random("exponent-vs-mpc")
+    q, p = mp.mpf(2) / 5, mp.mpf(1) / 4
+    fs = [r.structure_function for r in relation_catalog() if r.kind == "exchange"]
+    for _ in range(4):
+        x = annulus_point(rng, DIGITS)
+        for f in fs + [EE_MIXED, FF_MIXED]:
+            yield f, x, p, 1, theta_bases(q, p, 1)
+    for x in (0.5 + 0.2j, -0.5 + 0.001j, 0.5 - 0.05j):
+        yield BUDGET_F, mp.mpc(x), mp.mpf(1) / 4, 0, {"q2": mp.mpf("0.98")}
+
+
+def test_value_holds_to_the_mpc_exponent_and_quotient():
+    # value's fixed-point exponent and shifted quotient against the mpc
+    # ones on the same steps: each is within a few u (1 + T) of the exact
+    # value, relatively, with T the exponent's budget sum
+    # (StructureFunctionPoint), so they agree within 8 u (1 + T).  The
+    # worst case read 1.24 u (1 + T) (T up to 1484, at q = 0.98);
+    # unshifted, the quotient keeps too few bits at x = 0.5 + 0.2i on
+    # q = 0.98 (2.2e-18 relatively)
+    checked = 0
+    for f, x, p, c, bases in _exponent_cases():
+        got = structure_function_value(f, x, p, c, bases, DIGITS)
+        want = mpc_structure_function_value(f, x, p, c, bases, DIGITS)
+        with mp.workdps(DIGITS + 10):
+            _, budget = mpc_exponent(f, x, p, c, bases)
+            u = mp.mpf(2) ** -mp.mp.prec
+            assert abs(got - want) <= 8 * u * (1 + budget) * abs(want), (f, x)
+        assert (got.imag == 0) == (mp.mpc(x).imag == 0)
+        checked += 1
+    assert checked == 6 * 4 * 8 + 4 * 10 + 3
 
 
 def test_terms_needed_monotone():

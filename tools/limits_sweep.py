@@ -9,6 +9,10 @@ For each seed of SEEDS, OUT gets one JSON line per report:
     time, one limit_check per relation as a scaling-limits benchmark unit
     calls it, in catalog order and again in reversed order.
 
+After them, for each seed of WORKLOAD_SEEDS, the "workload" lines check the
+scaling-limits benchmark's own draws, sample_limit_inputs(seed, 4), one
+limit_check per relation in catalog order, as its units do.
+
 Each line is {"seed", "path", "report"}.  Run it once per tree: a change
 that moves no error, order, ratio or verdict, whatever the order of the
 calls, leaves the two files equal (diff old.jsonl new.jsonl).
@@ -22,6 +26,16 @@ from ospboson.degeneration import LIMIT_NAMES, limit_check, sample_limit_inputs
 
 SEEDS = (0, 1, 2, 3, 4, 5, 7, 11, 12, 23700)
 COUNT = 3  # the limits suite's samples per seed
+# the scaling-limits benchmark's first two limit seeds and its samples per seed
+WORKLOAD_SEEDS = (40, 123)
+WORKLOAD_COUNT = 4
+
+
+def checks(seed, count, names):
+    for s in sample_limit_inputs(seed, count):
+        for name in names:
+            yield limit_check(name, s["u_minus_v"], eta=s["eta"], hbar=s["hbar"],
+                              c=1, digits=30)
 
 
 def rows():
@@ -29,11 +43,11 @@ def rows():
         for rep in _suite_limits(RunConfig(suite="limits", seed=seed)):
             yield seed, "cli", rep
         for path, names in (("catalog", LIMIT_NAMES), ("reversed", LIMIT_NAMES[::-1])):
-            for s in sample_limit_inputs(seed, COUNT):
-                for name in names:
-                    yield seed, path, limit_check(
-                        name, s["u_minus_v"], eta=s["eta"], hbar=s["hbar"],
-                        c=1, digits=30)
+            for rep in checks(seed, COUNT, names):
+                yield seed, path, rep
+    for seed in WORKLOAD_SEEDS:
+        for rep in checks(seed, WORKLOAD_COUNT, LIMIT_NAMES):
+            yield seed, "workload", rep
 
 
 def run(out):
