@@ -36,12 +36,20 @@ It is the package's one user of the Jacobi transform: the exchange checks,
 on exact nomes away from 1, split their thetas into kernel factors.  The
 points are a pure function of limit_check's own inputs and are remembered
 for the last inputs only, so consecutive checks at one sample (the limits
-suite's eight) share them and the next sample replaces them.  The
-trigonometric target is computed apart on every call.  At a real u-v, as
-every limits-suite sample is, it and the rational target run in mpf, where
-each step rounds as its mpc form would with a zero imaginary part (mpc
-division rounds through 10 more bits, so a quotient can differ by an ulp);
-off the real line they run in mpc.  Both return an mpc.
+suite's eight) share them and the next sample replaces them.
+
+Real line.  u-v is real, as every limits-suite sample is, and a complex
+u-v raises DomainError in limit_check and both targets.  So x is real and
+positive, and each theta factor is the transform's one real product,
+-2 e^(Re E) sin(psi) (q' | q') |(q' e^(2 i psi) | q')|^2 with
+psi = log(x p^s) / (2 t) and B = e^(-2 pi t) (theta module): within a few
+units of the working precision times the exponent's size, plus the
+rounding of e^(i psi) over |sin psi|, of the exact value
+(theta.StructureFunctionPoint's error budget).  The trigonometric target
+is computed apart on every call.  It and the rational target run in mpf,
+where each step rounds as its mpc form would with a zero imaginary part
+(mpc division rounds through 10 more bits, so a quotient can differ by an
+ulp).  Both return an mpc, as value does.
 
 The trigonometric targets are derived mechanically from the canonical
 relation catalog (same factor lists, same signs), not typed in from the
@@ -97,15 +105,21 @@ def _structure_function(name):
     return _STRUCTURE_FUNCTIONS[name]
 
 
+def _on_real_line(u_minus_v):
+    """u-v as an mpf at the working precision; DomainError off the real line."""
+    s = mp.mpc(u_minus_v)
+    if s.imag:
+        raise DomainError("need a real u - v, got %s" % (u_minus_v,))
+    return s.real
+
+
 def _degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta=None):
     # sign * prod over the canonical factors of g(u-v - a*hbar)**power, with
     # g = sin(2 pi eta .) (eta' on base qt^2) or, for eta=None, the identity;
-    # at a real u-v in mpf, returned as an mpc
+    # in mpf at the real u-v, returned as an mpc
     f = _structure_function(name)
     with workdps(digits + 10):
-        s = mp.mpc(u_minus_v)
-        if s.imag == 0:
-            s = s.real
+        s = _on_real_line(u_minus_v)
         hb = mp.mpf(hbar)
         if eta is not None:
             scales = {k: 2 * mp.pi * e for k, e in _etas(eta, hbar, c).items()}
@@ -128,8 +142,9 @@ def trig_structure_function(name, u_minus_v, *, eta, hbar, c=1, digits=30):
     Derived factor-by-factor from the canonical elliptic catalog: a theta
     factor with argument x*p^a on base q^2 becomes sin(2 pi eta (u-v-a*hbar)),
     with eta' replacing eta on base qt^2; the overall sign survives and the
-    p^{+-1} prefactor drops (p -> 1).  A factor, numerator or denominator,
-    within 10^(2 - digits) of zero raises PoleError carrying it.
+    p^{+-1} prefactor drops (p -> 1).  u-v is real (DomainError otherwise).
+    A factor, numerator or denominator, within 10^(2 - digits) of zero
+    raises PoleError carrying it.
     """
     return _degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta)
 
@@ -137,8 +152,8 @@ def trig_structure_function(name, u_minus_v, *, eta, hbar, c=1, digits=30):
 def rational_structure_function(name, u_minus_v, hbar, c=1, digits=30):
     """The eta -> 0 limit: each sine replaced by its affine argument.
 
-    A factor, numerator or denominator, within 10^(2 - digits) of zero raises
-    PoleError carrying it.
+    u-v is real (DomainError otherwise).  A factor, numerator or
+    denominator, within 10^(2 - digits) of zero raises PoleError carrying it.
     """
     return _degenerate_structure_function(name, u_minus_v, hbar, c, digits)
 
@@ -152,12 +167,12 @@ def _elliptic_points(u_minus_v, eta, hbar, c, digits):
     above, built at the working precision digits + 10, each on its own.  A
     point's value(f) is f's value there; a factor at a theta zero (within
     about theta.POLE_TOL |ln B| / (2 pi) of it, relatively, on its nome B)
-    raises PoleError carrying the first such factor of f.  At a real u-v, x
-    is real and positive, inside the transform's fixed-point budget (a point
-    outside it raises DomainError).  Only the last inputs' points are kept.
+    raises PoleError carrying the first such factor of f.  u-v is real (else
+    DomainError), so x is real and positive, the one kind of point the
+    transform takes.  Only the last inputs' points are kept.
     """
     with workdps(digits + 10):
-        s = mp.mpc(u_minus_v)
+        s = _on_real_line(u_minus_v)
         points = []
         for eps in map(mp.mpf, EPSILON_LADDER):
             p = mp.e ** (eps * mp.mpf(hbar))
@@ -179,7 +194,7 @@ def limit_check(name, u_minus_v, *, eta, hbar, c=1, digits=30, target_name=None)
     shared with the checks before and after this one at the same
     (u-v, eta, hbar, c, digits), and is evaluated before the target, so a
     zero both sides share raises PoleError carrying the elliptic factor.  The
-    trig target is never shared.
+    trig target is never shared.  u-v is real (DomainError otherwise).
     """
     f = _structure_function(name)
     with workdps(digits + 10):

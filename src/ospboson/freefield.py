@@ -36,7 +36,7 @@ import mpmath as mp
 from .errors import DomainError, PoleError, StructuralError, UnsupportedError
 from .scalars import workdps
 from .series import QPochFactor, TruncatedSeries, closed_form_log
-from .theta import QPochProduct, _from_fixed, _to_fixed
+from .theta import QPochProduct, _from_fixed
 
 __all__ = [
     "DeformationParams",
@@ -298,7 +298,8 @@ class Kernel:
             product = QPochProduct(self.factors)
             wp = product.wp
             acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
-            product.multiply(acc, _to_fixed(mp.mpc(x), wp))
+            x = mp.mpc(x)
+            product.multiply(acc, (mp.mp.to_fixed(x.real, wp), mp.mp.to_fixed(x.imag, wp)))
             return _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp)
 
     def near_singular(self, x):

@@ -17,24 +17,29 @@ ratio, and take them in one ``QPochProduct`` with the kernels'
 (relations._exchange_ratio).  The scaling limits' nomes tend to 1, where
 the direct product would need ~1/(1-q) factors; there, and only there,
 ``StructureFunctionPoint`` takes the Jacobi imaginary transformation
-(Whittaker-Watson ch. 21) onto a product on the transformed nome,
+(Whittaker-Watson ch. 21), at real points z = e^L > 0 only.  With
+q = e^(-2 pi t), so tau = i t, it maps theta_q onto the transformed nome
+q' = e^(-2 pi / t), real in (0, 1) too, and on the real line it is one
+real product,
 
-    theta_q(z) = i (-i tau)^{-1/2} e^{i pi (u - u u' - u' - tau/4 + tau'/4)}
-                 theta_q'(e^{2 pi i u'}),
+    theta_q(e^L) = -2 e^(Re E) sin(psi) (q' | q')_inf |(q' e^(2 i psi) | q')_inf|^2,
 
-with z = e^{2 pi i u}, q = e^{2 pi i tau} (principal logs), u' = u/tau,
-tau' = -1/tau and q' = e^{2 pi i tau'}, real in (0, 1) too.  As q -> 1,
-q' -> 0 and a few terms suffice.  Built at one point x, it takes the
-transform in two steps there: per nome, when it is built (``_modular_nome``:
-tau, q', the prefactor's constant part and (q' | q')_inf; then
-X = e^{log x / tau} and P = e^{log p / (2 tau)} in fixed point), and per
-factor, once each (``_modular_factor``: the product at z' = X^{+-1} P^k,
-formed in fixed point, k twice the p-shift).  A point with |X| < 2^-59 on a
-nome is outside the fixed point's budget and raises DomainError.  Each
-structure function's prefactor exponents sum to a quadratic in log x,
-formed in fixed point from exact integer sums over its factors and each
-nome's coefficients; value leaves fixed point once, for one exp of it
-times the quotient of its running products.
+    psi = L / (2 t),   Re E = -pi/(4 t) + pi t/4 - log(t)/2 + L/2 + L^2/(4 pi t):
+
+the transformed argument z' = e^(L / tau) = e^(-2 i psi) is on the unit
+circle, so (z' | q')(q'/z' | q') = (1 - z') |(q' z' | q')|^2, and the
+prefactor's phase e^(i (pi/2 + psi)) turns 1 - z' into -2 sin(psi).  As
+q -> 1, q' -> 0 and a few terms suffice.  Built at one point x > 0, it
+takes the transform in two steps there: per nome, when it is built
+(``_real_nome``: t, the exponent's coefficients in closed form, q' and
+(q' | q')_inf; then the unit-modulus X = e^(i log x / (2 t)) and
+P = e^(i log p / (4 t)) in fixed point, ``_expj_fixed``), and per factor,
+once each (``_real_factor``: the product at e^(i psi) = X^(+-1) P^k,
+formed in fixed point, k twice the p-shift, X^-1 = conj(X)).  Each
+structure function's exponents sum to a quadratic in log x, formed in
+fixed point from exact integer sums over its factors and each nome's real
+coefficients; value leaves fixed point once, for one exp of it times the
+quotient of its running products.
 
 Kernels are products of q-Pochhammer factors (c x | b)^{+-1} with exact c
 and 0 <= b < 1; ``QPochProduct`` prepares one whole for many x, each of
@@ -63,19 +68,21 @@ which starts at the exact integers of its rational scalar; the transform
 multiplies into a pair of its own (``StructureFunctionPoint.value``).  No
 evaluator takes another's prepared state.  Fixed point does not renormalize,
 so a value's error is relative to the smallest running value of its pair.  A
-transformed theta factor adds the rounding of z' = X^{+-1} P^k, of X and P
-at the working precision and in fixed point, and a structure function that
-of its exponent's coefficients, at the working precision and in fixed point
-(StructureFunctionPoint).
+transformed theta factor adds the rounding of e^(i psi) = X^(+-1) P^k, of X
+and P at the working precision and in fixed point, over |sin(psi)|, and a
+structure function that of its exponent's coefficients, at the working
+precision and in fixed point (StructureFunctionPoint).
 
-Each evaluator guards the poles on the value it already sums, by one test
-in ``_qpoch_series`` (a y within POLE_TOL of 1 puts the factor's argument
-that near a zero b^-k of (y | b)), and raises PoleError carrying the kernel
-or theta factor.  A split theta's zeros are its two kernel factors', so
-they are guarded within POLE_TOL relatively.  A cancelled pair's zero is no
-zero of the product, and is not guarded.  After the transform a zero of
-theta_q is z' = 1, so a transformed theta factor is a pole within about
-POLE_TOL |ln q| / (2 pi) of a zero q^k, relatively.
+Each evaluator guards the poles by one integer test, |1 - y|^2 < POLE_TOL^2
+on the base's tol2 (``_euler_base``), and raises PoleError carrying the
+kernel or theta factor.  ``_qpoch_series`` takes it on the values it
+already sums (a y within POLE_TOL of 1 puts the factor's argument that near
+a zero b^-k of (y | b)).  A split theta's zeros are its two kernel
+factors', so they are guarded within POLE_TOL relatively.  A cancelled
+pair's zero is no zero of the product, and is not guarded.  After the
+transform a zero of theta_q is z' = e^(2 i psi) = 1, where the test is
+taken (``_real_factor``), so a transformed theta factor is a pole within
+about POLE_TOL |ln q| / (2 pi) of a zero q^k, relatively.
 """
 
 from __future__ import annotations
@@ -84,7 +91,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, fzero, mpc_exp, mpc_mul, round_nearest
+from mpmath.libmp import from_man_exp, fzero, mpf_exp, mpf_mul, round_nearest
 
 from .errors import DomainError, PoleError, StructuralError
 
@@ -195,9 +202,9 @@ def _net_factors(factors):
 
 
 class StructureFunctionPoint:
-    """Structure functions at one point x on fixed nomes, evaluated by the
-    Jacobi transform: the scaling limits' route, for nomes near 1.  The
-    exchange checks split their thetas into kernel factors instead
+    """Structure functions at one real point x > 0 on fixed nomes, evaluated
+    by the Jacobi transform: the scaling limits' route, for nomes near 1.
+    The exchange checks split their thetas into kernel factors instead
     (relations._exchange_ratio); the tests hold the two routes equal.
 
     A structure function f is f.sign * p^f.p_exp times its factors
@@ -205,90 +212,83 @@ class StructureFunctionPoint:
     (StructuralError otherwise), in the shape of relations.StructureFunction
     and relations.ThetaFactor, on the nomes B = bases[factor.base], real
     mpf values {"q2": .., "qt2": ..} in (0, 1): the scaling limits' nomes,
-    or relations.theta_bases(q, p, c) at a deformation point.  Construction
-    takes l = log x and log p (p > 0), and for every nome of bases the
-    per-nome step (_modular_nome; a nome that is not a real 0 < B < 1, or is
+    or relations.theta_bases(q, p, c) at a deformation point.  x is real,
+    x > 0, and p > 0 (DomainError for a complex, zero or negative x).
+    Construction takes l = log x and log p, and for every nome of bases the
+    per-nome step (_real_nome; a nome that is not a real 0 < B < 1, or is
     below about e^-280, whose q' misses the series' budget, raises
-    DomainError), its six exponent coefficients below, and X = e^(l / tau)
-    and P = e^(log p / (2 tau)); l, log p, the coefficients, X and P are
-    kept in fixed point at wp.
+    DomainError), its six exponent coefficients below, and the unit-modulus
+    X = e^(i l / (2 t)) and P = e^(i log p / (4 t)) (_expj_fixed); l,
+    log p, the coefficients, X and P are kept in fixed point at wp.
 
+    Each factor is one real product (module docstring): with
+    L = orient l + k lam, lam = log p / 2, and psi = L / (2 t),
+    theta_B = -2 e^(Re E) sin(psi) (q' | q') |(q' e^(2 i psi) | q')|^2.
     value(f) takes each factor's key (base, orient, k; equal for factors
     that share a theta) and, on first use at this point, its step
-    (_modular_factor) at z' = X^orient P^k = e^(log z / tau), formed in
-    integers (P^n by integer products, P^-n = conj(P^n), as |P| = 1);
-    log z = orient l + k lam has its imaginary part in [-pi, pi], so
-    q'^(1/2) <= |z'| = |X|^orient <= q'^(-1/2).  With lam = log p / 2 and,
-    on each nome, the exact integer sums over f's factors S0 = sum power,
-    S1 = sum power k, S2 = sum power k^2, S3 = sum power orient and
-    S4 = sum power orient k (_exponent), the factors' prefactor exponents E
-    (_modular_nome), signed by power, sum to A + B l + C l^2: each nome adds
-    S0 log C + h lam S1 + kappa lam^2 S2 to A, h S3 + 2 kappa lam S4 to B
-    and kappa S0 to C, and A has p_exp log p.  value forms A, B and C as
+    (_real_factor) at e^(i psi) = X^orient P^k, formed in integers (P^n by
+    integer products; P^-n = conj(P^n) and X^-1 = conj(X), as |P| = |X| = 1).
+    With, on each nome, the exact integer sums over f's factors
+    S0 = sum power, S1 = sum power k, S2 = sum power k^2,
+    S3 = sum power orient and S4 = sum power orient k (_exponent), the
+    factors' Re E sum to A + B l + C l^2: each nome adds
+    S0 a + S1 lam / 2 + S2 kappa lam^2 to A, S3 / 2 + 2 S4 kappa lam to B
+    and S0 kappa to C, with a = -pi / (4 t) + pi t / 4 - log(t) / 2 and
+    kappa = 1 / (4 pi t), and A has p_exp log p.  value forms A, B and C as
     integer dot products of the sums with the coefficients, and
     E = A + l (B + l C) in fixed point.  It multiplies the steps into a
-    fixed-point numerator and denominator of its own at wp, as
-    QPochProduct.multiply does into a caller's, and divides them once in
-    integers, shifted to keep wp significant bits however small or large
+    real fixed-point numerator and denominator at wp and divides them once
+    in integers, shifted to keep wp significant bits however small or large
     the quotient is.  It then leaves fixed point once: sign times exp(E)
-    times the quotient, rounded to the working precision; real when x is.
-    It raises PoleError
-    carrying f's first factor at a theta zero, where the step is None:
-    within about POLE_TOL |ln B| / (2 pi) of it, relatively.  It raises
-    DomainError at a factor at 1/x (orient -1) on a nome where the
-    fixed-point X has |X| < 2^-59, which is outside the budget below.  All
-    of it runs at the working precision in force at construction (wp adds
-    the guard bits to it), so a caller enters it once.
-    Error budget, with u the working precision's unit.  z' is within a few
-    u (1 + |l / tau| + |k lam / tau|) of its value, relatively, as X and P
-    each round once, after the exps' arguments.  The fixed point at wp adds a
-    few 2^-wp (|k| + 1/|X|), relatively (P^k's |k| products, and X's
-    rounding), below u while 1/|X| <= 2^59: at every real x (|X| = 1), and
-    on every nome B <= 0.6 (|X| >= q'^(1/2)).  Past it, z' = P^k / X would
-    move a step by as much, relatively, and is refused; z' = X P^k has
-    |z'| = |X| and moves by a few 2^-wp, absolutely, as the step's series
-    takes its y's rounding (_qpoch_series).  The step
-    sums it within _qpoch_series's budget over its three q-Pochhammer
-    factors on q' (27 bits for the q' <= 0.017 of nomes 6.4e-5 and up;
-    |1 - y| >= POLE_TOL wherever a step returns a value), and each step
-    adds one truncation to its running product, relative to the smallest
-    value of that product.  The exponent's error is the value's relative
-    error.  Its coefficients, l and log p are each rounded at the working
-    precision and again to 2^-wp; the integer sums add nothing, and the two
-    products by l add 2^-wp each.  So it is a few u times
-    T = |p_exp log p| + the sum over nomes of |S0 log C| + |h lam S1|
-    + |kappa lam^2 S2| + |l| (|h S3| + 2 |kappa lam S4|) + |kappa S0| |l|^2,
-    plus a few 2^-wp (1 + |l|)^2 times the sum of the |S|; the factors' own
-    exponents cancel exactly in the sums.  The shifted quotient is within a
-    few 2^-wp of the running products' ratio, relatively, and exp(E) and its
-    product with the quotient round once each, at u.
+    times the quotient, rounded to the working precision, as an mpc with a
+    zero imaginary part.  It raises PoleError carrying f's first factor at
+    a theta zero, where the step is None: within about
+    POLE_TOL |ln B| / (2 pi) of it, relatively.  All of it runs at the
+    working precision in force at construction (wp adds the guard bits to
+    it), so a caller enters it once.
+    Error budget, with u the working precision's unit.  psi's phase
+    e^(i psi) is within a few u (1 + |l / t| + |k lam / t|) of its value,
+    as X and P each round once, after their arguments, and the fixed point
+    adds a few 2^-wp (|k| + 1); sin(psi) is its imaginary part, so a step
+    is off by that over |sin psi| relatively, at most 2 / POLE_TOL times it
+    wherever a step returns a value (|1 - e^(2 i psi)| = 2 |sin psi|).
+    (q' e^(2 i psi) | q') sums within _qpoch_series's budget at |y| = q'
+    (q' <= 0.017 for nomes 6.4e-5 and up), and each step adds one
+    truncation to its running product, relative to the smallest value of
+    that product.  The exponent's error is the value's relative error.  Its
+    coefficients, l and log p are each rounded at the working precision and
+    again to 2^-wp; the integer sums add nothing, and the two products by l
+    add 2^-wp each.  So it is a few u times T = |p_exp log p| + the sum over
+    nomes of |S0 a| + |S1 lam| / 2 + |kappa lam^2 S2| + |l| (|S3| / 2
+    + 2 |kappa lam S4|) + |kappa S0| l^2, plus a few 2^-wp (1 + |l|)^2 times
+    the sum of the |S|; the factors' own exponents cancel exactly in the
+    sums.  The shifted quotient is within a few 2^-wp of the running
+    products' ratio, relatively, and exp(E) and its product with the
+    quotient round once each, at u.
     """
 
     def __init__(self, p, c, bases, x):
         if not isinstance(c, int):
             raise StructuralError("need an integer level c, got %r" % (c,))
+        x = mp.mpmathify(x)
+        if not (isinstance(x, mp.mpf) and x > 0):
+            raise DomainError("need a real point x > 0, got %s" % x)
         self.c = c
         self.wp = wp = mp.mp.prec + _GUARD_BITS
-        self._x = x = mp.mpc(x)
         log_p, log_x = mp.log(p), mp.log(x)
-        self._log_p = mp.mp.to_fixed(log_p, wp)
-        self._log_x = _to_fixed(log_x, wp)
-        self._real = x.imag == 0
+        self._log_p, self._log_x = mp.mp.to_fixed(log_p, wp), mp.mp.to_fixed(log_x, wp)
         lam = log_p / 2
-        # base name -> (per-nome step, coefficients, X, |X|^2 or None, [P^0, P^1, ..])
+        # base name -> (per-nome step, coefficients, X, [P^0, P^1, ..])
         self._nomes = {}
         for name, q in bases.items():
-            nome = _modular_nome(q, wp)
-            inv_tau, h, kappa, log_c = nome[:4]
-            xr, xi = _to_fixed(mp.exp(log_x * inv_tau), wp)
-            d = xr * xr + xi * xi  # |X|^2, or None below 2^-118: 1/X outside the budget
-            d = d if d >= 1 << 2 * (wp - _GUARD_BITS + 1) else None
-            # log C, h lam, kappa lam^2 (A); h, 2 kappa lam (B); kappa (C)
-            coeffs = tuple(_to_fixed(mp.mpc(v), wp) for v in (
-                log_c, h * lam, kappa * lam * lam, h, 2 * kappa * lam, kappa))
-            self._nomes[name] = nome, coeffs, (xr, xi), d, [
-                (1 << wp, 0), _to_fixed(mp.exp(lam * inv_tau), wp)]
-        self._steps = {}  # factor key -> P, None at a theta zero
+            nome = _real_nome(q, wp)
+            t, a, kappa = nome[:3]
+            # a, lam / 2, kappa lam^2 (A); 1 / 2, 2 kappa lam (B); kappa (C)
+            coeffs = tuple(mp.mp.to_fixed(v, wp) for v in (
+                a, lam / 2, kappa * lam * lam, mp.mpf(0.5), 2 * kappa * lam, kappa))
+            self._nomes[name] = nome, coeffs, _expj_fixed(log_x / (2 * t), wp), [
+                (1 << wp, 0), _expj_fixed(lam / (2 * t), wp)]
+        self._steps = {}  # factor key -> step, None at a theta zero
 
     def _exponent(self, f):
         """f's factor keys, and per base the integer sums S0..S4 of power
@@ -305,112 +305,82 @@ class StructureFunctionPoint:
     def value(self, f):
         wp = self.wp
         keys, sums = self._exponent(f)
-        # A, B, C of the exponent in fixed point: re, im of each, as ints
-        e = [f.p_exp * self._log_p, 0, 0, 0, 0, 0]
+        e = [f.p_exp * self._log_p, 0, 0]  # A, B, C of the exponent in fixed point
         for name, t in sums.items():
-            for i, n, (vr, vi) in zip((0, 0, 0, 2, 2, 4), t + t[:1], self._nomes[name][1]):
-                e[i] += n * vr
-                e[i + 1] += n * vi
-        acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
+            for i, n, v in zip((0, 0, 0, 1, 1, 2), t + t[:1], self._nomes[name][1]):
+                e[i] += n * v
+        acc = {1: 1 << wp, -1: 1 << wp}
         for tf, key in zip(f.factors, keys):
             if key not in self._steps:
                 name, orient, k = key
-                nome, _, (xr, xi), d, powers = self._nomes[name]
+                nome, _, (xr, xi), powers = self._nomes[name]
                 for _ in range(len(powers), abs(k) + 1):  # P^n = P^(n-1) P
                     (ar, ai), (pr, pi) = powers[-1], powers[1]
                     powers.append(((ar * pr - ai * pi) >> wp, (ar * pi + ai * pr) >> wp))
                 pr, pi = powers[abs(k)]
-                pi = pi if k >= 0 else -pi  # P^-n = conj(P^n)
-                if orient == 1:  # z' = X P^k
-                    z = (xr * pr - xi * pi) >> wp, (xr * pi + xi * pr) >> wp
-                elif d is None:
-                    raise DomainError("x = %s is outside the transform's fixed-point "
-                                      "budget at 1/x on %s: |X| < 2^-%d"
-                                      % (self._x, name, _GUARD_BITS - 1))
-                else:  # z' = P^k / X = P^k conj(X) 2^(2 wp) / |X|^2
-                    z = ((xr * pr + xi * pi) << wp) // d, ((xr * pi - xi * pr) << wp) // d
-                self._steps[key] = _modular_factor(z, nome, wp)
+                pi, xi = pi if k >= 0 else -pi, orient * xi  # conj(P^n), conj(X)
+                self._steps[key] = _real_factor(
+                    ((xr * pr - xi * pi) >> wp, (xr * pi + xi * pr) >> wp), nome, wp)
             step = self._steps[key]
             if step is None:
                 raise PoleError("structure function pole or zero", factor=tf)
-            (vr, vi), (ar, ai) = step, acc[tf.power]
-            acc[tf.power] = (ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp
-        # E = A + l (B + l C)
-        ar, ai, br, bi, cr, ci = e
-        lr, li = self._log_x
-        br, bi = br + ((lr * cr - li * ci) >> wp), bi + ((lr * ci + li * cr) >> wp)
-        er, ei = ar + ((lr * br - li * bi) >> wp), ai + ((lr * bi + li * br) >> wp)
+            acc[tf.power] = (acc[tf.power] * step) >> wp
+        a, b, c = e
+        lx = self._log_x
+        ex = a + ((lx * (b + ((lx * c) >> wp))) >> wp)  # E = A + l (B + l C)
         # sign * numerator / denominator, scaled by 2^sh to keep wp bits
-        (nr, ni), (dr, di) = acc[1], acc[-1]
-        d = dr * dr + di * di
-        qr, qi = f.sign * (nr * dr + ni * di), f.sign * (ni * dr - nr * di)
-        sh = wp + d.bit_length() - max(abs(qr), abs(qi)).bit_length()
-        if sh >= 0:
-            qr, qi = (qr << sh) // d, (qi << sh) // d
-        else:
-            qr, qi = qr // (d << -sh), qi // (d << -sh)
+        n, d = f.sign * acc[1], acc[-1]
+        sh = wp + d.bit_length() - n.bit_length()
+        n = (n << sh) // d if sh >= 0 else n // (d << -sh)
         prec = mp.mp.prec
-        v = mpc_mul(mpc_exp((from_man_exp(er, -wp), from_man_exp(ei, -wp)), prec,
-                            round_nearest),
-                    (from_man_exp(qr, -sh), from_man_exp(qi, -sh)), prec, round_nearest)
-        return mp.mp.make_mpc((v[0], fzero) if self._real else v)
+        v = mpf_mul(mpf_exp(from_man_exp(ex, -wp), prec, round_nearest),
+                    from_man_exp(n, -sh), prec, round_nearest)
+        return mp.mp.make_mpc((v, fzero))
 
 
-def _modular_nome(q, wp):
+def _real_nome(q, wp):
     """The per-nome step of the transform, as the tuple StructureFunctionPoint
-    and _modular_factor take.
+    and _real_factor take: (t, a, kappa, base, (q' | q')).
 
     q is a real nome, an mpf with 0 < q < 1, else DomainError.  With
-    tau = log q / (2 pi i) and tau' = -1/tau: 1/tau; h = (1 - 1/tau)/2;
-    kappa = i / (4 pi tau); log C, the log of the prefactor's constant part
-    C = i (-i tau)^(-1/2) e^(i pi (tau' - tau)/4); the real
-    q' = e^(2 pi i tau') = e^(-4 pi^2 / |log q|) prepared as a base of the
-    series (_euler_base); and (q' | q')_inf in fixed point at wp, never at a
-    pole: 1 - q' > 0.13.
-    theta_q(z) = e^E (q' | q')(z' | q')(q'/z' | q') with z' = e^(log z / tau)
-    and E = log C + (log z - log z')/2 + i (log z)^2 / (4 pi tau), which is
-    log C + i pi (u - u u' - u') for u = log z / (2 pi i), u' = u / tau, and
-    is log C + log z (h + kappa log z).
+    t = -log q / (2 pi) (tau = i t): a = -pi / (4 t) + pi t / 4 - log(t) / 2
+    and kappa = 1 / (4 pi t), the exponent's coefficients; the real
+    q' = e^(-2 pi / t) prepared as a base of the series (_euler_base); and
+    (q' | q')_inf in fixed point at wp, never at a pole: 1 - q' > 0.13.
     """
     if not (isinstance(q, mp.mpf) and 0 < q < 1):
         raise DomainError("need a real nome 0 < q < 1, got %s" % q)
-    two_pi_i = 2j * mp.pi
-    tau = mp.log(q) / two_pi_i
-    taup = -1 / tau
-    log_c = 1j * mp.pi * (2 + taup - tau) / 4 - mp.log(-1j * tau) / 2
-    base = _euler_base(mp.exp(two_pi_i * taup).real, wp)
-    b, t = base[:2]
-    inv_tau = -taup
-    return (inv_tau, (1 - inv_tau) / 2, 1j / (4 * mp.pi * tau), log_c, base,
-            _qpoch_series((1 << wp, 0), ((b >> t - wp, 0),), base, wp))
+    t = -mp.log(q) / (2 * mp.pi)
+    base = _euler_base(mp.exp(-2 * mp.pi / t), wp)
+    b, bt = base[:2]
+    return (t, mp.pi * (t - 1 / t) / 4 - mp.log(t) / 2, 1 / (4 * mp.pi * t), base,
+            _qpoch_series((1 << wp, 0), ((b >> bt - wp, 0),), base, wp)[0])
 
 
-def _modular_factor(z, nome, wp):
-    """The per-factor step: P = (q' | q')(z' | q')(q'/z' | q') at the
-    transformed argument z', a fixed-point pair at wp (rounded as the
-    evaluator's budget states), on the real q', or None at a pole.
+def _real_factor(w, nome, wp):
+    """The per-factor step: -2 sin(psi) (q' | q') |(q' z' | q')|^2 at
+    w = e^(i psi), a fixed-point pair at wp (rounded as the evaluator's
+    budget states), and z' = w^2, as a fixed-point int at wp, on the real
+    q'; or None at a theta zero, where |1 - z'|^2 < tol2, the pole guard
+    of _qpoch_series on the base's tol2.
 
-    P is summed from the nome's (q' | q').  q'/z' is divided, and q' z'
-    formed (the one shift step of (z' | q'), taken where |z'| > 1), from
-    q''s mantissa: q' rounded to 2^-wp would carry its rounding, times
-    |z'|, into both, which costs up to half the bits where q' is near 2^-wp
-    and |z'| near |q'|^(-1/2).
+    q' z' is formed from q''s mantissa, so it keeps q''s relative precision
+    however small q' is.
     """
-    base, qq = nome[4:]
-    zr, zi = z
-    b, t = base[:2]
-    # q'/z' = b conj(z') 2^(2 wp - t) / |z'|^2 in fixed point, q' = b 2^-t;
-    # d is 0 only for |z'| < 2^-wp, where the numerator is 0 too
-    d = zr * zr + zi * zi or 1
-    nr, ni = b * zr, -b * zi
-    sh = 2 * wp - t
-    if sh >= 0:
-        qz = (nr << sh) // d, (ni << sh) // d
-    else:
-        # a tiny q': floor(floor(n 2^sh) / d) = floor(n 2^sh / d), and the
-        # integers stay short
-        qz = (nr >> -sh) // d, (ni >> -sh) // d
-    return _qpoch_series(qq, ((zr, zi), qz), base, wp)
+    base, qq = nome[3:]
+    b, t, _, tol2 = base
+    wr, wi = w
+    one = 1 << wp
+    zr, zi = (wr * wr - wi * wi) >> wp, (2 * wr * wi) >> wp
+    if (one - zr) ** 2 + zi * zi < tol2:
+        return None
+    sr, si = _qpoch_series((one, 0), (((b * zr) >> t, (b * zi) >> t),), base, wp)
+    return (-2 * wi * ((qq * ((sr * sr + si * si) >> wp)) >> wp)) >> wp
+
+
+def _expj_fixed(phi, wp):
+    """e^(i phi), phi real, as a fixed-point pair at wp."""
+    return tuple(mp.mp.to_fixed(v, wp) for v in mp.cos_sin(phi))
 
 
 def _euler_base(b, wp):
@@ -541,11 +511,6 @@ def _real_series(coeffs, yr, yi, s, wp):
     for a in coeffs:
         c0, c1 = a + ((r * c0 - s * c1) >> wp), c0
     return c0 - ((yr * c1) >> wp), (yi * c1) >> wp
-
-
-def _to_fixed(z, wp):
-    """An mpc as a fixed-point pair scaled by 2^wp."""
-    return mp.mp.to_fixed(z.real, wp), mp.mp.to_fixed(z.imag, wp)
 
 
 def _from_fixed(p, wp):

@@ -2,7 +2,8 @@
 
 The references compute what a test checks the program against, apart from
 the code under test.  The helpers evaluate through the program's own
-structure-function evaluator, the Jacobi transform the limits suite runs;
+structure-function evaluator, the Jacobi transform the limits suite runs,
+at real points x > 0, and through direct products (theta_eval) elsewhere;
 the exchange checks split their thetas into kernel factors instead, so for
 them the helpers are a second route.
 """
@@ -30,8 +31,6 @@ from ospboson.theta import (
     _MAX_TERMS,
     StructureFunctionPoint,
     _from_fixed,
-    _modular_nome,
-    _to_fixed,
     theta_terms_needed,
 )
 
@@ -78,6 +77,11 @@ def mpc_to_str(value, digits):
     with mp.workdps(digits):
         v = mp.mpc(value)
         return {"re": mp.nstr(v.real, digits), "im": mp.nstr(v.imag, digits), "digits": digits}
+
+
+def _to_fixed(z, wp):
+    """An mpc as a fixed-point pair scaled by 2^wp."""
+    return mp.mp.to_fixed(z.real, wp), mp.mp.to_fixed(z.imag, wp)
 
 
 def inverse_structure_function(f):
@@ -187,29 +191,66 @@ def theta_eval(z, q, digits):
 
 
 def structure_function_value(f, x, p, c, bases, digits):
-    """f at the one point x, through a StructureFunctionPoint built there."""
+    """f at the one real point x > 0, through a StructureFunctionPoint built
+    there."""
     with workdps(digits + 10):
         return StructureFunctionPoint(p, c, bases, x).value(f)
 
 
+def direct_structure_function(f, x, p, c, bases, digits):
+    """f at x, complex or real, by direct products: sign p^p_exp times each
+    factor's theta_eval at its argument as written (theta_argument),
+    multiplied and divided as mpc values.  Accurate as theta_eval, to nomes
+    near 0.95; it raises no PoleError, and near a theta zero it loses what
+    the zero's small value costs."""
+    with workdps(digits + 10):
+        acc = mp.mpc(f.sign) * p ** f.p_exp
+        for tf in f.factors:
+            v = theta_eval(theta_argument(tf, x, p, c), bases[tf.base], digits)
+            acc = acc * v if tf.power == 1 else acc / v
+        return acc
+
+
+def mpc_modular_nome(q):
+    """The Jacobi transform's per-nome quantities at a real nome 0 < q < 1,
+    in mpc arithmetic at the working precision, as the complex transform
+    took them: (1/tau, h, kappa, log C, q') with tau = log q / (2 pi i),
+    tau' = -1/tau, h = (1 - 1/tau)/2, kappa = i / (4 pi tau),
+    C = i (-i tau)^(-1/2) e^(i pi (tau' - tau)/4) and q' = e^(2 pi i tau').
+    theta_q(z) = e^E (q' | q')(z' | q')(q'/z' | q') with z' = e^(log z / tau)
+    and E = log C + log z (h + kappa log z).
+
+    The reference for theta._real_nome's closed forms in t = -log q / (2 pi):
+    tau = i t, so kappa = 1 / (4 pi t), Re h = 1/2, q' = e^(-2 pi / t) and
+    Re log C = a = -pi / (4 t) + pi t / 4 - log(t) / 2."""
+    two_pi_i = 2j * mp.pi
+    tau = mp.log(q) / two_pi_i
+    taup = -1 / tau
+    log_c = 1j * mp.pi * (2 + taup - tau) / 4 - mp.log(-1j * tau) / 2
+    inv_tau = -taup
+    return (inv_tau, (1 - inv_tau) / 2, 1j / (4 * mp.pi * tau), log_c,
+            mp.exp(two_pi_i * taup))
+
+
 def mpc_exponent(f, x, p, c, bases):
     """A, B, C of f's transform prefactor exponent E = A + B l + C l^2,
-    l = log x, summed in mpc at the working precision, and the sum over
-    its terms of |n v| |l|^deg (the exponent's error budget in units of the
-    working precision, StructureFunctionPoint).
+    l = log x, summed in mpc at the working precision from the complex
+    per-nome quantities (mpc_modular_nome), and the sum over its terms of
+    |n v| |l|^deg (the exponent's error budget in units of the working
+    precision, StructureFunctionPoint).
 
-    The reference for StructureFunctionPoint.value's fixed-point exponent:
-    the same integer sums S0..S4 (_exponent), on each nome's mpc
-    coefficients (theta._modular_nome) times lam = log p / 2.
+    The reference for StructureFunctionPoint.value's fixed-point exponent,
+    which is its real part at a real x: the same integer sums S0..S4
+    (_exponent), on each nome's coefficients times lam = log p / 2.
     """
     point = StructureFunctionPoint(p, c, bases, x)
     _, sums = point._exponent(f)
-    log_p, l = mp.log(p), mp.log(mp.mpc(x))
+    log_p, l = mp.log(p), mp.log(x)
     lam = log_p / 2
     abc = [f.p_exp * log_p, 0, 0]
     budget = abs(abc[0])
     for name, t in sums.items():
-        inv_tau, h, kappa, log_c = _modular_nome(bases[name], point.wp)[:4]
+        inv_tau, h, kappa, log_c, _ = mpc_modular_nome(bases[name])
         coeffs = log_c, h * lam, kappa * lam * lam, h, 2 * kappa * lam, kappa
         for i, n, v in zip((0, 0, 0, 1, 1, 2), t + t[:1], coeffs):
             if n:
@@ -218,29 +259,27 @@ def mpc_exponent(f, x, p, c, bases):
     return abc, budget
 
 
-def mpc_structure_function_value(f, x, p, c, bases, digits):
-    """f at x through the transform, its exponent (mpc_exponent) and its
-    quotient in mpc: sign times exp(A + l (B + l C)) times numerator over
-    denominator, each rounded to the working precision, from the same steps
-    and running products as StructureFunctionPoint.value; real when x is.
+def mp_structure_function_value(f, x, p, c, bases, digits):
+    """f at the real x > 0 through the transform's own steps, with its
+    exponent the real part of mpc_exponent's and its quotient in mpmath:
+    sign times exp(Re (A + l (B + l C))) times numerator over denominator,
+    each rounded to the working precision, from the same running products
+    as StructureFunctionPoint.value.
 
-    The reference for value's one crossing into mpmath, with its quotient
-    shifted to keep wp significant bits."""
+    The reference for value's fixed-point exponent and its one crossing
+    into mpmath, with its quotient shifted to keep wp significant bits."""
     with workdps(digits + 10):
-        x = mp.mpc(x)
         point = StructureFunctionPoint(p, c, bases, x)
-        point.value(f)  # its steps; PoleError or DomainError where value raises
+        point.value(f)  # its steps; PoleError where value raises
         wp = point.wp
         keys, _ = point._exponent(f)
-        acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
+        acc = {1: 1 << wp, -1: 1 << wp}
         for tf, key in zip(f.factors, keys):
-            (vr, vi), (ar, ai) = point._steps[key], acc[tf.power]
-            acc[tf.power] = (ar * vr - ai * vi) >> wp, (ar * vi + ai * vr) >> wp
+            acc[tf.power] = (acc[tf.power] * point._steps[key]) >> wp
         (a, b, cc), _ = mpc_exponent(f, x, p, c, bases)
         l = mp.log(x)
-        v = mp.mpc(f.sign) * (mp.exp(a + l * (b + l * cc))
-                              * _from_fixed(acc[1], wp) / _from_fixed(acc[-1], wp))
-        return mp.mpc(mp.re(v)) if x.imag == 0 else v
+        return mp.mpc(f.sign * mp.exp(mp.re(a + l * (b + l * cc)))
+                      * mp.mpf((acc[1], -wp)) / mp.mpf((acc[-1], -wp)))
 
 
 def mpc_degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta=None):
@@ -276,9 +315,9 @@ class _Theta:
 
 
 def one_factor_theta(z, q, digits):
-    """theta_q(z) through the transform as the suites run it: the one-factor
-    product theta_q(x) at x = z and p = 1.  PoleError at a zero of theta_q;
-    real when z and q are."""
+    """theta_q(z) at a real z > 0 through the transform as the suites run
+    it: the one-factor product theta_q(x) at x = z and p = 1.  PoleError at
+    a zero of theta_q; DomainError at a complex, zero or negative z."""
     return structure_function_value(_Theta, z, mp.mpf(1), 0, {"q2": q}, digits)
 
 
@@ -304,14 +343,14 @@ def annulus_point(rng, digits):
 def exchange_sides(K1, K2, sf, x, p, bases, digits):
     """lhs = K1(1, x) and rhs = S(x) K2(x, 1), each its own value: scalar,
     monomial and product (Kernel.eval_product) multiplied as mpc values, and
-    S through structure_function_value (the transform); PoleError where a
-    factor is at a pole.  The two-sided evaluation verify_exchange's one
-    ratio of split thetas replaces."""
+    S by direct products (direct_structure_function); PoleError where a
+    kernel factor is at a pole.  The two-sided evaluation verify_exchange's
+    one ratio of split thetas replaces."""
     with workdps(digits + 10):
         x = mp.mpc(x)
         lhs = to_mpf(K1.scalar) * x ** K1.w_exp * K1.eval_product(x, digits)
         rhs = (to_mpf(K2.scalar) * x ** K2.z_exp * K2.eval_product(1 / x, digits)
-               * structure_function_value(sf, x, p, 1, bases, digits))
+               * direct_structure_function(sf, x, p, 1, bases, digits))
         return lhs, rhs
 
 

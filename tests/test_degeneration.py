@@ -124,7 +124,7 @@ def test_real_line_targets_equal_the_mpc_ones(seeds):
     # so every trig and rational value here equals the all-mpc reference bit
     # for bit.  mpc division rounds through 10 more bits than mpf's, so
     # elsewhere one can differ by an ulp (12 of 10 880 trig values at seeds
-    # 60-399); off the line the targets stay mpc
+    # 60-399).  Off the line the targets, and limit_check, refuse u-v
     for seed in seeds:
         for smp in sample_limit_inputs(seed, 4):
             s, eta, hbar = smp["u_minus_v"], smp["eta"], smp["hbar"]
@@ -135,8 +135,13 @@ def test_real_line_targets_equal_the_mpc_ones(seeds):
                 assert (rational_structure_function(name, s, hbar)
                         == mpc_degenerate_structure_function(name, s, hbar, 1, 30))
     z = mp.mpc("0.41", "0.03")
-    assert (trig_structure_function("HH", z, eta=0.3, hbar=0.12)
-            == mpc_degenerate_structure_function("HH", z, 0.12, 1, 30, 0.3))
+    for check in (lambda: trig_structure_function("HH", z, eta=0.3, hbar=0.12),
+                  lambda: rational_structure_function("HH", 0.41 + 0.03j, 0.12),
+                  lambda: limit_check("HH", z, eta=0.3, hbar=0.12)):
+        with pytest.raises(DomainError, match="real u - v"):
+            check()
+    assert trig_structure_function("HH", mp.mpc("0.41"), eta=0.3, hbar=0.12) == (
+        trig_structure_function("HH", 0.41, eta=0.3, hbar=0.12))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +274,7 @@ def test_shared_sample_values_equal_per_factor_thetas():
                 values = [point.value(f) for point in points]
                 for eps, got in zip(map(mp.mpf, EPSILON_LADDER), values):
                     p = mp.e ** (eps * mp.mpf(0.12))
-                    x = mp.e ** (-eps * mp.mpc(0.4))
+                    x = mp.e ** (-eps * mp.mpf(0.4))
                     bases = {k: 1 / mp.sqrt(mp.sqrt(b)) for k, b in theta_bases(
                         mp.exp(eps / mp.mpf(0.25)), p, c).items()}
                     want = mp.mpc(f.sign) * p ** f.p_exp
@@ -293,37 +298,37 @@ def test_shared_sample_level_zero_pair(names):
 
 
 def test_shared_sample_steps_each_nome_and_factor_once(monkeypatch):
-    nomes, fixed, factors = [], [], []
-    modular_nome, modular_factor = theta._modular_nome, theta._modular_factor
-    to_fixed = theta._to_fixed
+    nomes, phases, factors = [], [], []
+    real_nome, real_factor = theta._real_nome, theta._real_factor
+    expj_fixed = theta._expj_fixed
 
     def counted_nome(q, wp):
         nomes.append(q)
-        return modular_nome(q, wp)
+        return real_nome(q, wp)
 
-    def counted_fixed(z, wp):
-        fixed.append(z)
-        return to_fixed(z, wp)
+    def counted_expj(phi, wp):
+        phases.append(phi)
+        return expj_fixed(phi, wp)
 
-    def counted_factor(z, nome, wp):
-        factors.append((z, nome[0]))  # nome[0] is 1/tau
-        return modular_factor(z, nome, wp)
+    def counted_factor(w, nome, wp):
+        factors.append((w, nome[0]))  # nome[0] is t
+        return real_factor(w, nome, wp)
 
     MEMO.cache_clear()
-    monkeypatch.setattr(theta, "_modular_nome", counted_nome)
-    monkeypatch.setattr(theta, "_to_fixed", counted_fixed)
-    monkeypatch.setattr(theta, "_modular_factor", counted_factor)
+    monkeypatch.setattr(theta, "_real_nome", counted_nome)
+    monkeypatch.setattr(theta, "_expj_fixed", counted_expj)
+    monkeypatch.setattr(theta, "_real_factor", counted_factor)
     s = SHARED_SAMPLES[1]
     for name in LIMIT_NAMES:
         limit_check(name, **s)
-    # 2 nomes at each of the 4 eps, each with one exp X = e^(log x / tau),
-    # told from P = e^(log p / (2 tau)) by its value at x = e^(-eps(u-v));
+    # 2 nomes at each of the 4 eps, each with one X = e^(i log x / (2 t)),
+    # told from P = e^(i log p / (4 t)) by its phase at x = e^(-eps(u-v));
     # the 8 relations have 24 distinct factors at each eps (12 shifts on
     # each base)
     with mp.workdps(40):
         logs = [-mp.mpf(eps) * s["u_minus_v"] for eps in EPSILON_LADDER]
-        xs = [z for z in fixed if any(abs(z - mp.exp(l * inv_tau)) < 1e-30
-                                      for l in logs for _, inv_tau in factors)]
+        xs = [phi for phi in phases if any(abs(phi - l / (2 * t)) < 1e-30
+                                           for l in logs for _, t in factors)]
     assert len(nomes) == 2 * len(EPSILON_LADDER) == len(set(nomes))
     assert len(xs) == 2 * len(EPSILON_LADDER) == len(set(xs))
     assert len(factors) == 24 * len(EPSILON_LADDER) == len(set(factors))

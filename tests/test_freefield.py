@@ -27,8 +27,8 @@ from ospboson.relations import (
     CURRENTS, StructureFunction, _exchange_ratio, relation_catalog)
 from ospboson.series import (
     QPochFactor, TruncatedSeries, closed_form_log, qpoch_log_series)
-from ospboson.theta import QPochProduct, _from_fixed, _to_fixed
-from reference import annulus_point, product_at
+from ospboson.theta import QPochProduct, _from_fixed
+from reference import _to_fixed, annulus_point, product_at
 
 PARAMS = [DeformationParams(q, p, r) for q, p, r in sample_parameters(7, count=3)]
 

@@ -23,11 +23,13 @@ from ospboson.relations import (
     verify_invertibility,
 )
 from ospboson.scalars import fixed_to_str, sample_annulus_point, sample_parameters, to_mpf
-from ospboson.theta import _GUARD_BITS, StructureFunctionPoint, _from_fixed, _to_fixed
+from ospboson.theta import _GUARD_BITS, StructureFunctionPoint, _from_fixed
 from reference import (
     EE_MIXED,
     FF_MIXED,
+    _to_fixed,
     annulus_point,
+    direct_structure_function,
     exchange_residuals,
     mpc_to_str,
     one_factor_theta,
@@ -97,11 +99,12 @@ def test_factor_counts_balanced():
 
 
 def test_ee_golden_value():
-    # frozen from two independent runs at 50 and 70 digits
+    # frozen from two independent runs at 50 and 70 digits; held by direct
+    # products at the complex point
     rels = by_id(relation_catalog())
     with mp.workdps(60):
         q, p = mp.mpf("0.4"), mp.mpf("0.5")
-        v = structure_function_value(
+        v = direct_structure_function(
             rels["EE"].structure_function, mp.mpc("0.3", "0.1"),
             p, 1, theta_bases(q, p, 1), DIGITS)
         ref = mp.mpc(
@@ -129,24 +132,24 @@ def _per_factor_value(f, x, p, c, bases, digits):
 @pytest.mark.parametrize("f", STRUCTURE_FUNCTIONS)
 def test_structure_function_equals_per_factor_thetas(f):
     # the whole-function evaluation (one per-nome step per base, one exp)
-    # against the product of its factors' thetas: at complex annulus points
-    # on the relations nomes q^2, (q p)^2 at q = 2/5, p = 1/4, and at real x
-    # on limits-like nomes 0.78 and 0.98 with p > 1, where it is exactly real
+    # against the product of its factors' thetas, real as x is: at the
+    # moduli of annulus points on the relations nomes q^2, (q p)^2 at
+    # q = 2/5, p = 1/4, and at x near 1 on limits-like nomes 0.78 and 0.98
+    # with p > 1
     rng = random.Random("structure-vs-thetas")
     with mp.workdps(DIGITS + 10):
         q, p = mp.mpf(2) / 5, mp.mpf(1) / 4
-        cases = [(annulus_point(rng, DIGITS), p, theta_bases(q, p, 1))
+        cases = [(abs(annulus_point(rng, DIGITS)), p, theta_bases(q, p, 1))
                  for _ in range(3)]
         limit_p = mp.e ** (mp.mpf("0.025") * mp.mpf("0.12"))
         for xr in ("0.97", "1.02"):
-            cases.append((mp.mpc(xr), limit_p,
+            cases.append((mp.mpf(xr), limit_p,
                           {"q2": mp.mpf("0.78"), "qt2": mp.mpf("0.98")}))
         for x, p, bases in cases:
             got = structure_function_value(f, x, p, 1, bases, DIGITS)
             ref = _per_factor_value(f, x, p, 1, bases, DIGITS)
             assert abs(got - ref) < mp.mpf("1e-55") * abs(ref)
-            if x.imag == 0:
-                assert got.imag == 0
+            assert got.imag == 0
 
 
 @pytest.mark.parametrize("c", [0, 1, 2])
@@ -198,23 +201,21 @@ def _direct_value(f, case):
 
 
 def _direct_cases():
-    # (x, p, bases) rounded to the evaluation's 60 digits: annulus points
-    # with |x| near 0.1 and 0.9, at arg x near 0 and +-pi, on the nomes of
-    # (q, sqrt p) = (2/5, 1/2) and (3/4, 1/5) (the largest q^2, 0.5625, and
-    # p = 1/25, where p^-3 = 15625), and the limits' real x = e^(-eps(u-v))
-    # at p = e^(eps hbar) on the nomes B = b^(-1/4) at eps = 0.1 and 0.025
+    # (x, p, bases) rounded to the evaluation's 60 digits: real x from 0.1
+    # to 1.9 on the nomes of (q, sqrt p) = (2/5, 1/2) and (3/4, 1/5) (the
+    # largest q^2, 0.5625, and p = 1/25, where p^-3 = 15625), and the
+    # limits' x = e^(-eps(u-v)) at p = e^(eps hbar) on the nomes
+    # B = b^(-1/4) at eps = 0.1 and 0.025
     with mp.workdps(DIGITS + 10):
         for c in (0, 1):
             for q, r in ((mp.mpf(2) / 5, mp.mpf(1) / 2), (mp.mpf(3) / 4, mp.mpf(1) / 5)):
                 p = r * r
-                for ax, ph in (("0.1001", "0.9993"), ("0.8997", "-0.9991"),
-                               ("0.1003", "0.0213"), ("0.8991", "0.5")):
-                    x = mp.mpf(ax) * mp.expjpi(mp.mpf(ph))
-                    yield c, x, p, theta_bases(q, p, c)
+                for x in ("0.1001", "0.8997", "0.3003", "1.8991"):
+                    yield c, mp.mpf(x), p, theta_bases(q, p, c)
             for eps in (mp.mpf("0.1"), mp.mpf("0.025")):
                 p = mp.e ** (eps * mp.mpf("0.13"))
                 bases = theta_bases(mp.exp(eps / mp.mpf("0.27")), p, c)
-                yield c, mp.mpc(mp.e ** (-eps * mp.mpf("0.41"))), p, {
+                yield c, mp.e ** (-eps * mp.mpf("0.41")), p, {
                     k: 1 / mp.sqrt(mp.sqrt(b)) for k, b in bases.items()}
 
 
@@ -247,7 +248,7 @@ def test_structure_functions_collapse_at_p_one():
         for r in relation_catalog():
             if r.kind != "exchange":
                 continue
-            v = structure_function_value(
+            v = direct_structure_function(
                 r.structure_function, x, mp.mpf(1), 1, bases, 30)
             assert abs(v - r.structure_function.sign) < mp.mpf(10) ** -25
 
@@ -258,8 +259,8 @@ def test_hphm_collapses_to_hh_at_c_zero():
         x = mp.mpc("0.43", "-0.21")
         q, p = mp.mpf("0.37"), mp.mpf("0.29")
         bases = theta_bases(q, p, 0)
-        a = structure_function_value(rels["H+H-"].structure_function, x, p, 0, bases, 30)
-        b = structure_function_value(rels["HH"].structure_function, x, p, 0, bases, 30)
+        a = direct_structure_function(rels["H+H-"].structure_function, x, p, 0, bases, 30)
+        b = direct_structure_function(rels["HH"].structure_function, x, p, 0, bases, 30)
         assert abs(a - b) < mp.mpf(10) ** -25
 
 
@@ -276,8 +277,8 @@ def test_mixed_orientation_displays_agree(mixed, rel_id):
         for _ in range(25):
             r = 0.15 + 0.7 * rng.random()
             x = r * mp.e ** (2j * mp.pi * rng.random())
-            a = structure_function_value(mixed, x, p, 1, bases, 40)
-            b = structure_function_value(
+            a = direct_structure_function(mixed, x, p, 1, bases, 40)
+            b = direct_structure_function(
                 rels[rel_id].structure_function, x, p, 1, bases, 40)
             assert abs(a - b) / abs(b) < mp.mpf(10) ** -30
 
@@ -293,8 +294,8 @@ def test_display_audit_hh_constant():
         bases = theta_bases(q, p, 1)
         for re_, im_ in (("0.31", "0.17"), ("-0.22", "0.41")):
             x = mp.mpc(re_, im_)
-            a = structure_function_value(strict["HH"].structure_function, x, p, 1, bases, 40)
-            b = structure_function_value(can["HH"].structure_function, x, p, 1, bases, 40)
+            a = direct_structure_function(strict["HH"].structure_function, x, p, 1, bases, 40)
+            b = direct_structure_function(can["HH"].structure_function, x, p, 1, bases, 40)
             assert abs(a / b - p ** -1) < mp.mpf(10) ** -30
 
 
@@ -310,8 +311,8 @@ def test_display_audit_hphm_inequivalent():
         ratios = []
         for re_, im_ in (("0.31", "0.17"), ("-0.22", "0.41")):
             x = mp.mpc(re_, im_)
-            a = structure_function_value(strict["H+H-"].structure_function, x, p, 1, bases, 40)
-            b = structure_function_value(can["H+H-"].structure_function, x, p, 1, bases, 40)
+            a = direct_structure_function(strict["H+H-"].structure_function, x, p, 1, bases, 40)
+            b = direct_structure_function(can["H+H-"].structure_function, x, p, 1, bases, 40)
             ratios.append(a / b)
         assert abs(ratios[0] - ratios[1]) > mp.mpf(10) ** -6
 
@@ -519,7 +520,7 @@ def test_verify_exchange_runs_no_transform_step(monkeypatch, rel_id):
     def refused(*args):
         raise AssertionError("transform step in verify_exchange")
 
-    for name in ("_modular_nome", "_modular_factor"):
+    for name in ("_real_nome", "_real_factor"):
         monkeypatch.setattr(theta, name, refused)
     rep = verify_exchange(by_id(relation_catalog())[rel_id], P, samples=10,
                           digits=DIGITS, seed=0)
@@ -548,8 +549,9 @@ def test_verify_exchange_prepares_the_kernel_bases_once(monkeypatch, rel_id):
 @pytest.mark.parametrize("f", STRUCTURE_FUNCTIONS)
 def test_split_thetas_equal_the_transform(f):
     # S from its thetas split into kernel factors, as the exchange ratio
-    # over unit kernels (R = 1/S), against the Jacobi transform at three
-    # sampled points and four annulus values of x
+    # over unit kernels (R = 1/S), at three sampled points: against direct
+    # products at four annulus values of x, and against the Jacobi
+    # transform at their moduli
     unit = Kernel(P, 2, 1, 0, 0, (), ())
     rng = random.Random("split-vs-transform")
     for q, p, r in sample_parameters(7, count=3):
@@ -559,11 +561,13 @@ def test_split_thetas_equal_the_transform(f):
             pm = to_mpf(p)
             bases = theta_bases(q, pm, 1)
             for xf in (sample_annulus_point(rng, wp) for _ in range(4)):
-                n, d = ratio(xf)
-                got = mp.mpc(*d) / mp.mpc(*n)
                 x = _from_fixed(xf, wp)
-                ref = structure_function_value(f, x, pm, 1, bases, DIGITS)
-                assert abs(got - ref) < mp.mpf("1e-55") * abs(ref), (q, p, x)
+                for x, evaluate in ((x, direct_structure_function),
+                                    (abs(x), structure_function_value)):
+                    n, d = ratio(_to_fixed(mp.mpc(x), wp))
+                    got = mp.mpc(*d) / mp.mpc(*n)
+                    ref = evaluate(f, x, pm, 1, bases, DIGITS)
+                    assert abs(got - ref) < mp.mpf("1e-55") * abs(ref), (q, p, x)
 
 
 def test_structure_function_balances_each_base():

@@ -22,15 +22,17 @@ from ospboson.theta import (
     _euler_base,
     _from_fixed,
     _qpoch_series,
-    _to_fixed,
+    _real_nome,
     theta_terms_needed,
 )
 from reference import (
     EE_MIXED,
     FF_MIXED,
+    _to_fixed,
     annulus_point,
+    mp_structure_function_value,
     mpc_exponent,
-    mpc_structure_function_value,
+    mpc_modular_nome,
     one_factor_theta,
     product_at,
     qpoch_eval,
@@ -160,7 +162,7 @@ def test_series_budget_rejects_base_near_one():
         with mp.workdps(DIGITS + 10), pytest.raises(DomainError):
             QPochProduct([QPochFactor(Fr(1), b, 1)])
     with pytest.raises(DomainError):
-        one_factor_theta(mp.mpc("0.3", "0.2"), mp.mpf("1e-150"), DIGITS)
+        one_factor_theta(mp.mpf("0.3"), mp.mpf("1e-150"), DIGITS)
 
 
 def euler_series(y, b):
@@ -283,11 +285,13 @@ def modular_raises_pole(z, q):
     return False
 
 
-def near_zero(q, k, d, ph):
-    # the z near the zero q^k whose transformed argument is
-    # z' = 1 + d e^(i pi ph): log z = k log q + tau log z'
-    tau = mp.log(q) / (2j * mp.pi)
-    return mp.exp(k * mp.log(q) + tau * mp.log(1 + d * mp.expjpi(mp.mpf(ph))))
+def near_zero(q, k, d, side):
+    # the real z > 0 near the zero q^k whose transformed argument
+    # z' = e^(log z / tau) = e^(i theta) is on the unit circle at
+    # |1 - z'| = d, on the side side = +-1 of 1: log z = k log q + tau i theta
+    # with tau i = log q / (2 pi), so z = q^(k + theta / (2 pi))
+    theta = side * 2 * mp.asin(d / 2)
+    return q ** (k + theta / (2 * mp.pi))
 
 
 GUARD_NOMES = ["6.4e-5", "0.01", "0.05", "0.178", "0.3", "0.5625", "0.7",
@@ -296,17 +300,18 @@ GUARD_NOMES = ["6.4e-5", "0.01", "0.05", "0.178", "0.3", "0.5625", "0.7",
 
 def _check_theta_guards():
     # one_factor_theta raises PoleError exactly where the working-precision
-    # rule says so: at points whose z' is at distance POLE_TOL (1 +- 1e-12)
-    # and (1 +- 1e-3) from 1, near the zeros q^k, k = -3..3, on real nomes
+    # rule says so: at real points whose z' is at distance POLE_TOL
+    # (1 +- 1e-12) and (1 +- 1e-3) from 1, on either side, near the zeros
+    # q^k, k = -3..3, on real nomes
     decisions = set()
     with mp.workdps(DIGITS + 10):
         for q in map(mp.mpf, GUARD_NOMES):
             for k in range(-3, 4):
                 for f in ("1e-12", "-1e-12", "1e-3", "-1e-3"):
-                    for ph in ("0", "0.41", "1"):
-                        z = near_zero(q, k, POLE_TOL * (1 + mp.mpf(f)), ph)
+                    for side in (1, -1):
+                        z = near_zero(q, k, POLE_TOL * (1 + mp.mpf(f)), side)
                         want = working_precision_guard(z, q)
-                        assert modular_raises_pole(z, q) == want, (q, k, f, ph)
+                        assert modular_raises_pole(z, q) == want, (q, k, f, side)
                         decisions.add(want)
     assert decisions == {True, False}
 
@@ -354,20 +359,20 @@ def test_guard_matches_working_precision_rule(kmax):
 
 
 def test_guard_outside_float_range():
-    # |z| that a float turns into 0 or inf: the guard reads the log the
-    # transform takes, so zeros q^k at |z| ~ 1e-400 and 1e400 (k = +-502 on
+    # z that a float turns into 0 or inf: the guard reads the log the
+    # transform takes, so zeros q^k at z ~ 1e-400 and 1e400 (k = +-502 on
     # q = 0.16) are found as any other, and points off them evaluate to
-    # theta_q(q^k z0) = (-1)^k q^(-k(k-1)/2) z0^-k theta_q(z0), |z0| ~ 1 (the
+    # theta_q(q^k z0) = (-1)^k q^(-k(k-1)/2) z0^-k theta_q(z0), z0 ~ 1 (the
     # direct product's T terms do not reach so far)
     with mp.workdps(DIGITS + 10):
         q = mp.mpf("0.16")
         for k in (502, -502):
             for f in ("-1e-3", "1e-3"):
-                z = near_zero(q, k, POLE_TOL * (1 + mp.mpf(f)), "0.41")
+                z = near_zero(q, k, POLE_TOL * (1 + mp.mpf(f)), -1)
                 assert modular_raises_pole(z, q) == working_precision_guard(z, q)
                 assert modular_raises_pole(z, q) == (f == "-1e-3")
-        for zs in ("1e-400", "1e400", "-1e-400", "3e-310"):
-            for z in (mp.mpf(zs), mp.mpc(zs, zs)):
+        for zs in ("1e-400", "1e400", "3e-310", "2e-400"):
+            for z in (mp.mpf(zs), mp.mpf(zs) * 7):
                 assert not working_precision_guard(z, q)
                 k = int(mp.nint(mp.log(abs(z)) / mp.log(q)))
                 z0 = z / q ** k
@@ -399,22 +404,24 @@ def test_direct_product_far_from_unit_circle():
 def test_guard_window_edge():
     # in z the guard's window is relative and narrower than POLE_TOL: within
     # about POLE_TOL |ln q| / (2 pi) (3.6e-8 at q = 0.8) of a zero q^k,
-    # however deep; points (1 -+ 1e-3) times that off q^64 and q^67 fall in
-    # and out of it.  The old absolute window (POLE_TOL below |q^k| = 1) is
-    # gone: -q^64 (1 -+ 1e-20), within POLE_TOL of q^67, and half a POLE_TOL
-    # off q^64, relatively, are no poles
+    # however deep; points (1 -+ 1e-3) times that off q^64 and q^67, below
+    # and above them, fall in and out of it.  The old absolute window
+    # (POLE_TOL below |q^k| = 1) is gone: q^67 + 0.9 POLE_TOL and
+    # q^64 + 0.5 POLE_TOL, within POLE_TOL of q^67 and q^64, and half a
+    # POLE_TOL off q^64, relatively, are no poles
     with mp.workdps(DIGITS + 10):
         q = mp.mpf("0.8")
         r = POLE_TOL * -mp.log(q) / (2 * mp.pi)
         for k in (64, 67):
-            got = []
-            for f in ("-1e-3", "1e-3"):
-                z = q ** k * (1 + r * (1 + mp.mpf(f)) * mp.expjpi(mp.mpf("0.41")))
-                want = working_precision_guard(z, q)
-                assert modular_raises_pole(z, q) == want
-                got.append(want)
-            assert got == [True, False]
-        for z in (-q ** 64 * (1 - mp.mpf("1e-20")), -q ** 64 * (1 + mp.mpf("1e-20")),
+            for side in (1, -1):
+                got = []
+                for f in ("-1e-3", "1e-3"):
+                    z = q ** k * (1 + side * r * (1 + mp.mpf(f)))
+                    want = working_precision_guard(z, q)
+                    assert modular_raises_pole(z, q) == want
+                    got.append(want)
+                assert got == [True, False]
+        for z in (q ** 67 + POLE_TOL * mp.mpf("0.9"), q ** 64 + POLE_TOL / 2,
                   q ** 64 * (1 + POLE_TOL / 2)):
             assert not working_precision_guard(z, q)
             assert not modular_raises_pole(z, q)
@@ -428,36 +435,36 @@ def test_modular_at_guard_edge_matches_mpmath_qp(qs):
     # (errors up to 2.3e-53, at e^-0.03125 = e^(-0.0125/0.4))
     with mp.workdps(70):
         q = mp.exp(mp.mpf(qs)) if qs.startswith("-") else mp.mpf(qs)
-        for k, ph in ((0, "0.41"), (1, "1"), (-2, "0")):
-            z = near_zero(q, k, POLE_TOL * (1 + mp.mpf("1e-3")), ph)
+        for k, side in ((0, 1), (1, -1), (-2, 1)):
+            z = near_zero(q, k, POLE_TOL * (1 + mp.mpf("1e-3")), side)
             ref = mp.qp(z, q) * mp.qp(q / z, q) * mp.qp(q, q)
             v = one_factor_theta(z, q, DIGITS)
-            assert abs(v - ref) < mp.mpf("1e-50") * abs(ref), (k, ph)
+            assert abs(v - ref) < mp.mpf("1e-50") * abs(ref), (k, side)
 
 
 def test_modular_at_smallest_transformed_nome():
     # the limits ladder's smallest nome B = e^(-0.0125/0.4) transforms to
-    # q' ~ e^-1263, which is 0 in fixed point; the value stays finite, real
-    # on the real axis, and equal to the direct product's
+    # q' ~ e^-1263, which is 0 in fixed point; the value stays finite, real,
+    # and equal to the direct product's
     with mp.workdps(DIGITS + 20):
         B = mp.exp(-mp.mpf("0.0125") / mp.mpf("0.4"))
-        for z in (mp.mpf("0.7"), mp.mpf("-1.3"), mp.mpc("0.8", "0.15")):
+        for z in (mp.mpf("0.7"), mp.mpf("1.3"), mp.mpf("0.814")):
             v = one_factor_theta(z, B, DIGITS)
-            assert mp.isfinite(v.real) and mp.isfinite(v.imag)
-            if z.imag == 0:
-                assert v.imag == 0
+            assert mp.isfinite(v.real) and v.imag == 0
             w = theta_eval(z, B, DIGITS)
             assert abs(v - w) <= mp.mpf(10) ** -(DIGITS - 10) * abs(w)
 
 
 def test_modular_where_transformed_argument_underflows():
-    # on the smallest ladder nome, arg z = -2.5 and -3 give |z'| ~ e^-502
-    # and e^-603, below the fixed point's 2^-wp, where z' and q'/z' both
-    # count as 0; arg z = 2.5 gives the other extreme, |z'| ~ e^502
+    # on the smallest ladder nome the series' argument q' z' has
+    # |q' z'| = q' ~ e^-1263, far below the fixed point's 2^-wp, so it
+    # counts as 0, at z = e^-2.5123, e^-3.0071 and e^2.4939, where
+    # psi = log z / (2 t) is about -253, -302 and 251 (t = 0.03125 / (2 pi));
+    # e^-2.5 = B^80 itself is a zero
     with mp.workdps(DIGITS + 20):
         B = mp.exp(-mp.mpf("0.0125") / mp.mpf("0.4"))
-        for phase in ("-2.5", "-3.0", "2.5"):
-            z = mp.expj(mp.mpf(phase))
+        for phase in ("-2.5123", "-3.0071", "2.4939"):
+            z = mp.exp(mp.mpf(phase))
             v = one_factor_theta(z, B, DIGITS)
             w = theta_eval(z, B, DIGITS)
             assert abs(v - w) <= mp.mpf(10) ** -(DIGITS - 10) * abs(w)
@@ -473,14 +480,12 @@ def test_theta_golden_value():
 
 
 def _cross_points(qs):
-    """Twelve seeded points z for nome qs, off the zeros of theta_q."""
+    """Twelve seeded real points z > 0 for nome qs, off the zeros of theta_q."""
     q = mp.mpf(qs)
     rng = random.Random(("theta-cross", qs).__repr__())
     for _ in range(12):
-        # |x p^a| for |x| in [0.1, 0.9], a in [-3, 3] and p >= 1/25
-        r = mp.mpf(10) ** rng.uniform(-6, 5)
-        ph = 2 * mp.pi * rng.random()
-        z = r * mp.e ** (mp.mpc(0, 1) * ph)
+        # x p^a for x in [0.1, 0.9], a in [-3, 3] and p >= 1/25
+        z = mp.mpf(10) ** rng.uniform(-6, 5)
         if not working_precision_guard(z, q):
             yield z, q
 
@@ -513,13 +518,14 @@ def test_product_vs_modular_near_one():
 # near q = 1 theta_eval is the less accurate side (at 0.98 the running
 # product of (q | q) falls to ~1e-36 and it is off by 3.6e-42), so there the
 # transform is held to an mpmath.qp triple product at 70 digits; mpmath.jtheta
-# is no reference at such nomes (relative error 143 at q = 0.98, z = 1e5+3e4i)
+# is no reference at such nomes (relative error 143 at q = 0.98, z = 1e5+3e4i).
+# The transform takes real points: z is the modulus of each listed point
 @pytest.mark.parametrize("qs,zs", [("0.95", "0.61+0.34j"), ("0.98", "0.61+0.34j"),
                                    ("0.98", "-2.3+0.7j"), ("-0.03125", "0.61+0.34j")])
 def test_modular_near_one_matches_mpmath_qp(qs, zs):
     with mp.workdps(70):
         q = mp.exp(mp.mpf(qs)) if qs.startswith("-") else mp.mpf(qs)
-        z = mp.mpmathify(complex(zs))
+        z = abs(mp.mpmathify(complex(zs)))
         ref = mp.qp(z, q) * mp.qp(q / z, q) * mp.qp(q, q)
         v = one_factor_theta(z, q, DIGITS)
         assert abs(v - ref) < mp.mpf("1e-55") * abs(ref)
@@ -527,14 +533,13 @@ def test_modular_near_one_matches_mpmath_qp(qs, zs):
 
 @pytest.mark.parametrize("qs", ["0.75", "0.8", "0.85"])
 def test_modular_keeps_transformed_nome_precision(qs):
-    # at 50 digits q' is near 2^-wp for q near 0.8, and arg z near +-pi puts
-    # |z'| near |q'|^(-1/2): q' z' and q'/z' formed from q' rounded to 2^-wp
-    # lost up to half the bits there (1.1e-41 at q = 0.8, z = -0.5+0.001i),
-    # which test_product_vs_modular's bound does not see
+    # at 50 digits q' is near 2^-wp for q near 0.8: q' z' is formed from
+    # q''s mantissa, so the series' argument keeps q''s relative precision;
+    # held to an mpmath.qp triple product at 70 digits
     with mp.workdps(70):
         q = mp.mpf(qs)
-        for zs in ("-0.5+0.001j", "-1.7+0.2j", "-12+0.5j"):
-            z = mp.mpmathify(complex(zs))
+        for zs in ("0.5", "1.7", "12"):
+            z = mp.mpf(zs)
             ref = mp.qp(z, q) * mp.qp(q / z, q) * mp.qp(q, q)
             v = one_factor_theta(z, q, DIGITS)
             assert abs(v - ref) < mp.mpf("1e-55") * abs(ref), zs
@@ -557,7 +562,7 @@ def test_modular_real_on_real_axis():
     with mp.workdps(DIGITS + 20):
         for qs in ("0.3", "0.95"):
             q = mp.mpf(qs)
-            for z in (mp.mpf("0.37"), mp.mpf("-0.8"), mp.mpf("1.9")):
+            for z in (mp.mpf("0.37"), mp.mpf("0.8"), mp.mpf("1.9")):
                 b = one_factor_theta(z, q, DIGITS)
                 assert b.imag == 0
                 assert rel_diff(theta_eval(z, q, DIGITS), b) < mp.mpf(10) ** -(DIGITS - 10)
@@ -568,7 +573,7 @@ def test_quasi_periodicity_extreme_nome():
     # route must hold the identity to full precision
     with mp.workdps(80):
         q = mp.exp(-mp.mpf("0.0125"))
-        z = mp.mpc("0.8", "0.15")
+        z = mp.mpf("0.8")
         lhs = one_factor_theta(q * z, q, 60)
         rhs = -one_factor_theta(z, q, 60) / z
         assert rel_diff(lhs, rhs) < mp.mpf(10) ** -40
@@ -592,7 +597,7 @@ def test_zero_detection():
             for k in (2, -1, 0):
                 with pytest.raises(PoleError, match="structure function pole"):
                     one_factor_theta(q ** k, q, DIGITS)
-            assert not modular_raises_pole(mp.mpc("0.3", "0.3"), q)
+            assert not modular_raises_pole(mp.mpf("0.3"), q)
 
 
 def test_nomes_and_bases_must_be_real():
@@ -604,7 +609,7 @@ def test_nomes_and_bases_must_be_real():
         wp = mp.mp.prec + _GUARD_BITS
         for q in (mp.mpc("0.5", "0.3"), mp.mpf("-0.6"), mp.mpf(1), mp.mpf("1.5")):
             with pytest.raises(DomainError, match="real nome"):
-                one_factor_theta(mp.mpc("0.3", "0.2"), q, DIGITS)
+                one_factor_theta(mp.mpf("0.3"), q, DIGITS)
         for b in (mp.mpc("0.4", "0.3"), mp.mpc("0.5625", "1e-9"), Fr(-1, 4),
                   mp.mpf("-0.25")):
             with pytest.raises(DomainError, match="real base"):
@@ -613,26 +618,26 @@ def test_nomes_and_bases_must_be_real():
 
 def _z_prime_cases():
     # (nome, p, points) at the working precision: the relations' nomes 0.04
-    # to 0.56 at p = 1/4, at points off the real axis up to arg x = +-3; and
-    # the limits ladder's extreme nomes B = e^(-eps/(2 eta)), eta = 1/4, at
-    # p = e^(eps hbar), hbar = 0.12, and the real x = e^(-0.4 eps)
+    # to 0.56 at p = 1/4, at real points from 0.2 to 1.9; and the limits
+    # ladder's extreme nomes B = e^(-eps/(2 eta)), eta = 1/4, at
+    # p = e^(eps hbar), hbar = 0.12, and x = e^(-0.4 eps)
     for q in ("0.04", "0.16", "0.3", "0.56"):
-        yield mp.mpf(q), mp.mpf(1) / 4, [mp.mpc(complex(x)) for x in (
-            "0.7+0.3j", "-1.9+0.5j", "0.2-0.02j", "-0.5-0.4j")]
+        yield mp.mpf(q), mp.mpf(1) / 4, [mp.mpf(x) for x in ("0.7", "1.9", "0.2", "0.5")]
     for eps in (mp.mpf("0.1"), mp.mpf("0.0125")):
         yield mp.exp(-2 * eps), mp.exp(eps * mp.mpf("0.12")), [mp.exp(-eps * mp.mpf("0.4"))]
 
 
 def test_transformed_argument_in_fixed_point(monkeypatch):
-    # z' = X P^k (orient +1) and P^k / X (orient -1), k = -4..4, formed in
-    # integers from X and P in fixed point at wp, one point per x, against
-    # mpc X * P**k and P**k / X at 20 digits more.  The budget
-    # (StructureFunctionPoint): a few u (1 + |l / tau| + |k lam / tau|) |z'|
-    # from X and P rounded at the working precision's unit u, plus the fixed
-    # point's 2^-wp (|k| + |z'|^-orient) |z'|
-    zs = []
-    monkeypatch.setattr(theta, "_modular_factor",
-                        lambda z, nome, wp: zs.append(z) or (1 << wp, 0))
+    # w = e^(i psi) = X^orient P^k, k = -4..4, formed in integers from X and
+    # P in fixed point at wp, one point per x, against the complex
+    # transform's e^(-log z / (2 tau)), log z = orient log x + k log p / 2,
+    # at 20 digits more (reference.mpc_modular_nome).  The budget
+    # (StructureFunctionPoint): a few u (1 + |l / t| + |k lam / t|) from X
+    # and P rounded at the working precision's unit u, plus the fixed
+    # point's 2^-wp (|k| + 1)
+    ws = []
+    monkeypatch.setattr(theta, "_real_factor",
+                        lambda w, nome, wp: ws.append(w) or 1 << wp)
     keys = [(o, k) for o in (1, -1) for k in range(-4, 5)]
     f = StructureFunction(1, 0, tuple(
         ThetaFactor("q2", o, Fr(k, 2), Fr(0), (-1) ** i) for i, (o, k) in enumerate(keys)))
@@ -641,24 +646,69 @@ def test_transformed_argument_in_fixed_point(monkeypatch):
             for x in xs:
                 point = StructureFunctionPoint(p, 0, {"q2": q}, x)
                 one, u = mp.mpf(2) ** -point.wp, mp.mpf(2) ** (_GUARD_BITS - point.wp)
-                zs.clear()
+                ws.clear()
                 point.value(f)
                 with mp.workdps(DIGITS + 30):
-                    tau = mp.log(q) / (2j * mp.pi)
+                    inv_tau = mpc_modular_nome(q)[0]
                     l, lam = mp.log(x), mp.log(p) / 2
-                    X, P = mp.exp(l / tau), mp.exp(lam / tau)
-                    for (o, k), z in zip(keys, zs, strict=True):
-                        ref = X * P ** k if o == 1 else P ** k / X
-                        budget = 4 * abs(ref) * (u * (1 + abs(l / tau) + abs(k * lam / tau))
-                                                 + one * (abs(k) + abs(ref) ** -o))
-                        assert abs(mp.mpc(*z) * one - ref) <= budget, (q, x, o, k)
+                    for (o, k), w in zip(keys, ws, strict=True):
+                        ref = mp.exp(-(o * l + k * lam) * inv_tau / 2)
+                        budget = 4 * (u * (1 + abs(l * inv_tau) + abs(k * lam * inv_tau))
+                                      + one * (abs(k) + 1))
+                        assert abs(mp.mpc(*w) * one - ref) <= budget, (q, x, o, k)
+
+
+def test_real_nome_matches_the_complex_formulas():
+    # the per-nome step's closed forms in t = -log q / (2 pi) against the
+    # complex transform's tau = log q / (2 pi i) (reference.mpc_modular_nome)
+    # at 20 digits more: 1/tau = -i/t, h = 1/2 + i/(2 t), kappa real,
+    # log C = a + i pi/2 and the real q' (within its exp's conditioning
+    # 2 pi / t), over nomes 6.4e-5 to the limits
+    # ladder's e^(-0.0125/0.4); and (q' | q') against mpmath.qp
+    for qs in ("6.4e-5", "0.01", "0.178", "0.5625", "0.95", "0.98", "-0.03125"):
+        with mp.workdps(DIGITS + 10):
+            q = mp.exp(mp.mpf(qs)) if qs.startswith("-") else mp.mpf(qs)
+            wp = mp.mp.prec + _GUARD_BITS
+            t, a, kappa, (b, bt, _, _), qq = _real_nome(q, wp)
+            u = mp.mpf(2) ** -mp.mp.prec
+        with mp.workdps(DIGITS + 30):
+            inv_tau, h, kappa_c, log_c, qp_c = mpc_modular_nome(q)
+            assert abs(inv_tau - mp.mpc(0, -1 / t)) <= 4 * u * abs(inv_tau), qs
+            assert abs(h - mp.mpc(0.5, 1 / (2 * t))) <= 4 * u * abs(h), qs
+            assert abs(kappa_c - kappa) <= 4 * u * kappa, qs
+            assert abs(log_c - mp.mpc(a, mp.pi / 2)) <= 4 * u * (1 + abs(log_c)), qs
+            assert abs(qp_c - mp.mpf((b, -bt))) <= 4 * u * (1 + 2 * mp.pi / t) * abs(qp_c), qs
+            assert abs(mp.mpf((qq, -wp)) - mp.qp(qp_c)) <= 4 * u, qs
+
+
+# theta_q(p / x) / theta_q(x p^(1/2)): a factor of each orientation and a
+# shift; the real-line values against mpmath.qp over the nomes the package
+# meets, from (q p)^2 = 6.4e-5 to 0.98.  (q' | q') and
+# |(q' e^(2 i psi) | q')|^2 are 1 to within q', which is below e^-152, past
+# 2^-wp, at every nome the limits suite draws, so dropping them moves no
+# report; it fails here at the nomes up to 0.5625 (q' ~ e^-33 at 0.3, where
+# theta_0.3(0.37) errs by 1.1e-14 without them and 1.8e-61 with them)
+REAL_LINE_F = StructureFunction(1, 0, (ThetaFactor("q2", -1, 1, 0, 1),
+                                       ThetaFactor("q2", 1, Fr(1, 2), 0, -1)))
+
+
+@pytest.mark.parametrize("qs", ["6.4e-5", "0.01", "0.178", "0.3", "0.5625", "0.78",
+                                "0.95", "0.98"])
+def test_real_line_matches_mpmath_qp(qs):
+    with mp.workdps(70):
+        q, p = mp.mpf(qs), mp.mpf(1) / 4
+        for xs in ("0.37", "0.9", "1.7", "23.5"):
+            x = mp.mpf(xs)
+            got = structure_function_value(REAL_LINE_F, x, p, 0, {"q2": q}, DIGITS)
+            a, b = p / x, x * mp.sqrt(p)
+            want = (mp.qp(a, q) * mp.qp(q / a, q)) / (mp.qp(b, q) * mp.qp(q / b, q))
+            assert abs(got - want) < mp.mpf("1e-55") * abs(want), xs
 
 
 # theta_q(1/x) / theta_q(x p) at q = 0.98, p = 1/4: a factor of each
-# orientation, the second at k = 2.  Off the real axis
-# |X| = e^(2 pi arg x / |ln q|), so a point just below it has a tiny X, and
-# z' = P^k / X from X in fixed point keeps too few of its bits.  A factor at
-# x alone takes such a point (test_modular_where_transformed_argument_underflows).
+# orientation, the second at k = 2.  The complex transform took these
+# points off the real axis, where |X| = e^(2 pi arg x / |ln q|) fell below
+# its fixed-point budget; the transform now takes real points only
 BUDGET_F = StructureFunction(1, 0, (ThetaFactor("q2", -1, 0, 0, 1),
                                     ThetaFactor("q2", 1, 1, 0, -1)))
 BUDGET_DIGITS = 40
@@ -666,37 +716,39 @@ BUDGET_DIGITS = 40
 
 def _budget_value(x):
     with mp.workdps(BUDGET_DIGITS + 10):
-        return structure_function_value(BUDGET_F, mp.mpc(x), mp.mpf(1) / 4,
+        return structure_function_value(BUDGET_F, x, mp.mpf(1) / 4,
                                         0, {"q2": mp.mpf("0.98")}, BUDGET_DIGITS)
 
 
 @pytest.mark.parametrize("x", [0.5 - 0.2j, -0.5 - 0.001j])
 def test_points_outside_the_fixed_point_budget_are_refused(x):
-    # |X| = 2^-171 and 2^-1409, below the budget's 2^-59: unguarded, the
-    # first came out at a relative error of 2.6e-18 and the second at
-    # 1.5e-396 against mpmath's 1.9e-41
-    with pytest.raises(DomainError, match="fixed-point budget"):
-        _budget_value(x)
+    # the points the complex transform refused, and the negative -|x| and
+    # zero, are outside the transform's domain: DomainError, as for a nome
+    with mp.workdps(BUDGET_DIGITS + 10):
+        for bad in (mp.mpc(x), -abs(mp.mpc(x)), mp.mpf(0)):
+            with pytest.raises(DomainError, match=r"real point x > 0"):
+                _budget_value(bad)
 
 
 @pytest.mark.parametrize("x", [0.5 + 0.2j, -0.5 + 0.001j, 0.5 - 0.05j])
 def test_points_inside_the_fixed_point_budget_match_mpmath(x):
-    # the refused points' conjugates (|X| = 2^171 and 2^1409) and a point
-    # with |X| near 2^-45, against mpmath's own q-Pochhammer products:
+    # the moduli of the refused points' conjugates and of a point near the
+    # old budget's edge, against mpmath's own q-Pochhammer products:
     # theta_q(1/x) / theta_q(x p) = (1/x; q)(q x; q) / ((x p; q)(q / (x p); q))
-    got = _budget_value(x)
     with mp.workdps(BUDGET_DIGITS + 10):
-        q, x, xp = mp.mpf("0.98"), mp.mpc(x), mp.mpc(x) / 4
+        q, x = mp.mpf("0.98"), abs(mp.mpc(x))
+        got = _budget_value(x)
+        xp = x / 4
         want = mp.qp(1 / x, q) * mp.qp(q * x, q) / (mp.qp(xp, q) * mp.qp(q / xp, q))
         assert abs(got - want) < mp.mpf(10) ** (5 - BUDGET_DIGITS) * abs(want)
 
 
 def _exponent_cases():
     # (f, x, p, c, bases): the limits suite's samples at every eps of the
-    # ladder (degeneration's nome convention, real x); the canonical and
-    # mixed structure functions at complex annulus points on the relations
-    # nomes at q = 2/5, p = 1/4; BUDGET_F on q = 0.98 at the points inside
-    # the fixed-point budget, |X| up to 2^1409
+    # ladder (degeneration's nome convention); the canonical and mixed
+    # structure functions at the moduli of annulus points on the relations
+    # nomes at q = 2/5, p = 1/4; BUDGET_F on q = 0.98 at the moduli of its
+    # points
     for seed in (0, 1, 2):
         for smp in sample_limit_inputs(seed, 2):
             with mp.workdps(DIGITS + 10):
@@ -712,30 +764,28 @@ def _exponent_cases():
     q, p = mp.mpf(2) / 5, mp.mpf(1) / 4
     fs = [r.structure_function for r in relation_catalog() if r.kind == "exchange"]
     for _ in range(4):
-        x = annulus_point(rng, DIGITS)
+        x = abs(annulus_point(rng, DIGITS))
         for f in fs + [EE_MIXED, FF_MIXED]:
             yield f, x, p, 1, theta_bases(q, p, 1)
     for x in (0.5 + 0.2j, -0.5 + 0.001j, 0.5 - 0.05j):
-        yield BUDGET_F, mp.mpc(x), mp.mpf(1) / 4, 0, {"q2": mp.mpf("0.98")}
+        yield BUDGET_F, abs(mp.mpc(x)), mp.mpf(1) / 4, 0, {"q2": mp.mpf("0.98")}
 
 
 def test_value_holds_to_the_mpc_exponent_and_quotient():
-    # value's fixed-point exponent and shifted quotient against the mpc
-    # ones on the same steps: each is within a few u (1 + T) of the exact
-    # value, relatively, with T the exponent's budget sum
-    # (StructureFunctionPoint), so they agree within 8 u (1 + T).  The
-    # worst case read 1.24 u (1 + T) (T up to 1484, at q = 0.98);
-    # unshifted, the quotient keeps too few bits at x = 0.5 + 0.2i on
-    # q = 0.98 (2.2e-18 relatively)
+    # value's fixed-point exponent and shifted quotient against the real
+    # part of the complex transform's mpc exponent and an mpmath quotient on
+    # the same steps: each is within a few u (1 + T) of the exact value,
+    # relatively, with T the exponent's budget sum
+    # (StructureFunctionPoint), so they agree within 8 u (1 + T)
     checked = 0
     for f, x, p, c, bases in _exponent_cases():
         got = structure_function_value(f, x, p, c, bases, DIGITS)
-        want = mpc_structure_function_value(f, x, p, c, bases, DIGITS)
+        want = mp_structure_function_value(f, x, p, c, bases, DIGITS)
         with mp.workdps(DIGITS + 10):
             _, budget = mpc_exponent(f, x, p, c, bases)
             u = mp.mpf(2) ** -mp.mp.prec
             assert abs(got - want) <= 8 * u * (1 + budget) * abs(want), (f, x)
-        assert (got.imag == 0) == (mp.mpc(x).imag == 0)
+        assert got.imag == 0
         checked += 1
     assert checked == 6 * 4 * 8 + 4 * 10 + 3
 

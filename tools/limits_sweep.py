@@ -26,8 +26,9 @@ from ospboson.degeneration import LIMIT_NAMES, limit_check, sample_limit_inputs
 
 SEEDS = (0, 1, 2, 3, 4, 5, 7, 11, 12, 23700)
 COUNT = 3  # the limits suite's samples per seed
-# the scaling-limits benchmark's first two limit seeds and its samples per seed
-WORKLOAD_SEEDS = (40, 123)
+# the scaling-limits benchmark's limit seeds and its samples per seed
+WORKLOAD_SEEDS = (40, 123, 220, 361, 423, 428, 916, 1615, 1655, 1764, 1877,
+                  2189, 2489, 2514, 2549, 2618)
 WORKLOAD_COUNT = 4
 
 
