@@ -46,10 +46,7 @@ psi = log(x p^s) / (2 t) and B = e^(-2 pi t) (theta module): within a few
 units of the working precision times the exponent's size, plus the
 rounding of e^(i psi) over |sin psi|, of the exact value
 (theta.StructureFunctionPoint's error budget).  The trigonometric target
-is computed apart on every call.  It and the rational target run in mpf,
-where each step rounds as its mpc form would with a zero imaginary part
-(mpc division rounds through 10 more bits, so a quotient can differ by an
-ulp).  Both return an mpc, as value does.
+is computed apart on every call.  It and the rational target run in mpf.
 
 The trigonometric targets are derived mechanically from the canonical
 relation catalog (same factor lists, same signs), not typed in from the
@@ -116,7 +113,7 @@ def _on_real_line(u_minus_v):
 def _degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta=None):
     # sign * prod over the canonical factors of g(u-v - a*hbar)**power, with
     # g = sin(2 pi eta .) (eta' on base qt^2) or, for eta=None, the identity;
-    # in mpf at the real u-v, returned as an mpc
+    # in mpf at the real u-v
     f = _structure_function(name)
     with workdps(digits + 10):
         s = _on_real_line(u_minus_v)
@@ -133,7 +130,7 @@ def _degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta=None):
                 raise PoleError("%s pole or zero"
                                 % ("rational" if eta is None else "sine"), factor=tf)
             acc = acc * val if tf.power == 1 else acc / val
-        return mp.mpc(acc)
+        return acc
 
 
 def trig_structure_function(name, u_minus_v, *, eta, hbar, c=1, digits=30):
@@ -204,7 +201,8 @@ def limit_check(name, u_minus_v, *, eta, hbar, c=1, digits=30, target_name=None)
             target_name or name, u_minus_v, eta=eta, hbar=hbar, c=c, digits=digits
         )
         errors = [float(abs(value - target)) for value in values]
-        ratios = [mp.nstr(value / target, 12) for value in values]
+        # each ratio printed as an mpc, "(x + 0.0j)", the report's format
+        ratios = [mp.nstr(mp.mpc(value / target), 12) for value in values]
         orders = []
         steps = zip(EPSILON_LADDER, EPSILON_LADDER[1:])
         for (e0, e1), (x0, x1) in zip(zip(errors, errors[1:]), steps):

@@ -105,7 +105,7 @@ class StructureFunction:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise StructuralError("sign must be +-1")
-        # (B | B) cancels from the theta splits (_exchange_ratio) base by base
+        # (B | B) cancels from the theta splits (_exchange_lists) base by base
         for base in dict.fromkeys(f.base for f in self.factors):
             if sum(f.power for f in self.factors if f.base == base):
                 raise StructuralError("numerator and denominator counts differ "
@@ -277,11 +277,23 @@ def _sample_x(rng, wp, at):
     raise DomainError("could not sample away from poles in 10 tries")
 
 
-def _exchange_ratio(K1, K2, sf, params):
-    """(wp, ratio): ratio takes x as a fixed-point pair at wp and returns
-    (N, D), the fixed-point numerator and denominator of
-    R = K1(1, x) / (S(x) K2(x, 1)); wp is the precision in force plus
-    theta's guard bits.
+def _exchange_kernels(rel, params):
+    """(K1, K2, fields_match) of an exchange relation A(z) B(w) = S B(w) A(z)
+    at params: the order-2 kernels K1 = K_AB of its left-hand currents and
+    K2 = K_BA of its right-hand ones, and whether the right-hand currents
+    are the left-hand ones swapped, fields and z-prefactors alike."""
+    A, B = (CURRENTS[name](params) for name in rel.left)
+    Bp, Ap = (CURRENTS[name](params) for name in rel.right)
+    fields_match = (A.same_fields(Ap) and B.same_fields(Bp)
+                    and A.prefactor_z_exp == Ap.prefactor_z_exp
+                    and B.prefactor_z_exp == Bp.prefactor_z_exp)
+    return (ope_kernel(A, B, params, order=2), ope_kernel(Bp, Ap, params, order=2),
+            fields_match)
+
+
+def _exchange_lists(K1, K2, sf, params):
+    """(r, m, at_x, at_inverse): the exact data of
+    R = K1(1, x) / (S(x) K2(x, 1)) = r x^m prod at_x(x) / prod at_inverse(1/x).
 
     At the exact point every theta factor of S is two kernel factors,
     theta_B(y) = (y | B)(B/y | B)(B | B) (Gasper-Rahman ch. 1) on its base
@@ -289,11 +301,9 @@ def _exchange_ratio(K1, K2, sf, params):
     at 1/x, theta_B(c / x) the same two swapped, with c = p^(k/2) exact
     (sqrt_p^k for an odd k, StructuralError without sqrt_p), and (B | B)
     cancels base by base (StructureFunction).  With K = scalar z^z_exp
-    w^w_exp prod(w/z), R = r x^m prod1(x) / (prod2(1/x) prod_S), r = sign
-    scalar1 / (scalar2 p^p_exp) exact and m = w_exp1 - z_exp2.  N and D
-    start at r's numerator and denominator, x^|m| goes into the side m's
-    sign names, and prod1(x) / (prod2(1/x) prod_S) in as one QPochProduct
-    with prod2's factors and S's at 1/x inverse.
+    w^w_exp prod(w/z), r = sign scalar1 / (scalar2 p^p_exp) and
+    m = w_exp1 - z_exp2; at_x holds K1's factors, then S's at x inverse,
+    and at_inverse K2's, then S's at 1/x inverse, as QPochFactors.
     """
     p, root = params.p, params.sqrt_p
     bases = {"q2": params.q ** 2, "qt2": (params.q * p) ** 2}
@@ -305,10 +315,21 @@ def _exchange_ratio(K1, K2, sf, params):
         c = root ** k if k % 2 else p ** (k // 2)
         at_x.append(QPochFactor(c if tf.orient == 1 else b / c, b, -tf.power))
         at_inverse.append(QPochFactor(b / c if tf.orient == 1 else c, b, tf.power))
+    return (sf.sign * K1.scalar / (K2.scalar * p ** sf.p_exp), K1.w_exp - K2.z_exp,
+            at_x, at_inverse)
+
+
+def _exchange_ratio(K1, K2, sf, params):
+    """(wp, ratio): ratio takes x as a fixed-point pair at wp and returns
+    (N, D), the fixed-point numerator and denominator of
+    R = K1(1, x) / (S(x) K2(x, 1)) (_exchange_lists); wp is the precision
+    in force plus theta's guard bits.  N and D start at r's numerator and
+    denominator, x^|m| goes into the side m's sign names, and the two
+    lists in as one QPochProduct.
+    """
+    r, m, at_x, at_inverse = _exchange_lists(K1, K2, sf, params)
     kernels = QPochProduct(at_x, at_inverse)
     wp = kernels.wp
-    r = sf.sign * K1.scalar / (K2.scalar * p ** sf.p_exp)
-    m = K1.w_exp - K2.z_exp
     side = 1 if m > 0 else -1
 
     def ratio(x):
@@ -348,8 +369,9 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
     by 1 as a negative control.  Each sample point x is drawn in fixed
     point at the ratio's precision and takes one ratio
     R = K_AB(1, x) / (S(x) K_BA(x, 1)) as a fixed-point pair N / D
-    (_exchange_ratio, prepared once per call), and |N - D| / max(|N|, |D|)
-    is the residual |lhs - rhs| / max(|lhs|, |rhs|); only the residuals
+    (_exchange_ratio on _exchange_kernels' pair, prepared once per call),
+    and |N - D| / max(|N|, |D|) is the residual
+    |lhs - rhs| / max(|lhs|, |rhs|); only the residuals
     become mpmath numbers, and each point is printed from its pair
     (scalars.fixed_to_str).
     A point is drawn again where a factor raises PoleError: within
@@ -366,15 +388,7 @@ def verify_exchange(rel, params, *, samples=100, digits=50,
         raise DomainError("tolerance %s unreachable at %d digits" % (tolerance, digits))
     if samples < 1:
         raise DomainError("need at least one sample, got %s" % (samples,))
-    A = CURRENTS[rel.left[0]](params)
-    B = CURRENTS[rel.left[1]](params)
-    Bp = CURRENTS[rel.right[0]](params)
-    Ap = CURRENTS[rel.right[1]](params)
-    fields_match = (A.same_fields(Ap) and B.same_fields(Bp)
-                    and A.prefactor_z_exp == Ap.prefactor_z_exp
-                    and B.prefactor_z_exp == Bp.prefactor_z_exp)
-    K1 = ope_kernel(A, B, params, order=2)
-    K2 = ope_kernel(Bp, Ap, params, order=2)
+    K1, K2, fields_match = _exchange_kernels(rel, params)
     sf = StructureFunction(1, 0, ()) if unit_structure else rel.structure_function
     rng = random.Random(("exchange", rel.rel_id, rel.mode, seed).__repr__())
     with workdps(digits + 10):

@@ -77,9 +77,6 @@ class TruncatedSeries:
         """Truncated product: the terms a_i b_j of x^m summed as integers over
         a common denominator d, grown to lcm(d, e) only when a term's
         denominator e does not divide it, then normalized once."""
-        if isinstance(other, (int, Fraction)):
-            k = Fraction(other)
-            return TruncatedSeries([k * a for a in self.coeffs], self.order)
         self._check(other)
         n = self.order
         a = [(i, c.numerator, c.denominator)

@@ -14,7 +14,7 @@ deformation point a nome B is q^2 or (q p)^2 and each argument c x^{+-1}
 has an exact c, so the exchange checks split every theta into two kernel
 factors (c x | B) and (B/c x^-1 | B), (B | B) cancelling in a balanced
 ratio, and take them in one ``QPochProduct`` with the kernels'
-(relations._exchange_ratio).  The scaling limits' nomes tend to 1, where
+(relations._exchange_lists).  The scaling limits' nomes tend to 1, where
 the direct product would need ~1/(1-q) factors; there, and only there,
 ``StructureFunctionPoint`` takes the Jacobi imaginary transformation
 (Whittaker-Watson ch. 21), at real points z = e^L > 0 only.  With
@@ -91,7 +91,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, fzero, mpf_exp, mpf_mul, round_nearest
+from mpmath.libmp import from_man_exp, mpf_exp, mpf_mul, round_nearest
 
 from .errors import DomainError, PoleError, StructuralError
 
@@ -183,7 +183,7 @@ class QPochProduct:
         for prepared, (xr, xi) in zip(self._lists, points):
             for f, side, count, n, d, base in prepared:
                 y = (n * xr) // d, (n * xi) // d
-                acc[side] = _qpoch_series(acc[side], (y,), base, wp, count)
+                acc[side] = _qpoch_series(acc[side], y, base, wp, count)
                 if acc[side] is None:
                     raise PoleError("factor pole or zero at %s"
                                     % _from_fixed((xr, xi), wp), factor=f)
@@ -205,7 +205,7 @@ class StructureFunctionPoint:
     """Structure functions at one real point x > 0 on fixed nomes, evaluated
     by the Jacobi transform: the scaling limits' route, for nomes near 1.
     The exchange checks split their thetas into kernel factors instead
-    (relations._exchange_ratio); the tests hold the two routes equal.
+    (relations._exchange_lists); the tests hold the two routes equal.
 
     A structure function f is f.sign * p^f.p_exp times its factors
     theta_B(x^orient p^(k/2)) ** power, k = k0 + k1 c at the integer level c
@@ -240,10 +240,9 @@ class StructureFunctionPoint:
     real fixed-point numerator and denominator at wp and divides them once
     in integers, shifted to keep wp significant bits however small or large
     the quotient is.  It then leaves fixed point once: sign times exp(E)
-    times the quotient, rounded to the working precision, as an mpc with a
-    zero imaginary part.  It raises PoleError carrying f's first factor at
-    a theta zero, where the step is None: within about
-    POLE_TOL |ln B| / (2 pi) of it, relatively.  All of it runs at the
+    times the quotient, an mpf rounded to the working precision.  It raises
+    PoleError carrying f's first factor at a theta zero, where the step is
+    None: within about POLE_TOL |ln B| / (2 pi) of it, relatively.  All of it runs at the
     working precision in force at construction (wp adds the guard bits to
     it), so a caller enters it once.
     Error budget, with u the working precision's unit.  psi's phase
@@ -335,7 +334,7 @@ class StructureFunctionPoint:
         prec = mp.mp.prec
         v = mpf_mul(mpf_exp(from_man_exp(ex, -wp), prec, round_nearest),
                     from_man_exp(n, -sh), prec, round_nearest)
-        return mp.mp.make_mpc((v, fzero))
+        return mp.mp.make_mpf(v)
 
 
 def _real_nome(q, wp):
@@ -354,7 +353,7 @@ def _real_nome(q, wp):
     base = _euler_base(mp.exp(-2 * mp.pi / t), wp)
     b, bt = base[:2]
     return (t, mp.pi * (t - 1 / t) / 4 - mp.log(t) / 2, 1 / (4 * mp.pi * t), base,
-            _qpoch_series((1 << wp, 0), ((b >> bt - wp, 0),), base, wp)[0])
+            _qpoch_series((1 << wp, 0), (b >> bt - wp, 0), base, wp)[0])
 
 
 def _real_factor(w, nome, wp):
@@ -374,7 +373,7 @@ def _real_factor(w, nome, wp):
     zr, zi = (wr * wr - wi * wi) >> wp, (2 * wr * wi) >> wp
     if (one - zr) ** 2 + zi * zi < tol2:
         return None
-    sr, si = _qpoch_series((one, 0), (((b * zr) >> t, (b * zi) >> t),), base, wp)
+    sr, si = _qpoch_series((one, 0), ((b * zr) >> t, (b * zi) >> t), base, wp)
     return (-2 * wi * ((qq * ((sr * sr + si * si) >> wp)) >> wp)) >> wp
 
 
@@ -448,9 +447,9 @@ def _euler_base(b, wp):
     return b, t, tuple(reversed(coeffs)), tol2
 
 
-def _qpoch_series(p, ys, base, wp, count=1):
-    """p * prod over y in ys of (y | b)_inf ** count, in complex fixed point
-    at wp, for a real base b from _euler_base; None where a y is at a pole.
+def _qpoch_series(p, y, base, wp, count=1):
+    """p * (y | b)_inf ** count, in complex fixed point at wp, for a real
+    base b from _euler_base; None where y is at a pole.
 
     Shift step: while |y| > 1, p *= 1 - y and y *= b, as
     (y | b)_inf = (1 - y) (b y | b)_inf; y *= b takes b's mantissa, so it
@@ -475,29 +474,29 @@ def _qpoch_series(p, ys, base, wp, count=1):
     log2(N (N + 1) / 2 (-1; b)_inf / (POLE_TOL (b; b)_inf)) of the 60
     guard bits, which _euler_base keeps within _BUDGET_BITS = 55:
     8.5 + 20 + 5 at b = 9/16 (N = 26).  Each shift step adds one truncation
-    to p, as the callers' running products do.  With count n, each y's
-    shift factors 1 - y and series value multiply into p n times, in that
-    order: p is bit for bit that of n separate equal ys, each y summed once.
+    to p, as the callers' running products do.  With count n, y's shift
+    factors 1 - y and series value multiply into p n times, in that order:
+    p is bit for bit that of n calls of count 1, with y summed once.
     """
     b, t, coeffs, tol2 = base
     one = 1 << wp
     pr, pi = p
-    for yr, yi in ys:
-        shifts = []  # the factors 1 - y of the shift steps
-        while True:
-            tr = one - yr
-            if tr * tr + yi * yi < tol2:
-                return None
-            s = yr * yr + yi * yi
-            if s <= one * one:
-                break
-            shifts.append((tr, yi))
-            yr, yi = (yr * b) >> t, (yi * b) >> t
-        sr, si = _real_series(coeffs, yr, yi, s >> wp, wp)
-        for _ in range(count):
-            for tr, ti in shifts:
-                pr, pi = (pr * tr + pi * ti) >> wp, (pi * tr - pr * ti) >> wp
-            pr, pi = (pr * sr - pi * si) >> wp, (pr * si + pi * sr) >> wp
+    yr, yi = y
+    shifts = []  # the factors 1 - y of the shift steps
+    while True:
+        tr = one - yr
+        if tr * tr + yi * yi < tol2:
+            return None
+        s = yr * yr + yi * yi
+        if s <= one * one:
+            break
+        shifts.append((tr, yi))
+        yr, yi = (yr * b) >> t, (yi * b) >> t
+    sr, si = _real_series(coeffs, yr, yi, s >> wp, wp)
+    for _ in range(count):
+        for tr, ti in shifts:
+            pr, pi = (pr * tr + pi * ti) >> wp, (pi * tr - pr * ti) >> wp
+        pr, pi = (pr * sr - pi * si) >> wp, (pr * si + pi * sr) >> wp
     return pr, pi
 
 

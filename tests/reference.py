@@ -15,12 +15,11 @@ import mpmath as mp
 
 from ospboson.degeneration import _etas, _structure_function
 from ospboson.errors import DomainError, PoleError, StructuralError
-from ospboson.freefield import ope_kernel
 from ospboson.relations import (
-    CURRENTS,
     RelationSpec,
     StructureFunction,
     ThetaFactor,
+    _exchange_kernels,
     _sample_x,
     relation_catalog,
     theta_bases,
@@ -278,8 +277,8 @@ def mp_structure_function_value(f, x, p, c, bases, digits):
             acc[tf.power] = (acc[tf.power] * point._steps[key]) >> wp
         (a, b, cc), _ = mpc_exponent(f, x, p, c, bases)
         l = mp.log(x)
-        return mp.mpc(f.sign * mp.exp(mp.re(a + l * (b + l * cc)))
-                      * mp.mpf((acc[1], -wp)) / mp.mpf((acc[-1], -wp)))
+        return (f.sign * mp.exp(mp.re(a + l * (b + l * cc)))
+                * mp.mpf((acc[1], -wp)) / mp.mpf((acc[-1], -wp)))
 
 
 def mpc_degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta=None):
@@ -359,10 +358,7 @@ def exchange_residuals(rel, params, samples, digits, seed, unit_structure=False)
     prints them, from exchange_sides at its draws: the residual is
     |lhs - rhs| / max(|lhs|, |rhs|), and a draw where a side raises
     PoleError is drawn again."""
-    A, B = (CURRENTS[c](params) for c in rel.left)
-    Bp, Ap = (CURRENTS[c](params) for c in rel.right)
-    K1 = ope_kernel(A, B, params, order=2)
-    K2 = ope_kernel(Bp, Ap, params, order=2)
+    K1, K2, _ = _exchange_kernels(rel, params)
     sf = StructureFunction(1, 0, ()) if unit_structure else rel.structure_function
     rng = random.Random(("exchange", rel.rel_id, rel.mode, seed).__repr__())
     with workdps(digits + 10):

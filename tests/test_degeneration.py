@@ -120,20 +120,22 @@ def test_half_period_invariance():
 
 @pytest.mark.parametrize("seeds", [range(0, 10), range(10, 20)])
 def test_real_line_targets_equal_the_mpc_ones(seeds):
-    # at a real u-v the targets run in mpf; each step rounds as its mpc one,
-    # so every trig and rational value here equals the all-mpc reference bit
-    # for bit.  mpc division rounds through 10 more bits than mpf's, so
-    # elsewhere one can differ by an ulp (12 of 10 880 trig values at seeds
-    # 60-399).  Off the line the targets, and limit_check, refuse u-v
+    # at a real u-v the targets run in mpf and return an mpf; each step
+    # rounds as its mpc one, so every trig and rational value here equals the
+    # all-mpc reference's real part bit for bit.  mpc division rounds through
+    # 10 more bits than mpf's, so elsewhere one can differ by an ulp (12 of
+    # 10 880 trig values at seeds 60-399).  Off the line the targets, and
+    # limit_check, refuse u-v
     for seed in seeds:
         for smp in sample_limit_inputs(seed, 4):
             s, eta, hbar = smp["u_minus_v"], smp["eta"], smp["hbar"]
             for name in LIMIT_NAMES:
                 got = trig_structure_function(name, s, eta=eta, hbar=hbar)
                 want = mpc_degenerate_structure_function(name, s, hbar, 1, 30, eta)
-                assert isinstance(got, mp.mpc) and got == want and got.imag == 0
-                assert (rational_structure_function(name, s, hbar)
-                        == mpc_degenerate_structure_function(name, s, hbar, 1, 30))
+                assert isinstance(got, mp.mpf) and got == want.real and want.imag == 0
+                got = rational_structure_function(name, s, hbar)
+                want = mpc_degenerate_structure_function(name, s, hbar, 1, 30)
+                assert isinstance(got, mp.mpf) and got == want.real and want.imag == 0
     z = mp.mpc("0.41", "0.03")
     for check in (lambda: trig_structure_function("HH", z, eta=0.3, hbar=0.12),
                   lambda: rational_structure_function("HH", 0.41 + 0.03j, 0.12),
@@ -283,7 +285,7 @@ def test_shared_sample_values_equal_per_factor_thetas():
                                                bases[tf.base], digits)
                         want = want * t if tf.power == 1 else want / t
                     assert abs(got - want) < mp.mpf("1e-50") * abs(want), (c, name)
-                    assert got.imag == 0
+                    assert isinstance(got, mp.mpf)
 
 
 @pytest.mark.parametrize("names", [("H+H-", "HH"), ("HH", "H+H-")])

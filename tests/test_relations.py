@@ -33,6 +33,7 @@ from reference import (
     exchange_residuals,
     mpc_to_str,
     one_factor_theta,
+    product_at,
     structure_function_value,
     swapped_relation,
     theta_argument,
@@ -506,13 +507,6 @@ def test_verification_symmetry():
         assert fwd["verdict"] == bwd["verdict"] == "pass"
 
 
-def _kernels(rel, params):
-    (a, b), (bp, ap) = ([relations.CURRENTS[n](params) for n in pair]
-                        for pair in (rel.left, rel.right))
-    return (relations.ope_kernel(a, b, params, order=2),
-            relations.ope_kernel(bp, ap, params, order=2))
-
-
 @pytest.mark.parametrize("rel_id", ["EE", "HH"])
 def test_verify_exchange_runs_no_transform_step(monkeypatch, rel_id):
     # S's thetas are kernel factors at the exact point: the call takes none
@@ -542,7 +536,7 @@ def test_verify_exchange_prepares_the_kernel_bases_once(monkeypatch, rel_id):
     rel = by_id(relation_catalog())[rel_id]
     rep = verify_exchange(rel, P, samples=10, digits=DIGITS, seed=0)
     assert rep["verdict"] == "pass"
-    kernel_bases = {f.b for K in _kernels(rel, P) for f in K.factors}
+    kernel_bases = {f.b for K in relations._exchange_kernels(rel, P)[:2] for f in K.factors}
     assert sorted(calls) == sorted(kernel_bases)
 
 
@@ -594,18 +588,39 @@ def test_exchange_without_sqrt_p():
         verify_exchange(rel, point, samples=2, digits=DIGITS)
 
 
-def _recorded_products(monkeypatch):
-    """Make relations build recording products: each appends its lists, as
-    _exchange_ratio passes them, and itself to the returned list."""
-    products = []
+@pytest.mark.parametrize("seed", [0, 5])
+def test_sampler_multiplies_the_shared_lists(seed):
+    # at a CLI seed, verify_exchange's draws for each canonical relation and
+    # the EE unit-structure control, rebuilt from _exchange_kernels,
+    # _exchange_lists and a fresh QPochProduct: the sampled ratio's pairs,
+    # bit for bit, and the report's points and residuals
+    params = DeformationParams(*sample_parameters(seed, 1)[0])
+    rels = [rel for rel in relation_catalog() if rel.kind == "exchange"]
+    for rel, unit in [(rel, False) for rel in rels] + [(by_id(rels)["EE"], True)]:
+        K1, K2, _ = relations._exchange_kernels(rel, params)
+        sf = StructureFunction(1, 0, ()) if unit else rel.structure_function
+        r, m, at_x, at_inverse = relations._exchange_lists(K1, K2, sf, params)
+        rng = random.Random(("exchange", rel.rel_id, rel.mode, seed).__repr__())
+        with mp.workdps(DIGITS + 10):
+            product = theta.QPochProduct(at_x, at_inverse)
+            wp, ratio = relations._exchange_ratio(K1, K2, sf, params)
 
-    class Recorded(theta.QPochProduct):
-        def __init__(self, factors, inverse=()):
-            super().__init__(factors, inverse)
-            products.append((factors, inverse, self))
+            def at(x):
+                (xr, xi), acc = x, {1: (r.numerator << wp, 0), -1: (r.denominator << wp, 0)}
+                for side in [1 if m > 0 else -1] * abs(m):  # x^|m| on m's sign's side
+                    ar, ai = acc[side]
+                    acc[side] = (ar * xr - ai * xi) >> wp, (ar * xi + ai * xr) >> wp
+                product.multiply(acc, x)
+                assert (acc[1], acc[-1]) == ratio(x), rel.rel_id
+                return acc[1], acc[-1]
 
-    monkeypatch.setattr(relations, "QPochProduct", Recorded)
-    return products
+            draws = [relations._sample_x(rng, wp, at) for _ in range(20)]
+            res = [relations._residual(pair) for _, pair in draws]
+            want = ([fixed_to_str(x, wp, 17) for x, _ in draws], mp.nstr(max(res), 12),
+                    mp.nstr(sum(res) / len(res), 12))
+        rep = verify_exchange(rel, params, samples=20, digits=DIGITS, seed=seed,
+                              unit_structure=unit)
+        assert (rep["points"], rep["residual_max"], rep["residual_mean"]) == want
 
 
 def _divisors(factors, inverse):
@@ -623,23 +638,23 @@ def _divisors(factors, inverse):
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_exchange_residual_near_divisors(monkeypatch, seed):
+def test_exchange_residual_near_divisors(seed):
     # at points off every zero and pole of the one product's factors, the
     # kernels' and the split thetas', by 1e-5 to 1e-3 relatively, the
     # residual of each canonical relation stays at the working precision;
     # taken from integer squares, it is the quotient of the pair's mpc
     # absolute values within a few ulps there, and exactly 0 where N == D
-    products = _recorded_products(monkeypatch)
     params = DeformationParams(*sample_parameters(seed, 1)[0])
     checked = 0
     for rel in relation_catalog():
         if rel.kind != "exchange":
             continue
-        K1, K2 = _kernels(rel, params)
+        K1, K2, _ = relations._exchange_kernels(rel, params)
+        sf = rel.structure_function
         with mp.workdps(DIGITS + 10):
             ulp = mp.mpf(2) ** -mp.mp.prec
-            wp, ratio = relations._exchange_ratio(K1, K2, rel.structure_function, params)
-            for z in _divisors(*products[-1][:2]):
+            wp, ratio = relations._exchange_ratio(K1, K2, sf, params)
+            for z in _divisors(*relations._exchange_lists(K1, K2, sf, params)[2:]):
                 for delta in ("1e-4", "-1e-4", "1e-5", "1e-3"):
                     x = mp.mpc(to_mpf(z) * (1 + mp.mpf(delta)))
                     try:
@@ -656,29 +671,22 @@ def test_exchange_residual_near_divisors(monkeypatch, seed):
     assert checked > 100
 
 
-def _ratio_lists(monkeypatch, params):
-    """{rel_id: (factors, inverse, product)} of each canonical exchange
-    relation's one product at params."""
-    products = _recorded_products(monkeypatch)
-    out = {}
-    for rel in relation_catalog():
-        if rel.kind == "exchange":
-            with mp.workdps(DIGITS + 10):
-                relations._exchange_ratio(*_kernels(rel, params),
-                                          rel.structure_function, params)
-            out[rel.rel_id] = products[-1]
-    return out
+def _canonical_lists(params):
+    """{rel_id: (at_x, at_inverse)} of each canonical exchange ratio at params."""
+    return {rel.rel_id: relations._exchange_lists(
+        *relations._exchange_kernels(rel, params)[:2], rel.structure_function, params)[2:]
+        for rel in relation_catalog() if rel.kind == "exchange"}
 
 
-def test_reduction_cancels_kernel_factors_against_split_thetas(monkeypatch):
+def test_reduction_cancels_kernel_factors_against_split_thetas():
     # at CLI seed 0, 80 of the 248 factors of the 8 canonical ratios are a
     # kernel factor and the same split-theta factor at one point, of
-    # opposite powers: the prepared product keeps net powers summing to 168,
-    # while _exchange_ratio's lists stay whole
-    lists = _ratio_lists(monkeypatch, DeformationParams(*sample_parameters(0, 1)[0]))
-    whole = {r: (len(fs), len(inv)) for r, (fs, inv, _) in lists.items()}
-    reduced = {r: tuple(sum(entry[2] for entry in side) for side in product._lists)
-               for r, (_, _, product) in lists.items()}
+    # opposite powers: their net powers (theta._net_factors) sum to 168,
+    # while _exchange_lists' lists stay whole
+    lists = _canonical_lists(DeformationParams(*sample_parameters(0, 1)[0]))
+    whole = {r: tuple(map(len, sides)) for r, sides in lists.items()}
+    reduced = {r: tuple(sum(n for _, n in theta._net_factors(side)) for side in sides)
+               for r, sides in lists.items()}
     assert whole == {"H+E": (13, 13), "H-E": (13, 13), "H+F": (13, 13), "H-F": (13, 13),
                      "HH": (26, 26), "H+H-": (26, 26), "EE": (10, 10), "FF": (10, 10)}
     assert reduced == {"H+E": (9, 9), "H-E": (9, 9), "H+F": (9, 9), "H-F": (9, 9),
@@ -690,9 +698,9 @@ def test_net_power_two_sums_its_series_once(monkeypatch):
     # a (c, b) of net power +-2 is one entry with its count, summed once: at
     # CLI seed 0 HH nets 17 distinct (c, b) a side and H+H- 15, so a sample
     # point sums 160 series for the 168 net powers
-    params = DeformationParams(*sample_parameters(0, 1)[0])
-    lists = _ratio_lists(monkeypatch, params)
-    entries = {r: tuple(map(len, product._lists)) for r, (_, _, product) in lists.items()}
+    lists = _canonical_lists(DeformationParams(*sample_parameters(0, 1)[0]))
+    entries = {r: tuple(len(theta._net_factors(side)) for side in sides)
+               for r, sides in lists.items()}
     assert entries == {"H+E": (9, 9), "H-E": (9, 9), "H+F": (9, 9), "H-F": (9, 9),
                        "HH": (17, 17), "H+H-": (15, 15), "EE": (6, 6), "FF": (6, 6)}
     calls = []
@@ -700,11 +708,8 @@ def test_net_power_two_sums_its_series_once(monkeypatch):
     monkeypatch.setattr(theta, "_real_series",
                         lambda *args: calls.append(1) or real_series(*args))
     with mp.workdps(DIGITS + 10):
-        for rel in relation_catalog():
-            if rel.kind == "exchange":
-                wp, ratio = relations._exchange_ratio(*_kernels(rel, params),
-                                                      rel.structure_function, params)
-                ratio(_to_fixed(mp.mpc("0.61", "0.23"), wp))
+        for sides in lists.values():
+            product_at(theta.QPochProduct(*sides), mp.mpc("0.61", "0.23"))
     assert len(calls) == 160
 
 
@@ -718,32 +723,26 @@ def test_reduced_product_equals_the_whole_lists(monkeypatch, params):
     # factor within 2^(34 - wp) relatively, over both products' factors.  At
     # the corner q^2 = p, so some (c, b) there meets both powers and keeps a
     # net one
-    lists = _ratio_lists(monkeypatch, params)
     rng = random.Random(("reduced-vs-whole", params.q, params.p).__repr__())
     checked = 0
-    for rel_id, (factors, inverse, reduced) in lists.items():
-        with mp.workdps(DIGITS + 10):
-            with monkeypatch.context() as m:
-                m.setattr(theta, "_net_factors", lambda fs: [(f, 1) for f in fs])
-                whole = theta.QPochProduct(factors, inverse)
-            wp = whole.wp
+    for rel_id, (factors, inverse) in _canonical_lists(params).items():
+        with mp.workdps(DIGITS + 10), monkeypatch.context() as m:
+            reduced = theta.QPochProduct(factors, inverse)
+            m.setattr(theta, "_net_factors", lambda fs: [(f, 1) for f in fs])
+            whole, wp = theta.QPochProduct(factors, inverse), reduced.wp
             bound = 2 * (len(factors) + len(inverse)) * mp.mpf(2) ** (34 - wp)
             for _ in range(5):
                 x = sample_annulus_point(rng, wp)
-                values = []
-                for product in (reduced, whole):
-                    acc = {1: (1 << wp, 0), -1: (1 << wp, 0)}
-                    try:
+                accs = [{1: (1 << wp, 0), -1: (1 << wp, 0)} for _ in range(2)]
+                try:
+                    for product, acc in zip((reduced, whole), accs):
                         product.multiply(acc, x)
-                    except PoleError:
-                        break
-                    with mp.workprec(2 * wp):  # above both products' budgets
-                        values.append(mp.mpc(*acc[1]) / mp.mpc(*acc[-1]))
-                else:
-                    checked += 1
-                    got, want = values
-                    with mp.workprec(2 * wp):
-                        assert abs(got - want) <= bound * abs(want), (rel_id, x)
+                except PoleError:
+                    continue
+                checked += 1
+                with mp.workprec(2 * wp):  # above both products' budgets
+                    got, want = (mp.mpc(*acc[1]) / mp.mpc(*acc[-1]) for acc in accs)
+                    assert abs(got - want) <= bound * abs(want), (rel_id, x)
     assert checked >= 35
 
 

@@ -280,6 +280,14 @@ def test_order_mismatch_rejected():
         a + b
 
 
+def test_series_times_a_scalar_rejected():
+    # a series multiplies only a series of its order, on either side
+    s = TruncatedSeries.one(3)
+    for product in (lambda: s * 2, lambda: 2 * s, lambda: s * Fr(1, 2)):
+        with pytest.raises(StructuralError, match="expected a TruncatedSeries"):
+            product()
+
+
 def test_scale_argument():
     s = TruncatedSeries([Fr(1), Fr(2), Fr(3)], 2)
     t = s.scale_argument(Fr(1, 2))
