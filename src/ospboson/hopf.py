@@ -24,13 +24,13 @@ All tensor products are graded: E and F are odd, H^+/H^- and the central
 elements c_k are even, and multiplication obeys the Koszul rule
 (A x B)(C x D) = (-1)^{parity(B) parity(C)} AC x BD.
 
-Everything here is exact symbolic computation, with integer coefficients,
-rational shifts: the maps make no coefficient but +-1, +-sigma and counit
-values.  A word is an ordered product of generator factors, each carrying
-an argument of the form z p^s where the exponent s (a ShiftForm) is an
-affine combination of the central symbols c_k.  The single most important
-semantic rule, without which none of the axioms close, is central
-re-expansion: when a map with a central substitution rule
+Everything here is exact symbolic computation in integers: the maps make
+no coefficient but +-1, +-sigma and counit values.  A word is an ordered
+product of generator factors, each carrying an argument of the form z p^s
+where the exponent s (a ShiftForm) is an affine combination of the central
+symbols c_k; its constant and coefficients are half-integers, held doubled
+as ints.  The single most important semantic rule, without which none of
+the axioms close, is central re-expansion: when a map with a central substitution rule
 (D+_n : c_n -> c_n + c_{n+1}, S+_n : c_n -> -c_{n+1}, eps_n : c_n -> 0,
 ...) is applied to a tensor expression, the substitution acts on every
 ShiftForm in every slot of the term first, and only then is the
@@ -51,6 +51,7 @@ hard-coding an interpretation.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -62,31 +63,53 @@ GENERATOR_KINDS = ("H+", "H-", "E", "F", "c")
 _ODD_KINDS = frozenset(("E", "F"))
 _KIND_ORDER = {k: i for i, k in enumerate(GENERATOR_KINDS)}
 
-_ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
+
+def _integral(doubled) -> int:
+    """A doubled shift as an int.  A value off the half-integer lattice,
+    such as a third or a quarter, is a StructuralError: nothing is rounded."""
+    if type(doubled) is not int and doubled.denominator != 1:
+        raise StructuralError("argument shifts are half-integers, got %s"
+                              % (doubled / 2))
+    return int(doubled)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ShiftForm:
-    """Exponent s in an argument z*p^s: constant + sum coeff_k * c_k."""
+    """Exponent s in an argument z*p^s: constant + sum coeff_k * c_k.
 
-    constant: Fraction = _ZERO
-    central: tuple = ()  # sorted tuple of (index, Fraction coeff), no zeros
+    Shifts are half-integers held doubled, as ThetaFactor holds k0 and k1:
+    the constant and each coeff_k are ints k that stand for k/2.  Doubling
+    keeps their order, so sort keys order terms by value.  ShiftForm(constant),
+    of_central and scale take exact rationals by value; a float, or a value
+    whose double is not an integer, is a StructuralError.
+    """
+
+    constant: int  # doubled
+    central: tuple  # sorted tuple of (index, doubled int coeff), no zeros
+
+    def __init__(self, constant=0):
+        object.__setattr__(self, "constant", _integral(2 * _exact(constant)))
+        object.__setattr__(self, "central", ())
+
+    @staticmethod
+    def _of(constant: int, central: tuple = ()) -> "ShiftForm":
+        """The shift with these doubled ints, which no check re-reads."""
+        shift = object.__new__(ShiftForm)
+        object.__setattr__(shift, "constant", constant)
+        object.__setattr__(shift, "central", central)
+        return shift
 
     @staticmethod
     def of_central(index: int, coeff=1) -> "ShiftForm":
-        coeff = Fraction(_exact(coeff))
-        if coeff == 0:
-            return ShiftForm()
-        return ShiftForm(_ZERO, ((index, coeff),))
+        k = _integral(2 * _exact(coeff))
+        return ShiftForm._of(0, ((index, k),) if k else ())
 
     @staticmethod
-    def _normalize(constant: Fraction, pairs: Iterable) -> "ShiftForm":
+    def _normalize(constant: int, pairs: Iterable) -> "ShiftForm":
         acc = {}
         for idx, coeff in pairs:
-            acc[idx] = acc.get(idx, _ZERO) + coeff
-        kept = tuple(sorted((i, c) for i, c in acc.items() if c != 0))
-        return ShiftForm(constant, kept)
+            acc[idx] = acc.get(idx, 0) + coeff
+        return ShiftForm._of(constant, tuple(sorted((i, c) for i, c in acc.items() if c)))
 
     def __add__(self, other: "ShiftForm") -> "ShiftForm":
         return ShiftForm._normalize(
@@ -95,7 +118,7 @@ class ShiftForm:
         )
 
     def __neg__(self) -> "ShiftForm":
-        return ShiftForm(-self.constant, tuple((i, -c) for i, c in self.central))
+        return ShiftForm._of(-self.constant, tuple((i, -c) for i, c in self.central))
 
     def __sub__(self, other: "ShiftForm") -> "ShiftForm":
         return self + (-other)
@@ -103,26 +126,28 @@ class ShiftForm:
     def scale(self, factor) -> "ShiftForm":
         factor = _exact(factor)
         if factor == 0:
-            return ShiftForm()
-        return ShiftForm(
-            self.constant * factor,
-            tuple((i, c * factor) for i, c in self.central),
+            return ZERO_SHIFT
+        return ShiftForm._of(
+            _integral(self.constant * factor),
+            tuple((i, _integral(c * factor)) for i, c in self.central),
         )
 
     def substitute(self, index: int, replacement: "ShiftForm") -> "ShiftForm":
         """Replace the symbol c_index by an arbitrary ShiftForm."""
-        coeff = dict(self.central).get(index)
-        if coeff is None:
+        k = dict(self.central).get(index)
+        if k is None:
             return self
         rest = tuple((i, c) for i, c in self.central if i != index)
-        scaled = replacement.scale(coeff)
+        # c_index has the coefficient k/2: with an odd k, an odd entry of the
+        # replacement would land on a quarter, which scale refuses
+        scaled = replacement.scale(k // 2 if k % 2 == 0 else Fraction(k, 2))
         return ShiftForm._normalize(
             self.constant + scaled.constant,
             itertools.chain(rest, scaled.central),
         )
 
     def relabel(self, delta: int) -> "ShiftForm":
-        return ShiftForm(
+        return ShiftForm._of(
             self.constant, tuple((i + delta, c) for i, c in self.central)
         )
 
@@ -133,28 +158,20 @@ class ShiftForm:
         return (self.constant, self.central)
 
     def __str__(self) -> str:
-        pieces = []
-        if self.constant != 0:
-            pieces.append(str(self.constant))
-        for idx, coeff in self.central:
-            sym = "c_%d" % idx
-            if coeff == 1:
-                pieces.append(sym)
-            elif coeff == -1:
-                pieces.append("-" + sym)
-            elif coeff.denominator == 1:
-                pieces.append("%s*%s" % (coeff, sym))
-            else:
-                pieces.append("(%s)*%s" % (coeff, sym))
-        if not pieces:
-            return "0"
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-        return out
+        pieces = [str(Fraction(self.constant, 2))] if self.constant else []
+        for idx, k in self.central:
+            coeff = ("%s*" if k % 2 == 0 else "(%s)*") % Fraction(k, 2)
+            pieces.append({2: "", -2: "-"}.get(k, coeff) + "c_%d" % idx)
+        # pieces hold no spaces, so " + -" only ever joins a negative piece
+        return " + ".join(pieces).replace(" + -", " - ") or "0"
 
 
 ZERO_SHIFT = ShiftForm()
+
+
+def _c(index: int, k: int) -> ShiftForm:
+    """(k/2) c_index, from its doubled coefficient k."""
+    return ShiftForm._of(0, ((index, k),))
 
 
 @dataclass(frozen=True)
@@ -245,6 +262,14 @@ class TensorExpr:
             cleaned.append((_exact(coeff), words))
         self.terms = tuple(cleaned)
 
+    @staticmethod
+    def _of(slots: int, terms: Iterable) -> "TensorExpr":
+        """A result of the ring operations and maps.  Its terms come from
+        terms already checked, so they are neither copied nor re-checked."""
+        expr = object.__new__(TensorExpr)
+        expr.slots, expr.terms = slots, tuple(terms)
+        return expr
+
     # -- constructors ----------------------------------------------------
 
     @staticmethod
@@ -265,16 +290,14 @@ class TensorExpr:
     def __add__(self, other: "TensorExpr") -> "TensorExpr":
         if self.slots != other.slots:
             raise StructuralError("cannot add tensors of different slot counts")
-        return TensorExpr(self.slots, self.terms + other.terms)
+        return TensorExpr._of(self.slots, self.terms + other.terms)
 
     def __sub__(self, other: "TensorExpr") -> "TensorExpr":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "TensorExpr":
         factor = _exact(factor)
-        return TensorExpr(
-            self.slots, [(c * factor, ws) for c, ws in self.terms]
-        )
+        return TensorExpr._of(self.slots, [(c * factor, ws) for c, ws in self.terms])
 
     def __mul__(self, other: "TensorExpr") -> "TensorExpr":
         """Graded product: slotwise concatenation with Koszul signs."""
@@ -283,16 +306,12 @@ class TensorExpr:
         out = []
         for ca, wa in self.terms:
             for cb, wb in other.terms:
-                sign = 1
                 # factor B_i of the right term crosses A_j for all j > i
-                for i in range(self.slots):
-                    pb = word_parity(wb[i])
-                    if pb:
-                        pa_tail = sum(word_parity(wa[j]) for j in range(i + 1, self.slots))
-                        if pa_tail % 2:
-                            sign = -sign
-                out.append((ca * cb * sign, tuple(wa[i] + wb[i] for i in range(self.slots))))
-        return TensorExpr(self.slots, out)
+                crossings = sum(sum(map(word_parity, wa[i + 1:]))
+                                for i, b in enumerate(wb) if word_parity(b))
+                out.append((-ca * cb if crossings % 2 else ca * cb,
+                            tuple(map(operator.add, wa, wb))))
+        return TensorExpr._of(self.slots, out)
 
     # -- canonical form ---------------------------------------------------
 
@@ -307,7 +326,7 @@ class TensorExpr:
             if coeff != 0
         ]
         kept.sort(key=lambda item: _term_sort_key(item[1]))
-        return TensorExpr(self.slots, kept)
+        return TensorExpr._of(self.slots, kept)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorExpr):
@@ -332,7 +351,7 @@ class TensorExpr:
                 for w in words
             )
             out.append((coeff, new_words))
-        return TensorExpr(self.slots, out)
+        return TensorExpr._of(self.slots, out)
 
     def __str__(self) -> str:
         canon = self.canonical()
@@ -424,7 +443,7 @@ def _map_slot(expr: TensorExpr, slot: int, width: int, image) -> TensorExpr:
         head, tail = words[:slot], words[slot + 1 :]
         for icoeff, iwords in image(words[slot]):
             out.append((coeff * icoeff, head + iwords + tail))
-    return TensorExpr(expr.slots - 1 + width, out)
+    return TensorExpr._of(expr.slots - 1 + width, out)
 
 
 def tau(expr: TensorExpr, direction: int, *, slot: int = 0, n: int) -> TensorExpr:
@@ -451,28 +470,28 @@ def _coproduct_factor(f: Factor, n: int, direction: int,
     s = f.shift
     sigma = convention.sigma_hminus
     if f.kind == "c":
-        return TensorExpr(2, [(1, ((Factor("c", left),), ())),
-                              (1, ((), (Factor("c", right),)))])
+        return TensorExpr._of(2, ((1, ((Factor("c", left),), ())),
+                                  (1, ((), (Factor("c", right),)))))
     if f.kind == "H+":
-        a = Factor("H+", left, s + ShiftForm.of_central(right, _HALF), f.inverted)
-        b = Factor("H+", right, s - ShiftForm.of_central(left, _HALF), f.inverted)
-        return TensorExpr(2, [(1, ((a,), (b,)))])
+        a = Factor("H+", left, s + _c(right, 1), f.inverted)
+        b = Factor("H+", right, s - _c(left, 1), f.inverted)
+        return TensorExpr._of(2, ((1, ((a,), (b,))),))
     if f.kind == "H-":
-        a = Factor("H-", left, s - ShiftForm.of_central(right, _HALF), f.inverted)
-        b = Factor("H-", right, s + ShiftForm.of_central(left, _HALF), f.inverted)
+        a = Factor("H-", left, s - _c(right, 1), f.inverted)
+        b = Factor("H-", right, s + _c(left, 1), f.inverted)
         # printed sign -1; rescaling H^- by sigma makes it -sigma, and the
         # inverse coproduct carries (-sigma)^{-1} = -sigma again
-        return TensorExpr(2, [(-sigma, ((a,), (b,)))])
+        return TensorExpr._of(2, ((-sigma, ((a,), (b,))),))
     if f.kind == "E":
-        h = Factor("H-", left, s + ShiftForm.of_central(left, _HALF))
-        e = Factor("E", right, s + ShiftForm.of_central(left))
-        return TensorExpr(2, [(1, ((Factor("E", left, s),), ())),
-                              (-sigma, ((h,), (e,)))])
+        h = Factor("H-", left, s + _c(left, 1))
+        e = Factor("E", right, s + _c(left, 2))
+        return TensorExpr._of(2, ((1, ((Factor("E", left, s),), ())),
+                                  (-sigma, ((h,), (e,)))))
     if f.kind == "F":
-        ff = Factor("F", left, s + ShiftForm.of_central(right))
-        h = Factor("H+", right, s + ShiftForm.of_central(right, _HALF))
-        return TensorExpr(2, [(1, ((), (Factor("F", right, s),))),
-                              (1, ((ff,), (h,)))])
+        ff = Factor("F", left, s + _c(right, 2))
+        h = Factor("H+", right, s + _c(right, 1))
+        return TensorExpr._of(2, ((1, ((), (Factor("F", right, s),))),
+                                  (1, ((ff,), (h,)))))
     raise StructuralError("no coproduct formula for %r" % (f.kind,))
 
 
@@ -488,7 +507,7 @@ def coproduct(expr: TensorExpr, direction: int, convention: SignConvention = DEF
     expanded = ShiftForm.of_central(n) + ShiftForm.of_central(n + direction)
 
     def image(word):
-        expansion = TensorExpr.unit(2)
+        expansion = TensorExpr._of(2, ((1, ((), ())),))
         for f in word:
             expansion = expansion * _coproduct_factor(f, n, direction, convention)
         return expansion.terms
@@ -516,7 +535,7 @@ def counit(expr: TensorExpr, convention: SignConvention = DEFAULT_CONVENTION,
     rule eps(c_n) = 0 kills c_n in every surviving shift.
     """
     _target(expr, slot, n, 1)
-    substituted = expr.substitute_central(n, ShiftForm())
+    substituted = expr.substitute_central(n, ZERO_SHIFT)
     if expr.slots == 1:
         return sum((coeff * _counit_word(words[0], convention)
                     for coeff, words in substituted.terms), 0)
@@ -530,19 +549,19 @@ def _antipode_factor(f: Factor, n: int, direction: int, convention: SignConventi
     s = f.shift
     sigma = convention.sigma_hminus
     if f.kind == "c":
-        return TensorExpr(1, [(-1, ((Factor("c", m),),))])
+        return TensorExpr._of(1, ((-1, ((Factor("c", m),),)),))
     if f.kind in ("H+", "H-"):
         return TensorExpr.generator(f.kind, m, s, inverted=not f.inverted)
     if f.kind == "E":
-        h = Factor("H-", m, s - ShiftForm.of_central(m, _HALF), inverted=True)
-        e = Factor("E", m, s - ShiftForm.of_central(m))
+        h = Factor("H-", m, s - _c(m, 1), inverted=True)
+        e = Factor("E", m, s - _c(m, 2))
         sign = -sigma if not corrected else sigma
-        return TensorExpr(1, [(sign, ((h, e),))])
+        return TensorExpr._of(1, ((sign, ((h, e),)),))
     if f.kind == "F":
-        ff = Factor("F", m, s - ShiftForm.of_central(m))
-        h = Factor("H+", m, s - ShiftForm.of_central(m, _HALF), inverted=True)
+        ff = Factor("F", m, s - _c(m, 2))
+        h = Factor("H+", m, s - _c(m, 1), inverted=True)
         sign = 1 if not corrected else -1
-        return TensorExpr(1, [(sign, ((ff, h),))])
+        return TensorExpr._of(1, ((sign, ((ff, h),)),))
     raise StructuralError("no antipode formula for %r" % (f.kind,))
 
 
@@ -561,7 +580,7 @@ def antipode(expr: TensorExpr, direction: int, convention: SignConvention = DEFA
     def image(word):
         # reversing k odd factors swaps each of their k(k-1)/2 pairs once
         k = sum(f.parity for f in word)
-        reversed_image = TensorExpr(1, [(-1 if k * (k - 1) // 2 % 2 else 1, ((),))])
+        reversed_image = TensorExpr._of(1, ((-1 if k * (k - 1) // 2 % 2 else 1, ((),)),))
         for f in reversed(word):
             reversed_image = reversed_image * _antipode_factor(
                 f, n, direction, convention, corrected)
@@ -579,7 +598,7 @@ def multiply_slots(expr: TensorExpr, slot: int = 0) -> TensorExpr:
     for coeff, words in expr.terms:
         merged = words[slot] + words[slot + 1]
         out.append((coeff, words[:slot] + (merged,) + words[slot + 2 :]))
-    return TensorExpr(expr.slots - 1, out)
+    return TensorExpr._of(expr.slots - 1, out)
 
 
 # ---------------------------------------------------------------------------

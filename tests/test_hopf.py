@@ -60,12 +60,37 @@ def test_shiftform_relabel_and_str():
     assert str(ShiftForm()) == "0"
 
 
-@given(
-    a=st.fractions(min_value=-3, max_value=3, max_denominator=4),
-    b=st.fractions(min_value=-3, max_value=3, max_denominator=4),
-)
+def test_shiftform_holds_doubled_ints():
+    s = ShiftForm(Fr(-3, 2)) + C(0, HALF) + C(1, 2)
+    assert (s.constant, s.central) == (-3, ((0, 1), (1, 4)))
+    assert str(s) == "-3/2 + (1/2)*c_0 + 2*c_1"
+    assert C(0, HALF).scale(2) == C(0) and C(0, 3).scale(Fr(1, 2)) == C(0, Fr(3, 2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ShiftForm(Fr(1, 3)),
+    lambda: ShiftForm(Fr(1, 4)),
+    lambda: C(0, Fr(1, 3)),
+    lambda: C(0, Fr(-1, 4)),
+    lambda: C(0, HALF).scale(HALF),
+    lambda: C(0, HALF).scale(Fr(2, 3)),
+    lambda: C(0, HALF).substitute(0, ShiftForm(HALF)),
+], ids=["third", "quarter", "central-third", "central-quarter", "scaled-quarter",
+        "scaled-third", "substituted-quarter"])
+def test_shift_off_the_half_integer_lattice_refused(make):
+    # a value whose double is not an integer is refused, never floored
+    with pytest.raises(StructuralError, match="half-integers"):
+        make()
+
+
+half_integers = st.integers(min_value=-6, max_value=6).map(lambda k: Fr(k, 2))
+
+
+@given(a=half_integers, b=half_integers)
 def test_shiftform_substitution_is_linear(a, b):
-    repl = C(1) + ShiftForm(Fr(1, 3))
+    # the replacement's constant is an integer: times a half-integer
+    # coefficient, a half-integer constant could leave the lattice
+    repl = C(1) + ShiftForm(Fr(-2))
     s = C(0, a) + C(2, b)
     t = C(0, b)
     lhs = (s + t).substitute(0, repl)
@@ -223,10 +248,7 @@ def test_coproduct_reexpands_central_shift():
     assert cop == expected
 
 
-@given(
-    const=st.fractions(min_value=-2, max_value=2, max_denominator=3),
-    coeff=st.fractions(min_value=-2, max_value=2, max_denominator=3),
-)
+@given(const=half_integers, coeff=half_integers)
 def test_coproduct_shift_additivity(const, coeff):
     # shifts pass through the coproduct additively after re-expansion
     base = coproduct(TensorExpr.generator("E", 0), 1, n=0).canonical()
@@ -538,8 +560,8 @@ def test_hopf_suite_verify_axiom_count(monkeypatch, tmp_path):
 
 def test_hopf_suite_coefficients_are_ints(monkeypatch, tmp_path):
     # the maps make only +-1, +-sigma and counit values, so every
-    # coefficient of both sides of the suite's 68 rows is an int; the
-    # shifts stay Fractions
+    # coefficient of both sides of the suite's 68 rows is an int, and so is
+    # every doubled shift
     rows, sides = [], []
     axiom_sides = hopf._axiom_sides
 
@@ -559,9 +581,34 @@ def test_hopf_suite_coefficients_are_ints(monkeypatch, tmp_path):
     assert len(rows) == 68
     coeffs = [c for side in sides for c, _ in side.terms]
     assert coeffs and all(type(c) is int for c in coeffs)
-    shifts = [f.shift.constant for side in sides for _, words in side.terms
+    shifts = [f.shift for side in sides for _, words in side.terms
               for w in words for f in w]
-    assert shifts and all(type(s) is Fr for s in shifts)
+    assert any(s.central for s in shifts)
+    assert all(type(k) is int for s in shifts
+               for k in (s.constant, *(c for _, c in s.central)))
+
+
+def test_hopf_suite_repeats_its_work(monkeypatch, tmp_path):
+    # a second run in one process makes the same calls as the first, so
+    # nothing is kept between runs
+    counts = {"verify_axiom": 0, "coproduct": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(hopf, "verify_axiom", counted("verify_axiom", verify_axiom))
+    monkeypatch.setattr(cli, "verify_axiom", hopf.verify_axiom)
+    monkeypatch.setattr(hopf, "coproduct", counted("coproduct", coproduct))
+    runs = []
+    for _ in range(2):
+        cli._suite_hopf(cli.RunConfig(suite="hopf", out=str(tmp_path / "r.json")))
+        runs.append(dict(counts))
+        counts.update(dict.fromkeys(counts, 0))
+    assert runs[0]["verify_axiom"] == 68 and runs[0]["coproduct"] > 0
+    assert runs[1] == runs[0]
 
 
 @pytest.mark.parametrize("make", [
@@ -570,6 +617,8 @@ def test_hopf_suite_coefficients_are_ints(monkeypatch, tmp_path):
     lambda: generator_expr("H+").scale(1.5),
     lambda: TensorExpr(1).scale(2.0),
     lambda: C(0, 0.5),
+    lambda: ShiftForm(0.5),
+    lambda: C(0).scale(0.5),
 ])
 def test_float_coefficient_refused(make):
     with pytest.raises(StructuralError, match="exact rationals"):

@@ -9,7 +9,14 @@ import pytest
 
 from ospboson import relations, theta
 from ospboson.errors import DomainError, PoleError, StructuralError
-from ospboson.freefield import DeformationParams, Kernel
+from ospboson.freefield import (
+    DeformationParams,
+    E_current,
+    F_current,
+    Kernel,
+    delta_decompose,
+    ope_kernel,
+)
 from ospboson.relations import (
     DISPLAY_AUDIT,
     RelationSpec,
@@ -821,11 +828,18 @@ def test_ef_exact():
 
 
 def test_ef_coefficients_at_p_one_limit():
-    # the displayed coefficient (p^(1/2)+p^(-1/2))^-1 tends to 1/2
-    assert 1 / (Fr(1) + Fr(1)) == Fr(1, 2)
-    r = Fr(99, 100)
-    val = 1 / (r + 1 / r)
-    assert abs(val - Fr(1, 2)) < Fr(1, 1000)
+    # the displayed coefficient (p^(1/2)+p^(-1/2))^-1 tends to 1/2: r times
+    # the coefficient of the delta at z = w p^c, as the program extracts it
+    # from the EF kernel, approaches 1/2 as r = p^(1/2) -> 1
+    errors = []
+    for r in (Fr(9, 10), Fr(99, 100), Fr(999, 1000)):
+        params = DeformationParams.from_sqrt(Fr(2, 5), r)
+        terms, _ = delta_decompose(ope_kernel(E_current(), F_current(), params, order=2))
+        coeff, w_exp = {t.support_x: t for t in terms}[1 / params.p].coefficient_on_support()
+        assert (r * coeff, w_exp) == (1 / (r + 1 / r), -1)
+        errors.append(abs(r * coeff - Fr(1, 2)))
+    assert errors == sorted(errors, reverse=True)
+    assert errors[1] < Fr(1, 1000)
 
 
 def test_invertibility_flag():
