@@ -46,7 +46,13 @@ psi = log(x p^s) / (2 t) and B = e^(-2 pi t) (theta module): within a few
 units of the working precision times the exponent's size, plus the
 rounding of e^(i psi) over |sin psi|, of the exact value
 (theta.StructureFunctionPoint's error budget).  The trigonometric target
-is computed apart on every call.  It and the rational target run in mpf.
+is computed apart on every call, as the point forms its phases: per base,
+e^(i theta) and P = e^(i delta) once, in fixed point, and each factor's
+sine the imaginary part of e^(i theta) conj(P)^k in integer products, with
+guard bits enough that a sine at the pole floor keeps the working precision
+(trig_structure_function's error budget).  The rational target runs in mpf.
+limit_check prints each elliptic/trig ratio from the real quotient, as
+nstr prints the mpc of it, "(x + 0.0j)".
 
 The trigonometric targets are derived mechanically from the canonical
 relation catalog (same factor lists, same signs), not typed in from the
@@ -64,6 +70,8 @@ import functools
 import random
 
 from mpmath import mp
+from mpmath.libmp import from_int, mpf_div, round_nearest
+from mpmath.libmp.libelefun import cos_sin_fixed, pi_fixed
 
 from .errors import DomainError, PoleError, StructuralError
 from .relations import relation_catalog, theta_bases
@@ -71,6 +79,10 @@ from .scalars import workdps
 from .theta import StructureFunctionPoint
 
 EPSILON_LADDER = (0.1, 0.05, 0.025, 0.0125)
+
+_SINE_GUARD_BITS = 20  # the sine target's bits beyond the working precision's
+                       # and the pole floor's (trig_structure_function)
+
 
 def eta_prime(eta, hbar, c):
     """Solve 1/eta' - 1/eta = hbar*c for eta'."""
@@ -112,25 +124,55 @@ def _on_real_line(u_minus_v):
 
 def _degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta=None):
     # sign * prod over the canonical factors of g(u-v - a*hbar)**power, with
-    # g = sin(2 pi eta .) (eta' on base qt^2) or, for eta=None, the identity;
-    # in mpf at the real u-v
+    # g = sin(2 pi eta .) (eta' on base qt^2; _sine_ratio) or, for eta=None,
+    # the identity, in mpf at the real u-v
     f = _structure_function(name)
     with workdps(digits + 10):
         s = _on_real_line(u_minus_v)
         hb = mp.mpf(hbar)
         if eta is not None:
-            scales = {k: 2 * mp.pi * e for k, e in _etas(eta, hbar, c).items()}
+            return _sine_ratio(f, s, hb, c, digits, _etas(eta, hbar, c))
         acc = mp.mpf(f.sign)
         floor = mp.mpf(10) ** (2 - digits)
         for tf in f.factors:
             val = s - (tf.k0 + tf.k1 * c) * hb / 2
-            if eta is not None:
-                val = mp.sin(scales[tf.base] * val)
             if abs(val) < floor:
-                raise PoleError("%s pole or zero"
-                                % ("rational" if eta is None else "sine"), factor=tf)
+                raise PoleError("rational pole or zero", factor=tf)
             acc = acc * val if tf.power == 1 else acc / val
         return acc
+
+
+def _sine_ratio(f, s, hb, c, digits, etas):
+    # the trig target of f in fixed point at wp (trig_structure_function)
+    if not isinstance(c, int):
+        raise StructuralError("need an integer level c, got %r" % (c,))
+    up, down = 10 ** max(2 - digits, 0), 10 ** max(digits - 2, 0)  # the floor
+    wp = mp.prec + down.bit_length() + _SINE_GUARD_BITS
+    floor = -(-(up << wp) // down)  # |sine| < floor 2^-wp <=> |sine| < 10^(2-digits)
+    two_pi, s, hb = pi_fixed(wp + 1), mp.to_fixed(s, wp), mp.to_fixed(hb, wp)
+    phases = {}  # base -> (e^(i theta), [P^0, P^1, ..]), P = e^(i delta)
+    for base in dict.fromkeys(tf.base for tf in f.factors):
+        scale = (two_pi * mp.to_fixed(etas[base], wp)) >> wp
+        phases[base] = cos_sin_fixed((scale * s) >> wp, wp), [
+            (1 << wp, 0), cos_sin_fixed((scale * hb) >> wp + 1, wp)]
+    num, den = f.sign, 1
+    for tf in f.factors:
+        k = tf.k0 + tf.k1 * c
+        (er, ei), powers = phases[tf.base]
+        for _ in range(len(powers), abs(k) + 1):  # P^n = P^(n-1) P
+            (ar, ai), (pr, pi) = powers[-1], powers[1]
+            powers.append(((ar * pr - ai * pi) >> wp, (ar * pi + ai * pr) >> wp))
+        qr, qi = powers[abs(k)]
+        # sin(theta - k delta) = Im(e^(i theta) conj(P)^k), P^-n = conj(P^n)
+        sine = (ei * qr - er * (qi if k >= 0 else -qi)) >> wp
+        if abs(sine) < floor:
+            raise PoleError("sine pole or zero", factor=tf)
+        if tf.power == 1:
+            num *= sine
+        else:
+            den *= sine
+    # as many sines on each side (StructureFunction), so their 2^wp cancel
+    return mp.make_mpf(mpf_div(from_int(num), from_int(den), mp.prec, round_nearest))
 
 
 def trig_structure_function(name, u_minus_v, *, eta, hbar, c=1, digits=30):
@@ -139,9 +181,31 @@ def trig_structure_function(name, u_minus_v, *, eta, hbar, c=1, digits=30):
     Derived factor-by-factor from the canonical elliptic catalog: a theta
     factor with argument x*p^a on base q^2 becomes sin(2 pi eta (u-v-a*hbar)),
     with eta' replacing eta on base qt^2; the overall sign survives and the
-    p^{+-1} prefactor drops (p -> 1).  u-v is real (DomainError otherwise).
-    A factor, numerator or denominator, within 10^(2 - digits) of zero
-    raises PoleError carrying it.
+    p^{+-1} prefactor drops (p -> 1).  u-v is real (DomainError otherwise)
+    and c an integer level (StructuralError otherwise).  A factor, numerator
+    or denominator, within 10^(2 - digits) of zero raises PoleError carrying
+    it.
+
+    The sines run in fixed point at wp, the working precision (digits + 10)
+    plus the bits of 10^(digits - 2) plus _SINE_GUARD_BITS.  Per base, with
+    eta_b its eta (an mpf at the working precision, eta' from eta_prime),
+    theta = 2 pi eta_b (u-v) and delta = 2 pi eta_b hbar / 2 are integer
+    products of 2 pi, eta_b, u-v and hbar in fixed point, and e^(i theta)
+    and P = e^(i delta) come from mpmath's cos_sin_fixed, once each.  A
+    factor's sine sin(theta - k delta), k = k0 + k1 c, is the imaginary part
+    of e^(i theta) conj(P)^k (P^-n = conj(P^n), P^n = P^(n-1) P in integer
+    products), and the pole test is one integer comparison.  Numerator and
+    denominator, the sign times their sines, are exact integer products,
+    divided once and rounded to the working precision.
+    Error budget, with u the working precision's unit.  A sine is within a
+    few dozen 2^-wp (1 + |k|) (1 + |eta_b|) (1 + |u-v| + |hbar|) of the
+    exact sine at the given u-v, hbar and eta_b: the truncations of 2 pi,
+    eta_b, u-v, hbar, theta, delta and the phases, and |k| products for
+    P^k.  Past the pole floor, |sine| >= 10^(2 - digits), that is below
+    u 2^-14 (1 + |k|) (1 + |eta_b|) (1 + |u-v| + |hbar|) relatively, so a
+    factor at the floor keeps the working precision.  The value is within
+    the sum of its factors' relative errors, plus u for the quotient, of
+    the exact ratio.  (eta' itself is rounded once, at u, by eta_prime.)
     """
     return _degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta)
 
@@ -201,15 +265,15 @@ def limit_check(name, u_minus_v, *, eta, hbar, c=1, digits=30, target_name=None)
             target_name or name, u_minus_v, eta=eta, hbar=hbar, c=c, digits=digits
         )
         errors = [float(abs(value - target)) for value in values]
-        # each ratio printed as an mpc, "(x + 0.0j)", the report's format
-        ratios = [mp.nstr(mp.mpc(value / target), 12) for value in values]
-        orders = []
-        steps = zip(EPSILON_LADDER, EPSILON_LADDER[1:])
-        for (e0, e1), (x0, x1) in zip(zip(errors, errors[1:]), steps):
-            if e1 == 0:
-                orders.append(float("inf"))
-            else:
-                orders.append(float(mp.log(e0 / e1) / mp.log(mp.mpf(x0) / mp.mpf(x1))))
+        # each ratio in the report's format, that of an mpc with a zero
+        # imaginary part, "(x + 0.0j)", printed from the real quotient
+        ratios = ["(%s + 0.0j)" % mp.nstr(value / target, 12) for value in values]
+        # one log per distinct ladder step (log 2 on the halving ladder)
+        steps = [mp.mpf(x0) / mp.mpf(x1)
+                 for x0, x1 in zip(EPSILON_LADDER, EPSILON_LADDER[1:])]
+        log_steps = {step: mp.log(step) for step in set(steps)}
+        orders = [float(mp.log(e0 / e1) / log_steps[step]) if e1 else float("inf")
+                  for e0, e1, step in zip(errors, errors[1:], steps)]
         monotone = all(a > b for a, b in zip(errors, errors[1:]))
         # a degenerate-to-exact case (e.g. the H blocks at c = 0 cancel to 1
         # on both sides) has an identically-vanishing error ladder

@@ -339,19 +339,18 @@ class TensorExpr:
         """Apply c_index -> replacement inside every argument shift.
 
         Central *factors* are untouched: maps transform those through their
-        own generator formulas, never through the shift substitution.
+        own generator formulas, never through the shift substitution.  A
+        factor whose shift has no c_index is kept as the same object.
         """
-        out = []
-        for coeff, words in self.terms:
-            new_words = tuple(
-                tuple(
-                    f if f.kind == "c" else f.with_shift(f.shift.substitute(index, replacement))
-                    for f in w
-                )
-                for w in words
-            )
-            out.append((coeff, new_words))
-        return TensorExpr._of(self.slots, out)
+        def substituted(f):
+            if f.kind == "c":
+                return f
+            shift = f.shift.substitute(index, replacement)
+            return f if shift is f.shift else f.with_shift(shift)
+
+        return TensorExpr._of(self.slots, [
+            (coeff, tuple(tuple(map(substituted, w)) for w in words))
+            for coeff, words in self.terms])
 
     def __str__(self) -> str:
         canon = self.canonical()

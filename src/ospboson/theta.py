@@ -346,13 +346,18 @@ def _real_nome(q, wp):
     and kappa = 1 / (4 pi t), the exponent's coefficients; the real
     q' = e^(-2 pi / t) prepared as a base of the series (_euler_base); and
     (q' | q')_inf in fixed point at wp, never at a pole: 1 - q' > 0.13.
+    pi and 1 / t are each taken once, at the working precision: q''s
+    exponent is -2 pi times 1 / t, one rounding more than -2 pi / t.
     """
     if not (isinstance(q, mp.mpf) and 0 < q < 1):
         raise DomainError("need a real nome 0 < q < 1, got %s" % q)
-    t = -mp.log(q) / (2 * mp.pi)
-    base = _euler_base(mp.exp(-2 * mp.pi / t), wp)
+    pi = +mp.pi
+    two_pi = 2 * pi
+    t = -mp.log(q) / two_pi
+    inv_t = 1 / t
+    base = _euler_base(mp.exp(-two_pi * inv_t), wp)
     b, bt = base[:2]
-    return (t, mp.pi * (t - 1 / t) / 4 - mp.log(t) / 2, 1 / (4 * mp.pi * t), base,
+    return (t, pi * (t - inv_t) / 4 - mp.log(t) / 2, inv_t / (2 * two_pi), base,
             _qpoch_series((1 << wp, 0), (b >> bt - wp, 0), base, wp)[0])
 
 

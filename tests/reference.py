@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from ospboson.degeneration import _etas, _structure_function
+from ospboson.degeneration import _SINE_GUARD_BITS, _etas, _structure_function
 from ospboson.errors import DomainError, PoleError, StructuralError
 from ospboson.relations import (
     RelationSpec,
@@ -281,28 +281,80 @@ def mp_structure_function_value(f, x, p, c, bases, digits):
                 * mp.mpf((acc[1], -wp)) / mp.mpf((acc[-1], -wp)))
 
 
-def mpc_degenerate_structure_function(name, u_minus_v, hbar, c, digits, eta=None):
-    """degeneration's trig (eta given) or rational (eta=None) target, with
-    every step in mpc, wherever u-v lies.
+def mpc_rational_structure_function(name, u_minus_v, hbar, c, digits):
+    """degeneration's rational target with every step in mpc, wherever u-v
+    lies.
 
-    The reference for the targets' real-line evaluation in mpf."""
+    The reference for the rational target's real-line evaluation in mpf."""
     f = _structure_function(name)
     with workdps(digits + 10):
         s = mp.mpc(u_minus_v)
         hb = mp.mpf(hbar)
-        if eta is not None:
-            scales = {k: 2 * mp.pi * e for k, e in _etas(eta, hbar, c).items()}
         acc = mp.mpc(f.sign)
         floor = mp.mpf(10) ** (2 - digits)
         for tf in f.factors:
             val = s - (tf.k0 + tf.k1 * c) * hb / 2
-            if eta is not None:
-                val = mp.sin(scales[tf.base] * val)
             if abs(val) < floor:
-                raise PoleError("%s pole or zero"
-                                % ("rational" if eta is None else "sine"), factor=tf)
+                raise PoleError("rational pole or zero", factor=tf)
             acc = acc * val if tf.power == 1 else acc / val
         return acc
+
+
+def mpf_trig_structure_function(name, u_minus_v, hbar, c, digits, eta):
+    """degeneration's trig target in mpf at digits + 10 digits, one mp.sin a
+    factor: sign times the product of sin(2 pi eta_b (u-v - k hbar / 2)) **
+    power, eta_b from degeneration._etas, multiplied and divided in turn;
+    PoleError carrying a factor whose sine is within 10^(2 - digits) of 0.
+
+    The reference for trig_structure_function's fixed-point sines.  Its own
+    error is trig_error_budget's second part: the rounding of k hbar / 2
+    falls on u-v - k hbar / 2, so near a sine's zero at 0 this route loses
+    what the cancellation costs, where the fixed-point one does not."""
+    f = _structure_function(name)
+    with workdps(digits + 10):
+        s = mp.mpf(u_minus_v)
+        hb = mp.mpf(hbar)
+        scales = {k: 2 * mp.pi * e for k, e in _etas(eta, hbar, c).items()}
+        acc = mp.mpf(f.sign)
+        floor = mp.mpf(10) ** (2 - digits)
+        for tf in f.factors:
+            val = mp.sin(scales[tf.base] * (s - (tf.k0 + tf.k1 * c) * hb / 2))
+            if abs(val) < floor:
+                raise PoleError("sine pole or zero", factor=tf)
+            acc = acc * val if tf.power == 1 else acc / val
+        return acc
+
+
+def trig_error_budget(name, u_minus_v, hbar, c, digits, eta):
+    """The relative error budgets (program, reference) of
+    trig_structure_function and of mpf_trig_structure_function at the same
+    inputs and digits, each factor's sine taken at 2 digits + 40 digits; the
+    two routes are within their sum of each other.
+
+    The program's (trig_structure_function): 64 2^-wp (1 + |k|) (1 + |eta_b|)
+    (1 + |u-v| + |hbar|) / |sine| a factor, plus u for the quotient.
+    The reference's, a factor at arg = 2 pi eta_b (u-v - k hbar / 2): its
+    argument is off by u (4 |arg| + |2 pi eta_b k hbar / 2|) (the roundings
+    of 2 pi eta_b, k hbar, the difference and the product), which moves the
+    sine by |cot arg| times that relatively, and its sine and its product
+    or quotient round once each, at u."""
+    f = _structure_function(name)
+    with workdps(digits + 10):
+        u = mp.mpf(2) ** -mp.mp.prec
+        wp = mp.mp.prec + (10 ** max(digits - 2, 0)).bit_length() + _SINE_GUARD_BITS
+        etas = _etas(eta, hbar, c)
+        s, hb = mp.mpf(u_minus_v), mp.mpf(hbar)
+    with workdps(2 * digits + 40):
+        program, reference = u, 0
+        for tf in f.factors:
+            k, e = tf.k0 + tf.k1 * c, etas[tf.base]
+            arg = 2 * mp.pi * e * (s - k * hb / 2)
+            sine = mp.sin(arg)
+            program += (64 * mp.mpf(2) ** -wp * (1 + abs(k)) * (1 + abs(e))
+                        * (1 + abs(s) + abs(hb)) / abs(sine))
+            reference += u * (abs(mp.cos(arg) / sine)
+                              * (4 * abs(arg) + abs(mp.pi * e * k * hb)) + 2)
+        return program, reference
 
 
 class _Theta:

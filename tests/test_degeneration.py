@@ -17,10 +17,12 @@ from ospboson.errors import DomainError, PoleError, StructuralError
 from ospboson.relations import relation_catalog, theta_bases
 from reference import (
     TRIG_DISPLAY_AUDIT,
-    mpc_degenerate_structure_function,
+    mpc_rational_structure_function,
+    mpf_trig_structure_function,
     one_factor_theta,
     theta_argument,
     theta_shift,
+    trig_error_budget,
 )
 
 
@@ -118,23 +120,30 @@ def test_half_period_invariance():
         assert _base_counts("HH") == {"q2": 4, "qt2": 4}
 
 
+def _within_budget(name, s, hbar, c, eta, digits=30):
+    got = trig_structure_function(name, s, eta=eta, hbar=hbar, c=c, digits=digits)
+    want = mpf_trig_structure_function(name, s, hbar, c, digits, eta)
+    budget = sum(trig_error_budget(name, s, hbar, c, digits, eta))
+    assert isinstance(got, mp.mpf)
+    with mp.workdps(digits + 10):
+        assert abs(got - want) <= budget * abs(want), (name, s, hbar, c, eta)
+
+
 @pytest.mark.parametrize("seeds", [range(0, 10), range(10, 20)])
 def test_real_line_targets_equal_the_mpc_ones(seeds):
-    # at a real u-v the targets run in mpf and return an mpf; each step
-    # rounds as its mpc one, so every trig and rational value here equals the
-    # all-mpc reference's real part bit for bit.  mpc division rounds through
-    # 10 more bits than mpf's, so elsewhere one can differ by an ulp (12 of
-    # 10 880 trig values at seeds 60-399).  Off the line the targets, and
-    # limit_check, refuse u-v
+    # at a real u-v both targets return an mpf.  The rational one runs in
+    # mpf, each step rounding as its mpc one, so it equals the all-mpc
+    # reference's real part bit for bit.  The trig one runs its sines in
+    # fixed point, so it is held to its error budget against the mpf sines
+    # (reference.trig_error_budget), not to their bits.  Off the line the
+    # targets, and limit_check, refuse u-v
     for seed in seeds:
         for smp in sample_limit_inputs(seed, 4):
             s, eta, hbar = smp["u_minus_v"], smp["eta"], smp["hbar"]
             for name in LIMIT_NAMES:
-                got = trig_structure_function(name, s, eta=eta, hbar=hbar)
-                want = mpc_degenerate_structure_function(name, s, hbar, 1, 30, eta)
-                assert isinstance(got, mp.mpf) and got == want.real and want.imag == 0
+                _within_budget(name, s, hbar, 1, eta)
                 got = rational_structure_function(name, s, hbar)
-                want = mpc_degenerate_structure_function(name, s, hbar, 1, 30)
+                want = mpc_rational_structure_function(name, s, hbar, 1, 30)
                 assert isinstance(got, mp.mpf) and got == want.real and want.imag == 0
     z = mp.mpc("0.41", "0.03")
     for check in (lambda: trig_structure_function("HH", z, eta=0.3, hbar=0.12),
@@ -144,6 +153,64 @@ def test_real_line_targets_equal_the_mpc_ones(seeds):
             check()
     assert trig_structure_function("HH", mp.mpc("0.41"), eta=0.3, hbar=0.12) == (
         trig_structure_function("HH", 0.41, eta=0.3, hbar=0.12))
+
+
+@pytest.mark.parametrize("name", ["HH", "H+H-"])
+@pytest.mark.parametrize("c", [-2, 0, 1, 2])
+def test_trig_both_bases_match_the_mpf_sines(name, c):
+    # eta on q^2 and eta' on qt^2, at each level, and at hbar = 0, where
+    # every sine is sin(2 pi eta_b (u-v)) and P = 1
+    inputs = sample_limit_inputs(3, 4) + [dict(u_minus_v=0.41, eta=0.3, hbar=0.0)]
+    for smp in inputs:
+        _within_budget(name, smp["u_minus_v"], smp["hbar"], c, smp["eta"])
+
+
+def test_trig_refuses_a_non_integer_level():
+    with pytest.raises(StructuralError, match="integer level"):
+        trig_structure_function("HH", 0.41, eta=0.3, hbar=0.12, c=0.5)
+
+
+def _near_floor(factor_of, digits=30):
+    # u-v, eta and hbar, mpfs at the working precision, where H+E's third
+    # factor, the denominator sin(2 pi eta (u-v - 3 hbar / 2)) at c = 1, is
+    # factor_of times the pole floor 10^(2 - digits).  hbar has a full
+    # mantissa, so 3 hbar rounds in mpf
+    with mp.workdps(digits + 10):
+        eta, hbar = mp.mpf(0.3), mp.mpf("0.12")
+    with mp.workdps(2 * digits + 40):
+        s = 3 * hbar / 2 + mp.asin(factor_of * mp.mpf(10) ** (2 - digits)) / (2 * mp.pi * eta)
+    with mp.workdps(digits + 10):
+        return +s, eta, hbar
+
+
+def test_trig_factor_just_above_the_floor_keeps_the_working_precision():
+    # twice the floor: the mpf sines lose some 27 digits there, to the
+    # rounding of 3 hbar against u-v - 3 hbar / 2; the fixed-point ones are
+    # held to their budget, within the working precision, against the mpf
+    # sines at 60 digits more (whose loss is then below 10^-60)
+    hf = _rel("H+E").structure_function.factors[2]
+    assert (hf.k0 + hf.k1, hf.power) == (3, -1)
+    s, eta, hbar = _near_floor(2)
+    with mp.workdps(200):
+        assert 1.9e-28 < mp.sin(2 * mp.pi * eta * (s - 3 * hbar / 2)) < 2.1e-28
+    got = trig_structure_function("H+E", s, eta=eta, hbar=hbar)
+    want = mpf_trig_structure_function("H+E", s, hbar, 1, 90, eta)
+    mpf_sines = mpf_trig_structure_function("H+E", s, hbar, 1, 30, eta)
+    program, _ = trig_error_budget("H+E", s, hbar, 1, 30, eta)
+    _, reference = trig_error_budget("H+E", s, hbar, 1, 90, eta)
+    with mp.workdps(40):
+        u = mp.mpf(2) ** -mp.prec
+        assert program < 2 * u
+        assert abs(got - want) <= (program + reference) * abs(want)
+        assert abs(mpf_sines - want) > 1e-20 * abs(want)
+
+
+def test_trig_factor_just_below_the_floor_raises():
+    hf = _rel("H+E").structure_function.factors[2]
+    s, eta, hbar = _near_floor(0.5)
+    with pytest.raises(PoleError, match="sine pole or zero") as exc:
+        trig_structure_function("H+E", s, eta=eta, hbar=hbar)
+    assert exc.value.factor == hf
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +302,27 @@ def test_limit_check_report_shape():
     assert len(rep["empirical_orders"]) == len(EPSILON_LADDER) - 1
     assert "nome_convention" in rep
     assert len(rep["prefactor_log"]["ratios"]) == len(EPSILON_LADDER)
+
+
+@pytest.mark.parametrize("name,target", [("H+E", None), ("HH", None), ("H+E", "EE")])
+def test_limit_check_ratios_print_as_mpcs(name, target):
+    # each ratio is printed from the real quotient as nstr prints its mpc,
+    # a negative one (H+E against the EE target) too; each order from the
+    # errors and the log of its ladder step
+    inputs = dict(u_minus_v=0.4, eta=0.25, hbar=0.12, c=1, digits=30)
+    rep = limit_check(name, target_name=target, **inputs)
+    f = _rel(name).structure_function
+    with mp.workdps(40):
+        values = [point.value(f) for point in MEMO(0.4, 0.25, 0.12, 1, 30)]
+        t = trig_structure_function(target or name, 0.4, eta=0.25, hbar=0.12)
+        ratios = [mp.nstr(mp.mpc(value / t), 12) for value in values]
+        errors = rep["errors"]
+        orders = [float(mp.log(e0 / e1) / mp.log(mp.mpf(x0) / mp.mpf(x1)))
+                  for e0, e1, x0, x1 in zip(errors, errors[1:], EPSILON_LADDER,
+                                            EPSILON_LADDER[1:])]
+    assert rep["prefactor_log"]["ratios"] == ratios
+    assert rep["empirical_orders"] == orders
+    assert all(r.startswith("(-") for r in ratios) == (target == "EE")
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,24 @@ def test_inverse_pair_cancellation():
     assert len(other.canonical().terms[0][1][0]) == 2
 
 
+def test_substitute_central_keeps_untouched_factors(monkeypatch):
+    # a factor whose shift has no c_0 comes back as the same object, built
+    # through no Factor.with_shift; one with a c_0 part is rebuilt
+    plain = Factor("E", 1, C(1) + ShiftForm(1))
+    unshifted = Factor("H+", 0, inverted=True)
+    central = Factor("c", 0)
+    moved = Factor("F", 1, C(0, HALF))
+    expr = TensorExpr(2, [(3, ((central, plain), (unshifted, moved)))])
+    rebuilt = []
+    with_shift = Factor.with_shift
+    monkeypatch.setattr(Factor, "with_shift", lambda f, shift: rebuilt.append(f) or (
+        with_shift(f, shift)))
+    (coeff, ((a, b), (c, d))), = expr.substitute_central(0, C(2) + ShiftForm(1)).terms
+    assert coeff == 3 and (a, b, c) == (central, plain, unshifted)
+    assert a is central and b is plain and c is unshifted
+    assert d == Factor("F", 1, C(2, HALF) + ShiftForm(HALF)) and rebuilt == [moved]
+
+
 def test_canonical_idempotent():
     h = Factor("H-", 0)
     h_inv = Factor("H-", 0, inverted=True)
